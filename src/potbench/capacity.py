@@ -185,15 +185,11 @@ def content(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
 # ---------------------------------------------------------------------------
 
 
-def _kkt_residual(A, lam, thr):
-    g = 2.0 * (1.0 - A @ lam)
+def _kkt_residual(A, lam, thr, g=None):
+    g = 2.0 * (1.0 - A @ lam) if g is None else g
     active = lam > thr
-    r = 0.0
-    if active.any():
-        r = float(np.abs(g[active]).max())
-    if (~active).any():
-        r = max(r, float(np.clip(g[~active], 0.0, None).max()))
-    return r
+    return max(float(np.abs(g[active]).max(initial=0.0)),
+               float(np.clip(g[~active], 0.0, None).max(initial=0.0)))
 
 
 def _try_polish(A, lam, thr):
@@ -229,17 +225,18 @@ def _qp_ascent(A, starts, max_iter=50_000):
     best, best_val, best_res = None, -np.inf, np.inf
     for lam in starts:
         lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
-        thr = 1e-12 * (1.0 + lam.max())
+        g = 2.0 * (1.0 - A @ lam)
         for it in range(max_iter):
-            g = 2.0 * (1.0 - A @ lam)
             lam = np.clip(lam + g / L, 0.0, None)
+            g = 2.0 * (1.0 - A @ lam)  # the stop test's gradient is the next step's
             thr = 1e-12 * (1.0 + lam.max())
-            if it % 64 == 63 or _kkt_residual(A, lam, thr) < 1e-11:
+            res = _kkt_residual(A, lam, thr, g)
+            if it % 64 == 63 or res < 1e-11:
                 polished = _try_polish(A, lam, max(thr, 1e-10 * (1.0 + lam.max())))
                 if polished is not None and _kkt_residual(A, polished, 1e-14) < 1e-9:
                     lam = polished
                     break
-                if _kkt_residual(A, lam, thr) < 1e-11:
+                if res < 1e-11:
                     break
         val = 2.0 * lam.sum() - lam @ A @ lam
         res = _kkt_residual(A, lam, 1e-12 * (1.0 + lam.max()))

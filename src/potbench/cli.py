@@ -455,23 +455,11 @@ def _emit(report, timings, tables, out_dir) -> int:
         for index, name, rows in tables:
             if rows:
                 _write_csv(os.path.join(out_dir, f"{index:02d}_{name}.csv"),
-                           [to_csv_row(r) for r in rows])
+                           to_jsonable(rows))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def to_csv_row(row: dict) -> dict:
-    out = {}
-    for k, v in row.items():
-        if isinstance(v, (float, np.floating)):
-            out[k] = float(v)
-        elif isinstance(v, (int, np.integer)):
-            out[k] = int(v)
-        else:
-            out[k] = v
-    return out
 
 
 def _cmd_analyze(args) -> int:

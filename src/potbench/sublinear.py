@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     Measure,
     NormSpec,
     SpaceMismatchError,
+    _weighted_terms,
     adjoint_potential,
     check_nondegenerate,
     check_quasisymmetric,
@@ -167,7 +169,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     status = "diverged"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        pot = potential(kernel, Measure(kernel.space, _mass_weights(phi, sigma)))
+        pot = potential(kernel, Measure(kernel.space, _weighted_terms(phi, sigma.weights)))
         nxt = psi + gain * pot**q
         if not np.isfinite(nxt[supp]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
@@ -183,7 +185,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
             break
 
     u = (scale * phi) ** (1.0 / q)
-    rhs = potential(kernel, Measure(kernel.space, _mass_weights(u**q, sigma)))
+    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
     gap = u - rhs
     bad = np.isnan(gap) | ((gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u))
     bad &= ~(np.isinf(u) & np.isinf(rhs))
@@ -191,13 +193,6 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
         status = "diverged"
     residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
     return SolveResult(u, status, residual, iterations, _lq_norm(u, sigma, q))
-
-
-def _mass_weights(values, sigma: Measure) -> np.ndarray:
-    """``values * sigma`` with ``0 * inf = 0``, as a finite weight vector."""
-    with np.errstate(invalid="ignore"):
-        w = values * sigma.weights
-    return np.where(sigma.weights == 0, 0.0, w)
 
 
 def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
@@ -221,7 +216,7 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
     if not np.isfinite(u0[supp]).all():
         raise DomainError("start must be finite on the support of sigma")
 
-    rhs = potential(kernel, Measure(kernel.space, _mass_weights(u0**q, sigma)))
+    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u0**q, sigma.weights)))
     slack = rhs[supp] - u0[supp]
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
@@ -230,7 +225,7 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
     iterations = 1
     status = "diverged"
     for iterations in range(2, max_iter + 2):
-        nxt = potential(kernel, Measure(kernel.space, _mass_weights(u**q, sigma)))
+        nxt = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
         if not np.isfinite(nxt[supp]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
@@ -243,7 +238,7 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
             status = "converged"
             break
 
-    final = potential(kernel, Measure(kernel.space, _mass_weights(u**q, sigma)))
+    final = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
     residual = float(np.abs(u[supp] - final[supp]).max()) if supp.size else 0.0
     zeros = supp[u[supp] == 0.0]
     if status == "converged":
@@ -453,6 +448,50 @@ def _iter_subsets(kernel: Kernel, sigma: Measure, budget: int, seed: int):
     return "sampled", gen()
 
 
+class _SubsetTable:
+    """The masks of :func:`_iter_subsets`, stored on first use as the rows of one
+    array, their sigma masses, and per-mask memos of the q-independent ``cap0``
+    and ``cap1``.  It lives only as long as its caller: kernels are mutable."""
+
+    def __init__(self, kernel: Kernel, sigma: Measure, budget: int, seed: int):
+        self.kernel, self.sigma = kernel, sigma
+        self.mode, self._masks = _iter_subsets(kernel, sigma, budget, seed)
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        return np.fromiter(self._masks, np.dtype((bool, self.kernel.size)))
+
+    @cached_property
+    def masses(self) -> list:  # all positive: each mask is a nonempty part of supp sigma
+        return [self.sigma.mass(mask) for mask in self.masks]
+
+    @cached_property
+    def _caps(self) -> np.ndarray:
+        return np.full((2, len(self.masks)), np.nan)  # cap0 and cap1, nan until solved
+
+    def cap0_value(self, i: int) -> float:
+        if np.isnan(self._caps[0, i]):
+            self._caps[0, i] = cap0(self.kernel, self.masks[i]).value
+        return float(self._caps[0, i])
+
+    def cap1_value(self, i: int) -> float:
+        if np.isnan(self._caps[1, i]):
+            self._caps[1, i] = wiener_cap1(self.kernel, self.masks[i], _exceptional=False).value
+        return float(self._caps[1, i])
+
+    def max_ratio(self, q: float, capacity) -> tuple[float, int | None]:
+        """Largest ``sigma(K)^{1/q} / capacity(K)`` and its first index; stops at inf."""
+        best, best_i = 0.0, None
+        for i, mass in enumerate(self.masses):
+            capv = capacity(i)
+            ratio = mass ** (1.0 / q) / capv if capv > 0 else float("inf")
+            if ratio > best:
+                best, best_i = float(ratio), i
+                if np.isinf(best):
+                    break
+        return best, best_i
+
+
 def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
     """sup over superlevel sets E of the column of integral_E column dsigma
     over sigma(E)^(1/qprime)."""
@@ -490,10 +529,13 @@ def weak_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     constant, which bounds the weak constant from above, and a kernel
     column of infinite weak norm makes the constant infinite.
     """
-    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
-    G = kernel.entries
-    n = kernel.size
-    mode, masks = _iter_subsets(kernel, sigma, budget, seed)
+    return _weak_type_constant(_SubsetTable(problem.kernel, problem.sigma, budget, seed),
+                               problem.q)
+
+
+def _weak_type_constant(table: _SubsetTable, q: float) -> ConstantEstimate:
+    kernel, sigma, mode = table.kernel, table.sigma, table.mode
+    G, n = kernel.entries, kernel.size
 
     level_set = None
     if q > 1.0:
@@ -514,25 +556,15 @@ def weak_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     if sigma.support.size == 0:
         return ConstantEstimate(0.0, 0.0, None, "capacity-subsets", {"mode": "exact"})
 
-    best, best_mask = 0.0, None
-    for mask in masks:
-        mass = sigma.mass(mask)
-        if mass == 0:
-            continue
-        capv = cap0(kernel, mask).value
-        with np.errstate(divide="ignore"):
-            ratio = mass ** (1.0 / q) / capv if capv > 0 else float("inf")
-        if ratio > best:
-            best, best_mask = float(ratio), mask
-            if np.isinf(best):
-                break
+    best, best_i = table.max_ratio(q, table.cap0_value)
     extras = {"mode": mode}
     if level_set is not None:
         extras["level_set_constant"] = level_set
     witness = None
-    if best_mask is not None:
+    if best_i is not None:
+        best_mask = table.masks[best_i]
         extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
-        extras["cap0_value"] = cap0(kernel, best_mask).value
+        extras["cap0_value"] = table.cap0_value(best_i)
         cres = content(kernel, best_mask)
         extras["content_value"] = cres.value
         witness = cres.extremal
@@ -673,7 +705,7 @@ def maurey_verify(problem: SublinearProblem, F) -> float:
         raise DomainError("F must be positive on the support of sigma")
     with np.errstate(divide="ignore"):
         powed = F**expo
-    weights = _mass_weights(powed, sigma)
+    weights = _weighted_terms(powed, sigma.weights)
     if not np.isfinite(weights).all():
         raise DomainError("F^(1-1/q) sigma is not a finite measure")
     vals = adjoint_potential(kernel, Measure(kernel.space, weights))
@@ -720,20 +752,20 @@ def testing_condition_11(kernel: Kernel, sigma: Measure, budget: int = DEFAULT_B
     kernels the same ratio maximized over the balls of ``d = 1/G`` (all
     centers, all realized radii, strict inequality) is reported in extras.
     """
+    return _testing_condition_11(_SubsetTable(kernel, sigma, budget, seed))
+
+
+def _testing_condition_11(table: _SubsetTable) -> ConstantEstimate:
+    kernel, sigma = table.kernel, table.sigma
     best, best_mask = 0.0, None
-    mode, masks = _iter_subsets(kernel, sigma, budget, seed)
-    for mask in masks:
-        mass = sigma.mass(mask)
-        if mass == 0:
-            continue
+    for mask, mass in zip(table.masks, table.masses):
         restricted = sigma.restrict(mask)
-        num = integrate(potential(kernel, restricted), restricted)
-        ratio = num / mass
+        ratio = integrate(potential(kernel, restricted), restricted) / mass
         if ratio > best:
             best, best_mask = float(ratio), mask
             if np.isinf(best):
                 break
-    extras: dict = {"mode": mode}
+    extras: dict = {"mode": table.mode}
     witness = None
     if best_mask is not None:
         witness = sigma.restrict(best_mask)
@@ -760,7 +792,7 @@ def testing_condition_11(kernel: Kernel, sigma: Measure, budget: int = DEFAULT_B
         extras["kappa"] = qm.kappa
         extras["ball_constant"] = ball_best
         extras["ball_witness"] = ball_info
-    upper = best if mode == "exact" else float("inf")
+    upper = best if table.mode == "exact" else float("inf")
     return ConstantEstimate(best, upper, witness, "subset-enumeration", extras)
 
 
@@ -953,9 +985,10 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("lorentz_sufficiency",
                         "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"))
 
+    table = _SubsetTable(kernel, sigma, budget, seed)
     if q <= 1.0 and wmp.holds and kernel.is_symmetric:
-        weak = weak_type_constant(problem, budget=budget, seed=seed)
-        c_cap1, _ = _capacity_weak_constant(kernel, sigma, q, budget, seed)
+        weak = _weak_type_constant(table, q)
+        c_cap1, _ = table.max_ratio(q, table.cap1_value)
         constants["weak_cap0"] = weak.lower
         constants["weak_cap1"] = c_cap1
         ok = (c_cap1 <= weak.lower * (1.0 + rtol)
@@ -968,11 +1001,10 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                         "needs q <= 1, a symmetric kernel and WMP"))
 
     if wmp.holds and kernel.is_symmetric:
-        tst = testing_condition_11(kernel, sigma, budget=budget, seed=seed)
+        tst = _testing_condition_11(table)
         t22 = lp_operator_norm(kernel, sigma, 2.0)
-        weak11 = weak_type_constant(SublinearProblem(kernel, sigma, 1.0),
-                                    budget=budget, seed=seed)
-        c_cap1_11, _ = _capacity_weak_constant(kernel, sigma, 1.0, budget, seed)
+        weak11 = _weak_type_constant(table, 1.0)
+        c_cap1_11, _ = table.max_ratio(1.0, table.cap1_value)
         trio = {"weak_1_1": weak11.lower, "testing": tst.lower, "p2_norm": t22,
                 "from_cap1": c_cap1_11,
                 "p_extras": {p: lp_operator_norm(kernel, sigma, p) for p in (1.5, 3.0)}}
@@ -1009,23 +1041,6 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     return TheoremReport(hypotheses, tuple(rows), constants)
 
 
-def _capacity_weak_constant(kernel, sigma, q, budget, seed):
-    """max over subsets of sigma(K)^(1/q) / cap1(K), with the best subset."""
-    best, best_mask = 0.0, None
-    _, masks = _iter_subsets(kernel, sigma, budget, seed)
-    for mask in masks:
-        mass = sigma.mass(mask)
-        if mass == 0:
-            continue
-        capv = wiener_cap1(kernel, mask, _exceptional=False).value
-        ratio = mass ** (1.0 / q) / capv if capv > 0 else float("inf")
-        if ratio > best:
-            best, best_mask = float(ratio), mask
-            if np.isinf(best):
-                break
-    return best, best_mask
-
-
 def _local_route_row(problem, budget, seed, pole, rtol):
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
@@ -1054,7 +1069,7 @@ def _local_route_row(problem, budget, seed, pole, rtol):
                           {"modified_status": sol.status})
     u_loc = np.zeros(kernel.size)
     u_loc[mod.retained] = g[mod.retained] * sol.u
-    rhs = potential(kernel, Measure(kernel.space, _mass_weights(u_loc**q, sigma)))
+    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u_loc**q, sigma.weights)))
     res = np.abs(u_loc[mod.retained] - rhs[mod.retained])
     scale = np.maximum(1.0, u_loc[mod.retained])
     ok = bool((res <= rtol * scale).all())

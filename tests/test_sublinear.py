@@ -48,7 +48,9 @@ from potbench import (
     weak_quotient_bound,
     weak_type_constant,
 )
-from potbench.sublinear import GOLDEN_THRESHOLD
+from potbench import sublinear
+from potbench.principles import DEFAULT_BUDGET
+from potbench.sublinear import GOLDEN_THRESHOLD, _iter_subsets, _SubsetTable
 from conftest import metric_power_kernel, rand_sigma
 
 
@@ -389,3 +391,76 @@ def test_energy_value_infinite():
     k = Kernel(s, [[np.inf, 1.0], [1.0, 1.0]])
     prob = SublinearProblem(k, Measure(s, [1.0, 1.0]), 0.5)
     assert energy_value(prob, 1.0) == np.inf
+
+
+def _weak_routes_standalone(problem, budget, seed):
+    """The constants of theorem_report's two weak rows, each from its own call."""
+    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
+
+    def cap1_route(q_):
+        table = _SubsetTable(kernel, sigma, budget, seed)
+        return table.max_ratio(q_, table.cap1_value)[0]
+
+    problem11 = SublinearProblem(kernel, sigma, 1.0)
+    return {
+        "weak_cap0": weak_type_constant(problem, budget=budget, seed=seed).lower,
+        "weak_cap1": cap1_route(q),
+        "weak_1_1": weak_type_constant(problem11, budget=budget, seed=seed).lower,
+        "testing": check_testing_condition(kernel, sigma, budget=budget, seed=seed).lower,
+        "from_cap1": cap1_route(1.0),
+    }
+
+
+def _assert_matches_standalone(rep, alone):
+    chain = rep.row("weak11_testing_chain").details
+    assert rep.constants["weak_cap0"] == alone["weak_cap0"]
+    assert rep.constants["weak_cap1"] == alone["weak_cap1"]
+    for key in ("weak_1_1", "testing", "from_cap1"):
+        assert chain[key] == alone[key], key
+
+
+def _metric_problem_8():
+    rng = np.random.default_rng(5)
+    k = metric_power_kernel(rng, 8, power=1.0, offset=0.3)
+    return SublinearProblem(k, rand_sigma(rng, k.space), 0.5)
+
+
+def test_theorem_report_one_capacity_per_subset(monkeypatch):
+    prob = _metric_problem_8()
+    calls = {"cap0": [], "wiener_cap1": []}
+    for name in calls:
+        original = getattr(sublinear, name)
+
+        def counted(kernel, points, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(np.asarray(points).tobytes())
+            return _original(kernel, points, *args, **kwargs)
+
+        monkeypatch.setattr(sublinear, name, counted)
+    rep = theorem_report(prob, seed=0)
+    monkeypatch.undo()
+
+    assert rep.hypotheses["wmp_holds"]
+    assert rep.verdict("weak_capacity_route") != "NOT-APPLICABLE"
+    for name, keys in calls.items():
+        # every nonempty subset of the 8-point support once, none twice
+        assert len(keys) == len(set(keys)) == 2**8 - 1, name
+    _assert_matches_standalone(rep, _weak_routes_standalone(prob, DEFAULT_BUDGET, 0))
+
+
+def test_theorem_report_sampled_subsets_match_standalone():
+    prob = _metric_problem_8()
+    budget, seed = 100, 2
+    assert budget < 2**prob.sigma.support.size
+
+    table = _SubsetTable(prob.kernel, prob.sigma, budget, seed)
+    mode, fresh = _iter_subsets(prob.kernel, prob.sigma, budget, seed)
+    assert table.mode == mode == "sampled"
+    masks = [mask.tobytes() for mask in table.masks]
+    assert masks == [mask.tobytes() for mask in fresh]
+    assert [mask.tobytes() for mask in table.masks] == masks  # stored, read twice
+    assert table.masses == [prob.sigma.mass(mask) for mask in table.masks]
+    assert len(masks) == len(set(masks)) > 2 * prob.kernel.size
+
+    rep = theorem_report(prob, budget=budget, seed=seed)
+    assert rep.hypotheses["wmp_holds"]
+    _assert_matches_standalone(rep, _weak_routes_standalone(prob, budget, seed))
