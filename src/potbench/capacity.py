@@ -29,6 +29,7 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
+    _nonempty_subsets,
     adjoint_potential,
     potential,
 )
@@ -46,6 +47,7 @@ __all__ = [
 
 CERT_TOL = 1e-8
 ENUM_LIMIT = 12  # largest |K| solved exactly on non-PSD kernels
+QP_CAP = 50_000  # projected-gradient steps per start
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def _try_polish(A, lam, thr):
     return cand
 
 
-def _qp_ascent(A, starts, max_iter=50_000):
+def _qp_ascent(A, starts):
     """Projected-gradient ascent for ``f(lam) = 2 sum(lam) - lam' A lam``.
 
     Exact for PSD ``A`` (concave objective); used as a best-effort search
@@ -226,7 +228,7 @@ def _qp_ascent(A, starts, max_iter=50_000):
     for lam in starts:
         lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
         g = 2.0 * (1.0 - A @ lam)
-        for it in range(max_iter):
+        for it in range(QP_CAP):
             lam = np.clip(lam + g / L, 0.0, None)
             g = 2.0 * (1.0 - A @ lam)  # the stop test's gradient is the next step's
             thr = 1e-12 * (1.0 + lam.max())
@@ -264,8 +266,8 @@ def _family_mass_lp(AT):
 def _enumerate_supports(A):
     k = A.shape[0]
     best_val, best = 0.0, np.zeros(k)
-    for mask in range(1, 1 << k):
-        T = np.array([i for i in range(k) if mask >> i & 1], dtype=int)
+    for row in _nonempty_subsets(k):
+        T = np.flatnonzero(row)
         AT = A[np.ix_(T, T)]
         if np.isinf(AT).any():
             continue

@@ -202,7 +202,7 @@ def _mode_tag(mode: str) -> str:
 
 
 def _task_solve(inst, params, seed, budget, tol):
-    res, est = solve_equation(_problem(inst, params), budget=budget, seed=seed)
+    res, est = solve_equation(_problem(inst, params))
     out = {"solve": res, "strong_lower": est.lower,
            "strong_certified": est.extras.get("certified_upper")}
     return out, "randomized", None
@@ -294,7 +294,7 @@ def _task_maurey(inst, params, seed, budget, tol):
     if "F" in params:
         F = np.asarray(params["F"], dtype=float)
         return {"verification": maurey_verify(problem, F)}, "exact", None
-    est = strong_type_constant(problem, budget=budget, seed=seed, with_upper=False)
+    est = strong_type_constant(problem, with_upper=False)
     if est.witness is None:
         return {"available": False, "reason": "no witness"}, "randomized", None
     F = maurey_candidate(problem, est.witness)

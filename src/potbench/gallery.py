@@ -188,7 +188,8 @@ _CHUNK = 1_000_000
 
 
 def _accumulate(term, target):
-    """First k with ``sum_{j<=k} term(j) >= target`` within the term budget."""
+    """First k with ``sum_{j<=k} term(j) >= target`` and that sum, or ``None``
+    and the sum of all ``MAX_EXACT_TERMS`` terms when the budget runs out."""
     running = 0.0
     start = 1
     while start <= MAX_EXACT_TERMS:
@@ -201,17 +202,7 @@ def _accumulate(term, target):
             return start + int(hit[0]), float(cum[hit[0]])
         running = float(cum[-1])
         start = stop
-    return None
-
-
-def _partial_sum(term, n):
-    total = 0.0
-    start = 1
-    while start <= n:
-        stop = min(start + _CHUNK, n + 1)
-        total += float(term(np.arange(start, stop, dtype=float)).sum())
-        start = stop
-    return total
+    return None, running
 
 
 def energy_divergence_threshold(spec: BlockSpec, target: float) -> ThresholdReport:
@@ -235,20 +226,19 @@ def energy_divergence_threshold(spec: BlockSpec, target: float) -> ThresholdRepo
             + (r2 / (1 - r2) if r2 < 1 else float("inf"))
         if total < target:
             return ThresholdReport(None, "bounded", target, float(total))
-        hit = _accumulate(lambda k: r1**k + r2**k, target)
+        hit, value = _accumulate(lambda k: r1**k + r2**k, target)
         if hit is not None:
-            return ThresholdReport(hit[0], "exact", target, hit[1])
+            return ThresholdReport(hit, "exact", target, value)
         return ThresholdReport(None, "estimate", target, float("nan"))
 
     if rule[0] == "harmonic":
         # per-block energy k^-e + 1/k
-        hit = _accumulate(lambda k: k**-e + 1.0 / k, target)
+        hit, last = _accumulate(lambda k: k**-e + 1.0 / k, target)
         if hit is not None:
-            return ThresholdReport(hit[0], "exact", target, hit[1])
+            return ThresholdReport(hit, "exact", target, last)
         # the partial sums beyond the budget follow their asymptotics:
         # 2 log n for e = 1, log n plus a constant for e > 1, and a power
         # law for e < 1 (which the exact budget always covers in practice)
-        last = _partial_sum(lambda k: k**-e + 1.0 / k, MAX_EXACT_TERMS)
         if e == 1.0:
             n_est = math.exp((target - (last - 2 * math.log(MAX_EXACT_TERMS))) / 2)
         elif e > 1.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Kernel, Measure
+from .core import DomainError, Kernel, Measure, _nonempty_subsets
 from .simplex import LpProblem, solve_lp
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 14 * 2**14
+PTOLEMY_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,10 @@ class CompleteMpReport:
 
 
 def _iter_exact_pairs(n: int):
-    for mask in range(1, (1 << n) - 1):
-        S = [i for i in range(n) if mask >> i & 1]
-        inside = set(S)
-        for x in range(n):
-            if x not in inside:
-                yield S, x
+    for row in _nonempty_subsets(n)[:-1]:  # every S but the whole space
+        S = np.flatnonzero(row).tolist()
+        for x in np.flatnonzero(~row).tolist():
+            yield S, x
 
 
 def _iter_sampled_pairs(n: int, budget: int, seed: int):
@@ -99,6 +98,28 @@ def _iter_pairs(n: int, budget: int, seed: int):
     return "sampled", _iter_sampled_pairs(n, budget, seed)
 
 
+def _max_over_pairs(kernel: Kernel, budget: int, seed: int, pair_value):
+    """First pair ``(S, x)`` whose value beats the floor 1 and every pair before
+    it, stopping at ``+inf``.  Returns the mode, the best value, the winning
+    ``(S, x, pair_value(...))`` or None, and the number of pairs checked."""
+    mode, pairs = _iter_pairs(kernel.size, budget, seed)
+    best, top, checked = 1.0, None, 0
+    for S, x in pairs:
+        checked += 1
+        result = pair_value(kernel.entries, S, x)
+        if result[0] > best:
+            best, top = result[0], (S, x, result)
+            if np.isinf(best):
+                break
+    return mode, best, top, checked
+
+
+def _measure_on(kernel: Kernel, cols: list, w) -> Measure:
+    weights = np.zeros(kernel.size)
+    weights[cols] = np.clip(w, 0.0, None)
+    return Measure(kernel.space, weights)
+
+
 def _wmp_pair_value(G: np.ndarray, S: list, x: int):
     """max G nu (x) over nu >= 0 on S with G nu <= 1 on S.
 
@@ -128,36 +149,21 @@ def _wmp_pair_value(G: np.ndarray, S: list, x: int):
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
-    G = kernel.entries
-    n = kernel.size
-    mode, pairs = _iter_pairs(n, budget, seed)
-    best = 1.0
+    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_pair_value)
     witness = None
-    checked = 0
-    for S, x in pairs:
-        checked += 1
-        value, w, cols = _wmp_pair_value(G, S, x)
-        if value > best:
-            best = value
-            weights = np.zeros(n)
-            if len(cols):
-                weights[cols] = np.clip(w, 0.0, None)
-            witness = (
-                tuple(kernel.space.points[i] for i in S),
-                kernel.space.points[x],
-                Measure(kernel.space, weights),
-            )
-            if np.isinf(best):
-                break
+    if top is not None:
+        S, x, (_, w, cols) = top
+        points = kernel.space.points
+        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, w))
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
-def _complete_pair_value(G: np.ndarray, S: list, x: int, n: int):
+def _complete_pair_value(G: np.ndarray, S: list, x: int):
     """max G mu (x) with supp mu in S, G mu <= G nu + c on S, G nu (x) + c = 1."""
     mu_cols = [y for y in S if np.isfinite(G[S, y]).all()]
     nu_cols = [
         w
-        for w in range(n)
+        for w in range(G.shape[0])
         if np.isfinite(G[x, w]) and np.isfinite(G[S, w]).all()
     ]
     obj_mu = G[x, mu_cols] if mu_cols else np.zeros(0)
@@ -200,32 +206,13 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
     finite where it carries mass) and from ``nu`` (kept conservative so the
     reported constant stays a valid lower bound).
     """
-    G = kernel.entries
-    n = kernel.size
-    mode, pairs = _iter_pairs(n, budget, seed)
-    best = 1.0
+    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _complete_pair_value)
     witness = None
-    checked = 0
-    for S, x in pairs:
-        checked += 1
-        value, mu_w, mu_cols, nu_w, nu_cols, c = _complete_pair_value(G, S, x, n)
-        if value > best:
-            best = value
-            mu = np.zeros(n)
-            if mu_cols:
-                mu[mu_cols] = np.clip(mu_w, 0.0, None)
-            nu = np.zeros(n)
-            if nu_cols:
-                nu[nu_cols] = np.clip(nu_w, 0.0, None)
-            witness = (
-                tuple(kernel.space.points[i] for i in S),
-                kernel.space.points[x],
-                Measure(kernel.space, mu),
-                Measure(kernel.space, nu),
-                max(c, 0.0),
-            )
-            if np.isinf(best):
-                break
+    if top is not None:
+        S, x, (_, mu_w, mu_cols, nu_w, nu_cols, c) = top
+        points = kernel.space.points
+        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, mu_cols, mu_w),
+                   _measure_on(kernel, nu_cols, nu_w), max(c, 0.0))
     return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
@@ -242,7 +229,7 @@ class QuasimetricReport:
     for all triples, floored at 1/2 (attained by degenerate triples).  The
     four-point comparison tests ``d(x,z) d(y,w)`` against
     ``4 kappa^2 (d(x,y) d(z,w) + d(y,z) d(x,w))`` on all quadruples and is
-    run only on small spaces.
+    run only on spaces of at most ``PTOLEMY_LIMIT`` points.
     """
 
     kappa: float
@@ -260,7 +247,7 @@ def _ratio_max(num: np.ndarray, den: np.ndarray):
     return np.where(np.isnan(r), 0.0, r)
 
 
-def quasimetric_constant(kernel: Kernel, ptolemy_limit: int = 30) -> QuasimetricReport:
+def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
     G = kernel.entries
     n = kernel.size
     if not kernel.is_symmetric:
@@ -293,7 +280,7 @@ def quasimetric_constant(kernel: Kernel, ptolemy_limit: int = 30) -> Quasimetric
     kappa = max(0.5, best)
     finite = bool(np.isfinite(kappa))
     report = QuasimetricReport(kappa, finite, wit)
-    if not finite or n > ptolemy_limit:
+    if not finite or n > PTOLEMY_LIMIT:
         return report
 
     # axes (x, z, y, w) throughout

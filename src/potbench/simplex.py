@@ -21,6 +21,8 @@ import numpy as np
 __all__ = ["LpProblem", "LpSolution", "SimplexStallError", "solve_lp"]
 
 _LE, _EQ, _GE = "<=", "==", ">="
+TOL = 1e-9
+MAX_PIVOTS = 100_000
 
 
 class SimplexStallError(RuntimeError):
@@ -77,7 +79,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(T, basis, allowed, m, tol, max_iter, start_iter):
+def _run_phase(T, basis, allowed, m, start_iter):
     """Pivot until the objective row has no improving column.
 
     Returns ``(status, iterations)`` with status ``"optimal"`` or
@@ -85,28 +87,28 @@ def _run_phase(T, basis, allowed, m, tol, max_iter, start_iter):
     """
     it = start_iter
     while True:
-        if it >= max_iter:
-            raise SimplexStallError(f"simplex exceeded {max_iter} pivots")
+        if it >= MAX_PIVOTS:
+            raise SimplexStallError(f"simplex exceeded {MAX_PIVOTS} pivots")
         zrow = T[-1, :-1]
         # Bland: smallest-index improving column among allowed ones
-        improving = np.flatnonzero(allowed & (zrow < -tol))
+        improving = np.flatnonzero(allowed & (zrow < -TOL))
         if improving.size == 0:
             return "optimal", it, None
         col = int(improving[0])
         colvals = T[:m, col]
-        rows = np.flatnonzero(colvals > tol)
+        rows = np.flatnonzero(colvals > TOL)
         if rows.size == 0:
             return "unbounded", it, col
         ratios = T[rows, -1] / colvals[rows]
         best = ratios.min()
-        tied = rows[np.flatnonzero(ratios <= best + tol * max(1.0, abs(best)))]
+        tied = rows[np.flatnonzero(ratios <= best + TOL * max(1.0, abs(best)))]
         # Bland tie-break: leave on the smallest basis index
         row = int(tied[np.argmin(np.asarray(basis)[tied])])
         _pivot(T, basis, row, col)
         it += 1
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = 100_000) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     c = problem.objective.copy()
     A = problem.lhs.copy()
     b = problem.rhs.copy()
@@ -167,17 +169,17 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = 100_000) -> 
         for i in range(m):
             if is_artificial[basis[i]]:
                 T[-1] -= T[i] * 1.0  # z_j - c_j needs c_B B^-1 A; artificial cost -1
-        status, iterations, _ = _run_phase(T, basis, np.ones(ncols, dtype=bool), m, tol, max_iter, iterations)
+        status, iterations, _ = _run_phase(T, basis, np.ones(ncols, dtype=bool), m, iterations)
         if status != "optimal":  # cannot happen: phase-1 objective is bounded
             raise SimplexStallError("phase 1 reported unbounded")
-        if T[-1, -1] < -tol * max(1.0, abs(b).max()):
+        if T[-1, -1] < -TOL * max(1.0, abs(b).max()):
             # infeasible; Farkas certificate from the phase-1 duals
             duals = _extract_duals(T, basis, c1, slack_cols, art_cols, senses, m, row_sign)
             return LpSolution("infeasible", None, None, None, duals, iterations)
         # drive basic artificials out where a real pivot exists
         for i in range(m):
             if is_artificial[basis[i]]:
-                real = np.flatnonzero(~is_artificial[:ncols] & (np.abs(T[i, :-1]) > tol))
+                real = np.flatnonzero(~is_artificial[:ncols] & (np.abs(T[i, :-1]) > TOL))
                 if real.size:
                     _pivot(T, basis, i, int(real[0]))
                     iterations += 1
@@ -189,7 +191,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = 100_000) -> 
     T[-1, :-1] = cb @ T[:m, :-1] - c_full
     T[-1, -1] = cb @ T[:m, -1]
     allowed = ~is_artificial
-    status, iterations, entering = _run_phase(T, basis, allowed, m, tol, max_iter, iterations)
+    status, iterations, entering = _run_phase(T, basis, allowed, m, iterations)
 
     if status == "unbounded":
         ray_full = np.zeros(ncols)
@@ -197,7 +199,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int = 100_000) -> 
         for i in range(m):
             ray_full[basis[i]] = -T[i, entering]
         ray = ray_full[:n].copy()
-        ray[np.abs(ray) < tol] = 0.0
+        ray[np.abs(ray) < TOL] = 0.0
         return LpSolution("unbounded", None, None, None, ray, iterations)
 
     x = np.zeros(ncols)

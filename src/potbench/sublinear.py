@@ -34,6 +34,7 @@ from .core import (
     Measure,
     NormSpec,
     SpaceMismatchError,
+    _nonempty_subsets,
     _weighted_terms,
     adjoint_potential,
     check_nondegenerate,
@@ -78,6 +79,8 @@ GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_RELAX = 0.1
 CONV_TOL = 1e-12
 ITER_CAP = 100_000
+POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
+REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,7 @@ def _lq_norm(u, sigma, q):
 
 
 def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
-                            relax: float = DEFAULT_RELAX, tol: float = CONV_TOL,
-                            max_iter: int = ITER_CAP) -> SolveResult:
+                            relax: float = DEFAULT_RELAX) -> SolveResult:
     """Supersolution ``u >= G(u^q sigma)`` from a valid strong-type constant.
 
     Iterates ``phi <- psi + (G(phi sigma))^q / ((1+relax) kappa^q)`` from the
@@ -168,7 +170,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     phi = np.full(n, psi)
     status = "diverged"
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, ITER_CAP + 1):
         pot = potential(kernel, Measure(kernel.space, _weighted_terms(phi, sigma.weights)))
         nxt = psi + gain * pot**q
         if not np.isfinite(nxt[supp]).all():
@@ -180,7 +182,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         delta = np.abs(nxt[supp] - phi[supp])
         phi = nxt
-        if np.all(delta <= tol * np.maximum(1.0, phi[supp])):
+        if np.all(delta <= CONV_TOL * np.maximum(1.0, phi[supp])):
             status = "supersolution"
             break
 
@@ -195,8 +197,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     return SolveResult(u, status, residual, iterations, _lq_norm(u, sigma, q))
 
 
-def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
-                      max_iter: int = ITER_CAP) -> SolveResult:
+def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     """Nonincreasing iteration ``u <- G(u^q sigma)`` from a supersolution.
 
     The start must satisfy ``start >= G(start^q sigma)`` on the support of
@@ -224,7 +225,7 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
     u = rhs
     iterations = 1
     status = "diverged"
-    for iterations in range(2, max_iter + 2):
+    for iterations in range(2, ITER_CAP + 2):
         nxt = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
         if not np.isfinite(nxt[supp]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
@@ -232,7 +233,7 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
             raise RuntimeError("monotone iteration increased")
         nxt = np.minimum(nxt, u)
         delta = np.abs(u[supp] - nxt[supp])
-        done = np.all(delta <= tol * np.maximum(u[supp], 1e-300))
+        done = np.all(delta <= CONV_TOL * np.maximum(u[supp], 1e-300))
         u = nxt
         if done:
             status = "converged"
@@ -247,11 +248,10 @@ def monotone_solution(problem: SublinearProblem, start, tol: float = CONV_TOL,
     return SolveResult(u, status, residual, iterations, _lq_norm(u, sigma, q), witness)
 
 
-def solve_equation(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
-                   seed: int = 0) -> tuple[SolveResult, ConstantEstimate]:
+def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
     """Full pipeline: strong constant, supersolution, monotone limit."""
     _require_sublinear(problem.q)
-    est = strong_type_constant(problem, budget=budget, seed=seed, with_upper=False)
+    est = strong_type_constant(problem, with_upper=False)
     kappa = est.extras.get("certified_upper", est.lower)
     if not np.isfinite(kappa) and np.isfinite(est.lower):
         kappa = est.lower * (1.0 + 1e-6)
@@ -404,18 +404,14 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 
 
 def _iter_subsets(kernel: Kernel, sigma: Measure, budget: int, seed: int):
-    """Masks over the support of sigma: exhaustive when affordable, else
+    """Masks over the support of sigma: all of them as the rows of one array
+    when affordable (none for a vanishing sigma), else a generator of
     singletons, superlevel sets of the potential of sigma, and a seeded
     random stream."""
     supp = sigma.support
     k = supp.size
-    if k and 2**k <= budget:
-        def gen():
-            for m in range(1, 1 << k):
-                mask = np.zeros(kernel.size, dtype=bool)
-                mask[supp[[i for i in range(k) if m >> i & 1]]] = True
-                yield mask
-        return "exact", gen()
+    if not k or 2**k <= budget:
+        return "exact", _nonempty_subsets(k, supp, kernel.size)
 
     def gen():
         seen = set()
@@ -459,6 +455,8 @@ class _SubsetTable:
 
     @cached_property
     def masks(self) -> np.ndarray:
+        if isinstance(self._masks, np.ndarray):
+            return self._masks
         return np.fromiter(self._masks, np.dtype((bool, self.kernel.size)))
 
     @cached_property
@@ -479,23 +477,31 @@ class _SubsetTable:
             self._caps[1, i] = wiener_cap1(self.kernel, self.masks[i], _exceptional=False).value
         return float(self._caps[1, i])
 
-    def max_ratio(self, q: float, capacity) -> tuple[float, int | None]:
-        """Largest ``sigma(K)^{1/q} / capacity(K)`` and its first index; stops at inf."""
+    def first_max(self, value) -> tuple[float, int | None]:
+        """Largest positive ``value(i)`` over the masks and its first index; stops at inf."""
         best, best_i = 0.0, None
-        for i, mass in enumerate(self.masses):
-            capv = capacity(i)
-            ratio = mass ** (1.0 / q) / capv if capv > 0 else float("inf")
-            if ratio > best:
-                best, best_i = float(ratio), i
+        for i in range(len(self.masks)):
+            v = value(i)
+            if v > best:
+                best, best_i = float(v), i
                 if np.isinf(best):
                     break
         return best, best_i
+
+    def max_ratio(self, q: float, capacity) -> tuple[float, int | None]:
+        """Largest ``sigma(K)^{1/q} / capacity(K)`` and its first index."""
+        def ratio(i):
+            capv = capacity(i)
+            return self.masses[i] ** (1.0 / q) / capv if capv > 0 else float("inf")
+        return self.first_max(ratio)
 
 
 def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
     """sup over superlevel sets E of the column of integral_E column dsigma
     over sigma(E)^(1/qprime)."""
     supp = sigma.support
+    if supp.size == 0:
+        return 0.0
     f = column[supp]
     w = sigma.weights[supp]
     order = np.argsort(-f, kind="stable")
@@ -553,9 +559,6 @@ def _weak_type_constant(table: _SubsetTable, q: float) -> ConstantEstimate:
             return ConstantEstimate(c2, level_set, wit, "point-mass",
                                     {"mode": "exact", "level_set_constant": level_set})
 
-    if sigma.support.size == 0:
-        return ConstantEstimate(0.0, 0.0, None, "capacity-subsets", {"mode": "exact"})
-
     best, best_i = table.max_ratio(q, table.cap0_value)
     extras = {"mode": mode}
     if level_set is not None:
@@ -582,7 +585,6 @@ class QuotientBound:
 
 
 def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
-                        budget: int = DEFAULT_BUDGET, seed: int = 0,
                         h: float | None = None) -> QuotientBound:
     """Weak ``L^1`` norm of ``G nu / G omega`` against ``h * nu(total)``.
 
@@ -599,7 +601,7 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
     quot = np.where(np.isnan(quot), 0.0, quot)
     value = norm(quot, omega, NormSpec.weak_lorentz(1.0))
     if h is None:
-        h = wmp_constant(kernel, budget=budget, seed=seed).constant
+        h = wmp_constant(kernel).constant
     return QuotientBound(value, h * nu.total, h)
 
 
@@ -757,17 +759,16 @@ def testing_condition_11(kernel: Kernel, sigma: Measure, budget: int = DEFAULT_B
 
 def _testing_condition_11(table: _SubsetTable) -> ConstantEstimate:
     kernel, sigma = table.kernel, table.sigma
-    best, best_mask = 0.0, None
-    for mask, mass in zip(table.masks, table.masses):
-        restricted = sigma.restrict(mask)
-        ratio = integrate(potential(kernel, restricted), restricted) / mass
-        if ratio > best:
-            best, best_mask = float(ratio), mask
-            if np.isinf(best):
-                break
+
+    def ratio(i):
+        restricted = sigma.restrict(table.masks[i])
+        return integrate(potential(kernel, restricted), restricted) / table.masses[i]
+
+    best, best_i = table.first_max(ratio)
     extras: dict = {"mode": table.mode}
     witness = None
-    if best_mask is not None:
+    if best_i is not None:
+        best_mask = table.masks[best_i]
         witness = sigma.restrict(best_mask)
         extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
 
@@ -796,8 +797,7 @@ def _testing_condition_11(table: _SubsetTable) -> ConstantEstimate:
     return ConstantEstimate(best, upper, witness, "subset-enumeration", extras)
 
 
-def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float,
-                     tol: float = 1e-12, max_iter: int = 5000) -> float:
+def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
     """Norm of ``f -> G(f sigma)`` on ``L^p(sigma)`` by power iteration.
 
     Exact at machine precision for ``p = 2`` on symmetric kernels (the
@@ -819,7 +819,7 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float,
     x = np.ones(kernel.size)
     x /= np.linalg.norm(x, ord=p)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_CAP):
         y = A @ x
         ny = float(np.linalg.norm(y, ord=p))
         if ny == 0:
@@ -829,7 +829,7 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float,
         new = x if nz == 0 else z ** (pprime - 1.0)
         nn = float(np.linalg.norm(new, ord=p))
         x = new / nn if nn > 0 else x
-        if abs(ny - est) <= tol * max(1.0, ny):
+        if abs(ny - est) <= CONV_TOL * max(1.0, ny):
             est = ny
             break
         est = ny
@@ -873,7 +873,7 @@ def _na(claim, why):
 
 
 def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
-                   seed: int = 0, pole=None, rtol: float = 1e-8) -> TheoremReport:
+                   seed: int = 0, pole=None) -> TheoremReport:
     """Run the whole pipeline on one instance and cross-check every claim.
 
     Hypothesis checks (quasi-symmetry, weak maximum principle,
@@ -903,7 +903,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         "sigma_total": sigma.total,
     }
 
-    strong = strong_type_constant(problem, budget=budget, seed=seed, with_upper=False)
+    strong = strong_type_constant(problem, with_upper=False)
     kappa_cert = strong.extras.get("certified_upper", strong.lower)
     constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert}
 
@@ -940,7 +940,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     if usable is not None and wmp.holds and np.isfinite(a):
         bound = wmp.constant * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
         constants["norm_route_upper"] = bound
-        rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + rtol),
+        rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "upper": bound}))
     elif usable is None:
         rows.append(_na("supersolution_to_strong", "no supersolution available"))
@@ -950,7 +950,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     if sol is not None and sol.status == "solution" and np.isfinite(kappa_cert):
         bound = kappa_cert ** (1.0 / (1.0 - q))
-        rows.append(_row("solution_norm_bound", sol.lq_norm <= bound * (1.0 + rtol),
+        rows.append(_row("solution_norm_bound", sol.lq_norm <= bound * (1.0 + REPORT_RTOL),
                          {"lq_norm": sol.lq_norm, "bound": bound}))
     else:
         rows.append(_na("solution_norm_bound", "no solution with a finite constant"))
@@ -965,7 +965,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
             c = a ** (q * q / (1.0 - q))
             rhs = c * integrate(F, sigma)
             constants["maurey_l1"] = integrate(F, sigma)
-            rows.append(_row("energy_necessity", lhs <= rhs * (1.0 + rtol),
+            rows.append(_row("energy_necessity", lhs <= rhs * (1.0 + REPORT_RTOL),
                              {"lhs": lhs, "rhs": rhs, "constant": c,
                               "verification": maurey_verify(problem, F)}))
     elif strong.lower == 0:
@@ -979,20 +979,20 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     constants["lorentz_small"] = lorentz
     if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
         bound = wmp.constant * lorentz
-        rows.append(_row("lorentz_sufficiency", strong.lower <= bound * (1.0 + rtol),
+        rows.append(_row("lorentz_sufficiency", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "bound": bound}))
     else:
         rows.append(_na("lorentz_sufficiency",
                         "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"))
 
     table = _SubsetTable(kernel, sigma, budget, seed)
-    if q <= 1.0 and wmp.holds and kernel.is_symmetric:
+    if wmp.holds and kernel.is_symmetric:
         weak = _weak_type_constant(table, q)
         c_cap1, _ = table.max_ratio(q, table.cap1_value)
         constants["weak_cap0"] = weak.lower
         constants["weak_cap1"] = c_cap1
-        ok = (c_cap1 <= weak.lower * (1.0 + rtol)
-              and weak.lower <= wmp.constant * c_cap1 * (1.0 + rtol))
+        ok = (c_cap1 <= weak.lower * (1.0 + REPORT_RTOL)
+              and weak.lower <= wmp.constant * c_cap1 * (1.0 + REPORT_RTOL))
         rows.append(_row("weak_capacity_route", ok,
                          {"from_cap0": weak.lower, "from_cap1": c_cap1,
                           "wmp": wmp.constant}))
@@ -1013,16 +1013,16 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         finite = [np.isfinite(v) for v in vals]
         ok = all(finite) == any(finite)
         if all(finite):
-            ok = ok and c_cap1_11 <= tst.lower * (1.0 + rtol)
-            ok = ok and tst.lower <= t22 * (1.0 + rtol)
+            ok = ok and c_cap1_11 <= tst.lower * (1.0 + REPORT_RTOL)
+            ok = ok and tst.lower <= t22 * (1.0 + REPORT_RTOL)
             lo, hi = min(vals), max(vals)
-            ok = ok and (lo == 0.0 if hi == 0.0 else hi <= factor * lo * (1.0 + rtol))
+            ok = ok and (lo == 0.0 if hi == 0.0 else hi <= factor * lo * (1.0 + REPORT_RTOL))
         trio["factor"] = factor
         rows.append(_row("weak11_testing_chain", ok, trio))
     else:
         rows.append(_na("weak11_testing_chain", "needs a symmetric WMP kernel"))
 
-    rows.append(_local_route_row(problem, budget, seed, pole, rtol))
+    rows.append(_local_route_row(problem, pole))
 
     if sup is not None and sup.status == "supersolution" and sol is not None \
             and np.isfinite(a):
@@ -1041,7 +1041,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     return TheoremReport(hypotheses, tuple(rows), constants)
 
 
-def _local_route_row(problem, budget, seed, pole, rtol):
+def _local_route_row(problem, pole):
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
     if supp.size == 0:
@@ -1055,8 +1055,7 @@ def _local_route_row(problem, budget, seed, pole, rtol):
     sub_sigma = Measure(mod.kernel.space,
                         (g ** (1.0 + q) * sigma.weights)[mod.retained])
     sub_problem = SublinearProblem(mod.kernel, sub_sigma, q)
-    sub_strong = strong_type_constant(sub_problem, budget=budget, seed=seed,
-                                      with_upper=False)
+    sub_strong = strong_type_constant(sub_problem, with_upper=False)
     kap = sub_strong.extras.get("certified_upper", sub_strong.lower)
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
@@ -1072,7 +1071,7 @@ def _local_route_row(problem, budget, seed, pole, rtol):
     rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u_loc**q, sigma.weights)))
     res = np.abs(u_loc[mod.retained] - rhs[mod.retained])
     scale = np.maximum(1.0, u_loc[mod.retained])
-    ok = bool((res <= rtol * scale).all())
+    ok = bool((res <= REPORT_RTOL * scale).all())
     return _row("local_solution_route", ok,
                 {"pole": pole, "residual": float((res / scale).max()),
                  "modified_constant": sub_strong.lower})

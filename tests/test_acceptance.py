@@ -531,13 +531,13 @@ def test_12_degenerate_column_dichotomy():
 
     from potbench import solve_equation
 
-    sol, _ = solve_equation(prob, seed=0)
+    sol, _ = solve_equation(prob)
     report = theorem_report(prob, seed=0)
     row = report.row("degenerate_dichotomy")
     keep = [j for j in range(5) if j != 2]
     trimmed = Kernel(Space.of_size(4), G[np.ix_(keep, keep)])
     trimmed_sigma = Measure(trimmed.space, sigma.weights[keep])
-    fixed, _ = solve_equation(SublinearProblem(trimmed, trimmed_sigma, 0.5), seed=0)
+    fixed, _ = solve_equation(SublinearProblem(trimmed, trimmed_sigma, 0.5))
 
     ok = (sol.status == "degenerate" and row.verdict == "CONFIRMED"
           and "no positive solution" in row.details["conclusion"]

@@ -28,6 +28,7 @@ from potbench import (
     potential,
     symmetrize,
 )
+from potbench.core import _nonempty_subsets
 
 
 def test_space_basics():
@@ -230,3 +231,15 @@ def test_energy_quadratic_scaling(w, t):
     k = Kernel(Space.of_size(n), rngk.uniform(0.0, 2.0, (n, n)))
     lam = Measure(Space.of_size(n), w)
     assert energy(k, lam.scaled(t)) == pytest.approx(t * t * energy(k, lam), rel=1e-9, abs=1e-9)
+
+
+def test_nonempty_subsets_order():
+    # row m - 1 holds the bits of m; the WMP pair order and the exact
+    # subset tables of the weak and testing constants follow it
+    rows = _nonempty_subsets(3).astype(int).tolist()
+    assert rows == [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1],
+                    [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+    # the same order placed in chosen columns of wider rows
+    wide = _nonempty_subsets(2, [3, 1], 4).astype(int).tolist()
+    assert wide == [[0, 0, 0, 1], [0, 1, 0, 0], [0, 1, 0, 1]]
+    assert _nonempty_subsets(0).shape == (0, 0)

@@ -118,7 +118,7 @@ def test_divergence_monotone_and_unbounded():
 
 def test_solver_agrees_with_closed_form():
     inst = build_block(BlockSpec(4, 0.5, ("geometric", 1.1, 1.5)))
-    sol, _ = solve_equation(inst.problem, seed=0)
+    sol, _ = solve_equation(inst.problem)
     assert sol.status == "solution"
     assert sol.u == pytest.approx(inst.solution, rel=1e-8)
 

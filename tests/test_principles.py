@@ -20,6 +20,7 @@ from potbench import (
     quasimetric_constant,
     wmp_constant,
 )
+from potbench.principles import _iter_exact_pairs
 from conftest import metric_power_kernel, rand_gram_kernel
 
 
@@ -63,6 +64,27 @@ def test_complete_mp_oracle_2x2():
     assert rep.constant == pytest.approx(4.0, abs=1e-9)
     assert rep.holds
     assert complete_mp_constant(two_by_two(0.5)).constant == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_pair_order():
+    # supports in the order of their bit masks, outside points ascending
+    assert list(_iter_exact_pairs(3)) == [
+        ([0], 1), ([0], 2), ([1], 0), ([1], 2), ([0, 1], 2),
+        ([2], 0), ([2], 1), ([0, 2], 1), ([1, 2], 0),
+    ]
+
+
+def test_exact_pair_count_and_first_tie():
+    n = 6
+    k = metric_power_kernel(np.random.default_rng(2), n)
+    for constant in (wmp_constant, complete_mp_constant):
+        rep = constant(k)
+        assert rep.mode == "exact"
+        # every S other than the empty set and the whole space, every x outside S
+        assert rep.pairs_checked == n * (2 ** (n - 1) - 1)
+        # both pairs of [[1, t], [t, 1]] reach the constant; the first one wins
+        tie = constant(two_by_two(2.0))
+        assert tie.witness[:2] == ((0,), 1)
 
 
 def test_complete_dominates_onesided():

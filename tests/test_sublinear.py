@@ -118,7 +118,7 @@ def test_swap_kernel_end_to_end():
     est = strong_type_constant(prob, seed=0)
     assert est.lower == pytest.approx(2.0, rel=1e-9)
     assert est.extras["certified_upper"] == pytest.approx(2.0, rel=1e-6)
-    sol, _ = solve_equation(prob, seed=0)
+    sol, _ = solve_equation(prob)
     assert sol.status == "solution"
     assert sol.u == pytest.approx([1.0, 1.0], rel=1e-9)
     assert sol.lq_norm == pytest.approx(4.0, rel=1e-8)
@@ -130,7 +130,7 @@ def test_constant_kernel_oracle():
     prob = constant_problem()
     est = strong_type_constant(prob, seed=0)
     assert est.lower == pytest.approx(9.0, rel=1e-9)
-    sol, _ = solve_equation(prob, seed=0)
+    sol, _ = solve_equation(prob)
     assert sol.status == "solution"
     assert sol.u == pytest.approx([9.0, 9.0, 9.0], rel=1e-9)
     assert sol.lq_norm == pytest.approx(81.0, rel=1e-8)
@@ -165,8 +165,8 @@ def test_solution_scaling_law():
     # u scales like t^{1/(1-q)} when sigma scales by t
     prob = swap_problem()
     t = 3.0
-    u1 = solve_equation(prob, seed=0)[0].u
-    u2 = solve_equation(prob.scaled(t), seed=0)[0].u
+    u1 = solve_equation(prob)[0].u
+    u2 = solve_equation(prob.scaled(t))[0].u
     assert u2 == pytest.approx(t ** 2 * u1, rel=1e-8)
 
 
@@ -174,7 +174,7 @@ def test_degenerate_detection():
     s = Space.of_size(2)
     k = Kernel(s, [[1.0, 0.0], [0.0, 0.0]])
     prob = SublinearProblem(k, Measure(s, [1.0, 1.0]), 0.5)
-    sol, _ = solve_equation(prob, seed=0)
+    sol, _ = solve_equation(prob)
     assert sol.status == "degenerate"
     assert 1 in sol.witness
 
@@ -219,7 +219,7 @@ def test_weak_quotient_oracle():
 
 def test_energy_criteria_small_exponent():
     prob = swap_problem()
-    u = solve_equation(prob, seed=0)[0].u
+    u = solve_equation(prob)[0].u
     rep = energy_criteria(prob, u=u)
     assert rep.small_exponent_check is not None
     chk = rep.small_exponent_check
@@ -232,7 +232,7 @@ def test_energy_criteria_small_exponent():
 
 def test_energy_criteria_large_exponent():
     prob = swap_problem(q=0.7)
-    u = solve_equation(prob, seed=0)[0].u
+    u = solve_equation(prob)[0].u
     rep = energy_criteria(prob, u=u)
     assert rep.small_exponent_check is None
     assert rep.finite_measure_check is not None
@@ -271,6 +271,22 @@ def test_testing_condition_oracle():
     assert est.lower == pytest.approx(1.5, rel=1e-12)
     assert est.upper == est.lower
     assert est.extras["ball_constant"] <= est.lower + 1e-12
+
+
+def test_zero_sigma_subsets_are_exact_and_draw_nothing(monkeypatch):
+    k = metric_power_kernel(np.random.default_rng(4), 20)
+    sigma = Measure(k.space, np.zeros(20))
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an empty support needs no random draws")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    est = check_testing_condition(k, sigma)
+    assert [est.lower, est.upper] == [0.0, 0.0]
+    assert est.extras["mode"] == "exact"
+    for q in (0.5, 2.0):
+        weak = weak_type_constant(SublinearProblem(k, sigma, q))
+        assert [weak.lower, weak.upper, weak.extras["mode"]] == [0.0, 0.0, "exact"]
 
 
 def test_lp_operator_norm_oracle():
@@ -338,7 +354,7 @@ def test_scalar_solution_closed_form(q, mass):
     # u = G(u^q sigma) on one point with G = 1 solves to mass^{1/(1-q)}
     s = Space.of_size(1)
     prob = SublinearProblem(Kernel(s, [[1.0]]), Measure(s, [mass]), q)
-    sol, _ = solve_equation(prob, seed=0)
+    sol, _ = solve_equation(prob)
     assert sol.status == "solution"
     assert sol.u[0] == pytest.approx(mass ** (1.0 / (1.0 - q)), rel=1e-7)
 
