@@ -35,15 +35,7 @@ from potbench import (
     weak_type_constant,
     wmp_constant,
 )
-
-
-def shortest_path_metric(rng, n, low=0.2, high=1.0):
-    w = rng.uniform(low, high, size=(n, n))
-    d = (w + w.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    for k in range(n):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    return d
+from potbench.gallery import shortest_path_metric
 
 
 def survey_instance(rng, n, power, q, seed):

@@ -216,14 +216,14 @@ def _try_polish(A, lam, thr):
     return cand
 
 
-def _qp_ascent(A, starts):
+def _qp_ascent(A, starts, top_eig):
     """Projected-gradient ascent for ``f(lam) = 2 sum(lam) - lam' A lam``.
 
     Exact for PSD ``A`` (concave objective); used as a best-effort search
-    otherwise.  Returns ``(lam, kkt_residual)`` for the best start.
+    otherwise.  ``top_eig`` is the largest eigenvalue of ``(A + A') / 2``,
+    which sets the step.  Returns ``(lam, kkt_residual)`` for the best start.
     """
-    eigs = np.linalg.eigvalsh((A + A.T) / 2.0)
-    L = 2.0 * max(float(eigs[-1]), 1e-12)
+    L = 2.0 * max(top_eig, 1e-12)
     best, best_val, best_res = None, -np.inf, np.inf
     for lam in starts:
         lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
@@ -338,7 +338,7 @@ def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL, seed: int = 0,
 
     attained = True
     if finite and psd:
-        lam_K, res = _qp_ascent(A, [1.0 / np.diag(A)])
+        lam_K, res = _qp_ascent(A, [1.0 / np.diag(A)], float(eigs[-1]))
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
         attained = res < 1e-8
@@ -349,7 +349,7 @@ def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL, seed: int = 0,
         rng = np.random.default_rng(seed)
         Af = np.where(np.isinf(A), 1e30, A)
         starts = [1.0 / np.diag(A)] + [rng.exponential(1.0, keep.size) for _ in range(5)]
-        lam_K, _ = _qp_ascent(Af, starts)
+        lam_K, _ = _qp_ascent(Af, starts, float(np.linalg.eigvalsh((Af + Af.T) / 2.0)[-1]))
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K) if np.isfinite(lam_K @ A @ lam_K) else 0.0
         method = "heuristic"
         attained = False

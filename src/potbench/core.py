@@ -62,16 +62,16 @@ def _clean_vector(values, n, name, allow_inf=False):
     return arr
 
 
-@dataclass(eq=False)
+@dataclass
 class Space:
-    """An ordered finite set of points, optionally embedded in R^d.
+    """An ordered finite set of points.
 
-    ``points`` are arbitrary hashable labels; ``coords`` (if given) is an
-    ``(n, d)`` array used only by sampled-kernel builders.
+    ``points`` are arbitrary hashable labels; two spaces are equal when their
+    labels are, in order.  Sampled kernels keep no coordinates: the builders
+    read them from their spec.
     """
 
     points: tuple
-    coords: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = tuple(self.points)
@@ -79,16 +79,6 @@ class Space:
             raise DomainError("space points must be distinct")
         if len(self.points) == 0:
             raise DomainError("space must contain at least one point")
-        if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=float)
-            if coords.ndim == 1:
-                coords = coords[:, None]
-            if coords.shape[0] != len(self.points):
-                raise SpaceMismatchError("coords row count must match point count")
-            if not np.isfinite(coords).all():
-                raise DomainError("coords must be finite")
-            coords.flags.writeable = False
-            self.coords = coords
         self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -118,19 +108,7 @@ class Space:
         return idx
 
     def subspace(self, indices) -> "Space":
-        indices = np.asarray(indices, dtype=int)
-        pts = tuple(self.points[i] for i in indices)
-        coords = None if self.coords is None else self.coords[indices]
-        return Space(points=pts, coords=coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, Space):
-            return NotImplemented
-        if self.points != other.points:
-            return False
-        if (self.coords is None) != (other.coords is None):
-            return False
-        return self.coords is None or np.array_equal(self.coords, other.coords)
+        return Space(points=tuple(self.points[i] for i in np.asarray(indices, dtype=int)))
 
 
 @dataclass(eq=False)

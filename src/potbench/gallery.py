@@ -26,6 +26,7 @@ __all__ = [
     "energy_divergence_threshold",
     "SampledKernelSpec",
     "build_sampled",
+    "shortest_path_metric",
 ]
 
 
@@ -319,7 +320,7 @@ def build_sampled(spec: SampledKernelSpec) -> Kernel:
     off = ~np.eye(n, dtype=bool)
     if (dist[off] == 0).any():
         raise DomainError("point cloud contains duplicate points")
-    space = Space(points=tuple(range(n)), coords=coords)
+    space = Space.of_size(n)
     if spec.kind == "riesz":
         with np.errstate(divide="ignore"):
             G = dist ** (spec.alpha - spec.n_dim)
@@ -328,3 +329,14 @@ def build_sampled(spec: SampledKernelSpec) -> Kernel:
     x = coords[:, 0]
     G = np.minimum.outer(x, x) * (1.0 - np.maximum.outer(x, x))
     return Kernel(space, G)
+
+
+def shortest_path_metric(rng, n, low=0.2, high=1.0) -> np.ndarray:
+    """Shortest-path metric of the complete graph on ``n`` points whose edge
+    lengths are symmetrized ``uniform(low, high)`` draws from ``rng``."""
+    w = rng.uniform(low, high, size=(n, n))
+    d = (w + w.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return d

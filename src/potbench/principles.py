@@ -16,7 +16,7 @@ coefficient on a still-feasible variable makes the constant infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,8 +228,10 @@ class QuasimetricReport:
     ``kappa`` is the least constant with ``d(x,y) <= kappa (d(x,z)+d(z,y))``
     for all triples, floored at 1/2 (attained by degenerate triples).  The
     four-point comparison tests ``d(x,z) d(y,w)`` against
-    ``4 kappa^2 (d(x,y) d(z,w) + d(y,z) d(x,w))`` on all quadruples and is
-    run only on spaces of at most ``PTOLEMY_LIMIT`` points.
+    ``4 kappa^2 (d(x,y) d(z,w) + d(y,z) d(x,w))`` on all quadruples; it
+    costs ``n^4`` memory, so the ``ptolemy_*`` fields are filled only by
+    :func:`quasimetric_constant`, only for a quasimetric, and only on
+    spaces of at most ``PTOLEMY_LIMIT`` points (None otherwise).
     """
 
     kappa: float
@@ -247,14 +249,19 @@ def _ratio_max(num: np.ndarray, den: np.ndarray):
     return np.where(np.isnan(r), 0.0, r)
 
 
-def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
-    G = kernel.entries
+def _inverse_distance(G: np.ndarray) -> np.ndarray:
+    """``d = 1/G``, with ``d = inf`` where ``G = 0`` and ``d = 0`` where ``G = inf``."""
+    with np.errstate(divide="ignore"):
+        d = np.where(G == 0, np.inf, 1.0 / G)
+    return np.where(np.isinf(G), 0.0, d)
+
+
+def _triangle_constant(kernel: Kernel) -> QuasimetricReport:
+    """The triangle part of :func:`quasimetric_constant`, with no four-point fields."""
     n = kernel.size
     if not kernel.is_symmetric:
         return QuasimetricReport(float("inf"), False, None)
-    with np.errstate(divide="ignore"):
-        d = np.where(G == 0, np.inf, 1.0 / G)
-    d = np.where(np.isinf(G), 0.0, d)
+    d = _inverse_distance(kernel.entries)
     if (d == 0).all():
         # G identically infinite: all points collapse, no quasimetric
         return QuasimetricReport(0.5, False, None)
@@ -269,39 +276,32 @@ def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
         if m > best:
             z, y = np.unravel_index(int(np.argmax(r)), (n, n))
             best = m
-            wit = (
-                kernel.space.points[x],
-                kernel.space.points[int(z)],
-                kernel.space.points[int(y)],
-            )
+            wit = tuple(kernel.space.points[i] for i in (x, int(z), int(y)))
             if np.isinf(best):
                 break
 
     kappa = max(0.5, best)
-    finite = bool(np.isfinite(kappa))
-    report = QuasimetricReport(kappa, finite, wit)
-    if not finite or n > PTOLEMY_LIMIT:
+    return QuasimetricReport(kappa, bool(np.isfinite(kappa)), wit)
+
+
+def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
+    report = _triangle_constant(kernel)
+    if not report.is_quasimetric or kernel.size > PTOLEMY_LIMIT:
         return report
 
-    # axes (x, z, y, w) throughout
+    d = _inverse_distance(kernel.entries)
+    # axes (x, z, y, w); a product 0 * inf is nan, read as 0 (_ratio_max does it for lhs)
     with np.errstate(invalid="ignore"):
         lhs = d[:, :, None, None] * d[None, None, :, :]  # d[x,z] d[y,w]
         r1 = d[:, None, :, None] * d[None, :, None, :]  # d[x,y] d[z,w]
         r2 = d.T[None, :, :, None] * d[:, None, None, :]  # d[y,z] d[x,w]
-    lhs = np.where(np.isnan(lhs), 0.0, lhs)
     r1 = np.where(np.isnan(r1), 0.0, r1)
     r2 = np.where(np.isnan(r2), 0.0, r2)
     q = _ratio_max(lhs, r1 + r2)
     pc = float(q.max())
-    bound = 4.0 * kappa * kappa
-    return QuasimetricReport(
-        kappa,
-        finite,
-        wit,
-        ptolemy_constant=pc,
-        ptolemy_bound=bound,
-        ptolemy_ok=bool(pc <= bound * (1.0 + 1e-9)),
-    )
+    bound = 4.0 * report.kappa * report.kappa
+    return replace(report, ptolemy_constant=pc, ptolemy_bound=bound,
+                   ptolemy_ok=bool(pc <= bound * (1.0 + 1e-9)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,11 @@ from .core import (
 )
 from .principles import (
     DEFAULT_BUDGET,
+    _inverse_distance,
+    _ratio_max,
+    _triangle_constant,
     modifier,
     modify_kernel,
-    quasimetric_constant,
     wmp_constant,
 )
 
@@ -123,14 +125,6 @@ def _require_sublinear(q: float):
         raise DomainError("this construction needs 0 < q < 1")
 
 
-def _lq_norm(u, sigma, q):
-    finite = np.where(np.isfinite(u), u, 0.0)
-    val = norm(finite, sigma, NormSpec.lp(q))
-    if np.isinf(u[sigma.support]).any():
-        return float("inf")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # supersolutions and solutions
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     if status == "supersolution" and bad.any():
         status = "diverged"
     residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
-    return SolveResult(u, status, residual, iterations, _lq_norm(u, sigma, q))
+    return SolveResult(u, status, residual, iterations, norm(u, sigma, NormSpec.lp(q)))
 
 
 def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
@@ -245,7 +239,8 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if status == "converged":
         status = "degenerate" if zeros.size else "solution"
     witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, iterations, _lq_norm(u, sigma, q), witness)
+    return SolveResult(u, status, residual, iterations, norm(u, sigma, NormSpec.lp(q)),
+                       witness)
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
@@ -258,10 +253,28 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     if not np.isfinite(kappa):
         u = np.full(problem.kernel.size, np.inf)
         return SolveResult(u, "diverged", float("inf"), 0, float("inf")), est
+    sup, sol = _solve_from(problem, kappa)
+    return (sup if sol is None else sol), est
+
+
+def _solve_from(problem: SublinearProblem, kappa: float):
+    """``(sup, sol)``: the supersolution from ``kappa``, then its limit (None if no sup)."""
     sup = gagliardo_supersolution(problem, kappa)
     if sup.status != "supersolution":
-        return sup, est
-    return monotone_solution(problem, sup.u), est
+        return sup, None
+    return sup, monotone_solution(problem, sup.u)
+
+
+def _usable(sup: SolveResult, sol: SolveResult | None) -> SolveResult | None:
+    """The solution if there is one, else the supersolution if there is one."""
+    if sol is not None and sol.status == "solution":
+        return sol
+    return sup if sup.status == "supersolution" else None
+
+
+def _norm_route_bound(h: float, q: float, lq_norm: float) -> float:
+    """Strong-type bound from a (super)solution's norm and the WMP constant ``h``."""
+    return h * (1.0 - q) ** (-1.0 / q) * lq_norm ** (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +400,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         extras["wmp_mode"] = wr.mode
         if wr.holds:
             kap = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
-            sup = gagliardo_supersolution(problem, kap)
-            if sup.status == "supersolution":
-                sol = monotone_solution(problem, sup.u)
-                use = sol if sol.status == "solution" else sup
-                if np.isfinite(use.lq_norm):
-                    upper = wr.constant * (1.0 - q) ** (-1.0 / q) * use.lq_norm ** (1.0 - q)
-                    extras["norm_route_lq"] = use.lq_norm
+            use = _usable(*_solve_from(problem, kap))
+            if use is not None and np.isfinite(use.lq_norm):
+                upper = _norm_route_bound(wr.constant, q, use.lq_norm)
+                extras["norm_route_lq"] = use.lq_norm
 
     return ConstantEstimate(lower, upper, Measure(kernel.space, best_nu), "concave-max", extras)
 
@@ -594,11 +604,7 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
     maximum principle with ``omega`` charging no null set; the exact weak
     norm is returned regardless so the comparison itself is the check.
     """
-    pn = potential(kernel, nu)
-    po = potential(kernel, omega)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = pn / po
-    quot = np.where(np.isnan(quot), 0.0, quot)
+    quot = _ratio_max(potential(kernel, nu), potential(kernel, omega))
     value = norm(quot, omega, NormSpec.weak_lorentz(1.0))
     if h is None:
         h = wmp_constant(kernel).constant
@@ -754,10 +760,12 @@ def testing_condition_11(kernel: Kernel, sigma: Measure, budget: int = DEFAULT_B
     kernels the same ratio maximized over the balls of ``d = 1/G`` (all
     centers, all realized radii, strict inequality) is reported in extras.
     """
-    return _testing_condition_11(_SubsetTable(kernel, sigma, budget, seed))
+    return _testing_condition_11(_SubsetTable(kernel, sigma, budget, seed),
+                                 _triangle_constant(kernel))
 
 
-def _testing_condition_11(table: _SubsetTable) -> ConstantEstimate:
+def _testing_condition_11(table: _SubsetTable, qm) -> ConstantEstimate:
+    """``qm``: the kernel's :func:`~potbench.principles._triangle_constant`."""
     kernel, sigma = table.kernel, table.sigma
 
     def ratio(i):
@@ -772,12 +780,8 @@ def _testing_condition_11(table: _SubsetTable) -> ConstantEstimate:
         witness = sigma.restrict(best_mask)
         extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
 
-    qm = quasimetric_constant(kernel) if kernel.is_symmetric else None
-    if qm is not None and qm.is_quasimetric:
-        G = kernel.entries
-        with np.errstate(divide="ignore"):
-            d = np.where(G == 0, np.inf, 1.0 / G)
-        d = np.where(np.isinf(G), 0.0, d)
+    if qm.is_quasimetric:
+        d = _inverse_distance(kernel.entries)
         ball_best, ball_info = 0.0, None
         for x in range(kernel.size):
             for r in np.unique(d[x]):
@@ -889,7 +893,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     a = check_quasisymmetric(kernel)
     wmp = wmp_constant(kernel, budget=budget, seed=seed)
     nd = check_nondegenerate(kernel, sigma)
-    qm = quasimetric_constant(kernel) if kernel.is_symmetric else None
+    qm = _triangle_constant(kernel) if kernel.is_symmetric else None
     hypotheses = {
         "quasi_symmetry_constant": a,
         "quasi_symmetric": bool(np.isfinite(a)),
@@ -907,22 +911,19 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     kappa_cert = strong.extras.get("certified_upper", strong.lower)
     constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert}
 
-    sup = None
-    sol = None
+    sol = usable = None
     if np.isfinite(kappa_cert) and sigma.total > 0:
-        sup = gagliardo_supersolution(problem, kappa_cert)
-        ok = sup.status == "supersolution"
-        rows.append(_row("strong_to_supersolution", ok,
+        sup, sol = _solve_from(problem, kappa_cert)
+        usable = _usable(sup, sol)
+        rows.append(_row("strong_to_supersolution", sup.status == "supersolution",
                          {"kappa": kappa_cert, "slack": sup.residual,
                           "lq_norm": sup.lq_norm}))
-        if ok:
-            sol = monotone_solution(problem, sup.u)
     else:
         rows.append(_na("strong_to_supersolution",
                         "strong-type constant is infinite" if sigma.total > 0
                         else "sigma vanishes"))
 
-    if sup is not None and sup.status == "supersolution" and sol is not None:
+    if sol is not None:
         if nd.nondegenerate:
             rows.append(_row("supersolution_to_solution", sol.status == "solution",
                              {"status": sol.status, "residual": sol.residual,
@@ -932,13 +933,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("supersolution_to_solution", "no supersolution available"))
 
-    usable = None
-    if sol is not None and sol.status == "solution":
-        usable = sol
-    elif sup is not None and sup.status == "supersolution":
-        usable = sup
     if usable is not None and wmp.holds and np.isfinite(a):
-        bound = wmp.constant * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
+        bound = _norm_route_bound(wmp.constant, q, usable.lq_norm)
         constants["norm_route_upper"] = bound
         rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "upper": bound}))
@@ -1001,7 +997,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                         "needs q <= 1, a symmetric kernel and WMP"))
 
     if wmp.holds and kernel.is_symmetric:
-        tst = _testing_condition_11(table)
+        tst = _testing_condition_11(table, qm)
         t22 = lp_operator_norm(kernel, sigma, 2.0)
         weak11 = _weak_type_constant(table, 1.0)
         c_cap1_11, _ = table.max_ratio(1.0, table.cap1_value)
@@ -1024,8 +1020,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     rows.append(_local_route_row(problem, pole))
 
-    if sup is not None and sup.status == "supersolution" and sol is not None \
-            and np.isfinite(a):
+    if sol is not None and np.isfinite(a):
         if nd.nondegenerate:
             ok = sol.status == "solution"
             details = {"status": sol.status}
@@ -1059,10 +1054,9 @@ def _local_route_row(problem, pole):
     kap = sub_strong.extras.get("certified_upper", sub_strong.lower)
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
-    sup = gagliardo_supersolution(sub_problem, kap)
-    if sup.status != "supersolution":
+    _, sol = _solve_from(sub_problem, kap)
+    if sol is None:
         return _na("local_solution_route", "modified supersolution unavailable")
-    sol = monotone_solution(sub_problem, sup.u)
     if sol.status != "solution":
         return VerdictRow("local_solution_route", "VIOLATED",
                           {"modified_status": sol.status})

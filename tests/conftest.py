@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from potbench import Kernel, Measure, Space
+from potbench.gallery import shortest_path_metric
 
 
 def rand_kernel(rng, n, zero_frac=0.2, inf_frac=0.0, symmetric=False):
@@ -31,16 +32,6 @@ def rand_gram_kernel(rng, n, rank=None):
     r = rank or n
     C = rng.uniform(0.0, 1.0, size=(n, r))
     return Kernel(Space.of_size(n), C @ C.T + 1e-9 * np.eye(n))
-
-
-def shortest_path_metric(rng, n, low=0.2, high=1.0):
-    base = rng.uniform(low, high, size=(n, n))
-    base = (base + base.T) / 2.0
-    np.fill_diagonal(base, 0.0)
-    d = base.copy()
-    for k in range(n):
-        d = np.minimum(d, d[:, [k]] + d[[k], :])
-    return d
 
 
 def metric_power_kernel(rng, n, power=1.0, offset=0.3):

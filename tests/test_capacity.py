@@ -181,6 +181,22 @@ def test_wiener_enumeration_matches_qp(seed):
     assert got.value == pytest.approx(best, rel=1e-8, abs=1e-8)
 
 
+def test_wiener_psd_one_eigendecomposition(monkeypatch):
+    # the PSD test's spectrum also sets the ascent's step size
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = wiener_cap1(rand_gram_kernel(np.random.default_rng(7), 5), range(5))
+    monkeypatch.undo()
+    assert got.method == "qp"
+    assert shapes == [(5, 5)]
+
+
 def test_capacity_null_check():
     # a point with infinite diagonal is negligible, and any measure charging
     # it must have infinite adjoint potential there

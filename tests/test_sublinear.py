@@ -17,6 +17,8 @@ Frozen oracles, all derived by hand before implementation:
   ``81``, again meeting the bound exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ from potbench import (
     weak_quotient_bound,
     weak_type_constant,
 )
-from potbench import sublinear
+from potbench import quasimetric_constant, sublinear
 from potbench.principles import DEFAULT_BUDGET
 from potbench.sublinear import GOLDEN_THRESHOLD, _iter_subsets, _SubsetTable
 from conftest import metric_power_kernel, rand_sigma
@@ -289,6 +291,23 @@ def test_zero_sigma_subsets_are_exact_and_draw_nothing(monkeypatch):
         assert [weak.lower, weak.upper, weak.extras["mode"]] == [0.0, 0.0, "exact"]
 
 
+def test_testing_condition_builds_no_four_point_arrays():
+    # the four-point (Ptolemy) check of quasimetric_constant holds several
+    # n^4 float arrays, 1.3 MB each at n = 20; the testing condition reads
+    # only the triangle constant
+    rng = np.random.default_rng(0)
+    k = metric_power_kernel(rng, 20)
+    sigma = rand_sigma(rng, k.space)
+    tracemalloc.start()
+    try:
+        est = check_testing_condition(k, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.extras["kappa"] == quasimetric_constant(k).kappa
+    assert peak < 3e6
+
+
 def test_lp_operator_norm_oracle():
     s = Space.of_size(2)
     k = Kernel(s, [[1.0, 2.0], [3.0, 4.0]])
@@ -342,6 +361,47 @@ def test_theorem_report_metric_kernel_all_confirmed():
     assert rep.verdict("energy_necessity") == "CONFIRMED"
     assert rep.verdict("local_solution_route") == "CONFIRMED"
     assert rep.hypotheses["wmp_holds"] and rep.hypotheses["quasi_symmetric"]
+
+
+def test_quasimetric_hypotheses_match_quasimetric_constant():
+    rng = np.random.default_rng(12)
+    k = metric_power_kernel(rng, 6, power=2.0)
+    sigma = rand_sigma(rng, k.space)
+    qm = quasimetric_constant(k)
+    assert qm.is_quasimetric and qm.ptolemy_ok is not None
+    rep = theorem_report(SublinearProblem(k, sigma, 0.5))
+    assert rep.hypotheses["quasimetric_kappa"] == qm.kappa
+    assert rep.hypotheses["is_quasimetric"] is True
+    assert check_testing_condition(k, sigma).extras["kappa"] == qm.kappa
+
+    entries = k.entries.copy()
+    entries[0, 1] *= 2.0
+    skew = Kernel(k.space, entries)
+    assert quasimetric_constant(skew).is_quasimetric is False
+    rep = theorem_report(SublinearProblem(skew, sigma, 0.5))
+    assert rep.hypotheses["quasimetric_kappa"] is None
+    assert rep.hypotheses["is_quasimetric"] is False
+    assert "kappa" not in check_testing_condition(skew, sigma).extras
+
+
+def test_lq_norm_with_infinite_values():
+    # point 2 carries no sigma-mass and sees +inf at point 0; with the
+    # diagonal entry G(0, 0) = +inf the iterate blows up on the support too
+    s = Space.of_size(3)
+    sigma = Measure(s, [1.0, 0.5, 0.0])
+    off = SublinearProblem(Kernel(s, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                      [np.inf, 1.0, 1.0]]), sigma, 0.5)
+    sup = gagliardo_supersolution(off, 2.0)
+    sol = monotone_solution(off, sup.u)
+    on = SublinearProblem(Kernel(s, [[np.inf, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                     [np.inf, 1.0, 1.0]]), sigma, 0.5)
+    div = gagliardo_supersolution(on, 2.0)
+    assert [sup.status, sol.status, div.status] == ["supersolution", "solution", "diverged"]
+    for res in (sup, sol):
+        assert np.isinf(res.u[2]) and np.isfinite(res.u[:2]).all()
+        assert 0.0 < res.lq_norm == norm(res.u, sigma, NormSpec.lp(0.5)) < np.inf
+    assert np.isinf(div.u[0]) and np.isinf(div.u[2])
+    assert div.lq_norm == norm(div.u, sigma, NormSpec.lp(0.5)) == np.inf
 
 
 def test_golden_threshold_value():
