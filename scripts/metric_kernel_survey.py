@@ -51,7 +51,7 @@ def survey_instance(rng, n, power, q, seed):
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)
     sol = monotone_solution(problem, sup.u)
-    weak = weak_type_constant(problem, seed=seed)
+    weak = weak_type_constant(problem)
 
     return {
         "n": n, "power": power, "q": q, "offset": round(offset, 4),

@@ -30,6 +30,7 @@ from .core import (
     Kernel,
     Measure,
     _nonempty_subsets,
+    _weighted_terms,
     adjoint_potential,
     potential,
 )
@@ -350,7 +351,11 @@ def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL, seed: int = 0,
         Af = np.where(np.isinf(A), 1e30, A)
         starts = [1.0 / np.diag(A)] + [rng.exponential(1.0, keep.size) for _ in range(5)]
         lam_K, _ = _qp_ascent(Af, starts, float(np.linalg.eigvalsh((Af + Af.T) / 2.0)[-1]))
-        value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K) if np.isfinite(lam_K @ A @ lam_K) else 0.0
+        pot_K = _weighted_terms(A, lam_K).sum(axis=1)
+        value = float(2.0 * lam_K.sum() - _weighted_terms(pot_K, lam_K).sum())
+        x = int(np.argmin(np.diag(A)))  # the largest singleton capacity is a floor
+        if 1.0 / A[x, x] > value:
+            lam_K, value = np.eye(keep.size)[x] / A[x, x], float(1.0 / A[x, x])
         method = "heuristic"
         attained = False
 

@@ -205,17 +205,17 @@ def _task_solve(inst, params, seed, budget, tol):
     res, est = solve_equation(_problem(inst, params))
     out = {"solve": res, "strong_lower": est.lower,
            "strong_certified": est.extras.get("certified_upper")}
-    return out, "randomized", None
+    return out, _mode_tag(est.extras["mode"]), None
 
 
 def _task_strong(inst, params, seed, budget, tol):
     est = strong_type_constant(_problem(inst, params), budget=budget, seed=seed)
-    return est, "randomized", None
+    return est, _mode_tag(est.extras["mode"]), None
 
 
 def _task_weak(inst, params, seed, budget, tol):
-    est = weak_type_constant(_problem(inst, params), budget=budget, seed=seed)
-    return est, _mode_tag(est.extras.get("mode", "sampled")), None
+    est = weak_type_constant(_problem(inst, params), budget=budget)
+    return est, _mode_tag(est.extras["mode"]), None
 
 
 def _task_wmp(inst, params, seed, budget, tol):
@@ -295,15 +295,16 @@ def _task_maurey(inst, params, seed, budget, tol):
         F = np.asarray(params["F"], dtype=float)
         return {"verification": maurey_verify(problem, F)}, "exact", None
     est = strong_type_constant(problem, with_upper=False)
+    tag = _mode_tag(est.extras["mode"])
     if est.witness is None:
-        return {"available": False, "reason": "no witness"}, "randomized", None
+        return {"available": False, "reason": "no witness"}, tag, None
     F = maurey_candidate(problem, est.witness)
     if F is None:
-        return {"available": False, "reason": "degenerate potential"}, "randomized", None
+        return {"available": False, "reason": "degenerate potential"}, tag, None
     out = {"available": True, "l1_mass": integrate(F, problem.sigma),
            "verification": maurey_verify(problem, F),
            "strong_lower": est.lower}
-    return out, "randomized", None
+    return out, tag, None
 
 
 def _task_weak_quotient(inst, params, seed, budget, tol):
@@ -321,8 +322,8 @@ def _task_weak_quotient(inst, params, seed, budget, tol):
 
 
 def _task_testing(inst, params, seed, budget, tol):
-    est = testing_condition_11(inst.kernel, _need_sigma(inst), budget=budget, seed=seed)
-    return est, _mode_tag(est.extras.get("mode", "sampled")), None
+    est = testing_condition_11(inst.kernel, _need_sigma(inst), budget=budget)
+    return est, _mode_tag(est.extras["mode"]), None
 
 
 def _task_operator_norm(inst, params, seed, budget, tol):

@@ -227,19 +227,16 @@ def _weighted_terms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonempty_subsets(k: int, columns=None, width: int | None = None) -> np.ndarray:
+def _nonempty_subsets(k: int) -> np.ndarray:
     """Every nonempty subset of ``range(k)`` as a boolean row; row ``m - 1``
-    holds the bits of ``m``.  Bit ``i`` is column ``i``, or column
-    ``columns[i]`` of rows ``width`` long when those are given, so a caller
-    gets wide rows without a second array of the same length."""
-    columns = range(k) if columns is None else columns
-    rows = np.zeros(((1 << k) - 1, k if width is None else width), dtype=bool)
-    for j, col in enumerate(columns):
+    holds the bits of ``m``, bit ``i`` in column ``i``."""
+    rows = np.zeros(((1 << k) - 1, k), dtype=bool)
+    for j in range(k):
         # m = 2^j + r for r < 2^j: the row of 2^j, then the rows of r with bit j
         half = 1 << j
-        rows[half - 1, col] = True
+        rows[half - 1, j] = True
         rows[half:2 * half - 1] = rows[:half - 1]
-        rows[half:2 * half - 1, col] = True
+        rows[half:2 * half - 1, j] = True
     return rows
 
 

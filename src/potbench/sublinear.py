@@ -27,14 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import cap0, content, wiener_cap1
+from .capacity import ENUM_LIMIT, cap0, content, wiener_cap1
 from .core import (
     DomainError,
     Kernel,
     Measure,
     NormSpec,
     SpaceMismatchError,
-    _nonempty_subsets,
     _weighted_terms,
     adjoint_potential,
     check_nondegenerate,
@@ -182,9 +181,9 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
 
     u = (scale * phi) ** (1.0 / q)
     rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
-    gap = u - rhs
-    bad = np.isnan(gap) | ((gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u))
-    bad &= ~(np.isinf(u) & np.isinf(rhs))
+    # where both sides are +inf the supersolution inequality holds
+    gap = np.subtract(u, rhs, out=np.zeros(n), where=~(np.isinf(u) & np.isinf(rhs)))
+    bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
     if status == "supersolution" and bad.any():
         status = "diverged"
     residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
@@ -338,7 +337,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     over the probability simplex.  A deterministic multiplicative ascent
     finds it, and its Frank-Wolfe duality gap gives a rigorous upper bound
     on the constant (extras key ``certified_upper``; ``certificate_gap`` is
-    the gap in ``F``).  The reported ``upper`` is the norm-route bound
+    the gap in ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
+    ``ASCENT_TOL * max(1, F)``, ``sampled`` when the ascent stopped at
+    ``ASCENT_CAP`` first, and ``heuristic`` when the certificate is
+    infinite.  The reported ``upper`` is the norm-route bound
     through a computed solution and the weak-maximum-principle constant,
     infinite when that route is unavailable; ``seed`` drives the sampled
     search for that constant.  For ``q >= 1`` the constant equals the
@@ -372,7 +374,6 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     rows = A_full.any(axis=1)
     A = A_full[rows]
     s = sigma.weights[supp][rows]
-    extras: dict = {"mode": "randomized"}
     if A.shape[0] == 0:
         return ConstantEstimate(0.0, 0.0, Measure(kernel.space, np.zeros(n)),
                                 "concave-max", {"mode": "exact", "certified_upper": 0.0})
@@ -387,9 +388,11 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     cert = max(cert, best_F)
     lower = best_F ** (1.0 / q)
     cert_upper = cert ** (1.0 / q)
-    extras["objective"] = best_F
-    extras["certified_upper"] = cert_upper
-    extras["certificate_gap"] = cert - best_F
+    gap = cert - best_F
+    mode = ("heuristic" if not np.isfinite(cert_upper)
+            else "exact" if gap <= ASCENT_TOL * max(1.0, best_F) else "sampled")
+    extras: dict = {"mode": mode, "objective": best_F, "certified_upper": cert_upper,
+                    "certificate_gap": gap}
 
     upper = float("inf")
     if lower == 0.0:
@@ -413,97 +416,100 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 # ---------------------------------------------------------------------------
 
 
-def _iter_subsets(kernel: Kernel, sigma: Measure, budget: int, seed: int):
-    """Masks over the support of sigma: all of them as the rows of one array
-    when affordable (none for a vanishing sigma), else a generator of
-    singletons, superlevel sets of the potential of sigma, and a seeded
-    random stream."""
-    supp = sigma.support
-    k = supp.size
-    if not k or 2**k <= budget:
-        return "exact", _nonempty_subsets(k, supp, kernel.size)
+PRUNE_RTOL = 1e-9  # LP values are monotone in exact arithmetic, not to the last bit
 
-    def gen():
-        seen = set()
-        for x in supp:
-            mask = np.zeros(kernel.size, dtype=bool)
-            mask[x] = True
-            seen.add(mask.tobytes())
-            yield mask
-        pot = potential(kernel, sigma)
-        for t in np.unique(pot[supp]):
-            mask = np.zeros(kernel.size, dtype=bool)
-            mask[supp[pot[supp] >= t]] = True
-            if mask.any() and mask.tobytes() not in seen:
-                seen.add(mask.tobytes())
-                yield mask
-        rng = np.random.default_rng(seed)
-        target = min(budget, 10 * kernel.size * kernel.size)
-        draws = 0
-        while len(seen) < target and draws < 20 * target:
-            draws += 1
-            bits = rng.integers(0, 2, size=k).astype(bool)
-            if not bits.any():
+
+class _SubsetSearch:
+    """Depth-first branch and bound (Land and Doig) for the largest
+    ``num(K) / den(K)`` over nonempty ``K`` in ``supp sigma``, for
+    nondecreasing set functions ``num`` and ``den``.
+
+    A subset is the integer whose bit ``j`` marks ``supp[j]``; ties go to
+    the least.  After the singletons, each point is included, then
+    excluded, in decreasing order of ``G sigma``.  A node with included set
+    ``I`` and undecided points ``R`` bounds the ratios of its sets by
+    ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R`` while ``I``
+    is empty) and is pruned when that is below the incumbent.  ``cap0`` and
+    ``cap1`` are memoized per subset for every search on one object, which
+    lives only as long as its caller: kernels are mutable.
+    """
+
+    def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
+        self.kernel, self.sigma, self.supp = kernel, sigma, sigma.support
+        k, n = self.supp.size, kernel.size
+        self.limit = 2**k - 1 if 2**k <= budget else min(budget, 10 * n * n)
+        pot = potential(kernel, sigma)[self.supp]
+        self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
+        self._caps: tuple[dict, dict] = ({}, {})  # cap0 and cap1 by subset
+
+    def mask(self, m: int) -> np.ndarray:
+        mask = np.zeros(self.kernel.size, dtype=bool)
+        mask[self.supp[[j for j in range(self.supp.size) if m >> j & 1]]] = True
+        return mask
+
+    def cap0_value(self, m: int) -> float:
+        if m not in self._caps[0]:
+            self._caps[0][m] = cap0(self.kernel, self.mask(m)).value
+        return self._caps[0][m]
+
+    def cap1_value(self, m: int) -> float:
+        if m not in self._caps[1]:
+            self._caps[1][m] = wiener_cap1(self.kernel, self.mask(m), _exceptional=False).value
+        return self._caps[1][m]
+
+    @cached_property
+    def cap1_monotone(self) -> bool:
+        """No subset reaches the heuristic path of :func:`wiener_cap1`."""
+        if self.supp.size <= ENUM_LIMIT:
+            return True
+        A = self.kernel.entries[np.ix_(self.supp, self.supp)]
+        return bool(np.isfinite(A).all()
+                    and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10)
+
+    def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
+        """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
+        which prunes only when :attr:`cap1_monotone`."""
+        return self.max_ratio(lambda m: self.sigma.mass(self.mask(m)) ** (1.0 / q),
+                              self.cap1_value if cap1 else self.cap0_value,
+                              prune=not cap1 or self.cap1_monotone)
+
+    def max_ratio(self, num, den, prune: bool = True) -> tuple:
+        """``(value, subset or None, mode, upper)``: the largest ratio found, a
+        set reaching it if positive, and the bracket's mode and upper end."""
+        k, valued = self.supp.size, set()
+        best, best_m = 0.0, None
+
+        def value(m):
+            nonlocal best, best_m
+            valued.add(m)
+            d = den(m)
+            v = num(m) / d if d > 0 else float("inf")
+            if v > best or (v == best and best_m is not None and m < best_m):
+                best, best_m = float(v), m
+
+        def bound(d, m):  # the ratios of the sets between m and m + order[d:]
+            rest = self.order[d:]
+            low = den(m) if m else min(den(1 << j) if 1 << j in valued else 0.0 for j in rest)
+            return num(m | sum(1 << j for j in rest)) / low if prune and low > 0 else float("inf")
+
+        for j in self.order[:self.limit]:
+            value(1 << j)
+        stack = [(0, 0)]  # (depth, included set)
+        while stack and best < float("inf"):
+            d, m = stack[-1]
+            if d == k or bound(d, m) * (1.0 + PRUNE_RTOL) < best:
+                stack.pop()
                 continue
-            mask = np.zeros(kernel.size, dtype=bool)
-            mask[supp[bits]] = True
-            key = mask.tobytes()
-            if key not in seen:
-                seen.add(key)
-                yield mask
-    return "sampled", gen()
-
-
-class _SubsetTable:
-    """The masks of :func:`_iter_subsets`, stored on first use as the rows of one
-    array, their sigma masses, and per-mask memos of the q-independent ``cap0``
-    and ``cap1``.  It lives only as long as its caller: kernels are mutable."""
-
-    def __init__(self, kernel: Kernel, sigma: Measure, budget: int, seed: int):
-        self.kernel, self.sigma = kernel, sigma
-        self.mode, self._masks = _iter_subsets(kernel, sigma, budget, seed)
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        if isinstance(self._masks, np.ndarray):
-            return self._masks
-        return np.fromiter(self._masks, np.dtype((bool, self.kernel.size)))
-
-    @cached_property
-    def masses(self) -> list:  # all positive: each mask is a nonempty part of supp sigma
-        return [self.sigma.mass(mask) for mask in self.masks]
-
-    @cached_property
-    def _caps(self) -> np.ndarray:
-        return np.full((2, len(self.masks)), np.nan)  # cap0 and cap1, nan until solved
-
-    def cap0_value(self, i: int) -> float:
-        if np.isnan(self._caps[0, i]):
-            self._caps[0, i] = cap0(self.kernel, self.masks[i]).value
-        return float(self._caps[0, i])
-
-    def cap1_value(self, i: int) -> float:
-        if np.isnan(self._caps[1, i]):
-            self._caps[1, i] = wiener_cap1(self.kernel, self.masks[i], _exceptional=False).value
-        return float(self._caps[1, i])
-
-    def first_max(self, value) -> tuple[float, int | None]:
-        """Largest positive ``value(i)`` over the masks and its first index; stops at inf."""
-        best, best_i = 0.0, None
-        for i in range(len(self.masks)):
-            v = value(i)
-            if v > best:
-                best, best_i = float(v), i
-                if np.isinf(best):
+            child = m | 1 << self.order[d]
+            if child not in valued:
+                if len(valued) >= self.limit:
                     break
-        return best, best_i
-
-    def max_ratio(self, q: float, capacity) -> tuple[float, int | None]:
-        """Largest ``sigma(K)^{1/q} / capacity(K)`` and its first index."""
-        def ratio(i):
-            capv = capacity(i)
-            return self.masses[i] ** (1.0 / q) / capv if capv > 0 else float("inf")
-        return self.first_max(ratio)
+                value(child)
+            stack[-1] = (d + 1, m)
+            stack.append((d + 1, child))
+        if not stack or best == float("inf"):
+            return best, best_m, "exact", best
+        return best, best_m, "sampled", max([best] + [bound(d, m) for d, m in stack if d < k])
 
 
 def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
@@ -528,61 +534,45 @@ def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
     return float(np.nanmax(ratios, initial=0.0))
 
 
-def weak_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
-                       seed: int = 0) -> ConstantEstimate:
+def weak_type_constant(problem: SublinearProblem,
+                       budget: int = DEFAULT_BUDGET) -> ConstantEstimate:
     """Least ``C`` with ``weak-norm_q(G nu, sigma) <= C nu(total)``.
 
     The weak norm is a maximum over superlevel sets ``K``, and LP duality
     gives ``max_nu min_K G nu = 1 / cap0(K)`` over probability measures, so
     for every ``q > 0`` the constant is the maximum of
     ``sigma(K)^{1/q} / cap0(K)`` over subsets ``K`` of the support of
-    ``sigma``.  The enumeration is exhaustive (mode ``exact``) when
-    ``2^|supp sigma|`` fits the budget.  Otherwise, for ``q <= 1`` a sampled
-    family gives a certified lower bound (mode ``sampled``, infinite
-    upper); for ``q > 1`` the result is the bracket from the largest weak
-    norm of a kernel column (lower) to the dual level-set constant (upper),
-    method ``point-mass``.  For ``q > 1`` extras also carry that level-set
-    constant, which bounds the weak constant from above, and a kernel
+    ``sigma``, found by branch and bound.  ``budget`` counts the distinct
+    subsets valued: all of them when ``2^|supp sigma| <= budget``, so the
+    result is ``exact``, else at most ``min(budget, 10 n^2)``.  A search cut
+    short is ``sampled``, bracketed by the best subset's ratio and the
+    largest bound of an open branch.  For ``q > 1`` extras carry the dual
+    level-set constant, an upper bound that also caps ``upper``.  A kernel
     column of infinite weak norm makes the constant infinite.
     """
-    return _weak_type_constant(_SubsetTable(problem.kernel, problem.sigma, budget, seed),
+    return _weak_type_constant(_SubsetSearch(problem.kernel, problem.sigma, budget),
                                problem.q)
 
 
-def _weak_type_constant(table: _SubsetTable, q: float) -> ConstantEstimate:
-    kernel, sigma, mode = table.kernel, table.sigma, table.mode
-    G, n = kernel.entries, kernel.size
-
-    level_set = None
-    if q > 1.0:
-        spec = NormSpec.weak_lorentz(q)
-        vals = np.array([norm(G[:, y], sigma, spec) for y in range(n)])
-        y = int(np.argmax(vals))
-        c2 = float(vals[y])
-        wit = Measure.delta(kernel.space, kernel.space.points[y])
-        if np.isinf(c2):
-            return ConstantEstimate(c2, c2, wit, "point-mass", {"mode": "exact"})
-        qprime = q / (q - 1.0)
-        level_set = max((_level_set_constant(G[:, y2], sigma, qprime) for y2 in range(n)),
-                        default=0.0)
-        if mode != "exact":
-            return ConstantEstimate(c2, level_set, wit, "point-mass",
-                                    {"mode": "exact", "level_set_constant": level_set})
-
-    best, best_i = table.max_ratio(q, table.cap0_value)
+def _weak_type_constant(search: _SubsetSearch, q: float) -> ConstantEstimate:
+    kernel, sigma = search.kernel, search.sigma
+    value, best, mode, upper = search.capacity_ratio(q)
     extras = {"mode": mode}
-    if level_set is not None:
+    if q > 1.0 and np.isfinite(value):
+        qprime = q / (q - 1.0)
+        level_set = max((_level_set_constant(kernel.entries[:, y], sigma, qprime)
+                         for y in range(kernel.size)), default=0.0)
         extras["level_set_constant"] = level_set
+        upper = max(value, min(upper, level_set))
     witness = None
-    if best_i is not None:
-        best_mask = table.masks[best_i]
+    if best is not None:
+        best_mask = search.mask(best)
         extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
-        extras["cap0_value"] = table.cap0_value(best_i)
+        extras["cap0_value"] = search.cap0_value(best)
         cres = content(kernel, best_mask)
         extras["content_value"] = cres.value
         witness = cres.extremal
-    upper = best if mode == "exact" else float("inf")
-    return ConstantEstimate(best, upper, witness, "capacity-subsets", extras)
+    return ConstantEstimate(value, upper, witness, "capacity-subsets", extras)
 
 
 @dataclass(frozen=True)
@@ -752,31 +742,33 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
 # ---------------------------------------------------------------------------
 
 
-def testing_condition_11(kernel: Kernel, sigma: Measure, budget: int = DEFAULT_BUDGET,
-                         seed: int = 0) -> ConstantEstimate:
+def testing_condition_11(kernel: Kernel, sigma: Measure,
+                         budget: int = DEFAULT_BUDGET) -> ConstantEstimate:
     """Least ``c`` with double-integral of G over K x K at most ``c sigma(K)``.
 
-    Subsets are enumerated exhaustively when affordable; on quasimetric
-    kernels the same ratio maximized over the balls of ``d = 1/G`` (all
-    centers, all realized radii, strict inequality) is reported in extras.
+    The subsets ``K`` are searched, and ``budget`` and the bracket read, as
+    in :func:`weak_type_constant`.  On quasimetric kernels the same ratio
+    maximized over the balls of ``d = 1/G`` (all centers, all realized
+    radii, strict inequality) is reported in extras.
     """
-    return _testing_condition_11(_SubsetTable(kernel, sigma, budget, seed),
+    return _testing_condition_11(_SubsetSearch(kernel, sigma, budget),
                                  _triangle_constant(kernel))
 
 
-def _testing_condition_11(table: _SubsetTable, qm) -> ConstantEstimate:
+def _testing_condition_11(search: _SubsetSearch, qm) -> ConstantEstimate:
     """``qm``: the kernel's :func:`~potbench.principles._triangle_constant`."""
-    kernel, sigma = table.kernel, table.sigma
+    kernel, sigma = search.kernel, search.sigma
 
-    def ratio(i):
-        restricted = sigma.restrict(table.masks[i])
-        return integrate(potential(kernel, restricted), restricted) / table.masses[i]
+    def double_integral(m):
+        restricted = sigma.restrict(search.mask(m))
+        return integrate(potential(kernel, restricted), restricted)
 
-    best, best_i = table.first_max(ratio)
-    extras: dict = {"mode": table.mode}
+    value, best, mode, upper = search.max_ratio(double_integral,
+                                                lambda m: sigma.mass(search.mask(m)))
+    extras: dict = {"mode": mode}
     witness = None
-    if best_i is not None:
-        best_mask = table.masks[best_i]
+    if best is not None:
+        best_mask = search.mask(best)
         witness = sigma.restrict(best_mask)
         extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
 
@@ -797,8 +789,7 @@ def _testing_condition_11(table: _SubsetTable, qm) -> ConstantEstimate:
         extras["kappa"] = qm.kappa
         extras["ball_constant"] = ball_best
         extras["ball_witness"] = ball_info
-    upper = best if table.mode == "exact" else float("inf")
-    return ConstantEstimate(best, upper, witness, "subset-enumeration", extras)
+    return ConstantEstimate(value, upper, witness, "subset-enumeration", extras)
 
 
 def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
@@ -885,6 +876,11 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     hypotheses fail on this instance is marked NOT-APPLICABLE rather than
     tested, claims whose both sides are computable are CONFIRMED or
     VIOLATED with numeric details.
+
+    ``budget`` bounds the sampled WMP search (driven by ``seed``) and five
+    subset searches as in :func:`weak_type_constant`: ``cap0`` and ``cap1``
+    at ``q`` and at 1, and the testing condition.  They share one memo of
+    ``cap0`` and ``cap1``, and the rows compare their lower ends.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -981,10 +977,10 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("lorentz_sufficiency",
                         "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"))
 
-    table = _SubsetTable(kernel, sigma, budget, seed)
+    search = _SubsetSearch(kernel, sigma, budget)
     if wmp.holds and kernel.is_symmetric:
-        weak = _weak_type_constant(table, q)
-        c_cap1, _ = table.max_ratio(q, table.cap1_value)
+        weak = _weak_type_constant(search, q)
+        c_cap1 = search.capacity_ratio(q, cap1=True)[0]
         constants["weak_cap0"] = weak.lower
         constants["weak_cap1"] = c_cap1
         ok = (c_cap1 <= weak.lower * (1.0 + REPORT_RTOL)
@@ -997,10 +993,10 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                         "needs q <= 1, a symmetric kernel and WMP"))
 
     if wmp.holds and kernel.is_symmetric:
-        tst = _testing_condition_11(table, qm)
+        tst = _testing_condition_11(search, qm)
         t22 = lp_operator_norm(kernel, sigma, 2.0)
-        weak11 = _weak_type_constant(table, 1.0)
-        c_cap1_11, _ = table.max_ratio(1.0, table.cap1_value)
+        weak11 = _weak_type_constant(search, 1.0)
+        c_cap1_11 = search.capacity_ratio(1.0, cap1=True)[0]
         trio = {"weak_1_1": weak11.lower, "testing": tst.lower, "p2_norm": t22,
                 "from_cap1": c_cap1_11,
                 "p_extras": {p: lp_operator_norm(kernel, sigma, p) for p in (1.5, 3.0)}}

@@ -144,6 +144,20 @@ def test_wiener_zero_diagonal_unbounded():
     assert not res.attained
 
 
+def test_wiener_heuristic_path_infinite_entries():
+    # 13 points (above ENUM_LIMIT) and +inf off-diagonal entries: the
+    # heuristic path; its energy takes 0 * inf = 0, and no singleton beats it
+    rng = np.random.default_rng(1)
+    g = np.triu(rng.uniform(0.1, 3.0, size=(13, 13)))
+    g[np.triu(rng.uniform(size=(13, 13)) < 0.05, 1)] = np.inf
+    k = Kernel(Space.of_size(13), g + np.triu(g, 1).T)
+    res = wiener_cap1(k, list(range(13)))
+    assert res.method == "heuristic" and not res.attained
+    assert res.value >= (1.0 / np.diag(g)).max()
+    assert energy(k, res.extremal) == pytest.approx(
+        2.0 * res.extremal.total - res.value, rel=1e-12)
+
+
 def test_wiener_requires_symmetry():
     k = Kernel(Space.of_size(2), [[1.0, 2.0], [0.5, 1.0]])
     with pytest.raises(DomainError):

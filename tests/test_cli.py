@@ -47,7 +47,7 @@ def test_analyze_basic(tmp_path):
     assert report["space_size"] == 2
     by_name = {t["name"]: t for t in report["tasks"]}
     assert by_name["solve"]["result"]["solve"]["status"] == "solution"
-    assert by_name["strong_constant"]["provenance"] == "randomized"
+    assert by_name["strong_constant"]["provenance"] == "exact"
     assert by_name["cap0"]["provenance"] == "exact"
     assert by_name["cap0"]["result"]["value"] == pytest.approx(4.0 / 3.0)
     assert by_name["wmp"]["result"]["constant"] == 1.0

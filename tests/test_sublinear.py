@@ -50,10 +50,11 @@ from potbench import (
     weak_quotient_bound,
     weak_type_constant,
 )
-from potbench import quasimetric_constant, sublinear
+from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
+from potbench.core import _nonempty_subsets
 from potbench.principles import DEFAULT_BUDGET
-from potbench.sublinear import GOLDEN_THRESHOLD, _iter_subsets, _SubsetTable
-from conftest import metric_power_kernel, rand_sigma
+from potbench.sublinear import GOLDEN_THRESHOLD, _SubsetSearch
+from conftest import metric_power_kernel, rand_kernel, rand_sigma
 
 
 def point_problem(q=0.5):
@@ -469,21 +470,25 @@ def test_energy_value_infinite():
     assert energy_value(prob, 1.0) == np.inf
 
 
-def _weak_routes_standalone(problem, budget, seed):
+def _cap1_route(kernel, sigma, q, budget=DEFAULT_BUDGET):
+    """The cap1 route of theorem_report's weak rows, from its own search:
+    ``(value, best set or None, mode, upper)``."""
+    search = _SubsetSearch(kernel, sigma, budget)
+    value, best, mode, upper = search.capacity_ratio(q, cap1=True)
+    best_set = None if best is None else tuple(np.flatnonzero(search.mask(best)).tolist())
+    return value, best_set, mode, upper
+
+
+def _weak_routes_standalone(problem, budget):
     """The constants of theorem_report's two weak rows, each from its own call."""
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
-
-    def cap1_route(q_):
-        table = _SubsetTable(kernel, sigma, budget, seed)
-        return table.max_ratio(q_, table.cap1_value)[0]
-
     problem11 = SublinearProblem(kernel, sigma, 1.0)
     return {
-        "weak_cap0": weak_type_constant(problem, budget=budget, seed=seed).lower,
-        "weak_cap1": cap1_route(q),
-        "weak_1_1": weak_type_constant(problem11, budget=budget, seed=seed).lower,
-        "testing": check_testing_condition(kernel, sigma, budget=budget, seed=seed).lower,
-        "from_cap1": cap1_route(1.0),
+        "weak_cap0": weak_type_constant(problem, budget=budget).lower,
+        "weak_cap1": _cap1_route(kernel, sigma, q, budget)[0],
+        "weak_1_1": weak_type_constant(problem11, budget=budget).lower,
+        "testing": check_testing_condition(kernel, sigma, budget=budget).lower,
+        "from_cap1": _cap1_route(kernel, sigma, 1.0, budget)[0],
     }
 
 
@@ -518,25 +523,130 @@ def test_theorem_report_one_capacity_per_subset(monkeypatch):
     assert rep.hypotheses["wmp_holds"]
     assert rep.verdict("weak_capacity_route") != "NOT-APPLICABLE"
     for name, keys in calls.items():
-        # every nonempty subset of the 8-point support once, none twice
-        assert len(keys) == len(set(keys)) == 2**8 - 1, name
-    _assert_matches_standalone(rep, _weak_routes_standalone(prob, DEFAULT_BUDGET, 0))
+        # no subset twice, and the search prunes some of the 255
+        assert len(keys) == len(set(keys)) < 2**8 - 1, name
+    _assert_matches_standalone(rep, _weak_routes_standalone(prob, DEFAULT_BUDGET))
+
+
+# ---------------------------------------------------------------------------
+# the subset search against a brute-force loop over every subset
+# ---------------------------------------------------------------------------
+
+
+def _brute_max(kernel, sigma, ratio):
+    """Largest positive ``ratio(mask)`` over the nonempty subsets of the
+    support, in ``_nonempty_subsets`` order, and the first set reaching it;
+    stops at ``+inf``."""
+    supp = sigma.support
+    best, best_set = 0.0, None
+    for row in _nonempty_subsets(supp.size):
+        mask = np.zeros(kernel.size, dtype=bool)
+        mask[supp[row]] = True
+        value = ratio(mask)
+        if value > best:
+            best, best_set = float(value), tuple(np.flatnonzero(mask).tolist())
+            if np.isinf(best):
+                break
+    return best, best_set
+
+
+def _capacity_brute(kernel, sigma, q, capacity):
+    def ratio(mask):
+        c = capacity(mask)
+        return sigma.mass(mask) ** (1.0 / q) / c if c > 0 else float("inf")
+    return _brute_max(kernel, sigma, ratio)
+
+
+def _testing_brute(kernel, sigma):
+    def ratio(mask):
+        restricted = sigma.restrict(mask)
+        return integrate(potential(kernel, restricted), restricted) / sigma.mass(mask)
+    return _brute_max(kernel, sigma, ratio)
+
+
+def _sweep_instances():
+    """Symmetric kernels, n <= 7, with zeros, +inf entries, zero sigma weights
+    and duplicated columns or blocks (with equal weights, so that ratios tie)."""
+    rng = np.random.default_rng(61)
+    for i in range(44):
+        n = 3 + i % 5
+        if i % 4 == 0:
+            entries = metric_power_kernel(rng, n, power=(1.0, 2.0)[i % 8 // 4]).entries.copy()
+        else:
+            entries = rand_kernel(rng, n, zero_frac=(0.0, 0.2, 0.4)[i % 3],
+                                  inf_frac=(0.0, 0.05, 0.15)[i % 4 - 1],
+                                  symmetric=True).entries.copy()
+        weights = rng.uniform(0.2, 1.5, n)
+        if i % 3 == 1:
+            weights[rng.integers(n)] = 0.0
+        if i % 2 == 0:  # point 1 duplicates point 0
+            entries[1, :], entries[:, 1] = entries[0, :], entries[:, 0]
+            entries[1, 1] = entries[0, 0]
+            weights[1] = weights[0]
+        kernel = Kernel(Space.of_size(n), entries)
+        yield kernel, Measure(kernel.space, weights)
+    for b in (2, 3, 2, 3):  # two copies of one block, so that whole sets tie
+        block = rand_kernel(rng, b, zero_frac=0.0, symmetric=True).entries
+        kernel = Kernel(Space.of_size(2 * b), np.kron(np.eye(2), block))
+        yield kernel, Measure(kernel.space, np.tile(rng.uniform(0.2, 1.5, b), 2))
+
+
+def _cap0_of(kernel):
+    return lambda mask: cap0(kernel, mask).value
+
+
+def _cap1_of(kernel):
+    return lambda mask: wiener_cap1(kernel, mask, _exceptional=False).value
+
+
+def test_subset_search_matches_brute_force():
+    finite = 0
+    for kernel, sigma in _sweep_instances():
+        for q in (0.5, 1.0, 2.0):
+            est = weak_type_constant(SublinearProblem(kernel, sigma, q))
+            value, best_set = _capacity_brute(kernel, sigma, q, _cap0_of(kernel))
+            assert [est.lower, est.upper, est.extras["mode"]] == [value, value, "exact"]
+            if np.isfinite(value):
+                finite += 1
+                assert est.extras.get("best_set") == best_set
+        for q in (0.5, 1.0):
+            found, found_set, mode, upper = _cap1_route(kernel, sigma, q)
+            value, best_set = _capacity_brute(kernel, sigma, q, _cap1_of(kernel))
+            assert [found, upper, mode] == [value, value, "exact"]
+            if np.isfinite(value):
+                assert found_set == best_set
+        est = check_testing_condition(kernel, sigma)
+        value, best_set = _testing_brute(kernel, sigma)
+        assert [est.lower, est.upper, est.extras["mode"]] == [value, value, "exact"]
+        if np.isfinite(value):
+            assert est.extras.get("best_set") == best_set
+    assert finite >= 60  # most maxima are finite, so best_set is checked
 
 
 def test_theorem_report_sampled_subsets_match_standalone():
+    # a budget that cuts the search brackets the brute-force maximum: the
+    # singletons and two more sets of 15 or more
+    cut = 0
+    for kernel, sigma in _sweep_instances():
+        k = sigma.support.size
+        if k < 4:
+            continue
+        budget = k + 2
+        for q in (0.5, 2.0):
+            est = weak_type_constant(SublinearProblem(kernel, sigma, q), budget=budget)
+            value, _ = _capacity_brute(kernel, sigma, q, _cap0_of(kernel))
+            if np.isfinite(value):
+                cut += 1
+                assert est.extras["mode"] == "sampled"
+                assert est.lower <= value <= est.upper < np.inf
+        est = check_testing_condition(kernel, sigma, budget=budget)
+        value, _ = _testing_brute(kernel, sigma)
+        if np.isfinite(value):
+            assert est.extras["mode"] == "sampled"
+            assert est.lower <= value <= est.upper < np.inf
+    assert cut >= 30
+
     prob = _metric_problem_8()
-    budget, seed = 100, 2
-    assert budget < 2**prob.sigma.support.size
-
-    table = _SubsetTable(prob.kernel, prob.sigma, budget, seed)
-    mode, fresh = _iter_subsets(prob.kernel, prob.sigma, budget, seed)
-    assert table.mode == mode == "sampled"
-    masks = [mask.tobytes() for mask in table.masks]
-    assert masks == [mask.tobytes() for mask in fresh]
-    assert [mask.tobytes() for mask in table.masks] == masks  # stored, read twice
-    assert table.masses == [prob.sigma.mass(mask) for mask in table.masks]
-    assert len(masks) == len(set(masks)) > 2 * prob.kernel.size
-
-    rep = theorem_report(prob, budget=budget, seed=seed)
+    rep = theorem_report(prob, budget=100, seed=2)
     assert rep.hypotheses["wmp_holds"]
-    _assert_matches_standalone(rep, _weak_routes_standalone(prob, budget, seed))
+    _assert_matches_standalone(rep, _weak_routes_standalone(prob, 100))
