@@ -8,9 +8,9 @@ Three set functions, all with explicit optimizers:
   on ``K`` (the dual linear program, so the two values coincide);
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
-  go through a projected-gradient ascent with an exact active-set polish and
-  KKT verification; small non-PSD instances are solved exactly by support
-  enumeration; anything else falls back to a multistart ascent flagged
+  go through an exact Lawson-Hanson active set with KKT verification; small
+  non-PSD instances are solved exactly by support enumeration; anything else
+  takes the best active-set KKT point over every starting point, flagged
   ``heuristic``.
 
 Infinite kernel values are pre-reduced before any LP is built: an ``+inf``
@@ -48,7 +48,6 @@ __all__ = [
 
 CERT_TOL = 1e-8
 ENUM_LIMIT = 12  # largest |K| solved exactly on non-PSD kernels
-QP_CAP = 50_000  # projected-gradient steps per start
 
 
 @dataclass(frozen=True)
@@ -188,64 +187,66 @@ def content(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
 # ---------------------------------------------------------------------------
 
 
-def _kkt_residual(A, lam, thr, g=None):
-    g = 2.0 * (1.0 - A @ lam) if g is None else g
+def _kkt_residual(A, lam, thr):
+    g = 2.0 * (1.0 - A @ lam)
     active = lam > thr
     return max(float(np.abs(g[active]).max(initial=0.0)),
                float(np.clip(g[~active], 0.0, None).max(initial=0.0)))
 
 
-def _try_polish(A, lam, thr):
-    """Solve the stationarity system on the inferred support and verify KKT."""
-    T = np.flatnonzero(lam > thr)
-    if T.size == 0:
-        return None
-    AT = A[np.ix_(T, T)]
-    ones = np.ones(T.size)
-    try:
-        z = np.linalg.solve(AT, ones)
-    except np.linalg.LinAlgError:
-        z, *_ = np.linalg.lstsq(AT, ones, rcond=None)
-    if np.abs(AT @ z - ones).max() > 1e-9 or (z < -1e-10).any():
-        return None
-    cand = np.zeros_like(lam)
-    cand[T] = np.clip(z, 0.0, None)
-    pot = A @ cand
-    off = np.setdiff1d(np.arange(len(lam)), T)
-    if off.size and (pot[off] < 1.0 - 1e-9).any():
-        return None
-    return cand
+def _objective(A, lam):
+    """``2 lam(K) - lam' A lam`` under ``0 * inf = 0``."""
+    pot = _weighted_terms(A, lam).sum(axis=1)
+    return float(2.0 * lam.sum() - _weighted_terms(pot, lam).sum())
 
 
-def _qp_ascent(A, starts, top_eig):
-    """Projected-gradient ascent for ``f(lam) = 2 sum(lam) - lam' A lam``.
+def _active_set(A, start):
+    """Lawson-Hanson active set for ``max 2 sum(lam) - lam' A lam``, ``lam >= 0``.
 
-    Exact for PSD ``A`` (concave objective); used as a best-effort search
-    otherwise.  ``top_eig`` is the largest eigenvalue of ``(A + A') / 2``,
-    which sets the step.  Returns ``(lam, kkt_residual)`` for the best start.
+    From the support ``{start}``, solve ``A_TT lam_T = 1`` on the support
+    ``T``, step back to the boundary where a weight would not stay positive,
+    and add the point whose potential (``0 * inf = 0``) is furthest below 1,
+    so a point at infinite interaction is never added.  An inconsistent
+    system is followed along the null direction in which the objective
+    rises, to the boundary.  Exact for PSD ``A``; a KKT point otherwise.
     """
-    L = 2.0 * max(top_eig, 1e-12)
-    best, best_val, best_res = None, -np.inf, np.inf
-    for lam in starts:
-        lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
-        g = 2.0 * (1.0 - A @ lam)
-        for it in range(QP_CAP):
-            lam = np.clip(lam + g / L, 0.0, None)
-            g = 2.0 * (1.0 - A @ lam)  # the stop test's gradient is the next step's
-            thr = 1e-12 * (1.0 + lam.max())
-            res = _kkt_residual(A, lam, thr, g)
-            if it % 64 == 63 or res < 1e-11:
-                polished = _try_polish(A, lam, max(thr, 1e-10 * (1.0 + lam.max())))
-                if polished is not None and _kkt_residual(A, polished, 1e-14) < 1e-9:
-                    lam = polished
-                    break
-                if res < 1e-11:
-                    break
-        val = 2.0 * lam.sum() - lam @ A @ lam
-        res = _kkt_residual(A, lam, 1e-12 * (1.0 + lam.max()))
-        if val > best_val:
-            best, best_val, best_res = lam, val, res
-    return best, best_res
+    k = A.shape[0]
+    lam, P, j = np.zeros(k), np.zeros(k, dtype=bool), start
+    for _ in range(3 * k):
+        P[j] = True
+        for _ in range(k):  # each pass but the last drops a point
+            T = np.flatnonzero(P)
+            AT, ones = A[np.ix_(T, T)], np.ones(T.size)
+            try:
+                z = np.linalg.solve(AT, ones)
+            except np.linalg.LinAlgError:
+                z = None
+            ray = False
+            if z is None or np.abs(AT @ z - ones).max() > 1e-9:
+                # unit diagonal: a singular value cut off is a null direction
+                s = np.diag(AT) ** -0.5
+                S = AT * np.outer(s, s)
+                y, _, rank, _ = np.linalg.lstsq(S, s, rcond=1e-7)
+                z, r = s * y, s - S @ y
+                ray = rank < T.size and np.abs(r).max() > 1e-9 * s.max()
+            if not ray and (z > 0).all():
+                lam[T] = z
+                break
+            d = s * r if ray else z - lam[T]
+            neg = np.flatnonzero(d < 0)
+            steps = lam[T][neg] / -d[neg]
+            t = min(steps.min(initial=np.inf), np.inf if ray else 1.0)
+            if not np.isfinite(t):  # no boundary ahead: only for non-PSD A
+                break
+            lam[T] = np.clip(lam[T] + t * d, 0.0, None)
+            lam[T[neg[steps == t]]] = 0.0
+            P &= lam > 0
+        w = 1.0 - _weighted_terms(A, lam).sum(axis=1)
+        w[P] = -np.inf
+        j = int(np.argmax(w))
+        if not w[j] > 1e-9:
+            break
+    return lam
 
 
 def _family_mass_lp(AT):
@@ -295,7 +296,7 @@ def _enumerate_supports(A):
     return best, best_val
 
 
-def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL, seed: int = 0,
+def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL,
                 _exceptional: bool = True) -> CapacityResult:
     """``max 2 lam(K) - E(lam)`` over ``lam >= 0`` supported on ``K``.
 
@@ -331,28 +332,19 @@ def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL, seed: int = 0,
         return CapacityResult(value, lam, None, certs, "reciprocal")
 
     A = G[np.ix_(keep, keep)]
-    finite = np.isfinite(A).all()
-    psd = False
-    if finite:
-        eigs = np.linalg.eigvalsh((A + A.T) / 2.0)
-        psd = float(eigs[0]) >= -1e-10
-
     attained = True
-    if finite and psd:
-        lam_K, res = _qp_ascent(A, [1.0 / np.diag(A)], float(eigs[-1]))
+    if np.isfinite(A).all() and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10:
+        lam_K = _active_set(A, 0)
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
-        attained = res < 1e-8
+        attained = _kkt_residual(A, lam_K, 1e-12 * (1.0 + lam_K.max())) < 1e-8
     elif keep.size <= ENUM_LIMIT:
         lam_K, value = _enumerate_supports(A)
         method = "enumeration"
     else:
-        rng = np.random.default_rng(seed)
-        Af = np.where(np.isinf(A), 1e30, A)
-        starts = [1.0 / np.diag(A)] + [rng.exponential(1.0, keep.size) for _ in range(5)]
-        lam_K, _ = _qp_ascent(Af, starts, float(np.linalg.eigvalsh((Af + Af.T) / 2.0)[-1]))
-        pot_K = _weighted_terms(A, lam_K).sum(axis=1)
-        value = float(2.0 * lam_K.sum() - _weighted_terms(pot_K, lam_K).sum())
+        tries = [_active_set(A, j) for j in range(keep.size)]
+        values = [_objective(A, lam) for lam in tries]
+        lam_K, value = tries[int(np.argmax(values))], max(values)
         x = int(np.argmin(np.diag(A)))  # the largest singleton capacity is a floor
         if 1.0 / A[x, x] > value:
             lam_K, value = np.eye(keep.size)[x] / A[x, x], float(1.0 / A[x, x])

@@ -194,38 +194,35 @@ def _subset(inst: _Instance, params: dict):
     return list(inst.kernel.space.points)
 
 
-def _mode_tag(mode: str) -> str:
-    return "exact" if mode == "exact" else "randomized"
-
-
-# each handler returns (result, provenance, table-rows or None)
+# each handler returns (result, provenance, table-rows or None); the
+# provenance is the result's own mode: exact, sampled or heuristic
 
 
 def _task_solve(inst, params, seed, budget, tol):
     res, est = solve_equation(_problem(inst, params))
     out = {"solve": res, "strong_lower": est.lower,
            "strong_certified": est.extras.get("certified_upper")}
-    return out, _mode_tag(est.extras["mode"]), None
+    return out, est.extras["mode"], None
 
 
 def _task_strong(inst, params, seed, budget, tol):
     est = strong_type_constant(_problem(inst, params), budget=budget, seed=seed)
-    return est, _mode_tag(est.extras["mode"]), None
+    return est, est.extras["mode"], None
 
 
 def _task_weak(inst, params, seed, budget, tol):
     est = weak_type_constant(_problem(inst, params), budget=budget)
-    return est, _mode_tag(est.extras["mode"]), None
+    return est, est.extras["mode"], None
 
 
 def _task_wmp(inst, params, seed, budget, tol):
     rep = wmp_constant(inst.kernel, budget=budget, seed=seed)
-    return rep, _mode_tag(rep.mode), None
+    return rep, rep.mode, None
 
 
 def _task_complete_mp(inst, params, seed, budget, tol):
     rep = complete_mp_constant(inst.kernel, budget=budget, seed=seed)
-    return rep, _mode_tag(rep.mode), None
+    return rep, rep.mode, None
 
 
 def _task_quasisymmetry(inst, params, seed, budget, tol):
@@ -256,7 +253,7 @@ def _task_content(inst, params, seed, budget, tol):
 
 
 def _task_cap1(inst, params, seed, budget, tol):
-    res = wiener_cap1(inst.kernel, _subset(inst, params), ctol=tol, seed=seed)
+    res = wiener_cap1(inst.kernel, _subset(inst, params), ctol=tol)
     return res, _capacity_tag(res), None
 
 
@@ -295,7 +292,7 @@ def _task_maurey(inst, params, seed, budget, tol):
         F = np.asarray(params["F"], dtype=float)
         return {"verification": maurey_verify(problem, F)}, "exact", None
     est = strong_type_constant(problem, with_upper=False)
-    tag = _mode_tag(est.extras["mode"])
+    tag = est.extras["mode"]
     if est.witness is None:
         return {"available": False, "reason": "no witness"}, tag, None
     F = maurey_candidate(problem, est.witness)
@@ -318,12 +315,12 @@ def _task_weak_quotient(inst, params, seed, budget, tol):
         omega = sigma
     rep = wmp_constant(inst.kernel, budget=budget, seed=seed)
     qb = weak_quotient_bound(inst.kernel, omega, nu, h=rep.constant)
-    return qb, _mode_tag(rep.mode), None
+    return qb, rep.mode, None
 
 
 def _task_testing(inst, params, seed, budget, tol):
     est = testing_condition_11(inst.kernel, _need_sigma(inst), budget=budget)
-    return est, _mode_tag(est.extras["mode"]), None
+    return est, est.extras["mode"], None
 
 
 def _task_operator_norm(inst, params, seed, budget, tol):

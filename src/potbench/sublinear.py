@@ -429,7 +429,8 @@ class _SubsetSearch:
     excluded, in decreasing order of ``G sigma``.  A node with included set
     ``I`` and undecided points ``R`` bounds the ratios of its sets by
     ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R`` while ``I``
-    is empty) and is pruned when that is below the incumbent.  ``cap0`` and
+    is empty), or by a caller's second bound if smaller, and is pruned when
+    that is below the incumbent.  ``cap0`` and
     ``cap1`` are memoized per subset for every search on one object, which
     lives only as long as its caller: kernels are mutable.
     """
@@ -473,9 +474,11 @@ class _SubsetSearch:
                               self.cap1_value if cap1 else self.cap0_value,
                               prune=not cap1 or self.cap1_monotone)
 
-    def max_ratio(self, num, den, prune: bool = True) -> tuple:
+    def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a
-        set reaching it if positive, and the bracket's mode and upper end."""
+        set reaching it if positive, and the bracket's mode and upper end.
+        ``cap(O)``, if given, is a second bound on the ratio of every set in
+        ``O``; a node takes the smaller of the two."""
         k, valued = self.supp.size, set()
         best, best_m = 0.0, None
 
@@ -489,8 +492,10 @@ class _SubsetSearch:
 
         def bound(d, m):  # the ratios of the sets between m and m + order[d:]
             rest = self.order[d:]
+            top = m | sum(1 << j for j in rest)
             low = den(m) if m else min(den(1 << j) if 1 << j in valued else 0.0 for j in rest)
-            return num(m | sum(1 << j for j in rest)) / low if prune and low > 0 else float("inf")
+            b = num(top) / low if prune and low > 0 else float("inf")
+            return min(b, cap(top)) if cap else b
 
         for j in self.order[:self.limit]:
             value(1 << j)
@@ -763,8 +768,13 @@ def _testing_condition_11(search: _SubsetSearch, qm) -> ConstantEstimate:
         restricted = sigma.restrict(search.mask(m))
         return integrate(potential(kernel, restricted), restricted)
 
+    def top_potential(m):  # G >= 0: bounds the ratio of every K in m
+        mask = search.mask(m)
+        return float(potential(kernel, sigma.restrict(mask))[mask].max())
+
     value, best, mode, upper = search.max_ratio(double_integral,
-                                                lambda m: sigma.mass(search.mask(m)))
+                                                lambda m: sigma.mass(search.mask(m)),
+                                                cap=top_potential)
     extras: dict = {"mode": mode}
     witness = None
     if best is not None:

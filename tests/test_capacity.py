@@ -21,6 +21,7 @@ from potbench import (
     potential,
     wiener_cap1,
 )
+from potbench.capacity import _enumerate_supports
 from potbench.gallery import SampledKernelSpec, build_sampled
 from conftest import rand_gram_kernel, rand_kernel
 
@@ -144,18 +145,61 @@ def test_wiener_zero_diagonal_unbounded():
     assert not res.attained
 
 
+def _symmetric_uniform(rng, n, inf_frac=0.0):
+    g = np.triu(rng.uniform(0.1, 3.0, size=(n, n)))
+    if inf_frac:
+        g[np.triu(rng.uniform(size=(n, n)) < inf_frac, 1)] = np.inf
+    return Kernel(Space.of_size(n), g + np.triu(g, 1).T)
+
+
 def test_wiener_heuristic_path_infinite_entries():
-    # 13 points (above ENUM_LIMIT) and +inf off-diagonal entries: the
-    # heuristic path; its energy takes 0 * inf = 0, and no singleton beats it
-    rng = np.random.default_rng(1)
-    g = np.triu(rng.uniform(0.1, 3.0, size=(13, 13)))
-    g[np.triu(rng.uniform(size=(13, 13)) < 0.05, 1)] = np.inf
-    k = Kernel(Space.of_size(13), g + np.triu(g, 1).T)
+    # above ENUM_LIMIT and +inf off-diagonal entries: the heuristic path; its
+    # energy takes 0 * inf = 0, and no singleton beats it
+    for seed, n in [(1, 13), (2, 13), (3, 15), (4, 15)]:
+        k = _symmetric_uniform(np.random.default_rng(seed), n, inf_frac=0.05)
+        res = wiener_cap1(k, list(range(n)))
+        assert res.method == "heuristic" and not res.attained
+        assert res.value >= (1.0 / np.diag(k.entries)).max()
+        assert energy(k, res.extremal) == pytest.approx(
+            2.0 * res.extremal.total - res.value, rel=1e-12)
+        if n == 13:
+            assert res.value == pytest.approx(_enumerate_supports(k.entries)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [9, 11, 23, 30, 38, 56])
+def test_wiener_heuristic_path_matches_enumeration(seed):
+    # 13 points, one past ENUM_LIMIT, on a non-PSD kernel: the best active-set
+    # KKT point over every start is the enumerated optimum
+    k = _symmetric_uniform(np.random.default_rng(seed), 13)
     res = wiener_cap1(k, list(range(13)))
-    assert res.method == "heuristic" and not res.attained
-    assert res.value >= (1.0 / np.diag(g)).max()
-    assert energy(k, res.extremal) == pytest.approx(
-        2.0 * res.extremal.total - res.value, rel=1e-12)
+    assert res.method == "heuristic"
+    assert res.value == pytest.approx(_enumerate_supports(k.entries)[1], rel=1e-12)
+
+
+def test_wiener_rank_one_kernel():
+    # G = f f' is PSD and singular: adding a second point leaves an
+    # inconsistent system, whose null direction moves all mass to the point
+    # of least f, so cap1 = 1 / min f^2
+    f = np.random.default_rng(0).uniform(0.5, 2.0, 6)
+    res = wiener_cap1(Kernel(Space.of_size(6), np.outer(f, f)), range(6))
+    assert res.method == "qp" and res.attained
+    assert res.value == pytest.approx(1.0 / f.min() ** 2, rel=1e-12)
+    assert res.extremal.support.tolist() == [int(np.argmin(f))]
+
+
+def test_wiener_badly_scaled_gram_kernels():
+    # diagonal scales from 1e-8 to 1e8 on low-rank Gram kernels: supports
+    # whose unscaled systems look singular, where they are not
+    for seed in (9016, 9024, 9046, 9058):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        C = rng.uniform(0.0, 1.0, (n, int(rng.integers(1, n + 1))))
+        D = 10.0 ** rng.uniform(-4.0, 4.0, n)
+        G = D[:, None] * (C @ C.T) * D[None, :]
+        k = Kernel(Space.of_size(n), (G + G.T) / 2.0)
+        res = wiener_cap1(k, range(n))
+        assert res.method == "qp" and res.attained
+        assert res.value == pytest.approx(_enumerate_supports(k.entries)[1], rel=1e-9)
 
 
 def test_wiener_requires_symmetry():
@@ -196,7 +240,8 @@ def test_wiener_enumeration_matches_qp(seed):
 
 
 def test_wiener_psd_one_eigendecomposition(monkeypatch):
-    # the PSD test's spectrum also sets the ascent's step size
+    # the PSD test is the one spectrum a PSD call needs; the active set
+    # takes no step size
     shapes = []
     original = np.linalg.eigvalsh
 

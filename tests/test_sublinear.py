@@ -309,6 +309,16 @@ def test_testing_condition_builds_no_four_point_arrays():
     assert peak < 3e6
 
 
+def test_testing_condition_closes_at_n20():
+    # a scenario-(a)-style kernel: the largest potential of sigma restricted
+    # to the undecided hull bounds the branches, so budget 400 suffices
+    rng = np.random.default_rng(0)
+    k = metric_power_kernel(rng, 20)
+    est = check_testing_condition(k, rand_sigma(rng, k.space), budget=400)
+    assert est.extras["mode"] == "exact"
+    assert est.upper == est.lower
+
+
 def test_lp_operator_norm_oracle():
     s = Space.of_size(2)
     k = Kernel(s, [[1.0, 2.0], [3.0, 4.0]])
