@@ -332,7 +332,8 @@ def _task_operator_norm(inst, params, seed, budget, tol):
 def _task_theorem_report(inst, params, seed, budget, tol):
     rep = theorem_report(_problem(inst, params), budget=budget, seed=seed,
                          pole=params.get("pole"))
-    return rep, "randomized", None
+    weakest = max(rep.constants["modes"].values(), key=("exact", "sampled", "heuristic").index)
+    return rep, weakest, None
 
 
 def _task_divergence_sweep(inst, params, seed, budget, tol):

@@ -4,14 +4,17 @@ The weak constant is the smallest ``h`` such that any potential of a measure
 supported on a set ``S`` that stays ``<= 1`` on ``S`` stays ``<= h``
 everywhere.  The complete constant allows an additive constant on the
 majorant side.  Both reduce to one small linear program per pair ``(S, x)``
-with ``x`` outside ``S``; pairs are enumerated exhaustively when
-``n * 2**n`` fits the budget and otherwise sampled from a seeded stream that
-always includes every singleton support and every complement-of-a-point
-support.  Sampled constants are certified lower bounds, not exact values.
+with ``x`` outside ``S``, walked as a stream of supports ``S`` that each
+carry their outside points: every ``S`` with its complement when
+``n * 2**n`` fits the budget, otherwise a seeded stream that always holds
+every singleton support (against every other point) and every
+complement-of-a-point support (against its point).  Sampled constants are
+certified lower bounds, not exact values.
 
 Infinite kernel entries never reach the LP solver.  A ``+inf`` coefficient
-inside a ``<= 1`` row forces that variable to zero; a ``+inf`` objective
-coefficient on a still-feasible variable makes the constant infinite.
+inside a ``<= 1`` row forces that variable to zero, so the columns finite
+on ``S`` are reduced once per support; a ``+inf`` objective coefficient on
+a still-feasible variable makes the constant infinite.
 """
 
 from __future__ import annotations
@@ -58,22 +61,19 @@ class CompleteMpReport:
     pairs_checked: int
 
 
-def _iter_exact_pairs(n: int):
+def _exact_supports(n: int):
     for row in _nonempty_subsets(n)[:-1]:  # every S but the whole space
-        S = np.flatnonzero(row).tolist()
-        for x in np.flatnonzero(~row).tolist():
-            yield S, x
+        yield np.flatnonzero(row), np.flatnonzero(~row)
 
 
-def _iter_sampled_pairs(n: int, budget: int, seed: int):
-    """Seeded pair stream: mandatory cheap supports first, then a random
+def _sampled_supports(n: int, budget: int, seed: int):
+    """Seeded support stream: mandatory cheap supports first, then a random
     prefix whose composition does not depend on the budget."""
+    points = np.arange(n)
     for y in range(n):
-        for x in range(n):
-            if x != y:
-                yield [y], x
+        yield points[y:y + 1], np.delete(points, y)
     for x in range(n):
-        yield [y for y in range(n) if y != x], x
+        yield np.delete(points, x), points[x:x + 1]
     target = min(10 * n * n, budget)
     rng = np.random.default_rng(seed)
     seen = set()
@@ -83,68 +83,63 @@ def _iter_sampled_pairs(n: int, budget: int, seed: int):
         bits = rng.integers(0, 2, size=n)
         if bits.all() or not bits.any():
             continue
-        S = np.flatnonzero(bits)
         x = int(rng.choice(np.flatnonzero(~bits.astype(bool))))
         key = (bits.tobytes(), x)
         if key in seen:
             continue
         seen.add(key)
-        yield list(S), x
-
-
-def _iter_pairs(n: int, budget: int, seed: int):
-    if n * (1 << n) <= budget:
-        return "exact", _iter_exact_pairs(n)
-    return "sampled", _iter_sampled_pairs(n, budget, seed)
+        yield np.flatnonzero(bits), points[x:x + 1]
 
 
 def _max_over_pairs(kernel: Kernel, budget: int, seed: int, pair_value):
     """First pair ``(S, x)`` whose value beats the floor 1 and every pair before
-    it, stopping at ``+inf``.  Returns the mode, the best value, the winning
-    ``(S, x, pair_value(...))`` or None, and the number of pairs checked."""
-    mode, pairs = _iter_pairs(kernel.size, budget, seed)
+    it, stopping at ``+inf``.  ``pair_value(G, S, x, fin, cols, block)``
+    values a pair from its support's mask ``fin`` of columns finite on ``S``,
+    the points ``cols`` of ``S`` among them and ``block = G[S, cols]``.
+    Returns the mode, the best value, the winning ``(S, x, cols, pair_value(...))``
+    or None, and the number of pairs checked."""
+    n, G = kernel.size, kernel.entries
+    if n * (1 << n) <= budget:
+        mode, supports = "exact", _exact_supports(n)
+    else:
+        mode, supports = "sampled", _sampled_supports(n, budget, seed)
+    finite = np.isfinite(G)
     best, top, checked = 1.0, None, 0
-    for S, x in pairs:
-        checked += 1
-        result = pair_value(kernel.entries, S, x)
-        if result[0] > best:
-            best, top = result[0], (S, x, result)
-            if np.isinf(best):
-                break
+    for S, outside in supports:
+        fin = finite[S].all(axis=0)
+        cols = S[fin[S]]
+        block = G[np.ix_(S, cols)]
+        for x in outside.tolist():
+            checked += 1
+            result = pair_value(G, S, x, fin, cols, block)
+            if result[0] > best:
+                best, top = result[0], (S, x, cols, result)
+                if np.isinf(best):
+                    return mode, best, top, checked
     return mode, best, top, checked
 
 
-def _measure_on(kernel: Kernel, cols: list, w) -> Measure:
+def _measure_on(kernel: Kernel, cols, w) -> Measure:
     weights = np.zeros(kernel.size)
     weights[cols] = np.clip(w, 0.0, None)
     return Measure(kernel.space, weights)
 
 
-def _wmp_pair_value(G: np.ndarray, S: list, x: int):
-    """max G nu (x) over nu >= 0 on S with G nu <= 1 on S.
-
-    Returns ``(value, weights on S columns, columns)``.
-    """
-    cols = [y for y in S if np.isfinite(G[S, y]).all()]
-    if not cols:
-        return 0.0, np.zeros(0), cols
+def _wmp_pair_value(G: np.ndarray, S, x: int, fin, cols, block):
+    """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S: ``(value, nu)``."""
+    if not cols.size:
+        return 0.0, np.zeros(0)
     obj = G[x, cols]
     if np.isinf(obj).any():
-        w = np.zeros(len(cols))
+        w = np.zeros(cols.size)
         w[int(np.argmax(np.isinf(obj)))] = 1.0
-        return float("inf"), w, cols
-    problem = LpProblem(
-        objective=obj,
-        lhs=G[np.ix_(S, cols)],
-        rhs=np.ones(len(S)),
-        senses=("<=",) * len(S),
-    )
-    sol = solve_lp(problem)
+        return float("inf"), w
+    sol = solve_lp(LpProblem(obj, block, np.ones(len(S)), ("<=",) * len(S)))
     if sol.status == "unbounded":
-        return float("inf"), sol.ray, cols
+        return float("inf"), sol.ray
     if sol.status != "optimal":  # nu = 0 is always feasible
         raise RuntimeError(f"weak-principle LP reported {sol.status}")
-    return float(sol.value), sol.x, cols
+    return float(sol.value), sol.x
 
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
@@ -152,48 +147,40 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
     mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_pair_value)
     witness = None
     if top is not None:
-        S, x, (_, w, cols) = top
+        S, x, cols, (_, w) = top
         points = kernel.space.points
         witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, w))
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
-def _complete_pair_value(G: np.ndarray, S: list, x: int):
-    """max G mu (x) with supp mu in S, G mu <= G nu + c on S, G nu (x) + c = 1."""
-    mu_cols = [y for y in S if np.isfinite(G[S, y]).all()]
-    nu_cols = [
-        w
-        for w in range(G.shape[0])
-        if np.isfinite(G[x, w]) and np.isfinite(G[S, w]).all()
-    ]
-    obj_mu = G[x, mu_cols] if mu_cols else np.zeros(0)
+def _complete_pair_value(G: np.ndarray, S, x: int, fin, cols, block):
+    """max G mu (x) with mu on ``cols``, nu on the columns of ``fin`` finite at x,
+    G mu <= G nu + c on S and G nu (x) + c = 1: ``(value, mu, nu, nu mask, c)``."""
+    obj_mu = G[x, cols]
+    nu = fin & np.isfinite(G[x])
+    k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
     if np.isinf(obj_mu).any():
-        mu = np.zeros(len(mu_cols))
+        mu = np.zeros(k)
         mu[int(np.argmax(np.isinf(obj_mu)))] = 1.0
-        return float("inf"), mu, mu_cols, np.zeros(len(nu_cols)), nu_cols, 1.0
-    k, r = len(mu_cols), len(nu_cols)
-    lhs = np.zeros((len(S) + 1, k + r + 1))
-    senses = []
-    for i, z in enumerate(S):
-        lhs[i, :k] = G[z, mu_cols]
-        lhs[i, k:k + r] = -G[z, nu_cols]
-        lhs[i, k + r] = -1.0
-        senses.append("<=")
-    lhs[-1, k:k + r] = G[x, nu_cols]
-    lhs[-1, k + r] = 1.0
-    senses.append("==")
-    rhs = np.zeros(len(S) + 1)
-    rhs[-1] = 1.0
+        return float("inf"), mu, np.zeros(r), nu, 1.0
+    lhs = np.zeros((m + 1, k + r + 1))
+    lhs[:m, :k] = block
+    lhs[:m, k:k + r] = -G[np.ix_(S, nu)]
+    lhs[:m, k + r] = -1.0
+    lhs[m, k:k + r] = G[x, nu]
+    lhs[m, k + r] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
     objective = np.zeros(k + r + 1)
     objective[:k] = obj_mu
-    sol = solve_lp(LpProblem(objective, lhs, rhs, tuple(senses)))
+    sol = solve_lp(LpProblem(objective, lhs, rhs, ("<=",) * m + ("==",)))
     if sol.status == "unbounded":
-        ray = sol.ray
-        return float("inf"), ray[:k], mu_cols, ray[k:k + r], nu_cols, float(ray[k + r])
-    if sol.status != "optimal":  # mu = nu = 0, c = 1 is always feasible
+        v, value = sol.ray, float("inf")
+    elif sol.status != "optimal":  # mu = nu = 0, c = 1 is always feasible
         raise RuntimeError(f"complete-principle LP reported {sol.status}")
-    xopt = sol.x
-    return float(sol.value), xopt[:k], mu_cols, xopt[k:k + r], nu_cols, float(xopt[k + r])
+    else:
+        v, value = sol.x, float(sol.value)
+    return value, v[:k], v[k:k + r], nu, float(v[k + r])
 
 
 def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
@@ -209,10 +196,10 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
     mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _complete_pair_value)
     witness = None
     if top is not None:
-        S, x, (_, mu_w, mu_cols, nu_w, nu_cols, c) = top
+        S, x, cols, (_, mu_w, nu_w, nu, c) = top
         points = kernel.space.points
-        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, mu_cols, mu_w),
-                   _measure_on(kernel, nu_cols, nu_w), max(c, 0.0))
+        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, mu_w),
+                   _measure_on(kernel, nu, nu_w), max(c, 0.0))
     return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 

@@ -82,8 +82,9 @@ def _pivot(T, basis, row, col):
 def _run_phase(T, basis, allowed, m, start_iter):
     """Pivot until the objective row has no improving column.
 
-    Returns ``(status, iterations)`` with status ``"optimal"`` or
-    ``"unbounded"`` (carrying the entering column in ``T._entering``).
+    Returns ``(status, iterations, entering column or None)``: status
+    ``"optimal"`` with None, or ``"unbounded"`` with the column that has no
+    leaving row.
     """
     it = start_iter
     while True:

@@ -77,11 +77,12 @@ __all__ = [
 ]
 
 GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
-DEFAULT_RELAX = 0.1
+RELAX = 0.1  # relaxation of gagliardo_supersolution
 CONV_TOL = 1e-12
 ITER_CAP = 100_000
 POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
 REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
+ENERGY_RTOL = 1e-10  # relative slack of the two energy_criteria checks
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,11 @@ def _require_sublinear(q: float):
 # ---------------------------------------------------------------------------
 
 
-def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
-                            relax: float = DEFAULT_RELAX) -> SolveResult:
+def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveResult:
     """Supersolution ``u >= G(u^q sigma)`` from a valid strong-type constant.
 
-    Iterates ``phi <- psi + (G(phi sigma))^q / ((1+relax) kappa^q)`` from the
+    With ``relax = RELAX``, iterates
+    ``phi <- psi + (G(phi sigma))^q / ((1+relax) kappa^q)`` from the
     constant function ``psi`` of mass ``relax/(1+relax)``; the iterates are
     entrywise nondecreasing with mass at most 1, and the rescaled limit
     ``u = (c phi)^{1/q}`` with ``c = ((1+relax) kappa^q)^{1/(1-q)}`` is a
@@ -142,8 +143,6 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     ``kappa``) comes back as status ``diverged``.
     """
     _require_sublinear(problem.q)
-    if not (relax > 0):
-        raise DomainError("relaxation parameter must be positive")
     if not (kappa >= 0 and np.isfinite(kappa)):
         raise DomainError("kappa must be a finite nonnegative constant")
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -153,13 +152,13 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float,
     n = kernel.size
     supp = sigma.support
 
-    scale = ((1.0 + relax) * kappa**q) ** (1.0 / (1.0 - q))
+    scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
     if kappa == 0.0:
         u = np.zeros(n)
         return SolveResult(u, "supersolution", 0.0, 0, 0.0)
 
-    psi = relax / ((1.0 + relax) * mass)
-    gain = 1.0 / ((1.0 + relax) * kappa**q)
+    psi = RELAX / ((1.0 + RELAX) * mass)
+    gain = 1.0 / ((1.0 + RELAX) * kappa**q)
     phi = np.full(n, psi)
     status = "diverged"
     iterations = 0
@@ -590,8 +589,9 @@ class QuotientBound:
 
 
 def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
-                        h: float | None = None) -> QuotientBound:
-    """Weak ``L^1`` norm of ``G nu / G omega`` against ``h * nu(total)``.
+                        h: float) -> QuotientBound:
+    """Weak ``L^1`` norm of ``G nu / G omega`` against ``h * nu(total)``, with
+    ``h`` the kernel's :func:`~potbench.principles.wmp_constant`.
 
     Indeterminate quotients (0/0, inf/inf) count as 0; a positive potential
     of ``nu`` over a vanishing potential of ``omega`` counts as ``+inf``.
@@ -601,8 +601,6 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
     """
     quot = _ratio_max(potential(kernel, nu), potential(kernel, omega))
     value = norm(quot, omega, NormSpec.weak_lorentz(1.0))
-    if h is None:
-        h = wmp_constant(kernel).constant
     return QuotientBound(value, h * nu.total, h)
 
 
@@ -637,7 +635,7 @@ def energy_value(problem: SublinearProblem, s: float) -> float:
     return integrate(powed, problem.sigma)
 
 
-def energy_criteria(problem: SublinearProblem, u=None, rtol: float = 1e-10) -> EnergyReport:
+def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     s_small = q / (1.0 - q)
@@ -659,7 +657,7 @@ def energy_criteria(problem: SublinearProblem, u=None, rtol: float = 1e-10) -> E
             c = a ** (q * q / (1.0 - q))
             rhs = c * uq_mass
             check52 = {"lhs": lhs, "rhs": rhs, "constant": c,
-                       "holds": bool(lhs <= rhs * (1.0 + rtol))}
+                       "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
         else:
             s = 1.0 + q
             lhs = energy_value(problem, s)
@@ -667,7 +665,7 @@ def energy_criteria(problem: SublinearProblem, u=None, rtol: float = 1e-10) -> E
             expo = s * (1.0 - q) / q
             rhs = c * uq_mass**expo * sigma.total ** (1.0 - expo)
             check53 = {"lhs": lhs, "rhs": rhs, "constant": c, "s": s,
-                       "holds": bool(lhs <= rhs * (1.0 + rtol))}
+                       "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
     return EnergyReport(s_small, norms, check52, check53)
 
 
@@ -891,6 +889,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     subset searches as in :func:`weak_type_constant`: ``cap0`` and ``cap1``
     at ``q`` and at 1, and the testing condition.  They share one memo of
     ``cap0`` and ``cap1``, and the rows compare their lower ends.
+    ``constants["modes"]`` holds the mode of the WMP search, the strong
+    constant and each subset search that ran.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -915,7 +915,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     strong = strong_type_constant(problem, with_upper=False)
     kappa_cert = strong.extras.get("certified_upper", strong.lower)
-    constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert}
+    modes = {"wmp": wmp.mode, "strong": strong.extras["mode"]}
+    constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert, "modes": modes}
 
     sol = usable = None
     if np.isfinite(kappa_cert) and sigma.total > 0:
@@ -990,7 +991,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     search = _SubsetSearch(kernel, sigma, budget)
     if wmp.holds and kernel.is_symmetric:
         weak = _weak_type_constant(search, q)
-        c_cap1 = search.capacity_ratio(q, cap1=True)[0]
+        modes["weak_cap0"] = weak.extras["mode"]
+        c_cap1, _, modes["weak_cap1"], _ = search.capacity_ratio(q, cap1=True)
         constants["weak_cap0"] = weak.lower
         constants["weak_cap1"] = c_cap1
         ok = (c_cap1 <= weak.lower * (1.0 + REPORT_RTOL)
@@ -1006,7 +1008,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         tst = _testing_condition_11(search, qm)
         t22 = lp_operator_norm(kernel, sigma, 2.0)
         weak11 = _weak_type_constant(search, 1.0)
-        c_cap1_11 = search.capacity_ratio(1.0, cap1=True)[0]
+        modes["testing"], modes["weak_1_1"] = tst.extras["mode"], weak11.extras["mode"]
+        c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
         trio = {"weak_1_1": weak11.lower, "testing": tst.lower, "p2_norm": t22,
                 "from_cap1": c_cap1_11,
                 "p_extras": {p: lp_operator_norm(kernel, sigma, p) for p in (1.5, 3.0)}}

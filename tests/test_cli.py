@@ -204,6 +204,27 @@ def test_sampled_scenario(tmp_path):
     assert not [r for r in rows if r["verdict"] == "VIOLATED"]
 
 
+def test_theorem_report_provenance(tmp_path):
+    # the provenance is the weakest mode of the searches inside the report:
+    # all of them are exhaustive on two points, and a budget of 4 cuts the
+    # WMP pair stream on five points short
+    green = {"sampled": {"kind": "interval_green", "n_points": 5, "seed": 3}}
+    for kernel, sigma, budget, tag in ((BASIC["kernel"], BASIC["sigma"], None, "exact"),
+                                       (green, [1.0] * 5, 4, "sampled")):
+        task = {"name": "theorem_report"}
+        if budget:
+            task["budget"] = budget
+        scen = write_scenario(tmp_path / "s.json", {
+            "name": "t", "q": 0.5, "kernel": kernel, "sigma": sigma, "tasks": [task]})
+        out = tmp_path / tag
+        assert main(["analyze", scen, "--out", str(out)]) == 0
+        entry = json.loads((out / "report.json").read_text())["tasks"][0]
+        assert entry["provenance"] == tag
+        modes = entry["result"]["constants"]["modes"]
+        assert {"wmp", "strong", "weak_cap0", "testing"} <= set(modes)
+        assert modes["wmp"] == tag
+
+
 def test_gallery_subcommand(capsys):
     assert main(["gallery", "--rule", "geometric", "--a", "1.1", "--b", "1.5",
                  "--n-blocks", "3", "--q", "0.5", "--targets", "2.0"]) == 0

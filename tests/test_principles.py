@@ -20,7 +20,7 @@ from potbench import (
     quasimetric_constant,
     wmp_constant,
 )
-from potbench.principles import _iter_exact_pairs
+from potbench.principles import _exact_supports
 from conftest import metric_power_kernel, rand_gram_kernel
 
 
@@ -68,10 +68,39 @@ def test_complete_mp_oracle_2x2():
 
 def test_exact_pair_order():
     # supports in the order of their bit masks, outside points ascending
-    assert list(_iter_exact_pairs(3)) == [
+    pairs = [(S.tolist(), x) for S, outside in _exact_supports(3) for x in outside.tolist()]
+    assert pairs == [
         ([0], 1), ([0], 2), ([1], 0), ([1], 2), ([0, 1], 2),
         ([2], 0), ([2], 1), ([0, 2], 1), ([1, 2], 0),
     ]
+
+
+def test_sampled_stream_pinned():
+    # two copies of one 4-point block: zeros between them and +inf on the
+    # diagonal at points 0 and 4.  Pairs of the random part of the stream
+    # tie at both maxima, so the witnesses pin its order; one more +inf
+    # entry stops both searches inside the singleton supports, so the
+    # count pins the order of the cheap supports.  The expected values were
+    # recorded at commit c2c39fb, whose loop walked single (S, x) pairs
+    # instead of supports.
+    block = np.array([[np.inf, 1.5, 1.0, 2.0], [1.5, 2.5, 1.375, 0.625],
+                      [1.0, 1.375, 3.0, 1.625], [2.0, 0.625, 1.625, 2.25]])
+    G = np.zeros((8, 8))
+    G[:4, :4] = G[4:, 4:] = block
+    stopped = G.copy()
+    stopped[6, 1] = np.inf
+    for constant, value in ((wmp_constant, 1.182089552238806),
+                            (complete_mp_constant, 1.819402985074627)):
+        rep = constant(Kernel(Space.of_size(8), G), budget=100, seed=1)
+        assert rep.mode == "sampled"
+        assert rep.constant == value
+        assert rep.witness[:2] == ((0, 3, 5, 7), 4)
+        # 56 singleton pairs, 8 complement pairs, 100 random draws
+        assert rep.pairs_checked == 164
+        rep = constant(Kernel(Space.of_size(8), stopped), budget=100, seed=1)
+        assert rep.constant == np.inf
+        assert rep.witness[:2] == ((1,), 6)
+        assert rep.pairs_checked == 13  # 7 pairs of {0}, then {1} against 0, 2, ..., 6
 
 
 def test_exact_pair_count_and_first_tie():

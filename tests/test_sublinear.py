@@ -49,6 +49,7 @@ from potbench import (
     theorem_report,
     weak_quotient_bound,
     weak_type_constant,
+    wmp_constant,
 )
 from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _nonempty_subsets
@@ -87,7 +88,7 @@ def test_problem_validation():
 
 
 def test_gagliardo_scalar_oracle():
-    res = gagliardo_supersolution(point_problem(), kappa=1.0, relax=0.1)
+    res = gagliardo_supersolution(point_problem(), kappa=1.0)
     assert res.status == "supersolution"
     assert res.u[0] == pytest.approx(1.4641, rel=1e-9)
     # the supersolution property itself
@@ -97,8 +98,6 @@ def test_gagliardo_scalar_oracle():
 def test_gagliardo_needs_sublinear_exponent():
     with pytest.raises(DomainError):
         gagliardo_supersolution(point_problem(q=1.0), kappa=1.0)
-    with pytest.raises(DomainError):
-        gagliardo_supersolution(point_problem(), kappa=1.0, relax=0.0)
 
 
 def test_monotone_descent_scalar():
@@ -214,7 +213,7 @@ def test_weak_quotient_oracle():
     s = Space.of_size(2)
     omega = Measure(s, [1.0, 1.0])
     nu = Measure.delta(s, 0)
-    rep = weak_quotient_bound(HALF, omega, nu)
+    rep = weak_quotient_bound(HALF, omega, nu, h=wmp_constant(HALF).constant)
     assert rep.value == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert rep.wmp_constant == pytest.approx(1.0)
     assert rep.value <= rep.bound + 1e-12
