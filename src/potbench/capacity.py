@@ -85,23 +85,20 @@ def _resolve_subset(kernel: Kernel, points) -> np.ndarray:
     return idx
 
 
-def _make_certificates(kernel, K, lam: Measure, pot, ctol, with_exceptional=True):
+def _make_certificates(kernel, K, lam: Measure, pot, with_exceptional=False):
     sup = lam.support
     upper = float(pot[sup].max()) if sup.size else None
-    below = [int(x) for x in K if pot[x] < 1.0 - ctol]
+    below = [int(x) for x in K if pot[x] < 1.0 - CERT_TOL]
     below_labels = tuple(kernel.space.points[x] for x in below)
     below_cap = None
     if with_exceptional:
-        if not below:
-            below_cap = 0.0
-        else:
-            below_cap = wiener_cap1(kernel, below_labels, _exceptional=False).value
-    off = np.abs(pot - 1.0) > ctol
+        below_cap = _wiener_cap1(kernel, np.array(below, dtype=int))[0]
+    off = np.abs(pot - 1.0) > CERT_TOL
     off_mass = float(lam.weights[off].sum())
     return EquilibriumCertificates(upper, below_labels, below_cap, off_mass)
 
 
-def cap0(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
+def cap0(kernel: Kernel, points) -> CapacityResult:
     """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
     space = kernel.space
     K = _resolve_subset(kernel, points)
@@ -113,7 +110,7 @@ def cap0(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
     zero = Measure(space, np.zeros(n))
     if free.size == 0:
         pot = adjoint_potential(kernel, zero)
-        certs = _make_certificates(kernel, K, zero, pot, ctol, with_exceptional=False)
+        certs = _make_certificates(kernel, K, zero, pot)
         return CapacityResult(0.0, zero, 0.0, certs, "lp")
     unconstrained = [x for x in free if (G[x] == 0).all()]
     if unconstrained:
@@ -137,11 +134,11 @@ def cap0(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
     mu = Measure(space, weights)
     dual_value = float(np.maximum(sol.duals, 0.0).sum())
     pot = adjoint_potential(kernel, mu)
-    certs = _make_certificates(kernel, K, mu, pot, ctol, with_exceptional=False)
+    certs = _make_certificates(kernel, K, mu, pot)
     return CapacityResult(max(sol.value, 0.0), mu, dual_value, certs, "lp")
 
 
-def content(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
+def content(kernel: Kernel, points) -> CapacityResult:
     """min ``lam(space)`` over measures with potential ``>= 1`` on ``K``."""
     space = kernel.space
     K = _resolve_subset(kernel, points)
@@ -160,7 +157,7 @@ def content(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
     zero = Measure(space, np.zeros(n))
     if rows.size == 0:
         pot = potential(kernel, zero)
-        certs = _make_certificates(kernel, K, zero, pot, ctol, with_exceptional=False)
+        certs = _make_certificates(kernel, K, zero, pot)
         return CapacityResult(0.0, zero, 0.0, certs, "lp", attained=attained)
 
     problem = LpProblem(
@@ -178,7 +175,7 @@ def content(kernel: Kernel, points, ctol: float = CERT_TOL) -> CapacityResult:
     lam = Measure(space, np.maximum(sol.x, 0.0))
     dual_value = float(np.maximum(-sol.duals, 0.0).sum())
     pot = potential(kernel, lam)
-    certs = _make_certificates(kernel, K, lam, pot, ctol, with_exceptional=False)
+    certs = _make_certificates(kernel, K, lam, pot)
     return CapacityResult(max(-sol.value, 0.0), lam, dual_value, certs, "lp", attained=attained)
 
 
@@ -296,44 +293,32 @@ def _enumerate_supports(A):
     return best, best_val
 
 
-def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL,
-                _exceptional: bool = True) -> CapacityResult:
-    """``max 2 lam(K) - E(lam)`` over ``lam >= 0`` supported on ``K``.
+def _exact_qp(A) -> bool:
+    """Whether :func:`wiener_cap1` solves on the kernel block ``A`` by its
+    exact active set: ``A`` is finite and positive semidefinite."""
+    return bool(np.isfinite(A).all() and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10)
 
-    Requires a symmetric kernel.  A point of ``K`` with infinite diagonal
-    contributes zero capacity (the reciprocal rule for singletons) and is
-    excluded up front; a zero diagonal entry makes the value ``+inf``.
-    """
-    if not kernel.is_symmetric:
-        raise DomainError("wiener_cap1 requires a symmetric kernel")
-    space = kernel.space
-    K = _resolve_subset(kernel, points)
+
+def _wiener_cap1(kernel: Kernel, K: np.ndarray) -> tuple:
+    """``(value, weights or None, method, attained)`` of :func:`wiener_cap1`
+    on the indices ``K`` of a symmetric kernel, without certificates."""
     G = kernel.entries
-    n = space.size
-
-    diag = G[K, K]
-    keep = K[~np.isinf(diag)]
-    zero = Measure(space, np.zeros(n))
+    n = kernel.size
+    keep = K[~np.isinf(G[K, K])]
     if keep.size == 0:
-        pot = potential(kernel, zero)
-        certs = _make_certificates(kernel, K, zero, pot, ctol, with_exceptional=_exceptional)
-        return CapacityResult(0.0, zero, None, certs, "excluded")
+        return 0.0, np.zeros(n), "excluded", True
     if (G[keep, keep] == 0).any():
-        return CapacityResult(float("inf"), None, None, None, "unbounded-diagonal", attained=False)
+        return float("inf"), None, "unbounded-diagonal", False
 
+    weights = np.zeros(n)
     if keep.size == 1:
         x = int(keep[0])
-        value = float(1.0 / G[x, x])
-        weights = np.zeros(n)
-        weights[x] = value
-        lam = Measure(space, weights)
-        pot = potential(kernel, lam)
-        certs = _make_certificates(kernel, K, lam, pot, ctol, with_exceptional=_exceptional)
-        return CapacityResult(value, lam, None, certs, "reciprocal")
+        weights[x] = value = float(1.0 / G[x, x])
+        return value, weights, "reciprocal", True
 
     A = G[np.ix_(keep, keep)]
     attained = True
-    if np.isfinite(A).all() and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10:
+    if _exact_qp(A):
         lam_K = _active_set(A, 0)
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
@@ -350,13 +335,26 @@ def wiener_cap1(kernel: Kernel, points, ctol: float = CERT_TOL,
             lam_K, value = np.eye(keep.size)[x] / A[x, x], float(1.0 / A[x, x])
         method = "heuristic"
         attained = False
-
-    weights = np.zeros(n)
     weights[keep] = np.clip(lam_K, 0.0, None)
-    lam = Measure(space, weights)
-    pot = potential(kernel, lam)
-    certs = _make_certificates(kernel, K, lam, pot, ctol, with_exceptional=_exceptional)
-    return CapacityResult(max(value, 0.0), lam, None, certs, method, attained=attained)
+    return max(value, 0.0), weights, method, attained
+
+
+def wiener_cap1(kernel: Kernel, points) -> CapacityResult:
+    """``max 2 lam(K) - E(lam)`` over ``lam >= 0`` supported on ``K``.
+
+    Requires a symmetric kernel.  A point of ``K`` with infinite diagonal
+    contributes zero capacity (the reciprocal rule for singletons) and is
+    excluded up front; a zero diagonal entry makes the value ``+inf``.
+    """
+    if not kernel.is_symmetric:
+        raise DomainError("wiener_cap1 requires a symmetric kernel")
+    K = _resolve_subset(kernel, points)
+    value, weights, method, attained = _wiener_cap1(kernel, K)
+    if weights is None:
+        return CapacityResult(value, None, None, None, method, attained=attained)
+    lam = Measure(kernel.space, weights)
+    certs = _make_certificates(kernel, K, lam, potential(kernel, lam), with_exceptional=True)
+    return CapacityResult(value, lam, None, certs, method, attained=attained)
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,10 @@ import sys
 import time
 from importlib import resources
 
+import jsonschema
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - declared dependency
-    jsonschema = None
-
-from .capacity import cap0, capacity_null_check, content, wiener_cap1
+from .capacity import CERT_TOL, cap0, capacity_null_check, content, wiener_cap1
 from .core import (
     DomainError,
     Kernel,
@@ -198,43 +194,43 @@ def _subset(inst: _Instance, params: dict):
 # provenance is the result's own mode: exact, sampled or heuristic
 
 
-def _task_solve(inst, params, seed, budget, tol):
+def _task_solve(inst, params, seed, budget):
     res, est = solve_equation(_problem(inst, params))
     out = {"solve": res, "strong_lower": est.lower,
-           "strong_certified": est.extras.get("certified_upper")}
+           "strong_certified": est.extras["certified_upper"]}
     return out, est.extras["mode"], None
 
 
-def _task_strong(inst, params, seed, budget, tol):
+def _task_strong(inst, params, seed, budget):
     est = strong_type_constant(_problem(inst, params), budget=budget, seed=seed)
     return est, est.extras["mode"], None
 
 
-def _task_weak(inst, params, seed, budget, tol):
+def _task_weak(inst, params, seed, budget):
     est = weak_type_constant(_problem(inst, params), budget=budget)
     return est, est.extras["mode"], None
 
 
-def _task_wmp(inst, params, seed, budget, tol):
+def _task_wmp(inst, params, seed, budget):
     rep = wmp_constant(inst.kernel, budget=budget, seed=seed)
     return rep, rep.mode, None
 
 
-def _task_complete_mp(inst, params, seed, budget, tol):
+def _task_complete_mp(inst, params, seed, budget):
     rep = complete_mp_constant(inst.kernel, budget=budget, seed=seed)
     return rep, rep.mode, None
 
 
-def _task_quasisymmetry(inst, params, seed, budget, tol):
+def _task_quasisymmetry(inst, params, seed, budget):
     return {"constant": check_quasisymmetric(inst.kernel),
             "symmetric": inst.kernel.is_symmetric}, "exact", None
 
 
-def _task_quasimetric(inst, params, seed, budget, tol):
+def _task_quasimetric(inst, params, seed, budget):
     return quasimetric_constant(inst.kernel), "exact", None
 
 
-def _task_nondegenerate(inst, params, seed, budget, tol):
+def _task_nondegenerate(inst, params, seed, budget):
     return check_nondegenerate(inst.kernel, _need_sigma(inst)), "exact", None
 
 
@@ -242,22 +238,22 @@ def _capacity_tag(result) -> str:
     return "heuristic" if result.method == "heuristic" else "exact"
 
 
-def _task_cap0(inst, params, seed, budget, tol):
-    res = cap0(inst.kernel, _subset(inst, params), ctol=tol)
+def _task_cap0(inst, params, seed, budget):
+    res = cap0(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_content(inst, params, seed, budget, tol):
-    res = content(inst.kernel, _subset(inst, params), ctol=tol)
+def _task_content(inst, params, seed, budget):
+    res = content(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_cap1(inst, params, seed, budget, tol):
-    res = wiener_cap1(inst.kernel, _subset(inst, params), ctol=tol)
+def _task_cap1(inst, params, seed, budget):
+    res = wiener_cap1(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_capacity_null(inst, params, seed, budget, tol):
+def _task_capacity_null(inst, params, seed, budget):
     if "mu" not in params:
         raise DomainError("capacity_null needs params.mu")
     mu = Measure(inst.kernel.space, np.asarray(params["mu"], dtype=float))
@@ -265,7 +261,7 @@ def _task_capacity_null(inst, params, seed, budget, tol):
     return rep, "exact", None
 
 
-def _task_energy(inst, params, seed, budget, tol):
+def _task_energy(inst, params, seed, budget):
     problem = _problem(inst, params)
     u = params.get("u")
     if u is None and inst.block is not None:
@@ -274,7 +270,7 @@ def _task_energy(inst, params, seed, budget, tol):
     return rep, "exact", None
 
 
-def _task_energy_sweep(inst, params, seed, budget, tol):
+def _task_energy_sweep(inst, params, seed, budget):
     problem = _problem(inst, params)
     if "s_values" in params:
         s_values = [float(s) for s in params["s_values"]]
@@ -286,7 +282,7 @@ def _task_energy_sweep(inst, params, seed, budget, tol):
     return {"rows": rows}, "exact", rows
 
 
-def _task_maurey(inst, params, seed, budget, tol):
+def _task_maurey(inst, params, seed, budget):
     problem = _problem(inst, params)
     if "F" in params:
         F = np.asarray(params["F"], dtype=float)
@@ -304,7 +300,7 @@ def _task_maurey(inst, params, seed, budget, tol):
     return out, tag, None
 
 
-def _task_weak_quotient(inst, params, seed, budget, tol):
+def _task_weak_quotient(inst, params, seed, budget):
     sigma = _need_sigma(inst)
     if "nu" not in params:
         raise DomainError("weak_quotient needs params.nu")
@@ -318,25 +314,24 @@ def _task_weak_quotient(inst, params, seed, budget, tol):
     return qb, rep.mode, None
 
 
-def _task_testing(inst, params, seed, budget, tol):
+def _task_testing(inst, params, seed, budget):
     est = testing_condition_11(inst.kernel, _need_sigma(inst), budget=budget)
     return est, est.extras["mode"], None
 
 
-def _task_operator_norm(inst, params, seed, budget, tol):
+def _task_operator_norm(inst, params, seed, budget):
     p = float(params.get("p", 2.0))
     value = lp_operator_norm(inst.kernel, _need_sigma(inst), p)
     return {"p": p, "value": value}, "exact" if p == 2.0 else "heuristic", None
 
 
-def _task_theorem_report(inst, params, seed, budget, tol):
-    rep = theorem_report(_problem(inst, params), budget=budget, seed=seed,
-                         pole=params.get("pole"))
+def _task_theorem_report(inst, params, seed, budget):
+    rep = theorem_report(_problem(inst, params), budget=budget, seed=seed)
     weakest = max(rep.constants["modes"].values(), key=("exact", "sampled", "heuristic").index)
     return rep, weakest, None
 
 
-def _task_divergence_sweep(inst, params, seed, budget, tol):
+def _task_divergence_sweep(inst, params, seed, budget):
     if inst.block_spec is None:
         raise DomainError("divergence_sweep needs a block kernel")
     truncations = [int(n) for n in params.get("truncations", (1, 2, 4, 8, 16, 32, 64))]
@@ -385,11 +380,11 @@ def _load_scenario(path: str) -> dict:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(doc, load_schema())
-        except jsonschema.ValidationError as exc:
-            raise ScenarioError(f"scenario violates the schema: {exc.message}") from exc
+    # the bundled schema is checked against its meta-schema by the tests
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(load_schema()).iter_errors(doc))
+    if error is not None:
+        raise ScenarioError(f"scenario violates the schema: {error.message}")
     return doc
 
 
@@ -409,7 +404,7 @@ def _run_tasks(doc: dict, inst: _Instance, args) -> tuple[dict, dict, list]:
         t0 = time.perf_counter()
         entry = {"name": name, "seed": seed}
         try:
-            result, provenance, rows = _TASKS[name](inst, params, seed, budget, args.tol)
+            result, provenance, rows = _TASKS[name](inst, params, seed, budget)
             entry["provenance"] = provenance
             entry["result"] = to_jsonable(result)
             if rows is not None:
@@ -422,7 +417,7 @@ def _run_tasks(doc: dict, inst: _Instance, args) -> tuple[dict, dict, list]:
         "scenario": doc.get("name", ""),
         "seed": args.seed,
         "budget": args.budget,
-        "tol": args.tol,
+        "tol": CERT_TOL,
         "space_size": inst.kernel.size,
         "tasks": report_tasks,
     }
@@ -523,7 +518,6 @@ def main(argv=None) -> int:
     p_an.add_argument("--out", default=None, help="output directory")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_an.add_argument("--tol", type=float, default=1e-8)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_ga = sub.add_parser("gallery", help="build a closed-form block instance")

@@ -248,7 +248,6 @@ def energy_divergence_threshold(spec: BlockSpec, target: float) -> ThresholdRepo
             n_est = ((1.0 - e) * target) ** (1.0 / (1.0 - e))
         return ThresholdReport(int(n_est), "estimate", target, float(target))
 
-    running = 0.0
     w = np.asarray(rule[1], dtype=float)
     odd, even = w[0::2], w[1::2]
     blocks = odd * even**e + odd**e * even

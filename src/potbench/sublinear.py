@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import ENUM_LIMIT, cap0, content, wiener_cap1
+from .capacity import ENUM_LIMIT, _exact_qp, _wiener_cap1, cap0, content
 from .core import (
     DomainError,
     Kernel,
@@ -245,14 +245,18 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     """Full pipeline: strong constant, supersolution, monotone limit."""
     _require_sublinear(problem.q)
     est = strong_type_constant(problem, with_upper=False)
-    kappa = est.extras.get("certified_upper", est.lower)
-    if not np.isfinite(kappa) and np.isfinite(est.lower):
-        kappa = est.lower * (1.0 + 1e-6)
+    kappa = _kappa(est.extras["certified_upper"], est.lower)
     if not np.isfinite(kappa):
         u = np.full(problem.kernel.size, np.inf)
         return SolveResult(u, "diverged", float("inf"), 0, float("inf")), est
     sup, sol = _solve_from(problem, kappa)
     return (sup if sol is None else sol), est
+
+
+def _kappa(cert_upper: float, lower: float) -> float:
+    """The strong constant to build a supersolution from: the certified upper
+    bound, or just above ``lower`` when the certificate is infinite."""
+    return cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
 
 
 def _solve_from(problem: SublinearProblem, kappa: float):
@@ -306,6 +310,11 @@ def _certificate(F, g, q):
     return (1.0 - q) * F + float(g.max()) if g.size else F
 
 
+def _closed(F, cert):
+    """The Frank-Wolfe gap ``cert - F`` meets the stop rule of the ascent."""
+    return cert - F <= ASCENT_TOL * max(1.0, F)
+
+
 def _maximize_concave(A, s, q):
     """Maximize the concave, q-homogeneous ``F`` over the probability simplex.
 
@@ -319,7 +328,7 @@ def _maximize_concave(A, s, q):
     F, g = _value_and_gradient(A, s, q, nu)
     for _ in range(ASCENT_CAP):
         cert = _certificate(F, g, q)
-        if not np.isfinite(cert) or cert - F <= ASCENT_TOL * max(1.0, F):
+        if not np.isfinite(cert) or _closed(F, cert):
             break
         w = nu * g
         nu = w / w.sum()
@@ -333,10 +342,11 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 
     For ``q < 1`` the q-th power of the constant is the maximum of the
     concave, q-homogeneous function ``F(nu) = integral (G nu)^q dsigma``
-    over the probability simplex.  A deterministic multiplicative ascent
-    finds it, and its Frank-Wolfe duality gap gives a rigorous upper bound
-    on the constant (extras key ``certified_upper``; ``certificate_gap`` is
-    the gap in ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
+    over the probability simplex.  The best point mass is tried first and
+    kept when its own gap meets the ascent's stop rule; otherwise a
+    deterministic multiplicative ascent finds the maximum.  The Frank-Wolfe
+    duality gap gives a rigorous upper bound on the constant (extras key
+    ``certified_upper``; ``certificate_gap`` is the gap in ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
     ``ASCENT_TOL * max(1, F)``, ``sampled`` when the ascent stopped at
     ``ASCENT_CAP`` first, and ``heuristic`` when the certificate is
     infinite.  The reported ``upper`` is the norm-route bound
@@ -377,19 +387,20 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         return ConstantEstimate(0.0, 0.0, Measure(kernel.space, np.zeros(n)),
                                 "concave-max", {"mode": "exact", "certified_upper": 0.0})
 
-    best_F, best_nu, cert = _maximize_concave(A, s, q)
     vertex_F = (A**q).T @ s
     jbest = int(np.argmax(vertex_F))
-    if vertex_F[jbest] > best_F:
-        best_F = float(vertex_F[jbest])
-        best_nu = np.zeros(n)
-        best_nu[jbest] = 1.0
+    best_F, best_nu = float(vertex_F[jbest]), np.eye(n)[jbest]
+    cert = _certificate(*_value_and_gradient(A, s, q, best_nu), q)
+    if not _closed(best_F, cert):  # the best vertex is not certified: ascend
+        F, nu, cert = _maximize_concave(A, s, q)
+        if not best_F > F:
+            best_F, best_nu = F, nu
     cert = max(cert, best_F)
     lower = best_F ** (1.0 / q)
     cert_upper = cert ** (1.0 / q)
     gap = cert - best_F
     mode = ("heuristic" if not np.isfinite(cert_upper)
-            else "exact" if gap <= ASCENT_TOL * max(1.0, best_F) else "sampled")
+            else "exact" if _closed(best_F, cert) else "sampled")
     extras: dict = {"mode": mode, "objective": best_F, "certified_upper": cert_upper,
                     "certificate_gap": gap}
 
@@ -401,8 +412,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
         if wr.holds:
-            kap = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
-            use = _usable(*_solve_from(problem, kap))
+            use = _usable(*_solve_from(problem, _kappa(cert_upper, lower)))
             if use is not None and np.isfinite(use.lq_norm):
                 upper = _norm_route_bound(wr.constant, q, use.lq_norm)
                 extras["norm_route_lq"] = use.lq_norm
@@ -454,17 +464,14 @@ class _SubsetSearch:
 
     def cap1_value(self, m: int) -> float:
         if m not in self._caps[1]:
-            self._caps[1][m] = wiener_cap1(self.kernel, self.mask(m), _exceptional=False).value
+            self._caps[1][m] = _wiener_cap1(self.kernel, np.flatnonzero(self.mask(m)))[0]
         return self._caps[1][m]
 
     @cached_property
     def cap1_monotone(self) -> bool:
         """No subset reaches the heuristic path of :func:`wiener_cap1`."""
-        if self.supp.size <= ENUM_LIMIT:
-            return True
-        A = self.kernel.entries[np.ix_(self.supp, self.supp)]
-        return bool(np.isfinite(A).all()
-                    and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10)
+        return (self.supp.size <= ENUM_LIMIT
+                or _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)]))
 
     def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
         """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
@@ -876,7 +883,7 @@ def _na(claim, why):
 
 
 def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
-                   seed: int = 0, pole=None) -> TheoremReport:
+                   seed: int = 0) -> TheoremReport:
     """Run the whole pipeline on one instance and cross-check every claim.
 
     Hypothesis checks (quasi-symmetry, weak maximum principle,
@@ -914,7 +921,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     }
 
     strong = strong_type_constant(problem, with_upper=False)
-    kappa_cert = strong.extras.get("certified_upper", strong.lower)
+    kappa_cert = strong.extras["certified_upper"]
     modes = {"wmp": wmp.mode, "strong": strong.extras["mode"]}
     constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert, "modes": modes}
 
@@ -1027,7 +1034,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("weak11_testing_chain", "needs a symmetric WMP kernel"))
 
-    rows.append(_local_route_row(problem, pole))
+    rows.append(_local_route_row(problem))
 
     if sol is not None and np.isfinite(a):
         if nd.nondegenerate:
@@ -1045,13 +1052,12 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     return TheoremReport(hypotheses, tuple(rows), constants)
 
 
-def _local_route_row(problem, pole):
+def _local_route_row(problem):
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
     if supp.size == 0:
         return _na("local_solution_route", "sigma vanishes")
-    if pole is None:
-        pole = kernel.space.points[int(supp[np.argmax(sigma.weights[supp])])]
+    pole = kernel.space.points[int(supp[np.argmax(sigma.weights[supp])])]
     g = modifier(kernel, pole)
     if (g[supp] == 0).any():
         return _na("local_solution_route", "modifier vanishes on sigma-mass")
@@ -1060,7 +1066,7 @@ def _local_route_row(problem, pole):
                         (g ** (1.0 + q) * sigma.weights)[mod.retained])
     sub_problem = SublinearProblem(mod.kernel, sub_sigma, q)
     sub_strong = strong_type_constant(sub_problem, with_upper=False)
-    kap = sub_strong.extras.get("certified_upper", sub_strong.lower)
+    kap = sub_strong.extras["certified_upper"]
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
     _, sol = _solve_from(sub_problem, kap)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sysconfig
 
+import jsonschema
 import pytest
 
 from potbench.cli import load_schema, main, to_jsonable
@@ -242,6 +243,7 @@ def test_schema_subcommand(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["$schema"].endswith("2020-12/schema")
     assert load_schema() == doc
+    jsonschema.Draft202012Validator.check_schema(doc)
 
 
 def _distribution_installed(name: str) -> bool:

@@ -51,11 +51,12 @@ from potbench import (
     weak_type_constant,
     wmp_constant,
 )
+from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _nonempty_subsets
 from potbench.principles import DEFAULT_BUDGET
 from potbench.sublinear import GOLDEN_THRESHOLD, _SubsetSearch
-from conftest import metric_power_kernel, rand_kernel, rand_sigma
+from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel, rand_sigma
 
 
 def point_problem(q=0.5):
@@ -472,6 +473,28 @@ def test_strong_bracket_against_scipy():
         assert ref <= est.extras["certified_upper"] * (1.0 + 1e-9), \
             f"instance {i}: {ref} above {est.extras['certified_upper']}"
 
+def test_strong_constant_certifies_best_vertex_first(monkeypatch):
+    # 9-point interval Green kernels: at seed 0 the optimum is one atom, whose
+    # own Frank-Wolfe gap closes, so the gradient is taken once and no ascent
+    # runs; at seed 3 the optimum has seven atoms and the ascent still runs
+    calls = []
+    original = sublinear._value_and_gradient
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sublinear, "_value_and_gradient", counted)
+    for seed, atoms in ((0, 1), (3, 7)):
+        kernel = build_sampled(SampledKernelSpec(kind="interval_green", n_points=9, seed=seed))
+        sigma = Measure(kernel.space, np.random.default_rng(seed).uniform(0.2, 1.5, 9))
+        calls.clear()
+        est = strong_type_constant(SublinearProblem(kernel, sigma, 0.5), with_upper=False)
+        assert est.extras["mode"] == "exact"
+        assert np.count_nonzero(est.witness.weights) == atoms
+        assert (len(calls) == 1) == (atoms == 1), len(calls)
+
+
 def test_energy_value_infinite():
     s = Space.of_size(2)
     k = Kernel(s, [[np.inf, 1.0], [1.0, 1.0]])
@@ -517,7 +540,7 @@ def _metric_problem_8():
 
 def test_theorem_report_one_capacity_per_subset(monkeypatch):
     prob = _metric_problem_8()
-    calls = {"cap0": [], "wiener_cap1": []}
+    calls = {"cap0": [], "_wiener_cap1": []}
     for name in calls:
         original = getattr(sublinear, name)
 
@@ -605,7 +628,21 @@ def _cap0_of(kernel):
 
 
 def _cap1_of(kernel):
-    return lambda mask: wiener_cap1(kernel, mask, _exceptional=False).value
+    return lambda mask: wiener_cap1(kernel, mask).value
+
+
+def test_cap1_monotone_is_the_exact_path_of_wiener_cap1():
+    # one predicate picks wiener_cap1's exact path and the search's pruning
+    rng = np.random.default_rng(9)
+    cases = [(rand_gram_kernel(rng, 14), "qp", True),
+             (rand_kernel(rng, 12, zero_frac=0.0, symmetric=True), "enumeration", True),
+             (rand_kernel(rng, 14, zero_frac=0.0, symmetric=True), "heuristic", False)]
+    for kernel, method, monotone in cases:
+        sigma = Measure(kernel.space, np.ones(kernel.size))
+        res = wiener_cap1(kernel, range(kernel.size))
+        search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
+        assert res.method == method
+        assert search.cap1_monotone == monotone == (res.method != "heuristic")
 
 
 def test_subset_search_matches_brute_force():
