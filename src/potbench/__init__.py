@@ -1,107 +1,19 @@
 """Numerical workbench for potentials of nonnegative kernels on finite
 measure spaces: maximum principles, capacities, and the sublinear equation
-``u = G(u^q sigma)`` with its sharp-constant calculus."""
+``u = G(u^q sigma)`` with its sharp-constant calculus.
 
-from .capacity import (
-    CapacityResult,
-    EquilibriumCertificates,
-    NullCheckReport,
-    cap0,
-    capacity_null_check,
-    content,
-    wiener_cap1,
-)
-from .core import (
-    DomainError,
-    Kernel,
-    Measure,
-    NondegeneracyReport,
-    NormSpec,
-    Space,
-    SpaceMismatchError,
-    adjoint_potential,
-    check_nondegenerate,
-    check_quasisymmetric,
-    energy,
-    integrate,
-    norm,
-    potential,
-    symmetrize,
-)
-from .gallery import (
-    BlockInstance,
-    BlockSpec,
-    SampledKernelSpec,
-    ThresholdReport,
-    build_block,
-    build_sampled,
-    energy_divergence_threshold,
-)
-from .principles import (
-    DEFAULT_BUDGET,
-    CompleteMpReport,
-    ModifiedKernel,
-    QuasimetricReport,
-    WmpReport,
-    complete_mp_constant,
-    modifier,
-    modify_kernel,
-    quasimetric_constant,
-    wmp_constant,
-)
-from .simplex import LpProblem, LpSolution, SimplexStallError, solve_lp
-from .sublinear import (
-    GOLDEN_THRESHOLD,
-    ConstantEstimate,
-    EnergyReport,
-    QuotientBound,
-    SolveResult,
-    SublinearProblem,
-    TheoremReport,
-    VerdictRow,
-    energy_criteria,
-    energy_sweep,
-    energy_value,
-    gagliardo_supersolution,
-    lp_operator_norm,
-    maurey_candidate,
-    maurey_verify,
-    monotone_solution,
-    solve_equation,
-    strong_type_constant,
-    testing_condition_11,
-    theorem_report,
-    weak_quotient_bound,
-    weak_type_constant,
-)
+Each layer module's ``__all__`` is the one list of its public names; the
+package re-exports them all."""
+
+from . import capacity, core, gallery, principles, simplex, sublinear
+from .capacity import *  # noqa: F403
+from .core import *  # noqa: F403
+from .gallery import *  # noqa: F403
+from .principles import *  # noqa: F403
+from .simplex import *  # noqa: F403
+from .sublinear import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "DomainError", "SpaceMismatchError", "Space", "Measure", "Kernel",
-    "NormSpec", "NondegeneracyReport", "potential", "adjoint_potential",
-    "energy", "integrate", "norm", "check_quasisymmetric", "symmetrize",
-    "check_nondegenerate",
-    # simplex
-    "LpProblem", "LpSolution", "SimplexStallError", "solve_lp",
-    # principles
-    "DEFAULT_BUDGET", "WmpReport", "CompleteMpReport", "QuasimetricReport",
-    "ModifiedKernel", "wmp_constant", "complete_mp_constant",
-    "quasimetric_constant", "modifier", "modify_kernel",
-    # capacity
-    "CapacityResult", "EquilibriumCertificates", "NullCheckReport",
-    "cap0", "content", "wiener_cap1", "capacity_null_check",
-    # sublinear
-    "GOLDEN_THRESHOLD", "SublinearProblem", "SolveResult", "ConstantEstimate",
-    "QuotientBound", "EnergyReport", "VerdictRow", "TheoremReport",
-    "gagliardo_supersolution", "monotone_solution", "solve_equation",
-    "strong_type_constant", "weak_type_constant", "weak_quotient_bound",
-    "energy_criteria", "energy_sweep", "energy_value", "maurey_verify",
-    "maurey_candidate", "testing_condition_11", "lp_operator_norm",
-    "theorem_report",
-    # gallery
-    "BlockSpec", "BlockInstance", "build_block", "ThresholdReport",
-    "energy_divergence_threshold", "SampledKernelSpec", "build_sampled",
-]
+__all__ = ["__version__"] + [name for layer in (core, simplex, principles, capacity,
+                                                sublinear, gallery) for name in layer.__all__]

@@ -153,7 +153,8 @@ def _build_instance(doc: dict) -> _Instance:
             kind=s["kind"], n_points=int(s["n_points"]),
             alpha=s.get("alpha"), n_dim=s.get("n_dim"),
             seed=int(s.get("seed", 0)),
-            coords=None if coords is None else tuple(map(tuple, np.atleast_2d(coords))),
+            coords=None if coords is None else tuple(
+                tuple(c) if isinstance(c, list) else c for c in coords),
         )
         kernel = build_sampled(sk)
     else:

@@ -17,8 +17,7 @@ between computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,11 +130,8 @@ class Measure:
         return Measure(space, w)
 
     @staticmethod
-    def uniform(space: Space, total: float = None) -> "Measure":
-        w = np.ones(space.size)
-        if total is not None:
-            w *= total / space.size
-        return Measure(space, w)
+    def uniform(space: Space) -> "Measure":
+        return Measure(space, np.ones(space.size))
 
     @property
     def total(self) -> float:

@@ -43,6 +43,11 @@ DEFAULT_BUDGET = 14 * 2**14
 PTOLEMY_LIMIT = 30
 
 
+def _sampled_cap(n: int, budget: int) -> int:
+    """Candidates valued by a sampled search on ``n`` points: ``min(budget, 10 n^2)``."""
+    return min(budget, 10 * n * n)
+
+
 @dataclass(frozen=True)
 class WmpReport:
     constant: float
@@ -74,7 +79,7 @@ def _sampled_supports(n: int, budget: int, seed: int):
         yield points[y:y + 1], np.delete(points, y)
     for x in range(n):
         yield np.delete(points, x), points[x:x + 1]
-    target = min(10 * n * n, budget)
+    target = _sampled_cap(n, budget)
     rng = np.random.default_rng(seed)
     seen = set()
     draws = 0

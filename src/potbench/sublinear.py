@@ -46,6 +46,7 @@ from .principles import (
     DEFAULT_BUDGET,
     _inverse_distance,
     _ratio_max,
+    _sampled_cap,
     _triangle_constant,
     modifier,
     modify_kernel,
@@ -69,6 +70,7 @@ __all__ = [
     "weak_quotient_bound",
     "energy_criteria",
     "energy_sweep",
+    "energy_value",
     "maurey_verify",
     "maurey_candidate",
     "testing_condition_11",
@@ -447,7 +449,7 @@ class _SubsetSearch:
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
         self.kernel, self.sigma, self.supp = kernel, sigma, sigma.support
         k, n = self.supp.size, kernel.size
-        self.limit = 2**k - 1 if 2**k <= budget else min(budget, 10 * n * n)
+        self.limit = 2**k - 1 if 2**k <= budget else _sampled_cap(n, budget)
         pot = potential(kernel, sigma)[self.supp]
         self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
         self._caps: tuple[dict, dict] = ({}, {})  # cap0 and cap1 by subset
@@ -479,6 +481,23 @@ class _SubsetSearch:
         return self.max_ratio(lambda m: self.sigma.mass(self.mask(m)) ** (1.0 / q),
                               self.cap1_value if cap1 else self.cap0_value,
                               prune=not cap1 or self.cap1_monotone)
+
+    def testing_ratio(self) -> tuple:
+        """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so
+        the largest potential of ``sigma`` restricted to ``O`` caps every ``K``
+        in ``O``."""
+        kernel, sigma = self.kernel, self.sigma
+
+        def double_integral(m):
+            restricted = sigma.restrict(self.mask(m))
+            return integrate(potential(kernel, restricted), restricted)
+
+        def top_potential(m):
+            mask = self.mask(m)
+            return float(potential(kernel, sigma.restrict(mask))[mask].max())
+
+        return self.max_ratio(double_integral, lambda m: sigma.mass(self.mask(m)),
+                              cap=top_potential)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a
@@ -555,18 +574,17 @@ def weak_type_constant(problem: SublinearProblem,
     ``sigma(K)^{1/q} / cap0(K)`` over subsets ``K`` of the support of
     ``sigma``, found by branch and bound.  ``budget`` counts the distinct
     subsets valued: all of them when ``2^|supp sigma| <= budget``, so the
-    result is ``exact``, else at most ``min(budget, 10 n^2)``.  A search cut
-    short is ``sampled``, bracketed by the best subset's ratio and the
-    largest bound of an open branch.  For ``q > 1`` extras carry the dual
+    result is ``exact``, else at most
+    :func:`~potbench.principles._sampled_cap`, the cap of a sampled WMP
+    search.  A search cut short is ``sampled``, bracketed by the best
+    subset's ratio and the largest bound of an open branch.  Extras name the best set with its
+    ``cap0`` and ``content`` values, and for ``q > 1`` carry the dual
     level-set constant, an upper bound that also caps ``upper``.  A kernel
     column of infinite weak norm makes the constant infinite.
+    :func:`theorem_report` reads the same search's value and mode only.
     """
-    return _weak_type_constant(_SubsetSearch(problem.kernel, problem.sigma, budget),
-                               problem.q)
-
-
-def _weak_type_constant(search: _SubsetSearch, q: float) -> ConstantEstimate:
-    kernel, sigma = search.kernel, search.sigma
+    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
+    search = _SubsetSearch(kernel, sigma, budget)
     value, best, mode, upper = search.capacity_ratio(q)
     extras = {"mode": mode}
     if q > 1.0 and np.isfinite(value):
@@ -757,29 +775,14 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
     """Least ``c`` with double-integral of G over K x K at most ``c sigma(K)``.
 
     The subsets ``K`` are searched, and ``budget`` and the bracket read, as
-    in :func:`weak_type_constant`.  On quasimetric kernels the same ratio
-    maximized over the balls of ``d = 1/G`` (all centers, all realized
-    radii, strict inequality) is reported in extras.
+    in :func:`weak_type_constant`; extras name the best set.  On quasimetric
+    kernels the same ratio maximized over the balls of ``d = 1/G`` (all
+    centers, all realized radii, strict inequality) is reported in extras.
+    :func:`theorem_report` reads the same search's value and mode only.
     """
-    return _testing_condition_11(_SubsetSearch(kernel, sigma, budget),
-                                 _triangle_constant(kernel))
-
-
-def _testing_condition_11(search: _SubsetSearch, qm) -> ConstantEstimate:
-    """``qm``: the kernel's :func:`~potbench.principles._triangle_constant`."""
-    kernel, sigma = search.kernel, search.sigma
-
-    def double_integral(m):
-        restricted = sigma.restrict(search.mask(m))
-        return integrate(potential(kernel, restricted), restricted)
-
-    def top_potential(m):  # G >= 0: bounds the ratio of every K in m
-        mask = search.mask(m)
-        return float(potential(kernel, sigma.restrict(mask))[mask].max())
-
-    value, best, mode, upper = search.max_ratio(double_integral,
-                                                lambda m: sigma.mass(search.mask(m)),
-                                                cap=top_potential)
+    search = _SubsetSearch(kernel, sigma, budget)
+    qm = _triangle_constant(kernel)
+    value, best, mode, upper = search.testing_ratio()
     extras: dict = {"mode": mode}
     witness = None
     if best is not None:
@@ -893,9 +896,11 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     VIOLATED with numeric details.
 
     ``budget`` bounds the sampled WMP search (driven by ``seed``) and five
-    subset searches as in :func:`weak_type_constant`: ``cap0`` and ``cap1``
-    at ``q`` and at 1, and the testing condition.  They share one memo of
-    ``cap0`` and ``cap1``, and the rows compare their lower ends.
+    maxima of one subset search, as in :func:`weak_type_constant`: the
+    ``cap0`` and ``cap1`` routes at ``q`` and at 1, and the testing ratio.
+    They share one memo of ``cap0`` and ``cap1``, and the rows compare
+    their lower ends; the best sets, ``content`` and the quasimetric balls
+    of the standalone functions are not computed here.
     ``constants["modes"]`` holds the mode of the WMP search, the strong
     constant and each subset search that ran.
     """
@@ -997,36 +1002,34 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     search = _SubsetSearch(kernel, sigma, budget)
     if wmp.holds and kernel.is_symmetric:
-        weak = _weak_type_constant(search, q)
-        modes["weak_cap0"] = weak.extras["mode"]
+        c_cap0, _, modes["weak_cap0"], _ = search.capacity_ratio(q)
         c_cap1, _, modes["weak_cap1"], _ = search.capacity_ratio(q, cap1=True)
-        constants["weak_cap0"] = weak.lower
+        constants["weak_cap0"] = c_cap0
         constants["weak_cap1"] = c_cap1
-        ok = (c_cap1 <= weak.lower * (1.0 + REPORT_RTOL)
-              and weak.lower <= wmp.constant * c_cap1 * (1.0 + REPORT_RTOL))
+        ok = (c_cap1 <= c_cap0 * (1.0 + REPORT_RTOL)
+              and c_cap0 <= wmp.constant * c_cap1 * (1.0 + REPORT_RTOL))
         rows.append(_row("weak_capacity_route", ok,
-                         {"from_cap0": weak.lower, "from_cap1": c_cap1,
+                         {"from_cap0": c_cap0, "from_cap1": c_cap1,
                           "wmp": wmp.constant}))
     else:
         rows.append(_na("weak_capacity_route",
                         "needs q <= 1, a symmetric kernel and WMP"))
 
     if wmp.holds and kernel.is_symmetric:
-        tst = _testing_condition_11(search, qm)
+        testing, _, modes["testing"], _ = search.testing_ratio()
         t22 = lp_operator_norm(kernel, sigma, 2.0)
-        weak11 = _weak_type_constant(search, 1.0)
-        modes["testing"], modes["weak_1_1"] = tst.extras["mode"], weak11.extras["mode"]
+        weak11, _, modes["weak_1_1"], _ = search.capacity_ratio(1.0)
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
-        trio = {"weak_1_1": weak11.lower, "testing": tst.lower, "p2_norm": t22,
+        trio = {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
                 "from_cap1": c_cap1_11,
                 "p_extras": {p: lp_operator_norm(kernel, sigma, p) for p in (1.5, 3.0)}}
         factor = 8.0 * wmp.constant**4
-        vals = [weak11.lower, tst.lower, t22]
+        vals = [weak11, testing, t22]
         finite = [np.isfinite(v) for v in vals]
         ok = all(finite) == any(finite)
         if all(finite):
-            ok = ok and c_cap1_11 <= tst.lower * (1.0 + REPORT_RTOL)
-            ok = ok and tst.lower <= t22 * (1.0 + REPORT_RTOL)
+            ok = ok and c_cap1_11 <= testing * (1.0 + REPORT_RTOL)
+            ok = ok and testing <= t22 * (1.0 + REPORT_RTOL)
             lo, hi = min(vals), max(vals)
             ok = ok and (lo == 0.0 if hi == 0.0 else hi <= factor * lo * (1.0 + REPORT_RTOL))
         trio["factor"] = factor

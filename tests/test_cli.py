@@ -11,7 +11,8 @@ import sysconfig
 import jsonschema
 import pytest
 
-from potbench.cli import load_schema, main, to_jsonable
+from potbench import SampledKernelSpec, build_sampled, wmp_constant
+from potbench.cli import _TASKS, load_schema, main, to_jsonable
 
 
 def write_scenario(path, doc):
@@ -205,6 +206,23 @@ def test_sampled_scenario(tmp_path):
     assert not [r for r in rows if r["verdict"] == "VIOLATED"]
 
 
+def test_sampled_scenario_flat_coords(tmp_path):
+    # 1-D clouds take a flat list of coordinates, as build_sampled does
+    coords = [0.2, 0.5, 0.8]
+    scen = write_scenario(tmp_path / "s.json", {
+        "name": "flat", "q": 0.5,
+        "kernel": {"sampled": {"kind": "interval_green", "n_points": 3, "coords": coords}},
+        "sigma": [1.0, 1.0, 1.0],
+        "tasks": [{"name": "wmp"}],
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", scen, "--out", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["tasks"][0]["result"]
+    kernel = build_sampled(SampledKernelSpec(kind="interval_green", n_points=3,
+                                             coords=tuple(coords)))
+    assert result == to_jsonable(wmp_constant(kernel))
+
+
 def test_theorem_report_provenance(tmp_path):
     # the provenance is the weakest mode of the searches inside the report:
     # all of them are exhaustive on two points, and a budget of 4 cuts the
@@ -244,6 +262,12 @@ def test_schema_subcommand(capsys):
     assert doc["$schema"].endswith("2020-12/schema")
     assert load_schema() == doc
     jsonschema.Draft202012Validator.check_schema(doc)
+
+
+def test_tasks_match_schema_enum():
+    # a task is added to the CLI and to the schema together, or to neither
+    enum = load_schema()["properties"]["tasks"]["items"]["properties"]["name"]["enum"]
+    assert sorted(_TASKS) == sorted(enum)
 
 
 def _distribution_installed(name: str) -> bool:
