@@ -107,15 +107,6 @@ def cap0(kernel: Kernel, points) -> CapacityResult:
 
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
     free = np.array([x for x in K if np.isfinite(G[x]).all()], dtype=int)
-    zero = Measure(space, np.zeros(n))
-    if free.size == 0:
-        pot = adjoint_potential(kernel, zero)
-        certs = _make_certificates(kernel, K, zero, pot)
-        return CapacityResult(0.0, zero, 0.0, certs, "lp")
-    unconstrained = [x for x in free if (G[x] == 0).all()]
-    if unconstrained:
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-
     lhs = G[free].T  # row y, column j: coefficient of mu[free_j]
     problem = LpProblem(
         objective=np.ones(free.size),
@@ -150,12 +141,8 @@ def content(kernel: Kernel, points) -> CapacityResult:
     rows = np.array([x for x in K if np.isfinite(G[x]).all()], dtype=int)
     attained = covered_free.size == 0
 
-    infeasible = [x for x in rows if (G[x] == 0).all()]
-    if infeasible:
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-
-    zero = Measure(space, np.zeros(n))
     if rows.size == 0:
+        zero = Measure(space, np.zeros(n))
         pot = potential(kernel, zero)
         certs = _make_certificates(kernel, K, zero, pot)
         return CapacityResult(0.0, zero, 0.0, certs, "lp", attained=attained)

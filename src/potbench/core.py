@@ -2,10 +2,14 @@
 
 Every quantity downstream (capacities, maximum-principle constants, solutions
 of ``u = G(u^q sigma)``) reduces to sums of the form ``sum_y G(x, y) * nu[y]``,
-so the conventions are pinned here once:
+so the extended-real rules are pinned here once, each with its helper:
 
-* ``0 * inf == 0``  -- a zero weight annihilates an infinite kernel value,
-* ``x + inf == inf``,
+* ``0 * inf == 0``: a zero factor annihilates an infinite one
+  (``_weighted_terms``),
+* ``x + inf == inf`` (float addition),
+* ``1 / 0 == inf`` and ``1 / inf == 0`` (``_inverse_distance``),
+* ``0 / 0`` and ``inf / inf`` read as 0 in a ratio, so they impose nothing
+  on its maximum, while ``x / 0 == inf`` for ``x > 0`` (``_ratio_max``),
 * measure weights are finite and nonnegative,
 * kernel entries live in ``[0, +inf]``,
 * ``nan`` is rejected at construction time, everywhere.
@@ -35,7 +39,6 @@ __all__ = [
     "integrate",
     "norm",
     "check_quasisymmetric",
-    "symmetrize",
     "check_nondegenerate",
 ]
 
@@ -196,9 +199,6 @@ class Kernel:
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.entries, self.entries.T))
 
-    def adjoint(self) -> "Kernel":
-        return Kernel(self.space, self.entries.T.copy())
-
     def restrict(self, indices) -> "Kernel":
         indices = np.asarray(indices, dtype=int)
         sub = self.entries[np.ix_(indices, indices)].copy()
@@ -210,17 +210,27 @@ def _require_same_space(a, b):
         raise SpaceMismatchError("operands live on different spaces")
 
 
-def _weighted_terms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Entrywise ``values * weights`` under the convention ``0 * inf == 0``.
-
-    ``weights`` is finite and nonnegative; ``values`` may contain ``+inf``.
-    """
+def _weighted_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two nonnegative extended-real arrays, ``0 * inf == 0``."""
     with np.errstate(invalid="ignore"):
-        out = values * weights
-    # the only nan source is inf * 0, which the convention sends to 0
+        out = a * b
+    # the only nan source is 0 * inf, which the convention sends to 0
     if np.isnan(out).any():
-        out = np.where(weights == 0.0, 0.0, out)
+        out = np.where(np.isnan(out), 0.0, out)
     return out
+
+
+def _ratio_max(num: np.ndarray, den: np.ndarray):
+    """Extended-real max of num/den: inf/inf and 0/0 impose nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+    return np.where(np.isnan(r), 0.0, r)
+
+
+def _inverse_distance(G: np.ndarray) -> np.ndarray:
+    """``d = 1/G``: ``d = inf`` where ``G = 0`` and ``d = 0`` where ``G = inf``."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / G
 
 
 def _nonempty_subsets(k: int) -> np.ndarray:
@@ -302,11 +312,7 @@ class NormSpec:
 
 
 def _lp_norm(f, w, p):
-    with np.errstate(invalid="ignore"):
-        powered = f ** p
-    terms = _weighted_terms(powered, w)
-    total = terms.sum()
-    return float(total ** (1.0 / p))
+    return float(_weighted_terms(f ** p, w).sum() ** (1.0 / p))
 
 
 def _weak_norm(f, w, s):
@@ -327,8 +333,6 @@ def _weak_norm(f, w, s):
 def _lorentz_norm(f, w, s, q):
     keep = w > 0
     fk, wk = f[keep], w[keep]
-    if fk.size == 0:
-        return 0.0
     if np.isinf(fk).any():
         return float("inf")
     order = np.argsort(-fk, kind="stable")
@@ -359,27 +363,16 @@ def norm(f, sigma: Measure, spec: NormSpec) -> float:
 
 
 def check_quasisymmetric(kernel: Kernel) -> float:
-    """Least ``a`` with ``a^{-1} G(y, x) <= G(x, y) <= a G(y, x)``.
+    """Least ``a`` with ``a^{-1} G(y, x) <= G(x, y) <= a G(y, x)``, at least 1.
 
-    Pairs where both orientations are 0, or both are ``+inf``, are comparable
-    with any constant and are skipped; a pair where exactly one side is 0 or
-    exactly one side is ``+inf`` forces ``a = +inf``.
+    The maximum of ``G(x, y) / G(y, x)`` over all ordered pairs, so each pair
+    is read in both orientations.  Pairs where both orientations are 0, or
+    both are ``+inf``, read as 0 and impose nothing; a pair where exactly one
+    side is 0, or exactly one side is ``+inf``, divides a positive value by 0
+    in one orientation and so forces ``a = +inf``.
     """
     A = kernel.entries
-    B = A.T
-    zero_mismatch = (A == 0) ^ (B == 0)
-    inf_mismatch = np.isinf(A) ^ np.isinf(B)
-    if zero_mismatch.any() or inf_mismatch.any():
-        return float("inf")
-    comparable = (A == 0) | np.isinf(A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(comparable, 1.0, np.maximum(A / B, B / A))
-    return float(max(ratios.max(initial=1.0), 1.0))
-
-
-def symmetrize(kernel: Kernel) -> Kernel:
-    """The symmetric enlargement ``G(x, y) + G(y, x)``."""
-    return Kernel(kernel.space, kernel.entries + kernel.entries.T)
+    return float(max(_ratio_max(A, A.T).max(), 1.0))
 
 
 @dataclass(frozen=True)
@@ -396,8 +389,6 @@ def check_nondegenerate(kernel: Kernel, sigma: Measure) -> NondegeneracyReport:
     """
     _require_same_space(kernel, sigma)
     sup = sigma.support
-    if sup.size == 0:
-        return NondegeneracyReport(True, ())
     block = kernel.entries[np.ix_(sup, sup)]
     dead = np.flatnonzero((block == 0).all(axis=0))
     witness = tuple(kernel.space.points[sup[j]] for j in dead)

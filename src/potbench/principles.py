@@ -23,7 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DomainError, Kernel, Measure, _nonempty_subsets
+from .core import (
+    DomainError,
+    Kernel,
+    Measure,
+    _inverse_distance,
+    _nonempty_subsets,
+    _ratio_max,
+    _weighted_terms,
+)
 from .simplex import LpProblem, solve_lp
 
 __all__ = [
@@ -234,20 +242,6 @@ class QuasimetricReport:
     ptolemy_ok: bool | None = None
 
 
-def _ratio_max(num: np.ndarray, den: np.ndarray):
-    """Extended-real max of num/den: inf/inf and 0/0 impose nothing."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-    return np.where(np.isnan(r), 0.0, r)
-
-
-def _inverse_distance(G: np.ndarray) -> np.ndarray:
-    """``d = 1/G``, with ``d = inf`` where ``G = 0`` and ``d = 0`` where ``G = inf``."""
-    with np.errstate(divide="ignore"):
-        d = np.where(G == 0, np.inf, 1.0 / G)
-    return np.where(np.isinf(G), 0.0, d)
-
-
 def _triangle_constant(kernel: Kernel) -> QuasimetricReport:
     """The triangle part of :func:`quasimetric_constant`, with no four-point fields."""
     n = kernel.size
@@ -282,13 +276,10 @@ def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
         return report
 
     d = _inverse_distance(kernel.entries)
-    # axes (x, z, y, w); a product 0 * inf is nan, read as 0 (_ratio_max does it for lhs)
-    with np.errstate(invalid="ignore"):
-        lhs = d[:, :, None, None] * d[None, None, :, :]  # d[x,z] d[y,w]
-        r1 = d[:, None, :, None] * d[None, :, None, :]  # d[x,y] d[z,w]
-        r2 = d.T[None, :, :, None] * d[:, None, None, :]  # d[y,z] d[x,w]
-    r1 = np.where(np.isnan(r1), 0.0, r1)
-    r2 = np.where(np.isnan(r2), 0.0, r2)
+    # axes (x, z, y, w)
+    lhs = _weighted_terms(d[:, :, None, None], d[None, None, :, :])  # d[x,z] d[y,w]
+    r1 = _weighted_terms(d[:, None, :, None], d[None, :, None, :])  # d[x,y] d[z,w]
+    r2 = _weighted_terms(d.T[None, :, :, None], d[:, None, None, :])  # d[y,z] d[x,w]
     q = _ratio_max(lhs, r1 + r2)
     pc = float(q.max())
     bound = 4.0 * report.kappa * report.kappa

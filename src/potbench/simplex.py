@@ -7,9 +7,9 @@ A stalled solve raises :class:`SimplexStallError`; it never returns a silently
 wrong answer.
 
 Form accepted: maximize ``c @ x`` subject to ``A x (<=|==|>=) b`` and
-``x >= 0``.  All coefficients must be finite; callers pre-reduce infinite
-kernel entries (an ``+inf`` coefficient in a ``<=`` row forces its variable
-to zero) before building a problem.
+``x >= 0``, with ``b >= 0``.  All coefficients must be finite; callers
+pre-reduce infinite kernel entries (an ``+inf`` coefficient in a ``<=`` row
+forces its variable to zero) before building a problem.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class LpProblem:
         for arr, name in ((c, "objective"), (A, "lhs"), (b, "rhs")):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite (pre-reduce infinities first)")
+        if (b < 0).any():
+            raise ValueError("rhs must be nonnegative")
         if len(self.senses) != b.size:
             raise ValueError("one sense per constraint row required")
         for s in self.senses:
@@ -110,23 +112,8 @@ def _run_phase(T, basis, allowed, m, start_iter):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    c = problem.objective.copy()
-    A = problem.lhs.copy()
-    b = problem.rhs.copy()
-    senses = list(problem.senses)
+    c, A, b, senses = problem.objective, problem.lhs, problem.rhs, problem.senses
     m, n = A.shape
-
-    # normalize to b >= 0
-    row_sign = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            row_sign[i] = -1.0
-            if senses[i] == _LE:
-                senses[i] = _GE
-            elif senses[i] == _GE:
-                senses[i] = _LE
 
     # column layout: originals | slack/surplus (one per <=/>= row) | artificials
     slack_cols, art_cols = {}, {}
@@ -175,7 +162,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             raise SimplexStallError("phase 1 reported unbounded")
         if T[-1, -1] < -TOL * max(1.0, abs(b).max()):
             # infeasible; Farkas certificate from the phase-1 duals
-            duals = _extract_duals(T, basis, c1, slack_cols, art_cols, senses, m, row_sign)
+            duals = _extract_duals(T, basis, c1, slack_cols, art_cols, senses, m)
             return LpSolution("infeasible", None, None, None, duals, iterations)
         # drive basic artificials out where a real pivot exists
         for i in range(m):
@@ -209,15 +196,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     primal = x[:n].copy()
     primal[primal < 0] = 0.0
     value = float(c @ primal)
-    duals = _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m, row_sign)
+    duals = _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m)
     return LpSolution("optimal", value, primal, duals, None, iterations)
 
 
-def _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m, row_sign):
+def _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m):
     """Read ``y = c_B B^{-1}`` off the columns that started as ``+e_i``."""
     id_cols = np.zeros(m, dtype=int)
     for i, s in enumerate(senses):
         id_cols[i] = slack_cols[i] if s == _LE else art_cols[i]
-    cb = c_full[basis]
-    y = cb @ T[:m, id_cols]
-    return y * row_sign
+    return c_full[basis] @ T[:m, id_cols]

@@ -34,6 +34,8 @@ from .core import (
     Measure,
     NormSpec,
     SpaceMismatchError,
+    _inverse_distance,
+    _ratio_max,
     _weighted_terms,
     adjoint_potential,
     check_nondegenerate,
@@ -44,8 +46,6 @@ from .core import (
 )
 from .principles import (
     DEFAULT_BUDGET,
-    _inverse_distance,
-    _ratio_max,
     _sampled_cap,
     _triangle_constant,
     modifier,
@@ -559,9 +559,7 @@ def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
     ends = ends[fs[ends] > 0]
     if ends.size == 0:
         return 0.0
-    with np.errstate(invalid="ignore"):
-        ratios = cum_fw[ends] / cum_w[ends] ** (1.0 / qprime)
-    return float(np.nanmax(ratios, initial=0.0))
+    return float((cum_fw[ends] / cum_w[ends] ** (1.0 / qprime)).max())
 
 
 def weak_type_constant(problem: SublinearProblem,
@@ -654,10 +652,7 @@ class EnergyReport:
 
 def energy_value(problem: SublinearProblem, s: float) -> float:
     """integral (G sigma)^s dsigma in extended-real arithmetic."""
-    pot = potential(problem.kernel, problem.sigma)
-    with np.errstate(invalid="ignore"):
-        powed = pot**s
-    return integrate(powed, problem.sigma)
+    return integrate(potential(problem.kernel, problem.sigma) ** s, problem.sigma)
 
 
 def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
@@ -825,9 +820,7 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
         return float("inf")
     lhs = np.where(w > 0, w ** (1.0 / p), 0.0)
     rhs = np.where(w > 0, w ** (1.0 - 1.0 / p), 0.0)
-    A = lhs[:, None] * np.where(np.isfinite(G), G, 0.0) * rhs[None, :]
-    if not A.any():
-        return 0.0
+    A = _weighted_terms(_weighted_terms(lhs[:, None], G), rhs[None, :])
     pprime = p / (p - 1.0)
     x = np.ones(kernel.size)
     x /= np.linalg.norm(x, ord=p)

@@ -78,6 +78,20 @@ def test_cap0_forces_mass_off_infinite_rows():
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
+def test_cap0_zero_row_unbounded():
+    g = np.array([[0.0, 0.0], [1.0, 1.0]])
+    res = cap0(Kernel(Space.of_size(2), g), [0, 1])
+    assert res.value == np.inf and res.extremal is None
+    assert not res.attained
+
+
+def test_cap0_all_rows_infinite():
+    g = np.array([[np.inf, 1.0], [1.0, np.inf]])
+    res = cap0(Kernel(Space.of_size(2), g), [0, 1])
+    assert res.value == 0.0 and res.dual_value == 0.0
+    assert res.extremal.is_zero and res.attained
+
+
 def test_content_unreachable_point():
     g = np.array([[0.0, 0.0], [0.0, 1.0]])
     res = content(Kernel(Space.of_size(2), g), [0])

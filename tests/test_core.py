@@ -26,9 +26,8 @@ from potbench import (
     integrate,
     norm,
     potential,
-    symmetrize,
 )
-from potbench.core import _nonempty_subsets
+from potbench.core import _inverse_distance, _nonempty_subsets, _ratio_max, _weighted_terms
 
 
 def test_space_basics():
@@ -79,7 +78,6 @@ def test_kernel_validation():
     k = Kernel(s, [[np.inf, 1.0], [2.0, 0.0]])
     assert k.size == 2
     assert not k.is_symmetric
-    assert k.adjoint().entries[0, 1] == 2.0
     sub = k.restrict([0])
     assert sub.entries.shape == (1, 1)
 
@@ -164,11 +162,13 @@ def test_quasisymmetry_oracle():
     assert check_quasisymmetric(both) == 1.0
 
 
-def test_symmetrize():
-    k = Kernel(Space.of_size(2), [[1.0, 2.0], [6.0, 1.0]])
-    sym = symmetrize(k)
-    assert sym.is_symmetric
-    assert sym.entries[0, 1] == 8.0
+def test_extended_real_rules():
+    inf = np.inf
+    # the infinite factor may sit on either side of 0 * inf
+    assert _weighted_terms(np.array([0.0, inf]), np.array([inf, 0.0])).tolist() == [0.0, 0.0]
+    ratios = _ratio_max(np.array([0.0, inf, 1.0, 1.0]), np.array([0.0, inf, 0.0, 2.0]))
+    assert ratios.tolist() == [0.0, 0.0, inf, 0.5]
+    assert _inverse_distance(np.array([0.0, inf, 2.0])).tolist() == [inf, 0.0, 0.5]
 
 
 def test_nondegeneracy_detection():
@@ -183,6 +183,14 @@ def test_nondegeneracy_detection():
         Kernel(s, [[0.0, 1.0], [0.0, 1.0]]), Measure(s, [0.0, 1.0])
     )
     assert rescued.nondegenerate
+    empty = check_nondegenerate(Kernel(s, [[0.0, 0.0], [0.0, 0.0]]), Measure(s, [0.0, 0.0]))
+    assert empty.nondegenerate and empty.witness == ()
+
+
+def test_norms_of_zero_measure():
+    zero = Measure(Space.of_size(2), [0.0, 0.0])
+    for spec in (NormSpec.lorentz(2.0, 1.0), NormSpec.lp(2.0), NormSpec.weak_lorentz(1.0)):
+        assert norm([1.0, 3.0], zero, spec) == 0.0
 
 
 finite_f = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6)

@@ -72,7 +72,8 @@ def test_unbounded_with_ray():
 
 
 def test_infeasible():
-    p = LpProblem([1.0], [[1.0], [-1.0]], [1.0, -2.0], ("<=", "<="))
+    # x <= 1 and x >= 2
+    p = LpProblem([1.0], [[1.0], [1.0]], [1.0, 2.0], ("<=", ">="))
     sol = solve_lp(p)
     assert sol.status == "infeasible"
 
@@ -149,6 +150,8 @@ def test_rejects_bad_problems():
         LpProblem([1.0, 2.0], [[1.0, 2.0]], [1.0], ("<=", "<="))
     with pytest.raises(ValueError):
         LpProblem([1.0], [[1.0]], [1.0], ("<",))
+    with pytest.raises(ValueError):
+        LpProblem([1.0], [[1.0]], [-1.0], ("<=",))
 
 
 def test_solution_shape():

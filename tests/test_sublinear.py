@@ -340,6 +340,11 @@ def test_lp_operator_norm_weighted_against_svd(seed):
     assert got == pytest.approx(want, rel=1e-8)
 
 
+def test_lp_operator_norm_zero_kernel():
+    s = Space.of_size(2)
+    assert lp_operator_norm(Kernel(s, np.zeros((2, 2))), Measure(s, [1.0, 1.0]), 2.0) == 0.0
+
+
 def test_lp_operator_norm_infinite():
     s = Space.of_size(2)
     k = Kernel(s, [[np.inf, 1.0], [1.0, 1.0]])
