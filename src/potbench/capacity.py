@@ -29,7 +29,6 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
-    _nonempty_subsets,
     _weighted_terms,
     adjoint_potential,
     potential,
@@ -252,8 +251,8 @@ def _family_mass_lp(AT):
 def _enumerate_supports(A):
     k = A.shape[0]
     best_val, best = 0.0, np.zeros(k)
-    for row in _nonempty_subsets(k):
-        T = np.flatnonzero(row)
+    for m in range(1, 1 << k):
+        T = np.flatnonzero((m >> np.arange(k)) & 1)
         AT = A[np.ix_(T, T)]
         if np.isinf(AT).any():
             continue

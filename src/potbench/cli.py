@@ -458,6 +458,9 @@ def _emit(report, timings, tables, out_dir) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.budget < 1 or args.seed < 0:
+        print("error: --budget must be at least 1 and --seed at least 0", file=sys.stderr)
+        return 2
     try:
         doc = _load_scenario(args.scenario)
         inst = _build_instance(doc)

@@ -233,19 +233,6 @@ def _inverse_distance(G: np.ndarray) -> np.ndarray:
         return 1.0 / G
 
 
-def _nonempty_subsets(k: int) -> np.ndarray:
-    """Every nonempty subset of ``range(k)`` as a boolean row; row ``m - 1``
-    holds the bits of ``m``, bit ``i`` in column ``i``."""
-    rows = np.zeros(((1 << k) - 1, k), dtype=bool)
-    for j in range(k):
-        # m = 2^j + r for r < 2^j: the row of 2^j, then the rows of r with bit j
-        half = 1 << j
-        rows[half - 1, j] = True
-        rows[half:2 * half - 1] = rows[:half - 1]
-        rows[half:2 * half - 1, j] = True
-    return rows
-
-
 def potential(kernel: Kernel, nu: Measure) -> np.ndarray:
     """Pointwise potential ``(G nu)(x) = sum_y G(x, y) nu[y]``.
 

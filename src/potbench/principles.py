@@ -28,7 +28,6 @@ from .core import (
     Kernel,
     Measure,
     _inverse_distance,
-    _nonempty_subsets,
     _ratio_max,
     _weighted_terms,
 )
@@ -53,6 +52,8 @@ PTOLEMY_LIMIT = 30
 
 def _sampled_cap(n: int, budget: int) -> int:
     """Candidates valued by a sampled search on ``n`` points: ``min(budget, 10 n^2)``."""
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
     return min(budget, 10 * n * n)
 
 
@@ -75,19 +76,21 @@ class CompleteMpReport:
 
 
 def _exact_supports(n: int):
-    for row in _nonempty_subsets(n)[:-1]:  # every S but the whole space
-        yield np.flatnonzero(row), np.flatnonzero(~row)
+    """Every ``S`` but the whole space, as the bits of ``m = 1, 2, ...``."""
+    for m in range(1, (1 << n) - 1):
+        bits = (m >> np.arange(n)) & 1
+        yield np.flatnonzero(bits), np.flatnonzero(bits == 0)
 
 
 def _sampled_supports(n: int, budget: int, seed: int):
     """Seeded support stream: mandatory cheap supports first, then a random
     prefix whose composition does not depend on the budget."""
+    target = _sampled_cap(n, budget)
     points = np.arange(n)
     for y in range(n):
         yield points[y:y + 1], np.delete(points, y)
     for x in range(n):
         yield np.delete(points, x), points[x:x + 1]
-    target = _sampled_cap(n, budget)
     rng = np.random.default_rng(seed)
     seen = set()
     draws = 0

@@ -10,6 +10,14 @@ Form accepted: maximize ``c @ x`` subject to ``A x (<=|==|>=) b`` and
 ``x >= 0``, with ``b >= 0``.  All coefficients must be finite; callers
 pre-reduce infinite kernel entries (an ``+inf`` coefficient in a ``<=`` row
 forces its variable to zero) before building a problem.
+
+Column layout: the originals, then the slack (``<=``) or surplus (``>=``) of
+each such row, then the artificial of each ``>=`` or ``==`` row, all in row
+order.  Row ``i`` starts basic in ``identity[i]``, the column that holds
+``+e_i``: its slack for ``<=``, its artificial otherwise.  Those columns of
+the final tableau hold ``B^{-1}``, so the optimal duals, the Farkas vector of
+an infeasible problem and (through ``basis``) the primal point and the ray
+are each one indexing expression.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ class LpSolution:
     value: float | None
     x: np.ndarray | None
     duals: np.ndarray | None
-    ray: np.ndarray | None
+    ray: np.ndarray | None  # unbounded: improving ray; infeasible: Farkas vector
     iterations: int
 
 
@@ -106,7 +114,7 @@ def _run_phase(T, basis, allowed, m, start_iter):
         best = ratios.min()
         tied = rows[np.flatnonzero(ratios <= best + TOL * max(1.0, abs(best)))]
         # Bland tie-break: leave on the smallest basis index
-        row = int(tied[np.argmin(np.asarray(basis)[tied])])
+        row = int(tied[np.argmin(basis[tied])])
         _pivot(T, basis, row, col)
         it += 1
 
@@ -114,60 +122,41 @@ def _run_phase(T, basis, allowed, m, start_iter):
 def solve_lp(problem: LpProblem) -> LpSolution:
     c, A, b, senses = problem.objective, problem.lhs, problem.rhs, problem.senses
     m, n = A.shape
-
-    # column layout: originals | slack/surplus (one per <=/>= row) | artificials
-    slack_cols, art_cols = {}, {}
-    ncols = n
-    for i, s in enumerate(senses):
-        if s in (_LE, _GE):
-            slack_cols[i] = ncols
-            ncols += 1
-    for i, s in enumerate(senses):
-        if s in (_GE, _EQ):
-            art_cols[i] = ncols
-            ncols += 1
+    slack_rows = [i for i, s in enumerate(senses) if s != _EQ]
+    art_rows = [i for i, s in enumerate(senses) if s != _LE]
+    n_real = n + len(slack_rows)
+    ncols = n_real + len(art_rows)
+    slack_cols = np.arange(n, n_real)
+    identity = np.empty(m, dtype=int)
+    identity[slack_rows] = slack_cols
+    identity[art_rows] = np.arange(n_real, ncols)
+    is_artificial = np.arange(ncols) >= n_real
 
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :n] = A
     T[:m, -1] = b
-    basis = [0] * m
-    for i, s in enumerate(senses):
-        if s == _LE:
-            T[i, slack_cols[i]] = 1.0
-            basis[i] = slack_cols[i]
-        elif s == _GE:
-            T[i, slack_cols[i]] = -1.0
-            T[i, art_cols[i]] = 1.0
-            basis[i] = art_cols[i]
-        else:
-            T[i, art_cols[i]] = 1.0
-            basis[i] = art_cols[i]
-
-    is_artificial = np.zeros(ncols, dtype=bool)
-    for col in art_cols.values():
-        is_artificial[col] = True
+    T[slack_rows, slack_cols] = -1.0  # the surplus sign; a <= row's slack is its +e_i
+    T[np.arange(m), identity] = 1.0
+    basis = identity.copy()
 
     iterations = 0
-    if art_cols:
+    if art_rows:
         # phase 1: maximize -sum(artificials)
-        c1 = np.zeros(ncols)
-        c1[is_artificial] = -1.0
+        c1 = np.where(is_artificial, -1.0, 0.0)
         T[-1, :-1] = -c1
-        T[-1, -1] = 0.0
-        for i in range(m):
-            if is_artificial[basis[i]]:
-                T[-1] -= T[i] * 1.0  # z_j - c_j needs c_B B^-1 A; artificial cost -1
+        for i in art_rows:
+            T[-1] -= T[i]  # z_j - c_j needs c_B B^-1 A; artificial cost -1
         status, iterations, _ = _run_phase(T, basis, np.ones(ncols, dtype=bool), m, iterations)
         if status != "optimal":  # cannot happen: phase-1 objective is bounded
             raise SimplexStallError("phase 1 reported unbounded")
         if T[-1, -1] < -TOL * max(1.0, abs(b).max()):
             # infeasible; Farkas certificate from the phase-1 duals
-            duals = _extract_duals(T, basis, c1, slack_cols, art_cols, senses, m)
-            return LpSolution("infeasible", None, None, None, duals, iterations)
+            farkas = c1[basis] @ T[:m, identity]
+            return LpSolution("infeasible", None, None, None, farkas, iterations)
         # drive basic artificials out where a real pivot exists
         for i in range(m):
             if is_artificial[basis[i]]:
-                real = np.flatnonzero(~is_artificial[:ncols] & (np.abs(T[i, :-1]) > TOL))
+                real = np.flatnonzero(~is_artificial & (np.abs(T[i, :-1]) > TOL))
                 if real.size:
                     _pivot(T, basis, i, int(real[0]))
                     iterations += 1
@@ -178,31 +167,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cb = c_full[basis]
     T[-1, :-1] = cb @ T[:m, :-1] - c_full
     T[-1, -1] = cb @ T[:m, -1]
-    allowed = ~is_artificial
-    status, iterations, entering = _run_phase(T, basis, allowed, m, iterations)
+    status, iterations, entering = _run_phase(T, basis, ~is_artificial, m, iterations)
 
     if status == "unbounded":
         ray_full = np.zeros(ncols)
         ray_full[entering] = 1.0
-        for i in range(m):
-            ray_full[basis[i]] = -T[i, entering]
-        ray = ray_full[:n].copy()
+        ray_full[basis] = -T[:m, entering]
+        ray = ray_full[:n]
         ray[np.abs(ray) < TOL] = 0.0
         return LpSolution("unbounded", None, None, None, ray, iterations)
 
     x = np.zeros(ncols)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
-    primal = x[:n].copy()
+    x[basis] = T[:m, -1]
+    primal = x[:n]
     primal[primal < 0] = 0.0
-    value = float(c @ primal)
-    duals = _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m)
-    return LpSolution("optimal", value, primal, duals, None, iterations)
-
-
-def _extract_duals(T, basis, c_full, slack_cols, art_cols, senses, m):
-    """Read ``y = c_B B^{-1}`` off the columns that started as ``+e_i``."""
-    id_cols = np.zeros(m, dtype=int)
-    for i, s in enumerate(senses):
-        id_cols[i] = slack_cols[i] if s == _LE else art_cols[i]
-    return c_full[basis] @ T[:m, id_cols]
+    duals = c_full[basis] @ T[:m, identity]
+    return LpSolution("optimal", float(c @ primal), primal, duals, None, iterations)

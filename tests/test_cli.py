@@ -130,6 +130,15 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--seed", "-1"]])
+def test_out_of_range_flags_exit_2(tmp_path, flags):
+    # the schema bounds a task's own budget (>= 1) and seed (>= 0) the same way
+    scen = write_scenario(tmp_path / "s.json", BASIC)
+    out = tmp_path / "out"
+    assert main(["analyze", scen, "--out", str(out), *flags]) == 2
+    assert not out.exists()
+
+
 def test_task_error_is_isolated(tmp_path):
     scen = write_scenario(tmp_path / "s.json", {
         "name": "x", "q": 0.5,

@@ -27,7 +27,7 @@ from potbench import (
     norm,
     potential,
 )
-from potbench.core import _inverse_distance, _nonempty_subsets, _ratio_max, _weighted_terms
+from potbench.core import _inverse_distance, _ratio_max, _weighted_terms
 
 
 def test_space_basics():
@@ -239,12 +239,3 @@ def test_energy_quadratic_scaling(w, t):
     k = Kernel(Space.of_size(n), rngk.uniform(0.0, 2.0, (n, n)))
     lam = Measure(Space.of_size(n), w)
     assert energy(k, lam.scaled(t)) == pytest.approx(t * t * energy(k, lam), rel=1e-9, abs=1e-9)
-
-
-def test_nonempty_subsets_order():
-    # row m - 1 holds the bits of m; the WMP pair order and the tie-break
-    # of the weak and testing subset searches follow it
-    rows = _nonempty_subsets(3).astype(int).tolist()
-    assert rows == [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1],
-                    [1, 0, 1], [0, 1, 1], [1, 1, 1]]
-    assert _nonempty_subsets(0).shape == (0, 0)

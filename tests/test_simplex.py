@@ -143,6 +143,45 @@ def test_duality_certificate(seed):
     assert float(b @ y) == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
 
 
+def _mixed_lp(rng):
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 7))
+    b = rng.uniform(0.0, 2.0, size=m)
+    senses = tuple(rng.choice(["<=", ">=", "=="], size=m))
+    return LpProblem(rng.normal(size=n), rng.normal(size=(m, n)), b, senses)
+
+
+@pytest.mark.parametrize("status", ["optimal", "unbounded", "infeasible"])
+def test_certificates_on_every_sense(status):
+    # duals, rays and Farkas vectors of seeded LPs mixing all three senses;
+    # the sign of a row's multiplier is fixed by its sense
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 40:
+        p = _mixed_lp(rng)
+        sol = solve_lp(p)
+        if sol.status != status:
+            continue
+        checked += 1
+        A, b, c = p.lhs, p.rhs, p.objective
+        le = np.array([s == "<=" for s in p.senses])
+        ge = np.array([s == ">=" for s in p.senses])
+        if status == "unbounded":
+            ray, Ar = sol.ray, A @ sol.ray
+            assert (ray >= 0).all() and float(c @ ray) > 0
+            assert (Ar[le] <= 1e-9).all() and (Ar[ge] >= -1e-9).all()
+            assert np.abs(Ar[~le & ~ge]).max(initial=0.0) <= 1e-9
+            continue
+        y = sol.duals if status == "optimal" else sol.ray
+        assert (y[le] >= -1e-9).all() and (y[ge] <= 1e-9).all()
+        if status == "optimal":
+            assert (A.T @ y - c >= -1e-9).all()
+            assert float(b @ y) == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
+        else:  # Farkas: y A >= 0 with y b < 0, so no x >= 0 solves the rows
+            assert (A.T @ y >= -1e-9).all()
+            assert float(b @ y) < 0
+
+
 def test_rejects_bad_problems():
     with pytest.raises(ValueError):
         LpProblem([1.0], [[np.inf]], [1.0], ("<=",))

@@ -53,7 +53,6 @@ from potbench import (
 )
 from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
-from potbench.core import _nonempty_subsets
 from potbench.principles import DEFAULT_BUDGET
 from potbench.sublinear import GOLDEN_THRESHOLD, _SubsetSearch
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel, rand_sigma
@@ -572,13 +571,14 @@ def test_theorem_report_one_capacity_per_subset(monkeypatch):
 
 def _brute_max(kernel, sigma, ratio):
     """Largest positive ``ratio(mask)`` over the nonempty subsets of the
-    support, in ``_nonempty_subsets`` order, and the first set reaching it;
-    stops at ``+inf``."""
+    support, in the order of their bit masks ``m = 1, 2, ...`` (bit ``j`` marks
+    the ``j``-th support point), and the first set reaching it; stops at
+    ``+inf``."""
     supp = sigma.support
     best, best_set = 0.0, None
-    for row in _nonempty_subsets(supp.size):
+    for m in range(1, 1 << supp.size):
         mask = np.zeros(kernel.size, dtype=bool)
-        mask[supp[row]] = True
+        mask[[p for j, p in enumerate(supp) if m >> j & 1]] = True
         value = ratio(mask)
         if value > best:
             best, best_set = float(value), tuple(np.flatnonzero(mask).tolist())
@@ -701,3 +701,18 @@ def test_theorem_report_sampled_subsets_match_standalone():
     rep = theorem_report(prob, budget=100, seed=2)
     assert rep.hypotheses["wmp_holds"]
     _assert_matches_standalone(rep, _weak_routes_standalone(prob, 100))
+
+
+def test_budget_below_one_rejected_before_any_lp(monkeypatch):
+    # the budget counts subsets or pairs valued, so it is at least 1
+    def no_lp(problem):
+        raise AssertionError("an LP ran before the budget was checked")
+
+    monkeypatch.setattr("potbench.capacity.solve_lp", no_lp)
+    monkeypatch.setattr("potbench.principles.solve_lp", no_lp)
+    prob = _metric_problem_8()
+    for budget in (0, -3):
+        with pytest.raises(DomainError, match="budget"):
+            wmp_constant(prob.kernel, budget=budget)
+        with pytest.raises(DomainError, match="budget"):
+            weak_type_constant(prob, budget=budget)
