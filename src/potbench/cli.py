@@ -97,10 +97,6 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, Measure):
         return {"weights": to_jsonable(obj.weights)}
-    if isinstance(obj, Kernel):
-        return {"matrix": to_jsonable(obj.entries)}
-    if isinstance(obj, Space):
-        return {"points": [to_jsonable(p) for p in obj.points]}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -31,13 +31,14 @@ __all__ = [
     "Space",
     "Measure",
     "Kernel",
-    "NormSpec",
     "NondegeneracyReport",
     "potential",
     "adjoint_potential",
     "energy",
     "integrate",
-    "norm",
+    "lp_norm",
+    "lorentz_norm",
+    "weak_lorentz_norm",
     "check_quasisymmetric",
     "check_nondegenerate",
 ]
@@ -131,10 +132,6 @@ class Measure:
         w = np.zeros(space.size)
         w[space.index(point)] = 1.0
         return Measure(space, w)
-
-    @staticmethod
-    def uniform(space: Space) -> "Measure":
-        return Measure(space, np.ones(space.size))
 
     @property
     def total(self) -> float:
@@ -265,44 +262,23 @@ def integrate(values, sigma: Measure) -> float:
     return float(_weighted_terms(arr, sigma.weights).sum())
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Which functional to evaluate: ``lp``, ``lorentz`` or ``weak_lorentz``.
-
-    ``lorentz`` uses the plain rearrangement integral
-    ``( int_0^inf (t^{1/s} f*(t))^q dt/t )^{1/q}``; the customary
-    ``(q/s)^{1/q}`` prefactor is omitted, which makes the ``(s, s)`` case
-    coincide with the plain ``L^s`` norm exactly.
-    """
-
-    kind: str
-    exponents: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("lp", "lorentz", "weak_lorentz"):
-            raise DomainError(f"unknown norm kind {self.kind!r}")
-        for e in self.exponents:
-            if not (np.isfinite(e) and e > 0):
-                raise DomainError("norm exponents must be finite and positive")
-
-    @staticmethod
-    def lp(p: float) -> "NormSpec":
-        return NormSpec("lp", (float(p),))
-
-    @staticmethod
-    def lorentz(s: float, q: float) -> "NormSpec":
-        return NormSpec("lorentz", (float(s), float(q)))
-
-    @staticmethod
-    def weak_lorentz(s: float) -> "NormSpec":
-        return NormSpec("weak_lorentz", (float(s),))
+def _norm_input(f, sigma, *exponents):
+    exponents = tuple(float(e) for e in exponents)
+    if not all(np.isfinite(e) and e > 0 for e in exponents):
+        raise DomainError("norm exponents must be finite and positive")
+    f = _clean_vector(f, sigma.space.size, "function", allow_inf=True)
+    return (f, sigma.weights) + exponents
 
 
-def _lp_norm(f, w, p):
+def lp_norm(f, sigma: Measure, p: float) -> float:
+    """The ``L^p(sigma)`` norm of a nonnegative function ``f``."""
+    f, w, p = _norm_input(f, sigma, p)
     return float(_weighted_terms(f ** p, w).sum() ** (1.0 / p))
 
 
-def _weak_norm(f, w, s):
+def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:
+    """The weak ``L^s(sigma)`` norm of a nonnegative function ``f``."""
+    f, w, s = _norm_input(f, sigma, s)
     # sup_t t * sigma({f > t})^{1/s}; on a finite space the sup over each
     # constancy interval of the distribution function is attained at the
     # next value of f, so it suffices to scan v * sigma({f >= v}).
@@ -317,7 +293,15 @@ def _weak_norm(f, w, s):
     return best
 
 
-def _lorentz_norm(f, w, s, q):
+def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
+    """The Lorentz ``L^{s,q}(sigma)`` norm of a nonnegative function ``f``.
+
+    This is the plain rearrangement integral
+    ``( int_0^inf (t^{1/s} f*(t))^q dt/t )^{1/q}``; the customary
+    ``(q/s)^{1/q}`` prefactor is omitted, which makes the ``(s, s)`` case
+    coincide with the plain ``L^s`` norm exactly.
+    """
+    f, w, s, q = _norm_input(f, sigma, s, q)
     keep = w > 0
     fk, wk = f[keep], w[keep]
     if np.isinf(fk).any():
@@ -330,23 +314,6 @@ def _lorentz_norm(f, w, s, q):
     exponent = q / s
     contrib = vals ** q * (s / q) * (upper ** exponent - lower ** exponent)
     return float(contrib.sum() ** (1.0 / q))
-
-
-def norm(f, sigma: Measure, spec: NormSpec) -> float:
-    """Evaluate ``spec`` for a nonnegative function ``f`` against ``sigma``."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (sigma.space.size,):
-        raise SpaceMismatchError("function and measure have different lengths")
-    if np.isnan(f).any():
-        raise DomainError("function contains nan")
-    if (f < 0).any():
-        raise DomainError("norms are defined for nonnegative functions")
-    w = sigma.weights
-    if spec.kind == "lp":
-        return _lp_norm(f, w, spec.exponents[0])
-    if spec.kind == "weak_lorentz":
-        return _weak_norm(f, w, spec.exponents[0])
-    return _lorentz_norm(f, w, *spec.exponents)
 
 
 def check_quasisymmetric(kernel: Kernel) -> float:

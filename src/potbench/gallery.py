@@ -330,10 +330,10 @@ def build_sampled(spec: SampledKernelSpec) -> Kernel:
     return Kernel(space, G)
 
 
-def shortest_path_metric(rng, n, low=0.2, high=1.0) -> np.ndarray:
+def shortest_path_metric(rng, n) -> np.ndarray:
     """Shortest-path metric of the complete graph on ``n`` points whose edge
-    lengths are symmetrized ``uniform(low, high)`` draws from ``rng``."""
-    w = rng.uniform(low, high, size=(n, n))
+    lengths are symmetrized ``uniform(0.2, 1.0)`` draws from ``rng``."""
+    w = rng.uniform(0.2, 1.0, size=(n, n))
     d = (w + w.T) / 2.0
     np.fill_diagonal(d, 0.0)
     for k in range(n):

@@ -299,7 +299,6 @@ def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
 class ModifiedKernel:
     kernel: Kernel
     retained: np.ndarray  # indices into the original space
-    weights: np.ndarray  # the modifier over the original space
 
 
 def modifier(kernel: Kernel, x0) -> np.ndarray:
@@ -321,6 +320,4 @@ def modify_kernel(kernel: Kernel, m) -> ModifiedKernel:
     sub = kernel.restrict(retained)
     mr = m[retained]
     entries = sub.entries / np.outer(mr, mr)
-    out = np.asarray(m, dtype=float).copy()
-    out.setflags(write=False)
-    return ModifiedKernel(Kernel(sub.space, entries), retained, out)
+    return ModifiedKernel(Kernel(sub.space, entries), retained)

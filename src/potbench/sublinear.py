@@ -32,7 +32,6 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
-    NormSpec,
     SpaceMismatchError,
     _inverse_distance,
     _ratio_max,
@@ -41,8 +40,10 @@ from .core import (
     check_nondegenerate,
     check_quasisymmetric,
     integrate,
-    norm,
+    lorentz_norm,
+    lp_norm,
     potential,
+    weak_lorentz_norm,
 )
 from .principles import (
     DEFAULT_BUDGET,
@@ -188,7 +189,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     if status == "supersolution" and bad.any():
         status = "diverged"
     residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
-    return SolveResult(u, status, residual, iterations, norm(u, sigma, NormSpec.lp(q)))
+    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q))
 
 
 def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
@@ -239,7 +240,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if status == "converged":
         status = "degenerate" if zeros.size else "solution"
     witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, iterations, norm(u, sigma, NormSpec.lp(q)),
+    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q),
                        witness)
 
 
@@ -364,7 +365,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     supp = sigma.support
 
     if q >= 1.0:
-        vals = np.array([norm(G[:, y], sigma, NormSpec.lp(q)) for y in range(n)])
+        vals = np.array([lp_norm(G[:, y], sigma, q) for y in range(n)])
         y = int(np.argmax(vals))
         value = float(vals[y])
         wit = Measure.delta(kernel.space, kernel.space.points[y])
@@ -623,7 +624,7 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
     norm is returned regardless so the comparison itself is the check.
     """
     quot = _ratio_max(potential(kernel, nu), potential(kernel, omega))
-    value = norm(quot, omega, NormSpec.weak_lorentz(1.0))
+    value = weak_lorentz_norm(quot, omega, 1.0)
     return QuotientBound(value, h * nu.total, h)
 
 
@@ -661,10 +662,10 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
     s_small = q / (1.0 - q)
     pot = potential(kernel, sigma)
     norms = {
-        "lp_small": norm(pot, sigma, NormSpec.lp(s_small)),
-        "lp_one_plus_q": norm(pot, sigma, NormSpec.lp(1.0 + q)),
-        "lorentz_small": norm(pot, sigma, NormSpec.lorentz(s_small, q)),
-        "weak_small": norm(pot, sigma, NormSpec.weak_lorentz(s_small)),
+        "lp_small": lp_norm(pot, sigma, s_small),
+        "lp_one_plus_q": lp_norm(pot, sigma, 1.0 + q),
+        "lorentz_small": lorentz_norm(pot, sigma, s_small, q),
+        "weak_small": weak_lorentz_norm(pot, sigma, s_small),
     }
     a = check_quasisymmetric(kernel)
     check52 = None
@@ -699,7 +700,7 @@ def energy_sweep(problem: SublinearProblem, s_values) -> tuple:
         rows.append({
             "s": float(s),
             "energy": integrate(pot**s, problem.sigma),
-            "norm": norm(pot, problem.sigma, NormSpec.lp(s)),
+            "norm": lp_norm(pot, problem.sigma, s),
         })
     return tuple(rows)
 
@@ -982,8 +983,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("energy_necessity",
                         "needs a finite constant and quasi-symmetry"))
 
-    lorentz = norm(potential(kernel, sigma), sigma,
-                   NormSpec.lorentz(q / (1.0 - q), q))
+    lorentz = lorentz_norm(potential(kernel, sigma), sigma, q / (1.0 - q), q)
     constants["lorentz_small"] = lorentz
     if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
         bound = wmp.constant * lorentz

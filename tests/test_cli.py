@@ -30,12 +30,25 @@ BASIC = {
         {"name": "strong_constant"},
         {"name": "weak_constant"},
         {"name": "wmp"},
+        {"name": "complete_mp"},
         {"name": "quasisymmetry"},
+        {"name": "quasimetric"},
+        {"name": "nondegenerate"},
         {"name": "cap0"},
+        {"name": "content", "params": {"subset": [0]}},
         {"name": "cap1"},
+        {"name": "capacity_null", "params": {"subset": [1], "mu": [0.0, 1.0]}},
         {"name": "energy"},
+        {"name": "energy", "params": {"u": [2.25, 2.25]}},
+        {"name": "energy_sweep", "params": {"s_values": [0.5, 1.0, 1.5]}},
+        {"name": "maurey"},
+        {"name": "maurey", "params": {"F": [1.0, 1.0]}},
+        {"name": "weak_quotient", "params": {"nu": [1.0, 0.0], "omega": [1.0, 2.0]}},
         {"name": "testing_condition"},
+        {"name": "theorem_report"},
         {"name": "operator_norm", "params": {"p": 2.0}},
+        # off p = 2 the operator norm comes from a heuristic power iteration
+        {"name": "operator_norm", "params": {"p": 3.0}},
     ],
 }
 
@@ -47,6 +60,11 @@ def test_analyze_basic(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["scenario"] == "basic"
     assert report["space_size"] == 2
+    # every task but divergence_sweep, which needs a block kernel, runs once
+    assert {t["name"] for t in report["tasks"]} == set(_TASKS) - {"divergence_sweep"}
+    assert [t for t in report["tasks"] if "error" in t] == []
+    assert ([t["provenance"] for t in report["tasks"]]
+            == ["exact"] * (len(BASIC["tasks"]) - 1) + ["heuristic"])
     by_name = {t["name"]: t for t in report["tasks"]}
     assert by_name["solve"]["result"]["solve"]["status"] == "solution"
     assert by_name["strong_constant"]["provenance"] == "exact"

@@ -199,7 +199,6 @@ def test_modifier_and_modified_kernel():
     assert list(mod.retained) == [0, 1]
     expect = np.array([[2.0, 2.0], [2.0, 8.0]])
     assert np.allclose(mod.kernel.entries, expect)
-    assert mod.weights.tolist() == [0.5, 0.25, 0.0]
 
 
 def test_modified_kernel_keeps_wmp_of_complete_kernels():

@@ -59,6 +59,18 @@ def test_equality_and_ge_rows():
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     assert sol.x[1] == pytest.approx(0.0, abs=1e-12)
 
+    # maximize -x + 2y with -y == 0, 2x + y >= 1, -x - 2y <= 1: phase 1 ends
+    # with the artificial of -y == 0 basic at level zero, and a real pivot
+    # drives it out before phase 2
+    A = np.array([[0.0, -1.0], [2.0, 1.0], [-1.0, -2.0]])
+    b, c = np.array([0.0, 1.0, 1.0]), np.array([-1.0, 2.0])
+    sol = solve_lp(LpProblem(c, A, b, ("==", ">=", "<=")))
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(-0.5, abs=1e-12)
+    assert sol.x == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert float(b @ sol.duals) == pytest.approx(sol.value, abs=1e-12)
+    assert (A.T @ sol.duals >= c - 1e-12).all()
+
 
 def test_unbounded_with_ray():
     p = LpProblem([1.0, 0.0], [[-1.0, 1.0]], [1.0], ("<=",))

@@ -29,7 +29,6 @@ from potbench import (
     DomainError,
     Kernel,
     Measure,
-    NormSpec,
     Space,
     SublinearProblem,
     energy_criteria,
@@ -37,16 +36,17 @@ from potbench import (
     energy_value,
     gagliardo_supersolution,
     integrate,
+    lp_norm,
     lp_operator_norm,
     maurey_candidate,
     maurey_verify,
     monotone_solution,
-    norm,
     potential,
     solve_equation,
     strong_type_constant,
     testing_condition_11 as check_testing_condition,
     theorem_report,
+    weak_lorentz_norm,
     weak_quotient_bound,
     weak_type_constant,
     wmp_constant,
@@ -190,7 +190,7 @@ def test_weak_constant_exact_subsets():
     assert est.method == "capacity-subsets"
     # brute confirmation at the balanced measure
     pot = potential(HALF, Measure(Space.of_size(2), [0.5, 0.5]))
-    wk = norm(pot, prob.sigma, NormSpec.weak_lorentz(0.5))
+    wk = weak_lorentz_norm(pot, prob.sigma, 0.5)
     assert wk == pytest.approx(3.0, rel=1e-12)
 
 
@@ -204,7 +204,7 @@ def test_weak_constant_above_one_point_masses():
     assert est.lower == pytest.approx(expected, rel=1e-12)
     assert est.upper == pytest.approx(expected, rel=1e-12)
     pot = potential(HALF, Measure(Space.of_size(2), [0.5, 0.5]))
-    wk = norm(pot, prob.sigma, NormSpec.weak_lorentz(2.0))
+    wk = weak_lorentz_norm(pot, prob.sigma, 2.0)
     assert wk == pytest.approx(expected, rel=1e-12)
     assert est.extras["level_set_constant"] >= est.lower - 1e-12
 
@@ -365,6 +365,44 @@ def test_theorem_report_swap_kernel():
     assert rep.constants["strong_lower"] == pytest.approx(2.0, rel=1e-9)
 
 
+_NO_SUP = "no supersolution available"
+_NO_SOL = "no solution with a finite constant"
+_NO_QS = "needs a finite constant and quasi-symmetry"
+_NO_WMP_QS = "needs the weak maximum principle and quasi-symmetry"
+_NO_LORENTZ = "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"
+_NO_CAP = "needs q <= 1, a symmetric kernel and WMP"
+_NO_CHAIN = "needs a symmetric WMP kernel"
+_NO_LIMIT = "needs a quasi-symmetric kernel and a pipeline limit"
+
+
+# one reason per row in report order; None marks a CONFIRMED row
+@pytest.mark.parametrize("entries, weights, reasons", [
+    ([[1.0, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]], [0.0, 0.0, 0.0],
+     ["sigma vanishes", _NO_SUP, _NO_SUP, _NO_SOL, "potential vanishes on sigma",
+      None, None, None, "sigma vanishes", _NO_LIMIT]),
+    ([[np.inf, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]], [1.0, 1.0, 1.0],
+     ["strong-type constant is infinite", _NO_SUP, _NO_SUP, _NO_SOL, _NO_QS, _NO_LORENTZ,
+      None, None, "modified constant is infinite", _NO_LIMIT]),
+    ([[1.0, 0.0, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]], [1.0, 1.0, 1.0],
+     [None, None, _NO_WMP_QS, None, _NO_QS, _NO_LORENTZ, _NO_CAP, _NO_CHAIN,
+      None, _NO_LIMIT]),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0],
+     [None, "kernel is degenerate", _NO_WMP_QS, _NO_SOL, None, _NO_LORENTZ, _NO_CAP,
+      _NO_CHAIN, "modifier vanishes on sigma-mass", None]),
+], ids=["zero_sigma", "infinite_diagonal", "not_quasi_symmetric", "degenerate"])
+def test_theorem_report_not_applicable_rows(entries, weights, reasons):
+    s = Space.of_size(3)
+    rep = theorem_report(SublinearProblem(Kernel(s, entries), Measure(s, weights), 0.5))
+    assert [row.claim for row in rep.rows] == [
+        "strong_to_supersolution", "supersolution_to_solution", "supersolution_to_strong",
+        "solution_norm_bound", "energy_necessity", "lorentz_sufficiency",
+        "weak_capacity_route", "weak11_testing_chain", "local_solution_route",
+        "degenerate_dichotomy"]
+    for row, reason in zip(rep.rows, reasons):
+        expect = "CONFIRMED" if reason is None else "NOT-APPLICABLE"
+        assert (row.verdict, row.details.get("reason")) == (expect, reason), row.claim
+
+
 def test_theorem_report_metric_kernel_all_confirmed():
     rng = np.random.default_rng(11)
     k = metric_power_kernel(rng, 5, power=1.0, offset=0.4)
@@ -414,9 +452,9 @@ def test_lq_norm_with_infinite_values():
     assert [sup.status, sol.status, div.status] == ["supersolution", "solution", "diverged"]
     for res in (sup, sol):
         assert np.isinf(res.u[2]) and np.isfinite(res.u[:2]).all()
-        assert 0.0 < res.lq_norm == norm(res.u, sigma, NormSpec.lp(0.5)) < np.inf
+        assert 0.0 < res.lq_norm == lp_norm(res.u, sigma, 0.5) < np.inf
     assert np.isinf(div.u[0]) and np.isinf(div.u[2])
-    assert div.lq_norm == norm(div.u, sigma, NormSpec.lp(0.5)) == np.inf
+    assert div.lq_norm == lp_norm(div.u, sigma, 0.5) == np.inf
 
 
 def test_golden_threshold_value():
@@ -446,7 +484,7 @@ def test_strong_lower_is_genuine(seed):
     if not np.isfinite(est.lower) or est.witness is None:
         return
     pot = potential(k, est.witness)
-    val = norm(pot, prob.sigma, NormSpec.lp(prob.q)) / est.witness.total
+    val = lp_norm(pot, prob.sigma, prob.q) / est.witness.total
     assert val >= est.lower * (1.0 - 1e-9)
     if np.isfinite(est.extras.get("certified_upper", np.inf)):
         assert est.lower <= est.extras["certified_upper"] * (1.0 + 1e-9)
