@@ -11,10 +11,14 @@ every singleton support (against every other point) and every
 complement-of-a-point support (against its point).  Sampled constants are
 certified lower bounds, not exact values.
 
-Infinite kernel entries never reach the LP solver.  A ``+inf`` coefficient
-inside a ``<= 1`` row forces that variable to zero, so the columns finite
-on ``S`` are reduced once per support; a ``+inf`` objective coefficient on
-a still-feasible variable makes the constant infinite.
+One engine, ``_max_over_pairs``, owns the rules both pair programs share,
+and infinite entries never reach the LP solver.  A ``+inf`` coefficient in a
+row over ``S`` forces its variable to zero, so the columns finite on ``S``
+are reduced once per support; a support with none is worth 0 against every
+``x`` and costs no LP.  A ``+inf`` objective coefficient makes the pair
+infinite, witnessed by the point mass at the first one.  Any other pair is
+one feasible LP: unbounded is ``+inf`` with its ray as the witness, and any
+status but optimal is an error.
 """
 
 from __future__ import annotations
@@ -107,13 +111,15 @@ def _sampled_supports(n: int, budget: int, seed: int):
         yield np.flatnonzero(bits), points[x:x + 1]
 
 
-def _max_over_pairs(kernel: Kernel, budget: int, seed: int, pair_value):
+def _max_over_pairs(kernel: Kernel, budget: int, seed: int, build):
     """First pair ``(S, x)`` whose value beats the floor 1 and every pair before
-    it, stopping at ``+inf``.  ``pair_value(G, S, x, fin, cols, block)``
-    values a pair from its support's mask ``fin`` of columns finite on ``S``,
-    the points ``cols`` of ``S`` among them and ``block = G[S, cols]``.
-    Returns the mode, the best value, the winning ``(S, x, cols, pair_value(...))``
-    or None, and the number of pairs checked."""
+    it, stopping at ``+inf``.  ``build(G, S, x, fin, cols, block)`` gets the
+    support's mask ``fin`` of columns finite on ``S``, the points ``cols`` of
+    ``S`` among them and ``block = G[S, cols]``, and returns a feasible
+    ``LpProblem`` whose first ``cols.size`` variables are the measure on
+    ``cols`` valued at ``x``.  Returns the mode, the best value, the winning
+    ``(S, x, cols, vector)`` (the LP's optimum or ray, or the point mass of a
+    ``+inf`` objective) or None, and the number of pairs checked."""
     n, G = kernel.size, kernel.entries
     if n * (1 << n) <= budget:
         mode, supports = "exact", _exact_supports(n)
@@ -124,12 +130,25 @@ def _max_over_pairs(kernel: Kernel, budget: int, seed: int, pair_value):
     for S, outside in supports:
         fin = finite[S].all(axis=0)
         cols = S[fin[S]]
+        if not cols.size:  # no measure on S: the value is 0 at every x
+            checked += outside.size
+            continue
         block = G[np.ix_(S, cols)]
         for x in outside.tolist():
             checked += 1
-            result = pair_value(G, S, x, fin, cols, block)
-            if result[0] > best:
-                best, top = result[0], (S, x, cols, result)
+            inf = np.isinf(G[x, cols])
+            if inf.any():
+                value, vector = float("inf"), np.eye(cols.size)[np.argmax(inf)]
+            else:
+                sol = solve_lp(build(G, S, x, fin, cols, block))
+                if sol.status == "unbounded":
+                    value, vector = float("inf"), sol.ray
+                elif sol.status != "optimal":
+                    raise RuntimeError(f"pair LP reported {sol.status}")
+                else:
+                    value, vector = float(sol.value), sol.x
+            if value > best:
+                best, top = value, (S, x, cols, vector)
                 if np.isinf(best):
                     return mode, best, top, checked
     return mode, best, top, checked
@@ -141,44 +160,27 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
     return Measure(kernel.space, weights)
 
 
-def _wmp_pair_value(G: np.ndarray, S, x: int, fin, cols, block):
-    """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S: ``(value, nu)``."""
-    if not cols.size:
-        return 0.0, np.zeros(0)
-    obj = G[x, cols]
-    if np.isinf(obj).any():
-        w = np.zeros(cols.size)
-        w[int(np.argmax(np.isinf(obj)))] = 1.0
-        return float("inf"), w
-    sol = solve_lp(LpProblem(obj, block, np.ones(len(S)), ("<=",) * len(S)))
-    if sol.status == "unbounded":
-        return float("inf"), sol.ray
-    if sol.status != "optimal":  # nu = 0 is always feasible
-        raise RuntimeError(f"weak-principle LP reported {sol.status}")
-    return float(sol.value), sol.x
+def _wmp_problem(G: np.ndarray, S, x: int, fin, cols, block) -> LpProblem:
+    """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S."""
+    return LpProblem(G[x, cols], block, np.ones(len(S)), ("<=",) * len(S))
 
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
-    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_pair_value)
+    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_problem)
     witness = None
     if top is not None:
-        S, x, cols, (_, w) = top
+        S, x, cols, w = top
         points = kernel.space.points
         witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, w))
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
-def _complete_pair_value(G: np.ndarray, S, x: int, fin, cols, block):
-    """max G mu (x) with mu on ``cols``, nu on the columns of ``fin`` finite at x,
-    G mu <= G nu + c on S and G nu (x) + c = 1: ``(value, mu, nu, nu mask, c)``."""
-    obj_mu = G[x, cols]
+def _complete_problem(G: np.ndarray, S, x: int, fin, cols, block) -> LpProblem:
+    """max G mu (x) over ``(mu, nu, c)``, mu on ``cols`` and nu on the columns
+    finite on S and at x, with G mu <= G nu + c on S and G nu (x) + c = 1."""
     nu = fin & np.isfinite(G[x])
     k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
-    if np.isinf(obj_mu).any():
-        mu = np.zeros(k)
-        mu[int(np.argmax(np.isinf(obj_mu)))] = 1.0
-        return float("inf"), mu, np.zeros(r), nu, 1.0
     lhs = np.zeros((m + 1, k + r + 1))
     lhs[:m, :k] = block
     lhs[:m, k:k + r] = -G[np.ix_(S, nu)]
@@ -188,15 +190,8 @@ def _complete_pair_value(G: np.ndarray, S, x: int, fin, cols, block):
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
     objective = np.zeros(k + r + 1)
-    objective[:k] = obj_mu
-    sol = solve_lp(LpProblem(objective, lhs, rhs, ("<=",) * m + ("==",)))
-    if sol.status == "unbounded":
-        v, value = sol.ray, float("inf")
-    elif sol.status != "optimal":  # mu = nu = 0, c = 1 is always feasible
-        raise RuntimeError(f"complete-principle LP reported {sol.status}")
-    else:
-        v, value = sol.x, float(sol.value)
-    return value, v[:k], v[k:k + r], nu, float(v[k + r])
+    objective[:k] = G[x, cols]
+    return LpProblem(objective, lhs, rhs, ("<=",) * m + ("==",))
 
 
 def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
@@ -209,13 +204,18 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
     finite where it carries mass) and from ``nu`` (kept conservative so the
     reported constant stays a valid lower bound).
     """
-    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _complete_pair_value)
+    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _complete_problem)
     witness = None
     if top is not None:
-        S, x, cols, (_, mu_w, nu_w, nu, c) = top
+        S, x, cols, v = top
+        G = kernel.entries
+        nu = np.isfinite(G[np.append(S, x)]).all(axis=0)  # nu's columns in _complete_problem
+        k, r = cols.size, int(np.count_nonzero(nu))
+        if v.size == k:  # the point mass of an infinite objective: nu = 0, c = 1
+            v = np.concatenate([v, np.zeros(r), [1.0]])
         points = kernel.space.points
-        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, mu_w),
-                   _measure_on(kernel, nu, nu_w), max(c, 0.0))
+        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, v[:k]),
+                   _measure_on(kernel, nu, v[k:k + r]), max(float(v[k + r]), 0.0))
     return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 

@@ -13,13 +13,16 @@ import pytest
 
 from potbench import (
     Kernel,
+    SampledKernelSpec,
     Space,
+    build_sampled,
     complete_mp_constant,
     modifier,
     modify_kernel,
     quasimetric_constant,
     wmp_constant,
 )
+from potbench import principles
 from potbench.principles import _exact_supports
 from conftest import metric_power_kernel, rand_gram_kernel
 
@@ -64,6 +67,39 @@ def test_complete_mp_oracle_2x2():
     assert rep.constant == pytest.approx(4.0, abs=1e-9)
     assert rep.holds
     assert complete_mp_constant(two_by_two(0.5)).constant == pytest.approx(1.0, abs=1e-9)
+
+
+def test_complete_mp_infinite_witnesses():
+    # both pairs ({2}, 0) are infinite.  Without +inf entries the LP is
+    # unbounded: mu = delta_2 against nu = delta_1 (G nu = G mu on S, zero at
+    # 0) is the ray, with c = 0.  A +inf in G[0, 2] skips the LP: the point
+    # mass delta_2 is the witness, with nu = 0 and c = 1.
+    inf = np.inf
+    for G, nu, c in (([[1, 0, 1], [0, 1, 1], [1, 1, 1]], [0, 1, 0], 0.0),
+                     ([[1, .5, inf], [.5, 1, 1], [2, 1, 1]], [0, 0, 0], 1.0)):
+        rep = complete_mp_constant(Kernel(Space.of_size(3), G))
+        assert rep.constant == np.inf and not rep.holds
+        assert rep.mode == "exact" and rep.pairs_checked == 6
+        S, x, mu_w, nu_w, c_w = rep.witness
+        assert (S, x) == ((2,), 0)
+        assert mu_w.weights.tolist() == [0.0, 0.0, 1.0]
+        assert nu_w.weights.tolist() == nu
+        assert c_w == c
+
+
+def test_no_column_supports_cost_no_lp(monkeypatch):
+    # the Riesz diagonal is +inf, so no column is finite on its own support:
+    # every pair is worth 0, is counted, and solves no LP
+    kernel = build_sampled(SampledKernelSpec("riesz", 6, alpha=1.5, n_dim=2))
+    calls = []
+    solve = principles.solve_lp
+    monkeypatch.setattr(principles, "solve_lp", lambda p: calls.append(p) or solve(p))
+    for constant in (wmp_constant, complete_mp_constant):
+        rep = constant(kernel)
+        assert rep.mode == "exact"
+        assert rep.constant == 1.0 and rep.witness is None
+        assert rep.pairs_checked == 6 * (2 ** 5 - 1) == 186
+    assert calls == []
 
 
 def test_exact_pair_order():
