@@ -252,34 +252,33 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     if not np.isfinite(kappa):
         u = np.full(problem.kernel.size, np.inf)
         return SolveResult(u, "diverged", float("inf"), 0, float("inf")), est
-    sup, sol = _solve_from(problem, kappa)
+    sup, sol, _ = _solve_from(problem, kappa)
     return (sup if sol is None else sol), est
 
 
 def _kappa(cert_upper: float, lower: float) -> float:
     """The strong constant to build a supersolution from: the certified upper
-    bound, or just above ``lower`` when the certificate is infinite."""
+    bound, or just above ``lower`` (the solve re-checks it) when that is infinite."""
     return cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
 
 
 def _solve_from(problem: SublinearProblem, kappa: float):
-    """``(sup, sol)``: the supersolution from ``kappa``, then its limit (None if no sup)."""
+    """``(sup, sol, usable)``: the supersolution from ``kappa``, its limit (None
+    if no sup), and the solution, else the supersolution, else None."""
     sup = gagliardo_supersolution(problem, kappa)
     if sup.status != "supersolution":
-        return sup, None
-    return sup, monotone_solution(problem, sup.u)
+        return sup, None, None
+    sol = monotone_solution(problem, sup.u)
+    return sup, sol, (sol if sol.status == "solution" else sup)
 
 
-def _usable(sup: SolveResult, sol: SolveResult | None) -> SolveResult | None:
-    """The solution if there is one, else the supersolution if there is one."""
-    if sol is not None and sol.status == "solution":
-        return sol
-    return sup if sup.status == "supersolution" else None
-
-
-def _norm_route_bound(h: float, q: float, lq_norm: float) -> float:
-    """Strong-type bound from a (super)solution's norm and the WMP constant ``h``."""
-    return h * (1.0 - q) ** (-1.0 / q) * lq_norm ** (1.0 - q)
+def _norm_route(wmp, a: float, q: float, usable: SolveResult | None) -> float | None:
+    """Strong-type bound ``h (1-q)^{-1/q} |u|_q^{1-q}`` from ``u = usable``, or None
+    unless its hypotheses hold: a (super)solution, the weak maximum principle
+    (``h = wmp.constant``) and a finite quasi-symmetry constant ``a``."""
+    if usable is None or not wmp.holds or not np.isfinite(a):
+        return None
+    return wmp.constant * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +351,12 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     ``certified_upper``; ``certificate_gap`` is the gap in ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
     ``ASCENT_TOL * max(1, F)``, ``sampled`` when the ascent stopped at
     ``ASCENT_CAP`` first, and ``heuristic`` when the certificate is
-    infinite.  The reported ``upper`` is the norm-route bound
-    through a computed solution and the weak-maximum-principle constant,
-    infinite when that route is unavailable; ``seed`` drives the sampled
-    search for that constant.  For ``q >= 1`` the constant equals the
-    largest ``L^q(sigma)`` norm of a kernel column, attained at a point
-    mass.
+    infinite.  The reported ``upper`` is the norm-route bound through a
+    computed (super)solution and the weak-maximum-principle constant, whose
+    sampled search ``seed`` drives.  It is infinite unless the weak maximum
+    principle holds and the kernel is quasi-symmetric.  For ``q >= 1`` the
+    constant equals the largest ``L^q(sigma)`` norm of a kernel column,
+    attained at a point mass.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G = kernel.entries
@@ -414,11 +413,13 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         wr = wmp_constant(kernel, budget=budget, seed=seed)
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
-        if wr.holds:
-            use = _usable(*_solve_from(problem, _kappa(cert_upper, lower)))
-            if use is not None and np.isfinite(use.lq_norm):
-                upper = _norm_route_bound(wr.constant, q, use.lq_norm)
-                extras["norm_route_lq"] = use.lq_norm
+        a = check_quasisymmetric(kernel)
+        usable = (_solve_from(problem, _kappa(cert_upper, lower))[2]
+                  if wr.holds and np.isfinite(a) else None)  # no solve where it cannot apply
+        bound = _norm_route(wr, a, q, usable)
+        if bound is not None and np.isfinite(usable.lq_norm):
+            upper = bound
+            extras["norm_route_lq"] = usable.lq_norm
 
     return ConstantEstimate(lower, upper, Measure(kernel.space, best_nu), "concave-max", extras)
 
@@ -926,8 +927,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     sol = usable = None
     if np.isfinite(kappa_cert) and sigma.total > 0:
-        sup, sol = _solve_from(problem, kappa_cert)
-        usable = _usable(sup, sol)
+        sup, sol, usable = _solve_from(problem, kappa_cert)
         rows.append(_row("strong_to_supersolution", sup.status == "supersolution",
                          {"kappa": kappa_cert, "slack": sup.residual,
                           "lq_norm": sup.lq_norm}))
@@ -946,16 +946,14 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("supersolution_to_solution", "no supersolution available"))
 
-    if usable is not None and wmp.holds and np.isfinite(a):
-        bound = _norm_route_bound(wmp.constant, q, usable.lq_norm)
+    bound = _norm_route(wmp, a, q, usable)
+    if bound is not None:
         constants["norm_route_upper"] = bound
         rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "upper": bound}))
-    elif usable is None:
-        rows.append(_na("supersolution_to_strong", "no supersolution available"))
     else:
-        rows.append(_na("supersolution_to_strong",
-                        "needs the weak maximum principle and quasi-symmetry"))
+        rows.append(_na("supersolution_to_strong", "no supersolution available" if usable is None
+                        else "needs the weak maximum principle and quasi-symmetry"))
 
     if sol is not None and sol.status == "solution" and np.isfinite(kappa_cert):
         bound = kappa_cert ** (1.0 / (1.0 - q))
@@ -1065,7 +1063,7 @@ def _local_route_row(problem):
     kap = sub_strong.extras["certified_upper"]
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
-    _, sol = _solve_from(sub_problem, kap)
+    _, sol, _ = _solve_from(sub_problem, kap)
     if sol is None:
         return _na("local_solution_route", "modified supersolution unavailable")
     if sol.status != "solution":

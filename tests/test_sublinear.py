@@ -95,6 +95,16 @@ def test_gagliardo_scalar_oracle():
     assert res.u[0] >= 1.4641 ** 0.5 - 1e-12
 
 
+def test_gagliardo_invalid_kappa_exceeds_the_mass_bound():
+    # below the strong constant 2 the relaxed iterates outgrow mass 1 at step 3
+    prob = swap_problem()
+    kappa = 0.5 * strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+    res = gagliardo_supersolution(prob, kappa)
+    assert (res.status, res.iterations) == ("diverged", 3)
+    assert res.residual == res.lq_norm == np.inf
+    assert np.isfinite(res.u).all()  # the mass check stopped it, not an overflow
+
+
 def test_gagliardo_needs_sublinear_exponent():
     with pytest.raises(DomainError):
         gagliardo_supersolution(point_problem(q=1.0), kappa=1.0)
@@ -401,6 +411,31 @@ def test_theorem_report_not_applicable_rows(entries, weights, reasons):
     for row, reason in zip(rep.rows, reasons):
         expect = "CONFIRMED" if reason is None else "NOT-APPLICABLE"
         assert (row.verdict, row.details.get("reason")) == (expect, reason), row.claim
+
+
+@pytest.mark.parametrize("entries, weights, upper", [
+    # not quasi-symmetric (one zero against a positive transpose), WMP holds;
+    # the norm route, taken without its hypothesis, gave 3.607 and 12.239,
+    # below the exact lower ends 4.041 and 13.997
+    ([[1.6491858468105748e-4, 0.7209993130768659], [0.0, 0.46758314526038175]],
+     [1.1440189415269433, 0.2917917034701423], np.inf),
+    ([[0.8355390835882426, 0.0], [0.6197025224592525, 0.09224603664344565]],
+     [0.3716294173137838, 1.4708856051485464], np.inf),
+    ([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], 73.24218750000912),  # symmetric control
+])
+def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, entries), Measure(s, weights), 0.2)
+    est = strong_type_constant(prob)
+    assert est.upper >= est.lower
+    assert est.upper == pytest.approx(upper, rel=1e-9)
+    assert ("norm_route_lq" in est.extras) == np.isfinite(upper)
+    row = theorem_report(prob).row("supersolution_to_strong")
+    if np.isfinite(upper):
+        assert row.verdict == "CONFIRMED" and row.details["upper"] == est.upper
+    else:
+        assert (row.verdict, row.details["reason"]) == (
+            "NOT-APPLICABLE", "needs the weak maximum principle and quasi-symmetry")
 
 
 def test_theorem_report_metric_kernel_all_confirmed():
