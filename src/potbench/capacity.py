@@ -9,9 +9,10 @@ Three set functions, all with explicit optimizers:
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
   go through an exact Lawson-Hanson active set with KKT verification; small
-  non-PSD instances are solved exactly by support enumeration; anything else
-  takes the best active-set KKT point over every starting point, flagged
-  ``heuristic``.
+  non-PSD instances are solved exactly by enumerating the equilibria of
+  nonsingular supports only, since a singular support's best point is
+  matched on a smaller nonsingular one; anything else takes the best
+  active-set KKT point over every starting point, flagged ``heuristic``.
 
 Infinite kernel values are pre-reduced before any LP is built: an ``+inf``
 coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
@@ -170,6 +171,17 @@ def content(kernel: Kernel, points) -> CapacityResult:
 # ---------------------------------------------------------------------------
 
 
+def _equilibrium(AT):
+    """The solution of ``AT z = 1``, or None when the solve raises or
+    leaves a residual above 1e-9."""
+    ones = np.ones(AT.shape[0])
+    try:
+        z = np.linalg.solve(AT, ones)
+    except np.linalg.LinAlgError:
+        return None
+    return None if np.abs(AT @ z - ones).max() > 1e-9 else z
+
+
 def _kkt_residual(A, lam, thr):
     g = 2.0 * (1.0 - A @ lam)
     active = lam > thr
@@ -199,13 +211,10 @@ def _active_set(A, start):
         P[j] = True
         for _ in range(k):  # each pass but the last drops a point
             T = np.flatnonzero(P)
-            AT, ones = A[np.ix_(T, T)], np.ones(T.size)
-            try:
-                z = np.linalg.solve(AT, ones)
-            except np.linalg.LinAlgError:
-                z = None
+            AT = A[np.ix_(T, T)]
+            z = _equilibrium(AT)
             ray = False
-            if z is None or np.abs(AT @ z - ones).max() > 1e-9:
+            if z is None:
                 # unit diagonal: a singular value cut off is a null direction
                 s = np.diag(AT) ** -0.5
                 S = AT * np.outer(s, s)
@@ -232,43 +241,22 @@ def _active_set(A, start):
     return lam
 
 
-def _family_mass_lp(AT):
-    """On a singular-but-consistent support, maximize total mass over the
-    stationary family (the objective equals the total mass there)."""
-    k = AT.shape[0]
-    problem = LpProblem(
-        objective=np.ones(k),
-        lhs=AT,
-        rhs=np.ones(k),
-        senses=("==",) * k,
-    )
-    sol = solve_lp(problem)
-    if sol.status != "optimal":
-        return None
-    return np.clip(sol.x, 0.0, None)
-
-
 def _enumerate_supports(A):
+    """``(weights, value)`` of the best equilibrium ``A_TT z = 1, z >= 0``
+    over finite supports ``T``, skipping singular ones, which is exact: on
+    ``{A_TT z = 1, z >= 0}`` the objective ``2 z(T) - z'Az`` is ``z(T)``,
+    maximal at a vertex ``v``.  With ``T' = supp v``, the columns of
+    ``A[T, T']`` are independent and ``A_T'T' v = 1``, so a nonsingular
+    ``A_T'T'`` solves to ``v``; a singular one repeats the argument on
+    ``T'``, at no lower value and on a strictly smaller support.
+    """
     k = A.shape[0]
     best_val, best = 0.0, np.zeros(k)
     for m in range(1, 1 << k):
         T = np.flatnonzero((m >> np.arange(k)) & 1)
         AT = A[np.ix_(T, T)]
-        if np.isinf(AT).any():
-            continue
-        ones = np.ones(T.size)
-        try:
-            z = np.linalg.solve(AT, ones)
-        except np.linalg.LinAlgError:
-            z = None
-        if z is None or np.abs(AT @ z - ones).max() > 1e-9:
-            zz, *_ = np.linalg.lstsq(AT, ones, rcond=None)
-            if np.abs(AT @ zz - ones).max() > 1e-9:
-                continue
-            z = _family_mass_lp(AT)
-            if z is None:
-                continue
-        if (z < -1e-10).any():
+        z = _equilibrium(AT) if np.isfinite(AT).all() else None
+        if z is None or (z < -1e-10).any():
             continue
         z = np.clip(z, 0.0, None)
         val = float(2.0 * z.sum() - z @ AT @ z)

@@ -1012,8 +1012,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         weak11, _, modes["weak_1_1"], _ = search.capacity_ratio(1.0)
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
         trio = {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
-                "from_cap1": c_cap1_11,
-                "p_extras": {p: lp_operator_norm(kernel, sigma, p) for p in (1.5, 3.0)}}
+                "from_cap1": c_cap1_11}
         factor = 8.0 * wmp.constant**4
         vals = [weak11, testing, t22]
         finite = [np.isfinite(v) for v in vals]

@@ -253,6 +253,44 @@ def test_wiener_enumeration_matches_qp(seed):
     assert got.value == pytest.approx(best, rel=1e-8, abs=1e-8)
 
 
+def _family_maximum(G):
+    # max z(T) over every consistent stationary family {G_TT z = 1, z >= 0},
+    # singular blocks included; on such a family 2 z(T) - E(z) equals z(T)
+    n = G.shape[0]
+    best = 0.0
+    for mask in range(1, 1 << n):
+        T = [i for i in range(n) if mask >> i & 1]
+        res = linprog(-np.ones(len(T)), A_eq=G[np.ix_(T, T)], b_eq=np.ones(len(T)),
+                      bounds=(0, None), method="highs")
+        if res.status == 0:
+            best = max(best, -res.fun)
+    return best
+
+
+def test_enumeration_on_singular_blocks():
+    # non-PSD kernels with exactly singular blocks, from a repeated row and
+    # column or from small integers: the enumeration, which solves on
+    # nonsingular supports only, reaches the maximum over every family
+    cases = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        if seed % 2:
+            g = np.triu(rng.integers(0, 4, (n, n))).astype(float)
+            g = g + np.triu(g, 1).T
+            np.fill_diagonal(g, np.maximum(np.diag(g), 1.0))
+        else:
+            idx = np.r_[np.arange(n - 1), rng.integers(n - 1)]
+            g = _symmetric_uniform(rng, n - 1).entries[np.ix_(idx, idx)]
+        if np.linalg.eigvalsh(g)[0] >= -1e-10:
+            continue
+        cases += 1
+        res = wiener_cap1(Kernel(Space.of_size(n), g), range(n))
+        assert res.method == "enumeration"
+        assert res.value == pytest.approx(_family_maximum(g), rel=1e-12)
+    assert cases >= 10
+
+
 def test_wiener_psd_one_eigendecomposition(monkeypatch):
     # the PSD test is the one spectrum a PSD call needs; the active set
     # takes no step size
