@@ -241,24 +241,30 @@ def _active_set(A, start):
     return lam
 
 
-def _enumerate_supports(A):
-    """``(weights, value)`` of the best equilibrium ``A_TT z = 1, z >= 0``
-    over finite supports ``T``, skipping singular ones, which is exact: on
-    ``{A_TT z = 1, z >= 0}`` the objective ``2 z(T) - z'Az`` is ``z(T)``,
-    maximal at a vertex ``v``.  With ``T' = supp v``, the columns of
-    ``A[T, T']`` are independent and ``A_T'T' v = 1``, so a nonsingular
-    ``A_T'T'`` solves to ``v``; a singular one repeats the argument on
-    ``T'``, at no lower value and on a strictly smaller support.
-    """
+def _equilibria(A):
+    """``(T, z)`` in bit-mask order for each finite, nonsingular ``A_TT`` whose
+    ``z = A_TT^{-1} 1`` is ``>= -1e-10 max|z|`` (scale-free), clipped at 0."""
     k = A.shape[0]
-    best_val, best = 0.0, np.zeros(k)
     for m in range(1, 1 << k):
         T = np.flatnonzero((m >> np.arange(k)) & 1)
         AT = A[np.ix_(T, T)]
         z = _equilibrium(AT) if np.isfinite(AT).all() else None
-        if z is None or (z < -1e-10).any():
-            continue
-        z = np.clip(z, 0.0, None)
+        if z is not None and (z >= -1e-10 * np.abs(z).max()).all():
+            yield T, np.clip(z, 0.0, None)
+
+
+def _enumerate_supports(A):
+    """``(weights, value)`` of the best equilibrium of :func:`_equilibria`.
+    Skipping singular supports is exact: on ``{A_TT z = 1, z >= 0}`` the
+    objective ``2 z(T) - z'Az`` is ``z(T)``, maximal at a vertex ``v``.  With
+    ``T' = supp v``, the columns of ``A[T, T']`` are independent and
+    ``A_T'T' v = 1``, so a nonsingular ``A_T'T'`` solves to ``v``; a singular
+    one repeats the argument on ``T'``, at no lower value, on a smaller support.
+    """
+    k = A.shape[0]
+    best_val, best = 0.0, np.zeros(k)
+    for T, z in _equilibria(A):
+        AT = A[np.ix_(T, T)]
         val = float(2.0 * z.sum() - z @ AT @ z)
         if val > best_val:
             best_val = val

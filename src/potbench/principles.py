@@ -3,22 +3,28 @@
 The weak constant is the smallest ``h`` such that any potential of a measure
 supported on a set ``S`` that stays ``<= 1`` on ``S`` stays ``<= h``
 everywhere.  The complete constant allows an additive constant on the
-majorant side.  Both reduce to one small linear program per pair ``(S, x)``
-with ``x`` outside ``S``, walked as a stream of supports ``S`` that each
-carry their outside points: every ``S`` with its complement when
-``n * 2**n`` fits the budget, otherwise a seeded stream that always holds
-every singleton support (against every other point) and every
-complement-of-a-point support (against its point).  Sampled constants are
-certified lower bounds, not exact values.
+majorant side.  Both are maxima of one small LP per pair ``(S, x)``, ``x``
+outside ``S``: over every ``S`` when ``n * 2**n`` fits the budget, otherwise
+over a seeded stream (a certified lower bound) that always holds every
+singleton support against every other point and every complement of a point
+against its point.
+
+Exact weak constants solve no LP: an optimal vertex of ``LP(S, x)`` has a
+support ``T`` inside ``S``, ``LP(T, x) >= LP(S, x)`` as fewer rows only raise
+it, and a full-support vertex has the basis ``G_TT``, so ``G_TT z = 1``.  So
+``h`` is the larger of 1 and the best ``G[x, T] z`` over the equilibria
+``z >= 0`` of finite, nonsingular supports (``capacity._equilibria``), or
+``+inf`` exactly when some ``j`` with a finite ``G(j, j)`` has ``x != j``
+with ``G(x, j) > 0`` and ``G(j, j) = 0`` or ``G(x, j) = +inf``.  Sampled
+streams, where equilibria give less, and complete constants keep pair LPs.
 
 One engine, ``_max_over_pairs``, owns the rules both pair programs share,
-and infinite entries never reach the LP solver.  A ``+inf`` coefficient in a
-row over ``S`` forces its variable to zero, so the columns finite on ``S``
-are reduced once per support; a support with none is worth 0 against every
-``x`` and costs no LP.  A ``+inf`` objective coefficient makes the pair
-infinite, witnessed by the point mass at the first one.  Any other pair is
-one feasible LP: unbounded is ``+inf`` with its ray as the witness, and any
-status but optimal is an error.
+and no ``+inf`` reaches the LP solver.  A ``+inf`` coefficient in a row over
+``S`` forces its variable to zero, and a support with no column finite on it
+is worth 0 against every ``x`` and costs no LP.  A ``+inf`` objective
+coefficient makes the pair infinite, witnessed by the point mass at the first
+one.  Any other pair is one feasible LP: unbounded is ``+inf`` with its ray
+as the witness, and any status but optimal is an error.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .capacity import _equilibria
 from .core import (
     DomainError,
     Kernel,
@@ -63,6 +70,8 @@ def _sampled_cap(n: int, budget: int) -> int:
 
 @dataclass(frozen=True)
 class WmpReport:
+    # exact: equilibria, sampled: pair LPs (module docstring); pairs_checked
+    # counts the pairs (S, x) covered, up to the first +inf one of the stream
     constant: float
     holds: bool
     witness: tuple | None  # (support points, evaluation point, Measure)
@@ -167,7 +176,22 @@ def _wmp_problem(G: np.ndarray, S, x: int, fin, cols, block) -> LpProblem:
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
-    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_problem)
+    n, G, d = kernel.size, kernel.entries, np.diag(kernel.entries)
+    hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0)))
+    if n * (1 << n) > budget:
+        mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_problem)
+    elif hot.any():  # the first +inf pair ({j}, x) follows every support below j
+        j, x = (int(i[0]) for i in np.nonzero(hot.T))
+        mode, best, top = "exact", float("inf"), ([j], x, [j], np.ones(1))
+        checked = n * ((1 << j) - 1) - j * (1 << j) // 2 + x + (x < j)
+    else:
+        mode, best, top, checked = "exact", 1.0, None, n * ((1 << (n - 1)) - 1)
+        for T, z in _equilibria(G):
+            v = G[:, T] @ z
+            v[T] = -np.inf
+            x = int(np.argmax(v))
+            if v[x] > best:
+                best, top = float(v[x]), (T, x, T, z)
     witness = None
     if top is not None:
         S, x, cols, w = top

@@ -23,8 +23,10 @@ from potbench import (
     wmp_constant,
 )
 from potbench import principles
-from potbench.principles import _exact_supports
-from conftest import metric_power_kernel, rand_gram_kernel
+from potbench.capacity import _enumerate_supports
+from potbench.principles import _exact_supports, _wmp_problem
+from potbench.simplex import solve_lp
+from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
 
 def two_by_two(t):
@@ -150,6 +152,95 @@ def test_exact_pair_count_and_first_tie():
         # both pairs of [[1, t], [t, 1]] reach the constant; the first one wins
         tie = constant(two_by_two(2.0))
         assert tie.witness[:2] == ((0,), 1)
+
+
+def _fuzzed_kernel(rng, i):
+    """Kernel ``i`` of five kinds, n = 2-6: symmetric, non-symmetric, 25 %
+    zero entries, 15 % +inf entries, and +inf entries only in columns with
+    an infinite diagonal (so the constant can be finite)."""
+    n, kind = 2 + i % 5, i // 5 % 5
+    if kind < 4:
+        return rand_kernel(rng, n, zero_frac=0.25 * (kind == 2), inf_frac=0.15 * (kind == 3),
+                           symmetric=kind == 0)
+    G = rand_kernel(rng, n, zero_frac=0.25).entries.copy()
+    cols = rng.uniform(size=n) < 0.4
+    G[:, cols] = np.where(rng.uniform(size=(n, n)) < 0.25, np.inf, G)[:, cols]
+    G[cols, cols] = np.inf
+    return Kernel(Space.of_size(n), G)
+
+
+def _pair_lp_wmp(G):
+    """The exhaustive pair-LP stream: ``(constant, (S, x, weights), pairs)``
+    at the first pair that beats the floor 1 and every pair before it,
+    stopping at ``+inf``."""
+    n = G.shape[0]
+    best, top, checked = 1.0, None, 0
+    for S, outside in _exact_supports(n):
+        cols = S[np.isfinite(G[np.ix_(S, S)]).all(axis=0)]
+        for x in outside.tolist():
+            checked += 1
+            if not cols.size:
+                continue
+            inf = np.isinf(G[x, cols])
+            if inf.any():
+                value, w = np.inf, np.eye(cols.size)[np.argmax(inf)]
+            else:
+                sol = solve_lp(_wmp_problem(G, S, x, None, cols, G[np.ix_(S, cols)]))
+                value, w = (np.inf, sol.ray) if sol.status == "unbounded" else (sol.value, sol.x)
+            if value > best:
+                weights = np.zeros(n)
+                weights[cols] = np.clip(w, 0.0, None)
+                best, top = value, (tuple(S.tolist()), x, weights)
+                if np.isinf(best):
+                    return best, top, checked
+    return best, top, checked
+
+
+def test_exact_wmp_matches_pair_lps():
+    # the equilibria of supports against the pair LPs they replace: finite
+    # constants within 4 ulp, +inf ones with the same witness and count
+    rng = np.random.default_rng(17)
+    infinite = witnessed = 0
+    for i in range(240):
+        k = _fuzzed_kernel(rng, i)
+        G, n = k.entries, k.size
+        value, top, pairs = _pair_lp_wmp(G)
+        rep = wmp_constant(k)
+        assert rep.mode == "exact"
+        if np.isinf(value):
+            infinite += 1
+            assert rep.constant == np.inf and not rep.holds
+            assert rep.witness[:2] == top[:2]
+            assert rep.witness[2].weights.tolist() == top[2].tolist()
+            assert rep.pairs_checked == pairs
+            continue
+        assert abs(rep.constant - value) <= 4 * np.spacing(value)
+        assert rep.pairs_checked == pairs == n * (2 ** (n - 1) - 1)
+        if rep.witness is not None:  # near-ties may pick another support
+            witnessed += 1
+            S, x, nu = rep.witness
+            pot = G[:, nu.support] @ nu.weights[nu.support]
+            assert (pot[list(S)] <= 1.0 + 1e-12).all()
+            assert pot[x] == pytest.approx(rep.constant, rel=1e-12)
+    assert infinite >= 40 and witnessed >= 100
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-20, 1e20, 1e150])
+def test_exact_wmp_is_scale_free(t):
+    # h(t G) = h(G); the Wiener enumeration scales as 1/t
+    rng = np.random.default_rng(29)
+    for i in range(100):
+        k = _fuzzed_kernel(rng, 10 + i)
+        rep, scaled = wmp_constant(k), wmp_constant(Kernel(k.space, t * k.entries))
+        assert scaled.pairs_checked == rep.pairs_checked
+        if np.isinf(rep.constant):
+            assert scaled.constant == np.inf
+        else:
+            assert abs(scaled.constant - rep.constant) <= 4 * np.spacing(rep.constant)
+        w, v = _enumerate_supports(k.entries)
+        ws, vs = _enumerate_supports(t * k.entries)
+        assert t * vs == pytest.approx(v, rel=2e-15, abs=0.0)
+        assert t * ws == pytest.approx(w, rel=0.0, abs=1e-14 * w.max())
 
 
 def test_complete_dominates_onesided():
