@@ -24,7 +24,11 @@ and no ``+inf`` reaches the LP solver.  A ``+inf`` coefficient in a row over
 is worth 0 against every ``x`` and costs no LP.  A ``+inf`` objective
 coefficient makes the pair infinite, witnessed by the point mass at the first
 one.  Any other pair is one feasible LP: unbounded is ``+inf`` with its ray
-as the witness, and any status but optimal is an error.
+as the witness, and any status but optimal is an error.  Pair LPs wait in
+buckets, one per LP shape, and ``BUCKET`` of them at a time go to
+``solve_lps``; the rest are solved when the stream ends or reaches a ``+inf``
+pair.  As in a pair-by-pair scan, the winner is the first maximum in stream
+order, and the first ``+inf`` pair ends the stream and sets ``pairs_checked``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .core import (
     _ratio_max,
     _weighted_terms,
 )
-from .simplex import LpProblem, solve_lp
+from .simplex import LpProblem, solve_lps
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -58,6 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 14 * 2**14
+# pair LPs of one shape per solve_lps call: larger buckets hold more
+# tableaux at once (peak memory), smaller ones pay more per-call overhead
+BUCKET = 64
 PTOLEMY_LIMIT = 30
 
 
@@ -120,47 +127,91 @@ def _sampled_supports(n: int, budget: int, seed: int):
         yield np.flatnonzero(bits), points[x:x + 1]
 
 
-def _max_over_pairs(kernel: Kernel, budget: int, seed: int, build):
-    """First pair ``(S, x)`` whose value beats the floor 1 and every pair before
-    it, stopping at ``+inf``.  ``build(G, S, x, fin, cols, block)`` gets the
-    support's mask ``fin`` of columns finite on ``S``, the points ``cols`` of
-    ``S`` among them and ``block = G[S, cols]``, and returns a feasible
-    ``LpProblem`` whose first ``cols.size`` variables are the measure on
-    ``cols`` valued at ``x``.  Returns the mode, the best value, the winning
-    ``(S, x, cols, vector)`` (the LP's optimum or ray, or the point mass of a
-    ``+inf`` objective) or None, and the number of pairs checked."""
-    n, G = kernel.size, kernel.entries
+def _supports(n: int, budget: int, seed: int):
+    """The mode and its support stream: every ``S`` when ``n * 2**n`` fits the
+    budget, else the seeded sample."""
     if n * (1 << n) <= budget:
-        mode, supports = "exact", _exact_supports(n)
-    else:
-        mode, supports = "sampled", _sampled_supports(n, budget, seed)
+        return "exact", _exact_supports(n)
+    return "sampled", _sampled_supports(n, budget, seed)
+
+
+def _rank(entry):
+    """Sort key of ``(value, place, top)``: the largest value, then the earliest place."""
+    return -entry[0], entry[1]
+
+
+def _solve_pairs(G: np.ndarray, pairs, build) -> list:
+    """``(value, place, (S, x, cols, vector))`` of the queued pairs
+    ``(place, S, x)``, whose LPs have one shape, from one :func:`solve_lps`
+    call."""
     finite = np.isfinite(G)
-    best, top, checked = 1.0, None, 0
+    tops, problems = [], []
+    for place, S, x in pairs:
+        fin = finite[S].all(axis=0)
+        cols = S[fin[S]]
+        tops.append((place, S, x, cols))
+        problems.append(build(G, S, x, fin & finite[x], cols, G[np.ix_(S, cols)]))
+    found = []
+    for (place, S, x, cols), sol in zip(tops, solve_lps(problems)):
+        if sol.status == "unbounded":
+            value, vector = float("inf"), sol.ray
+        elif sol.status != "optimal":
+            raise RuntimeError(f"pair LP reported {sol.status}")
+        else:
+            value, vector = float(sol.value), sol.x
+        found.append((value, place, (S, x, cols, vector)))
+    return found
+
+
+def _max_over_pairs(kernel: Kernel, supports, build):
+    """First pair ``(S, x)`` of the stream whose value beats the floor 1 and
+    every pair before it, stopping at ``+inf``.  ``build(G, S, x, nu, cols,
+    block)`` gets the points ``cols`` of ``S`` whose columns are finite on
+    ``S``, the mask ``nu`` of columns finite on ``S`` and at ``x`` and
+    ``block = G[S, cols]``, and returns a feasible ``LpProblem`` whose first
+    ``cols.size`` variables are the measure on ``cols`` valued at ``x``.
+
+    Pair LPs wait in buckets of one LP shape (``|S|``, ``|cols|``, ``|nu|``)
+    and a full bucket goes to :func:`solve_lps`; what is left is solved at
+    the end of the stream, or before the first known ``+inf`` pair.  A pair's
+    place in the stream is its running count, so the winner, the largest
+    value at its earliest place, is the one a pair-by-pair scan keeps.
+    Returns the best value, the winning ``(S, x, cols, vector)`` (the LP's
+    optimum or ray, or the point mass of a ``+inf`` objective) or None, and
+    the number of pairs checked."""
+    G = kernel.entries
+    finite = np.isfinite(G)
+    best, buckets, checked = (1.0, 0, None), {}, 0
     for S, outside in supports:
         fin = finite[S].all(axis=0)
         cols = S[fin[S]]
         if not cols.size:  # no measure on S: the value is 0 at every x
             checked += outside.size
             continue
-        block = G[np.ix_(S, cols)]
         for x in outside.tolist():
             checked += 1
             inf = np.isinf(G[x, cols])
             if inf.any():
-                value, vector = float("inf"), np.eye(cols.size)[np.argmax(inf)]
+                found = [(float("inf"), checked, (S, x, cols, np.eye(cols.size)[np.argmax(inf)]))]
             else:
-                sol = solve_lp(build(G, S, x, fin, cols, block))
-                if sol.status == "unbounded":
-                    value, vector = float("inf"), sol.ray
-                elif sol.status != "optimal":
-                    raise RuntimeError(f"pair LP reported {sol.status}")
-                else:
-                    value, vector = float(sol.value), sol.x
-            if value > best:
-                best, top = value, (S, x, cols, vector)
-                if np.isinf(best):
-                    return mode, best, top, checked
-    return mode, best, top, checked
+                key = (S.size, cols.size, int(np.count_nonzero(fin & finite[x])))
+                bucket = buckets.setdefault(key, [])
+                bucket.append((checked, S, x))
+                if len(bucket) < BUCKET:
+                    continue
+                found = _solve_pairs(G, buckets.pop(key), build)
+            best = min([best, *found], key=_rank)
+            if np.isinf(best[0]):
+                break
+        if np.isinf(best[0]):
+            break
+    for pairs in buckets.values():
+        if np.isinf(best[0]):  # only earlier pairs can still win
+            pairs = [pair for pair in pairs if pair[0] < best[1]]
+        best = min([best, *_solve_pairs(G, pairs, build)], key=_rank)
+    if np.isinf(best[0]):
+        checked = best[1]
+    return best[0], best[2], checked
 
 
 def _measure_on(kernel: Kernel, cols, w) -> Measure:
@@ -169,7 +220,7 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
     return Measure(kernel.space, weights)
 
 
-def _wmp_problem(G: np.ndarray, S, x: int, fin, cols, block) -> LpProblem:
+def _wmp_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
     """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S."""
     return LpProblem(G[x, cols], block, np.ones(len(S)), ("<=",) * len(S))
 
@@ -178,14 +229,15 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
     n, G, d = kernel.size, kernel.entries, np.diag(kernel.entries)
     hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0)))
-    if n * (1 << n) > budget:
-        mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _wmp_problem)
+    mode, supports = _supports(n, budget, seed)
+    if mode == "sampled":
+        best, top, checked = _max_over_pairs(kernel, supports, _wmp_problem)
     elif hot.any():  # the first +inf pair ({j}, x) follows every support below j
         j, x = (int(i[0]) for i in np.nonzero(hot.T))
-        mode, best, top = "exact", float("inf"), ([j], x, [j], np.ones(1))
+        best, top = float("inf"), ([j], x, [j], np.ones(1))
         checked = n * ((1 << j) - 1) - j * (1 << j) // 2 + x + (x < j)
     else:
-        mode, best, top, checked = "exact", 1.0, None, n * ((1 << (n - 1)) - 1)
+        best, top, checked = 1.0, None, n * ((1 << (n - 1)) - 1)
         for T, z in _equilibria(G):
             v = G[:, T] @ z
             v[T] = -np.inf
@@ -200,10 +252,9 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
-def _complete_problem(G: np.ndarray, S, x: int, fin, cols, block) -> LpProblem:
+def _complete_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
     """max G mu (x) over ``(mu, nu, c)``, mu on ``cols`` and nu on the columns
-    finite on S and at x, with G mu <= G nu + c on S and G nu (x) + c = 1."""
-    nu = fin & np.isfinite(G[x])
+    ``nu``, with G mu <= G nu + c on S and G nu (x) + c = 1."""
     k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
     lhs = np.zeros((m + 1, k + r + 1))
     lhs[:m, :k] = block
@@ -228,7 +279,8 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
     finite where it carries mass) and from ``nu`` (kept conservative so the
     reported constant stays a valid lower bound).
     """
-    mode, best, top, checked = _max_over_pairs(kernel, budget, seed, _complete_problem)
+    mode, supports = _supports(kernel.size, budget, seed)
+    best, top, checked = _max_over_pairs(kernel, supports, _complete_problem)
     witness = None
     if top is not None:
         S, x, cols, v = top

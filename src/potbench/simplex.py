@@ -18,6 +18,15 @@ order.  Row ``i`` starts basic in ``identity[i]``, the column that holds
 the final tableau hold ``B^{-1}``, so the optimal duals, the Farkas vector of
 an infeasible problem and (through ``basis``) the primal point and the ray
 are each one indexing expression.
+
+:func:`solve_lps` solves many problems of one shape and one senses tuple at
+once.  Their tableaux stack into one ``(B, m+1, w)`` array, and Bland's rule
+runs in lockstep over the problems still active.  Every pivot is the same
+elementwise arithmetic as :func:`solve_lp`'s, and the once-per-problem
+reductions (the phase-2 objective row, the duals, the value) run per problem
+in the same 1-D form, so each problem gets ``solve_lp``'s solution bit for
+bit.  The tableau builder and the certificate readout are shared; only the
+phase loop and the pivot exist in both forms.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LpProblem", "LpSolution", "SimplexStallError", "solve_lp"]
+__all__ = ["LpProblem", "LpSolution", "SimplexStallError", "solve_lp", "solve_lps"]
 
 _LE, _EQ, _GE = "<=", "==", ">="
 TOL = 1e-9
@@ -78,6 +87,85 @@ class LpSolution:
     iterations: int
 
 
+def _tableau(A, b, senses):
+    """Starting tableaux of ``A x (senses) b``, batched over the leading axes
+    of ``A`` and ``b``: ``(T, basis, identity, is_artificial)``.  With
+    artificial rows, ``T``'s last row holds the phase-1 objective, maximize
+    ``-sum(artificials)``."""
+    m, n = A.shape[-2:]
+    slack_rows = [i for i, s in enumerate(senses) if s != _EQ]
+    art_rows = [i for i, s in enumerate(senses) if s != _LE]
+    n_real = n + len(slack_rows)
+    ncols = n_real + len(art_rows)
+    slack_cols = np.arange(n, n_real)
+    identity = np.empty(m, dtype=int)
+    identity[slack_rows] = slack_cols
+    identity[art_rows] = np.arange(n_real, ncols)
+    is_artificial = np.arange(ncols) >= n_real
+
+    T = np.zeros(A.shape[:-2] + (m + 1, ncols + 1))
+    T[..., :m, :n] = A
+    T[..., :m, -1] = b
+    T[..., slack_rows, slack_cols] = -1.0  # the surplus sign; a <= row's slack is its +e_i
+    T[..., np.arange(m), identity] = 1.0
+    if art_rows:
+        T[..., -1, :-1] = -np.where(is_artificial, -1.0, 0.0)
+        for i in art_rows:
+            T[..., -1, :] -= T[..., i, :]  # z_j - c_j needs c_B B^-1 A; artificial cost -1
+    basis = np.broadcast_to(identity, A.shape[:-2] + (m,)).copy()
+    return T, basis, identity, is_artificial
+
+
+def _infeasible(T, b):
+    """Phase 1 ended short of zero: no feasible point."""
+    return T[..., -1, -1] < -TOL * np.maximum(1.0, np.abs(b).max(axis=-1))
+
+
+def _drive_out(T, basis, is_artificial) -> int:
+    """Pivot basic artificials out where a real pivot exists; returns the pivots."""
+    pivots = 0
+    for i in np.flatnonzero(is_artificial[basis]).tolist():
+        real = np.flatnonzero(~is_artificial & (np.abs(T[i, :-1]) > TOL))
+        if real.size:
+            _pivot(T, basis, i, int(real[0]))
+            pivots += 1
+    return pivots
+
+
+def _phase2_row(T, basis, c):
+    """Phase 2 objective row ``z_j - c_j``; returns the full cost vector."""
+    m, n = basis.size, c.size
+    c_full = np.zeros(T.shape[1] - 1)
+    c_full[:n] = c
+    cb = c_full[basis]
+    T[-1, :-1] = cb @ T[:m, :-1] - c_full
+    T[-1, -1] = cb @ T[:m, -1]
+    return c_full
+
+
+def _readout(T, basis, identity, is_artificial, c, c_full, entering, iterations):
+    """The solution of a final tableau: a Farkas vector when ``c_full`` is
+    None (phase 1 failed), the ray of column ``entering`` when it is not
+    None, and otherwise the optimum with its duals."""
+    m, n = basis.size, c.size
+    if c_full is None:
+        farkas = np.where(is_artificial, -1.0, 0.0)[basis] @ T[:m, identity]
+        return LpSolution("infeasible", None, None, None, farkas, iterations)
+    if entering is not None:
+        ray_full = np.zeros(c_full.size)
+        ray_full[entering] = 1.0
+        ray_full[basis] = -T[:m, entering]
+        ray = ray_full[:n]
+        ray[np.abs(ray) < TOL] = 0.0
+        return LpSolution("unbounded", None, None, None, ray, iterations)
+    x = np.zeros(c_full.size)
+    x[basis] = T[:m, -1]
+    primal = x[:n]
+    primal[primal < 0] = 0.0
+    duals = c_full[basis] @ T[:m, identity]
+    return LpSolution("optimal", float(c @ primal), primal, duals, None, iterations)
+
+
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     factors = T[:, col].copy()
@@ -120,66 +208,97 @@ def _run_phase(T, basis, allowed, m, start_iter):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    c, A, b, senses = problem.objective, problem.lhs, problem.rhs, problem.senses
-    m, n = A.shape
-    slack_rows = [i for i, s in enumerate(senses) if s != _EQ]
-    art_rows = [i for i, s in enumerate(senses) if s != _LE]
-    n_real = n + len(slack_rows)
-    ncols = n_real + len(art_rows)
-    slack_cols = np.arange(n, n_real)
-    identity = np.empty(m, dtype=int)
-    identity[slack_rows] = slack_cols
-    identity[art_rows] = np.arange(n_real, ncols)
-    is_artificial = np.arange(ncols) >= n_real
-
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    T[slack_rows, slack_cols] = -1.0  # the surplus sign; a <= row's slack is its +e_i
-    T[np.arange(m), identity] = 1.0
-    basis = identity.copy()
-
+    # A single LP keeps this scalar loop: a batch of one through solve_lps'
+    # lockstep loop takes about twice as long on cap0-sized LPs (n = 20), and
+    # cap0 and content solve their LPs one at a time.
+    c, b = problem.objective, problem.rhs
+    T, basis, identity, is_artificial = _tableau(problem.lhs, b, problem.senses)
+    m = b.size
     iterations = 0
-    if art_rows:
-        # phase 1: maximize -sum(artificials)
-        c1 = np.where(is_artificial, -1.0, 0.0)
-        T[-1, :-1] = -c1
-        for i in art_rows:
-            T[-1] -= T[i]  # z_j - c_j needs c_B B^-1 A; artificial cost -1
-        status, iterations, _ = _run_phase(T, basis, np.ones(ncols, dtype=bool), m, iterations)
+    if is_artificial.any():
+        status, iterations, _ = _run_phase(T, basis, np.ones(is_artificial.size, dtype=bool),
+                                           m, iterations)
         if status != "optimal":  # cannot happen: phase-1 objective is bounded
             raise SimplexStallError("phase 1 reported unbounded")
-        if T[-1, -1] < -TOL * max(1.0, abs(b).max()):
-            # infeasible; Farkas certificate from the phase-1 duals
-            farkas = c1[basis] @ T[:m, identity]
-            return LpSolution("infeasible", None, None, None, farkas, iterations)
-        # drive basic artificials out where a real pivot exists
-        for i in range(m):
-            if is_artificial[basis[i]]:
-                real = np.flatnonzero(~is_artificial & (np.abs(T[i, :-1]) > TOL))
-                if real.size:
-                    _pivot(T, basis, i, int(real[0]))
-                    iterations += 1
+        if _infeasible(T, b):
+            return _readout(T, basis, identity, is_artificial, c, None, None, iterations)
+        iterations += _drive_out(T, basis, is_artificial)
+    c_full = _phase2_row(T, basis, c)
+    _, iterations, entering = _run_phase(T, basis, ~is_artificial, m, iterations)
+    return _readout(T, basis, identity, is_artificial, c, c_full, entering, iterations)
 
-    # phase 2 objective row: z_j - c_j with artificial columns banned
-    c_full = np.zeros(ncols)
-    c_full[:n] = c
-    cb = c_full[basis]
-    T[-1, :-1] = cb @ T[:m, :-1] - c_full
-    T[-1, -1] = cb @ T[:m, -1]
-    status, iterations, entering = _run_phase(T, basis, ~is_artificial, m, iterations)
 
-    if status == "unbounded":
-        ray_full = np.zeros(ncols)
-        ray_full[entering] = 1.0
-        ray_full[basis] = -T[:m, entering]
-        ray = ray_full[:n]
-        ray[np.abs(ray) < TOL] = 0.0
-        return LpSolution("unbounded", None, None, None, ray, iterations)
+def _pivot_lps(T, basis, row, col):
+    """:func:`_pivot` on ``T[k]`` at ``(row[k], col[k])`` for every ``k``,
+    with the same elementwise arithmetic."""
+    k = np.arange(row.size)
+    T[k, row] /= T[k, row, col][:, None]
+    factors = T[k, :, col]
+    factors[k, row] = 0.0
+    T -= factors[:, :, None] * T[k, row][:, None, :]
+    T[k, :, col] = 0.0
+    T[k, row, col] = 1.0
+    basis[k, row] = col
 
-    x = np.zeros(ncols)
-    x[basis] = T[:m, -1]
-    primal = x[:n]
-    primal[primal < 0] = 0.0
-    duals = c_full[basis] @ T[:m, identity]
-    return LpSolution("optimal", float(c @ primal), primal, duals, None, iterations)
+
+def _run_phases(T, basis, allowed, m, iterations, live):
+    """:func:`_run_phase` in lockstep on the tableaux ``T[live]``: every step
+    takes each one's Bland pivot and drops those that are done.  Counts
+    ``iterations`` per LP and returns each LP's entering column with no
+    leaving row, or -1 where it ended optimal."""
+    entering = np.full(T.shape[0], -1)
+    W, Wb = (T, basis) if live.size == T.shape[0] else (T[live], basis[live])
+    while live.size:
+        if (iterations[live] >= MAX_PIVOTS).any():
+            raise SimplexStallError(f"simplex exceeded {MAX_PIVOTS} pivots")
+        improving = allowed & (W[:, -1, :-1] < -TOL)
+        col = improving.argmax(axis=1)
+        colvals = W[np.arange(live.size), :m, col]
+        rows = colvals > TOL
+        ratios = np.divide(W[:, :m, -1], colvals, out=np.full(colvals.shape, np.inf),
+                           where=rows)
+        best = ratios.min(axis=1)
+        tied = rows & (ratios <= (best + TOL * np.maximum(1.0, np.abs(best)))[:, None])
+        row = np.where(tied, Wb, T.shape[2]).argmin(axis=1)
+        optimal = ~improving.any(axis=1)
+        unbounded = ~optimal & ~rows.any(axis=1)
+        done = optimal | unbounded
+        if done.any():
+            entering[live[unbounded]] = col[unbounded]
+            T[live[done]], basis[live[done]] = W[done], Wb[done]
+            go = ~done
+            live, W, Wb, row, col = live[go], W[go], Wb[go], row[go], col[go]
+        _pivot_lps(W, Wb, row, col)
+        iterations[live] += 1
+    return entering
+
+
+def solve_lps(problems) -> list:
+    """:func:`solve_lp` on problems of one shape and one senses tuple, all at
+    once: one ``(B, m+1, w)`` tableau runs Bland's rule in lockstep over the
+    LPs still active, so each LP gets the solution ``solve_lp`` returns for
+    it, bit for bit."""
+    if not problems:
+        return []
+    first = problems[0]
+    if any(p.lhs.shape != first.lhs.shape or p.senses != first.senses for p in problems):
+        raise ValueError("solve_lps needs problems of one shape and one senses tuple")
+    b = np.stack([p.rhs for p in problems])
+    T, basis, identity, is_artificial = _tableau(np.stack([p.lhs for p in problems]), b,
+                                                 first.senses)
+    m = b.shape[1]
+    iterations = np.zeros(len(problems), dtype=int)
+    feasible = np.ones(len(problems), dtype=bool)
+    if is_artificial.any():
+        everything = np.ones(is_artificial.size, dtype=bool)
+        if (_run_phases(T, basis, everything, m, iterations, np.arange(len(problems))) >= 0).any():
+            raise SimplexStallError("phase 1 reported unbounded")  # cannot happen
+        feasible = ~_infeasible(T, b)
+        for k in np.flatnonzero(feasible).tolist():
+            iterations[k] += _drive_out(T[k], basis[k], is_artificial)
+    c_full = [_phase2_row(T[k], basis[k], p.objective) if feasible[k] else None
+              for k, p in enumerate(problems)]
+    entering = _run_phases(T, basis, ~is_artificial, m, iterations, np.flatnonzero(feasible))
+    return [_readout(T[k], basis[k], identity, is_artificial, p.objective, c_full[k],
+                     None if entering[k] < 0 else int(entering[k]), int(iterations[k]))
+            for k, p in enumerate(problems)]

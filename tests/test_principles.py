@@ -8,6 +8,8 @@ the complete comparison the best reply measure sits at point 1, giving
 is ``t^2``.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from potbench import (
 )
 from potbench import principles
 from potbench.capacity import _enumerate_supports
-from potbench.principles import _exact_supports, _wmp_problem
+from potbench.principles import _complete_problem, _exact_supports, _wmp_problem
 from potbench.simplex import solve_lp
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
@@ -91,11 +93,13 @@ def test_complete_mp_infinite_witnesses():
 
 def test_no_column_supports_cost_no_lp(monkeypatch):
     # the Riesz diagonal is +inf, so no column is finite on its own support:
-    # every pair is worth 0, is counted, and solves no LP
+    # every pair is worth 0, is counted, and solves no LP; pair LPs are
+    # solved only through solve_lps, so the LPs handed to it are all of them
     kernel = build_sampled(SampledKernelSpec("riesz", 6, alpha=1.5, n_dim=2))
     calls = []
-    solve = principles.solve_lp
-    monkeypatch.setattr(principles, "solve_lp", lambda p: calls.append(p) or solve(p))
+    solve = principles.solve_lps
+    assert not hasattr(principles, "solve_lp")
+    monkeypatch.setattr(principles, "solve_lps", lambda ps: calls.extend(ps) or solve(ps))
     for constant in (wmp_constant, complete_mp_constant):
         rep = constant(kernel)
         assert rep.mode == "exact"
@@ -169,30 +173,46 @@ def _fuzzed_kernel(rng, i):
     return Kernel(Space.of_size(n), G)
 
 
-def _pair_lp_wmp(G):
-    """The exhaustive pair-LP stream: ``(constant, (S, x, weights), pairs)``
-    at the first pair that beats the floor 1 and every pair before it,
-    stopping at ``+inf``."""
-    n = G.shape[0]
-    best, top, checked = 1.0, None, 0
-    for S, outside in _exact_supports(n):
-        cols = S[np.isfinite(G[np.ix_(S, S)]).all(axis=0)]
+def _pair_scan(G, supports, build):
+    """The pair-by-pair scan with ``solve_lp``: ``(value, (S, x, cols,
+    vector), pairs, waiting)`` at the first pair that beats the floor 1 and
+    every pair before it, stopping at ``+inf``; ``waiting`` counts the pair
+    LPs before it by shape."""
+    best, top, checked, waiting = 1.0, None, 0, Counter()
+    for S, outside in supports:
+        fin = np.isfinite(G[S]).all(axis=0)
+        cols = S[fin[S]]
         for x in outside.tolist():
             checked += 1
             if not cols.size:
                 continue
             inf = np.isinf(G[x, cols])
             if inf.any():
-                value, w = np.inf, np.eye(cols.size)[np.argmax(inf)]
+                value, vector = np.inf, np.eye(cols.size)[np.argmax(inf)]
             else:
-                sol = solve_lp(_wmp_problem(G, S, x, None, cols, G[np.ix_(S, cols)]))
-                value, w = (np.inf, sol.ray) if sol.status == "unbounded" else (sol.value, sol.x)
+                problem = build(G, S, x, fin & np.isfinite(G[x]), cols, G[np.ix_(S, cols)])
+                waiting[problem.lhs.shape] += 1
+                sol = solve_lp(problem)
+                unbounded = sol.status == "unbounded"
+                value, vector = (np.inf, sol.ray) if unbounded else (sol.value, sol.x)
             if value > best:
-                weights = np.zeros(n)
-                weights[cols] = np.clip(w, 0.0, None)
-                best, top = value, (tuple(S.tolist()), x, weights)
+                best, top = value, (S, x, cols, vector)
                 if np.isinf(best):
-                    return best, top, checked
+                    return best, top, checked, waiting
+    return best, top, checked, waiting
+
+
+def _pair_lp_wmp(G):
+    """The exhaustive pair-LP stream: ``(constant, (S, x, weights), pairs)``
+    at the first pair that beats the floor 1 and every pair before it,
+    stopping at ``+inf``."""
+    n = G.shape[0]
+    best, top, checked, _ = _pair_scan(G, _exact_supports(n), _wmp_problem)
+    if top is not None:
+        S, x, cols, w = top
+        weights = np.zeros(n)
+        weights[cols] = np.clip(w, 0.0, None)
+        top = (tuple(S.tolist()), x, weights)
     return best, top, checked
 
 
@@ -223,6 +243,82 @@ def test_exact_wmp_matches_pair_lps():
             assert (pot[list(S)] <= 1.0 + 1e-12).all()
             assert pot[x] == pytest.approx(rep.constant, rel=1e-12)
     assert infinite >= 40 and witnessed >= 100
+
+
+def _engine_kernel(rng, i):
+    """Kernel ``i`` of four kinds, n = 3-9: symmetric, 10 % zero entries,
+    5 % zero and 5 % +inf entries, and +inf entries only in columns with an
+    infinite diagonal."""
+    n, kind = 3 + i % 7, i // 7 % 4
+    k = rand_kernel(rng, n, zero_frac=(0.0, 0.1, 0.05, 0.1)[kind],
+                    inf_frac=0.05 * (kind == 2), symmetric=kind == 0)
+    if kind < 3:
+        return k
+    G = k.entries.copy()
+    cols = rng.uniform(size=n) < 0.4
+    G[:, cols] = np.where(rng.uniform(size=(n, n)) < 0.1, np.inf, G)[:, cols]
+    G[cols, cols] = np.inf
+    return Kernel(k.space, G)
+
+
+def _assert_engine_matches_scan(k, supports, build):
+    """``_max_over_pairs`` against ``_pair_scan`` on two copies of one
+    support stream: value, witness and count bit-equal.  Returns the scan."""
+    value, top, pairs, waiting = _pair_scan(k.entries, supports(), build)
+    got, got_top, got_pairs = principles._max_over_pairs(k, supports(), build)
+    assert (got, got_pairs) == (value, pairs)
+    if top is None:
+        assert got_top is None
+    else:
+        assert [np.asarray(a).tolist() for a in got_top[:3]] == \
+            [np.asarray(a).tolist() for a in top[:3]]
+        assert got_top[3].tobytes() == top[3].tobytes()
+    return value, top, pairs, waiting
+
+
+def test_pair_engine_matches_pair_scan():
+    # the bucketed engine with solve_lps against the pair-by-pair scan with
+    # solve_lp, for both constants' pair LPs on exact and sampled streams
+    rng = np.random.default_rng(41)
+    infinite = rays = witnessed = 0
+    for i in range(28):
+        k = _engine_kernel(rng, i)
+        n = k.size
+        budget = min(n * 2 ** n - 1, 4 * n * n)
+        streams = [lambda: principles._sampled_supports(n, budget, i)]
+        if n <= 7:
+            streams.append(lambda: _exact_supports(n))
+        for supports in streams:
+            for build in (_wmp_problem, _complete_problem):
+                value, top, _, _ = _assert_engine_matches_scan(k, supports, build)
+                infinite += bool(np.isinf(value))
+                witnessed += top is not None and bool(np.isfinite(value))
+                rays += bool(np.isinf(value)) and top[3].size > top[2].size  # complete-MP rays
+    assert infinite >= 50 and rays >= 25 and witnessed >= 25
+
+
+def test_pair_engine_late_inf_with_part_filled_buckets(monkeypatch):
+    # one +inf entry G[0, 8] makes ({8}, 0) the first +inf pair of the exact
+    # stream on 9 points, after every support of points 0-7: full buckets
+    # were solved before it, and the part-filled ones are solved after the
+    # stream stops.  A zero diagonal at 8 makes the same pair an unbounded
+    # LP instead, which its part-filled bucket holds until the stream ends
+    G = metric_power_kernel(np.random.default_rng(6), 9).entries.copy()
+    batches = []
+    solve = principles.solve_lps
+    monkeypatch.setattr(principles, "solve_lps", lambda ps: batches.append(len(ps)) or solve(ps))
+    inf_entry, zero_diagonal = G.copy(), G.copy()
+    inf_entry[0, 8] = np.inf
+    zero_diagonal[8, 8] = 0.0
+    for entries, build in ((inf_entry, _wmp_problem), (inf_entry, _complete_problem),
+                           (zero_diagonal, _wmp_problem)):
+        batches.clear()
+        value, top, pairs, waiting = _assert_engine_matches_scan(
+            Kernel(Space.of_size(9), entries), lambda: _exact_supports(9), build)
+        assert value == np.inf and (top[0].tolist(), top[1]) == ([8], 0)
+        assert max(waiting.values()) >= principles.BUCKET
+        assert principles.BUCKET in batches
+        assert sum(0 < b < principles.BUCKET for b in batches) >= 2
 
 
 @pytest.mark.parametrize("t", [1e-150, 1e-20, 1e20, 1e150])

@@ -782,7 +782,7 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
         raise AssertionError("an LP ran before the budget was checked")
 
     monkeypatch.setattr("potbench.capacity.solve_lp", no_lp)
-    monkeypatch.setattr("potbench.principles.solve_lp", no_lp)
+    monkeypatch.setattr("potbench.principles.solve_lps", no_lp)
     prob = _metric_problem_8()
     for budget in (0, -3):
         with pytest.raises(DomainError, match="budget"):
