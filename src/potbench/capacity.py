@@ -30,7 +30,9 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
-    _weighted_terms,
+    _bits,
+    _energy,
+    _potential,
     adjoint_potential,
     potential,
 )
@@ -191,8 +193,7 @@ def _kkt_residual(A, lam, thr):
 
 def _objective(A, lam):
     """``2 lam(K) - lam' A lam`` under ``0 * inf = 0``."""
-    pot = _weighted_terms(A, lam).sum(axis=1)
-    return float(2.0 * lam.sum() - _weighted_terms(pot, lam).sum())
+    return float(2.0 * lam.sum() - _energy(A, lam))
 
 
 def _active_set(A, start):
@@ -233,7 +234,7 @@ def _active_set(A, start):
             lam[T] = np.clip(lam[T] + t * d, 0.0, None)
             lam[T[neg[steps == t]]] = 0.0
             P &= lam > 0
-        w = 1.0 - _weighted_terms(A, lam).sum(axis=1)
+        w = 1.0 - _potential(A, lam)
         w[P] = -np.inf
         j = int(np.argmax(w))
         if not w[j] > 1e-9:
@@ -246,7 +247,7 @@ def _equilibria(A):
     ``z = A_TT^{-1} 1`` is ``>= -1e-10 max|z|`` (scale-free), clipped at 0."""
     k = A.shape[0]
     for m in range(1, 1 << k):
-        T = np.flatnonzero((m >> np.arange(k)) & 1)
+        T = np.flatnonzero(_bits(m, k))
         AT = A[np.ix_(T, T)]
         z = _equilibrium(AT) if np.isfinite(AT).all() else None
         if z is not None and (z >= -1e-10 * np.abs(z).max()).all():

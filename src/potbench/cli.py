@@ -170,9 +170,7 @@ def _problem(inst: _Instance, params: dict) -> SublinearProblem:
     q = params.get("q", inst.q)
     if q is None:
         raise DomainError("this task needs q (top-level or in params)")
-    if inst.sigma is None:
-        raise DomainError("this task needs sigma")
-    return SublinearProblem(inst.kernel, inst.sigma, float(q))
+    return SublinearProblem(inst.kernel, _need_sigma(inst), float(q))
 
 
 def _need_sigma(inst: _Instance) -> Measure:

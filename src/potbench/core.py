@@ -16,7 +16,8 @@ so the extended-real rules are pinned here once, each with its helper:
 
 Objects are immutable after construction: the wrapped arrays are marked
 read-only, so all operations below are pure functions and safe to share
-between computations.
+between computations.  The sums run in ``_potential`` and ``_energy``, on raw
+arrays: the public functions validate at the boundary, inner loops call them.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ class SpaceMismatchError(ValueError):
     """Two operands were built over different spaces."""
 
 
-def _clean_vector(values, n, name, allow_inf=False):
+def _clean_array(values, shape, name, allow_inf=False):
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise SpaceMismatchError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.shape != shape:
+        raise SpaceMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
     if np.isnan(arr).any():
         raise DomainError(f"{name} contains nan")
     if (arr < 0).any():
@@ -122,8 +123,7 @@ class Measure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _clean_vector(self.weights, self.space.size, "measure weights")
-        w = w.copy()
+        w = _clean_array(self.weights, (self.space.size,), "measure weights").copy()
         w.flags.writeable = False
         self.weights = w
 
@@ -148,9 +148,7 @@ class Measure:
     def mass(self, indices) -> float:
         """Total weight of a subset, given as indices or a boolean mask."""
         arr = np.asarray(indices)
-        if arr.dtype == bool:
-            return float(self.weights[arr].sum())
-        return float(self.weights[arr.astype(int)].sum())
+        return float(self.weights[arr if arr.dtype == bool else arr.astype(int)].sum())
 
     def restrict(self, indices) -> "Measure":
         """Zero out every weight outside the given index set."""
@@ -176,15 +174,7 @@ class Kernel:
     entries: np.ndarray
 
     def __post_init__(self):
-        n = self.space.size
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (n, n):
-            raise SpaceMismatchError(f"kernel must have shape ({n}, {n}), got {arr.shape}")
-        if np.isnan(arr).any():
-            raise DomainError("kernel contains nan")
-        if (arr < 0).any():
-            raise DomainError("kernel contains negative entries")
-        arr = arr.copy()
+        arr = _clean_array(self.entries, (self.size,) * 2, "kernel", allow_inf=True).copy()
         arr.flags.writeable = False
         self.entries = arr
 
@@ -197,9 +187,8 @@ class Kernel:
         return bool(np.array_equal(self.entries, self.entries.T))
 
     def restrict(self, indices) -> "Kernel":
-        indices = np.asarray(indices, dtype=int)
-        sub = self.entries[np.ix_(indices, indices)].copy()
-        return Kernel(self.space.subspace(indices), sub)
+        indices = np.asarray(indices, dtype=int)  # fancy indexing copies; so does Kernel
+        return Kernel(self.space.subspace(indices), self.entries[np.ix_(indices, indices)])
 
 
 def _require_same_space(a, b):
@@ -230,6 +219,21 @@ def _inverse_distance(G: np.ndarray) -> np.ndarray:
         return 1.0 / G
 
 
+def _bits(m: int, k: int) -> np.ndarray:
+    """Subset code ``m`` as a boolean array: entry ``j < k`` is bit ``j`` of ``m``."""
+    return np.array([m >> j & 1 for j in range(k)], dtype=bool)
+
+
+def _potential(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_y G(x, y) w[y]`` on raw arrays, unchecked: the inner-loop kernel."""
+    return _weighted_terms(G, w[np.newaxis, :]).sum(axis=1)
+
+
+def _energy(G: np.ndarray, w: np.ndarray) -> float:
+    """``sum_x (G w)(x) w[x]`` on raw arrays, unchecked."""
+    return float(_weighted_terms(_potential(G, w), w).sum())
+
+
 def potential(kernel: Kernel, nu: Measure) -> np.ndarray:
     """Pointwise potential ``(G nu)(x) = sum_y G(x, y) nu[y]``.
 
@@ -237,8 +241,7 @@ def potential(kernel: Kernel, nu: Measure) -> np.ndarray:
     when an infinite kernel value meets positive mass.
     """
     _require_same_space(kernel, nu)
-    terms = _weighted_terms(kernel.entries, nu.weights[np.newaxis, :])
-    return terms.sum(axis=1)
+    return _potential(kernel.entries, nu.weights)
 
 
 def adjoint_potential(kernel: Kernel, mu: Measure) -> np.ndarray:
@@ -250,8 +253,8 @@ def adjoint_potential(kernel: Kernel, mu: Measure) -> np.ndarray:
 
 def energy(kernel: Kernel, lam: Measure) -> float:
     """Mutual energy ``E(lam) = sum_x (G lam)(x) lam[x]`` (may be ``+inf``)."""
-    pot = potential(kernel, lam)
-    return float(_weighted_terms(pot, lam.weights).sum())
+    _require_same_space(kernel, lam)
+    return _energy(kernel.entries, lam.weights)
 
 
 def integrate(values, sigma: Measure) -> float:
@@ -266,7 +269,7 @@ def _norm_input(f, sigma, *exponents):
     exponents = tuple(float(e) for e in exponents)
     if not all(np.isfinite(e) and e > 0 for e in exponents):
         raise DomainError("norm exponents must be finite and positive")
-    f = _clean_vector(f, sigma.space.size, "function", allow_inf=True)
+    f = _clean_array(f, (sigma.space.size,), "function", allow_inf=True)
     return (f, sigma.weights) + exponents
 
 

@@ -42,6 +42,7 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
+    _bits,
     _inverse_distance,
     _ratio_max,
     _weighted_terms,
@@ -98,8 +99,8 @@ class CompleteMpReport:
 def _exact_supports(n: int):
     """Every ``S`` but the whole space, as the bits of ``m = 1, 2, ...``."""
     for m in range(1, (1 << n) - 1):
-        bits = (m >> np.arange(n)) & 1
-        yield np.flatnonzero(bits), np.flatnonzero(bits == 0)
+        bits = _bits(m, n)
+        yield np.flatnonzero(bits), np.flatnonzero(~bits)
 
 
 def _sampled_supports(n: int, budget: int, seed: int):

@@ -33,7 +33,11 @@ from .core import (
     Kernel,
     Measure,
     SpaceMismatchError,
+    _bits,
+    _clean_array,
+    _energy,
     _inverse_distance,
+    _potential,
     _ratio_max,
     _weighted_terms,
     adjoint_potential,
@@ -128,6 +132,12 @@ def _require_sublinear(q: float):
         raise DomainError("this construction needs 0 < q < 1")
 
 
+def _apply(kernel: Kernel, v, sigma: Measure) -> np.ndarray:
+    """``G(v sigma)`` on raw arrays, after a ``Measure``'s checks of ``v sigma``."""
+    w = _clean_array(_weighted_terms(v, sigma.weights), (kernel.size,), "measure weights")
+    return _potential(kernel.entries, w)
+
+
 # ---------------------------------------------------------------------------
 # supersolutions and solutions
 # ---------------------------------------------------------------------------
@@ -157,8 +167,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
 
     scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
     if kappa == 0.0:
-        u = np.zeros(n)
-        return SolveResult(u, "supersolution", 0.0, 0, 0.0)
+        return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0)
 
     psi = RELAX / ((1.0 + RELAX) * mass)
     gain = 1.0 / ((1.0 + RELAX) * kappa**q)
@@ -166,7 +175,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     status = "diverged"
     iterations = 0
     for iterations in range(1, ITER_CAP + 1):
-        pot = potential(kernel, Measure(kernel.space, _weighted_terms(phi, sigma.weights)))
+        pot = _apply(kernel, phi, sigma)
         nxt = psi + gain * pot**q
         if not np.isfinite(nxt[supp]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
@@ -182,7 +191,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
             break
 
     u = (scale * phi) ** (1.0 / q)
-    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
+    rhs = _apply(kernel, u**q, sigma)
     # where both sides are +inf the supersolution inequality holds
     gap = np.subtract(u, rhs, out=np.zeros(n), where=~(np.isinf(u) & np.isinf(rhs)))
     bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
@@ -212,7 +221,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if not np.isfinite(u0[supp]).all():
         raise DomainError("start must be finite on the support of sigma")
 
-    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u0**q, sigma.weights)))
+    rhs = _apply(kernel, u0**q, sigma)
     slack = rhs[supp] - u0[supp]
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
@@ -221,7 +230,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     iterations = 1
     status = "diverged"
     for iterations in range(2, ITER_CAP + 2):
-        nxt = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
+        nxt = _apply(kernel, u**q, sigma)
         if not np.isfinite(nxt[supp]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
@@ -234,7 +243,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
             status = "converged"
             break
 
-    final = potential(kernel, Measure(kernel.space, _weighted_terms(u**q, sigma.weights)))
+    final = _apply(kernel, u**q, sigma)
     residual = float(np.abs(u[supp] - final[supp]).max()) if supp.size else 0.0
     zeros = supp[u[supp] == 0.0]
     if status == "converged":
@@ -458,7 +467,7 @@ class _SubsetSearch:
 
     def mask(self, m: int) -> np.ndarray:
         mask = np.zeros(self.kernel.size, dtype=bool)
-        mask[self.supp[[j for j in range(self.supp.size) if m >> j & 1]]] = True
+        mask[self.supp[_bits(m, self.supp.size)]] = True
         return mask
 
     def cap0_value(self, m: int) -> float:
@@ -488,18 +497,14 @@ class _SubsetSearch:
         """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so
         the largest potential of ``sigma`` restricted to ``O`` caps every ``K``
         in ``O``."""
-        kernel, sigma = self.kernel, self.sigma
-
-        def double_integral(m):
-            restricted = sigma.restrict(self.mask(m))
-            return integrate(potential(kernel, restricted), restricted)
+        G, w = self.kernel.entries, self.sigma.weights
 
         def top_potential(m):
             mask = self.mask(m)
-            return float(potential(kernel, sigma.restrict(mask))[mask].max())
+            return float(_potential(G, np.where(mask, w, 0.0))[mask].max())
 
-        return self.max_ratio(double_integral, lambda m: sigma.mass(self.mask(m)),
-                              cap=top_potential)
+        return self.max_ratio(lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
+                              lambda m: self.sigma.mass(self.mask(m)), cap=top_potential)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a
@@ -669,20 +674,19 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
         "weak_small": weak_lorentz_norm(pot, sigma, s_small),
     }
     a = check_quasisymmetric(kernel)
-    check52 = None
-    check53 = None
+    check52 = check53 = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         uq_mass = integrate(u**q, sigma)
         if q <= GOLDEN_THRESHOLD:
-            lhs = energy_value(problem, s_small)
+            lhs = integrate(pot ** s_small, sigma)
             c = a ** (q * q / (1.0 - q))
             rhs = c * uq_mass
             check52 = {"lhs": lhs, "rhs": rhs, "constant": c,
                        "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
         else:
             s = 1.0 + q
-            lhs = energy_value(problem, s)
+            lhs = integrate(pot ** s, sigma)
             c = a ** (s / (1.0 + q))
             expo = s * (1.0 - q) / q
             rhs = c * uq_mass**expo * sigma.total ** (1.0 - expo)
@@ -794,13 +798,10 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
             for r in np.unique(d[x]):
                 mask = d[x] < r
                 mass = sigma.mass(mask)
-                if mass == 0:
-                    continue
-                restricted = sigma.restrict(mask)
-                ratio = integrate(potential(kernel, restricted), restricted) / mass
-                if ratio > ball_best:
-                    ball_best = float(ratio)
-                    ball_info = (kernel.space.points[x], float(r))
+                if mass > 0:
+                    ratio = _energy(kernel.entries, np.where(mask, sigma.weights, 0.0)) / mass
+                    if ratio > ball_best:
+                        ball_best, ball_info = ratio, (kernel.space.points[x], float(r))
         extras["kappa"] = qm.kappa
         extras["ball_constant"] = ball_best
         extras["ball_witness"] = ball_info
@@ -962,13 +963,14 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("solution_norm_bound", "no solution with a finite constant"))
 
+    pot = potential(kernel, sigma)
     if np.isfinite(kappa_cert) and np.isfinite(a) and strong.witness is not None \
             and strong.lower > 0:
         F = maurey_candidate(problem, strong.witness)
         if F is None:
             rows.append(_na("energy_necessity", "dual candidate unavailable"))
         else:
-            lhs = energy_value(problem, q / (1.0 - q))
+            lhs = integrate(pot ** (q / (1.0 - q)), sigma)
             c = a ** (q * q / (1.0 - q))
             rhs = c * integrate(F, sigma)
             constants["maurey_l1"] = integrate(F, sigma)
@@ -981,7 +983,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("energy_necessity",
                         "needs a finite constant and quasi-symmetry"))
 
-    lorentz = lorentz_norm(potential(kernel, sigma), sigma, q / (1.0 - q), q)
+    lorentz = lorentz_norm(pot, sigma, q / (1.0 - q), q)
     constants["lorentz_small"] = lorentz
     if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
         bound = wmp.constant * lorentz
@@ -1070,7 +1072,7 @@ def _local_route_row(problem):
                           {"modified_status": sol.status})
     u_loc = np.zeros(kernel.size)
     u_loc[mod.retained] = g[mod.retained] * sol.u
-    rhs = potential(kernel, Measure(kernel.space, _weighted_terms(u_loc**q, sigma.weights)))
+    rhs = _apply(kernel, u_loc**q, sigma)
     res = np.abs(u_loc[mod.retained] - rhs[mod.retained])
     scale = np.maximum(1.0, u_loc[mod.retained])
     ok = bool((res <= REPORT_RTOL * scale).all())

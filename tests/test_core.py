@@ -28,7 +28,7 @@ from potbench import (
     potential,
     weak_lorentz_norm,
 )
-from potbench.core import _inverse_distance, _ratio_max, _weighted_terms
+from potbench.core import _bits, _inverse_distance, _ratio_max, _weighted_terms
 
 
 def test_space_basics():
@@ -240,3 +240,9 @@ def test_energy_quadratic_scaling(w, t):
     k = Kernel(Space.of_size(n), rngk.uniform(0.0, 2.0, (n, n)))
     lam = Measure(Space.of_size(n), w)
     assert energy(k, lam.scaled(t)) == pytest.approx(t * t * energy(k, lam), rel=1e-9, abs=1e-9)
+
+
+def test_subset_code_bits_past_64_points():
+    # bit j of the code marks point j, with no int64 limit on the code
+    for k, m in [(0, 0), (5, 0b10110), (64, 1 << 63), (70, (1 << 69) | 5)]:
+        assert _bits(m, k).tolist() == [bool(m >> j & 1) for j in range(k)]

@@ -53,6 +53,7 @@ from potbench import (
 )
 from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
+from potbench.core import _inverse_distance, _weighted_terms
 from potbench.principles import DEFAULT_BUDGET
 from potbench.sublinear import GOLDEN_THRESHOLD, _SubsetSearch
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel, rand_sigma
@@ -789,3 +790,98 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
             wmp_constant(prob.kernel, budget=budget)
         with pytest.raises(DomainError, match="budget"):
             weak_type_constant(prob, budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# the array-level potential of the inner loops
+# ---------------------------------------------------------------------------
+
+
+def test_inner_loops_build_no_measure_per_step(monkeypatch):
+    # the fixed-point steps and the subsets valued call the array kernel, so
+    # the Measures built do not grow with the iterations or the subsets
+    rng = np.random.default_rng(6)
+    k = metric_power_kernel(rng, 10)
+    prob = SublinearProblem(k, rand_sigma(rng, k.space), 0.5)
+    kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+    masks, mask = set(), _SubsetSearch.mask
+    monkeypatch.setattr(_SubsetSearch, "mask", lambda self, m: masks.add(m) or mask(self, m))
+    built, init = [], Measure.__post_init__
+    monkeypatch.setattr(Measure, "__post_init__", lambda self: built.append(1) or init(self))
+    sup = gagliardo_supersolution(prob, kappa)
+    sol = monotone_solution(prob, sup.u)
+    est = check_testing_condition(k, prob.sigma)
+    assert sup.iterations >= 20 and sol.iterations >= 20 and len(masks) >= 50
+    assert "ball_constant" in est.extras
+    assert len(built) == 1  # the testing condition's witness, sigma on the best set
+
+
+def test_weights_that_overflow_still_raise():
+    # u = (c phi)^(1/q) overflows at q = 0.01, so the weights u^q sigma of the
+    # verification are +inf on supp sigma, which no measure holds
+    s = Space.of_size(1)
+    prob = SublinearProblem(Kernel(s, [[1.0]]), Measure(s, [1e-10]), 0.01)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="contains infinite"):
+        gagliardo_supersolution(prob, 1e10)
+    # the start's weights overflow where the kernel column vanishes, so its
+    # potential alone would pass the supersolution check
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[0.0, 0.0], [0.0, 1.0]]), Measure(s, [1e300, 1.0]), 0.5)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="contains infinite"):
+        monotone_solution(prob, [1e300, 1.0])
+
+
+def _testing_reference(kernel, sigma):
+    """Value, upper end and ball constant of the testing condition, each
+    integral from ``Measure.restrict``, ``potential`` and ``integrate``."""
+    search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
+
+    def restricted(mask):
+        nu = sigma.restrict(mask)
+        return integrate(potential(kernel, nu), nu)
+
+    def top_potential(m):
+        mask = search.mask(m)
+        return float(potential(kernel, sigma.restrict(mask))[mask].max())
+
+    value, _, _, upper = search.max_ratio(lambda m: restricted(search.mask(m)),
+                                          lambda m: sigma.mass(search.mask(m)),
+                                          cap=top_potential)
+    d, ball = _inverse_distance(kernel.entries), 0.0
+    for x in range(kernel.size):
+        for r in np.unique(d[x]):
+            if sigma.mass(d[x] < r) > 0:
+                ball = max(ball, float(restricted(d[x] < r) / sigma.mass(d[x] < r)))
+    return value, upper, ball
+
+
+def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
+    rng = np.random.default_rng(19)
+    cases = []
+    for t in range(60):
+        n = 2 + t % 7
+        k = rand_kernel(rng, n, zero_frac=0.25, inf_frac=0.1, symmetric=t % 2 == 0)
+        keep = rng.uniform(size=n) > 0.15
+        keep[t % n] = True
+        prob = SublinearProblem(k, Measure(k.space, rng.uniform(0.2, 1.5, n) * keep),
+                                (0.3, 0.5, 0.7)[t % 3])
+        strong = strong_type_constant(prob, with_upper=False)
+        kappa = sublinear._kappa(strong.extras["certified_upper"], strong.lower)
+        cases.append((prob, kappa if np.isfinite(kappa) else 1.0))
+
+    def solved(prob, kappa):
+        return [r.u.tobytes() for r in sublinear._solve_from(prob, kappa)[:2] if r is not None]
+
+    found = [(check_testing_condition(p.kernel, p.sigma), solved(p, kappa)) for p, kappa in cases]
+    monkeypatch.setattr(sublinear, "_apply", lambda kernel, v, sigma: potential(
+        kernel, Measure(kernel.space, _weighted_terms(v, sigma.weights))))
+    balls = solutions = 0
+    for (prob, kappa), (est, us) in zip(cases, found):
+        value, upper, ball = _testing_reference(prob.kernel, prob.sigma)
+        assert np.array([est.lower, est.upper]).tobytes() == np.array([value, upper]).tobytes()
+        if "ball_constant" in est.extras:
+            balls += 1
+            assert np.float64(est.extras["ball_constant"]).tobytes() == np.float64(ball).tobytes()
+        assert us == solved(prob, kappa)
+        solutions += len(us) == 2
+    assert balls >= 3 and solutions >= 10
