@@ -18,6 +18,10 @@ Infinite kernel values are pre-reduced before any LP is built: an ``+inf``
 coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
 ``+inf`` coefficient inside a ``>= 1`` row makes that row freely satisfiable
 (the infimum is then approached but not attained, and the result says so).
+
+The subset searches call only the cores on index arrays (:func:`_cap0`,
+:func:`_wiener_cap1`, and :func:`_exact_on_subsets`, which says when they
+prune); the public functions validate input and add measures and certificates.
 """
 
 from __future__ import annotations
@@ -100,35 +104,32 @@ def _make_certificates(kernel, K, lam: Measure, pot, with_exceptional=False):
     return EquilibriumCertificates(upper, below_labels, below_cap, off_mass)
 
 
-def cap0(kernel: Kernel, points) -> CapacityResult:
-    """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
-    space = kernel.space
-    K = _resolve_subset(kernel, points)
-    G = kernel.entries
-    n = space.size
-
+def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
+    """``(value, free, sol)`` of :func:`cap0` on the indices ``K``: the LP over
+    the points ``free`` of ``K`` that can carry mass, and its solution."""
+    n = G.shape[0]
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
-    free = np.array([x for x in K if np.isfinite(G[x]).all()], dtype=int)
-    lhs = G[free].T  # row y, column j: coefficient of mu[free_j]
-    problem = LpProblem(
-        objective=np.ones(free.size),
-        lhs=lhs,
-        rhs=np.ones(n),
-        senses=("<=",) * n,
-    )
-    sol = solve_lp(problem)
+    free = K[np.isfinite(G[K]).all(axis=1)]
+    sol = solve_lp(LpProblem(np.ones(free.size), G[free].T, np.ones(n), ("<=",) * n))
     if sol.status == "unbounded":
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
+        return float("inf"), free, sol
     if sol.status != "optimal":  # cannot happen: mu = 0 is feasible
         raise RuntimeError(f"cap0 LP reported {sol.status}")
+    return max(sol.value, 0.0), free, sol
 
-    weights = np.zeros(n)
+
+def cap0(kernel: Kernel, points) -> CapacityResult:
+    """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
+    K = _resolve_subset(kernel, points)
+    value, free, sol = _cap0(kernel.entries, K)
+    if sol.status == "unbounded":
+        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
+    weights = np.zeros(kernel.size)
     weights[free] = np.maximum(sol.x, 0.0)
-    mu = Measure(space, weights)
+    mu = Measure(kernel.space, weights)
     dual_value = float(np.maximum(sol.duals, 0.0).sum())
-    pot = adjoint_potential(kernel, mu)
-    certs = _make_certificates(kernel, K, mu, pot)
-    return CapacityResult(max(sol.value, 0.0), mu, dual_value, certs, "lp")
+    certs = _make_certificates(kernel, K, mu, adjoint_potential(kernel, mu))
+    return CapacityResult(value, mu, dual_value, certs, "lp")
 
 
 def content(kernel: Kernel, points) -> CapacityResult:
@@ -139,9 +140,8 @@ def content(kernel: Kernel, points) -> CapacityResult:
     n = space.size
 
     # a >=1 row containing +inf is satisfied by vanishing mass on that column
-    covered_free = np.array([x for x in K if np.isinf(G[x]).any()], dtype=int)
-    rows = np.array([x for x in K if np.isfinite(G[x]).all()], dtype=int)
-    attained = covered_free.size == 0
+    rows = K[np.isfinite(G[K]).all(axis=1)]
+    attained = rows.size == K.size
 
     if rows.size == 0:
         zero = Measure(space, np.zeros(n))
@@ -278,6 +278,11 @@ def _exact_qp(A) -> bool:
     """Whether :func:`wiener_cap1` solves on the kernel block ``A`` by its
     exact active set: ``A`` is finite and positive semidefinite."""
     return bool(np.isfinite(A).all() and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10)
+
+
+def _exact_on_subsets(A) -> bool:
+    """Whether :func:`_wiener_cap1` is exact, so monotone, on every subset of ``A``."""
+    return A.shape[0] <= ENUM_LIMIT or _exact_qp(A)
 
 
 def _wiener_cap1(kernel: Kernel, K: np.ndarray) -> tuple:

@@ -143,17 +143,11 @@ def _rank(entry):
 
 def _solve_pairs(G: np.ndarray, pairs, build) -> list:
     """``(value, place, (S, x, cols, vector))`` of the queued pairs
-    ``(place, S, x)``, whose LPs have one shape, from one :func:`solve_lps`
-    call."""
-    finite = np.isfinite(G)
-    tops, problems = [], []
-    for place, S, x in pairs:
-        fin = finite[S].all(axis=0)
-        cols = S[fin[S]]
-        tops.append((place, S, x, cols))
-        problems.append(build(G, S, x, fin & finite[x], cols, G[np.ix_(S, cols)]))
+    ``(place, S, x, cols, nu)``, whose LPs have one shape, from one
+    :func:`solve_lps` call."""
+    problems = [build(G, S, x, nu, cols, G[np.ix_(S, cols)]) for _, S, x, cols, nu in pairs]
     found = []
-    for (place, S, x, cols), sol in zip(tops, solve_lps(problems)):
+    for (place, S, x, cols, _), sol in zip(pairs, solve_lps(problems)):
         if sol.status == "unbounded":
             value, vector = float("inf"), sol.ray
         elif sol.status != "optimal":
@@ -195,9 +189,10 @@ def _max_over_pairs(kernel: Kernel, supports, build):
             if inf.any():
                 found = [(float("inf"), checked, (S, x, cols, np.eye(cols.size)[np.argmax(inf)]))]
             else:
-                key = (S.size, cols.size, int(np.count_nonzero(fin & finite[x])))
+                nu = fin & finite[x]
+                key = (S.size, cols.size, int(np.count_nonzero(nu)))
                 bucket = buckets.setdefault(key, [])
-                bucket.append((checked, S, x))
+                bucket.append((checked, S, x, cols, nu))
                 if len(bucket) < BUCKET:
                     continue
                 found = _solve_pairs(G, buckets.pop(key), build)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import ENUM_LIMIT, _exact_qp, _wiener_cap1, cap0, content
+from .capacity import _cap0, _exact_on_subsets, _wiener_cap1, content
 from .core import (
     DomainError,
     Kernel,
@@ -472,7 +472,7 @@ class _SubsetSearch:
 
     def cap0_value(self, m: int) -> float:
         if m not in self._caps[0]:
-            self._caps[0][m] = cap0(self.kernel, self.mask(m)).value
+            self._caps[0][m] = _cap0(self.kernel.entries, np.flatnonzero(self.mask(m)))[0]
         return self._caps[0][m]
 
     def cap1_value(self, m: int) -> float:
@@ -483,8 +483,7 @@ class _SubsetSearch:
     @cached_property
     def cap1_monotone(self) -> bool:
         """No subset reaches the heuristic path of :func:`wiener_cap1`."""
-        return (self.supp.size <= ENUM_LIMIT
-                or _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)]))
+        return _exact_on_subsets(self.kernel.entries[np.ix_(self.supp, self.supp)])
 
     def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
         """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
@@ -993,8 +992,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("lorentz_sufficiency",
                         "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"))
 
-    search = _SubsetSearch(kernel, sigma, budget)
     if wmp.holds and kernel.is_symmetric:
+        search = _SubsetSearch(kernel, sigma, budget)
         c_cap0, _, modes["weak_cap0"], _ = search.capacity_ratio(q)
         c_cap1, _, modes["weak_cap1"], _ = search.capacity_ratio(q, cap1=True)
         constants["weak_cap0"] = c_cap0
@@ -1004,11 +1003,6 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_row("weak_capacity_route", ok,
                          {"from_cap0": c_cap0, "from_cap1": c_cap1,
                           "wmp": wmp.constant}))
-    else:
-        rows.append(_na("weak_capacity_route",
-                        "needs q <= 1, a symmetric kernel and WMP"))
-
-    if wmp.holds and kernel.is_symmetric:
         testing, _, modes["testing"], _ = search.testing_ratio()
         t22 = lp_operator_norm(kernel, sigma, 2.0)
         weak11, _, modes["weak_1_1"], _ = search.capacity_ratio(1.0)
@@ -1027,6 +1021,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         trio["factor"] = factor
         rows.append(_row("weak11_testing_chain", ok, trio))
     else:
+        rows.append(_na("weak_capacity_route", "needs q <= 1, a symmetric kernel and WMP"))
         rows.append(_na("weak11_testing_chain", "needs a symmetric WMP kernel"))
 
     rows.append(_local_route_row(problem))

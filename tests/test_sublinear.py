@@ -618,7 +618,7 @@ def _metric_problem_8():
 
 def test_theorem_report_one_capacity_per_subset(monkeypatch):
     prob = _metric_problem_8()
-    calls = {"cap0": [], "_wiener_cap1": []}
+    calls = {"_cap0": [], "_wiener_cap1": []}
     for name in calls:
         original = getattr(sublinear, name)
 
@@ -814,6 +814,14 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
     assert sup.iterations >= 20 and sol.iterations >= 20 and len(masks) >= 50
     assert "ball_constant" in est.extras
     assert len(built) == 1  # the testing condition's witness, sigma on the best set
+    valued, cap0_value = set(), _SubsetSearch.cap0_value
+    monkeypatch.setattr(_SubsetSearch, "cap0_value",
+                        lambda self, m: valued.add(m) or cap0_value(self, m))
+    built.clear()
+    for q in (0.5, 1.0, 2.0):
+        assert weak_type_constant(SublinearProblem(k, prob.sigma, q)).extras["mode"] == "exact"
+    assert len(valued) >= 150
+    assert len(built) == 3  # the witnesses, content's extremal measure on each best set
 
 
 def test_weights_that_overflow_still_raise():
@@ -858,11 +866,15 @@ def _testing_reference(kernel, sigma):
 def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
     rng = np.random.default_rng(19)
     cases = []
-    for t in range(60):
+    for t in range(66):
         n = 2 + t % 7
         k = rand_kernel(rng, n, zero_frac=0.25, inf_frac=0.1, symmetric=t % 2 == 0)
         keep = rng.uniform(size=n) > 0.15
         keep[t % n] = True
+        if t >= 60:  # a zero row and column on supp sigma
+            G = k.entries.copy()
+            G[t % n], G[:, t % n] = 0.0, 0.0
+            k = Kernel(k.space, G)
         prob = SublinearProblem(k, Measure(k.space, rng.uniform(0.2, 1.5, n) * keep),
                                 (0.3, 0.5, 0.7)[t % 3])
         strong = strong_type_constant(prob, with_upper=False)
@@ -872,11 +884,29 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
     def solved(prob, kappa):
         return [r.u.tobytes() for r in sublinear._solve_from(prob, kappa)[:2] if r is not None]
 
-    found = [(check_testing_condition(p.kernel, p.sigma), solved(p, kappa)) for p, kappa in cases]
+    def weak(prob):
+        ests = [weak_type_constant(SublinearProblem(prob.kernel, prob.sigma, q))
+                for q in (0.5, 1.0, 2.0)]
+        return [(np.array([e.lower, e.upper, e.extras.get("cap0_value", -1.0)]).tobytes(),
+                 e.extras["mode"]) for e in ests]
+
+    found = [(check_testing_condition(p.kernel, p.sigma), solved(p, kappa), weak(p))
+             for p, kappa in cases]
     monkeypatch.setattr(sublinear, "_apply", lambda kernel, v, sigma: potential(
         kernel, Measure(kernel.space, _weighted_terms(v, sigma.weights))))
-    balls = solutions = 0
-    for (prob, kappa), (est, us) in zip(cases, found):
+
+    def public_cap0(self, m):
+        if m not in self._caps[0]:
+            self._caps[0][m] = cap0(self.kernel, self.mask(m)).value
+        return self._caps[0][m]
+
+    monkeypatch.setattr(_SubsetSearch, "cap0_value", public_cap0)
+    balls = solutions = zero_rows = inf_rows = 0
+    for (prob, kappa), (est, us, weaks) in zip(cases, found):
+        assert weaks == weak(prob)
+        rows = prob.kernel.entries[prob.sigma.support]
+        zero_rows += (rows == 0).all(axis=1).any()  # cap0 is +inf: an unbounded LP
+        inf_rows += np.isinf(rows).any()  # points that cap0's LP drops
         value, upper, ball = _testing_reference(prob.kernel, prob.sigma)
         assert np.array([est.lower, est.upper]).tobytes() == np.array([value, upper]).tobytes()
         if "ball_constant" in est.extras:
@@ -884,4 +914,4 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
             assert np.float64(est.extras["ball_constant"]).tobytes() == np.float64(ball).tobytes()
         assert us == solved(prob, kappa)
         solutions += len(us) == 2
-    assert balls >= 3 and solutions >= 10
+    assert balls >= 3 and solutions >= 10 and zero_rows >= 6 and inf_rows >= 20
