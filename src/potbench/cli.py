@@ -4,7 +4,8 @@
 runs the requested tasks, writing a deterministic JSON report (and CSV
 tables for the sweep tasks).  ``potbench gallery`` builds a closed-form
 block instance directly from flags.  ``potbench schema`` prints the JSON
-schema that scenario files are validated against.
+schema that scenario files are validated against; ``_violations`` checks
+them with the part of JSON Schema 2020-12 that this schema uses.
 
 Determinism contract: with a fixed ``--seed`` the report body is
 byte-identical across runs; wall-clock timings go to a separate file (or
@@ -25,7 +26,6 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .capacity import CERT_TOL, cap0, capacity_null_check, content, wiener_cap1
@@ -376,11 +376,98 @@ def _load_scenario(path: str) -> dict:
     except ValueError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     # the bundled schema is checked against its meta-schema by the tests
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(load_schema()).iter_errors(doc))
+    schema = load_schema()
+    error = next(_violations(schema, doc, schema), None)
     if error is not None:
-        raise ScenarioError(f"scenario violates the schema: {error.message}")
+        raise ScenarioError("scenario violates the schema at %s: %s" % error)
     return doc
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer()),
+}
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+# the keywords the bundled schema uses; the first four are annotations,
+# which the checker skips
+_KEYWORDS = {"$schema", "title", "description", "$defs",
+             "type", "required", "additionalProperties", "properties", "items", "prefixItems",
+             "minItems", "enum", "const", "minimum", "exclusiveMinimum", "oneOf", "$ref"}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: ``1`` equals ``1.0``, but ``True`` is not ``1``."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _violations(schema, value, root, path="$"):
+    """Yield ``(path, message)`` wherever ``value`` breaks ``schema``, in order.
+
+    A JSON Schema 2020-12 subset: the keywords of ``_KEYWORDS``, with
+    ``$ref`` only into ``root``'s ``$defs``.  A keyword skips values of a
+    type it does not apply to, and one it does not know raises, so a schema
+    edit cannot go unchecked.
+    """
+    if isinstance(schema, bool):
+        if not schema:
+            yield path, "no value is allowed here"
+        return
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"unsupported schema keywords {sorted(unknown)}")
+    is_obj, is_arr, is_num = (_TYPES[t](value) for t in ("object", "array", "number"))
+    for key, sub in schema.items():
+        if key == "type":
+            names = [sub] if isinstance(sub, str) else sub
+            if not any(_TYPES[t](value) for t in names):
+                yield path, f"expected {' or '.join(names)}, got {_JSON_NAMES[type(value)]}"
+        elif key in ("enum", "const"):
+            allowed = sub if key == "enum" else [sub]
+            if not any(_same(value, a) for a in allowed):
+                yield path, f"{json.dumps(value)} is not one of {json.dumps(allowed)}"
+        elif key == "oneOf":
+            errors = [next(_violations(s, value, root, path), None) for s in sub]
+            if errors.count(None) > 1:
+                yield path, f"matches {errors.count(None)} of the {len(sub)} forms, not one"
+            elif None not in errors:  # report the form that got furthest
+                yield max(errors, key=lambda e: len(e[0]))
+        elif key == "$ref":
+            if not sub.startswith("#/$defs/"):
+                raise NotImplementedError(f"unsupported $ref {sub!r}")
+            yield from _violations(root["$defs"][sub[len("#/$defs/"):]], value, root, path)
+        elif key == "required" and is_obj:
+            for name in sub:
+                if name not in value:
+                    yield path, f"missing required property {name!r}"
+        elif key == "properties" and is_obj:
+            for name, s in sub.items():
+                if name in value:
+                    yield from _violations(s, value[name], root, f"{path}.{name}")
+        elif key == "additionalProperties" and is_obj:
+            known = schema.get("properties", {})
+            for name in value:
+                if name not in known:
+                    yield from _violations(sub, value[name], root, f"{path}.{name}")
+        elif key == "prefixItems" and is_arr:
+            for i, (s, item) in enumerate(zip(sub, value)):
+                yield from _violations(s, item, root, f"{path}[{i}]")
+        elif key == "items" and is_arr:
+            for i in range(len(schema.get("prefixItems", ())), len(value)):
+                yield from _violations(sub, value[i], root, f"{path}[{i}]")
+        elif key == "minItems" and is_arr and len(value) < sub:
+            yield path, f"has {len(value)} items, fewer than {sub}"
+        elif key == "minimum" and is_num and value < sub:
+            yield path, f"{value} is less than the minimum {sub}"
+        elif key == "exclusiveMinimum" and is_num and value <= sub:
+            yield path, f"{value} is not greater than {sub}"
 
 
 def _reject_constant(name):

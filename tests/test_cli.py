@@ -1,18 +1,22 @@
 """Command-line workflow: scenarios in, deterministic reports out."""
 
+import copy
 import csv
 import importlib.metadata
 import json
 import os
+import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import jsonschema
 import pytest
 
+import potbench
 from potbench import SampledKernelSpec, build_sampled, wmp_constant
-from potbench.cli import _TASKS, load_schema, main, to_jsonable
+from potbench.cli import _TASKS, _violations, load_schema, main, to_jsonable
 
 
 def write_scenario(path, doc):
@@ -136,12 +140,29 @@ def test_invalid_json_exits_2(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
-def test_unknown_task_exits_2(tmp_path):
+def test_unknown_task_exits_2(tmp_path, capsys):
     scen = write_scenario(tmp_path / "s.json", {
         "name": "x", "kernel": {"matrix": [[1.0]]}, "sigma": [1.0],
         "tasks": [{"name": "frobnicate"}],
     })
     assert main(["analyze", scen]) == 2
+    assert "violates the schema at $.tasks[0].name:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"extra": 1}, "$.extra"),
+    ({"sigma": [1.0, -1.0]}, "$.sigma[1]"),
+    ({"kernel": {"matrix": [[1.0, "x"]]}}, "$.kernel.matrix[0][1]"),
+    ({"kernel": {"matrix": [[1.0]], "blocks": {"n_blocks": 1, "rule": ["harmonic"]}}},
+     "$.kernel.blocks"),
+    ({"kernel": {"blocks": {"n_blocks": 1, "rule": ["linear"]}}}, "$.kernel.blocks.rule[0]"),
+    ({"kernel": []}, "$.kernel"),
+    ({"tasks": [{"name": "wmp", "seed": True}]}, "$.tasks[0].seed"),
+])
+def test_schema_error_names_the_path(tmp_path, capsys, change, path):
+    scen = write_scenario(tmp_path / "s.json", {**BASIC, **change})
+    assert main(["analyze", scen]) == 2
+    assert f"violates the schema at {path}:" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -289,6 +310,147 @@ def test_schema_subcommand(capsys):
     assert doc["$schema"].endswith("2020-12/schema")
     assert load_schema() == doc
     jsonschema.Draft202012Validator.check_schema(doc)
+
+
+MATRIX = {
+    "name": "matrix", "q": 0.5, "points": ["a", 2, 3.5],
+    "kernel": {"matrix": [[0.0, 1.0, "inf"], [1.0, 0.0, 2.0], ["inf", 2.0, 0.0]]},
+    "sigma": [1.0, 0.0, 2.0],
+    "tasks": [{"name": "wmp", "budget": 40}, {"name": "cap0", "params": {"subset": [0]}},
+              {"name": "solve", "seed": 3}],
+}
+SAMPLED = {
+    "name": "riesz", "q": 0.5,
+    "kernel": {"sampled": {"kind": "riesz", "n_points": 3, "alpha": 1.5, "n_dim": 2,
+                           "seed": 4, "coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}},
+    "sigma": [1.0, 1.0, 1.0],
+    "tasks": [{"name": "complete_mp"}, {"name": "theorem_report", "budget": 10}],
+}
+BLOCKS = {
+    "name": "blocks", "q": 0.5,
+    "kernel": {"blocks": {"n_blocks": 4, "rule": ["custom", [1.0, 2.0, 3.0, 4.0]],
+                          "variant": "strictly_positive"}},
+    "tasks": [{"name": "divergence_sweep", "params": {"truncations": [1, 2]}}],
+}
+# replacements that sit on the boundaries the schema draws
+VALUES = [True, False, None, 0, 1, -1, 1.0, 2.5, -0.5, 0.0, float("inf"), 10**30, "inf",
+          "-inf", "x", "solve", "harmonic", "geometric", "custom", "riesz", "zero_diagonal",
+          [], [1.0], ["inf", 1], [[1.0]], ["geometric", 1.1, 1.5], [True], {}, {"a": 1},
+          {"matrix": [[1.0]]}, {"n_blocks": 2, "rule": ["harmonic"]}, {"name": "wmp"}]
+KEYS = ["name", "q", "points", "sigma", "tasks", "kernel", "matrix", "sampled", "blocks",
+        "seed", "budget", "params", "alpha", "n_dim", "coords", "variant", "rule", "zzz"]
+
+
+def _containers(node, out):
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in (node.values() if isinstance(node, dict) else node):
+            _containers(child, out)
+    return out
+
+
+def _mutate(rng, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(_containers(doc, []))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = rng.random()
+        if action < 0.2 and keys:
+            del node[rng.choice(keys)]
+        elif action < 0.35:
+            if isinstance(node, dict):
+                node[rng.choice(KEYS)] = copy.deepcopy(rng.choice(VALUES))
+            else:
+                node.append(copy.deepcopy(rng.choice(VALUES)))
+        elif keys:
+            node[rng.choice(keys)] = copy.deepcopy(rng.choice(VALUES))
+    return doc
+
+
+def test_checker_agrees_with_jsonschema_on_a_fuzzed_corpus():
+    schema = load_schema()
+    oracle = jsonschema.Draft202012Validator(schema)
+    rng = random.Random(20240)
+    bases = (BASIC, MATRIX, SAMPLED, BLOCKS)
+    corpus = [copy.deepcopy(b) for b in bases]
+    corpus += [_mutate(rng, bases[i % len(bases)]) for i in range(4000)]
+    # hand-made edges: True is not 1, 1.0 is an integer, "inf" entries,
+    # the rule's prefixItems, and extended-real inputs that json.load can yield
+    corpus += [
+        {**BASIC, "tasks": [{"name": "wmp", "seed": True}]},
+        {**BASIC, "tasks": [{"name": "wmp", "seed": 1.0, "budget": 2.0}]},
+        {**BASIC, "tasks": [{"name": "wmp", "seed": 1.5}]},
+        {**BASIC, "q": True},
+        {**BASIC, "sigma": [1, True]},
+        {**BASIC, "kernel": {"matrix": [["inf", 0], [0, "inf"]]}},
+        {**BASIC, "kernel": {"matrix": [["-inf", 0]]}},
+        {**BASIC, "kernel": {"matrix": [[float("inf")]]}},
+        {**BLOCKS, "kernel": {"blocks": {"n_blocks": 1.0, "rule": ["harmonic", 1, None]}}},
+        {**BLOCKS, "kernel": {"blocks": {"n_blocks": 1, "rule": [["harmonic"]]}}},
+        {**BLOCKS, "kernel": {"blocks": {"n_blocks": 1, "rule": []}}},
+        {**BLOCKS, "kernel": {"blocks": {"n_blocks": True, "rule": ["harmonic"]}}},
+    ]
+    accepted = 0
+    for doc in corpus:
+        ours = next(_violations(schema, doc, schema), None) is None
+        assert ours == (next(oracle.iter_errors(doc), None) is None), doc
+        accepted += ours
+    # both verdicts occur often enough to count
+    assert 500 < accepted < len(corpus) - 500
+
+
+@pytest.mark.parametrize("schema, values", [
+    # two forms match 1, none match -1, one matches "x" (minimum skips strings)
+    ({"oneOf": [{"type": "number"}, {"minimum": 0}]}, [1, -1, "x", True]),
+    ({"enum": [1, "a", [1, True]]}, [True, 1.0, "a", [1, True], [1.0, 1], [True, True]]),
+    ({"const": False}, [False, 0, 0.0, None]),
+    ({"const": {"a": [1]}}, [{"a": [1.0]}, {"a": [True]}, {"a": [1], "b": 2}]),
+    ({"type": ["integer", "string"], "minimum": 2}, [1.0, 2.0, 3, "1", True, 1.5]),
+    ({"type": "array", "prefixItems": [{"const": "a"}], "items": {"type": "integer"}},
+     [["a"], ["a", 1, 2.0], ["a", "b"], ["b"], []]),
+    ({"additionalProperties": {"type": "integer"}, "properties": {"a": {"type": "string"}}},
+     [{"a": "x", "b": 1}, {"a": "x", "b": "y"}, {"a": 1}, []]),
+    ({"$defs": {"e": {"exclusiveMinimum": 0}}, "items": {"$ref": "#/$defs/e"}},
+     [[1, 0.5], [0], [-1], ["x"]]),
+])
+def test_checker_agrees_with_jsonschema_on_keyword_edges(schema, values):
+    oracle = jsonschema.Draft202012Validator(schema)
+    for value in values:
+        ours = next(_violations(schema, value, schema), None) is None
+        assert ours == oracle.is_valid(value), value
+
+
+def test_checker_raises_on_an_unknown_keyword():
+    with pytest.raises(NotImplementedError, match="pattern"):
+        next(_violations({"pattern": "x"}, "y", {}), None)
+    with pytest.raises(NotImplementedError, match="ref"):
+        next(_violations({"$ref": "other.json"}, "y", {}), None)
+
+
+def _fresh_python(code, *args):
+    src = os.path.dirname(os.path.dirname(potbench.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_analyze_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", BASIC)
+    assert main(["analyze", scen, "--out", str(tmp_path / "here")]) == 0
+    proc = _fresh_python(
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "import potbench.cli\n"
+        "sys.exit(potbench.cli.main(['analyze', sys.argv[1], '--out', sys.argv[2]]))",
+        scen, str(tmp_path / "fresh"))
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "fresh" / "report.json").read_bytes()
+            == (tmp_path / "here" / "report.json").read_bytes())
+
+
+def test_cli_import_does_not_load_jsonschema():
+    proc = _fresh_python("import sys, potbench.cli; assert 'jsonschema' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tasks_match_schema_enum():
