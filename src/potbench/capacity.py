@@ -196,6 +196,19 @@ def _objective(A, lam):
     return float(2.0 * lam.sum() - _energy(A, lam))
 
 
+def _to_boundary(x, d, t):
+    """``(t, x + t d)``, the step ``t`` cut where a weight first reaches 0 (then
+    exactly 0); the point is None if ``t`` is infinite."""
+    neg = np.flatnonzero(d < 0)
+    steps = x[neg] / -d[neg]
+    t = min(steps.min(initial=np.inf), t)
+    if not np.isfinite(t):
+        return t, None
+    y = np.clip(x + t * d, 0.0, None)
+    y[neg[steps == t]] = 0.0
+    return t, y
+
+
 def _active_set(A, start):
     """Lawson-Hanson active set for ``max 2 sum(lam) - lam' A lam``, ``lam >= 0``.
 
@@ -225,14 +238,11 @@ def _active_set(A, start):
             if not ray and (z > 0).all():
                 lam[T] = z
                 break
-            d = s * r if ray else z - lam[T]
-            neg = np.flatnonzero(d < 0)
-            steps = lam[T][neg] / -d[neg]
-            t = min(steps.min(initial=np.inf), np.inf if ray else 1.0)
-            if not np.isfinite(t):  # no boundary ahead: only for non-PSD A
+            _, lam_T = _to_boundary(lam[T], s * r if ray else z - lam[T],
+                                    np.inf if ray else 1.0)
+            if lam_T is None:  # no boundary ahead: only for non-PSD A
                 break
-            lam[T] = np.clip(lam[T] + t * d, 0.0, None)
-            lam[T[neg[steps == t]]] = 0.0
+            lam[T] = lam_T
             P &= lam > 0
         w = 1.0 - _potential(A, lam)
         w[P] = -np.inf

@@ -370,7 +370,7 @@ _TASKS = {
 def _load_scenario(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except ValueError as exc:
@@ -472,6 +472,13 @@ def _violations(schema, value, root, path="$"):
 
 def _reject_constant(name):
     raise ValueError(f"JSON literal {name} is not allowed; spell infinity as \"inf\"")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"JSON number {text} overflows a float; spell infinity as \"inf\"")
+    return value
 
 
 def _run_tasks(doc: dict, inst: _Instance, args) -> tuple[dict, dict, list]:

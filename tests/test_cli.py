@@ -134,6 +134,18 @@ def test_bare_infinity_literal_rejected(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "kernel": {"matrix": [[1.0]]}, "sigma": [1.0], "q": 1e400, "tasks": []}',
+    '{"name": "x", "kernel": {"matrix": [[1e400]]}, "sigma": [1.0], "tasks": []}',
+])
+def test_number_that_overflows_rejected(tmp_path, capsys, text):
+    # 1e400 would load as inf and pass the schema; infinity must be spelled "inf"
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "1e400 overflows a float" in capsys.readouterr().err
+
+
 def test_invalid_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -527,34 +527,146 @@ def test_strong_lower_is_genuine(seed):
 
 
 
-def test_strong_bracket_against_scipy():
-    # an independent optimizer, SLSQP on the simplex, must land inside the
-    # certified bracket [lower, certified_upper] of the multiplicative ascent
+def _scipy_instances():
+    """Eight metric-power problems, n = 3-8 and q = 0.3, 0.5, 0.7."""
     rng = np.random.default_rng(70)
     for i in range(8):
         n = 3 + i % 6
         q = (0.3, 0.5, 0.7)[i % 3]
         kernel = metric_power_kernel(rng, n, power=(0.7, 1.0, 1.5, 2.0, 3.0)[i % 5],
                                      offset=float(rng.uniform(0.1, 0.6)))
-        sigma = rand_sigma(rng, kernel.space)
-        est = strong_type_constant(SublinearProblem(kernel, sigma, q), with_upper=False)
-        A, s = kernel.entries, sigma.weights
-        res = minimize(lambda nu: -(s @ (A @ nu) ** q), np.full(n, 1.0 / n),
-                       jac=lambda nu: -q * ((s * (A @ nu) ** (q - 1.0)) @ A),
-                       method="SLSQP", bounds=[(0.0, 1.0)] * n,
-                       constraints=[{"type": "eq", "fun": lambda nu: nu.sum() - 1.0}],
-                       options={"ftol": 1e-15, "maxiter": 1000})
-        assert res.success, f"instance {i}: {res.message}"
-        nu = np.clip(res.x, 0.0, None)
-        ref = float(s @ (A @ (nu / nu.sum())) ** q) ** (1.0 / q)
+        yield SublinearProblem(kernel, rand_sigma(rng, kernel.space), q)
+
+
+def _slsqp_strong(prob):
+    """The strong constant from SLSQP on the simplex, an independent optimizer."""
+    A, s, q, n = prob.kernel.entries, prob.sigma.weights, prob.q, prob.kernel.size
+    res = minimize(lambda nu: -(s @ (A @ nu) ** q), np.full(n, 1.0 / n),
+                   jac=lambda nu: -q * ((s * (A @ nu) ** (q - 1.0)) @ A),
+                   method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                   constraints=[{"type": "eq", "fun": lambda nu: nu.sum() - 1.0}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert res.success, res.message
+    nu = np.clip(res.x, 0.0, None)
+    return float(s @ (A @ (nu / nu.sum())) ** q) ** (1.0 / q)
+
+
+def test_strong_bracket_against_scipy():
+    # an independent optimizer, SLSQP on the simplex, must land inside the
+    # certified bracket [lower, certified_upper] of the ascent
+    for i, prob in enumerate(_scipy_instances()):
+        est = strong_type_constant(prob, with_upper=False)
+        ref = _slsqp_strong(prob)
         assert est.lower * (1.0 - 1e-9) <= ref, f"instance {i}: {ref} below {est.lower}"
         assert ref <= est.extras["certified_upper"] * (1.0 + 1e-9), \
             f"instance {i}: {ref} above {est.extras['certified_upper']}"
 
+
+def test_strong_constant_sampled_when_the_cap_cuts_the_ascent(monkeypatch):
+    # instance 2 (n = 5, q = 0.7) switches to the face finish, which takes
+    # several Newton steps; a cap that cuts the ascent leaves a sampled but
+    # valid bracket, and Newton steps count against the cap like the others
+    prob = list(_scipy_instances())[2]
+    calls, faces = [], []
+    value_and_gradient, face_newton = sublinear._value_and_gradient, sublinear._face_newton
+
+    def counted(*args):
+        calls.append(args)
+        return value_and_gradient(*args)
+
+    def face(*args):
+        out = face_newton(*args)
+        faces.append(out[3])
+        return out
+
+    monkeypatch.setattr(sublinear, "_value_and_gradient", counted)
+    monkeypatch.setattr(sublinear, "_face_newton", face)
+    full = strong_type_constant(prob, with_upper=False)
+    assert full.extras["mode"] == "exact"
+    # the best vertex and the barycenter, then one evaluation per step of
+    # either kind; a cap of steps - 1 stops the finish one step short
+    steps, newton = len(calls) - 2, faces[0]
+    assert newton >= 3 and steps > 2 * newton
+    ref = _slsqp_strong(prob)
+    for cap in (5, steps - 1):
+        monkeypatch.setattr(sublinear, "ASCENT_CAP", cap)
+        calls.clear()
+        est = strong_type_constant(prob, with_upper=False)
+        assert est.extras["mode"] == "sampled", cap
+        assert len(calls) == cap + 2
+        assert est.lower * (1.0 - 1e-9) <= ref <= est.extras["certified_upper"] * (1.0 + 1e-9)
+        assert est.extras["certified_upper"] > full.extras["certified_upper"]
+    monkeypatch.setattr(sublinear, "ASCENT_CAP", steps)
+    assert strong_type_constant(prob, with_upper=False).extras["mode"] == "exact"
+
+
+def _reference_ascent(A, s, q):
+    """The purely multiplicative ascent that the face finish completes."""
+    nu = np.full(A.shape[1], 1.0 / A.shape[1])
+    F, g = sublinear._value_and_gradient(A, s, q, nu)
+    for steps in range(sublinear.ASCENT_CAP + 1):
+        cert = sublinear._certificate(F, g, q)
+        if steps == sublinear.ASCENT_CAP or not np.isfinite(cert) or sublinear._closed(F, cert):
+            break
+        w = nu * g
+        nu = w / w.sum()
+        F, g = sublinear._value_and_gradient(A, s, q, nu)
+    return F, cert, steps
+
+
+def _ascent_mode(F, cert):
+    return "heuristic" if not np.isfinite(cert) else "exact" if sublinear._closed(F, cert) else "sampled"
+
+
+def test_face_finish_against_the_multiplicative_ascent(monkeypatch):
+    # metric powers and random kernels with 25 % zero entries: the finish
+    # keeps the mode, loses at most the reference's gap, certifies above the
+    # reference's value and takes far fewer steps; on zero-entry kernels some
+    # face leaves a row without potential, and the ascent resumes from
+    # positive weights
+    lost = []
+    value_and_gradient = sublinear._value_and_gradient
+
+    def watched(A, s, q, nu):
+        F, g = value_and_gradient(A, s, q, nu)
+        lost.append(not np.isfinite(g).all())
+        return F, g
+
+    rng = np.random.default_rng(2025)
+    seen = steps_ref = steps = 0
+    for i in range(200):
+        n, q = 1 + i % 9, (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5]
+        if i % 2:
+            kernel = rand_kernel(rng, n, zero_frac=0.25)
+        else:
+            kernel = metric_power_kernel(rng, n, power=float(rng.uniform(0.5, 3.0)),
+                                         offset=float(rng.uniform(0.1, 0.6)))
+        rows = kernel.entries.any(axis=1)  # as strong_type_constant drops them
+        A, s = kernel.entries[rows], rand_sigma(rng, kernel.space).weights[rows]
+        if not rows.any():
+            continue
+        F_ref, cert_ref, k = _reference_ascent(A, s, q)
+        steps_ref += k
+        monkeypatch.setattr(sublinear, "_value_and_gradient", watched)
+        lost.clear()
+        F, nu, cert = sublinear._maximize_concave(A, s, q)
+        monkeypatch.setattr(sublinear, "_value_and_gradient", value_and_gradient)
+        seen += any(lost) and i % 2 == 1
+        steps += len(lost) - 1
+        assert _ascent_mode(F, cert) == _ascent_mode(F_ref, cert_ref), i
+        assert F >= F_ref - max(cert_ref - F_ref, 0.0), i
+        # both certificates are rounded: a closed one may sit an ulp below F_ref
+        assert cert >= F_ref * (1.0 - 4 * np.finfo(float).eps), i
+        assert nu.min() >= 0.0 and nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert seen
+    assert 20 * steps < steps_ref  # 7,506 against 213,305
+
+
 def test_strong_constant_certifies_best_vertex_first(monkeypatch):
     # 9-point interval Green kernels: at seed 0 the optimum is one atom, whose
     # own Frank-Wolfe gap closes, so the gradient is taken once and no ascent
-    # runs; at seed 3 the optimum has seven atoms and the ascent still runs
+    # runs; at seed 3 the optimum has two atoms and the ascent still runs (a
+    # purely multiplicative ascent also left five weights of 1e-54 and below)
     calls = []
     original = sublinear._value_and_gradient
 
@@ -563,7 +675,7 @@ def test_strong_constant_certifies_best_vertex_first(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(sublinear, "_value_and_gradient", counted)
-    for seed, atoms in ((0, 1), (3, 7)):
+    for seed, atoms in ((0, 1), (3, 2)):
         kernel = build_sampled(SampledKernelSpec(kind="interval_green", n_points=9, seed=seed))
         sigma = Measure(kernel.space, np.random.default_rng(seed).uniform(0.2, 1.5, 9))
         calls.clear()
