@@ -26,6 +26,7 @@ prune); the public functions validate input and add measures and certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
-    _bits,
     _energy,
     _potential,
     adjoint_potential,
@@ -54,6 +54,7 @@ __all__ = [
 
 CERT_TOL = 1e-8
 ENUM_LIMIT = 12  # largest |K| solved exactly on non-PSD kernels
+BATCH = 2048  # supports per stacked solve in _equilibria: bounds its memory at any size
 
 
 @dataclass(frozen=True)
@@ -253,15 +254,44 @@ def _active_set(A, start):
 
 
 def _equilibria(A):
-    """``(T, z)`` in bit-mask order for each finite, nonsingular ``A_TT`` whose
-    ``z = A_TT^{-1} 1`` is ``>= -1e-10 max|z|`` (scale-free), clipped at 0."""
+    """``(T, Z)`` batches of one support size, at most ``BATCH`` supports each
+    in rising bit mask: the rows ``t`` of ``T`` with a finite, nonsingular
+    ``A_tt`` whose ``z = A_tt^{-1} 1`` (residual at most 1e-9) is ``>= -1e-10
+    max|z|`` (scale-free), and in ``Z`` those ``z``, clipped at 0.  One stacked
+    solve per batch, or one :func:`_equilibrium` per support if that raises."""
     k = A.shape[0]
-    for m in range(1, 1 << k):
-        T = np.flatnonzero(_bits(m, k))
-        AT = A[np.ix_(T, T)]
-        z = _equilibrium(AT) if np.isfinite(AT).all() else None
-        if z is not None and (z >= -1e-10 * np.abs(z).max()).all():
-            yield T, np.clip(z, 0.0, None)
+    for size in range(1, k + 1):
+        combos = itertools.combinations(range(k), size)
+        while (T := np.array(list(itertools.islice(combos, BATCH)), dtype=int)).size:
+            T = T[np.lexsort(T.T)]  # the largest point first: bit-mask order
+            AT = A[T[:, :, None], T[:, None, :]]
+            ok = np.isfinite(AT).all(axis=(1, 2))
+            ok[ok] = np.linalg.slogdet(AT[ok])[0] != 0  # solve's LU: no zero pivot
+            T, AT = T[ok], AT[ok]
+            try:
+                Z = np.linalg.solve(AT, np.ones(T.shape + (1,)))[..., 0]
+            except np.linalg.LinAlgError:
+                Z = np.array([np.full(size, np.nan) if z is None else z
+                              for z in map(_equilibrium, AT)])
+            else:
+                Z[np.abs(np.matmul(AT, Z[..., None])[..., 0] - 1.0).max(axis=1) > 1e-9] = np.nan
+            keep = (Z >= -1e-10 * np.abs(Z).max(axis=1, keepdims=True)).all(axis=1)
+            if keep.any():
+                yield T[keep], np.clip(Z[keep], 0.0, None)
+
+
+def _first_best(A, value, floor):
+    """``(v, t, z, x)``: the first maximum ``v = value(T, Z)[i, x] > floor``
+    over the batches of :func:`_equilibria`, in ``(bit mask, x)`` order, with
+    ``(t, z)`` row ``i`` of ``(T, Z)``; ``(floor, None, None, None)`` if none."""
+    best, first, top = floor, 0, (None, None, None)  # no mask ties the floor
+    for T, Z in _equilibria(A):
+        V = value(T, Z)
+        i, x = np.unravel_index(int(np.argmax(V)), V.shape)
+        mask = sum(1 << int(t) for t in T[i])
+        if V[i, x] > best or V[i, x] == best and mask < first:
+            best, first, top = float(V[i, x]), mask, (T[i], Z[i], int(x))
+    return best, *top
 
 
 def _enumerate_supports(A):
@@ -272,15 +302,14 @@ def _enumerate_supports(A):
     ``A_T'T' v = 1``, so a nonsingular ``A_T'T'`` solves to ``v``; a singular
     one repeats the argument on ``T'``, at no lower value, on a smaller support.
     """
-    k = A.shape[0]
-    best_val, best = 0.0, np.zeros(k)
-    for T, z in _equilibria(A):
-        AT = A[np.ix_(T, T)]
-        val = float(2.0 * z.sum() - z @ AT @ z)
-        if val > best_val:
-            best_val = val
-            best = np.zeros(k)
-            best[T] = z
+    def value(T, Z):
+        AZ = np.matmul(Z[:, None, :], A[T[:, :, None], T[:, None, :]])
+        return 2.0 * Z.sum(axis=1, keepdims=True) - np.matmul(AZ, Z[..., None])[..., 0]
+
+    best_val, T, z, _ = _first_best(A, value, 0.0)
+    best = np.zeros(A.shape[0])
+    if T is not None:
+        best[T] = z
     return best, best_val
 
 

@@ -13,10 +13,13 @@ Exact weak constants solve no LP: an optimal vertex of ``LP(S, x)`` has a
 support ``T`` inside ``S``, ``LP(T, x) >= LP(S, x)`` as fewer rows only raise
 it, and a full-support vertex has the basis ``G_TT``, so ``G_TT z = 1``.  So
 ``h`` is the larger of 1 and the best ``G[x, T] z`` over the equilibria
-``z >= 0`` of finite, nonsingular supports (``capacity._equilibria``), or
-``+inf`` exactly when some ``j`` with a finite ``G(j, j)`` has ``x != j``
-with ``G(x, j) > 0`` and ``G(j, j) = 0`` or ``G(x, j) = +inf``.  Sampled
-streams, where equilibria give less, and complete constants keep pair LPs.
+``z >= 0`` of finite, nonsingular supports, or ``+inf`` exactly when some
+``j`` with a finite ``G(j, j)`` has ``x != j`` with ``G(x, j) > 0`` and
+``G(j, j) = 0`` or ``G(x, j) = +inf``.  ``capacity._equilibria`` walks the
+supports in batches of one size, one stacked solve each, and the winner is
+the first maximum in ``(mask, x)`` order, as in a walk one support at a
+time.  Sampled streams, where equilibria give less, and complete constants
+keep pair LPs.
 
 One engine, ``_max_over_pairs``, owns the rules both pair programs share,
 and no ``+inf`` reaches the LP solver.  A ``+inf`` coefficient in a row over
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import _equilibria
+from .capacity import _first_best
 from .core import (
     DomainError,
     Kernel,
@@ -233,13 +236,14 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
         best, top = float("inf"), ([j], x, [j], np.ones(1))
         checked = n * ((1 << j) - 1) - j * (1 << j) // 2 + x + (x < j)
     else:
-        best, top, checked = 1.0, None, n * ((1 << (n - 1)) - 1)
-        for T, z in _equilibria(G):
-            v = G[:, T] @ z
-            v[T] = -np.inf
-            x = int(np.argmax(v))
-            if v[x] > best:
-                best, top = float(v[x]), (T, x, T, z)
+        def value(T, Z):  # the potentials G[:, t] z, -inf on t
+            V = np.matmul(G[:, T].transpose(1, 0, 2), Z[..., None])[..., 0]
+            np.put_along_axis(V, T, -np.inf, axis=1)
+            return V
+
+        best, T, z, x = _first_best(G, value, 1.0)
+        top = None if T is None else (T, x, T, z)
+        checked = n * ((1 << (n - 1)) - 1)
     witness = None
     if top is not None:
         S, x, cols, w = top

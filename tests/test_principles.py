@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potbench import (
     Kernel,
@@ -24,8 +26,9 @@ from potbench import (
     quasimetric_constant,
     wmp_constant,
 )
-from potbench import principles
-from potbench.capacity import _enumerate_supports
+from potbench import capacity, principles
+from potbench.capacity import _enumerate_supports, _equilibrium
+from potbench.core import _bits
 from potbench.principles import _complete_problem, _exact_supports, _wmp_problem
 from potbench.simplex import solve_lp
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
@@ -337,6 +340,104 @@ def test_exact_wmp_is_scale_free(t):
         ws, vs = _enumerate_supports(t * k.entries)
         assert t * vs == pytest.approx(v, rel=2e-15, abs=0.0)
         assert t * ws == pytest.approx(w, rel=0.0, abs=1e-14 * w.max())
+
+
+def _support_walk(G):
+    """The walk one support at a time, in bit-mask order, that the batched
+    ``_equilibria`` replaced: ``(h, (T, x, z) or None, weights, value)``, the
+    WMP constant and witness and the Wiener enumeration's best equilibrium."""
+    n = G.shape[0]
+    best, top, value, weights = 1.0, None, 0.0, np.zeros(n)
+    for m in range(1, 1 << n):
+        T = np.flatnonzero(_bits(m, n))
+        AT = G[np.ix_(T, T)]
+        z = _equilibrium(AT) if np.isfinite(AT).all() else None
+        if z is None or not (z >= -1e-10 * np.abs(z).max()).all():
+            continue
+        z = np.clip(z, 0.0, None)
+        v = G[:, T] @ z
+        v[T] = -np.inf
+        x = int(np.argmax(v))
+        if v[x] > best:
+            best, top = float(v[x]), (T, x, z)
+        val = float(2.0 * z.sum() - z @ AT @ z)
+        if val > value:
+            value, weights = val, np.zeros(n)
+            weights[T] = z
+    return best, top, weights, value
+
+
+def _walk_kernel(n, seed, zeros, duplicate, inf_point):
+    """Uniform entries, and no pair worth +inf: optionally 25 % zero entries
+    off the diagonal, point ``n - 1`` a copy of point 0 (so supports holding
+    both are exactly singular), and one point with a +inf diagonal whose
+    column is otherwise 0."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(0.1, 3.0, (n, n))
+    if zeros:
+        G[(rng.uniform(size=(n, n)) < 0.25) & ~np.eye(n, dtype=bool)] = 0.0
+    if duplicate:
+        G[:, -1] = G[:, 0]
+        G[-1] = G[0]
+    if inf_point:
+        j = int(rng.integers(n))
+        G[:, j] = 0.0
+        G[j, j] = np.inf
+    return Kernel(Space.of_size(n), G)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_batched_walk_matches_support_walk(n, seed, zeros, duplicate, inf_point):
+    # bit-equal constant, witness and count, and the same Wiener enumeration
+    k = _walk_kernel(n, seed, zeros, duplicate, inf_point)
+    best, top, weights, value = _support_walk(k.entries)
+    rep = wmp_constant(k)
+    assert rep.mode == "exact"
+    assert rep.constant == best
+    assert rep.pairs_checked == n * (2 ** (n - 1) - 1)
+    if top is None:
+        assert rep.witness is None
+    else:
+        T, x, z = top
+        assert rep.witness[:2] == (tuple(T.tolist()), x)
+        assert rep.witness[2].weights[T].tolist() == z.tolist()
+    w, v = _enumerate_supports(k.entries)
+    assert v == value
+    assert w.tolist() == weights.tolist()
+
+
+def test_batches_keep_the_first_maximum(monkeypatch):
+    # the swaps (0 1)(2 4) leave the kernel unchanged, so {0, 4} and {1, 2}
+    # reach h with one value; {0, 4} comes first among the combinations, so
+    # across batches the smaller mask, {1, 2}, must replace it
+    swap = [1, 0, 4, 3, 2, 5, 6]
+    G = np.random.default_rng(42).uniform(0.1, 3.0, (7, 7))
+    k = Kernel(Space.of_size(7), (G + G[np.ix_(swap, swap)]) / 2.0)
+    whole, enumerated = wmp_constant(k), _enumerate_supports(k.entries)
+    assert whole.witness[:2] == ((1, 2), 0)
+    z = _equilibrium(k.entries[np.ix_([0, 4], [0, 4])])
+    assert (k.entries[:, [0, 4]] @ z)[1] == whole.constant
+    for size in (1, 3):
+        monkeypatch.setattr(capacity, "BATCH", size)
+        rep = wmp_constant(k)
+        assert rep.constant == whole.constant
+        assert rep.witness[:2] == whole.witness[:2]
+        assert rep.witness[2].weights.tolist() == whole.witness[2].weights.tolist()
+        w, v = _enumerate_supports(k.entries)
+        assert v == enumerated[1] and w.tolist() == enumerated[0].tolist()
+
+
+def test_singular_batches_fall_back_to_single_solves(monkeypatch):
+    # with no slogdet screen the stacked solve raises on the exactly singular
+    # supports of a duplicated point, and each support is solved alone
+    G = _walk_kernel(7, 5, zeros=True, duplicate=True, inf_point=False).entries
+    screened = [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)]
+    single = []
+    monkeypatch.setattr(np.linalg, "slogdet", lambda AT: (np.ones(len(AT)), np.zeros(len(AT))))
+    monkeypatch.setattr(capacity, "_equilibrium", lambda AT: single.append(AT) or _equilibrium(AT))
+    assert [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)] == screened
+    assert single
 
 
 def test_complete_dominates_onesided():
