@@ -13,7 +13,9 @@ for the three structural bounds
 and optionally writes the per-instance table to CSV.
 
 The WMP constant is the one the strong-constant estimate computes from the
-instance's seed; above 14 points it is a sampled lower bound.
+instance's seed; above 14 points it is a sampled lower bound.  Each instance
+is solved once: the strong upper bound takes its norm route through the
+survey's own solution.
 
 Usage:
   python scripts/metric_kernel_survey.py --count 50 --seed 0
@@ -31,11 +33,13 @@ from potbench import (
     Measure,
     Space,
     SublinearProblem,
+    check_quasisymmetric,
     gagliardo_supersolution,
     monotone_solution,
     quasimetric_constant,
     strong_type_constant,
     weak_type_constant,
+    wmp_constant,
 )
 from potbench.gallery import shortest_path_metric
 
@@ -48,11 +52,19 @@ def survey_instance(rng, n, power, q, seed):
     problem = SublinearProblem(kernel, sigma, q)
 
     qm = quasimetric_constant(kernel)
-    est = strong_type_constant(problem, seed=seed)
-    wmp = est.extras["wmp_constant"]
+    # strong_type_constant's upper end solves from the certified kappa too:
+    # ask it for the bracket alone and take its norm route through this solve
+    est = strong_type_constant(problem, seed=seed, with_upper=False)
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)
     sol = monotone_solution(problem, sup.u)
+    wr = wmp_constant(kernel, seed=seed)
+    wmp = wr.constant
+    usable = (sol if sol.status == "solution" else sup) if sup.status == "supersolution" else None
+    upper = est.upper
+    if (est.lower > 0 and usable is not None and wr.holds
+            and np.isfinite(check_quasisymmetric(kernel)) and np.isfinite(usable.lq_norm)):
+        upper = wmp * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
     weak = weak_type_constant(problem)
 
     return {
@@ -61,7 +73,7 @@ def survey_instance(rng, n, power, q, seed):
         "wmp": wmp,
         "wmp_margin": wmp / (2.0 * qm.kappa),
         "strong_lower": est.lower,
-        "strong_upper": est.upper,
+        "strong_upper": upper,
         "certified": kappa,
         "solution_status": sol.status,
         "solution_norm": sol.lq_norm,

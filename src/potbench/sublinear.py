@@ -133,9 +133,24 @@ def _require_sublinear(q: float):
 
 
 def _apply(kernel: Kernel, v, sigma: Measure) -> np.ndarray:
-    """``G(v sigma)`` on raw arrays, after a ``Measure``'s checks of ``v sigma``."""
+    """``G(v sigma)`` after a ``Measure``'s checks of ``v sigma``: the checked
+    evaluations around the fixed-point loops, and :func:`_local_route_row`'s."""
     w = _clean_array(_weighted_terms(v, sigma.weights), (kernel.size,), "measure weights")
     return _potential(kernel.entries, w)
+
+
+def _stepper(kernel: Kernel, sigma: Measure):
+    """``v -> G(v sigma)`` by :func:`_apply`'s float operations, unchecked, for a
+    fixed-point loop's steps after its checked first.  The loops keep ``v`` finite on
+    ``supp sigma`` and ``v sigma`` bounded, so ``_clean_array`` could not fire.  The
+    one ``nan``, ``0 * inf``, is sent to 0 only where it can arise: in ``v sigma`` off
+    a partial support, where an iterate may be ``+inf``, and at an infinite ``G`` entry."""
+    G, w = kernel.entries, sigma.weights
+    full, finite = bool((w > 0).all()), bool(np.isfinite(G).all())
+    def step(v):
+        t = v * w if full else _weighted_terms(v, w)
+        return (G * t[np.newaxis, :]).sum(axis=1) if finite else _potential(G, t)
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +168,8 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     ``u = (c phi)^{1/q}`` with ``c = ((1+relax) kappa^q)^{1/(1-q)}`` is a
     supersolution whose q-th power has mass at most ``c``.  The supersolution
     property is re-verified on the result; a failed verification (an invalid
-    ``kappa``) comes back as status ``diverged``.
+    ``kappa``) comes back as status ``diverged``.  ``phi sigma`` is checked
+    once per call, at the first step; ``l1 <= 1 + 1e-8`` bounds it after that.
     """
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
@@ -163,7 +179,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     if mass == 0:
         raise DomainError("sigma must have positive total mass")
     n = kernel.size
-    supp = sigma.support
+    on = slice(None) if (sigma.weights > 0).all() else sigma.support
 
     scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
     if kappa == 0.0:
@@ -172,21 +188,23 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     psi = RELAX / ((1.0 + RELAX) * mass)
     gain = 1.0 / ((1.0 + RELAX) * kappa**q)
     phi = np.full(n, psi)
-    status = "diverged"
-    iterations = 0
+    step, sw = _stepper(kernel, sigma), sigma.weights[on]
+    pot = _apply(kernel, phi, sigma)  # psi sigma is +inf where the mass is subnormal
+    status, iterations = "diverged", 0
     for iterations in range(1, ITER_CAP + 1):
-        pot = _apply(kernel, phi, sigma)
+        if iterations > 1:
+            pot = step(phi)
         nxt = psi + gain * pot**q
-        if not np.isfinite(nxt[supp]).all():
+        if not np.isfinite(nxt[on]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         if (nxt < phi).any():
             raise RuntimeError("relaxed iteration lost monotonicity")
-        l1 = float(nxt[supp] @ sigma.weights[supp])
+        l1 = float(nxt[on] @ sw)
         if l1 > 1.0 + 1e-8:
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
-        delta = np.abs(nxt[supp] - phi[supp])
+        delta = np.abs(nxt[on] - phi[on])
         phi = nxt
-        if np.all(delta <= CONV_TOL * np.maximum(1.0, phi[supp])):
+        if (delta <= CONV_TOL * np.maximum(1.0, phi[on])).all():
             status = "supersolution"
             break
 
@@ -197,7 +215,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
     if status == "supersolution" and bad.any():
         status = "diverged"
-    residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
+    residual = float(np.abs(gap[on]).max())  # mass > 0: supp sigma is not empty
     return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q))
 
 
@@ -208,11 +226,13 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     ``sigma`` (checked at relative tolerance 1e-12).  The limit solves the
     equation; exact zeros on the support of ``sigma`` mark the degenerate
     case, in which no everywhere-positive solution exists, and the vanishing
-    points are reported as the witness.
+    points are reported as the witness.  ``u^q sigma`` is checked once per
+    call, at the first step; the iterates only fall after that.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
+    on = slice(None) if supp.size == kernel.size else supp
     u0 = np.asarray(start, dtype=float)
     if u0.shape != (kernel.size,):
         raise DomainError("start vector has the wrong length")
@@ -226,18 +246,19 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
 
-    u = rhs
-    iterations = 1
-    status = "diverged"
+    step, u = _stepper(kernel, sigma), rhs
+    nxt = _apply(kernel, u**q, sigma)  # rhs may exceed start by the slack allowed
+    iterations, status = 1, "diverged"
     for iterations in range(2, ITER_CAP + 2):
-        nxt = _apply(kernel, u**q, sigma)
-        if not np.isfinite(nxt[supp]).all():
+        if iterations > 2:
+            nxt = step(u**q)
+        if not np.isfinite(nxt[on]).all():
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
             raise RuntimeError("monotone iteration increased")
         nxt = np.minimum(nxt, u)
-        delta = np.abs(u[supp] - nxt[supp])
-        done = np.all(delta <= CONV_TOL * np.maximum(u[supp], 1e-300))
+        delta = np.abs(u[on] - nxt[on])
+        done = (delta <= CONV_TOL * np.maximum(u[on], 1e-300)).all()
         u = nxt
         if done:
             status = "converged"
@@ -249,8 +270,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if status == "converged":
         status = "degenerate" if zeros.size else "solution"
     witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q),
-                       witness)
+    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q), witness)
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:

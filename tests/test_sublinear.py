@@ -18,10 +18,11 @@ Frozen oracles, all derived by hand before implementation:
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -55,7 +56,16 @@ from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _inverse_distance, _weighted_terms
 from potbench.principles import DEFAULT_BUDGET
-from potbench.sublinear import GOLDEN_THRESHOLD, _SubsetSearch
+from potbench.sublinear import (
+    CONV_TOL,
+    GOLDEN_THRESHOLD,
+    ITER_CAP,
+    RELAX,
+    SolveResult,
+    _apply,
+    _require_sublinear,
+    _SubsetSearch,
+)
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel, rand_sigma
 
 
@@ -1027,3 +1037,143 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
         assert us == solved(prob, kappa)
         solutions += len(us) == 2
     assert balls >= 3 and solutions >= 10 and zero_rows >= 6 and inf_rows >= 20
+
+
+def _stepwise_supersolution(problem, kappa):
+    """``gagliardo_supersolution`` with every step through the checked
+    ``_apply``, as it ran before its loop moved to raw arrays."""
+    _require_sublinear(problem.q)
+    if not (kappa >= 0 and np.isfinite(kappa)):
+        raise DomainError("kappa must be a finite nonnegative constant")
+    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
+    mass = sigma.total
+    if mass == 0:
+        raise DomainError("sigma must have positive total mass")
+    n = kernel.size
+    supp = sigma.support
+
+    scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
+    if kappa == 0.0:
+        return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0)
+
+    psi = RELAX / ((1.0 + RELAX) * mass)
+    gain = 1.0 / ((1.0 + RELAX) * kappa**q)
+    phi = np.full(n, psi)
+    status = "diverged"
+    iterations = 0
+    for iterations in range(1, ITER_CAP + 1):
+        pot = _apply(kernel, phi, sigma)
+        nxt = psi + gain * pot**q
+        if not np.isfinite(nxt[supp]).all():
+            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
+        if (nxt < phi).any():
+            raise RuntimeError("relaxed iteration lost monotonicity")
+        l1 = float(nxt[supp] @ sigma.weights[supp])
+        if l1 > 1.0 + 1e-8:
+            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
+        delta = np.abs(nxt[supp] - phi[supp])
+        phi = nxt
+        if np.all(delta <= CONV_TOL * np.maximum(1.0, phi[supp])):
+            status = "supersolution"
+            break
+
+    u = (scale * phi) ** (1.0 / q)
+    rhs = _apply(kernel, u**q, sigma)
+    # where both sides are +inf the supersolution inequality holds
+    gap = np.subtract(u, rhs, out=np.zeros(n), where=~(np.isinf(u) & np.isinf(rhs)))
+    bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
+    if status == "supersolution" and bad.any():
+        status = "diverged"
+    residual = float(np.abs(gap[supp]).max()) if supp.size else 0.0
+    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q))
+
+
+def _stepwise_monotone(problem, start):
+    """``monotone_solution`` with every step through the checked ``_apply``."""
+    _require_sublinear(problem.q)
+    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
+    supp = sigma.support
+    u0 = np.asarray(start, dtype=float)
+    if u0.shape != (kernel.size,):
+        raise DomainError("start vector has the wrong length")
+    if np.isnan(u0).any() or (u0 < 0).any():
+        raise DomainError("start must be a nonnegative vector")
+    if not np.isfinite(u0[supp]).all():
+        raise DomainError("start must be finite on the support of sigma")
+
+    rhs = _apply(kernel, u0**q, sigma)
+    slack = rhs[supp] - u0[supp]
+    if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
+        raise DomainError("start is not a supersolution on the support of sigma")
+
+    u = rhs
+    iterations = 1
+    status = "diverged"
+    for iterations in range(2, ITER_CAP + 2):
+        nxt = _apply(kernel, u**q, sigma)
+        if not np.isfinite(nxt[supp]).all():
+            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
+        if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
+            raise RuntimeError("monotone iteration increased")
+        nxt = np.minimum(nxt, u)
+        delta = np.abs(u[supp] - nxt[supp])
+        done = np.all(delta <= CONV_TOL * np.maximum(u[supp], 1e-300))
+        u = nxt
+        if done:
+            status = "converged"
+            break
+
+    final = _apply(kernel, u**q, sigma)
+    residual = float(np.abs(u[supp] - final[supp]).max()) if supp.size else 0.0
+    zeros = supp[u[supp] == 0.0]
+    if status == "converged":
+        status = "degenerate" if zeros.size else "solution"
+    witness = tuple(kernel.space.points[i] for i in zeros)
+    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q),
+                       witness)
+
+
+def _outcome(solve, *args):
+    """``(key, result)``: every output of ``solve(*args)`` as exact bytes and
+    reprs, or the type and message of what it raised, RuntimeWarning included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            r = solve(*args)
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return (type(exc), str(exc)), None
+    return (r.u.tobytes(), r.status, r.iterations, repr(r.residual), repr(r.lq_norm),
+            r.witness), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.booleans(), st.floats(-200.0, 200.0), st.floats(0.05, 0.95), st.floats(-2.0, 1.0))
+@example(4, 1227095747, False, True, True, -96.0, 0.8, -1.0)
+@example(4, 2522727622, True, True, True, -127.0, 0.3, -1.5)
+def test_raw_loops_match_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
+    # optional 25 % zero and 15 % +inf entries, a scale of 10^exponent, some
+    # zero weights, and kappa from 1/100 to 10 times a valid strong constant
+    # of the kernel's finite part (a small one makes the supersolution diverge);
+    # both examples reach an iterate that is +inf off supp sigma mid-loop
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(0.1, 3.0, (n, n))
+    mask = rng.uniform(size=(n, n))
+    if zeros:
+        G[mask < 0.25] = 0.0
+    if infs:
+        G[mask > 0.85] = np.inf
+    G *= 10.0**exponent
+    w = rng.uniform(0.2, 1.5, n)
+    if partial:
+        w[rng.uniform(size=n) < 0.3] = 0.0
+    prob = SublinearProblem(Kernel(Space.of_size(n), G), Measure(Space.of_size(n), w), q)
+    with np.errstate(all="ignore"):
+        top = np.where(np.isfinite(G), G, 0.0).max(axis=1)
+        kappa = float((w @ top**q) ** (1.0 / q) * 10.0**slack)
+    kappa = kappa if np.isfinite(kappa) else 1.0
+
+    key, ref = _outcome(_stepwise_supersolution, prob, kappa)
+    assert _outcome(gagliardo_supersolution, prob, kappa)[0] == key
+    start = ref.u if ref is not None else np.ones(n)
+    assert _outcome(monotone_solution, prob, start)[0] == _outcome(_stepwise_monotone, prob, start)[0]
