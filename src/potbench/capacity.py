@@ -5,7 +5,11 @@ Three set functions, all with explicit optimizers:
 * :func:`cap0`: largest mass a measure on ``K`` can carry while its adjoint
   potential stays ``<= 1`` on the whole space (a linear program);
 * :func:`content`: least total mass of a measure whose potential is ``>= 1``
-  on ``K`` (the dual linear program, so the two values coincide);
+  on ``K`` (the dual linear program, so the two values coincide).  Both first
+  try complementary slackness on the finite rows ``F`` of ``K``: nonnegative
+  solutions of ``G_FF' mu = 1`` and ``G_FF lam = 1`` with ``G' mu <= 1``
+  everywhere are optimal for the two programs (method ``slackness``); only a
+  set where that check declines is solved by the simplex;
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
   go through an exact Lawson-Hanson active set with KKT verification; small
@@ -22,6 +26,7 @@ coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
 The subset searches call only the cores on index arrays (:func:`_cap0`,
 :func:`_wiener_cap1`, and :func:`_exact_on_subsets`, which says when they
 prune); the public functions validate input and add measures and certificates.
+The searches start each subset's active set from its parent subset's weights.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
 ]
 
 CERT_TOL = 1e-8
+SLACK_TOL = 1e-12  # residual and feasibility slack of _slack_certificate, relative to 1
 ENUM_LIMIT = 12  # largest |K| solved exactly on non-PSD kernels
 BATCH = 2048  # supports per stacked solve in _equilibria: bounds its memory at any size
 
@@ -105,32 +111,52 @@ def _make_certificates(kernel, K, lam: Measure, pot, with_exceptional=False):
     return EquilibriumCertificates(upper, below_labels, below_cap, off_mass)
 
 
+def _slack_certificate(G: np.ndarray, F: np.ndarray):
+    """``(mu, lam) >= 0`` with ``G_FF' mu = 1``, ``G_FF lam = 1`` and ``G' mu <= 1``
+    on every column, to ``SLACK_TOL`` (relative to 1, so free of scale), or None.
+    ``mu`` is then feasible for :func:`cap0`'s LP on the finite rows ``F``,
+    ``lam`` for its dual, and ``1'mu = mu' G_FF lam = 1'lam``: both are optimal."""
+    GF = G[F]
+    S = np.stack([GF[:, F].T, GF[:, F]])
+    try:
+        X = np.linalg.solve(S, np.ones((2, F.size, 1)))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore"):  # a potential that overflows is above 1
+        ok = (np.isfinite(X).all() and (X >= 0).all()
+              and np.abs(S @ X - 1.0).max() <= SLACK_TOL
+              and (X[0, :, 0] @ GF <= 1.0 + SLACK_TOL).all())
+    return (X[0, :, 0], X[1, :, 0]) if ok else None
+
+
 def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
-    """``(value, free, sol)`` of :func:`cap0` on the indices ``K``: the LP over
-    the points ``free`` of ``K`` that can carry mass, and its solution."""
+    """``(value, free, mu on free or None, dual value, method)`` of :func:`cap0` on
+    ``K``, whose points ``free`` can carry mass: by :func:`_slack_certificate`, else LP."""
     n = G.shape[0]
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
     free = K[np.isfinite(G[K]).all(axis=1)]
+    if free.size and (cert := _slack_certificate(G, free)) is not None:
+        return float(cert[0].sum()), free, cert[0], float(cert[1].sum()), "slackness"
     sol = solve_lp(LpProblem(np.ones(free.size), G[free].T, np.ones(n), ("<=",) * n))
     if sol.status == "unbounded":
-        return float("inf"), free, sol
+        return float("inf"), free, None, float("inf"), "lp"
     if sol.status != "optimal":  # cannot happen: mu = 0 is feasible
         raise RuntimeError(f"cap0 LP reported {sol.status}")
-    return max(sol.value, 0.0), free, sol
+    dual_value = float(np.maximum(sol.duals, 0.0).sum())
+    return max(sol.value, 0.0), free, np.maximum(sol.x, 0.0), dual_value, "lp"
 
 
 def cap0(kernel: Kernel, points) -> CapacityResult:
     """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
     K = _resolve_subset(kernel, points)
-    value, free, sol = _cap0(kernel.entries, K)
-    if sol.status == "unbounded":
+    value, free, mu_free, dual_value, method = _cap0(kernel.entries, K)
+    if mu_free is None:
         return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
     weights = np.zeros(kernel.size)
-    weights[free] = np.maximum(sol.x, 0.0)
+    weights[free] = mu_free
     mu = Measure(kernel.space, weights)
-    dual_value = float(np.maximum(sol.duals, 0.0).sum())
     certs = _make_certificates(kernel, K, mu, adjoint_potential(kernel, mu))
-    return CapacityResult(value, mu, dual_value, certs, "lp")
+    return CapacityResult(value, mu, dual_value, certs, method)
 
 
 def content(kernel: Kernel, points) -> CapacityResult:
@@ -145,28 +171,23 @@ def content(kernel: Kernel, points) -> CapacityResult:
     attained = rows.size == K.size
 
     if rows.size == 0:
-        zero = Measure(space, np.zeros(n))
-        pot = potential(kernel, zero)
-        certs = _make_certificates(kernel, K, zero, pot)
-        return CapacityResult(0.0, zero, 0.0, certs, "lp", attained=attained)
+        weights, value, dual_value, method = np.zeros(n), 0.0, 0.0, "lp"
+    elif (cert := _slack_certificate(G, rows)) is not None:
+        weights = np.zeros(n)
+        weights[rows] = cert[1]
+        value, dual_value, method = float(cert[1].sum()), float(cert[0].sum()), "slackness"
+    else:
+        sol = solve_lp(LpProblem(-np.ones(n), G[rows], np.ones(rows.size), (">=",) * rows.size))
+        if sol.status == "infeasible":
+            return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
+        if sol.status != "optimal":
+            raise RuntimeError(f"content LP reported {sol.status}")
+        weights, value = np.maximum(sol.x, 0.0), max(-sol.value, 0.0)
+        dual_value, method = float(np.maximum(-sol.duals, 0.0).sum()), "lp"
 
-    problem = LpProblem(
-        objective=-np.ones(n),
-        lhs=G[rows],
-        rhs=np.ones(rows.size),
-        senses=(">=",) * rows.size,
-    )
-    sol = solve_lp(problem)
-    if sol.status == "infeasible":
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-    if sol.status != "optimal":
-        raise RuntimeError(f"content LP reported {sol.status}")
-
-    lam = Measure(space, np.maximum(sol.x, 0.0))
-    dual_value = float(np.maximum(-sol.duals, 0.0).sum())
-    pot = potential(kernel, lam)
-    certs = _make_certificates(kernel, K, lam, pot)
-    return CapacityResult(max(-sol.value, 0.0), lam, dual_value, certs, "lp", attained=attained)
+    lam = Measure(space, weights)
+    certs = _make_certificates(kernel, K, lam, potential(kernel, lam))
+    return CapacityResult(value, lam, dual_value, certs, method, attained=attained)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +231,28 @@ def _to_boundary(x, d, t):
     return t, y
 
 
-def _active_set(A, start):
+def _active_set(A, start, lam=None):
     """Lawson-Hanson active set for ``max 2 sum(lam) - lam' A lam``, ``lam >= 0``.
 
-    From the support ``{start}``, solve ``A_TT lam_T = 1`` on the support
-    ``T``, step back to the boundary where a weight would not stay positive,
-    and add the point whose potential (``0 * inf = 0``) is furthest below 1,
-    so a point at infinite interaction is never added.  An inconsistent
-    system is followed along the null direction in which the objective
-    rises, to the boundary.  Exact for PSD ``A``; a KKT point otherwise.
+    From the support ``{start}``, or from a feasible ``lam`` (updated in
+    place, support ``lam > 0``) unless it is a KKT point already, solve
+    ``A_TT lam_T = 1`` on the support ``T``, step back to the boundary where
+    a weight would not stay positive, and add the point whose potential
+    (``0 * inf = 0``) is furthest below 1, so a point at infinite
+    interaction is never added.  An inconsistent system is followed along
+    the null direction in which the objective rises, to the boundary.
+    Exact for PSD ``A``; a KKT point otherwise.
     """
     k = A.shape[0]
-    lam, P, j = np.zeros(k), np.zeros(k, dtype=bool), start
+    P, j = (np.zeros(k, dtype=bool), start) if lam is None else (lam > 0, None)
+    lam = np.zeros(k) if lam is None else lam
     for _ in range(3 * k):
+        if j is None:
+            w = 1.0 - _potential(A, lam)
+            w[P] = -np.inf
+            j = int(np.argmax(w))
+            if not w[j] > 1e-9:
+                break
         P[j] = True
         for _ in range(k):  # each pass but the last drops a point
             T = np.flatnonzero(P)
@@ -245,11 +275,7 @@ def _active_set(A, start):
                 break
             lam[T] = lam_T
             P &= lam > 0
-        w = 1.0 - _potential(A, lam)
-        w[P] = -np.inf
-        j = int(np.argmax(w))
-        if not w[j] > 1e-9:
-            break
+        j = None
     return lam
 
 
@@ -324,9 +350,11 @@ def _exact_on_subsets(A) -> bool:
     return A.shape[0] <= ENUM_LIMIT or _exact_qp(A)
 
 
-def _wiener_cap1(kernel: Kernel, K: np.ndarray) -> tuple:
+def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None) -> tuple:
     """``(value, weights or None, method, attained)`` of :func:`wiener_cap1`
-    on the indices ``K`` of a symmetric kernel, without certificates."""
+    on the indices ``K`` of a symmetric kernel, without certificates.  The
+    exact active set starts from the feasible weights ``start`` if given: on
+    a positive definite block it ends with the same solve either way."""
     G = kernel.entries
     n = kernel.size
     keep = K[~np.isinf(G[K, K])]
@@ -344,7 +372,7 @@ def _wiener_cap1(kernel: Kernel, K: np.ndarray) -> tuple:
     A = G[np.ix_(keep, keep)]
     attained = True
     if _exact_qp(A):
-        lam_K = _active_set(A, 0)
+        lam_K = _active_set(A, 0, None if start is None else start[keep])
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
         attained = _kkt_residual(A, lam_K, 1e-12 * (1.0 + lam_K.max())) < 1e-8

@@ -514,7 +514,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 # ---------------------------------------------------------------------------
 
 
-PRUNE_RTOL = 1e-9  # LP values are monotone in exact arithmetic, not to the last bit
+PRUNE_RTOL = 1e-9  # cap0 values, certified or from the LP, are monotone in exact arithmetic only
 
 
 class _SubsetSearch:
@@ -528,9 +528,11 @@ class _SubsetSearch:
     ``I`` and undecided points ``R`` bounds the ratios of its sets by
     ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R`` while ``I``
     is empty), or by a caller's second bound if smaller, and is pruned when
-    that is below the incumbent.  ``cap0`` and
-    ``cap1`` are memoized per subset for every search on one object, which
-    lives only as long as its caller: kernels are mutable.
+    that is below the incumbent.  Each subset's indices, mask, ``sigma`` mass,
+    ``cap0``, and ``cap1`` with its weights are memoized for every search on
+    one object, which lives only as long as its caller: kernels are mutable.
+    ``cap1`` starts from the weights of the subset's parent in the search, the
+    subset without its last point in ``order``.
     """
 
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
@@ -539,22 +541,32 @@ class _SubsetSearch:
         self.limit = 2**k - 1 if 2**k <= budget else _sampled_cap(n, budget)
         pot = potential(kernel, sigma)[self.supp]
         self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
-        self._caps: tuple[dict, dict] = ({}, {})  # cap0 and cap1 by subset
+        self._sets: dict = {}  # (indices, mask, sigma mass) by subset
+        self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
+
+    def subset(self, m: int) -> tuple:
+        """``(indices, read-only mask, sigma mass)`` of the subset ``m``."""
+        if m not in self._sets:
+            mask = np.zeros(self.kernel.size, dtype=bool)
+            mask[self.supp[_bits(m, self.supp.size)]] = True
+            mask.flags.writeable = False
+            self._sets[m] = np.flatnonzero(mask), mask, self.sigma.mass(mask)
+        return self._sets[m]
 
     def mask(self, m: int) -> np.ndarray:
-        mask = np.zeros(self.kernel.size, dtype=bool)
-        mask[self.supp[_bits(m, self.supp.size)]] = True
-        return mask
+        return self.subset(m)[1]
 
     def cap0_value(self, m: int) -> float:
         if m not in self._caps[0]:
-            self._caps[0][m] = _cap0(self.kernel.entries, np.flatnonzero(self.mask(m)))[0]
+            self._caps[0][m] = _cap0(self.kernel.entries, self.subset(m)[0])[0]
         return self._caps[0][m]
 
     def cap1_value(self, m: int) -> float:
         if m not in self._caps[1]:
-            self._caps[1][m] = _wiener_cap1(self.kernel, np.flatnonzero(self.mask(m)))[0]
-        return self._caps[1][m]
+            last = next(j for j in reversed(self.order) if m >> j & 1)
+            parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
+            self._caps[1][m] = _wiener_cap1(self.kernel, self.subset(m)[0], parent)[:2]
+        return self._caps[1][m][0]
 
     @cached_property
     def cap1_monotone(self) -> bool:
@@ -564,7 +576,7 @@ class _SubsetSearch:
     def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
         """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
         which prunes only when :attr:`cap1_monotone`."""
-        return self.max_ratio(lambda m: self.sigma.mass(self.mask(m)) ** (1.0 / q),
+        return self.max_ratio(lambda m: self.subset(m)[2] ** (1.0 / q),
                               self.cap1_value if cap1 else self.cap0_value,
                               prune=not cap1 or self.cap1_monotone)
 
@@ -579,7 +591,7 @@ class _SubsetSearch:
             return float(_potential(G, np.where(mask, w, 0.0))[mask].max())
 
         return self.max_ratio(lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
-                              lambda m: self.sigma.mass(self.mask(m)), cap=top_potential)
+                              lambda m: self.subset(m)[2], cap=top_potential)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a

@@ -5,8 +5,12 @@
 covering content and the quadratic capacity all equal 4/3.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from potbench import (
@@ -21,9 +25,10 @@ from potbench import (
     potential,
     wiener_cap1,
 )
-from potbench.capacity import _enumerate_supports
+from potbench.capacity import SLACK_TOL, _enumerate_supports, _slack_certificate
 from potbench.gallery import SampledKernelSpec, build_sampled
-from conftest import rand_gram_kernel, rand_kernel
+from potbench.simplex import LpProblem, solve_lp
+from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
 
 HALF = Kernel(Space.of_size(2), [[1.0, 0.5], [0.5, 1.0]])
@@ -32,7 +37,8 @@ HALF = Kernel(Space.of_size(2), [[1.0, 0.5], [0.5, 1.0]])
 def test_cap0_oracle():
     res = cap0(HALF, [0, 1])
     assert res.value == pytest.approx(4.0 / 3.0, abs=1e-10)
-    assert res.method == "lp"
+    # G (2/3, 2/3) = 1 with nonnegative weights: certified, no LP solved
+    assert res.method == "slackness" and res.dual_value == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert res.extremal.weights == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
     assert cap0(HALF, [0]).value == pytest.approx(1.0, abs=1e-12)
 
@@ -114,6 +120,79 @@ def test_cap0_against_scipy(seed):
     else:
         assert res.status == 0
         assert ours == pytest.approx(-res.fun, rel=1e-8, abs=1e-8)
+
+
+def _lp_cap0(G, F):
+    """cap0 on the finite rows ``F`` by its LP alone, as before the certificate."""
+    n = G.shape[0]
+    sol = solve_lp(LpProblem(np.ones(F.size), G[F].T, np.ones(n), ("<=",) * n))
+    return float("inf") if sol.status == "unbounded" else max(sol.value, 0.0)
+
+
+def _kernel_of_kind(rng, n, kind):
+    if kind == "metric":
+        return metric_power_kernel(rng, n, power=float(rng.choice([0.7, 1.0, 2.0, 3.0])))
+    return rand_kernel(rng, n, zero_frac=float(rng.choice([0.0, 0.2, 0.4])),
+                       inf_frac=float(rng.choice([0.0, 0.05, 0.15])),
+                       symmetric=kind == "symmetric")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7),
+       st.sampled_from(["metric", "symmetric", "asymmetric"]))
+def test_slack_certificate_agrees_with_the_lp(seed, n, kind):
+    # on every subset: an accepted certificate is a feasible primal-dual pair
+    # whose value is the LP's; a declined one leaves cap0 and content to the LP
+    rng = np.random.default_rng(seed)
+    kernel = _kernel_of_kind(rng, n, kind)
+    G = kernel.entries
+    for m in range(1, 2**n):
+        K = np.flatnonzero([m >> j & 1 for j in range(n)])
+        F = K[np.isfinite(G[K]).all(axis=1)]
+        lp = _lp_cap0(G, F)
+        res, cres = cap0(kernel, K), content(kernel, K)
+        cert = _slack_certificate(G, F) if F.size else None
+        if cert is None:
+            assert res.method == "lp" and res.value == lp
+            continue
+        mu, lam = cert
+        assert (mu >= 0).all() and (mu @ G[F] <= 1.0 + SLACK_TOL).all()
+        assert (lam >= 0).all() and (G[np.ix_(F, F)] @ lam >= 1.0 - SLACK_TOL).all()
+        assert [res.method, cres.method] == ["slackness", "slackness"]
+        for value in (res.value, res.dual_value, cres.value, cres.dual_value):
+            assert value == pytest.approx(lp, rel=1e-12)
+        assert res.value == mu.sum() and cres.value == lam.sum()
+
+
+def test_certified_cap0_is_free_of_scale():
+    # cap0(t G) = cap0(G) / t; the LP alone read +inf at t = 1.4e-16 on
+    # kernels where the answer is about 0.2, and is wrong on most of these
+    rng = np.random.default_rng(28)
+    certified = 0
+    for _ in range(60):
+        n = int(rng.integers(3, 8))
+        kernel = metric_power_kernel(rng, n, power=float(rng.choice([0.7, 1.0, 2.0])))
+        K = np.flatnonzero(rng.uniform(size=n) < 0.6)
+        t = 10.0 ** rng.uniform(-150, 150)
+        if K.size == 0 or _slack_certificate(kernel.entries, K) is None:
+            continue
+        certified += 1
+        scaled = Kernel(kernel.space, t * kernel.entries)
+        for capacity in (cap0, content):
+            base, res = capacity(kernel, K), capacity(scaled, K)
+            assert res.method == base.method == "slackness"
+            assert res.value * t == pytest.approx(base.value, rel=1e-12)
+    assert certified >= 40
+
+
+def test_slack_certificate_declines_an_overflowing_potential():
+    # mu = 1e200 on {0} solves G_FF' mu = 1, but its potential at 1 overflows:
+    # declined without a warning, and the LP finds cap0 = 1e-200
+    k = Kernel(Space.of_size(2), [[1e-200, 1e200], [1e200, 1e-200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = [cap0(k, [0]), content(k, [0])]
+    assert [(r.value, r.method) for r in results] == [(1e-200, "lp")] * 2
 
 
 def test_wiener_oracle():

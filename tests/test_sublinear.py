@@ -53,8 +53,9 @@ from potbench import (
     wmp_constant,
 )
 from potbench import SampledKernelSpec, build_sampled
-from potbench import cap0, quasimetric_constant, sublinear, wiener_cap1
+from potbench import cap0, capacity, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _inverse_distance, _weighted_terms
+from potbench.gallery import shortest_path_metric
 from potbench.principles import DEFAULT_BUDGET
 from potbench.sublinear import (
     CONV_TOL,
@@ -844,6 +845,38 @@ def test_cap1_monotone_is_the_exact_path_of_wiener_cap1():
         search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
         assert res.method == method
         assert search.cap1_monotone == monotone == (res.method != "heuristic")
+
+
+def _verdict_table_input_0():
+    """The kernel and measure of the verdict_table benchmark's input 0 at
+    seed 0 (``perfbench/workloads.py``): n = 10, power 0.7."""
+    base, jit = np.random.default_rng([7, 0, 0]), np.random.default_rng([0, 0, 1])
+    offset = base.uniform(0.1, 0.6)
+    space = Space.of_size(10)
+    kernel = Kernel(space, 1.0 / (shortest_path_metric(base, 10) + offset) ** 0.7)
+    return kernel, Measure(space, base.uniform(0.2, 1.5, 10) * jit.uniform(0.98, 1.02, 10))
+
+
+def test_warm_cap1_is_bit_equal_to_cold_with_fewer_solves(monkeypatch):
+    # the search starts each subset's active set from its parent's weights
+    solves, real = [0], capacity._equilibrium
+
+    def counted(AT):
+        solves[0] += 1
+        return real(AT)
+
+    monkeypatch.setattr(capacity, "_equilibrium", counted)
+    rng = np.random.default_rng(28)
+    cases = [(k, rand_sigma(rng, k.space)) for k in (rand_gram_kernel(rng, n) for n in (8, 10, 12))]
+    for kernel, sigma in cases + [_verdict_table_input_0()]:
+        search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
+        solves[0] = 0
+        for q in (0.5, 1.0):
+            search.capacity_ratio(q, cap1=True)
+        warm, solves[0] = solves[0], 0
+        for m, (value, _) in search._caps[1].items():
+            assert sublinear._wiener_cap1(kernel, search.subset(m)[0])[0] == value
+        assert len(search._caps[1]) > 2 * kernel.size and warm < solves[0]
 
 
 def test_subset_search_matches_brute_force():
