@@ -5,11 +5,13 @@ Three set functions, all with explicit optimizers:
 * :func:`cap0`: largest mass a measure on ``K`` can carry while its adjoint
   potential stays ``<= 1`` on the whole space (a linear program);
 * :func:`content`: least total mass of a measure whose potential is ``>= 1``
-  on ``K`` (the dual linear program, so the two values coincide).  Both first
-  try complementary slackness on the finite rows ``F`` of ``K``: nonnegative
-  solutions of ``G_FF' mu = 1`` and ``G_FF lam = 1`` with ``G' mu <= 1``
-  everywhere are optimal for the two programs (method ``slackness``); only a
-  set where that check declines is solved by the simplex;
+  on ``K``.  This is the dual linear program, so it is read from the same
+  solve as :func:`cap0`, and each value is the other's ``dual_value`` bit for
+  bit.  That solve first tries complementary slackness on the finite rows
+  ``F`` of ``K``: nonnegative solutions of ``G_FF' mu = 1`` and ``G_FF lam =
+  1`` with ``G' mu <= 1`` everywhere are optimal for the two programs (method
+  ``slackness``); only a set where that check declines is solved by the
+  simplex, whose clipped duals are ``content``'s measure;
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
   go through an exact Lawson-Hanson active set with KKT verification; small
@@ -130,26 +132,30 @@ def _slack_certificate(G: np.ndarray, F: np.ndarray):
 
 
 def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
-    """``(value, free, mu on free or None, dual value, method)`` of :func:`cap0` on
-    ``K``, whose points ``free`` can carry mass: by :func:`_slack_certificate`, else LP."""
+    """``(value, free, mu on free, dual value, lam, method)`` of :func:`cap0` on
+    ``K``, whose points ``free`` can carry mass: by :func:`_slack_certificate`,
+    else LP.  ``lam``, the optimal measure of the dual (:func:`content`'s LP),
+    is the certificate's or the LP's clipped duals; ``mu`` and ``lam`` are None
+    if the LP is unbounded.  The masses are summed over the certificate's
+    compact vectors, before ``lam`` is padded to the whole space."""
     n = G.shape[0]
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
     free = K[np.isfinite(G[K]).all(axis=1)]
     if free.size and (cert := _slack_certificate(G, free)) is not None:
-        return float(cert[0].sum()), free, cert[0], float(cert[1].sum()), "slackness"
-    sol = solve_lp(LpProblem(np.ones(free.size), G[free].T, np.ones(n), ("<=",) * n))
+        lam = np.zeros(n)
+        lam[free] = cert[1]
+        return float(cert[0].sum()), free, cert[0], float(cert[1].sum()), lam, "slackness"
+    sol = solve_lp(LpProblem(np.ones(free.size), G[free].T, np.ones(n)))
     if sol.status == "unbounded":
-        return float("inf"), free, None, float("inf"), "lp"
-    if sol.status != "optimal":  # cannot happen: mu = 0 is feasible
-        raise RuntimeError(f"cap0 LP reported {sol.status}")
-    dual_value = float(np.maximum(sol.duals, 0.0).sum())
-    return max(sol.value, 0.0), free, np.maximum(sol.x, 0.0), dual_value, "lp"
+        return float("inf"), free, None, float("inf"), None, "lp"
+    lam = np.maximum(sol.duals, 0.0)
+    return max(sol.value, 0.0), free, np.maximum(sol.x, 0.0), float(lam.sum()), lam, "lp"
 
 
 def cap0(kernel: Kernel, points) -> CapacityResult:
     """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
     K = _resolve_subset(kernel, points)
-    value, free, mu_free, dual_value, method = _cap0(kernel.entries, K)
+    value, free, mu_free, dual_value, _, method = _cap0(kernel.entries, K)
     if mu_free is None:
         return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
     weights = np.zeros(kernel.size)
@@ -160,34 +166,16 @@ def cap0(kernel: Kernel, points) -> CapacityResult:
 
 
 def content(kernel: Kernel, points) -> CapacityResult:
-    """min ``lam(space)`` over measures with potential ``>= 1`` on ``K``."""
-    space = kernel.space
+    """min ``lam(space)`` over measures with potential ``>= 1`` on ``K``: the
+    dual side of :func:`cap0`'s solve, ``+inf`` where that LP is unbounded."""
     K = _resolve_subset(kernel, points)
-    G = kernel.entries
-    n = space.size
-
-    # a >=1 row containing +inf is satisfied by vanishing mass on that column
-    rows = K[np.isfinite(G[K]).all(axis=1)]
-    attained = rows.size == K.size
-
-    if rows.size == 0:
-        weights, value, dual_value, method = np.zeros(n), 0.0, 0.0, "lp"
-    elif (cert := _slack_certificate(G, rows)) is not None:
-        weights = np.zeros(n)
-        weights[rows] = cert[1]
-        value, dual_value, method = float(cert[1].sum()), float(cert[0].sum()), "slackness"
-    else:
-        sol = solve_lp(LpProblem(-np.ones(n), G[rows], np.ones(rows.size), (">=",) * rows.size))
-        if sol.status == "infeasible":
-            return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-        if sol.status != "optimal":
-            raise RuntimeError(f"content LP reported {sol.status}")
-        weights, value = np.maximum(sol.x, 0.0), max(-sol.value, 0.0)
-        dual_value, method = float(np.maximum(-sol.duals, 0.0).sum()), "lp"
-
-    lam = Measure(space, weights)
+    cap, free, _, value, weights, method = _cap0(kernel.entries, K)
+    if weights is None:
+        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
+    lam = Measure(kernel.space, weights)
     certs = _make_certificates(kernel, K, lam, potential(kernel, lam))
-    return CapacityResult(value, lam, dual_value, certs, method, attained=attained)
+    # a >=1 row containing +inf is satisfied by vanishing mass on that column
+    return CapacityResult(value, lam, cap, certs, method, attained=free.size == K.size)
 
 
 # ---------------------------------------------------------------------------

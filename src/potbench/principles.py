@@ -26,11 +26,10 @@ and no ``+inf`` reaches the LP solver.  A ``+inf`` coefficient in a row over
 ``S`` forces its variable to zero, and a support with no column finite on it
 is worth 0 against every ``x`` and costs no LP.  A ``+inf`` objective
 coefficient makes the pair infinite, witnessed by the point mass at the first
-one.  Any other pair is one feasible LP: unbounded is ``+inf`` with its ray
-as the witness, and any status but optimal is an error.  Pair LPs wait in
-buckets, one per LP shape, and ``BUCKET`` of them at a time go to
-``solve_lps``; the rest are solved when the stream ends or reaches a ``+inf``
-pair.  As in a pair-by-pair scan, the winner is the first maximum in stream
+one.  Any other pair is one packing LP, feasible at 0: unbounded is ``+inf``
+with its ray as the witness.  Pair LPs wait in buckets, one per LP shape,
+and ``BUCKET`` of them at a time go to ``solve_lps``; the rest are solved
+when the stream ends or reaches a ``+inf`` pair.  As in a pair-by-pair scan, the winner is the first maximum in stream
 order, and the first ``+inf`` pair ends the stream and sets ``pairs_checked``.
 """
 
@@ -153,8 +152,6 @@ def _solve_pairs(G: np.ndarray, pairs, build) -> list:
     for (place, S, x, cols, _), sol in zip(pairs, solve_lps(problems)):
         if sol.status == "unbounded":
             value, vector = float("inf"), sol.ray
-        elif sol.status != "optimal":
-            raise RuntimeError(f"pair LP reported {sol.status}")
         else:
             value, vector = float(sol.value), sol.x
         found.append((value, place, (S, x, cols, vector)))
@@ -166,7 +163,7 @@ def _max_over_pairs(kernel: Kernel, supports, build):
     every pair before it, stopping at ``+inf``.  ``build(G, S, x, nu, cols,
     block)`` gets the points ``cols`` of ``S`` whose columns are finite on
     ``S``, the mask ``nu`` of columns finite on ``S`` and at ``x`` and
-    ``block = G[S, cols]``, and returns a feasible ``LpProblem`` whose first
+    ``block = G[S, cols]``, and returns an ``LpProblem`` whose first
     ``cols.size`` variables are the measure on ``cols`` valued at ``x``.
 
     Pair LPs wait in buckets of one LP shape (``|S|``, ``|cols|``, ``|nu|``)
@@ -221,7 +218,7 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
 
 def _wmp_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
     """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S."""
-    return LpProblem(G[x, cols], block, np.ones(len(S)), ("<=",) * len(S))
+    return LpProblem(G[x, cols], block, np.ones(len(S)))
 
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
@@ -254,7 +251,15 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
 
 def _complete_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
     """max G mu (x) over ``(mu, nu, c)``, mu on ``cols`` and nu on the columns
-    ``nu``, with G mu <= G nu + c on S and G nu (x) + c = 1."""
+    ``nu``, with G mu <= G nu + c on S and G nu (x) + c <= 1.
+
+    The normalization ``= 1`` of the principle may be relaxed to ``<= 1``:
+    the rows on S are homogeneous, so a feasible point with ``s = G nu (x) +
+    c < 1`` and a positive objective scales by ``1 / s`` into a better one,
+    and ``s = 0`` with a positive objective is a ray, unbounded in both
+    forms.  ``(0, 0, 1)`` is feasible in both, so they have the same value
+    and the same ``+inf`` pairs, a winning vertex has ``s = 1``, and the LP
+    is a packing LP that starts from its slack basis."""
     k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
     lhs = np.zeros((m + 1, k + r + 1))
     lhs[:m, :k] = block
@@ -266,7 +271,7 @@ def _complete_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
     rhs[m] = 1.0
     objective = np.zeros(k + r + 1)
     objective[:k] = G[x, cols]
-    return LpProblem(objective, lhs, rhs, ("<=",) * m + ("==",))
+    return LpProblem(objective, lhs, rhs)
 
 
 def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,

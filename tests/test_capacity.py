@@ -122,10 +122,53 @@ def test_cap0_against_scipy(seed):
         assert ours == pytest.approx(-res.fun, rel=1e-8, abs=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(15))
+def test_content_against_scipy(seed):
+    # an oracle independent of cap0's solve; with 40 % zeros, 2 of the 15
+    # covering LPs are infeasible
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(2, 7))
+    k = rand_kernel(rng, n, zero_frac=0.4)
+    K = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    ours = content(k, K).value
+    # oracle: minimize lam(space) over lam >= 0 with G lam >= 1 on K
+    res = linprog(np.ones(n), A_ub=-k.entries[K], b_ub=-np.ones(len(K)),
+                  bounds=[(0, None)] * n, method="highs")
+    if res.status == 2:
+        assert ours == np.inf
+    else:
+        assert res.status == 0
+        assert ours == pytest.approx(res.fun, rel=1e-8, abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7),
+       st.sampled_from(["metric", "symmetric", "asymmetric"]))
+def test_content_is_cap0s_dual(seed, n, kind):
+    # content is read from cap0's solve: on every subset its value is cap0's
+    # dual value and its dual value cap0's value, bit for bit
+    kernel = _kernel_of_kind(np.random.default_rng(seed), n, kind)
+    for m in range(1, 2**n):
+        K = [j for j in range(n) if m >> j & 1]
+        res, cres = cap0(kernel, K), content(kernel, K)
+        assert cres.value == res.dual_value and cres.dual_value == res.value
+        assert np.isinf(cres.value) == np.isinf(res.value)
+        assert cres.method == res.method
+
+
+def test_content_with_entries_near_the_largest_float():
+    # the certificate declines; the LP has no phase-1 row to overflow
+    k = Kernel(Space.of_size(3), [[1.0, 0.5, 1e308], [0.5, 1.0, 1e308], [1.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = content(k, [0, 1])
+    assert (res.value, res.method) == (1e-308, "lp")
+
+
 def _lp_cap0(G, F):
     """cap0 on the finite rows ``F`` by its LP alone, as before the certificate."""
     n = G.shape[0]
-    sol = solve_lp(LpProblem(np.ones(F.size), G[F].T, np.ones(n), ("<=",) * n))
+    sol = solve_lp(LpProblem(np.ones(F.size), G[F].T, np.ones(n)))
     return float("inf") if sol.status == "unbounded" else max(sol.value, 0.0)
 
 

@@ -461,7 +461,10 @@ def test_analyze_runs_where_jsonschema_cannot_be_imported(tmp_path):
 
 
 def test_cli_import_does_not_load_jsonschema():
-    proc = _fresh_python("import sys, potbench.cli; assert 'jsonschema' not in sys.modules")
+    # the runtime is numpy alone: no jsonschema, and no scipy (the simplex is
+    # the package's own)
+    proc = _fresh_python("import sys, potbench.cli; "
+                         "assert not {'jsonschema', 'scipy'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 

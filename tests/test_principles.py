@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from potbench import (
     Kernel,
@@ -127,19 +128,24 @@ def test_sampled_stream_pinned():
     # entry stops both searches inside the singleton supports, so the
     # count pins the order of the cheap supports.  The expected values were
     # recorded at commit c2c39fb, whose loop walked single (S, x) pairs
-    # instead of supports.
+    # instead of supports.  The complete constant's complement pair
+    # ({1, ..., 7}, 0) ties in exact arithmetic with its random-part maximum
+    # 1219/670; the packing LP (normalization <= 1) reads that pair 1 ulp
+    # above the random one, so it wins, and the weak constant alone pins the
+    # order of the random part.
     block = np.array([[np.inf, 1.5, 1.0, 2.0], [1.5, 2.5, 1.375, 0.625],
                       [1.0, 1.375, 3.0, 1.625], [2.0, 0.625, 1.625, 2.25]])
     G = np.zeros((8, 8))
     G[:4, :4] = G[4:, 4:] = block
     stopped = G.copy()
     stopped[6, 1] = np.inf
-    for constant, value in ((wmp_constant, 1.182089552238806),
-                            (complete_mp_constant, 1.819402985074627)):
+    for constant, value, top in (
+            (wmp_constant, 1.182089552238806, ((0, 3, 5, 7), 4)),
+            (complete_mp_constant, 1.8194029850746274, ((1, 2, 3, 4, 5, 6, 7), 0))):
         rep = constant(Kernel(Space.of_size(8), G), budget=100, seed=1)
         assert rep.mode == "sampled"
         assert rep.constant == value
-        assert rep.witness[:2] == ((0, 3, 5, 7), 4)
+        assert rep.witness[:2] == top
         # 56 singleton pairs, 8 complement pairs, 100 random draws
         assert rep.pairs_checked == 164
         rep = constant(Kernel(Space.of_size(8), stopped), budget=100, seed=1)
@@ -298,6 +304,42 @@ def test_pair_engine_matches_pair_scan():
                 witnessed += top is not None and bool(np.isfinite(value))
                 rays += bool(np.isinf(value)) and top[3].size > top[2].size  # complete-MP rays
     assert infinite >= 50 and rays >= 25 and witnessed >= 25
+
+
+def test_packing_complete_lp_matches_the_equality_form():
+    # _complete_problem's normalization G nu (x) + c <= 1 against the
+    # principle's = 1 through scipy (A_eq), pair by pair on sampled streams:
+    # the same value, the same unbounded pairs, and s = 1 at a positive
+    # optimum, since the rows on S are homogeneous (docstring of
+    # _complete_problem)
+    rng = np.random.default_rng(43)
+    lps = unbounded = 0
+    for i in range(0, 28, 2):  # every kind and size of _engine_kernel
+        k = _engine_kernel(rng, i)
+        G, n = k.entries, k.size
+        for S, outside in principles._sampled_supports(n, min(n * 2 ** n - 1, n * n), i):
+            fin = np.isfinite(G[S]).all(axis=0)
+            cols = S[fin[S]]
+            for x in outside.tolist():
+                if not cols.size or np.isinf(G[x, cols]).any():
+                    continue  # no LP: worth 0, or +inf by its objective
+                p = _complete_problem(G, S, x, fin & np.isfinite(G[x]), cols,
+                                      G[np.ix_(S, cols)])
+                m = len(S)
+                ref = linprog(-p.objective, A_ub=p.lhs[:m], b_ub=p.rhs[:m], A_eq=p.lhs[m:],
+                              b_eq=p.rhs[m:], bounds=[(0, None)] * p.objective.size,
+                              method="highs")
+                sol = solve_lp(p)
+                lps += 1
+                assert (sol.status == "unbounded") == (ref.status == 3)
+                if sol.status == "unbounded":
+                    unbounded += 1
+                    continue
+                assert ref.status == 0
+                assert sol.value == pytest.approx(-ref.fun, rel=1e-9, abs=1e-12)
+                if sol.value > 0:  # to rounding: 7.0e-13 at worst here
+                    assert p.lhs[m] @ sol.x == pytest.approx(1.0, abs=1e-12)
+    assert lps >= 800 and unbounded >= 100
 
 
 def test_pair_engine_late_inf_with_part_filled_buckets(monkeypatch):
