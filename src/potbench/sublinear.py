@@ -5,6 +5,11 @@ The pipeline realized here:
 * build a supersolution by relaxed fixed-point iteration, given a valid
   strong-type constant (:func:`gagliardo_supersolution`);
 * drive it down monotonically to a solution (:func:`monotone_solution`);
+  both loops take one checked plain step and then finish by Newton steps on
+  ``supp sigma`` (:func:`_newton`).  Their maps are concave and order
+  preserving, so from a supersolution every Newton iterate stays between the
+  fixed point and the iterate before it, and the paper's order holds; where
+  Newton declines, the plain loop runs on unchanged;
 * estimate the best constants of the strong and weak (1, q) inequalities
   with explicit witness measures and certified bounds
   (:func:`strong_type_constant`, :func:`weak_type_constant`);
@@ -87,6 +92,7 @@ GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RELAX = 0.1  # relaxation of gagliardo_supersolution
 CONV_TOL = 1e-12
 ITER_CAP = 100_000
+NEWTON_STEPS = 40  # Newton steps before a fixed-point loop's finish that has not settled declines
 POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
 REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
 ENERGY_RTOL = 1e-10  # relative slack of the two energy_criteria checks
@@ -153,6 +159,49 @@ def _stepper(kernel: Kernel, sigma: Measure):
     return step
 
 
+def _settled(a, b) -> bool:
+    """The stop rule of both fixed-point loops: successive iterates ``a`` and
+    ``b`` on ``supp sigma`` agree to ``CONV_TOL`` relative to the larger."""
+    return bool((np.abs(a - b) <= CONV_TOL * np.maximum(np.maximum(a, b), 1e-300)).all())
+
+
+def _newton(v, supp, image, plain):
+    """Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` for a fixed point of a
+    loop's map ``f`` on ``supp sigma``, from ``x = v[supp]``; ``image(x)`` returns
+    ``f(x)`` and ``f'(x)`` there.  Each step is solved as
+    ``(I - f'(x)) y = f(x) - f'(x) x``, which does not cancel where ``y`` lies far
+    below ``x`` (``f'(x) x`` is ``q f(x)`` or ``q (f(x) - psi)`` for the loops' maps,
+    so the right side is positive).  From the first iterate that meets
+    :func:`_settled` it takes one step more, so the finish is quadratic, not only
+    within the stop rule, and returns ``(cand, plain(cand), steps)``: that step as
+    a full vector, ``v`` off the support, and the loop's plain step from it,
+    which fills in the points off the support and checks the result.  It returns
+    None, and the loop's plain steps go on, where a value or a Jacobian is not
+    finite (an infinite ``G_ss`` entry, a potential that vanishes on the
+    support), an iterate is below 1e-300 (not positive, or so small that
+    subnormal rounding decides it), the system is singular, or
+    ``NEWTON_STEPS`` steps do not settle.  Overflow only makes values infinite,
+    and the caller tests the plain step for finiteness."""
+    x, eye = v[supp], np.eye(supp.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps in range(1, NEWTON_STEPS + 1):
+            fx, D = image(x)
+            if not (np.isfinite(fx).all() and np.isfinite(D).all()):
+                return None
+            try:
+                y = np.linalg.solve(eye - D, fx - D @ x)
+            except np.linalg.LinAlgError:
+                return None
+            if not (np.isfinite(y).all() and (y >= 1e-300).all()):  # below, rounding decides
+                return None
+            if _settled(x, fx):
+                cand = v.copy()
+                cand[supp] = y
+                return cand, plain(cand), steps
+            x = y
+    return None
+
+
 # ---------------------------------------------------------------------------
 # supersolutions and solutions
 # ---------------------------------------------------------------------------
@@ -170,6 +219,21 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     property is re-verified on the result; a failed verification (an invalid
     ``kappa``) comes back as status ``diverged``.  ``phi sigma`` is checked
     once per call, at the first step; ``l1 <= 1 + 1e-8`` bounds it after that.
+    The loop stops once successive iterates agree to ``CONV_TOL`` relative,
+    on ``supp sigma``; the rule has no absolute floor, since the iterates
+    scale like ``1/sigma(total)``.  A ``kappa`` whose scale ``c`` does not
+    fit a float raises :class:`DomainError`.
+
+    After the first step, Newton steps on ``supp sigma`` finish the loop
+    (:func:`_newton`).  The map ``R`` is concave and order preserving, so
+    the first Newton step from below lands above the fixed point, and the
+    steps after it fall towards it; the nondecreasing check therefore holds
+    for plain steps only.  The Newton result is accepted only when one plain
+    step from it is finite on ``supp sigma``, has mass at most ``1 + 1e-8``
+    and meets the stop rule; that step is the result, and the re-check of
+    ``u`` guarantees it.  Otherwise the plain loop runs on as if Newton had
+    not been tried.  ``iterations`` counts the plain steps and the accepted
+    Newton steps.
     """
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
@@ -181,7 +245,11 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     n = kernel.size
     on = slice(None) if (sigma.weights > 0).all() else sigma.support
 
-    scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
+    try:
+        scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
+    except OverflowError:
+        raise DomainError("the solution's scale ((1 + RELAX) kappa^q)^(1/(1-q)) "
+                          "does not fit a float") from None
     if kappa == 0.0:
         return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0)
 
@@ -189,6 +257,14 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     gain = 1.0 / ((1.0 + RELAX) * kappa**q)
     phi = np.full(n, psi)
     step, sw = _stepper(kernel, sigma), sigma.weights[on]
+    supp = sigma.support
+    G_ss = kernel.entries[np.ix_(supp, supp)]
+
+    def image(x):  # R(x) and R'(x) on supp sigma
+        p = G_ss @ (sw * x)
+        r = gain * p**q
+        return psi + r, (q * r / p)[:, np.newaxis] * G_ss * sw
+
     pot = _apply(kernel, phi, sigma)  # psi sigma is +inf where the mass is subnormal
     status, iterations = "diverged", 0
     for iterations in range(1, ITER_CAP + 1):
@@ -202,9 +278,16 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
         l1 = float(nxt[on] @ sw)
         if l1 > 1.0 + 1e-8:
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
-        delta = np.abs(nxt[on] - phi[on])
-        phi = nxt
-        if (delta <= CONV_TOL * np.maximum(1.0, phi[on])).all():
+        done, phi = _settled(phi[on], nxt[on]), nxt
+        if not done and iterations == 1:
+            finish = _newton(phi, supp, image, lambda v: psi + gain * step(v)**q)
+            if finish is not None:
+                cand, nxt, steps = finish
+                if (np.isfinite(nxt[on]).all() and float(nxt[on] @ sw) <= 1.0 + 1e-8
+                        and _settled(cand[on], nxt[on])):
+                    phi, done = nxt, True
+                    iterations += steps + 1  # the Newton steps and the plain step from them
+        if done:
             status = "supersolution"
             break
 
@@ -228,6 +311,18 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     case, in which no everywhere-positive solution exists, and the vanishing
     points are reported as the witness.  ``u^q sigma`` is checked once per
     call, at the first step; the iterates only fall after that.
+
+    After the first step, Newton steps ``y = u - (I - T'(u))^{-1} (u - T u)``
+    on ``supp sigma`` finish the loop (:func:`_newton`).  ``T`` is concave
+    and q-homogeneous, so at a supersolution ``u`` the spectral radius of
+    ``T'(u)`` is at most ``q`` and ``(I - T'(u))^{-1} >= 0``; concavity then
+    gives ``u* <= y <= u``, and ``y`` is again a supersolution (Ortega and
+    Rheinboldt 1970, 13.3).  The Newton result is accepted only when it is at
+    most ``u`` and one plain step from it neither rises nor misses the stop
+    rule; the result is then the smaller of the two, as for a plain step.
+    Otherwise the plain loop runs on as if Newton had not been tried.
+    ``iterations`` counts the plain steps, the start's check among them, and
+    the accepted Newton steps.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -247,6 +342,12 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
         raise DomainError("start is not a supersolution on the support of sigma")
 
     step, u = _stepper(kernel, sigma), rhs
+    G_ss, sw = kernel.entries[np.ix_(supp, supp)], sigma.weights[supp]
+
+    def image(x):  # T(x) and T'(x) on supp sigma
+        t = sw * x**q
+        return G_ss @ t, G_ss * (q * t / x)
+
     nxt = _apply(kernel, u**q, sigma)  # rhs may exceed start by the slack allowed
     iterations, status = 1, "diverged"
     for iterations in range(2, ITER_CAP + 2):
@@ -257,9 +358,16 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
         if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
             raise RuntimeError("monotone iteration increased")
         nxt = np.minimum(nxt, u)
-        delta = np.abs(u[on] - nxt[on])
-        done = (delta <= CONV_TOL * np.maximum(u[on], 1e-300)).all()
-        u = nxt
+        done, u = _settled(u[on], nxt[on]), nxt
+        if not done and iterations == 2:
+            finish = _newton(u, supp, image, lambda v: step(v**q))
+            if finish is not None:
+                cand, nxt, steps = finish
+                if (np.isfinite(nxt[on]).all() and (cand <= u * (1.0 + 1e-12) + 1e-300).all()
+                        and (nxt <= cand * (1.0 + 1e-12) + 1e-300).all()
+                        and _settled(cand[on], nxt[on])):
+                    u, done = np.minimum(nxt, cand), True
+                    iterations += steps + 1  # the Newton steps and the plain step from them
         if done:
             status = "converged"
             break

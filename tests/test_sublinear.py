@@ -19,6 +19,7 @@ Frozen oracles, all derived by hand before implementation:
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,32 @@ def test_monotone_descent_scalar():
     assert res.status == "solution"
     assert res.u[0] == pytest.approx(1.0, rel=1e-9)
     assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_monotone_limit_matches_the_one_point_closed_form(q):
+    # G = [[g]], sigma = (s): u = g s u^q, so u = (g s)^{1/(1-q)}; the Newton
+    # finish is quadratic, so it lands within a few ulp in a few steps
+    sp = Space.of_size(1)
+    for g, s in ((1.0, 1.0), (2.5, 0.3), (1e-3, 7.0), (1e5, 1e-4), (0.2, 40.0)):
+        prob = SublinearProblem(Kernel(sp, [[g]]), Measure(sp, [s]), q)
+        kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+        sol = monotone_solution(prob, gagliardo_supersolution(prob, kappa).u)
+        assert sol.status == "solution" and sol.iterations <= 10
+        assert sol.u[0] == pytest.approx((g * s) ** (1.0 / (1.0 - q)), rel=1e-13, abs=0.0)
+
+
+def test_gagliardo_stop_rule_is_relative_on_heavy_measures():
+    # on G = [[1]], sigma = (t), q = 1/2 the iterates phi scale like 1/t; an
+    # absolute floor in the stop rule once stopped after one step at t = 1e12,
+    # and the failed re-check then read as diverged and VIOLATED
+    sp = Space.of_size(1)
+    for t in 10.0 ** np.arange(4, 15):
+        prob = SublinearProblem(Kernel(sp, [[1.0]]), Measure(sp, [t]), 0.5)
+        kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+        assert gagliardo_supersolution(prob, kappa).status == "supersolution"
+        assert solve_equation(prob)[0].u[0] == pytest.approx(t**2, rel=1e-12)
+        assert "VIOLATED" not in [row.verdict for row in theorem_report(prob).rows]
 
 
 def test_monotone_rejects_subsolution_start():
@@ -963,8 +990,15 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
     monkeypatch.setattr(_SubsetSearch, "mask", lambda self, m: masks.add(m) or mask(self, m))
     built, init = [], Measure.__post_init__
     monkeypatch.setattr(Measure, "__post_init__", lambda self: built.append(1) or init(self))
+    newton = sublinear._newton
+    monkeypatch.setattr(sublinear, "_newton", lambda *args: None)  # the plain loops
     sup = gagliardo_supersolution(prob, kappa)
     sol = monotone_solution(prob, sup.u)
+    monkeypatch.setattr(sublinear, "_newton", newton)
+    fast = gagliardo_supersolution(prob, kappa)
+    fast_sol = monotone_solution(prob, fast.u)
+    assert (fast.status, fast_sol.status) == ("supersolution", "solution")
+    assert fast.iterations < sup.iterations and fast_sol.iterations < sol.iterations
     est = check_testing_condition(k, prob.sigma)
     assert sup.iterations >= 20 and sol.iterations >= 20 and len(masks) >= 50
     assert "ball_constant" in est.extras
@@ -977,6 +1011,29 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
         assert weak_type_constant(SublinearProblem(k, prob.sigma, q)).extras["mode"] == "exact"
     assert len(valued) >= 150
     assert len(built) == 3  # the witnesses, content's extremal measure on each best set
+
+
+def test_a_newton_result_that_misses_the_stop_rule_is_declined(monkeypatch):
+    # each loop accepts a Newton result only when one plain step from it meets
+    # the stop rule; one moved up by 1e-6 passes every other check, so the
+    # plain loop must run on as if Newton had not been tried
+    rng = np.random.default_rng(6)
+    k = metric_power_kernel(rng, 10)
+    prob = SublinearProblem(k, rand_sigma(rng, k.space), 0.5)
+    kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+    newton = sublinear._newton
+    monkeypatch.setattr(sublinear, "_newton", lambda *args: None)
+    sup = gagliardo_supersolution(prob, kappa)
+    sol = monotone_solution(prob, sup.u)
+
+    def moved(v, supp, image, plain):
+        cand = newton(v, supp, image, plain)[0] * (1.0 + 1e-6)
+        return cand, plain(cand), 1
+
+    monkeypatch.setattr(sublinear, "_newton", moved)
+    for res, ref in ((gagliardo_supersolution(prob, kappa), sup),
+                     (monotone_solution(prob, sup.u), sol)):
+        assert (res.u.tobytes(), res.iterations) == (ref.u.tobytes(), ref.iterations)
 
 
 def test_weights_that_overflow_still_raise():
@@ -992,6 +1049,16 @@ def test_weights_that_overflow_still_raise():
     prob = SublinearProblem(Kernel(s, [[0.0, 0.0], [0.0, 1.0]]), Measure(s, [1e300, 1.0]), 0.5)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match="contains infinite"):
         monotone_solution(prob, [1e300, 1.0])
+
+
+def test_a_scale_that_overflows_raises_a_domain_error():
+    # c = ((1 + RELAX) kappa^q)^(1/(1-q)) = (1.1e120)^5 does not fit a float
+    s = Space.of_size(1)
+    prob = SublinearProblem(Kernel(s, [[1e150]]), Measure(s, [1.0]), 0.8)
+    with pytest.raises(DomainError, match="does not fit a float"):
+        gagliardo_supersolution(prob, 1e150)
+    with pytest.raises(DomainError, match="does not fit a float"):
+        solve_equation(prob)
 
 
 def _testing_reference(kernel, sigma):
@@ -1073,8 +1140,9 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
 
 
 def _stepwise_supersolution(problem, kappa):
-    """``gagliardo_supersolution`` with every step through the checked
-    ``_apply``, as it ran before its loop moved to raw arrays."""
+    """``gagliardo_supersolution``'s plain loop with every step through the
+    checked ``_apply``, as it ran before its loop moved to raw arrays, with its
+    relative stop rule and its ``DomainError`` for a scale that overflows."""
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
         raise DomainError("kappa must be a finite nonnegative constant")
@@ -1085,7 +1153,11 @@ def _stepwise_supersolution(problem, kappa):
     n = kernel.size
     supp = sigma.support
 
-    scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
+    try:
+        scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
+    except OverflowError:
+        raise DomainError("the solution's scale ((1 + RELAX) kappa^q)^(1/(1-q)) "
+                          "does not fit a float") from None
     if kappa == 0.0:
         return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0)
 
@@ -1106,7 +1178,7 @@ def _stepwise_supersolution(problem, kappa):
             return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
         delta = np.abs(nxt[supp] - phi[supp])
         phi = nxt
-        if np.all(delta <= CONV_TOL * np.maximum(1.0, phi[supp])):
+        if np.all(delta <= CONV_TOL * np.maximum(phi[supp], 1e-300)):
             status = "supersolution"
             break
 
@@ -1122,7 +1194,7 @@ def _stepwise_supersolution(problem, kappa):
 
 
 def _stepwise_monotone(problem, start):
-    """``monotone_solution`` with every step through the checked ``_apply``."""
+    """``monotone_solution``'s plain loop with every step through the checked ``_apply``."""
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
@@ -1179,16 +1251,10 @@ def _outcome(solve, *args):
             r.witness), r
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
-       st.booleans(), st.floats(-200.0, 200.0), st.floats(0.05, 0.95), st.floats(-2.0, 1.0))
-@example(4, 1227095747, False, True, True, -96.0, 0.8, -1.0)
-@example(4, 2522727622, True, True, True, -127.0, 0.3, -1.5)
-def test_raw_loops_match_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
-    # optional 25 % zero and 15 % +inf entries, a scale of 10^exponent, some
-    # zero weights, and kappa from 1/100 to 10 times a valid strong constant
-    # of the kernel's finite part (a small one makes the supersolution diverge);
-    # both examples reach an iterate that is +inf off supp sigma mid-loop
+def _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack):
+    """Optional 25 % zero and 15 % +inf entries, a scale of 10^exponent, some
+    zero weights, and kappa from 1/100 to 10 times a valid strong constant of
+    the kernel's finite part (a small one makes the supersolution diverge)."""
     rng = np.random.default_rng(seed)
     G = rng.uniform(0.1, 3.0, (n, n))
     mask = rng.uniform(size=(n, n))
@@ -1204,9 +1270,57 @@ def test_raw_loops_match_the_checked_loops(n, seed, zeros, infs, partial, expone
     with np.errstate(all="ignore"):
         top = np.where(np.isfinite(G), G, 0.0).max(axis=1)
         kappa = float((w @ top**q) ** (1.0 / q) * 10.0**slack)
-    kappa = kappa if np.isfinite(kappa) else 1.0
+    return prob, (kappa if np.isfinite(kappa) else 1.0)
 
-    key, ref = _outcome(_stepwise_supersolution, prob, kappa)
-    assert _outcome(gagliardo_supersolution, prob, kappa)[0] == key
-    start = ref.u if ref is not None else np.ones(n)
-    assert _outcome(monotone_solution, prob, start)[0] == _outcome(_stepwise_monotone, prob, start)[0]
+
+FUZZ = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+        st.booleans(), st.floats(-200.0, 200.0), st.floats(0.05, 0.95), st.floats(-2.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(*FUZZ)
+@example(4, 1227095747, False, True, True, -96.0, 0.8, -1.0)
+@example(4, 2522727622, True, True, True, -127.0, 0.3, -1.5)
+def test_raw_loops_match_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
+    # the plain loops, Newton declined, bit for bit; both examples reach an
+    # iterate that is +inf off supp sigma mid-loop
+    prob, kappa = _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack)
+    with mock.patch.object(sublinear, "_newton", lambda *args: None):
+        key, ref = _outcome(_stepwise_supersolution, prob, kappa)
+        assert _outcome(gagliardo_supersolution, prob, kappa)[0] == key
+        start = ref.u if ref is not None else np.ones(n)
+        assert (_outcome(monotone_solution, prob, start)[0]
+                == _outcome(_stepwise_monotone, prob, start)[0])
+
+
+def _assert_agree(found, ref):
+    """``_outcome`` pairs: the same exception, RuntimeWarning included, or the
+    same status with ``u`` and ``lq_norm`` within 1e-9 relative wherever both are
+    finite and at least 1e-300 (below that, subnormal rounding decides them)."""
+    (key, res), (ref_key, want) = found, ref
+    if res is None or want is None:
+        assert key == ref_key
+        return
+    assert res.status == want.status
+    for a, b in ((res.u, want.u), (np.array([res.lq_norm]), np.array([want.lq_norm]))):
+        assert (np.isfinite(a) == np.isfinite(b)).all()
+        big = np.isfinite(b) & (np.minimum(np.abs(a), np.abs(b)) >= 1e-300)
+        np.testing.assert_allclose(a[big], b[big], rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*FUZZ)
+@example(2, 2527363463, True, True, False, -193.64410806560448, 0.6240371105056759, -1.034279359727695)
+@example(2, 1486910209, True, False, False, -176.812451130728, 0.9250690452056116, -1.2911144505009333)
+@example(1, 0, False, False, False, -163.0, 0.5, -1.0)
+def test_newton_loops_agree_with_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
+    # Newton on, against the plain loops of the oracles.  The first two examples
+    # reach a potential (the first) or an iterate (the second) that vanishes on
+    # supp sigma, where Newton's arithmetic meets 0 / 0 and must decline without
+    # a warning; the third has a solution below the least subnormal, where
+    # Newton must decline and leave the status to the plain loop
+    prob, kappa = _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack)
+    ref = _outcome(_stepwise_supersolution, prob, kappa)
+    _assert_agree(_outcome(gagliardo_supersolution, prob, kappa), ref)
+    start = ref[1].u if ref[1] is not None else np.ones(n)
+    _assert_agree(_outcome(monotone_solution, prob, start), _outcome(_stepwise_monotone, prob, start))
