@@ -12,10 +12,9 @@ for the three structural bounds
 
 and optionally writes the per-instance table to CSV.
 
-The WMP constant is the one the strong-constant estimate computes from the
-instance's seed; above 14 points it is a sampled lower bound.  Each instance
-is solved once: the strong upper bound takes its norm route through the
-survey's own solution.
+The WMP constant is the one the strong-constant estimate computes; above 14
+points it is a sampled lower bound.  Each instance is solved once: the
+strong upper bound takes its norm route through the survey's own solution.
 
 Usage:
   python scripts/metric_kernel_survey.py --count 50 --seed 0
@@ -44,7 +43,7 @@ from potbench import (
 from potbench.gallery import shortest_path_metric
 
 
-def survey_instance(rng, n, power, q, seed):
+def survey_instance(rng, n, power, q):
     d = shortest_path_metric(rng, n)
     offset = float(rng.uniform(0.1, 0.6))
     kernel = Kernel(Space.of_size(n), 1.0 / (d + offset) ** power)
@@ -54,11 +53,11 @@ def survey_instance(rng, n, power, q, seed):
     qm = quasimetric_constant(kernel)
     # strong_type_constant's upper end solves from the certified kappa too:
     # ask it for the bracket alone and take its norm route through this solve
-    est = strong_type_constant(problem, seed=seed, with_upper=False)
+    est = strong_type_constant(problem, with_upper=False)
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)
     sol = monotone_solution(problem, sup.u)
-    wr = wmp_constant(kernel, seed=seed)
+    wr = wmp_constant(kernel)
     wmp = wr.constant
     usable = (sol if sol.status == "solution" else sup) if sup.status == "supersolution" else None
     upper = est.upper
@@ -96,7 +95,7 @@ def main(argv=None):
         n = 3 + i % max(1, args.n_max - 2)
         power = (0.7, 1.0, 1.5, 2.0, 3.0)[i % 5]
         q = (0.3, 0.5, 0.7)[i % 3]
-        rows.append(survey_instance(rng, n, power, q, seed=args.seed + i))
+        rows.append(survey_instance(rng, n, power, q))
 
     solved = sum(r["solution_status"] == "solution" for r in rows)
     print(f"{len(rows)} instances, {solved} solved")

@@ -267,40 +267,46 @@ def _active_set(A, start, lam=None):
     return lam
 
 
+def _stacked_equilibria(A, T):
+    """``(keep, Z)`` of the supports ``T``, rows of one size: the rows ``t``
+    with a finite, nonsingular ``A_tt`` whose ``z = A_tt^{-1} 1`` (residual at
+    most 1e-9) is ``>= -1e-10 max|z|`` (scale-free), and those ``z`` clipped at
+    0.  One stacked solve, or one :func:`_equilibrium` per support if that raises."""
+    AT = A[T[:, :, None], T[:, None, :]]
+    keep = np.isfinite(AT).all(axis=(1, 2))
+    keep[keep] = np.linalg.slogdet(AT[keep])[0] != 0  # solve's LU: no zero pivot
+    AT = AT[keep]
+    try:
+        Z = np.linalg.solve(AT, np.ones(AT.shape[:2] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        Z = np.array([np.full(T.shape[1], np.nan) if z is None else z
+                      for z in map(_equilibrium, AT)])
+    else:
+        Z[np.abs(np.matmul(AT, Z[..., None])[..., 0] - 1.0).max(axis=1) > 1e-9] = np.nan
+    ok = (Z >= -1e-10 * np.abs(Z).max(axis=1, keepdims=True)).all(axis=1)
+    keep[keep] = ok
+    return keep, np.clip(Z[ok], 0.0, None)
+
+
 def _equilibria(A):
     """``(T, Z)`` batches of one support size, at most ``BATCH`` supports each
-    in rising bit mask: the rows ``t`` of ``T`` with a finite, nonsingular
-    ``A_tt`` whose ``z = A_tt^{-1} 1`` (residual at most 1e-9) is ``>= -1e-10
-    max|z|`` (scale-free), and in ``Z`` those ``z``, clipped at 0.  One stacked
-    solve per batch, or one :func:`_equilibrium` per support if that raises."""
+    in rising bit mask: the equilibria of :func:`_stacked_equilibria`."""
     k = A.shape[0]
     for size in range(1, k + 1):
         combos = itertools.combinations(range(k), size)
         while (T := np.array(list(itertools.islice(combos, BATCH)), dtype=int)).size:
             T = T[np.lexsort(T.T)]  # the largest point first: bit-mask order
-            AT = A[T[:, :, None], T[:, None, :]]
-            ok = np.isfinite(AT).all(axis=(1, 2))
-            ok[ok] = np.linalg.slogdet(AT[ok])[0] != 0  # solve's LU: no zero pivot
-            T, AT = T[ok], AT[ok]
-            try:
-                Z = np.linalg.solve(AT, np.ones(T.shape + (1,)))[..., 0]
-            except np.linalg.LinAlgError:
-                Z = np.array([np.full(size, np.nan) if z is None else z
-                              for z in map(_equilibrium, AT)])
-            else:
-                Z[np.abs(np.matmul(AT, Z[..., None])[..., 0] - 1.0).max(axis=1) > 1e-9] = np.nan
-            keep = (Z >= -1e-10 * np.abs(Z).max(axis=1, keepdims=True)).all(axis=1)
+            keep, Z = _stacked_equilibria(A, T)
             if keep.any():
-                yield T[keep], np.clip(Z[keep], 0.0, None)
+                yield T[keep], Z
 
 
-def _first_best(A, value, floor):
-    """``(v, t, z, x)``: the first maximum ``v = value(T, Z)[i, x] > floor``
-    over the batches of :func:`_equilibria`, in ``(bit mask, x)`` order, with
-    ``(t, z)`` row ``i`` of ``(T, Z)``; ``(floor, None, None, None)`` if none."""
+def _first_best(batches, floor):
+    """``(v, t, z, x)``: the first maximum ``v = V[i, x] > floor`` over
+    ``batches`` ``(T, Z, V)`` in rising bit mask, in ``(bit mask, x)`` order,
+    with ``(t, z)`` row ``i`` of ``(T, Z)``; ``(floor, None, None, None)`` if none."""
     best, first, top = floor, 0, (None, None, None)  # no mask ties the floor
-    for T, Z in _equilibria(A):
-        V = value(T, Z)
+    for T, Z, V in batches:
         i, x = np.unravel_index(int(np.argmax(V)), V.shape)
         mask = sum(1 << int(t) for t in T[i])
         if V[i, x] > best or V[i, x] == best and mask < first:
@@ -320,7 +326,7 @@ def _enumerate_supports(A):
         AZ = np.matmul(Z[:, None, :], A[T[:, :, None], T[:, None, :]])
         return 2.0 * Z.sum(axis=1, keepdims=True) - np.matmul(AZ, Z[..., None])[..., 0]
 
-    best_val, T, z, _ = _first_best(A, value, 0.0)
+    best_val, T, z, _ = _first_best(((T, Z, value(T, Z)) for T, Z in _equilibria(A)), 0.0)
     best = np.zeros(A.shape[0])
     if T is not None:
         best[T] = z

@@ -197,7 +197,7 @@ def _task_solve(inst, params, seed, budget):
 
 
 def _task_strong(inst, params, seed, budget):
-    est = strong_type_constant(_problem(inst, params), budget=budget, seed=seed)
+    est = strong_type_constant(_problem(inst, params), budget=budget)
     return est, est.extras["mode"], None
 
 
@@ -207,7 +207,7 @@ def _task_weak(inst, params, seed, budget):
 
 
 def _task_wmp(inst, params, seed, budget):
-    rep = wmp_constant(inst.kernel, budget=budget, seed=seed)
+    rep = wmp_constant(inst.kernel, budget=budget)
     return rep, rep.mode, None
 
 
@@ -304,7 +304,7 @@ def _task_weak_quotient(inst, params, seed, budget):
         omega = Measure(inst.kernel.space, np.asarray(params["omega"], dtype=float))
     else:
         omega = sigma
-    rep = wmp_constant(inst.kernel, budget=budget, seed=seed)
+    rep = wmp_constant(inst.kernel, budget=budget)
     qb = weak_quotient_bound(inst.kernel, omega, nu, h=rep.constant)
     return qb, rep.mode, None
 
@@ -321,7 +321,7 @@ def _task_operator_norm(inst, params, seed, budget):
 
 
 def _task_theorem_report(inst, params, seed, budget):
-    rep = theorem_report(_problem(inst, params), budget=budget, seed=seed)
+    rep = theorem_report(_problem(inst, params), budget=budget)
     weakest = max(rep.constants["modes"].values(), key=("exact", "sampled", "heuristic").index)
     return rep, weakest, None
 

@@ -3,34 +3,31 @@
 The weak constant is the smallest ``h`` such that any potential of a measure
 supported on a set ``S`` that stays ``<= 1`` on ``S`` stays ``<= h``
 everywhere.  The complete constant allows an additive constant on the
-majorant side.  Both are maxima of one small LP per pair ``(S, x)``, ``x``
-outside ``S``: over every ``S`` when ``n * 2**n`` fits the budget, otherwise
-over a seeded stream (a certified lower bound) that always holds every
-singleton support against every other point and every complement of a point
-against its point.
+majorant side.  Both are maxima over pairs ``(S, x)``, ``x`` outside ``S``:
+over every ``S`` when ``n * 2**n`` fits the budget, otherwise over some.
 
-Exact weak constants solve no LP: an optimal vertex of ``LP(S, x)`` has a
-support ``T`` inside ``S``, ``LP(T, x) >= LP(S, x)`` as fewer rows only raise
-it, and a full-support vertex has the basis ``G_TT``, so ``G_TT z = 1``.  So
-``h`` is the larger of 1 and the best ``G[x, T] z`` over the equilibria
+The weak constant solves no LP: an optimal vertex of its pair LP ``LP(S, x)``
+has a support ``T`` inside ``S``, ``LP(T, x) >= LP(S, x)`` as fewer rows only
+raise it, and a full-support vertex has the basis ``G_TT``, so ``G_TT z = 1``.
+So ``h`` is the larger of 1 and the best ``G[x, T] z`` over the equilibria
 ``z >= 0`` of finite, nonsingular supports, or ``+inf`` exactly when some
 ``j`` with a finite ``G(j, j)`` has ``x != j`` with ``G(x, j) > 0`` and
-``G(j, j) = 0`` or ``G(x, j) = +inf``.  ``capacity._equilibria`` walks the
-supports in batches of one size, one stacked solve each, and the winner is
-the first maximum in ``(mask, x)`` order, as in a walk one support at a
-time.  Sampled streams, where equilibria give less, and complete constants
-keep pair LPs.
+``G(j, j) = 0`` or ``G(x, j) = +inf``, which both modes check first.  Exact
+mode walks every support (``capacity._equilibria``) and sampled mode grows
+supports greedily from every singleton (``_grown``), one stacked solve per
+batch or step.  An equilibrium is a measure with potential 1 on its support,
+so any supports give a lower bound, free of the kernel's scale.  The winner
+is the first maximum in ``(mask, x)`` order, as in a walk one support at a
+time.
 
-One engine, ``_max_over_pairs``, owns the rules both pair programs share,
-and no ``+inf`` reaches the LP solver.  A ``+inf`` coefficient in a row over
-``S`` forces its variable to zero, and a support with no column finite on it
-is worth 0 against every ``x`` and costs no LP.  A ``+inf`` objective
-coefficient makes the pair infinite, witnessed by the point mass at the first
-one.  Any other pair is one packing LP, feasible at 0: unbounded is ``+inf``
-with its ray as the witness.  Pair LPs wait in buckets, one per LP shape,
-and ``BUCKET`` of them at a time go to ``solve_lps``; the rest are solved
-when the stream ends or reaches a ``+inf`` pair.  As in a pair-by-pair scan, the winner is the first maximum in stream
-order, and the first ``+inf`` pair ends the stream and sets ``pairs_checked``.
+The complete constant is one packing LP per pair, over a seeded stream in
+sampled mode, solved in buckets by ``_max_over_pairs``, which lets no ``+inf``
+reach the LP solver.  A ``+inf`` coefficient in a row over ``S`` forces its
+variable to zero, and a support with no column finite on it is worth 0
+against every ``x`` and costs no LP.  A ``+inf`` objective coefficient makes
+the pair infinite, witnessed by the point mass at the first one; an unbounded
+LP is ``+inf`` with its ray.  The first ``+inf`` pair ends the stream and sets
+``pairs_checked``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import _first_best
+from .capacity import _equilibria, _first_best, _stacked_equilibria
 from .core import (
     DomainError,
     Kernel,
@@ -80,8 +77,7 @@ def _sampled_cap(n: int, budget: int) -> int:
 
 @dataclass(frozen=True)
 class WmpReport:
-    # exact: equilibria, sampled: pair LPs (module docstring); pairs_checked
-    # counts the pairs (S, x) covered, up to the first +inf one of the stream
+    # pairs_checked: the pairs (T, x) valued, or the exact walk's up to its first +inf one
     constant: float
     holds: bool
     witness: tuple | None  # (support points, evaluation point, Measure)
@@ -130,10 +126,16 @@ def _sampled_supports(n: int, budget: int, seed: int):
         yield np.flatnonzero(bits), points[x:x + 1]
 
 
+def _mode(n: int, budget: int) -> str:
+    """``exact`` when ``n * 2**n`` fits the budget, else ``sampled``."""
+    _sampled_cap(n, budget)  # raises below 1
+    return "exact" if n * (1 << n) <= budget else "sampled"
+
+
 def _supports(n: int, budget: int, seed: int):
     """The mode and its support stream: every ``S`` when ``n * 2**n`` fits the
     budget, else the seeded sample."""
-    if n * (1 << n) <= budget:
+    if _mode(n, budget) == "exact":
         return "exact", _exact_supports(n)
     return "sampled", _sampled_supports(n, budget, seed)
 
@@ -143,11 +145,12 @@ def _rank(entry):
     return -entry[0], entry[1]
 
 
-def _solve_pairs(G: np.ndarray, pairs, build) -> list:
+def _solve_pairs(G: np.ndarray, pairs) -> list:
     """``(value, place, (S, x, cols, vector))`` of the queued pairs
     ``(place, S, x, cols, nu)``, whose LPs have one shape, from one
     :func:`solve_lps` call."""
-    problems = [build(G, S, x, nu, cols, G[np.ix_(S, cols)]) for _, S, x, cols, nu in pairs]
+    problems = [_complete_problem(G, S, x, nu, cols, G[np.ix_(S, cols)])
+                for _, S, x, cols, nu in pairs]
     found = []
     for (place, S, x, cols, _), sol in zip(pairs, solve_lps(problems)):
         if sol.status == "unbounded":
@@ -158,13 +161,9 @@ def _solve_pairs(G: np.ndarray, pairs, build) -> list:
     return found
 
 
-def _max_over_pairs(kernel: Kernel, supports, build):
-    """First pair ``(S, x)`` of the stream whose value beats the floor 1 and
-    every pair before it, stopping at ``+inf``.  ``build(G, S, x, nu, cols,
-    block)`` gets the points ``cols`` of ``S`` whose columns are finite on
-    ``S``, the mask ``nu`` of columns finite on ``S`` and at ``x`` and
-    ``block = G[S, cols]``, and returns an ``LpProblem`` whose first
-    ``cols.size`` variables are the measure on ``cols`` valued at ``x``.
+def _max_over_pairs(kernel: Kernel, supports):
+    """First pair ``(S, x)`` of the stream whose complete-MP value beats the
+    floor 1 and every pair before it, stopping at ``+inf``.
 
     Pair LPs wait in buckets of one LP shape (``|S|``, ``|cols|``, ``|nu|``)
     and a full bucket goes to :func:`solve_lps`; what is left is solved at
@@ -195,7 +194,7 @@ def _max_over_pairs(kernel: Kernel, supports, build):
                 bucket.append((checked, S, x, cols, nu))
                 if len(bucket) < BUCKET:
                     continue
-                found = _solve_pairs(G, buckets.pop(key), build)
+                found = _solve_pairs(G, buckets.pop(key))
             best = min([best, *found], key=_rank)
             if np.isinf(best[0]):
                 break
@@ -204,7 +203,7 @@ def _max_over_pairs(kernel: Kernel, supports, build):
     for pairs in buckets.values():
         if np.isinf(best[0]):  # only earlier pairs can still win
             pairs = [pair for pair in pairs if pair[0] < best[1]]
-        best = min([best, *_solve_pairs(G, pairs, build)], key=_rank)
+        best = min([best, *_solve_pairs(G, pairs)], key=_rank)
     if np.isinf(best[0]):
         checked = best[1]
     return best[0], best[2], checked
@@ -216,21 +215,39 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
     return Measure(kernel.space, weights)
 
 
-def _wmp_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
-    """max G nu (x) over nu >= 0 on ``cols`` with G nu <= 1 on S."""
-    return LpProblem(G[x, cols], block, np.ones(len(S)))
+def _grown(G: np.ndarray, value, pairs: list):
+    """``(T, Z, value(T, Z))`` of each step of the greedy growth, in rising bit
+    mask.  The supports start as the singletons.  A step solves each support
+    plus each point outside it (at most ``n (n - 1)`` candidates, one stacked
+    solve), and a support takes the first point of highest value if that
+    beats its own.  ``pairs`` gets the pairs ``(T, x)`` of the candidates."""
+    n = G.shape[0]
+    C, own = np.arange(n)[:, None], np.full(n, -np.inf)  # candidates, their supports' values
+    while len(C) and C.shape[1] < n:
+        pairs.append(len(C) * (n - C.shape[1]))
+        keep, Z = _stacked_equilibria(G, C)
+        T, V = C[keep], value(C[keep], Z)
+        if keep.any():
+            order = np.lexsort(T.T)
+            yield T[order], Z[order], V[order]
+        top = np.full(len(C), -np.inf)
+        top[keep] = V.max(axis=1)
+        best = top.reshape(len(own), -1)  # a support's candidates, in rising point
+        pick = (np.arange(len(own)) * best.shape[1] + best.argmax(axis=1))[best.max(axis=1) > own]
+        T, first = np.unique(C[pick], axis=0, return_index=True)  # supports that meet go on as one
+        own = top[pick[first]]
+        rows, points = np.nonzero(~np.eye(n, dtype=bool)[T].any(axis=1))  # the points outside
+        C = np.sort(np.column_stack([T[rows], points]), axis=1)
 
 
-def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) -> WmpReport:
+def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> WmpReport:
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
     n, G, d = kernel.size, kernel.entries, np.diag(kernel.entries)
+    mode = _mode(n, budget)
     hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0)))
-    mode, supports = _supports(n, budget, seed)
-    if mode == "sampled":
-        best, top, checked = _max_over_pairs(kernel, supports, _wmp_problem)
-    elif hot.any():  # the first +inf pair ({j}, x) follows every support below j
+    if hot.any():  # the first +inf pair ({j}, x) follows every support below j
         j, x = (int(i[0]) for i in np.nonzero(hot.T))
-        best, top = float("inf"), ([j], x, [j], np.ones(1))
+        best, T, z = float("inf"), [j], np.ones(1)
         checked = n * ((1 << j) - 1) - j * (1 << j) // 2 + x + (x < j)
     else:
         def value(T, Z):  # the potentials G[:, t] z, -inf on t
@@ -238,14 +255,15 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
             np.put_along_axis(V, T, -np.inf, axis=1)
             return V
 
-        best, T, z, x = _first_best(G, value, 1.0)
-        top = None if T is None else (T, x, T, z)
-        checked = n * ((1 << (n - 1)) - 1)
+        pairs = []
+        batches = (((T, Z, value(T, Z)) for T, Z in _equilibria(G)) if mode == "exact"
+                   else _grown(G, value, pairs))
+        best, T, z, x = _first_best(batches, 1.0)
+        checked = n * ((1 << (n - 1)) - 1) if mode == "exact" else sum(pairs)
     witness = None
-    if top is not None:
-        S, x, cols, w = top
+    if T is not None:
         points = kernel.space.points
-        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, w))
+        witness = (tuple(points[i] for i in T), points[x], _measure_on(kernel, T, z))
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
@@ -285,7 +303,7 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
     reported constant stays a valid lower bound).
     """
     mode, supports = _supports(kernel.size, budget, seed)
-    best, top, checked = _max_over_pairs(kernel, supports, _complete_problem)
+    best, top, checked = _max_over_pairs(kernel, supports)
     witness = None
     if top is not None:
         S, x, cols, v = top

@@ -9,9 +9,9 @@ raises :class:`SimplexStallError`; it never returns a silently wrong answer.
 Form accepted: maximize ``c @ x`` subject to ``A x <= b`` and ``x >= 0``,
 with ``b >= 0``.  ``x = 0`` is then feasible, so the slack basis starts the
 one phase and no problem is infeasible.  Every LP of the package has this
-form: ``cap0``'s (whose dual is ``content``'s), the weak constant's pair LPs
-and the complete constant's, whose normalization ``G nu (x) + c <= 1`` is
-tight at every winning vertex.  All coefficients must be finite; callers
+form: ``cap0``'s (whose dual is ``content``'s) and the complete constant's
+pair LPs, whose normalization ``G nu (x) + c <= 1`` is tight at every
+winning vertex.  All coefficients must be finite; callers
 pre-reduce infinite kernel entries (an ``+inf`` coefficient in a row forces
 its variable to zero) before building a problem.
 

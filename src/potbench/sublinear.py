@@ -546,8 +546,8 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     ``ASCENT_CAP`` steps of either kind first, and ``heuristic`` when the
     certificate is infinite.  The reported ``upper`` is the norm-route bound
     through a computed (super)solution and the weak-maximum-principle
-    constant, whose sampled search ``seed`` drives.  It is infinite unless
-    the weak maximum principle holds and the kernel is quasi-symmetric.  For
+    constant.  It is infinite unless the weak maximum principle holds and
+    the kernel is quasi-symmetric.  ``seed`` no longer changes the result.  For
     ``q >= 1`` the constant equals the largest ``L^q(sigma)`` norm of a
     kernel column, attained at a point mass.
     """
@@ -603,7 +603,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     if lower == 0.0:
         upper = 0.0
     elif with_upper:
-        wr = wmp_constant(kernel, budget=budget, seed=seed)
+        wr = wmp_constant(kernel, budget=budget)
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
         a = check_quasisymmetric(kernel)
@@ -775,8 +775,8 @@ def weak_type_constant(problem: SublinearProblem,
     ``sigma``, found by branch and bound.  ``budget`` counts the distinct
     subsets valued: all of them when ``2^|supp sigma| <= budget``, so the
     result is ``exact``, else at most
-    :func:`~potbench.principles._sampled_cap`, the cap of a sampled WMP
-    search.  A search cut short is ``sampled``, bracketed by the best
+    :func:`~potbench.principles._sampled_cap`, the cap of a sampled
+    complete-MP search.  A search cut short is ``sampled``, bracketed by the best
     subset's ratio and the largest bound of an open branch.  Extras name the best set with its
     ``cap0`` and ``content`` values, and for ``q > 1`` carry the dual
     level-set constant, an upper bound that also caps ``upper``.  A kernel
@@ -1086,21 +1086,21 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     tested, claims whose both sides are computable are CONFIRMED or
     VIOLATED with numeric details.
 
-    ``budget`` bounds the sampled WMP search (driven by ``seed``) and five
-    maxima of one subset search, as in :func:`weak_type_constant`: the
-    ``cap0`` and ``cap1`` routes at ``q`` and at 1, and the testing ratio.
-    They share one memo of ``cap0`` and ``cap1``, and the rows compare
-    their lower ends; the best sets, ``content`` and the quasimetric balls
-    of the standalone functions are not computed here.
-    ``constants["modes"]`` holds the mode of the WMP search, the strong
-    constant and each subset search that ran.
+    ``budget`` sets the mode of the WMP search and bounds five maxima of
+    one subset search, as in :func:`weak_type_constant`: the ``cap0`` and
+    ``cap1`` routes at ``q`` and at 1, and the testing ratio.  They share
+    one memo of ``cap0`` and ``cap1``, and the rows compare their lower
+    ends; the best sets, ``content`` and the quasimetric balls of the
+    standalone functions are not computed here.  ``constants["modes"]``
+    holds the mode of the WMP search, the strong constant and each subset
+    search that ran.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     rows: list[VerdictRow] = []
 
     a = check_quasisymmetric(kernel)
-    wmp = wmp_constant(kernel, budget=budget, seed=seed)
+    wmp = wmp_constant(kernel, budget=budget)
     nd = check_nondegenerate(kernel, sigma)
     qm = _triangle_constant(kernel) if kernel.is_symmetric else None
     hypotheses = {

@@ -30,8 +30,8 @@ from potbench import (
 from potbench import capacity, principles
 from potbench.capacity import _enumerate_supports, _equilibrium
 from potbench.core import _bits
-from potbench.principles import _complete_problem, _exact_supports, _wmp_problem
-from potbench.simplex import solve_lp
+from potbench.principles import _complete_problem, _exact_supports
+from potbench.simplex import LpProblem, solve_lp
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
 
@@ -60,8 +60,8 @@ def test_wmp_zero_diagonal_blows_up():
 def test_wmp_sampled_mode_is_deterministic():
     rng = np.random.default_rng(3)
     k = Kernel(Space.of_size(9), rng.uniform(0.5, 2.0, (9, 9)))
-    a = wmp_constant(k, budget=64, seed=11)
-    b = wmp_constant(k, budget=64, seed=11)
+    a = wmp_constant(k, budget=64)
+    b = wmp_constant(k, budget=64)
     assert a.mode == "sampled"
     assert a.constant == b.constant
     # sampling can only miss violating pairs, never invent them
@@ -123,32 +123,38 @@ def test_exact_pair_order():
 
 def test_sampled_stream_pinned():
     # two copies of one 4-point block: zeros between them and +inf on the
-    # diagonal at points 0 and 4.  Pairs of the random part of the stream
-    # tie at both maxima, so the witnesses pin its order; one more +inf
-    # entry stops both searches inside the singleton supports, so the
-    # count pins the order of the cheap supports.  The expected values were
-    # recorded at commit c2c39fb, whose loop walked single (S, x) pairs
-    # instead of supports.  The complete constant's complement pair
-    # ({1, ..., 7}, 0) ties in exact arithmetic with its random-part maximum
-    # 1219/670; the packing LP (normalization <= 1) reads that pair 1 ulp
-    # above the random one, so it wins, and the weak constant alone pins the
-    # order of the random part.
+    # diagonal at points 0 and 4.  One more +inf entry stops both searches at
+    # ({1}, 6): the count pins the order of complete MP's cheap supports,
+    # and the WMP's closed form counts as the exact walk does
     block = np.array([[np.inf, 1.5, 1.0, 2.0], [1.5, 2.5, 1.375, 0.625],
                       [1.0, 1.375, 3.0, 1.625], [2.0, 0.625, 1.625, 2.25]])
     G = np.zeros((8, 8))
     G[:4, :4] = G[4:, 4:] = block
     stopped = G.copy()
     stopped[6, 1] = np.inf
-    for constant, value, top in (
-            (wmp_constant, 1.182089552238806, ((0, 3, 5, 7), 4)),
-            (complete_mp_constant, 1.8194029850746274, ((1, 2, 3, 4, 5, 6, 7), 0))):
-        rep = constant(Kernel(Space.of_size(8), G), budget=100, seed=1)
+    # the WMP grows from the singletons: 56 singleton pairs, 252 of the 42
+    # candidates of two points and 160 of larger ones.  Its maximum ties
+    # between the copies, and the first mask wins, as in the exact walk
+    rep = wmp_constant(Kernel(Space.of_size(8), G), budget=100)
+    assert rep.mode == "sampled"
+    assert rep.constant == 1.182089552238806
+    assert rep.witness[:2] == ((1, 3), 0) == wmp_constant(Kernel(Space.of_size(8), G)).witness[:2]
+    assert rep.pairs_checked == 468
+    # pairs of the random part of complete MP's stream tie at both maxima.
+    # The expected values were recorded at commit c2c39fb, whose loop walked
+    # single (S, x) pairs instead of supports.  The complement pair
+    # ({1, ..., 7}, 0) ties in exact arithmetic with the random part's
+    # maximum 1219/670; the packing LP (normalization <= 1) reads that pair
+    # 1 ulp above the random one, so it wins
+    rep = complete_mp_constant(Kernel(Space.of_size(8), G), budget=100, seed=1)
+    assert rep.mode == "sampled"
+    assert rep.constant == 1.8194029850746274
+    assert rep.witness[:2] == ((1, 2, 3, 4, 5, 6, 7), 0)
+    # 56 singleton pairs, 8 complement pairs, 100 random draws
+    assert rep.pairs_checked == 164
+    for constant, seed in ((wmp_constant, {}), (complete_mp_constant, {"seed": 1})):
+        rep = constant(Kernel(Space.of_size(8), stopped), budget=100, **seed)
         assert rep.mode == "sampled"
-        assert rep.constant == value
-        assert rep.witness[:2] == top
-        # 56 singleton pairs, 8 complement pairs, 100 random draws
-        assert rep.pairs_checked == 164
-        rep = constant(Kernel(Space.of_size(8), stopped), budget=100, seed=1)
         assert rep.constant == np.inf
         assert rep.witness[:2] == ((1,), 6)
         assert rep.pairs_checked == 13  # 7 pairs of {0}, then {1} against 0, 2, ..., 6
@@ -167,11 +173,12 @@ def test_exact_pair_count_and_first_tie():
         assert tie.witness[:2] == ((0,), 1)
 
 
-def _fuzzed_kernel(rng, i):
-    """Kernel ``i`` of five kinds, n = 2-6: symmetric, non-symmetric, 25 %
-    zero entries, 15 % +inf entries, and +inf entries only in columns with
-    an infinite diagonal (so the constant can be finite)."""
-    n, kind = 2 + i % 5, i // 5 % 5
+def _fuzzed_kernel(rng, i, n=None):
+    """Kernel ``i`` of five kinds, n = 2-6 unless given: symmetric,
+    non-symmetric, 25 % zero entries, 15 % +inf entries, and +inf entries
+    only in columns with an infinite diagonal (so the constant can be
+    finite)."""
+    n, kind = n or 2 + i % 5, i // 5 % 5
     if kind < 4:
         return rand_kernel(rng, n, zero_frac=0.25 * (kind == 2), inf_frac=0.15 * (kind == 3),
                            symmetric=kind == 0)
@@ -209,6 +216,12 @@ def _pair_scan(G, supports, build):
                 if np.isinf(best):
                     return best, top, checked, waiting
     return best, top, checked, waiting
+
+
+def _wmp_problem(G, S, x, nu, cols, block):
+    """The weak constant's pair LP: max G nu (x) over nu >= 0 on ``cols`` with
+    G nu <= 1 on S."""
+    return LpProblem(G[x, cols], block, np.ones(len(S)))
 
 
 def _pair_lp_wmp(G):
@@ -270,11 +283,12 @@ def _engine_kernel(rng, i):
     return Kernel(k.space, G)
 
 
-def _assert_engine_matches_scan(k, supports, build):
-    """``_max_over_pairs`` against ``_pair_scan`` on two copies of one
-    support stream: value, witness and count bit-equal.  Returns the scan."""
-    value, top, pairs, waiting = _pair_scan(k.entries, supports(), build)
-    got, got_top, got_pairs = principles._max_over_pairs(k, supports(), build)
+def _assert_engine_matches_scan(k, supports):
+    """``_max_over_pairs`` against ``_pair_scan`` of the complete-MP pair LPs
+    on two copies of one support stream: value, witness and count bit-equal.
+    Returns the scan."""
+    value, top, pairs, waiting = _pair_scan(k.entries, supports(), _complete_problem)
+    got, got_top, got_pairs = principles._max_over_pairs(k, supports())
     assert (got, got_pairs) == (value, pairs)
     if top is None:
         assert got_top is None
@@ -287,10 +301,11 @@ def _assert_engine_matches_scan(k, supports, build):
 
 def test_pair_engine_matches_pair_scan():
     # the bucketed engine with solve_lps against the pair-by-pair scan with
-    # solve_lp, for both constants' pair LPs on exact and sampled streams
+    # solve_lp, for the complete constant's pair LPs on exact and sampled
+    # streams
     rng = np.random.default_rng(41)
     infinite = rays = witnessed = 0
-    for i in range(28):
+    for i in range(56):  # each kind and size of _engine_kernel twice
         k = _engine_kernel(rng, i)
         n = k.size
         budget = min(n * 2 ** n - 1, 4 * n * n)
@@ -298,11 +313,10 @@ def test_pair_engine_matches_pair_scan():
         if n <= 7:
             streams.append(lambda: _exact_supports(n))
         for supports in streams:
-            for build in (_wmp_problem, _complete_problem):
-                value, top, _, _ = _assert_engine_matches_scan(k, supports, build)
-                infinite += bool(np.isinf(value))
-                witnessed += top is not None and bool(np.isfinite(value))
-                rays += bool(np.isinf(value)) and top[3].size > top[2].size  # complete-MP rays
+            value, top, _, _ = _assert_engine_matches_scan(k, supports)
+            infinite += bool(np.isinf(value))
+            witnessed += top is not None and bool(np.isfinite(value))
+            rays += bool(np.isinf(value)) and top[3].size > top[2].size
     assert infinite >= 50 and rays >= 25 and witnessed >= 25
 
 
@@ -346,42 +360,92 @@ def test_pair_engine_late_inf_with_part_filled_buckets(monkeypatch):
     # one +inf entry G[0, 8] makes ({8}, 0) the first +inf pair of the exact
     # stream on 9 points, after every support of points 0-7: full buckets
     # were solved before it, and the part-filled ones are solved after the
-    # stream stops.  A zero diagonal at 8 makes the same pair an unbounded
-    # LP instead, which its part-filled bucket holds until the stream ends
+    # stream stops
     G = metric_power_kernel(np.random.default_rng(6), 9).entries.copy()
+    G[0, 8] = np.inf
     batches = []
     solve = principles.solve_lps
     monkeypatch.setattr(principles, "solve_lps", lambda ps: batches.append(len(ps)) or solve(ps))
-    inf_entry, zero_diagonal = G.copy(), G.copy()
-    inf_entry[0, 8] = np.inf
-    zero_diagonal[8, 8] = 0.0
-    for entries, build in ((inf_entry, _wmp_problem), (inf_entry, _complete_problem),
-                           (zero_diagonal, _wmp_problem)):
-        batches.clear()
-        value, top, pairs, waiting = _assert_engine_matches_scan(
-            Kernel(Space.of_size(9), entries), lambda: _exact_supports(9), build)
-        assert value == np.inf and (top[0].tolist(), top[1]) == ([8], 0)
-        assert max(waiting.values()) >= principles.BUCKET
-        assert principles.BUCKET in batches
-        assert sum(0 < b < principles.BUCKET for b in batches) >= 2
+    value, top, pairs, waiting = _assert_engine_matches_scan(
+        Kernel(Space.of_size(9), G), lambda: _exact_supports(9))
+    assert value == np.inf and (top[0].tolist(), top[1]) == ([8], 0)
+    assert max(waiting.values()) >= principles.BUCKET
+    assert principles.BUCKET in batches
+    assert sum(0 < b < principles.BUCKET for b in batches) >= 2
 
 
 @pytest.mark.parametrize("t", [1e-150, 1e-20, 1e20, 1e150])
 def test_exact_wmp_is_scale_free(t):
-    # h(t G) = h(G); the Wiener enumeration scales as 1/t
+    # h(t G) = h(G) for the exact walk and for the growth of budget 1, whose
+    # equilibria scale as 1/t; the Wiener enumeration scales as 1/t
     rng = np.random.default_rng(29)
     for i in range(100):
         k = _fuzzed_kernel(rng, 10 + i)
-        rep, scaled = wmp_constant(k), wmp_constant(Kernel(k.space, t * k.entries))
-        assert scaled.pairs_checked == rep.pairs_checked
-        if np.isinf(rep.constant):
-            assert scaled.constant == np.inf
-        else:
-            assert abs(scaled.constant - rep.constant) <= 4 * np.spacing(rep.constant)
+        for budget in (principles.DEFAULT_BUDGET, 1):
+            rep = wmp_constant(k, budget=budget)
+            scaled = wmp_constant(Kernel(k.space, t * k.entries), budget=budget)
+            assert scaled.pairs_checked == rep.pairs_checked
+            if np.isinf(rep.constant):
+                assert scaled.constant == np.inf
+            else:
+                assert abs(scaled.constant - rep.constant) <= 4 * np.spacing(rep.constant)
         w, v = _enumerate_supports(k.entries)
         ws, vs = _enumerate_supports(t * k.entries)
         assert t * vs == pytest.approx(v, rel=2e-15, abs=0.0)
         assert t * ws == pytest.approx(w, rel=0.0, abs=1e-14 * w.max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_grown_wmp_is_a_certified_lower_bound(n, seed, kind):
+    # the growth of budget 1 values equilibria, each a measure with potential
+    # 1 on its support: never above the exact walk, and the same +inf pairs
+    k = _fuzzed_kernel(np.random.default_rng(seed), 5 * kind, n)
+    grown, exact = wmp_constant(k, budget=1), wmp_constant(k)
+    assert (grown.mode, exact.mode) == ("sampled", "exact")
+    if np.isinf(exact.constant):
+        assert grown.constant == np.inf and not grown.holds
+        assert grown.witness[:2] == exact.witness[:2]
+        assert grown.witness[2].weights.tolist() == exact.witness[2].weights.tolist()
+        assert grown.pairs_checked == exact.pairs_checked
+        return
+    assert grown.constant <= exact.constant + 4 * np.spacing(exact.constant)
+    if grown.witness is not None:
+        S, x, nu = grown.witness
+        pot = k.entries[:, nu.support] @ nu.weights[nu.support]
+        assert (pot[list(S)] <= 1.0 + 1e-12).all()
+        assert pot[x] == pytest.approx(grown.constant, rel=1e-12)
+
+
+def test_wmp_solves_no_lp(monkeypatch):
+    # both modes value equilibria only: pair LPs serve complete MP alone
+    def no_lp(problems):
+        raise AssertionError("the WMP solved an LP")
+
+    monkeypatch.setattr(principles, "solve_lps", no_lp)
+    rng = np.random.default_rng(31)
+    kernels = [metric_power_kernel(rng, 7), rand_kernel(rng, 8), rand_kernel(rng, 6, inf_frac=0.1),
+               *(_fuzzed_kernel(rng, i) for i in range(25))]
+    for k in kernels:
+        for budget in (principles.DEFAULT_BUDGET, 1):
+            assert wmp_constant(k, budget=budget).mode == ("exact" if budget > 1 else "sampled")
+    with pytest.raises(AssertionError, match="LP"):
+        complete_mp_constant(kernels[0])
+
+
+def test_grown_wmp_on_the_desk_kernel():
+    # 1/(d + 0.3) on a random shortest-path metric of 20 points, too large
+    # for the exact walk at the default budget.  The growth reads the exact
+    # constant; the seeded pair LPs it replaced read 1.0686750768417461
+    rng = np.random.default_rng(20)
+    base = rng.uniform(0.2, 1.0, size=(20, 20))
+    d = (base + base.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    for j in range(20):
+        d = np.minimum(d, d[:, [j]] + d[[j], :])
+    rep = wmp_constant(Kernel(Space.of_size(20), 1.0 / (d + 0.3)))
+    assert rep.mode == "sampled"
+    assert rep.constant == 1.0697681529158465
 
 
 def _support_walk(G):
@@ -452,12 +516,14 @@ def test_batched_walk_matches_support_walk(n, seed, zeros, duplicate, inf_point)
 def test_batches_keep_the_first_maximum(monkeypatch):
     # the swaps (0 1)(2 4) leave the kernel unchanged, so {0, 4} and {1, 2}
     # reach h with one value; {0, 4} comes first among the combinations, so
-    # across batches the smaller mask, {1, 2}, must replace it
+    # across batches, and in the growth, the smaller mask, {1, 2}, must win
     swap = [1, 0, 4, 3, 2, 5, 6]
     G = np.random.default_rng(42).uniform(0.1, 3.0, (7, 7))
     k = Kernel(Space.of_size(7), (G + G[np.ix_(swap, swap)]) / 2.0)
     whole, enumerated = wmp_constant(k), _enumerate_supports(k.entries)
     assert whole.witness[:2] == ((1, 2), 0)
+    # the growth forms {0, 4} from {0} before {1, 2} within one step
+    assert wmp_constant(k, budget=1).witness[:2] == ((1, 2), 0)
     z = _equilibrium(k.entries[np.ix_([0, 4], [0, 4])])
     assert (k.entries[:, [0, 4]] @ z)[1] == whole.constant
     for size in (1, 3):
