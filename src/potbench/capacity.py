@@ -33,6 +33,8 @@ The searches start each subset's active set from its parent subset's weights.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,7 +64,7 @@ __all__ = [
 CERT_TOL = 1e-8
 SLACK_TOL = 1e-12  # residual and feasibility slack of _slack_certificate, relative to 1
 ENUM_LIMIT = 12  # largest |K| solved exactly on non-PSD kernels
-BATCH = 2048  # supports per stacked solve in _equilibria: bounds its memory at any size
+BATCH = 2048  # supports per stacked solve of one right-hand side: bounds its memory at any size
 
 
 @dataclass(frozen=True)
@@ -267,38 +269,59 @@ def _active_set(A, start, lam=None):
     return lam
 
 
-def _stacked_equilibria(A, T):
-    """``(keep, Z)`` of the supports ``T``, rows of one size: the rows ``t``
-    with a finite, nonsingular ``A_tt`` whose ``z = A_tt^{-1} 1`` (residual at
-    most 1e-9) is ``>= -1e-10 max|z|`` (scale-free), and those ``z`` clipped at
-    0.  One stacked solve, or one :func:`_equilibrium` per support if that raises."""
+def _stacked_solves(A, T, W):
+    """``(keep, Z)`` of the supports ``T``, rows of one size, and right-hand
+    sides ``W``, one ``(size, r)`` block per row: the rows ``t`` with a
+    finite, nonsingular ``A_tt``, and their ``Z = A_tt^{-1} w`` column by
+    column, NaN in a column whose residual is above ``1e-9 max|w|`` or that
+    has an entry below ``-1e-10 max|z|`` (both free of scale), clipped at 0
+    elsewhere.  One stacked solve, or one solve per support (NaN where it
+    raises) if that raises."""
     AT = A[T[:, :, None], T[:, None, :]]
     keep = np.isfinite(AT).all(axis=(1, 2))
     keep[keep] = np.linalg.slogdet(AT[keep])[0] != 0  # solve's LU: no zero pivot
-    AT = AT[keep]
+    AT, W = AT[keep], W[keep]
     try:
-        Z = np.linalg.solve(AT, np.ones(AT.shape[:2] + (1,)))[..., 0]
+        Z = np.linalg.solve(AT, W)
     except np.linalg.LinAlgError:
-        Z = np.array([np.full(T.shape[1], np.nan) if z is None else z
-                      for z in map(_equilibrium, AT)])
-    else:
-        Z[np.abs(np.matmul(AT, Z[..., None])[..., 0] - 1.0).max(axis=1) > 1e-9] = np.nan
+        Z = np.full(W.shape, np.nan)
+        for i, (a, w) in enumerate(zip(AT, W)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                Z[i] = np.linalg.solve(a, w)
+    bad = np.abs(np.matmul(AT, Z) - W).max(axis=1) > 1e-9 * np.abs(W).max(axis=1)
+    Z.transpose(0, 2, 1)[bad] = np.nan
     ok = (Z >= -1e-10 * np.abs(Z).max(axis=1, keepdims=True)).all(axis=1)
+    return keep, np.where(ok[:, None, :], np.clip(Z, 0.0, None), np.nan)
+
+
+def _stacked_equilibria(A, T):
+    """``(keep, Z)`` of the supports ``T``, rows of one size: the rows of
+    :func:`_stacked_solves` whose equilibrium ``z = A_tt^{-1} 1`` passes, and
+    those ``z``."""
+    keep, Z = _stacked_solves(A, T, np.ones(T.shape + (1,)))
+    ok = ~np.isnan(Z[:, 0, 0])
     keep[keep] = ok
-    return keep, np.clip(Z[ok], 0.0, None)
+    return keep, Z[ok, :, 0]
+
+
+def _walk(k, value, size):
+    """``(T[keep], *rest)`` of ``(keep, *rest) = value(T)`` over the nonempty
+    subsets ``T`` of the first ``k`` points as rows, in batches of one subset
+    size and at most ``size`` rows, each in rising bit mask; a batch that
+    keeps no row is skipped."""
+    for m in range(1, k + 1):
+        combos = itertools.combinations(range(k), m)
+        while (T := np.array(list(itertools.islice(combos, size)), dtype=int)).size:
+            T = T[np.lexsort(T.T)]  # the largest point first: bit-mask order
+            keep, *rest = value(T)
+            if keep.any():
+                yield T[keep], *rest
 
 
 def _equilibria(A):
-    """``(T, Z)`` batches of one support size, at most ``BATCH`` supports each
-    in rising bit mask: the equilibria of :func:`_stacked_equilibria`."""
-    k = A.shape[0]
-    for size in range(1, k + 1):
-        combos = itertools.combinations(range(k), size)
-        while (T := np.array(list(itertools.islice(combos, BATCH)), dtype=int)).size:
-            T = T[np.lexsort(T.T)]  # the largest point first: bit-mask order
-            keep, Z = _stacked_equilibria(A, T)
-            if keep.any():
-                yield T[keep], Z
+    """``(T, Z)`` batches of :func:`_walk`, ``BATCH`` supports at most: the
+    equilibria of :func:`_stacked_equilibria`."""
+    return _walk(A.shape[0], functools.partial(_stacked_equilibria, A), BATCH)
 
 
 def _first_best(batches, floor):

@@ -189,43 +189,43 @@ def _subset(inst: _Instance, params: dict):
 # provenance is the result's own mode: exact, sampled or heuristic
 
 
-def _task_solve(inst, params, seed, budget):
+def _task_solve(inst, params, budget):
     res, est = solve_equation(_problem(inst, params))
     out = {"solve": res, "strong_lower": est.lower,
            "strong_certified": est.extras["certified_upper"]}
     return out, est.extras["mode"], None
 
 
-def _task_strong(inst, params, seed, budget):
+def _task_strong(inst, params, budget):
     est = strong_type_constant(_problem(inst, params), budget=budget)
     return est, est.extras["mode"], None
 
 
-def _task_weak(inst, params, seed, budget):
+def _task_weak(inst, params, budget):
     est = weak_type_constant(_problem(inst, params), budget=budget)
     return est, est.extras["mode"], None
 
 
-def _task_wmp(inst, params, seed, budget):
+def _task_wmp(inst, params, budget):
     rep = wmp_constant(inst.kernel, budget=budget)
     return rep, rep.mode, None
 
 
-def _task_complete_mp(inst, params, seed, budget):
-    rep = complete_mp_constant(inst.kernel, budget=budget, seed=seed)
+def _task_complete_mp(inst, params, budget):
+    rep = complete_mp_constant(inst.kernel, budget=budget)
     return rep, rep.mode, None
 
 
-def _task_quasisymmetry(inst, params, seed, budget):
+def _task_quasisymmetry(inst, params, budget):
     return {"constant": check_quasisymmetric(inst.kernel),
             "symmetric": inst.kernel.is_symmetric}, "exact", None
 
 
-def _task_quasimetric(inst, params, seed, budget):
+def _task_quasimetric(inst, params, budget):
     return quasimetric_constant(inst.kernel), "exact", None
 
 
-def _task_nondegenerate(inst, params, seed, budget):
+def _task_nondegenerate(inst, params, budget):
     return check_nondegenerate(inst.kernel, _need_sigma(inst)), "exact", None
 
 
@@ -233,22 +233,22 @@ def _capacity_tag(result) -> str:
     return "heuristic" if result.method == "heuristic" else "exact"
 
 
-def _task_cap0(inst, params, seed, budget):
+def _task_cap0(inst, params, budget):
     res = cap0(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_content(inst, params, seed, budget):
+def _task_content(inst, params, budget):
     res = content(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_cap1(inst, params, seed, budget):
+def _task_cap1(inst, params, budget):
     res = wiener_cap1(inst.kernel, _subset(inst, params))
     return res, _capacity_tag(res), None
 
 
-def _task_capacity_null(inst, params, seed, budget):
+def _task_capacity_null(inst, params, budget):
     if "mu" not in params:
         raise DomainError("capacity_null needs params.mu")
     mu = Measure(inst.kernel.space, np.asarray(params["mu"], dtype=float))
@@ -256,7 +256,7 @@ def _task_capacity_null(inst, params, seed, budget):
     return rep, "exact", None
 
 
-def _task_energy(inst, params, seed, budget):
+def _task_energy(inst, params, budget):
     problem = _problem(inst, params)
     u = params.get("u")
     if u is None and inst.block is not None:
@@ -265,7 +265,7 @@ def _task_energy(inst, params, seed, budget):
     return rep, "exact", None
 
 
-def _task_energy_sweep(inst, params, seed, budget):
+def _task_energy_sweep(inst, params, budget):
     problem = _problem(inst, params)
     if "s_values" in params:
         s_values = [float(s) for s in params["s_values"]]
@@ -277,7 +277,7 @@ def _task_energy_sweep(inst, params, seed, budget):
     return {"rows": rows}, "exact", rows
 
 
-def _task_maurey(inst, params, seed, budget):
+def _task_maurey(inst, params, budget):
     problem = _problem(inst, params)
     if "F" in params:
         F = np.asarray(params["F"], dtype=float)
@@ -295,7 +295,7 @@ def _task_maurey(inst, params, seed, budget):
     return out, tag, None
 
 
-def _task_weak_quotient(inst, params, seed, budget):
+def _task_weak_quotient(inst, params, budget):
     sigma = _need_sigma(inst)
     if "nu" not in params:
         raise DomainError("weak_quotient needs params.nu")
@@ -309,24 +309,24 @@ def _task_weak_quotient(inst, params, seed, budget):
     return qb, rep.mode, None
 
 
-def _task_testing(inst, params, seed, budget):
+def _task_testing(inst, params, budget):
     est = testing_condition_11(inst.kernel, _need_sigma(inst), budget=budget)
     return est, est.extras["mode"], None
 
 
-def _task_operator_norm(inst, params, seed, budget):
+def _task_operator_norm(inst, params, budget):
     p = float(params.get("p", 2.0))
     value = lp_operator_norm(inst.kernel, _need_sigma(inst), p)
     return {"p": p, "value": value}, "exact" if p == 2.0 else "heuristic", None
 
 
-def _task_theorem_report(inst, params, seed, budget):
+def _task_theorem_report(inst, params, budget):
     rep = theorem_report(_problem(inst, params), budget=budget)
     weakest = max(rep.constants["modes"].values(), key=("exact", "sampled", "heuristic").index)
     return rep, weakest, None
 
 
-def _task_divergence_sweep(inst, params, seed, budget):
+def _task_divergence_sweep(inst, params, budget):
     if inst.block_spec is None:
         raise DomainError("divergence_sweep needs a block kernel")
     truncations = [int(n) for n in params.get("truncations", (1, 2, 4, 8, 16, 32, 64))]
@@ -493,7 +493,7 @@ def _run_tasks(doc: dict, inst: _Instance, args) -> tuple[dict, dict, list]:
         t0 = time.perf_counter()
         entry = {"name": name, "seed": seed}
         try:
-            result, provenance, rows = _TASKS[name](inst, params, seed, budget)
+            result, provenance, rows = _TASKS[name](inst, params, budget)
             entry["provenance"] = provenance
             entry["result"] = to_jsonable(result)
             if rows is not None:

@@ -2,32 +2,33 @@
 
 The weak constant is the smallest ``h`` such that any potential of a measure
 supported on a set ``S`` that stays ``<= 1`` on ``S`` stays ``<= h``
-everywhere.  The complete constant allows an additive constant on the
-majorant side.  Both are maxima over pairs ``(S, x)``, ``x`` outside ``S``:
+everywhere.  The complete constant allows a majorant ``G nu + c`` on ``S``
+in place of 1.  Both are maxima over pairs ``(S, x)``, ``x`` outside ``S``:
 over every ``S`` when ``n * 2**n`` fits the budget, otherwise over some.
 
-The weak constant solves no LP: an optimal vertex of its pair LP ``LP(S, x)``
-has a support ``T`` inside ``S``, ``LP(T, x) >= LP(S, x)`` as fewer rows only
-raise it, and a full-support vertex has the basis ``G_TT``, so ``G_TT z = 1``.
-So ``h`` is the larger of 1 and the best ``G[x, T] z`` over the equilibria
-``z >= 0`` of finite, nonsingular supports, or ``+inf`` exactly when some
-``j`` with a finite ``G(j, j)`` has ``x != j`` with ``G(x, j) > 0`` and
-``G(j, j) = 0`` or ``G(x, j) = +inf``, which both modes check first.  Exact
-mode walks every support (``capacity._equilibria``) and sampled mode grows
-supports greedily from every singleton (``_grown``), one stacked solve per
-batch or step.  An equilibrium is a measure with potential 1 on its support,
-so any supports give a lower bound, free of the kernel's scale.  The winner
-is the first maximum in ``(mask, x)`` order, as in a walk one support at a
-time.
+Neither solves an LP.  An optimal vertex of the pair LP ``LP(S, x)`` has a
+support ``T`` inside ``S``; ``LP(T, x) >= LP(S, x)``, as fewer rows only
+raise it, and at a full-support vertex every row on ``T`` is tight.  For the
+weak constant the basis is ``G_TT``, so ``G_TT z = 1``.  For the complete
+one it is ``G_TT`` and one of ``c`` or a single ``nu_k``, so ``G_TT z = w``
+on ``T`` for a right-hand side ``w``, 1 or a column ``G(., k)`` finite on
+``T`` and at ``x``, and the pair is worth ``G(x, T) z / w(x)``.  So ``h`` is
+the larger of 1 and the best such value over ``z >= 0`` and finite,
+nonsingular ``G_TT``.  It is ``+inf`` where ``w(x) = 0 < G(x, T) z`` (a
+ray), or by a closed form that runs first: some ``j`` with a finite
+``G(j, j)`` has ``x != j`` with ``G(x, j) > 0`` and ``G(j, j) = 0`` or
+``G(x, j) = +inf``, or, for the complete constant, a column ``k != j`` with
+``G(x, k) = 0 < G(j, k) < +inf`` and ``G(j, j) > 0`` (the ray of the
+singleton ``{j}`` through ``w = G(., k)``).  The complete constant's own column ``G(., t)``, ``t``
+in ``T``, solves to ``z = e_t`` and is worth exactly 1, so it is skipped.
 
-The complete constant is one packing LP per pair, over a seeded stream in
-sampled mode, solved in buckets by ``_max_over_pairs``, which lets no ``+inf``
-reach the LP solver.  A ``+inf`` coefficient in a row over ``S`` forces its
-variable to zero, and a support with no column finite on it is worth 0
-against every ``x`` and costs no LP.  A ``+inf`` objective coefficient makes
-the pair infinite, witnessed by the point mass at the first one; an unbounded
-LP is ``+inf`` with its ray.  The first ``+inf`` pair ends the stream and sets
-``pairs_checked``.
+Exact mode walks every support (``capacity._walk``), and sampled mode grows supports
+greedily from every singleton (``_grown``); each batch or step is one
+stacked solve (``capacity._stacked_solves``), with ``n + 1`` right-hand
+sides for the complete constant, in chunks of ``BATCH // (n + 1)`` supports.
+Any such ``z`` is a feasible point of its pair LP, so any supports give a
+lower bound, free of the kernel's scale.  The winner is the first maximum in
+``(mask, x)`` order, as in a walk one support at a time.
 """
 
 from __future__ import annotations
@@ -36,17 +37,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import _equilibria, _first_best, _stacked_equilibria
+from . import capacity
+from .capacity import _first_best, _stacked_equilibria, _stacked_solves, _walk
 from .core import (
     DomainError,
     Kernel,
     Measure,
-    _bits,
     _inverse_distance,
     _ratio_max,
     _weighted_terms,
 )
-from .simplex import LpProblem, solve_lps
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -62,17 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 14 * 2**14
-# pair LPs of one shape per solve_lps call: larger buckets hold more
-# tableaux at once (peak memory), smaller ones pay more per-call overhead
-BUCKET = 64
 PTOLEMY_LIMIT = 30
-
-
-def _sampled_cap(n: int, budget: int) -> int:
-    """Candidates valued by a sampled search on ``n`` points: ``min(budget, 10 n^2)``."""
-    if budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
-    return min(budget, 10 * n * n)
 
 
 @dataclass(frozen=True)
@@ -94,119 +84,19 @@ class CompleteMpReport:
     pairs_checked: int
 
 
-def _exact_supports(n: int):
-    """Every ``S`` but the whole space, as the bits of ``m = 1, 2, ...``."""
-    for m in range(1, (1 << n) - 1):
-        bits = _bits(m, n)
-        yield np.flatnonzero(bits), np.flatnonzero(~bits)
-
-
-def _sampled_supports(n: int, budget: int, seed: int):
-    """Seeded support stream: mandatory cheap supports first, then a random
-    prefix whose composition does not depend on the budget."""
-    target = _sampled_cap(n, budget)
-    points = np.arange(n)
-    for y in range(n):
-        yield points[y:y + 1], np.delete(points, y)
-    for x in range(n):
-        yield np.delete(points, x), points[x:x + 1]
-    rng = np.random.default_rng(seed)
-    seen = set()
-    draws = 0
-    while len(seen) < target and draws < 20 * target:
-        draws += 1
-        bits = rng.integers(0, 2, size=n)
-        if bits.all() or not bits.any():
-            continue
-        x = int(rng.choice(np.flatnonzero(~bits.astype(bool))))
-        key = (bits.tobytes(), x)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield np.flatnonzero(bits), points[x:x + 1]
-
-
 def _mode(n: int, budget: int) -> str:
     """``exact`` when ``n * 2**n`` fits the budget, else ``sampled``."""
-    _sampled_cap(n, budget)  # raises below 1
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
     return "exact" if n * (1 << n) <= budget else "sampled"
 
 
-def _supports(n: int, budget: int, seed: int):
-    """The mode and its support stream: every ``S`` when ``n * 2**n`` fits the
-    budget, else the seeded sample."""
-    if _mode(n, budget) == "exact":
-        return "exact", _exact_supports(n)
-    return "sampled", _sampled_supports(n, budget, seed)
-
-
-def _rank(entry):
-    """Sort key of ``(value, place, top)``: the largest value, then the earliest place."""
-    return -entry[0], entry[1]
-
-
-def _solve_pairs(G: np.ndarray, pairs) -> list:
-    """``(value, place, (S, x, cols, vector))`` of the queued pairs
-    ``(place, S, x, cols, nu)``, whose LPs have one shape, from one
-    :func:`solve_lps` call."""
-    problems = [_complete_problem(G, S, x, nu, cols, G[np.ix_(S, cols)])
-                for _, S, x, cols, nu in pairs]
-    found = []
-    for (place, S, x, cols, _), sol in zip(pairs, solve_lps(problems)):
-        if sol.status == "unbounded":
-            value, vector = float("inf"), sol.ray
-        else:
-            value, vector = float(sol.value), sol.x
-        found.append((value, place, (S, x, cols, vector)))
-    return found
-
-
-def _max_over_pairs(kernel: Kernel, supports):
-    """First pair ``(S, x)`` of the stream whose complete-MP value beats the
-    floor 1 and every pair before it, stopping at ``+inf``.
-
-    Pair LPs wait in buckets of one LP shape (``|S|``, ``|cols|``, ``|nu|``)
-    and a full bucket goes to :func:`solve_lps`; what is left is solved at
-    the end of the stream, or before the first known ``+inf`` pair.  A pair's
-    place in the stream is its running count, so the winner, the largest
-    value at its earliest place, is the one a pair-by-pair scan keeps.
-    Returns the best value, the winning ``(S, x, cols, vector)`` (the LP's
-    optimum or ray, or the point mass of a ``+inf`` objective) or None, and
-    the number of pairs checked."""
-    G = kernel.entries
-    finite = np.isfinite(G)
-    best, buckets, checked = (1.0, 0, None), {}, 0
-    for S, outside in supports:
-        fin = finite[S].all(axis=0)
-        cols = S[fin[S]]
-        if not cols.size:  # no measure on S: the value is 0 at every x
-            checked += outside.size
-            continue
-        for x in outside.tolist():
-            checked += 1
-            inf = np.isinf(G[x, cols])
-            if inf.any():
-                found = [(float("inf"), checked, (S, x, cols, np.eye(cols.size)[np.argmax(inf)]))]
-            else:
-                nu = fin & finite[x]
-                key = (S.size, cols.size, int(np.count_nonzero(nu)))
-                bucket = buckets.setdefault(key, [])
-                bucket.append((checked, S, x, cols, nu))
-                if len(bucket) < BUCKET:
-                    continue
-                found = _solve_pairs(G, buckets.pop(key))
-            best = min([best, *found], key=_rank)
-            if np.isinf(best[0]):
-                break
-        if np.isinf(best[0]):
-            break
-    for pairs in buckets.values():
-        if np.isinf(best[0]):  # only earlier pairs can still win
-            pairs = [pair for pair in pairs if pair[0] < best[1]]
-        best = min([best, *_solve_pairs(G, pairs)], key=_rank)
-    if np.isinf(best[0]):
-        checked = best[1]
-    return best[0], best[2], checked
+def _place(n: int, T, x: int) -> int:
+    """The count of the pair ``(T, x)`` in the exact stream: the supports in
+    rising bit mask, each against the points outside it in rising order."""
+    m = sum(1 << int(t) for t in T)
+    ones = sum((m >> (b + 1) << b) + max(0, m % (2 << b) - (1 << b)) for b in range(n))
+    return n * (m - 1) - ones + x + 1 - sum(int(t) < x for t in T)  # ones: set bits below m
 
 
 def _measure_on(kernel: Kernel, cols, w) -> Measure:
@@ -216,22 +106,25 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
 
 
 def _grown(G: np.ndarray, value, pairs: list):
-    """``(T, Z, value(T, Z))`` of each step of the greedy growth, in rising bit
-    mask.  The supports start as the singletons.  A step solves each support
-    plus each point outside it (at most ``n (n - 1)`` candidates, one stacked
-    solve), and a support takes the first point of highest value if that
-    beats its own.  ``pairs`` gets the pairs ``(T, x)`` of the candidates."""
+    """``(T, Z, V)`` of each step of the greedy growth, in rising bit mask.
+    The supports start as the singletons.  A step values each support plus
+    each point outside it (at most ``n (n - 1)`` candidates, each support
+    formed twice valued once), and a support takes the first point of
+    highest value if that beats its own.  ``value`` maps supports to ``(keep,
+    Z, V)``; ``pairs`` gets the pairs ``(T, x)`` of the candidates."""
     n = G.shape[0]
     C, own = np.arange(n)[:, None], np.full(n, -np.inf)  # candidates, their supports' values
     while len(C) and C.shape[1] < n:
         pairs.append(len(C) * (n - C.shape[1]))
-        keep, Z = _stacked_equilibria(G, C)
-        T, V = C[keep], value(C[keep], Z)
+        U, back = np.unique(C, axis=0, return_inverse=True)
+        keep, Z, V = value(U)
         if keep.any():
+            T = U[keep]
             order = np.lexsort(T.T)
             yield T[order], Z[order], V[order]
-        top = np.full(len(C), -np.inf)
+        top = np.full(len(U), -np.inf)
         top[keep] = V.max(axis=1)
+        top = top[back.reshape(-1)]
         best = top.reshape(len(own), -1)  # a support's candidates, in rising point
         pick = (np.arange(len(own)) * best.shape[1] + best.argmax(axis=1))[best.max(axis=1) > own]
         T, first = np.unique(C[pick], axis=0, return_index=True)  # supports that meet go on as one
@@ -240,81 +133,120 @@ def _grown(G: np.ndarray, value, pairs: list):
         C = np.sort(np.column_stack([T[rows], points]), axis=1)
 
 
+def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
+    """``(mode, h, T, Z, x, pairs_checked)`` of a maximum-principle constant:
+    the first maximum above 1 of the pairs ``value`` scores, over every
+    support or the grown ones, with the row ``Z`` of the winning support.
+    The closed-form ``+inf`` pair ``({j}, x)`` (with ``Z`` None), the first
+    in ``(j, x)`` order of the module's rule or of ``rays[x, j]`` (the
+    singleton rays), runs first: it ends a sampled search, and in the exact
+    walk only a ray, which needs a right-hand side other than 1 (``width >
+    1``), on a support of the points before ``j`` can come earlier.  The
+    exact walk's batches hold ``BATCH // width`` supports."""
+    n, d = G.shape[0], np.diag(G)
+    mode, pairs = _mode(n, budget), []
+    hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0))) | rays
+    j, x = (int(i) for i in next(zip(*np.nonzero(hot.T)), (n, -1)))  # j = n: no such pair
+    if mode == "exact":
+        batches = _walk(j if j == n or width > 1 else 0, value, max(1, capacity.BATCH // width))
+    else:
+        batches = _grown(G, value, pairs) if j == n else ()
+    best, T, Z, y = _first_best(batches, 1.0)
+    if j < n and best < np.inf:
+        best, T, Z, y = np.inf, np.array([j]), None, x
+    if mode == "sampled" and j == n:
+        checked = sum(pairs)
+    elif np.isinf(best):
+        checked = _place(n, T, y)
+    else:
+        checked = n * ((1 << (n - 1)) - 1)
+    return mode, best, T, Z, y, checked
+
+
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> WmpReport:
     """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
-    n, G, d = kernel.size, kernel.entries, np.diag(kernel.entries)
-    mode = _mode(n, budget)
-    hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0)))
-    if hot.any():  # the first +inf pair ({j}, x) follows every support below j
-        j, x = (int(i[0]) for i in np.nonzero(hot.T))
-        best, T, z = float("inf"), [j], np.ones(1)
-        checked = n * ((1 << j) - 1) - j * (1 << j) // 2 + x + (x < j)
-    else:
-        def value(T, Z):  # the potentials G[:, t] z, -inf on t
-            V = np.matmul(G[:, T].transpose(1, 0, 2), Z[..., None])[..., 0]
-            np.put_along_axis(V, T, -np.inf, axis=1)
-            return V
+    G = kernel.entries
 
-        pairs = []
-        batches = (((T, Z, value(T, Z)) for T, Z in _equilibria(G)) if mode == "exact"
-                   else _grown(G, value, pairs))
-        best, T, z, x = _first_best(batches, 1.0)
-        checked = n * ((1 << (n - 1)) - 1) if mode == "exact" else sum(pairs)
+    def value(T):  # the equilibria and their potentials G[:, t] z, -inf on t
+        keep, Z = _stacked_equilibria(G, T)
+        V = np.matmul(G[:, T[keep]].transpose(1, 0, 2), Z[..., None])[..., 0]
+        np.put_along_axis(V, T[keep], -np.inf, axis=1)
+        return keep, Z, V
+
+    mode, best, T, z, x, checked = _search(G, budget, value, 1)
     witness = None
     if T is not None:
         points = kernel.space.points
-        witness = (tuple(points[i] for i in T), points[x], _measure_on(kernel, T, z))
+        witness = (tuple(points[i] for i in T), points[x],
+                   _measure_on(kernel, T, np.ones(1) if z is None else z))
     return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 
-def _complete_problem(G: np.ndarray, S, x: int, nu, cols, block) -> LpProblem:
-    """max G mu (x) over ``(mu, nu, c)``, mu on ``cols`` and nu on the columns
-    ``nu``, with G mu <= G nu + c on S and G nu (x) + c <= 1.
-
-    The normalization ``= 1`` of the principle may be relaxed to ``<= 1``:
-    the rows on S are homogeneous, so a feasible point with ``s = G nu (x) +
-    c < 1`` and a positive objective scales by ``1 / s`` into a better one,
-    and ``s = 0`` with a positive objective is a ray, unbounded in both
-    forms.  ``(0, 0, 1)`` is feasible in both, so they have the same value
-    and the same ``+inf`` pairs, a winning vertex has ``s = 1``, and the LP
-    is a packing LP that starts from its slack basis."""
-    k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
-    lhs = np.zeros((m + 1, k + r + 1))
-    lhs[:m, :k] = block
-    lhs[:m, k:k + r] = -G[np.ix_(S, nu)]
-    lhs[:m, k + r] = -1.0
-    lhs[m, k:k + r] = G[x, nu]
-    lhs[m, k + r] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    objective = np.zeros(k + r + 1)
-    objective[:k] = G[x, cols]
-    return LpProblem(objective, lhs, rhs)
+def _complete_ratios(G: np.ndarray, W, T, Z):
+    """``G(x, t) z / w(x)`` of the supports ``t``, rows of ``T``, with the
+    solutions ``Z`` (NaN where there is none) of the right-hand sides ``w``,
+    the columns of ``W``, indexed ``(support, x, w)``: ``+inf`` where ``w(x)
+    = 0`` and ``G(x, t) z`` is above ``1e-10 max G(x, t) max z`` (a ray; less
+    is rounding), and ``-inf`` where there is no ``z`` or ``w(x)`` is not
+    finite, for ``x`` in ``t``, and for ``t``'s own columns, worth 1."""
+    GT = G[:, T].transpose(1, 0, 2)  # G(x, t)
+    P = np.matmul(GT, Z)
+    W = W[None]
+    R = np.divide(P, W, out=np.full(P.shape, -np.inf),
+                  where=np.isfinite(P) & np.isfinite(W) & (W > 0))
+    R[(W == 0) & (P > 1e-10 * GT.max(axis=2)[..., None] * Z.max(axis=1)[:, None])] = np.inf
+    rows = np.arange(len(T))[:, None]
+    R[rows, T] = -np.inf
+    R[rows, :, T + 1] = -np.inf
+    return R
 
 
-def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET,
-                         seed: int = 0) -> CompleteMpReport:
+def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> CompleteMpReport:
     """Smallest ``h`` for the principle with an additive constant.
 
     For ``mu`` on ``S`` and any ``nu, c >= 0``: if ``G mu <= G nu + c`` on
-    ``S`` then ``G mu <= h (G nu + c)`` everywhere.  Columns whose potential
-    over ``S`` is infinite are excluded from ``mu`` (its potential must be
-    finite where it carries mass) and from ``nu`` (kept conservative so the
-    reported constant stays a valid lower bound).
+    ``S`` then ``G mu <= h (G nu + c)`` everywhere.  ``mu`` carries mass
+    only where its potential over ``S`` can be finite, and ``nu`` only on
+    columns finite on ``S`` and at the point compared, so the reported
+    constant stays a valid lower bound.  A ``+inf`` witness is a ray: ``G nu
+    (x) + c`` is 0 there, or ``G mu (x)`` is infinite.
     """
-    mode, supports = _supports(kernel.size, budget, seed)
-    best, top, checked = _max_over_pairs(kernel, supports)
+    n, G = kernel.size, kernel.entries
+    rhs = np.column_stack([np.ones(n), G])  # w = 1, then the columns of G
+    d = np.diag(G)
+    through = (G > 0) & np.isfinite(G) & ~np.eye(n, dtype=bool)  # (j, k): 0 < G(j, k) < inf
+    rays = ((G == 0) @ through.T) & (G > 0) & (d > 0) & np.isfinite(d)  # (x, j): {j} a ray at x
+    step = max(1, capacity.BATCH // (n + 1))
+
+    def value(T):  # chunks of the stacked solve with every right-hand side
+        parts = []
+        for C in (T[i:i + step] for i in range(0, len(T), step)):
+            W = rhs[C]
+            finite = np.isfinite(W).all(axis=1)
+            keep, Z = _stacked_solves(G, C, np.where(finite[:, None], W, 0.0))
+            Z.transpose(0, 2, 1)[~finite[keep]] = np.nan  # no w on the support: no z
+            parts.append((keep, Z, _complete_ratios(G, rhs, C[keep], Z).max(axis=2)))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    mode, best, T, Z, x, checked = _search(G, budget, value, n + 1, rays)
     witness = None
-    if top is not None:
-        S, x, cols, v = top
-        G = kernel.entries
-        nu = np.isfinite(G[np.append(S, x)]).all(axis=0)  # nu's columns in _complete_problem
-        k, r = cols.size, int(np.count_nonzero(nu))
-        if v.size == k:  # the point mass of an infinite objective: nu = 0, c = 1
-            v = np.concatenate([v, np.zeros(r), [1.0]])
+    if T is not None:
+        mu, nu = np.zeros(T.size), np.zeros(n)
+        if Z is None:  # the closed form: a point mass, its potential infinite at x or 0 on
+            j = T[0]  # T, or a ray through the first column k that is 0 at x
+            mu[0], c = 1.0, float(np.isinf(G[x, j]))
+            if not c and G[j, j] > 0:
+                k = int(np.argmax((G[x] == 0) & through[j]))
+                mu[0], nu[k] = G[j, k] / G[j, j], 1.0
+        else:
+            w = int(np.argmax(_complete_ratios(G, rhs, T[None], Z[None])[0, x]))
+            scale = 1.0 / rhs[x, w] if rhs[x, w] > 0 else 1.0  # a ray is not normalized
+            mu, c = Z[:, w] * scale, scale if w == 0 else 0.0
+            if w:
+                nu[w - 1] = scale
         points = kernel.space.points
-        witness = (tuple(points[i] for i in S), points[x], _measure_on(kernel, cols, v[:k]),
-                   _measure_on(kernel, nu, v[k:k + r]), max(float(v[k + r]), 0.0))
+        witness = (tuple(points[i] for i in T), points[x], _measure_on(kernel, T, mu),
+                   Measure(kernel.space, nu), c)
     return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked)
 
 

@@ -1,37 +1,25 @@
 """Dense one-phase simplex for packing LPs, with Bland's rule and duality
 certificates.
 
-Problems are small (tens of variables) but numerous, and downstream callers
-need exact verdicts -- ``optimal`` with matching dual values, or ``unbounded``
-with an improving ray -- rather than a best-effort float.  A stalled solve
-raises :class:`SimplexStallError`; it never returns a silently wrong answer.
+Problems are small (tens of variables), and callers need exact verdicts
+-- ``optimal`` with matching dual values, or ``unbounded`` with an improving
+ray -- rather than a best-effort float.  A stalled solve raises
+:class:`SimplexStallError`; it never returns a silently wrong answer.
 
 Form accepted: maximize ``c @ x`` subject to ``A x <= b`` and ``x >= 0``,
 with ``b >= 0``.  ``x = 0`` is then feasible, so the slack basis starts the
-one phase and no problem is infeasible.  Every LP of the package has this
-form: ``cap0``'s (whose dual is ``content``'s) and the complete constant's
-pair LPs, whose normalization ``G nu (x) + c <= 1`` is tight at every
-winning vertex.  All coefficients must be finite; callers
-pre-reduce infinite kernel entries (an ``+inf`` coefficient in a row forces
-its variable to zero) before building a problem.
+one phase and no problem is infeasible.  The package's one LP is ``cap0``'s
+(whose dual is ``content``'s), solved only where its complementary-slackness
+certificate declines; the maximum-principle constants solve none.  All
+coefficients must be finite; callers pre-reduce infinite kernel entries (an
+``+inf`` coefficient in a row forces its variable to zero) before building a
+problem.
 
 Column layout: the originals, then the slack of each row in row order.  Row
 ``i`` starts basic in ``identity[i]``, its slack, the column that holds
 ``+e_i``.  Those columns of the final tableau hold ``B^{-1}``, so the optimal
 duals and (through ``basis``) the primal point and the ray are each one
 indexing expression.
-
-:func:`solve_lps` solves many problems of one shape at once.  Their tableaux
-stack into one ``(B, m+1, w)`` array, and Bland's rule runs in lockstep over
-the problems still active.  Every pivot is the same elementwise arithmetic
-as :func:`solve_lp`'s, and the readout (the duals, the value) runs per
-problem in the same 1-D form, so each problem gets ``solve_lp``'s solution
-bit for bit.  Both entry points stay: ``cap0`` solves its LPs one at a
-time, and a batch of one through the lockstep loop costs 2.1 to 2.4 times
-:func:`solve_lp` on ``cap0``-sized LPs (n = 10: 318 against 768 us; n = 20:
-939 against 1,966 us; one Xeon core, numpy 2.4).  The tableau builder and
-the readout are shared; only the pivot loop and the pivot exist in both
-forms.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LpProblem", "LpSolution", "SimplexStallError", "solve_lp", "solve_lps"]
+__all__ = ["LpProblem", "LpSolution", "SimplexStallError", "solve_lp"]
 
 TOL = 1e-9
 MAX_PIVOTS = 100_000
@@ -85,18 +73,16 @@ class LpSolution:
 
 
 def _tableau(A, b, c):
-    """Starting tableaux of ``max c x`` s.t. ``A x <= b``, batched over the
-    leading axes of ``A``, ``b`` and ``c``: ``(T, basis, identity)``, the
-    slack basis with the objective row ``-c``."""
-    m, n = A.shape[-2:]
+    """Starting tableau of ``max c x`` s.t. ``A x <= b``: ``(T, basis,
+    identity)``, the slack basis with the objective row ``-c``."""
+    m, n = A.shape
     identity = np.arange(n, n + m)
-    T = np.zeros(A.shape[:-2] + (m + 1, n + m + 1))
-    T[..., :m, :n] = A
-    T[..., :m, -1] = b
-    T[..., np.arange(m), identity] = 1.0
-    T[..., -1, :n] = -c
-    basis = np.broadcast_to(identity, A.shape[:-2] + (m,)).copy()
-    return T, basis, identity
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[np.arange(m), identity] = 1.0
+    T[-1, :n] = -c
+    return T, identity.copy(), identity
 
 
 def _readout(T, basis, identity, c, entering, iterations):
@@ -160,75 +146,7 @@ def _run(T, basis):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    # A single LP keeps this scalar loop: a batch of one through solve_lps'
-    # lockstep loop takes 2.1 to 2.4 times as long on cap0-sized LPs, and
-    # cap0 solves its LPs one at a time.
     c = problem.objective
     T, basis, identity = _tableau(problem.lhs, problem.rhs, c)
     iterations, entering = _run(T, basis)
     return _readout(T, basis, identity, c, entering, iterations)
-
-
-def _pivot_lps(T, basis, row, col):
-    """:func:`_pivot` on ``T[k]`` at ``(row[k], col[k])`` for every ``k``,
-    with the same elementwise arithmetic."""
-    k = np.arange(row.size)
-    T[k, row] /= T[k, row, col][:, None]
-    factors = T[k, :, col]
-    factors[k, row] = 0.0
-    T -= factors[:, :, None] * T[k, row][:, None, :]
-    T[k, :, col] = 0.0
-    T[k, row, col] = 1.0
-    basis[k, row] = col
-
-
-def _run_lps(T, basis):
-    """:func:`_run` in lockstep on the tableaux ``T``: every step takes each
-    active one's Bland pivot and drops those that are done.  Returns each
-    LP's pivot count and its entering column with no leaving row, or -1
-    where it ended optimal."""
-    m = basis.shape[1]
-    iterations = np.zeros(T.shape[0], dtype=int)
-    entering = np.full(T.shape[0], -1)
-    live, W, Wb = np.arange(T.shape[0]), T, basis
-    while live.size:
-        if (iterations[live] >= MAX_PIVOTS).any():
-            raise SimplexStallError(f"simplex exceeded {MAX_PIVOTS} pivots")
-        improving = W[:, -1, :-1] < -TOL
-        col = improving.argmax(axis=1)
-        colvals = W[np.arange(live.size), :m, col]
-        rows = colvals > TOL
-        ratios = np.divide(W[:, :m, -1], colvals, out=np.full(colvals.shape, np.inf),
-                           where=rows)
-        best = ratios.min(axis=1)
-        tied = rows & (ratios <= (best + TOL * np.maximum(1.0, np.abs(best)))[:, None])
-        row = np.where(tied, Wb, T.shape[2]).argmin(axis=1)
-        optimal = ~improving.any(axis=1)
-        unbounded = ~optimal & ~rows.any(axis=1)
-        done = optimal | unbounded
-        if done.any():
-            entering[live[unbounded]] = col[unbounded]
-            T[live[done]], basis[live[done]] = W[done], Wb[done]
-            go = ~done
-            live, W, Wb, row, col = live[go], W[go], Wb[go], row[go], col[go]
-        _pivot_lps(W, Wb, row, col)
-        iterations[live] += 1
-    return iterations, entering
-
-
-def solve_lps(problems) -> list:
-    """:func:`solve_lp` on problems of one shape, all at once: one
-    ``(B, m+1, w)`` tableau runs Bland's rule in lockstep over the LPs still
-    active, so each LP gets the solution ``solve_lp`` returns for it, bit for
-    bit."""
-    if not problems:
-        return []
-    if any(p.lhs.shape != problems[0].lhs.shape for p in problems):
-        raise ValueError("solve_lps needs problems of one shape")
-    T, basis, identity = _tableau(np.stack([p.lhs for p in problems]),
-                                  np.stack([p.rhs for p in problems]),
-                                  np.stack([p.objective for p in problems]))
-    iterations, entering = _run_lps(T, basis)
-    return [_readout(T[k], basis[k], identity, p.objective,
-                     None if entering[k] < 0 else int(entering[k]), int(iterations[k]))
-            for k, p in enumerate(problems)]

@@ -56,7 +56,6 @@ from .core import (
 )
 from .principles import (
     DEFAULT_BUDGET,
-    _sampled_cap,
     _triangle_constant,
     modifier,
     modify_kernel,
@@ -625,6 +624,13 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 PRUNE_RTOL = 1e-9  # cap0 values, certified or from the LP, are monotone in exact arithmetic only
 
 
+def _sampled_cap(n: int, budget: int) -> int:
+    """Subsets valued by a sampled search on ``n`` points: ``min(budget, 10 n^2)``."""
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
+    return min(budget, 10 * n * n)
+
+
 class _SubsetSearch:
     """Depth-first branch and bound (Land and Doig) for the largest
     ``num(K) / den(K)`` over nonempty ``K`` in ``supp sigma``, for
@@ -774,9 +780,8 @@ def weak_type_constant(problem: SublinearProblem,
     ``sigma(K)^{1/q} / cap0(K)`` over subsets ``K`` of the support of
     ``sigma``, found by branch and bound.  ``budget`` counts the distinct
     subsets valued: all of them when ``2^|supp sigma| <= budget``, so the
-    result is ``exact``, else at most
-    :func:`~potbench.principles._sampled_cap`, the cap of a sampled
-    complete-MP search.  A search cut short is ``sampled``, bracketed by the best
+    result is ``exact``, else at most :func:`_sampled_cap`, ``min(budget,
+    10 n^2)``.  A search cut short is ``sampled``, bracketed by the best
     subset's ratio and the largest bound of an open branch.  Extras name the best set with its
     ``cap0`` and ``content`` values, and for ``q > 1`` carry the dual
     level-set constant, an upper bound that also caps ``upper``.  A kernel

@@ -28,9 +28,9 @@ from potbench import (
     wmp_constant,
 )
 from potbench import capacity, principles
-from potbench.capacity import _enumerate_supports, _equilibrium
+from potbench.capacity import _enumerate_supports, _equilibrium, _stacked_solves
 from potbench.core import _bits
-from potbench.principles import _complete_problem, _exact_supports
+from potbench.principles import _place
 from potbench.simplex import LpProblem, solve_lp
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
@@ -95,37 +95,54 @@ def test_complete_mp_infinite_witnesses():
         assert c_w == c
 
 
+def _no_lp(monkeypatch):
+    """Make every LP of the package raise: ``cap0``'s ``solve_lp`` is the one
+    pivot loop, and the principles import nothing from ``simplex``."""
+    def no_lp(problem):
+        raise AssertionError("a maximum-principle constant solved an LP")
+
+    assert not {"solve_lp", "solve_lps", "simplex"} & set(vars(principles))
+    monkeypatch.setattr("potbench.simplex.solve_lp", no_lp)
+    monkeypatch.setattr(capacity, "solve_lp", no_lp)
+
+
 def test_no_column_supports_cost_no_lp(monkeypatch):
     # the Riesz diagonal is +inf, so no column is finite on its own support:
-    # every pair is worth 0, is counted, and solves no LP; pair LPs are
-    # solved only through solve_lps, so the LPs handed to it are all of them
+    # every pair is worth 0 and is counted, and no LP runs
     kernel = build_sampled(SampledKernelSpec("riesz", 6, alpha=1.5, n_dim=2))
-    calls = []
-    solve = principles.solve_lps
-    assert not hasattr(principles, "solve_lp")
-    monkeypatch.setattr(principles, "solve_lps", lambda ps: calls.extend(ps) or solve(ps))
+    _no_lp(monkeypatch)
     for constant in (wmp_constant, complete_mp_constant):
         rep = constant(kernel)
         assert rep.mode == "exact"
         assert rep.constant == 1.0 and rep.witness is None
         assert rep.pairs_checked == 6 * (2 ** 5 - 1) == 186
-    assert calls == []
+
+
+def _exact_supports(n):
+    """Every ``S`` but the whole space, as the bits of ``m = 1, 2, ...``, with
+    the points outside it: the exact stream of pairs ``(S, x)``."""
+    for m in range(1, (1 << n) - 1):
+        bits = _bits(m, n)
+        yield np.flatnonzero(bits), np.flatnonzero(~bits)
 
 
 def test_exact_pair_order():
-    # supports in the order of their bit masks, outside points ascending
+    # supports in the order of their bit masks, outside points ascending;
+    # _place counts a pair's place in that stream, the +inf pairs_checked
     pairs = [(S.tolist(), x) for S, outside in _exact_supports(3) for x in outside.tolist()]
     assert pairs == [
         ([0], 1), ([0], 2), ([1], 0), ([1], 2), ([0, 1], 2),
         ([2], 0), ([2], 1), ([0, 2], 1), ([1, 2], 0),
     ]
+    for n in range(1, 8):
+        places = [_place(n, S, x) for S, outside in _exact_supports(n) for x in outside.tolist()]
+        assert places == list(range(1, n * (2 ** (n - 1) - 1) + 1))
 
 
 def test_sampled_stream_pinned():
     # two copies of one 4-point block: zeros between them and +inf on the
     # diagonal at points 0 and 4.  One more +inf entry stops both searches at
-    # ({1}, 6): the count pins the order of complete MP's cheap supports,
-    # and the WMP's closed form counts as the exact walk does
+    # ({1}, 6), and the closed form counts as the exact walk does
     block = np.array([[np.inf, 1.5, 1.0, 2.0], [1.5, 2.5, 1.375, 0.625],
                       [1.0, 1.375, 3.0, 1.625], [2.0, 0.625, 1.625, 2.25]])
     G = np.zeros((8, 8))
@@ -140,20 +157,19 @@ def test_sampled_stream_pinned():
     assert rep.constant == 1.182089552238806
     assert rep.witness[:2] == ((1, 3), 0) == wmp_constant(Kernel(Space.of_size(8), G)).witness[:2]
     assert rep.pairs_checked == 468
-    # pairs of the random part of complete MP's stream tie at both maxima.
-    # The expected values were recorded at commit c2c39fb, whose loop walked
-    # single (S, x) pairs instead of supports.  The complement pair
-    # ({1, ..., 7}, 0) ties in exact arithmetic with the random part's
-    # maximum 1219/670; the packing LP (normalization <= 1) reads that pair
-    # 1 ulp above the random one, so it wins
-    rep = complete_mp_constant(Kernel(Space.of_size(8), G), budget=100, seed=1)
-    assert rep.mode == "sampled"
-    assert rep.constant == 1.8194029850746274
-    assert rep.witness[:2] == ((1, 2, 3, 4, 5, 6, 7), 0)
-    # 56 singleton pairs, 8 complement pairs, 100 random draws
-    assert rep.pairs_checked == 164
-    for constant, seed in ((wmp_constant, {}), (complete_mp_constant, {"seed": 1})):
-        rep = constant(Kernel(Space.of_size(8), stopped), budget=100, **seed)
+    # complete MP grows the same candidates, valued with every right-hand
+    # side, and reads the exact constant 1219/670 at the exact walk's
+    # witness: mu on {1, 3} against nu at point 2.  The seeded pair LPs it
+    # replaced read 1219/670 one ulp above, at ({1, ..., 7}, 0)
+    rep = complete_mp_constant(Kernel(Space.of_size(8), G), budget=100)
+    exact = complete_mp_constant(Kernel(Space.of_size(8), G))
+    assert rep.mode == "sampled" and exact.mode == "exact"
+    assert rep.constant == exact.constant == 1.819402985074627
+    assert rep.witness[:2] == exact.witness[:2] == ((1, 3), 0)
+    assert rep.witness[3].weights.tolist() == [0, 0, 1, 0, 0, 0, 0, 0] and rep.witness[4] == 0
+    assert rep.pairs_checked == 468
+    for constant in (wmp_constant, complete_mp_constant):
+        rep = constant(Kernel(Space.of_size(8), stopped), budget=100)
         assert rep.mode == "sampled"
         assert rep.constant == np.inf
         assert rep.witness[:2] == ((1,), 6)
@@ -216,6 +232,32 @@ def _pair_scan(G, supports, build):
                 if np.isinf(best):
                     return best, top, checked, waiting
     return best, top, checked, waiting
+
+
+def _complete_problem(G, S, x, nu, cols, block):
+    """The complete constant's pair LP: max G mu (x) over ``(mu, nu, c)``, mu
+    on ``cols`` and nu on the columns ``nu``, with G mu <= G nu + c on S and
+    G nu (x) + c <= 1.
+
+    The normalization ``= 1`` of the principle may be relaxed to ``<= 1``:
+    the rows on S are homogeneous, so a feasible point with ``s = G nu (x) +
+    c < 1`` and a positive objective scales by ``1 / s`` into a better one,
+    and ``s = 0`` with a positive objective is a ray, unbounded in both
+    forms.  ``(0, 0, 1)`` is feasible in both, so they have the same value
+    and the same ``+inf`` pairs, a winning vertex has ``s = 1``, and the LP
+    is a packing LP that starts from its slack basis."""
+    k, r, m = cols.size, int(np.count_nonzero(nu)), len(S)
+    lhs = np.zeros((m + 1, k + r + 1))
+    lhs[:m, :k] = block
+    lhs[:m, k:k + r] = -G[np.ix_(S, nu)]
+    lhs[:m, k + r] = -1.0
+    lhs[m, k:k + r] = G[x, nu]
+    lhs[m, k + r] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    objective = np.zeros(k + r + 1)
+    objective[:k] = G[x, cols]
+    return LpProblem(objective, lhs, rhs)
 
 
 def _wmp_problem(G, S, x, nu, cols, block):
@@ -283,46 +325,19 @@ def _engine_kernel(rng, i):
     return Kernel(k.space, G)
 
 
-def _assert_engine_matches_scan(k, supports):
-    """``_max_over_pairs`` against ``_pair_scan`` of the complete-MP pair LPs
-    on two copies of one support stream: value, witness and count bit-equal.
-    Returns the scan."""
-    value, top, pairs, waiting = _pair_scan(k.entries, supports(), _complete_problem)
-    got, got_top, got_pairs = principles._max_over_pairs(k, supports())
-    assert (got, got_pairs) == (value, pairs)
-    if top is None:
-        assert got_top is None
-    else:
-        assert [np.asarray(a).tolist() for a in got_top[:3]] == \
-            [np.asarray(a).tolist() for a in top[:3]]
-        assert got_top[3].tobytes() == top[3].tobytes()
-    return value, top, pairs, waiting
-
-
-def test_pair_engine_matches_pair_scan():
-    # the bucketed engine with solve_lps against the pair-by-pair scan with
-    # solve_lp, for the complete constant's pair LPs on exact and sampled
-    # streams
-    rng = np.random.default_rng(41)
-    infinite = rays = witnessed = 0
-    for i in range(56):  # each kind and size of _engine_kernel twice
-        k = _engine_kernel(rng, i)
-        n = k.size
-        budget = min(n * 2 ** n - 1, 4 * n * n)
-        streams = [lambda: principles._sampled_supports(n, budget, i)]
-        if n <= 7:
-            streams.append(lambda: _exact_supports(n))
-        for supports in streams:
-            value, top, _, _ = _assert_engine_matches_scan(k, supports)
-            infinite += bool(np.isinf(value))
-            witnessed += top is not None and bool(np.isfinite(value))
-            rays += bool(np.isinf(value)) and top[3].size > top[2].size
-    assert infinite >= 50 and rays >= 25 and witnessed >= 25
+def _random_supports(rng, n, count):
+    """``count`` seeded supports ``S``, neither empty nor the whole space,
+    each with the points outside it."""
+    while count:
+        bits = rng.uniform(size=n) < 0.5
+        if bits.any() and not bits.all():
+            count -= 1
+            yield np.flatnonzero(bits), np.flatnonzero(~bits)
 
 
 def test_packing_complete_lp_matches_the_equality_form():
-    # _complete_problem's normalization G nu (x) + c <= 1 against the
-    # principle's = 1 through scipy (A_eq), pair by pair on sampled streams:
+    # the oracle _complete_problem's normalization G nu (x) + c <= 1 against
+    # the principle's = 1 through scipy (A_eq), pair by pair on seeded supports:
     # the same value, the same unbounded pairs, and s = 1 at a positive
     # optimum, since the rows on S are homogeneous (docstring of
     # _complete_problem)
@@ -331,7 +346,7 @@ def test_packing_complete_lp_matches_the_equality_form():
     for i in range(0, 28, 2):  # every kind and size of _engine_kernel
         k = _engine_kernel(rng, i)
         G, n = k.entries, k.size
-        for S, outside in principles._sampled_supports(n, min(n * 2 ** n - 1, n * n), i):
+        for S, outside in _random_supports(rng, n, 4 * n):
             fin = np.isfinite(G[S]).all(axis=0)
             cols = S[fin[S]]
             for x in outside.tolist():
@@ -356,39 +371,24 @@ def test_packing_complete_lp_matches_the_equality_form():
     assert lps >= 800 and unbounded >= 100
 
 
-def test_pair_engine_late_inf_with_part_filled_buckets(monkeypatch):
-    # one +inf entry G[0, 8] makes ({8}, 0) the first +inf pair of the exact
-    # stream on 9 points, after every support of points 0-7: full buckets
-    # were solved before it, and the part-filled ones are solved after the
-    # stream stops
-    G = metric_power_kernel(np.random.default_rng(6), 9).entries.copy()
-    G[0, 8] = np.inf
-    batches = []
-    solve = principles.solve_lps
-    monkeypatch.setattr(principles, "solve_lps", lambda ps: batches.append(len(ps)) or solve(ps))
-    value, top, pairs, waiting = _assert_engine_matches_scan(
-        Kernel(Space.of_size(9), G), lambda: _exact_supports(9))
-    assert value == np.inf and (top[0].tolist(), top[1]) == ([8], 0)
-    assert max(waiting.values()) >= principles.BUCKET
-    assert principles.BUCKET in batches
-    assert sum(0 < b < principles.BUCKET for b in batches) >= 2
-
-
 @pytest.mark.parametrize("t", [1e-150, 1e-20, 1e20, 1e150])
 def test_exact_wmp_is_scale_free(t):
-    # h(t G) = h(G) for the exact walk and for the growth of budget 1, whose
-    # equilibria scale as 1/t; the Wiener enumeration scales as 1/t
+    # h(t G) = h(G) for both constants, by the exact walk and by the growth
+    # of budget 1: the solutions for the right-hand side 1 scale as 1/t, and
+    # those for the columns of G do not move.  The Wiener enumeration scales
+    # as 1/t
     rng = np.random.default_rng(29)
     for i in range(100):
         k = _fuzzed_kernel(rng, 10 + i)
-        for budget in (principles.DEFAULT_BUDGET, 1):
-            rep = wmp_constant(k, budget=budget)
-            scaled = wmp_constant(Kernel(k.space, t * k.entries), budget=budget)
-            assert scaled.pairs_checked == rep.pairs_checked
-            if np.isinf(rep.constant):
-                assert scaled.constant == np.inf
-            else:
-                assert abs(scaled.constant - rep.constant) <= 4 * np.spacing(rep.constant)
+        for constant in (wmp_constant, complete_mp_constant):
+            for budget in (principles.DEFAULT_BUDGET, 1):
+                rep = constant(k, budget=budget)
+                scaled = constant(Kernel(k.space, t * k.entries), budget=budget)
+                assert scaled.pairs_checked == rep.pairs_checked
+                if np.isinf(rep.constant):
+                    assert scaled.constant == np.inf
+                else:
+                    assert abs(scaled.constant - rep.constant) <= 4 * np.spacing(rep.constant)
         w, v = _enumerate_supports(k.entries)
         ws, vs = _enumerate_supports(t * k.entries)
         assert t * vs == pytest.approx(v, rel=2e-15, abs=0.0)
@@ -417,20 +417,132 @@ def test_grown_wmp_is_a_certified_lower_bound(n, seed, kind):
         assert pot[x] == pytest.approx(grown.constant, rel=1e-12)
 
 
-def test_wmp_solves_no_lp(monkeypatch):
-    # both modes value equilibria only: pair LPs serve complete MP alone
-    def no_lp(problems):
-        raise AssertionError("the WMP solved an LP")
+def _assert_complete_witness(G, rep):
+    """A finite witness ``(T, x, mu, nu, c)`` is feasible, ``G mu <= G nu + c``
+    on ``T`` and ``G nu (x) + c = 1``, and attains the constant at ``x``."""
+    T, x, mu, nu, c = rep.witness
+    rows = [*T, x]
+    G_mu = G[np.ix_(rows, mu.support)] @ mu.weights[mu.support]
+    G_nu = G[np.ix_(rows, nu.support)] @ nu.weights[nu.support] + c
+    assert (G_mu[:-1] <= G_nu[:-1] * (1.0 + 1e-9) + 1e-12).all()
+    assert G_nu[-1] == pytest.approx(1.0, rel=1e-12)
+    assert G_mu[-1] == pytest.approx(rep.constant, rel=1e-9)
 
-    monkeypatch.setattr(principles, "solve_lps", no_lp)
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_complete_mp_matches_pair_lps(n, seed, kind):
+    # the right-hand sides 1 and the columns of G on every support against
+    # the pair LPs they replace: finite constants within 1e-9, +inf ones at
+    # the same first pair and count; the growth of budget 1 is a lower bound.
+    # Kind 5 mixes zero and +inf entries in columns with a finite diagonal
+    rng = np.random.default_rng(seed)
+    k = (_fuzzed_kernel(rng, 5 * kind, n) if kind < 5
+         else rand_kernel(rng, n, zero_frac=0.25, inf_frac=0.15))
+    G = k.entries
+    value, top, pairs, _ = _pair_scan(G, _exact_supports(n), _complete_problem)
+    rep = complete_mp_constant(k)
+    assert rep.mode == "exact"
+    if np.isinf(value):
+        assert rep.constant == np.inf and not rep.holds
+        assert rep.witness[:2] == (tuple(top[0].tolist()), top[1])
+        assert rep.pairs_checked == pairs
+        return
+    assert rep.constant == pytest.approx(value, rel=1e-9)
+    assert rep.pairs_checked == pairs == n * (2 ** (n - 1) - 1)
+    grown = complete_mp_constant(k, budget=1)
+    assert grown.mode == "sampled"
+    assert grown.constant <= rep.constant + 4 * np.spacing(rep.constant)
+    for r in (rep, grown):
+        if r.witness is not None:
+            _assert_complete_witness(G, r)
+
+
+def test_complete_mp_singleton_ray_before_the_closed_form():
+    # G(2, 0) = +inf makes ({0}, 2) a closed-form +inf pair, but ({0}, 1)
+    # comes first: w = G(., 2) solves to z = 1 on {0}, and G(1, 0) z = 1 >
+    # 0 = w(1).  That ray is a closed form too, with mu = G(0, 2) / G(0, 0)
+    # at 0 against nu = delta_2 and c = 0
+    G = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [np.inf, 1.0, 1.0]])
+    value, top, pairs, _ = _pair_scan(G, _exact_supports(3), _complete_problem)
+    assert np.isinf(value) and (top[0].tolist(), top[1], pairs) == ([0], 1, 1)
+    for budget in (principles.DEFAULT_BUDGET, 1):
+        rep = complete_mp_constant(Kernel(Space.of_size(3), G), budget=budget)
+        assert rep.constant == np.inf and rep.pairs_checked == 1
+        S, x, mu, nu, c = rep.witness
+        assert (S, x) == ((0,), 1)
+        assert (mu.weights.tolist(), nu.weights.tolist(), c) == ([1, 0, 0], [0, 0, 1], 0.0)
+
+
+def test_late_hot_column_is_counted_in_closed_form():
+    # row 39 is 0 under positive entries elsewhere: ({39}, 0) is the first
+    # +inf pair of both constants, and its count, 2^39 supports in, takes
+    # no walk
+    n, j = 40, 39
+    G = np.random.default_rng(4).uniform(0.5, 2.0, (n, n))
+    G[j] = 0.0
+    k = Kernel(Space.of_size(n), G)
+    for constant in (wmp_constant, complete_mp_constant):
+        rep = constant(k)
+        assert rep.mode == "sampled" and rep.constant == np.inf
+        assert rep.witness[:2] == ((j,), 0)
+        assert rep.pairs_checked == n * ((1 << j) - 1) - j * (1 << j) // 2 + 1
+
+
+def test_complete_mp_rounding_reads_no_ray():
+    # column 3 is a multiple of column 0, and rows 1 and 4 are zero on both
+    # and on column 2.  On T = {1, 3} the right-hand side G(., 0) solves to
+    # z = (0, 0.2587...) exactly, and the stacked solve leaves 3.4e-17 at
+    # point 1, which point 4 sees (G(4, 1) > 0) where w(4) = 0.  The relative
+    # screen reads that as rounding: the constant is the pair LPs' finite one
+    rng = np.random.default_rng(0)
+    G = rng.uniform(0.2, 2.0, (5, 5))
+    a = rng.uniform(0.3, 3.0)
+    G[np.ix_([1, 4], [0, 2, 3])] = 0.0
+    G[:, 3] = a * G[:, 0]
+    G[4, 3], G[3, 3] = 0.0, rng.uniform(0.2, 2.0)
+    T = np.array([[1, 3]])
+    _, Z = _stacked_solves(G, T, G[:, [0, 2]][T])
+    assert (0.0 < Z[0, 0]).all() and (Z[0, 0] < 1e-16).all()  # the spurious weights at point 1
+    value, top, pairs, _ = _pair_scan(G, _exact_supports(5), _complete_problem)
+    rep = complete_mp_constant(Kernel(Space.of_size(5), G))
+    assert np.isfinite(value) and rep.holds
+    assert rep.constant == pytest.approx(value, rel=1e-12)
+    _assert_complete_witness(G, rep)
+
+
+def test_growth_values_a_repeated_support_once():
+    # {a, b} grown by c and {a, c} grown by b form one candidate: a step
+    # values each distinct support once, and still counts its pairs twice
+    k = metric_power_kernel(np.random.default_rng(8), 9)
+    G, valued, pairs = k.entries, [], []
+
+    def value(T):  # wmp_constant's
+        valued.append(T)
+        keep, Z = capacity._stacked_equilibria(G, T)
+        V = np.matmul(G[:, T[keep]].transpose(1, 0, 2), Z[..., None])[..., 0]
+        np.put_along_axis(V, T[keep], -np.inf, axis=1)
+        return keep, Z, V
+
+    list(principles._grown(G, value, pairs))
+    assert all(len(np.unique(T, axis=0)) == len(T) for T in valued)
+    candidates = [p // (9 - T.shape[1]) for p, T in zip(pairs, valued)]
+    assert sum(len(T) for T in valued) < sum(candidates)
+
+
+def test_wmp_solves_no_lp(monkeypatch):
+    # both constants in both modes value stacked solves only
+    _no_lp(monkeypatch)
     rng = np.random.default_rng(31)
     kernels = [metric_power_kernel(rng, 7), rand_kernel(rng, 8), rand_kernel(rng, 6, inf_frac=0.1),
                *(_fuzzed_kernel(rng, i) for i in range(25))]
     for k in kernels:
-        for budget in (principles.DEFAULT_BUDGET, 1):
-            assert wmp_constant(k, budget=budget).mode == ("exact" if budget > 1 else "sampled")
+        for constant in (wmp_constant, complete_mp_constant):
+            for budget in (principles.DEFAULT_BUDGET, 1):
+                rep = constant(k, budget=budget)
+                assert rep.mode == ("exact" if budget > 1 else "sampled")
     with pytest.raises(AssertionError, match="LP"):
-        complete_mp_constant(kernels[0])
+        capacity.solve_lp(LpProblem([1.0], [[1.0]], [1.0]))
 
 
 def test_grown_wmp_on_the_desk_kernel():
@@ -513,6 +625,13 @@ def test_batched_walk_matches_support_walk(n, seed, zeros, duplicate, inf_point)
     assert w.tolist() == weights.tolist()
 
 
+def _complete_fields(rep):
+    """A complete-MP report as plain values, its measures as weight lists."""
+    witness = rep.witness and (*rep.witness[:2], *(m.weights.tolist() for m in rep.witness[2:4]),
+                               rep.witness[4])
+    return rep.constant, rep.mode, rep.pairs_checked, witness
+
+
 def test_batches_keep_the_first_maximum(monkeypatch):
     # the swaps (0 1)(2 4) leave the kernel unchanged, so {0, 4} and {1, 2}
     # reach h with one value; {0, 4} comes first among the combinations, so
@@ -526,7 +645,10 @@ def test_batches_keep_the_first_maximum(monkeypatch):
     assert wmp_constant(k, budget=1).witness[:2] == ((1, 2), 0)
     z = _equilibrium(k.entries[np.ix_([0, 4], [0, 4])])
     assert (k.entries[:, [0, 4]] @ z)[1] == whole.constant
-    for size in (1, 3):
+    # complete MP's chunks hold BATCH // (n + 1) supports, 1 at the least
+    complete = [_complete_fields(complete_mp_constant(k, budget=b))
+                for b in (principles.DEFAULT_BUDGET, 1)]
+    for size in (1, 3, 17):
         monkeypatch.setattr(capacity, "BATCH", size)
         rep = wmp_constant(k)
         assert rep.constant == whole.constant
@@ -534,18 +656,30 @@ def test_batches_keep_the_first_maximum(monkeypatch):
         assert rep.witness[2].weights.tolist() == whole.witness[2].weights.tolist()
         w, v = _enumerate_supports(k.entries)
         assert v == enumerated[1] and w.tolist() == enumerated[0].tolist()
+        for b, ref in zip((principles.DEFAULT_BUDGET, 1), complete):
+            assert _complete_fields(complete_mp_constant(k, budget=b)) == ref
 
 
 def test_singular_batches_fall_back_to_single_solves(monkeypatch):
     # with no slogdet screen the stacked solve raises on the exactly singular
-    # supports of a duplicated point, and each support is solved alone
+    # supports of a duplicated point, and each support is solved alone, its
+    # residuals checked column by column as in the stacked solve: the
+    # equilibria and complete MP in both modes are bit-equal.  Complete MP
+    # takes the copy without zeros, which has no closed-form ray to stop it
     G = _walk_kernel(7, 5, zeros=True, duplicate=True, inf_point=False).entries
+    k = _walk_kernel(7, 5, zeros=False, duplicate=True, inf_point=False)
+    budgets = (principles.DEFAULT_BUDGET, 1)
     screened = [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)]
-    single = []
+    complete = [_complete_fields(complete_mp_constant(k, budget=b)) for b in budgets]
+    single, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "slogdet", lambda AT: (np.ones(len(AT)), np.zeros(len(AT))))
-    monkeypatch.setattr(capacity, "_equilibrium", lambda AT: single.append(AT) or _equilibrium(AT))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: single.append(a.ndim == 2) or solve(a, b))
     assert [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)] == screened
-    assert single
+    assert any(single)
+    for b, ref in zip(budgets, complete):
+        single.clear()
+        assert _complete_fields(complete_mp_constant(k, budget=b)) == ref
+        assert any(single)
 
 
 def test_complete_dominates_onesided():

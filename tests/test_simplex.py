@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from potbench.simplex import LpProblem, LpSolution, solve_lp, solve_lps
-
-
-def _both(problem):
-    """The problem through both entry points: ``solve_lp`` and a batch of one
-    through ``solve_lps``."""
-    return solve_lp(problem), solve_lps([problem])[0]
+from potbench.simplex import LpProblem, LpSolution, solve_lp
 
 
 def _scipy_solve(problem):
@@ -37,23 +31,23 @@ def _packing_lp(rng, n_max=7, m_max=7):
 # maximize x + y subject to x + 2y <= 4, 3x + y <= 6: corner (8/5, 6/5)
 def test_hand_lp():
     p = LpProblem([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
-    for sol in _both(p):
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(14.0 / 5.0, abs=1e-12)
-        assert sol.x == pytest.approx([8.0 / 5.0, 6.0 / 5.0], abs=1e-12)
-        # dual prices from the two binding rows: solve [[1,3],[2,1]] y = (1,1)
-        assert sol.duals == pytest.approx([2.0 / 5.0, 1.0 / 5.0], abs=1e-12)
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(14.0 / 5.0, abs=1e-12)
+    assert sol.x == pytest.approx([8.0 / 5.0, 6.0 / 5.0], abs=1e-12)
+    # dual prices from the two binding rows: solve [[1,3],[2,1]] y = (1,1)
+    assert sol.duals == pytest.approx([2.0 / 5.0, 1.0 / 5.0], abs=1e-12)
 
 
 def test_unbounded_with_ray():
     p = LpProblem([1.0, 0.0], [[-1.0, 1.0]], [1.0])
-    for sol in _both(p):
-        assert sol.status == "unbounded"
-        ray = sol.ray
-        assert ray is not None and ray[0] > 0
-        # the ray stays feasible and improves the objective
-        assert float(np.array([-1.0, 1.0]) @ ray) <= 1e-12
-        assert float(np.array([1.0, 0.0]) @ ray) > 0
+    sol = solve_lp(p)
+    assert sol.status == "unbounded"
+    ray = sol.ray
+    assert ray is not None and ray[0] > 0
+    # the ray stays feasible and improves the objective
+    assert float(np.array([-1.0, 1.0]) @ ray) <= 1e-12
+    assert float(np.array([1.0, 0.0]) @ ray) > 0
 
 
 def test_degenerate_cycling_guard():
@@ -67,23 +61,23 @@ def test_degenerate_cycling_guard():
         ],
         [0.0, 0.0, 1.0],
     )
-    for sol in _both(p):
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(1.0, abs=1e-9)
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_random_against_scipy(seed):
     p = _packing_lp(np.random.default_rng(seed))
     ref = _scipy_solve(p)
-    for ours in _both(p):
-        if ours.status == "optimal":
-            assert ref.status == 0
-            assert ours.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
-            # our primal point must be feasible for scipy's model too
-            assert (p.lhs @ ours.x - p.rhs <= 1e-8).all()
-        else:
-            assert ours.status == "unbounded" and ref.status == 3
+    ours = solve_lp(p)
+    if ours.status == "optimal":
+        assert ref.status == 0
+        assert ours.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+        # our primal point must be feasible for scipy's model too
+        assert (p.lhs @ ours.x - p.rhs <= 1e-8).all()
+    else:
+        assert ours.status == "unbounded" and ref.status == 3
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -112,57 +106,20 @@ def test_certificates_on_every_sense(status):
     checked = 0
     while checked < 40:
         p = _packing_lp(rng)
-        if solve_lp(p).status != status:
+        sol = solve_lp(p)
+        if sol.status != status:
             continue
         checked += 1
         A, b, c = p.lhs, p.rhs, p.objective
-        for sol in _both(p):
-            assert sol.status == status
-            if status == "unbounded":
-                ray = sol.ray
-                assert (ray >= 0).all() and float(c @ ray) > 0
-                assert (A @ ray <= 1e-9).all()
-                continue
-            y = sol.duals
-            assert (y >= -1e-9).all()
-            assert (A.T @ y - c >= -1e-9).all()
-            assert float(b @ y) == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
-
-
-def _bit_equal(a, b):
-    """Every field of two solutions, arrays byte for byte."""
-    if (a.status, a.iterations, a.value) != (b.status, b.iterations, b.value):
-        return False
-    for u, v in ((a.x, b.x), (a.duals, b.duals), (a.ray, b.ray)):
-        if (u is None) != (v is None) or (u is not None and (
-                u.shape != v.shape or u.tobytes() != v.tobytes())):
-            return False
-    return True
-
-
-def test_mixed_batch_is_bit_equal():
-    # packing LPs of one shape that end optimal and unbounded after
-    # different pivot counts, solved in one lockstep call
-    rng = np.random.default_rng(11)
-    problems = []
-    for _ in range(40):
-        b = rng.uniform(0.0, 2.0, 4)
-        b[rng.uniform(size=4) < 0.25] = 0.0
-        problems.append(LpProblem(rng.normal(size=3), rng.normal(size=(4, 3)), b))
-    batch = solve_lps(problems)
-    singles = [solve_lp(p) for p in problems]
-    assert all(_bit_equal(a, b) for a, b in zip(batch, singles))
-    assert {s.status for s in singles} == {"optimal", "unbounded"}
-    assert len({s.iterations for s in singles}) >= 4
-
-
-def test_solve_lps_rejects_mixed_shapes():
-    p = LpProblem([1.0], [[1.0]], [1.0])
-    assert solve_lps([]) == []
-    with pytest.raises(ValueError):
-        solve_lps([p, LpProblem([1.0], [[1.0], [2.0]], [1.0, 1.0])])
-    with pytest.raises(ValueError):
-        solve_lps([p, LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0])])
+        if status == "unbounded":
+            ray = sol.ray
+            assert (ray >= 0).all() and float(c @ ray) > 0
+            assert (A @ ray <= 1e-9).all()
+            continue
+        y = sol.duals
+        assert (y >= -1e-9).all()
+        assert (A.T @ y - c >= -1e-9).all()
+        assert float(b @ y) == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
 
 
 def test_rejects_bad_problems():

@@ -964,8 +964,7 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
     def no_lp(problem):
         raise AssertionError("an LP ran before the budget was checked")
 
-    monkeypatch.setattr("potbench.capacity.solve_lp", no_lp)
-    monkeypatch.setattr("potbench.principles.solve_lps", no_lp)
+    monkeypatch.setattr("potbench.capacity.solve_lp", no_lp)  # the package's one LP solver
     prob = _metric_problem_8()
     for budget in (0, -3):
         with pytest.raises(DomainError, match="budget"):
