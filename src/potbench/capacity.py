@@ -14,11 +14,12 @@ Three set functions, all with explicit optimizers:
   simplex, whose clipped duals are ``content``'s measure;
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
-  go through an exact Lawson-Hanson active set with KKT verification; small
-  non-PSD instances are solved exactly by enumerating the equilibria of
-  nonsingular supports only, since a singular support's best point is
-  matched on a smaller nonsingular one; anything else takes the best
-  active-set KKT point over every starting point, flagged ``heuristic``.
+  go through an exact Lawson-Hanson active set with KKT verification.  Others
+  take the best equilibrium of a nonsingular support (a singular support's
+  best point is matched on a smaller nonsingular one): over every support up
+  to ``ENUM_LIMIT`` points, exactly, and above that over the supports grown
+  greedily from the singletons, as the sampled maximum-principle constants
+  grow theirs (:func:`_grown`), a lower bound flagged ``heuristic``.
 
 Infinite kernel values are pre-reduced before any LP is built: an ``+inf``
 coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
@@ -34,7 +35,6 @@ The searches start each subset's active set from its parent subset's weights.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,7 +44,6 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
-    _energy,
     _potential,
     adjoint_potential,
     potential,
@@ -203,11 +202,6 @@ def _kkt_residual(A, lam, thr):
                float(np.clip(g[~active], 0.0, None).max(initial=0.0)))
 
 
-def _objective(A, lam):
-    """``2 lam(K) - lam' A lam`` under ``0 * inf = 0``."""
-    return float(2.0 * lam.sum() - _energy(A, lam))
-
-
 def _to_boundary(x, d, t):
     """``(t, x + t d)``, the step ``t`` cut where a weight first reaches 0 (then
     exactly 0); the point is None if ``t`` is infinite."""
@@ -221,20 +215,19 @@ def _to_boundary(x, d, t):
     return t, y
 
 
-def _active_set(A, start, lam=None):
-    """Lawson-Hanson active set for ``max 2 sum(lam) - lam' A lam``, ``lam >= 0``.
+def _active_set(A, lam=None):
+    """Lawson-Hanson active set for ``max 2 sum(lam) - lam' A lam``, ``lam >= 0``,
+    on a finite positive semidefinite ``A`` (:func:`_exact_qp`), where it is exact.
 
-    From the support ``{start}``, or from a feasible ``lam`` (updated in
-    place, support ``lam > 0``) unless it is a KKT point already, solve
-    ``A_TT lam_T = 1`` on the support ``T``, step back to the boundary where
-    a weight would not stay positive, and add the point whose potential
-    (``0 * inf = 0``) is furthest below 1, so a point at infinite
-    interaction is never added.  An inconsistent system is followed along
-    the null direction in which the objective rises, to the boundary.
-    Exact for PSD ``A``; a KKT point otherwise.
+    From the support ``{0}``, or from a feasible ``lam`` (updated in place,
+    support ``lam > 0``) unless it is a KKT point already, solve ``A_TT lam_T
+    = 1`` on the support ``T``, step back to the boundary where a weight
+    would not stay positive, and add the point whose potential is furthest
+    below 1.  An inconsistent system is followed along the null direction in
+    which the objective rises, to the boundary.
     """
     k = A.shape[0]
-    P, j = (np.zeros(k, dtype=bool), start) if lam is None else (lam > 0, None)
+    P, j = (np.zeros(k, dtype=bool), 0) if lam is None else (lam > 0, None)
     lam = np.zeros(k) if lam is None else lam
     for _ in range(3 * k):
         if j is None:
@@ -318,10 +311,34 @@ def _walk(k, value, size):
                 yield T[keep], *rest
 
 
-def _equilibria(A):
-    """``(T, Z)`` batches of :func:`_walk`, ``BATCH`` supports at most: the
-    equilibria of :func:`_stacked_equilibria`."""
-    return _walk(A.shape[0], functools.partial(_stacked_equilibria, A), BATCH)
+def _grown(G: np.ndarray, value, pairs: list, size):
+    """``(T, Z, V)`` of each step of the greedy growth, in rising bit mask.
+    The supports start as the singletons.  A step values each support plus
+    each point outside it (at most ``n (n - 1)`` candidates, each support
+    formed twice valued once, in chunks of at most ``size`` as in
+    :func:`_walk`), and a support takes the first point of highest value if
+    that beats its own.  ``value`` maps supports to ``(keep, Z, V)``;
+    ``pairs`` gets the pairs ``(T, x)`` of the candidates."""
+    n = G.shape[0]
+    C, own = np.arange(n)[:, None], np.full(n, -np.inf)  # candidates, their supports' values
+    while len(C):
+        pairs.append(len(C) * (n - C.shape[1]))
+        U, back = np.unique(C, axis=0, return_inverse=True)
+        chunks = (value(U[i:i + size]) for i in range(0, len(U), size))
+        keep, Z, V = map(np.concatenate, zip(*chunks))
+        if keep.any():
+            T = U[keep]
+            order = np.lexsort(T.T)
+            yield T[order], Z[order], V[order]
+        top = np.full(len(U), -np.inf)
+        top[keep] = V.max(axis=1)
+        top = top[back.reshape(-1)]
+        best = top.reshape(len(own), -1)  # a support's candidates, in rising point
+        pick = (np.arange(len(own)) * best.shape[1] + best.argmax(axis=1))[best.max(axis=1) > own]
+        T, first = np.unique(C[pick], axis=0, return_index=True)  # supports that meet go on as one
+        own = top[pick[first]]
+        rows, points = np.nonzero(~np.eye(n, dtype=bool)[T].any(axis=1))  # the points outside
+        C = np.sort(np.column_stack([T[rows], points]), axis=1)
 
 
 def _first_best(batches, floor):
@@ -337,20 +354,26 @@ def _first_best(batches, floor):
     return best, *top
 
 
-def _enumerate_supports(A):
-    """``(weights, value)`` of the best equilibrium of :func:`_equilibria`.
-    Skipping singular supports is exact: on ``{A_TT z = 1, z >= 0}`` the
-    objective ``2 z(T) - z'Az`` is ``z(T)``, maximal at a vertex ``v``.  With
-    ``T' = supp v``, the columns of ``A[T, T']`` are independent and
-    ``A_T'T' v = 1``, so a nonsingular ``A_T'T'`` solves to ``v``; a singular
-    one repeats the argument on ``T'``, at no lower value, on a smaller support.
+def _enumerate_supports(A, grown=False):
+    """``(weights, value)`` of the best equilibrium of :func:`_stacked_equilibria`
+    over every support (:func:`_walk`), or over those :func:`_grown` reaches if
+    ``grown`` (a lower bound).  Skipping singular supports is exact: on ``{A_TT
+    z = 1, z >= 0}`` the objective ``2 z(T) - z'Az`` is ``z(T)``, maximal at a
+    vertex ``v``.  With ``T' = supp v``, the columns of ``A[T, T']`` are
+    independent and ``A_T'T' v = 1``, so a nonsingular ``A_T'T'`` solves to
+    ``v``; a singular one repeats the argument on ``T'``, at no lower value,
+    on a smaller support.
     """
-    def value(T, Z):
+    def value(T):
+        keep, Z = _stacked_equilibria(A, T)
+        T = T[keep]
         AZ = np.matmul(Z[:, None, :], A[T[:, :, None], T[:, None, :]])
-        return 2.0 * Z.sum(axis=1, keepdims=True) - np.matmul(AZ, Z[..., None])[..., 0]
+        return keep, Z, 2.0 * Z.sum(axis=1, keepdims=True) - np.matmul(AZ, Z[..., None])[..., 0]
 
-    best_val, T, z, _ = _first_best(((T, Z, value(T, Z)) for T, Z in _equilibria(A)), 0.0)
-    best = np.zeros(A.shape[0])
+    k = A.shape[0]
+    batches = _grown(A, value, [], BATCH) if grown else _walk(k, value, BATCH)
+    best_val, T, z, _ = _first_best(batches, 0.0)
+    best = np.zeros(k)
     if T is not None:
         best[T] = z
     return best, best_val
@@ -358,8 +381,15 @@ def _enumerate_supports(A):
 
 def _exact_qp(A) -> bool:
     """Whether :func:`wiener_cap1` solves on the kernel block ``A`` by its
-    exact active set: ``A`` is finite and positive semidefinite."""
-    return bool(np.isfinite(A).all() and np.linalg.eigvalsh((A + A.T) / 2.0)[0] >= -1e-10)
+    exact active set: ``A`` is finite and positive semidefinite, read at any
+    scale on the congruent unit-diagonal form of its symmetric part.  A zero
+    diagonal entry needs a zero row, as in any PSD matrix; the form keeps it."""
+    B = (A + A.T) / 2.0
+    d = np.diag(B)
+    if not np.isfinite(B).all() or (B[d == 0] != 0).any():
+        return False
+    s = np.where(d > 0, d, 1.0) ** -0.5
+    return bool(np.linalg.eigvalsh(B * np.outer(s, s))[0] >= -1e-10)
 
 
 def _exact_on_subsets(A) -> bool:
@@ -369,9 +399,11 @@ def _exact_on_subsets(A) -> bool:
 
 def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None) -> tuple:
     """``(value, weights or None, method, attained)`` of :func:`wiener_cap1`
-    on the indices ``K`` of a symmetric kernel, without certificates.  The
-    exact active set starts from the feasible weights ``start`` if given: on
-    a positive definite block it ends with the same solve either way."""
+    on the indices ``K`` of a symmetric kernel, without certificates.  A PSD
+    block takes the exact active set (``qp``) from the feasible weights
+    ``start`` if given: on a positive definite block it ends with the same
+    solve either way.  Others take :func:`_enumerate_supports`, grown past
+    ``ENUM_LIMIT`` points (``heuristic``, not ``attained``)."""
     G = kernel.entries
     n = kernel.size
     keep = K[~np.isinf(G[K, K])]
@@ -387,24 +419,15 @@ def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None) -> tuple:
         return value, weights, "reciprocal", True
 
     A = G[np.ix_(keep, keep)]
-    attained = True
     if _exact_qp(A):
-        lam_K = _active_set(A, 0, None if start is None else start[keep])
+        lam_K = _active_set(A, None if start is None else start[keep])
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
         attained = _kkt_residual(A, lam_K, 1e-12 * (1.0 + lam_K.max())) < 1e-8
-    elif keep.size <= ENUM_LIMIT:
-        lam_K, value = _enumerate_supports(A)
-        method = "enumeration"
     else:
-        tries = [_active_set(A, j) for j in range(keep.size)]
-        values = [_objective(A, lam) for lam in tries]
-        lam_K, value = tries[int(np.argmax(values))], max(values)
-        x = int(np.argmin(np.diag(A)))  # the largest singleton capacity is a floor
-        if 1.0 / A[x, x] > value:
-            lam_K, value = np.eye(keep.size)[x] / A[x, x], float(1.0 / A[x, x])
-        method = "heuristic"
-        attained = False
+        attained = keep.size <= ENUM_LIMIT
+        lam_K, value = _enumerate_supports(A, grown=not attained)
+        method = "enumeration" if attained else "heuristic"
     weights[keep] = np.clip(lam_K, 0.0, None)
     return max(value, 0.0), weights, method, attained
 

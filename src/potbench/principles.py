@@ -22,10 +22,11 @@ ray), or by a closed form that runs first: some ``j`` with a finite
 singleton ``{j}`` through ``w = G(., k)``).  The complete constant's own column ``G(., t)``, ``t``
 in ``T``, solves to ``z = e_t`` and is worth exactly 1, so it is skipped.
 
-Exact mode walks every support (``capacity._walk``), and sampled mode grows supports
-greedily from every singleton (``_grown``); each batch or step is one
-stacked solve (``capacity._stacked_solves``), with ``n + 1`` right-hand
-sides for the complete constant, in chunks of ``BATCH // (n + 1)`` supports.
+Exact mode walks every support (``capacity._walk``), and sampled mode grows
+supports greedily from every singleton (``capacity._grown``, which also serves
+``wiener_cap1`` on large non-PSD sets); each batch or step is one stacked
+solve (``capacity._stacked_solves``), with ``n + 1`` right-hand sides for the
+complete constant, in chunks of ``BATCH // (n + 1)`` supports.
 Any such ``z`` is a feasible point of its pair LP, so any supports give a
 lower bound, free of the kernel's scale.  The winner is the first maximum in
 ``(mask, x)`` order, as in a walk one support at a time.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacity
-from .capacity import _first_best, _stacked_equilibria, _stacked_solves, _walk
+from .capacity import _first_best, _grown, _stacked_equilibria, _stacked_solves, _walk
 from .core import (
     DomainError,
     Kernel,
@@ -105,34 +106,6 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
     return Measure(kernel.space, weights)
 
 
-def _grown(G: np.ndarray, value, pairs: list):
-    """``(T, Z, V)`` of each step of the greedy growth, in rising bit mask.
-    The supports start as the singletons.  A step values each support plus
-    each point outside it (at most ``n (n - 1)`` candidates, each support
-    formed twice valued once), and a support takes the first point of
-    highest value if that beats its own.  ``value`` maps supports to ``(keep,
-    Z, V)``; ``pairs`` gets the pairs ``(T, x)`` of the candidates."""
-    n = G.shape[0]
-    C, own = np.arange(n)[:, None], np.full(n, -np.inf)  # candidates, their supports' values
-    while len(C) and C.shape[1] < n:
-        pairs.append(len(C) * (n - C.shape[1]))
-        U, back = np.unique(C, axis=0, return_inverse=True)
-        keep, Z, V = value(U)
-        if keep.any():
-            T = U[keep]
-            order = np.lexsort(T.T)
-            yield T[order], Z[order], V[order]
-        top = np.full(len(U), -np.inf)
-        top[keep] = V.max(axis=1)
-        top = top[back.reshape(-1)]
-        best = top.reshape(len(own), -1)  # a support's candidates, in rising point
-        pick = (np.arange(len(own)) * best.shape[1] + best.argmax(axis=1))[best.max(axis=1) > own]
-        T, first = np.unique(C[pick], axis=0, return_index=True)  # supports that meet go on as one
-        own = top[pick[first]]
-        rows, points = np.nonzero(~np.eye(n, dtype=bool)[T].any(axis=1))  # the points outside
-        C = np.sort(np.column_stack([T[rows], points]), axis=1)
-
-
 def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
     """``(mode, h, T, Z, x, pairs_checked)`` of a maximum-principle constant:
     the first maximum above 1 of the pairs ``value`` scores, over every
@@ -142,15 +115,15 @@ def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
     singleton rays), runs first: it ends a sampled search, and in the exact
     walk only a ray, which needs a right-hand side other than 1 (``width >
     1``), on a support of the points before ``j`` can come earlier.  The
-    exact walk's batches hold ``BATCH // width`` supports."""
+    walk's batches and the growth's chunks hold ``BATCH // width`` supports."""
     n, d = G.shape[0], np.diag(G)
-    mode, pairs = _mode(n, budget), []
+    mode, pairs, size = _mode(n, budget), [], max(1, capacity.BATCH // width)
     hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0))) | rays
     j, x = (int(i) for i in next(zip(*np.nonzero(hot.T)), (n, -1)))  # j = n: no such pair
     if mode == "exact":
-        batches = _walk(j if j == n or width > 1 else 0, value, max(1, capacity.BATCH // width))
+        batches = _walk(j if j == n or width > 1 else 0, value, size)
     else:
-        batches = _grown(G, value, pairs) if j == n else ()
+        batches = _grown(G, value, pairs, size) if j == n else ()
     best, T, Z, y = _first_best(batches, 1.0)
     if j < n and best < np.inf:
         best, T, Z, y = np.inf, np.array([j]), None, x
@@ -216,17 +189,13 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> Comple
     d = np.diag(G)
     through = (G > 0) & np.isfinite(G) & ~np.eye(n, dtype=bool)  # (j, k): 0 < G(j, k) < inf
     rays = ((G == 0) @ through.T) & (G > 0) & (d > 0) & np.isfinite(d)  # (x, j): {j} a ray at x
-    step = max(1, capacity.BATCH // (n + 1))
 
-    def value(T):  # chunks of the stacked solve with every right-hand side
-        parts = []
-        for C in (T[i:i + step] for i in range(0, len(T), step)):
-            W = rhs[C]
-            finite = np.isfinite(W).all(axis=1)
-            keep, Z = _stacked_solves(G, C, np.where(finite[:, None], W, 0.0))
-            Z.transpose(0, 2, 1)[~finite[keep]] = np.nan  # no w on the support: no z
-            parts.append((keep, Z, _complete_ratios(G, rhs, C[keep], Z).max(axis=2)))
-        return tuple(np.concatenate(p) for p in zip(*parts))
+    def value(T):  # the stacked solve with every right-hand side
+        W = rhs[T]
+        finite = np.isfinite(W).all(axis=1)
+        keep, Z = _stacked_solves(G, T, np.where(finite[:, None], W, 0.0))
+        Z.transpose(0, 2, 1)[~finite[keep]] = np.nan  # no w on the support: no z
+        return keep, Z, _complete_ratios(G, rhs, T[keep], Z).max(axis=2)
 
     mode, best, T, Z, x, checked = _search(G, budget, value, n + 1, rays)
     witness = None

@@ -424,7 +424,7 @@ def _norm_route(wmp, a: float, q: float, usable: SolveResult | None) -> float | 
 
 ASCENT_TOL = 1e-12
 ASCENT_CAP = 100_000
-FACE_SWITCH = 1e-3  # Frank-Wolfe gap, relative to max(1, F), that starts the face finish
+FACE_SWITCH = 1e-3  # Frank-Wolfe gap, relative to F, that starts the face finish
 FACE_RTOL = 0.1  # the face: columns whose gradient is at least 1 - FACE_RTOL of the largest
 FACE_STEPS = 40  # Newton steps before a face finish that has not closed gives up
 
@@ -452,8 +452,9 @@ def _certificate(F, g, q):
 
 
 def _closed(F, cert):
-    """The Frank-Wolfe gap ``cert - F`` meets the stop rule of the ascent."""
-    return cert - F <= ASCENT_TOL * max(1.0, F)
+    """The Frank-Wolfe gap ``cert - F`` meets the stop rule of the ascent,
+    relative to ``F``, so free of the kernel's and sigma's scale."""
+    return cert - F <= ASCENT_TOL * F
 
 
 def _face_newton(A, s, q, F, nu, g, cap):
@@ -503,11 +504,11 @@ def _maximize_concave(A, s, q):
     Multiplicative ascent ``nu <- nu * grad F / (q F)`` from the barycenter.
     Euler's identity ``nu . grad F = q F`` keeps every iterate on the simplex,
     so no projection or step size is needed.  Once the Frank-Wolfe gap is at
-    most ``FACE_SWITCH * max(1, F)``, :func:`_face_newton` finishes; if it
-    fails, the ascent resumes from weights it has not zeroed.  The loop stops
-    once the gap is at most ``ASCENT_TOL * max(1, F)``, the gradient is
-    infinite, or after ``ASCENT_CAP`` steps of either kind.  Returns ``F``,
-    ``nu`` and the certified upper bound on max F.
+    most ``FACE_SWITCH * F``, :func:`_face_newton` finishes; if it fails,
+    the ascent resumes from weights it has not zeroed.  The loop stops once
+    the gap is at most ``ASCENT_TOL * F``, the gradient is infinite, or after
+    ``ASCENT_CAP`` steps of either kind.  Returns ``F``, ``nu`` and the
+    certified upper bound on max F.
     """
     nu = np.full(A.shape[1], 1.0 / A.shape[1])
     F, g = _value_and_gradient(A, s, q, nu)
@@ -516,7 +517,7 @@ def _maximize_concave(A, s, q):
         cert = _certificate(F, g, q)
         if not np.isfinite(cert) or _closed(F, cert):
             break
-        if face and cert - F <= FACE_SWITCH * max(1.0, F):
+        if face and cert - F <= FACE_SWITCH * F:
             face = False  # one finish; a failed one leaves the rest to the ascent
             F, nu, g, k = _face_newton(A, s, q, F, nu, g, min(FACE_STEPS, ASCENT_CAP - steps))
             steps += k
@@ -541,7 +542,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     Frank-Wolfe duality gap gives a rigorous upper bound on the constant
     (extras key ``certified_upper``; ``certificate_gap`` is the gap in
     ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
-    ``ASCENT_TOL * max(1, F)``, ``sampled`` when the ascent stopped at
+    ``ASCENT_TOL * F``, ``sampled`` when the ascent stopped at
     ``ASCENT_CAP`` steps of either kind first, and ``heuristic`` when the
     certificate is infinite.  The reported ``upper`` is the norm-route bound
     through a computed (super)solution and the weak-maximum-principle

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -25,6 +25,7 @@ from potbench import (
     potential,
     wiener_cap1,
 )
+from potbench import capacity
 from potbench.capacity import SLACK_TOL, _enumerate_supports, _slack_certificate
 from potbench.gallery import SampledKernelSpec, build_sampled
 from potbench.simplex import LpProblem, solve_lp
@@ -304,12 +305,81 @@ def test_wiener_heuristic_path_infinite_entries():
 
 @pytest.mark.parametrize("seed", [9, 11, 23, 30, 38, 56])
 def test_wiener_heuristic_path_matches_enumeration(seed):
-    # 13 points, one past ENUM_LIMIT, on a non-PSD kernel: the best active-set
-    # KKT point over every start is the enumerated optimum
+    # 13 points, one past ENUM_LIMIT, on a non-PSD kernel: the grown
+    # equilibria reach the enumerated optimum
     k = _symmetric_uniform(np.random.default_rng(seed), 13)
     res = wiener_cap1(k, list(range(13)))
     assert res.method == "heuristic"
     assert res.value == pytest.approx(_enumerate_supports(k.entries)[1], rel=1e-12)
+
+
+def _wiener_family(kind, rng, n):
+    """Symmetric kernels, non-PSD but for rare draws: uniform entries with 20 %
+    zeros off the diagonal, ``uniform(0, 1)^4`` entries, uniform entries with
+    5 % ``+inf`` off the diagonal, 40 % zeros, or 20 % zeros and 5 % ``+inf``."""
+    g = rng.uniform(0.0, 1.0, (n, n)) ** 4 if kind == 1 else rng.uniform(0.1, 3.0, (n, n))
+    off = ~np.eye(n, dtype=bool)
+    if kind in (0, 3, 4):
+        g[off & (rng.uniform(size=(n, n)) < (0.4 if kind == 3 else 0.2))] = 0.0
+    if kind in (2, 4):
+        g[off & (rng.uniform(size=(n, n)) < 0.05)] = np.inf
+    g = np.triu(g)
+    return Kernel(Space.of_size(n), g + np.triu(g, 1).T)
+
+
+@pytest.mark.parametrize("kind, seed", [(0, 25), (1, 49), (3, 83)])
+def test_wiener_growth_reaches_the_optimum(kind, seed):
+    # 13 points, non-PSD: the best active-set KKT point over every start read
+    # 0.81, 0.96 and 0.60 of the optimum here; the growth reaches it
+    k = _wiener_family(kind, np.random.default_rng([kind, seed]), 13)
+    res = wiener_cap1(k, range(13))
+    assert res.method == "heuristic" and not res.attained
+    assert res.value == _enumerate_supports(k.entries)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.integers(13, 16), st.integers(0, 2**32 - 1))
+def test_wiener_heuristic_is_a_certified_lower_bound(kind, n, seed):
+    # the grown equilibria are feasible points: never above the enumerated
+    # optimum, never below the best singleton, and worth their own objective
+    k = _wiener_family(kind, np.random.default_rng(seed), n)
+    res = wiener_cap1(k, range(n))
+    assume(res.method == "heuristic")
+    best = _enumerate_supports(k.entries)[1]
+    assert res.value <= best + 4 * np.spacing(best)
+    assert res.value >= (1.0 / np.diag(k.entries)).max()
+    lam = res.extremal
+    assert 2.0 * lam.total - energy(k, lam) == pytest.approx(res.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("e", [-40, 40])
+def test_wiener_psd_test_is_free_of_scale(e):
+    # 2^e G takes the path of G and reads cap1(G) / 2^e, bit for bit: a
+    # non-PSD kernel stays with the enumeration (its least eigenvalue, -1.85
+    # 2^e, passed an absolute -1e-10 at e = -40, and the active set read 2.87
+    # for 5.32), rank-one kernels with the active set (the 13-point one
+    # failed the absolute test at e = 40)
+    f = np.random.default_rng(0).uniform(0.5, 2.0, 13)
+    g = np.triu(np.random.default_rng(3).uniform(0.1, 3.0, (6, 6)))
+    for G in (g + np.triu(g, 1).T, np.outer(f[:6], f[:6]), np.outer(f, f)):
+        space = Space.of_size(len(G))
+        base = wiener_cap1(Kernel(space, G), space.points)
+        res = wiener_cap1(Kernel(space, 2.0**e * G), space.points)
+        assert (res.method, res.attained) == (base.method, base.attained)
+        assert res.value * 2.0**e == base.value
+    assert base.method == "qp"
+
+
+def test_psd_test_with_a_zero_diagonal():
+    # a zero diagonal entry is PSD only with a zero row and column, at any
+    # scale: a point at no interaction leaves the test to the others, and a
+    # point that interacts fails it (its 2 x 2 minor is negative)
+    loose = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    tied = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    for e in (-40, 0, 40):
+        assert capacity._exact_qp(2.0**e * loose)
+        assert not capacity._exact_qp(2.0**e * tied)
+    assert capacity._exact_qp(np.zeros((2, 2)))
 
 
 def test_wiener_rank_one_kernel():

@@ -8,6 +8,7 @@ the complete comparison the best reply measure sits at point 1, giving
 is ``t^2``.
 """
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -524,7 +525,7 @@ def test_growth_values_a_repeated_support_once():
         np.put_along_axis(V, T[keep], -np.inf, axis=1)
         return keep, Z, V
 
-    list(principles._grown(G, value, pairs))
+    list(principles._grown(G, value, pairs, capacity.BATCH))
     assert all(len(np.unique(T, axis=0)) == len(T) for T in valued)
     candidates = [p // (9 - T.shape[1]) for p, T in zip(pairs, valued)]
     assert sum(len(T) for T in valued) < sum(candidates)
@@ -562,7 +563,7 @@ def test_grown_wmp_on_the_desk_kernel():
 
 def _support_walk(G):
     """The walk one support at a time, in bit-mask order, that the batched
-    ``_equilibria`` replaced: ``(h, (T, x, z) or None, weights, value)``, the
+    walk replaced: ``(h, (T, x, z) or None, weights, value)``, the
     WMP constant and witness and the Wiener enumeration's best equilibrium."""
     n = G.shape[0]
     best, top, value, weights = 1.0, None, 0.0, np.zeros(n)
@@ -639,23 +640,26 @@ def test_batches_keep_the_first_maximum(monkeypatch):
     swap = [1, 0, 4, 3, 2, 5, 6]
     G = np.random.default_rng(42).uniform(0.1, 3.0, (7, 7))
     k = Kernel(Space.of_size(7), (G + G[np.ix_(swap, swap)]) / 2.0)
-    whole, enumerated = wmp_constant(k), _enumerate_supports(k.entries)
+    whole, grown = wmp_constant(k), wmp_constant(k, budget=1)
     assert whole.witness[:2] == ((1, 2), 0)
     # the growth forms {0, 4} from {0} before {1, 2} within one step
-    assert wmp_constant(k, budget=1).witness[:2] == ((1, 2), 0)
+    assert grown.witness[:2] == ((1, 2), 0)
     z = _equilibrium(k.entries[np.ix_([0, 4], [0, 4])])
     assert (k.entries[:, [0, 4]] @ z)[1] == whole.constant
-    # complete MP's chunks hold BATCH // (n + 1) supports, 1 at the least
+    # the walk's batches and the growth's chunks hold BATCH // width supports,
+    # 1 at the least; complete MP's width is n + 1, the others' 1
+    enumerated = [_enumerate_supports(k.entries, grow) for grow in (False, True)]
     complete = [_complete_fields(complete_mp_constant(k, budget=b))
                 for b in (principles.DEFAULT_BUDGET, 1)]
     for size in (1, 3, 17):
         monkeypatch.setattr(capacity, "BATCH", size)
-        rep = wmp_constant(k)
-        assert rep.constant == whole.constant
-        assert rep.witness[:2] == whole.witness[:2]
-        assert rep.witness[2].weights.tolist() == whole.witness[2].weights.tolist()
-        w, v = _enumerate_supports(k.entries)
-        assert v == enumerated[1] and w.tolist() == enumerated[0].tolist()
+        for ref, rep in ((whole, wmp_constant(k)), (grown, wmp_constant(k, budget=1))):
+            assert (rep.constant, rep.witness[:2]) == (ref.constant, ref.witness[:2])
+            assert rep.witness[2].weights.tolist() == ref.witness[2].weights.tolist()
+            assert rep.pairs_checked == ref.pairs_checked
+        for grow, (w0, v0) in zip((False, True), enumerated):
+            w, v = _enumerate_supports(k.entries, grow)
+            assert v == v0 and w.tolist() == w0.tolist()
         for b, ref in zip((principles.DEFAULT_BUDGET, 1), complete):
             assert _complete_fields(complete_mp_constant(k, budget=b)) == ref
 
@@ -669,12 +673,13 @@ def test_singular_batches_fall_back_to_single_solves(monkeypatch):
     G = _walk_kernel(7, 5, zeros=True, duplicate=True, inf_point=False).entries
     k = _walk_kernel(7, 5, zeros=False, duplicate=True, inf_point=False)
     budgets = (principles.DEFAULT_BUDGET, 1)
-    screened = [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)]
+    walk = functools.partial(capacity._walk, 7, functools.partial(capacity._stacked_equilibria, G))
+    screened = [(T.tolist(), Z.tolist()) for T, Z in walk(capacity.BATCH)]
     complete = [_complete_fields(complete_mp_constant(k, budget=b)) for b in budgets]
     single, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "slogdet", lambda AT: (np.ones(len(AT)), np.zeros(len(AT))))
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: single.append(a.ndim == 2) or solve(a, b))
-    assert [(T.tolist(), Z.tolist()) for T, Z in capacity._equilibria(G)] == screened
+    assert [(T.tolist(), Z.tolist()) for T, Z in walk(capacity.BATCH)] == screened
     assert any(single)
     for b, ref in zip(budgets, complete):
         single.clear()
