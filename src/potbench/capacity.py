@@ -26,10 +26,13 @@ coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
 ``+inf`` coefficient inside a ``>= 1`` row makes that row freely satisfiable
 (the infimum is then approached but not attained, and the result says so).
 
-The subset searches call only the cores on index arrays (:func:`_cap0`,
-:func:`_wiener_cap1`, and :func:`_exact_on_subsets`, which says when they
-prune); the public functions validate input and add measures and certificates.
-The searches start each subset's active set from its parent subset's weights.
+The subset searches call only the cores on index arrays (:func:`_cap0` and
+:func:`_wiener_cap1`); the public functions validate input and add measures and
+certificates.  The searches start each subset's active set from its parent
+subset's weights, and decide PSD once: a search runs :func:`_exact_qp` on its
+whole support block and, where that passes, tells :func:`_wiener_cap1` to skip
+the test on each subset (a principal block of a PSD block is PSD).  Every other
+caller, and every subset of a block that fails, is tested on its own block.
 """
 
 from __future__ import annotations
@@ -392,18 +395,17 @@ def _exact_qp(A) -> bool:
     return bool(np.linalg.eigvalsh(B * np.outer(s, s))[0] >= -1e-10)
 
 
-def _exact_on_subsets(A) -> bool:
-    """Whether :func:`_wiener_cap1` is exact, so monotone, on every subset of ``A``."""
-    return A.shape[0] <= ENUM_LIMIT or _exact_qp(A)
-
-
-def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None) -> tuple:
+def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None, psd=False) -> tuple:
     """``(value, weights or None, method, attained)`` of :func:`wiener_cap1`
     on the indices ``K`` of a symmetric kernel, without certificates.  A PSD
     block takes the exact active set (``qp``) from the feasible weights
     ``start`` if given: on a positive definite block it ends with the same
     solve either way.  Others take :func:`_enumerate_supports`, grown past
-    ``ENUM_LIMIT`` points (``heuristic``, not ``attained``)."""
+    ``ENUM_LIMIT`` points (``heuristic``, not ``attained``).  ``psd`` says
+    that the caller has shown ``K`` to lie in a block that passes
+    :func:`_exact_qp`; the block of ``K`` then passes too, and is not tested
+    again.  Its unit-diagonal form is a principal block of the larger one's,
+    whose least eigenvalue bounds its own from below (Cauchy interlacing)."""
     G = kernel.entries
     n = kernel.size
     keep = K[~np.isinf(G[K, K])]
@@ -419,7 +421,7 @@ def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None) -> tuple:
         return value, weights, "reciprocal", True
 
     A = G[np.ix_(keep, keep)]
-    if _exact_qp(A):
+    if psd or _exact_qp(A):
         lam_K = _active_set(A, None if start is None else start[keep])
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"

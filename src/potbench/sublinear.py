@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import _cap0, _exact_on_subsets, _to_boundary, _wiener_cap1, content
+from .capacity import ENUM_LIMIT, _cap0, _exact_qp, _to_boundary, _wiener_cap1, content
 from .core import (
     DomainError,
     Kernel,
@@ -591,8 +591,15 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         if not best_F > F:
             best_F, best_nu = F, nu
     cert = max(cert, best_F)
-    lower = best_F ** (1.0 / q)
-    cert_upper = cert ** (1.0 / q)
+    try:
+        lower = best_F ** (1.0 / q)
+    except OverflowError:
+        raise DomainError("the constant's scale F^(1/q) at the best measure found "
+                          "does not fit a float") from None
+    try:
+        cert_upper = cert ** (1.0 / q)
+    except OverflowError:  # read as infinite: the mode is then heuristic
+        cert_upper = float("inf")
     gap = cert - best_F
     mode = ("heuristic" if not np.isfinite(cert_upper)
             else "exact" if _closed(best_F, cert) else "sampled")
@@ -643,11 +650,22 @@ class _SubsetSearch:
     ``I`` and undecided points ``R`` bounds the ratios of its sets by
     ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R`` while ``I``
     is empty), or by a caller's second bound if smaller, and is pruned when
-    that is below the incumbent.  Each subset's indices, mask, ``sigma`` mass,
-    ``cap0``, and ``cap1`` with its weights are memoized for every search on
-    one object, which lives only as long as its caller: kernels are mutable.
-    ``cap1`` starts from the weights of the subset's parent in the search, the
-    subset without its last point in ``order``.
+    that is below the incumbent.
+
+    The capacity ratios ``sigma(K)^{1/q} / cap(K)`` with ``q <= 1`` take the
+    second bound ``sigma(O)^{1/q-1} M(O)`` on the sets ``K`` in ``O = I + R``,
+    where ``M(O) = max_y sum_{x in O} sigma_x G(x, y)`` (:meth:`load`).  The
+    measure ``sigma|K / M(K)`` has adjoint potential ``<= 1`` everywhere, so
+    ``cap0(K) >= sigma(K) / M(K)``; as ``lam`` in ``cap1``'s objective it has
+    energy at most its mass, so ``cap1(K) >= cap0(K)``.  Both factors of
+    ``sigma(K)^{1/q-1} M(K)`` are nondecreasing in ``K`` when ``q <= 1``.
+
+    Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
+    with its weights are memoized for every search on one object, which
+    lives only as long as its caller: kernels are mutable.  ``cap1`` starts
+    from the weights of the subset's parent in the search, the subset without
+    its last point in ``order``, and skips the PSD test of each subset when
+    the whole support block passes it (:attr:`psd`).
     """
 
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
@@ -658,6 +676,7 @@ class _SubsetSearch:
         self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
         self._sets: dict = {}  # (indices, mask, sigma mass) by subset
         self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
+        self._loads: dict = {}  # M by subset
 
     def subset(self, m: int) -> tuple:
         """``(indices, read-only mask, sigma mass)`` of the subset ``m``."""
@@ -671,6 +690,17 @@ class _SubsetSearch:
     def mask(self, m: int) -> np.ndarray:
         return self.subset(m)[1]
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """``sigma_x G(x, .)`` for ``x`` in the support, with ``0 * inf = 0``."""
+        return _weighted_terms(self.sigma.weights[self.supp, None], self.kernel.entries[self.supp])
+
+    def load(self, m: int) -> float:
+        """``M(K) = max_y sum_{x in K} sigma_x G(x, y)`` of the subset ``m``."""
+        if m not in self._loads:
+            self._loads[m] = float(self._rows[self.mask(m)[self.supp]].sum(axis=0).max())
+        return self._loads[m]
+
     def cap0_value(self, m: int) -> float:
         if m not in self._caps[0]:
             self._caps[0][m] = _cap0(self.kernel.entries, self.subset(m)[0])[0]
@@ -680,20 +710,31 @@ class _SubsetSearch:
         if m not in self._caps[1]:
             last = next(j for j in reversed(self.order) if m >> j & 1)
             parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
-            self._caps[1][m] = _wiener_cap1(self.kernel, self.subset(m)[0], parent)[:2]
+            self._caps[1][m] = _wiener_cap1(self.kernel, self.subset(m)[0], parent, self.psd)[:2]
         return self._caps[1][m][0]
 
     @cached_property
+    def psd(self) -> bool:
+        """The support block passes :func:`capacity._exact_qp`, so every subset does."""
+        return _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)])
+
+    @property
     def cap1_monotone(self) -> bool:
         """No subset reaches the heuristic path of :func:`wiener_cap1`."""
-        return _exact_on_subsets(self.kernel.entries[np.ix_(self.supp, self.supp)])
+        return self.supp.size <= ENUM_LIMIT or self.psd
 
     def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
         """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
-        which prunes only when :attr:`cap1_monotone`."""
+        which prunes only when :attr:`cap1_monotone`.  A search that prunes
+        with ``q <= 1`` also takes the bound ``sigma(O)^{1/q-1} M(O)``."""
+        prune = not cap1 or self.cap1_monotone
+
+        def load_bound(m):
+            return self.subset(m)[2] ** (1.0 / q - 1.0) * self.load(m)
+
         return self.max_ratio(lambda m: self.subset(m)[2] ** (1.0 / q),
-                              self.cap1_value if cap1 else self.cap0_value,
-                              prune=not cap1 or self.cap1_monotone)
+                              self.cap1_value if cap1 else self.cap0_value, prune=prune,
+                              cap=load_bound if prune and q <= 1.0 else None)
 
     def testing_ratio(self) -> tuple:
         """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so

@@ -229,6 +229,36 @@ def test_strong_stop_rule_is_free_of_scale():
                 assert est.lower / 2.0**e == pytest.approx(base.lower, rel=1e-12, abs=0.0)
 
 
+def test_a_strong_constant_that_overflows_raises_a_domain_error():
+    # F^(1/q) at sigma * t does not fit a float; the bare OverflowError of the
+    # power is a DomainError that names the scale
+    rng = np.random.default_rng(5)
+    k = metric_power_kernel(rng, 5)
+    w = rand_sigma(rng, k.space).weights
+    for t, q in ((1e200, 0.01), (1e200, 0.5), (1e100, 0.01)):
+        with pytest.raises(DomainError, match="F\\^\\(1/q\\).* does not fit a float"):
+            strong_type_constant(SublinearProblem(k, Measure(k.space, w * t), q))
+    # where only the certificate overflows, certified_upper reads +inf and the
+    # mode heuristic: bisect t between a constant that fits and one that does not
+    q = 0.01
+    lo, hi, found = 250.0, 260.0, None
+    for _ in range(80):
+        t = (lo + hi) / 2.0
+        try:
+            est = strong_type_constant(SublinearProblem(k, Measure(k.space, w * t), q),
+                                       with_upper=False)
+        except DomainError:
+            hi = t
+            continue
+        lo = t
+        assert np.isfinite(est.lower)
+        if not np.isfinite(est.extras["certified_upper"]):
+            found = est
+            break
+        assert est.extras["mode"] == "exact"
+    assert found is not None and found.extras["mode"] == "heuristic"
+
+
 def test_solution_scaling_law():
     # u scales like t^{1/(1-q)} when sigma scales by t
     prob = swap_problem()
@@ -921,6 +951,92 @@ def test_warm_cap1_is_bit_equal_to_cold_with_fewer_solves(monkeypatch):
         for m, (value, _) in search._caps[1].items():
             assert sublinear._wiener_cap1(kernel, search.subset(m)[0])[0] == value
         assert len(search._caps[1]) > 2 * kernel.size and warm < solves[0]
+
+
+def test_one_psd_test_per_search_and_the_load_bound_cut_the_work(monkeypatch):
+    # theorem_report's searches on verdict_table's input 0 at q = 0.5 ran _cap0
+    # 50 times, _wiener_cap1 51 times and capacity._exact_qp 41 times before the
+    # node bound sigma(O)^{1/q-1} M(O) and the one PSD test per search
+    calls = {"_cap0": 0, "_wiener_cap1": 0, "_exact_qp": 0}
+    for module, name in ((sublinear, "_cap0"), (sublinear, "_wiener_cap1"),
+                         (capacity, "_exact_qp"), (sublinear, "_exact_qp")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    kernel, sigma = _verdict_table_input_0()
+    rep = theorem_report(SublinearProblem(kernel, sigma, 0.5), seed=0)
+    assert rep.verdict("weak_capacity_route") == "CONFIRMED"
+    assert calls == {"_cap0": 29, "_wiener_cap1": 29, "_exact_qp": 1}
+
+
+def test_a_block_that_fails_the_psd_test_tests_each_subset(monkeypatch):
+    # a Gram block with a seventh point whose tiny diagonal breaks PSD: the
+    # subsets without it still take the exact active set, those with it the
+    # enumeration, as the public wiener_cap1 does on each
+    rng = np.random.default_rng(34)
+    G = np.zeros((7, 7))
+    G[:6, :6] = rand_gram_kernel(rng, 6).entries
+    G[6, :6] = G[:6, 6] = 1.0
+    G[6, 6] = 0.05
+    kernel = Kernel(Space.of_size(7), G)
+    sigma = rand_sigma(rng, kernel.space)
+    found, real = {}, sublinear._wiener_cap1
+
+    def recorded(kernel, points, *args):
+        res = real(kernel, points, *args)
+        found[tuple(points.tolist())] = res
+        return res
+
+    monkeypatch.setattr(sublinear, "_wiener_cap1", recorded)
+    search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
+    for q in (0.5, 1.0):
+        search.capacity_ratio(q, cap1=True)
+    assert not search.psd and search.cap1_monotone
+    methods = set()
+    for points, (value, _, method, _) in found.items():
+        public = wiener_cap1(kernel, list(points))
+        assert (public.value, public.method) == (value, method), points
+        methods.add(method)
+    assert {"qp", "enumeration"} <= methods
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.booleans(), st.floats(0.05, 1.0))
+def test_load_bound_caps_the_capacity_ratios_of_its_subsets(n, seed, zeros, infs,
+                                                           symmetric, q):
+    # the second node bound of a pruning search with q <= 1: for K in O,
+    # sigma(K)^{1/q} / cap(K) <= sigma(O)^{1/q-1} M(O), for cap0 and, on a
+    # symmetric kernel where cap1_monotone holds, cap1
+    rng = np.random.default_rng(seed)
+    kernel = rand_kernel(rng, n, zero_frac=0.25 if zeros else 0.0,
+                         inf_frac=0.15 if infs else 0.0, symmetric=symmetric)
+    w = rng.uniform(0.2, 1.5, n)
+    w[rng.uniform(size=n) < 0.2] = 0.0
+    w[seed % n] = 1.0
+    search = _SubsetSearch(kernel, Measure(kernel.space, w), DEFAULT_BUDGET)
+    caps = []
+
+    def captured(self, num, den, prune=True, cap=None):
+        caps.append((den, cap))
+
+    with mock.patch.object(_SubsetSearch, "max_ratio", captured):
+        search.capacity_ratio(q)
+        if symmetric:
+            search.capacity_ratio(q, cap1=True)
+    assert all(cap is not None for _, cap in caps) and search.cap1_monotone
+    k = search.supp.size
+    for _ in range(12):
+        outer = int(rng.integers(1, 2**k))
+        inner = outer & int(rng.integers(0, 2**k)) or outer
+        for den, cap in caps:
+            d = den(inner)
+            ratio = search.subset(inner)[2] ** (1.0 / q) / d if d > 0 else np.inf
+            assert ratio <= cap(outer) * (1.0 + sublinear.PRUNE_RTOL), (inner, outer)
 
 
 def test_subset_search_matches_brute_force():
