@@ -121,16 +121,21 @@ def _slack_certificate(G: np.ndarray, F: np.ndarray):
     """``(mu, lam) >= 0`` with ``G_FF' mu = 1``, ``G_FF lam = 1`` and ``G' mu <= 1``
     on every column, to ``SLACK_TOL`` (relative to 1, so free of scale), or None.
     ``mu`` is then feasible for :func:`cap0`'s LP on the finite rows ``F``,
-    ``lam`` for its dual, and ``1'mu = mu' G_FF lam = 1'lam``: both are optimal."""
+    ``lam`` for its dual, and ``1'mu = mu' G_FF lam = 1'lam``: both are optimal.
+    A solved entry above ``-SLACK_TOL`` times its vector's largest is an exact 0
+    up to rounding (a potential matrix has many): it is clipped to 0, and the
+    checks run on the clipped vectors."""
     GF = G[F]
     S = np.stack([GF[:, F].T, GF[:, F]])
     try:
         X = np.linalg.solve(S, np.ones((2, F.size, 1)))
     except np.linalg.LinAlgError:
         return None
+    if not (np.isfinite(X).all() and (X >= -SLACK_TOL * np.abs(X).max(axis=1)[:, None]).all()):
+        return None
+    X = np.clip(X, 0.0, None)
     with np.errstate(over="ignore"):  # a potential that overflows is above 1
-        ok = (np.isfinite(X).all() and (X >= 0).all()
-              and np.abs(S @ X - 1.0).max() <= SLACK_TOL
+        ok = (np.abs(S @ X - 1.0).max() <= SLACK_TOL
               and (X[0, :, 0] @ GF <= 1.0 + SLACK_TOL).all())
     return (X[0, :, 0], X[1, :, 0]) if ok else None
 

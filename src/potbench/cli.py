@@ -54,6 +54,7 @@ from .principles import (
 )
 from .sublinear import (
     SublinearProblem,
+    _wmp_factor,
     energy_criteria,
     energy_sweep,
     lp_operator_norm,
@@ -305,7 +306,7 @@ def _task_weak_quotient(inst, params, budget):
     else:
         omega = sigma
     rep = wmp_constant(inst.kernel, budget=budget)
-    qb = weak_quotient_bound(inst.kernel, omega, nu, h=rep.constant)
+    qb = weak_quotient_bound(inst.kernel, omega, nu, h=_wmp_factor(rep))
     return qb, rep.mode, None
 
 

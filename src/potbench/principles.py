@@ -22,14 +22,27 @@ ray), or by a closed form that runs first: some ``j`` with a finite
 singleton ``{j}`` through ``w = G(., k)``).  The complete constant's own column ``G(., t)``, ``t``
 in ``T``, solves to ``z = e_t`` and is worth exactly 1, so it is skipped.
 
-Exact mode walks every support (``capacity._walk``), and sampled mode grows
-supports greedily from every singleton (``capacity._grown``, which also serves
-``wiener_cap1`` on large non-PSD sets); each batch or step is one stacked
-solve (``capacity._stacked_solves``), with ``n + 1`` right-hand sides for the
+There are three routes, and the first that applies answers.  A potential
+matrix, one whose inverse is a row diagonally dominant M-matrix, satisfies
+the complete principle, so both constants are 1 (Choquet and Deny 1956;
+Dellacherie, Martinez and San Martin, *Inverse M-matrices and Ultrametric
+Matrices*, 2014, ch. 2).  :func:`_potential_certificate` decides that at any
+``n`` in O(n^3), with a rigorous bound on rounding; it reads ``exact`` with
+no witness and no pair.  Otherwise exact mode walks every support
+(``capacity._walk``), and sampled mode grows supports greedily from every
+singleton (``capacity._grown``, which also serves ``wiener_cap1`` on large
+non-PSD sets); each batch or step is one stacked solve
+(``capacity._stacked_solves``), with ``n + 1`` right-hand sides for the
 complete constant, in chunks of ``BATCH // (n + 1)`` supports.
 Any such ``z`` is a feasible point of its pair LP, so any supports give a
 lower bound, free of the kernel's scale.  The winner is the first maximum in
 ``(mask, x)`` order, as in a walk one support at a time.
+
+Each report carries ``upper``: the certificate's bound on a potential
+matrix, the constant itself after an exact walk, and ``+inf`` after a
+sampled growth, which bounds nothing from above.  A certified ``G`` lies
+within ``d`` of a potential matrix, not on one, so its ``h`` is only known
+to lie in ``[1, upper]``: a bound that ``h`` multiplies takes ``upper``.
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 14 * 2**14
 PTOLEMY_LIMIT = 30
+POTENTIAL_TOL = 1e-8  # the inverse's snap, relative to its row, and the largest d accepted
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,7 @@ class WmpReport:
     witness: tuple | None  # (support points, evaluation point, Measure)
     mode: str  # "exact" | "sampled"
     pairs_checked: int
+    upper: float  # at least the constant: the certificate's bound, the exact walk's value, or +inf
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,7 @@ class CompleteMpReport:
     witness: tuple | None  # (support points, evaluation point, mu, nu, c)
     mode: str
     pairs_checked: int
+    upper: float
 
 
 def _mode(n: int, budget: int) -> str:
@@ -106,10 +122,61 @@ def _measure_on(kernel: Kernel, cols, w) -> Measure:
     return Measure(kernel.space, weights)
 
 
-def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
-    """``(mode, h, T, Z, x, pairs_checked)`` of a maximum-principle constant:
-    the first maximum above 1 of the pairs ``value`` scores, over every
-    support or the grown ones, with the row ``Z`` of the winning support.
+def _potential_certificate(G: np.ndarray) -> float | None:
+    """``d`` with ``|M^{-1} - G| <= d G`` entrywise for a row diagonally
+    dominant M-matrix ``M``, or None.  ``M^{-1}`` satisfies the complete
+    principle with constant 1, so ``G``'s constants are at most ``(1 + d)/(1 -
+    d)``, squared for the complete one: ``G nu <= 1`` on ``S`` gives ``M^{-1}
+    nu <= 1 + d`` on ``S``, so everywhere, so ``G nu <= (1 + d)/(1 - d)``.
+
+    Declines on a zero, ``+inf`` or singular ``G``.  ``M`` is the computed
+    inverse with its positive off-diagonal entries clipped to 0 and its
+    diagonal raised until each row sum is ``>= 0`` with rounding, both by at
+    most ``POTENTIAL_TOL`` of the row's absolute sum.  ``d`` bounds the
+    residual ``R = I - M G``, computed with a ``gamma (I + |M| G)`` rounding
+    allowance (Higham 2002, ch. 3): where ``r = ||R||_inf < 1/2``, ``M^{-1} =
+    G (I - R)^{-1}``, so ``|M^{-1} - G| <= G |R| (I - |R|)^{-1} <= G |R| +
+    r^2/(1 - r) G 1 1'``, as no entry of ``|R| (I - |R|)^{-1}`` exceeds ``r/(1 -
+    r)``.  It is read relative to ``G``, doubled for the rounding of the bound
+    itself, and accepted up to ``POTENTIAL_TOL``.  No step depends on the
+    kernel's scale."""
+    n = G.shape[0]
+    if not (np.isfinite(G).all() and (G > 0).all()):
+        return None
+    try:
+        inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return None
+    off, a = ~np.eye(n, dtype=bool), np.abs(inv).sum(axis=1)
+    reach = POTENTIAL_TOL * a
+    if not (np.isfinite(inv).all() and (inv <= np.where(off, reach[:, None], np.inf)).all()):
+        return None
+    M = np.where(off & (inv > 0), 0.0, inv)
+    u = (n + 2) * np.finfo(float).eps / 2.0
+    gamma = u / (1.0 - u)  # bounds the rounding of a sum or product of n + 2 terms
+    lift = np.maximum(0.0, 2.0 * gamma * a - M.sum(axis=1))
+    if (lift > reach).any():
+        return None
+    M[np.diag_indices(n)] += lift
+    if not (M.sum(axis=1) >= gamma * np.abs(M).sum(axis=1)).all():
+        return None
+    eye = np.eye(n)
+    R = np.abs(eye - M @ G) + gamma * (eye + np.abs(M) @ G)
+    r = R.sum(axis=1).max()
+    if not r < 0.5:
+        return None
+    d = 2.0 * float(((G @ R + r * r / (1.0 - r) * G.sum(axis=1)[:, None]) / G).max())
+    return d if d <= POTENTIAL_TOL else None
+
+
+def _search(G: np.ndarray, budget: int, value, width: int, rays=False, power=1):
+    """``(mode, h, T, Z, x, pairs_checked, upper)`` of a maximum-principle
+    constant.  A potential matrix reads ``h = 1``, with no support and no
+    pair, and ``upper = ((1 + d)/(1 - d))**power`` from its
+    :func:`_potential_certificate`; ``d`` is about ``4 gamma`` or more, above
+    the rounding of ``upper``.  Otherwise ``h`` is the first maximum
+    above 1 of the pairs ``value`` scores, over every support or the grown
+    ones, with the row ``Z`` of the winning support.
     The closed-form ``+inf`` pair ``({j}, x)`` (with ``Z`` None), the first
     in ``(j, x)`` order of the module's rule or of ``rays[x, j]`` (the
     singleton rays), runs first: it ends a sampled search, and in the exact
@@ -118,6 +185,8 @@ def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
     walk's batches and the growth's chunks hold ``BATCH // width`` supports."""
     n, d = G.shape[0], np.diag(G)
     mode, pairs, size = _mode(n, budget), [], max(1, capacity.BATCH // width)
+    if (bound := _potential_certificate(G)) is not None:
+        return "exact", 1.0, None, None, None, 0, ((1.0 + bound) / (1.0 - bound)) ** power
     hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0))) | rays
     j, x = (int(i) for i in next(zip(*np.nonzero(hot.T)), (n, -1)))  # j = n: no such pair
     if mode == "exact":
@@ -133,11 +202,18 @@ def _search(G: np.ndarray, budget: int, value, width: int, rays=False):
         checked = _place(n, T, y)
     else:
         checked = n * ((1 << (n - 1)) - 1)
-    return mode, best, T, Z, y, checked
+    return mode, best, T, Z, y, checked, best if mode == "exact" else np.inf
 
 
 def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> WmpReport:
-    """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``."""
+    """Smallest ``h`` with: ``G nu <= 1`` on ``supp nu`` implies ``G nu <= h``.
+
+    A potential matrix reads 1, ``exact``, with no witness and ``upper =
+    (1 + d)/(1 - d)`` from :func:`_potential_certificate`, at any size; the
+    true ``h`` lies in ``[1, upper]``.  Otherwise the walk or the growth of
+    the module docstring runs, and ``upper`` is the constant when it is
+    ``exact`` and ``+inf`` when sampled.
+    """
     G = kernel.entries
 
     def value(T):  # the equilibria and their potentials G[:, t] z, -inf on t
@@ -146,13 +222,13 @@ def wmp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> WmpReport:
         np.put_along_axis(V, T[keep], -np.inf, axis=1)
         return keep, Z, V
 
-    mode, best, T, z, x, checked = _search(G, budget, value, 1)
+    mode, best, T, z, x, checked, upper = _search(G, budget, value, 1)
     witness = None
     if T is not None:
         points = kernel.space.points
         witness = (tuple(points[i] for i in T), points[x],
                    _measure_on(kernel, T, np.ones(1) if z is None else z))
-    return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked)
+    return WmpReport(best, bool(np.isfinite(best)), witness, mode, checked, upper)
 
 
 def _complete_ratios(G: np.ndarray, W, T, Z):
@@ -182,7 +258,9 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> Comple
     only where its potential over ``S`` can be finite, and ``nu`` only on
     columns finite on ``S`` and at the point compared, so the reported
     constant stays a valid lower bound.  A ``+inf`` witness is a ray: ``G nu
-    (x) + c`` is 0 there, or ``G mu (x)`` is infinite.
+    (x) + c`` is 0 there, or ``G mu (x)`` is infinite.  A potential matrix
+    reads 1, ``exact``, with no witness and ``upper = ((1 + d)/(1 - d))^2``;
+    otherwise ``upper`` is as in :func:`wmp_constant`.
     """
     n, G = kernel.size, kernel.entries
     rhs = np.column_stack([np.ones(n), G])  # w = 1, then the columns of G
@@ -197,7 +275,7 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> Comple
         Z.transpose(0, 2, 1)[~finite[keep]] = np.nan  # no w on the support: no z
         return keep, Z, _complete_ratios(G, rhs, T[keep], Z).max(axis=2)
 
-    mode, best, T, Z, x, checked = _search(G, budget, value, n + 1, rays)
+    mode, best, T, Z, x, checked, upper = _search(G, budget, value, n + 1, rays, 2)
     witness = None
     if T is not None:
         mu, nu = np.zeros(T.size), np.zeros(n)
@@ -216,7 +294,7 @@ def complete_mp_constant(kernel: Kernel, budget: int = DEFAULT_BUDGET) -> Comple
         points = kernel.space.points
         witness = (tuple(points[i] for i in T), points[x], _measure_on(kernel, T, mu),
                    Measure(kernel.space, nu), c)
-    return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked)
+    return CompleteMpReport(best, bool(np.isfinite(best)), witness, mode, checked, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -408,13 +408,21 @@ def _solve_from(problem: SublinearProblem, kappa: float):
     return sup, sol, (sol if sol.status == "solution" else sup)
 
 
+def _wmp_factor(wmp) -> float:
+    """``h`` where it multiplies an upper bound: the report's ``upper`` where it
+    is finite, else its sampled constant.  A certified potential matrix reads
+    ``h = 1`` but is only known to have ``h`` in ``[1, upper]``; after an
+    exact walk ``upper`` is the constant itself."""
+    return wmp.upper if np.isfinite(wmp.upper) else wmp.constant
+
+
 def _norm_route(wmp, a: float, q: float, usable: SolveResult | None) -> float | None:
     """Strong-type bound ``h (1-q)^{-1/q} |u|_q^{1-q}`` from ``u = usable``, or None
     unless its hypotheses hold: a (super)solution, the weak maximum principle
-    (``h = wmp.constant``) and a finite quasi-symmetry constant ``a``."""
+    (``h`` from :func:`_wmp_factor`) and a finite quasi-symmetry constant ``a``."""
     if usable is None or not wmp.holds or not np.isfinite(a):
         return None
-    return wmp.constant * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
+    return _wmp_factor(wmp) * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +734,23 @@ class _SubsetSearch:
     def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
         """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
         which prunes only when :attr:`cap1_monotone`.  A search that prunes
-        with ``q <= 1`` also takes the bound ``sigma(O)^{1/q-1} M(O)``."""
+        with ``q <= 1`` also takes the bound ``sigma(O)^{1/q-1} M(O)``.  A
+        power of ``sigma(K)`` that does not fit a float raises a
+        :class:`DomainError` that names it."""
         prune = not cap1 or self.cap1_monotone
 
-        def load_bound(m):
-            return self.subset(m)[2] ** (1.0 / q - 1.0) * self.load(m)
+        def power(m, p):
+            mass = self.subset(m)[2]
+            try:
+                return mass ** p
+            except OverflowError:
+                raise DomainError(f"the scale sigma(K)^{p:g} of a subset's capacity ratio "
+                                  "does not fit a float") from None
 
-        return self.max_ratio(lambda m: self.subset(m)[2] ** (1.0 / q),
+        def load_bound(m):
+            return power(m, 1.0 / q - 1.0) * self.load(m)
+
+        return self.max_ratio(lambda m: power(m, 1.0 / q),
                               self.cap1_value if cap1 else self.cap0_value, prune=prune,
                               cap=load_bound if prune and q <= 1.0 else None)
 
@@ -863,7 +881,8 @@ class QuotientBound:
 def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
                         h: float) -> QuotientBound:
     """Weak ``L^1`` norm of ``G nu / G omega`` against ``h * nu(total)``, with
-    ``h`` the kernel's :func:`~potbench.principles.wmp_constant`.
+    ``h`` the kernel's :func:`~potbench.principles.wmp_constant` or an upper
+    end of it (the ``analyze`` task passes :func:`_wmp_factor` of its report).
 
     Indeterminate quotients (0/0, inf/inf) count as 0; a positive potential
     of ``nu`` over a vanishing potential of ``omega`` counts as ``+inf``.
@@ -1228,7 +1247,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     lorentz = lorentz_norm(pot, sigma, q / (1.0 - q), q)
     constants["lorentz_small"] = lorentz
     if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
-        bound = wmp.constant * lorentz
+        bound = _wmp_factor(wmp) * lorentz
         rows.append(_row("lorentz_sufficiency", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "bound": bound}))
     else:
@@ -1242,7 +1261,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         constants["weak_cap0"] = c_cap0
         constants["weak_cap1"] = c_cap1
         ok = (c_cap1 <= c_cap0 * (1.0 + REPORT_RTOL)
-              and c_cap0 <= wmp.constant * c_cap1 * (1.0 + REPORT_RTOL))
+              and c_cap0 <= _wmp_factor(wmp) * c_cap1 * (1.0 + REPORT_RTOL))
         rows.append(_row("weak_capacity_route", ok,
                          {"from_cap0": c_cap0, "from_cap1": c_cap1,
                           "wmp": wmp.constant}))
@@ -1252,7 +1271,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
         trio = {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
                 "from_cap1": c_cap1_11}
-        factor = 8.0 * wmp.constant**4
+        factor = 8.0 * _wmp_factor(wmp)**4
         vals = [weak11, testing, t22]
         finite = [np.isfinite(v) for v in vals]
         ok = all(finite) == any(finite)

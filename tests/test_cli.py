@@ -286,22 +286,28 @@ def test_sampled_scenario_flat_coords(tmp_path):
 def test_theorem_report_provenance(tmp_path):
     # the provenance is the weakest mode of the searches inside the report:
     # all of them are exhaustive on two points, and a budget of 4 cuts the
-    # WMP pair stream on five points short
+    # subset searches and the WMP pair stream on five points short, unless
+    # the kernel is a potential matrix, as the interval Green kernel is: its
+    # WMP is certified at any budget.  The Gaussian kernel's inverse has
+    # positive off-diagonal entries
     green = {"sampled": {"kind": "interval_green", "n_points": 5, "seed": 3}}
-    for kernel, sigma, budget, tag in ((BASIC["kernel"], BASIC["sigma"], None, "exact"),
-                                       (green, [1.0] * 5, 4, "sampled")):
+    gauss = {"matrix": [[0.5 ** ((i - j) ** 2) for j in range(5)] for i in range(5)]}
+    for kernel, sigma, budget, tag, wmp in (
+            (BASIC["kernel"], BASIC["sigma"], None, "exact", "exact"),
+            (green, [1.0] * 5, 4, "sampled", "exact"),
+            (gauss, [1.0] * 5, 4, "sampled", "sampled")):
         task = {"name": "theorem_report"}
         if budget:
             task["budget"] = budget
         scen = write_scenario(tmp_path / "s.json", {
             "name": "t", "q": 0.5, "kernel": kernel, "sigma": sigma, "tasks": [task]})
-        out = tmp_path / tag
+        out = tmp_path / f"{tag}-{wmp}"
         assert main(["analyze", scen, "--out", str(out)]) == 0
         entry = json.loads((out / "report.json").read_text())["tasks"][0]
         assert entry["provenance"] == tag
         modes = entry["result"]["constants"]["modes"]
         assert {"wmp", "strong", "weak_cap0", "testing"} <= set(modes)
-        assert modes["wmp"] == tag
+        assert modes["wmp"] == wmp
 
 
 def test_gallery_subcommand(capsys):

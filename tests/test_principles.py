@@ -10,6 +10,7 @@ is ``t^2``.
 
 import functools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel
 
 def two_by_two(t):
     return Kernel(Space.of_size(2), [[1.0, t], [t, 1.0]])
+
+
+def _walk_only():
+    """Patches the potential certificate away, so both constants walk or grow
+    as on a kernel it declines."""
+    return mock.patch.object(principles, "_potential_certificate", lambda G: None)
 
 
 def test_wmp_oracle_2x2():
@@ -178,10 +185,12 @@ def test_sampled_stream_pinned():
 
 
 def test_exact_pair_count_and_first_tie():
+    # the walk below the certificate, which this kernel passes
     n = 6
     k = metric_power_kernel(np.random.default_rng(2), n)
     for constant in (wmp_constant, complete_mp_constant):
-        rep = constant(k)
+        with _walk_only():
+            rep = constant(k)
         assert rep.mode == "exact"
         # every S other than the empty set and the whole space, every x outside S
         assert rep.pairs_checked == n * (2 ** (n - 1) - 1)
@@ -290,7 +299,8 @@ def test_exact_wmp_matches_pair_lps():
         k = _fuzzed_kernel(rng, i)
         G, n = k.entries, k.size
         value, top, pairs = _pair_lp_wmp(G)
-        rep = wmp_constant(k)
+        with _walk_only():
+            rep = wmp_constant(k)
         assert rep.mode == "exact"
         if np.isinf(value):
             infinite += 1
@@ -402,7 +412,8 @@ def test_grown_wmp_is_a_certified_lower_bound(n, seed, kind):
     # the growth of budget 1 values equilibria, each a measure with potential
     # 1 on its support: never above the exact walk, and the same +inf pairs
     k = _fuzzed_kernel(np.random.default_rng(seed), 5 * kind, n)
-    grown, exact = wmp_constant(k, budget=1), wmp_constant(k)
+    with _walk_only():
+        grown, exact = wmp_constant(k, 1), wmp_constant(k)
     assert (grown.mode, exact.mode) == ("sampled", "exact")
     if np.isinf(exact.constant):
         assert grown.constant == np.inf and not grown.holds
@@ -436,13 +447,15 @@ def test_complete_mp_matches_pair_lps(n, seed, kind):
     # the right-hand sides 1 and the columns of G on every support against
     # the pair LPs they replace: finite constants within 1e-9, +inf ones at
     # the same first pair and count; the growth of budget 1 is a lower bound.
-    # Kind 5 mixes zero and +inf entries in columns with a finite diagonal
+    # Kind 5 mixes zero and +inf entries in columns with a finite diagonal.
+    # Both run below the certificate, which some small kernels pass
     rng = np.random.default_rng(seed)
     k = (_fuzzed_kernel(rng, 5 * kind, n) if kind < 5
          else rand_kernel(rng, n, zero_frac=0.25, inf_frac=0.15))
     G = k.entries
     value, top, pairs, _ = _pair_scan(G, _exact_supports(n), _complete_problem)
-    rep = complete_mp_constant(k)
+    with _walk_only():
+        rep, grown = complete_mp_constant(k), complete_mp_constant(k, 1)
     assert rep.mode == "exact"
     if np.isinf(value):
         assert rep.constant == np.inf and not rep.holds
@@ -451,7 +464,6 @@ def test_complete_mp_matches_pair_lps(n, seed, kind):
         return
     assert rep.constant == pytest.approx(value, rel=1e-9)
     assert rep.pairs_checked == pairs == n * (2 ** (n - 1) - 1)
-    grown = complete_mp_constant(k, budget=1)
     assert grown.mode == "sampled"
     assert grown.constant <= rep.constant + 4 * np.spacing(rep.constant)
     for r in (rep, grown):
@@ -611,7 +623,8 @@ def test_batched_walk_matches_support_walk(n, seed, zeros, duplicate, inf_point)
     # bit-equal constant, witness and count, and the same Wiener enumeration
     k = _walk_kernel(n, seed, zeros, duplicate, inf_point)
     best, top, weights, value = _support_walk(k.entries)
-    rep = wmp_constant(k)
+    with _walk_only():
+        rep = wmp_constant(k)
     assert rep.mode == "exact"
     assert rep.constant == best
     assert rep.pairs_checked == n * (2 ** (n - 1) - 1)
@@ -695,6 +708,143 @@ def test_complete_dominates_onesided():
         h2 = complete_mp_constant(k).constant
         # the complete comparison quantifies over more adversaries
         assert h2 >= h1 - 1e-9
+
+
+def _interval_green(rng, n):
+    """``min(x, y) (1 - max(x, y))`` on ``n`` sorted points of (0, 1): its
+    inverse is tridiagonal, a row dominant M-matrix."""
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    return np.minimum.outer(x, x) * (1.0 - np.maximum.outer(x, x))
+
+
+def _dominant_inverse(rng, n, rows=True):
+    """The inverse of a Z-matrix with negative off-diagonal entries whose
+    diagonal exceeds each row's (or, with ``rows`` false, each column's)
+    off-diagonal sum by a little: a positive matrix."""
+    off = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(off, 0.0)
+    return np.linalg.inv(np.diag(off.sum(axis=1 if rows else 0) + rng.uniform(0.01, 0.2, n)) - off)
+
+
+def _ultrametric(rng, n):
+    """A strictly ultrametric matrix: the points split in two at rising
+    levels, ``U(x, y)`` is the level where ``x`` and ``y`` part, and each
+    diagonal entry lies above every level of its row (the inverse of a
+    strictly diagonally dominant Stieltjes matrix, Martinez, Michon and San
+    Martin 1994)."""
+    U = np.empty((n, n))
+
+    def split(points, level):
+        if len(points) == 1:
+            U[points[0], points[0]] = level + rng.uniform(0.1, 1.0)
+            return
+        cut = int(rng.integers(1, len(points)))
+        a, b = points[:cut], points[cut:]
+        U[np.ix_(a, b)] = level
+        U[np.ix_(b, a)] = level
+        for part in (a, b):
+            split(part, level + rng.uniform(0.1, 1.0))
+
+    split(rng.permutation(n), rng.uniform(0.1, 1.0))
+    return U
+
+
+POTENTIAL_FAMILIES = (_interval_green, _dominant_inverse, _ultrametric)
+
+
+def _walks(G):
+    """Both constants by the exact walk below the certificate."""
+    k = Kernel(Space.of_size(G.shape[0]), G)
+    with _walk_only():
+        return [constant(k).constant for constant in (wmp_constant, complete_mp_constant)]
+
+
+@pytest.mark.parametrize("family", POTENTIAL_FAMILIES)
+def test_potential_matrices_are_certified(family):
+    # every seeded kernel with n = 3-10 passes, both constants read 1 with
+    # no walk and no witness, and the walks below the certificate, which read
+    # 1 up to rounding, stay at most the certified upper ends
+    for n in range(3, 11):
+        G = family(np.random.default_rng([n, 7]), n)
+        d = principles._potential_certificate(G)
+        assert d is not None and 0.0 < d <= principles.POTENTIAL_TOL
+        k = Kernel(Space.of_size(n), G)
+        reports = wmp_constant(k), complete_mp_constant(k)
+        for rep, walked, power in zip(reports, _walks(G), (1, 2)):
+            assert (rep.constant, rep.holds, rep.witness, rep.mode, rep.pairs_checked) == (
+                1.0, True, None, "exact", 0)
+            assert rep.upper == ((1.0 + d) / (1.0 - d)) ** power
+            assert rep.upper - 1.0 <= 1e-8
+            assert 1.0 <= walked <= rep.upper
+
+
+def test_column_dominant_inverses_are_declined():
+    # their transposes are potential matrices, they are not: some row of the
+    # inverse sums below 0, and the walk reads a constant above 1
+    for n in range(3, 11):
+        G = _dominant_inverse(np.random.default_rng([n, 7]), n, rows=False)
+        assert principles._potential_certificate(G) is None
+        assert principles._potential_certificate(G.T) is not None
+        h, complete = _walks(G)
+        assert 1.1 < h <= complete
+        rep = wmp_constant(Kernel(Space.of_size(n), G))
+        assert (rep.constant, rep.upper) == (h, h) and rep.pairs_checked > 0
+
+
+def test_large_potential_matrices_are_exact():
+    # past the walk's reach at the default budget, both constants of 32
+    # points are exact, by the certificate alone; another kernel keeps the
+    # growth, sampled, with no upper end
+    for G in (_interval_green(np.random.default_rng(1), 32), _ultrametric(np.random.default_rng(1), 32)):
+        k = Kernel(Space.of_size(32), G)
+        for rep in (wmp_constant(k), complete_mp_constant(k)):
+            assert (rep.constant, rep.mode, rep.pairs_checked) == (1.0, "exact", 0)
+            assert 1.0 < rep.upper <= 1.0 + 1e-8
+    rep = wmp_constant(metric_power_kernel(np.random.default_rng(3), 20))
+    assert rep.mode == "sampled" and rep.upper == np.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 16))
+def test_certified_upper_bounds_the_walks(n, seed, kind, digits):
+    # fuzzed kernels: zero and +inf entries (kind 0) or a potential matrix
+    # with one entry set to 0 or +inf (kind 1) are declined; potential
+    # matrices under a relative noise of 10^-digits (kind 2), row dominant
+    # inverses (kind 3) and random symmetric kernels (kind 4) may pass, and
+    # wherever one does, both walks read at most its upper ends
+    rng = np.random.default_rng(seed)
+    family = POTENTIAL_FAMILIES[seed % 3]
+    if kind == 0:
+        G = rand_kernel(rng, n, zero_frac=0.25, inf_frac=0.15).entries
+    elif kind == 1:
+        G = family(rng, n)
+        G[rng.integers(n), rng.integers(n)] = (0.0, np.inf)[seed % 2]
+    elif kind == 2:
+        G = family(rng, n) * np.exp(10.0 ** -digits * rng.standard_normal((n, n)))
+    elif kind == 3:
+        G = _dominant_inverse(rng, n)
+    else:
+        G = rand_kernel(rng, n, zero_frac=0.0, symmetric=True).entries
+    d = principles._potential_certificate(G)
+    if not (np.isfinite(G).all() and (G > 0).all()):
+        assert d is None
+    elif d is not None:
+        upper = (1.0 + d) / (1.0 - d)
+        h, complete = _walks(G)
+        assert h <= upper and complete <= upper ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(-300, 300))
+def test_potential_certificate_is_free_of_scale(n, seed, k):
+    # the decision and d are bit-equal at G 2^k, entries kept normal, on
+    # potential matrices, on their noisy copies near the snap's reach, and on
+    # column dominant inverses, which it declines
+    rng = np.random.default_rng(seed)
+    for G in (*(family(rng, n) for family in POTENTIAL_FAMILIES),
+              _interval_green(rng, n) * np.exp(1e-9 * rng.standard_normal((n, n))),
+              _dominant_inverse(rng, n, rows=False)):
+        assert principles._potential_certificate(G * 2.0**k) == principles._potential_certificate(G)
 
 
 def test_quasimetric_oracles():

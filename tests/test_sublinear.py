@@ -54,7 +54,7 @@ from potbench import (
     wmp_constant,
 )
 from potbench import SampledKernelSpec, build_sampled
-from potbench import cap0, capacity, quasimetric_constant, sublinear, wiener_cap1
+from potbench import cap0, capacity, principles, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _inverse_distance, _weighted_terms
 from potbench.gallery import shortest_path_metric
 from potbench.principles import DEFAULT_BUDGET
@@ -257,6 +257,49 @@ def test_a_strong_constant_that_overflows_raises_a_domain_error():
             break
         assert est.extras["mode"] == "exact"
     assert found is not None and found.extras["mode"] == "heuristic"
+
+
+@pytest.mark.parametrize("budget", [3, 400])
+def test_a_capacity_ratio_that_overflows_raises_a_domain_error(budget):
+    # sigma(K)^(1/q) and the node bound's sigma(O)^(1/q - 1) at q = 0.01 and
+    # weights 1e3 do not fit a float: the search's bare OverflowError of the
+    # power is a DomainError that names the scale, whether the search is cut
+    # (budget 3) or exhaustive (budget 400)
+    k = metric_power_kernel(np.random.default_rng(1), 6)
+    problem = SublinearProblem(k, Measure(k.space, np.full(6, 1e3)), 0.01)
+    with pytest.raises(DomainError, match="sigma\\(K\\)\\^.* does not fit a float"):
+        weak_type_constant(problem, budget=budget)
+
+
+def test_bounds_take_the_certified_upper_end_of_h():
+    # the potential certificate accepts G within d of a potential matrix, not
+    # on one: here the inverse's last row sums to -1e-9 of its absolute sum,
+    # which the certificate's snap lifts, so wmp_constant reads 1 while the
+    # walk reads h = 1 + 2.7e-9.  Every upper bound that h multiplies takes
+    # the report's upper, which covers the walk: 8 h^4 read as 8 would be low
+    # by 1.1e-8, more than theorem_report's relative slack
+    M = np.array([[12.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0 - 4e-9]])
+    G = np.linalg.inv(M)
+    k = Kernel(Space.of_size(3), (G + G.T) / 2.0)
+    problem = SublinearProblem(k, Measure(k.space, [1.0, 0.5, 2.0]), 0.5)
+    wmp = wmp_constant(k)
+    with mock.patch.object(principles, "_potential_certificate", lambda G: None):
+        walk = wmp_constant(k)
+        walked = theorem_report(problem), strong_type_constant(problem).upper
+    assert (wmp.constant, wmp.mode, walk.mode) == (1.0, "exact", "exact")
+    assert 1.0 + 1e-9 < walk.constant == walk.upper <= wmp.upper <= 1.0 + 3e-8
+    assert sublinear._wmp_factor(wmp) == wmp.upper and sublinear._wmp_factor(walk) == walk.constant
+    report = theorem_report(problem)
+    assert report.hypotheses["wmp_constant"] == 1.0
+    factor = report.row("weak11_testing_chain").details["factor"]
+    assert factor == 8.0 * wmp.upper**4 > 8.0 * (1.0 + sublinear.REPORT_RTOL)
+    assert factor >= walked[0].row("weak11_testing_chain").details["factor"]
+    for certified, by_walk in ((report.constants["norm_route_upper"],
+                                walked[0].constants["norm_route_upper"]),
+                               (strong_type_constant(problem).upper, walked[1])):
+        assert np.isfinite(by_walk) and certified >= by_walk
+    qb = sublinear.weak_quotient_bound(k, problem.sigma, problem.sigma, sublinear._wmp_factor(wmp))
+    assert qb.bound == wmp.upper * problem.sigma.total
 
 
 def test_solution_scaling_law():
