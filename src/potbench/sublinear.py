@@ -432,31 +432,33 @@ def _norm_route(wmp, a: float, q: float, usable: SolveResult | None) -> float | 
 
 ASCENT_TOL = 1e-12
 ASCENT_CAP = 100_000
-FACE_SWITCH = 1e-3  # Frank-Wolfe gap, relative to F, that starts the face finish
-FACE_RTOL = 0.1  # the face: columns whose gradient is at least 1 - FACE_RTOL of the largest
-FACE_STEPS = 40  # Newton steps before a face finish that has not closed gives up
 
 
 def _value_and_gradient(A, s, q, nu):
-    """``F(nu) = s . (A nu)^q`` and its gradient; a column that reaches a row
-    with vanishing potential has gradient ``+inf``."""
+    """``F(nu) = s . (A nu)^q`` and its gradient, through ``P^q / P`` with the
+    ``P^q`` of ``F`` (``P^(q-1)`` rounds ``q - 1``, and ``|ln P|`` magnifies
+    that); a column that reaches a row with vanishing potential has gradient
+    ``+inf``."""
     P = A @ nu
-    F = float(s @ P**q)
+    Pq = P**q
+    F = float(s @ Pq)
     pos = P > 0
     if pos.all():
-        return F, q * ((s * P ** (q - 1.0)) @ A)
+        return F, q * ((s * Pq / P) @ A)
     g = np.zeros(A.shape[1])
     if pos.any():
-        g += q * ((s[pos] * P[pos] ** (q - 1.0)) @ A[pos])
+        g += q * ((s[pos] * Pq[pos] / P[pos]) @ A[pos])
     reach = (A[~pos] > 0).any(axis=0)
     g[reach] = np.inf
     return F, g
 
 
-def _certificate(F, g, q):
+def _certificate(F, g, q, m):
     # concavity and q-homogeneity: F(v) <= (1-q) F(nu) + max(grad) for any v,
-    # so the Frank-Wolfe gap of nu is _certificate(F, g, q) - F
-    return (1.0 - q) * F + float(g.max()) if g.size else F
+    # so the Frank-Wolfe gap of nu is _certificate(F, g, q, m) - F.  Every term
+    # of F and g is nonnegative, so m + n + 2 ulps cover their rounding on m
+    # rows and n columns (Higham, ch. 3); a Python float, like F
+    return ((1.0 - q) * F + float(g.max())) * (1.0 + (m + g.size + 2) * float(np.finfo(float).eps))
 
 
 def _closed(F, cert):
@@ -465,76 +467,71 @@ def _closed(F, cert):
     return cert - F <= ASCENT_TOL * F
 
 
-def _face_newton(A, s, q, F, nu, g, cap):
-    """Newton steps for max ``F`` on the face ``T`` of the columns whose gradient
-    is within ``FACE_RTOL`` of the largest: ``[H_TT 1; 1' 0] [d; lam] = [-g_T; 0]``
-    for the Hessian ``H``, cut where a weight reaches 0 (it leaves ``T``) and
-    halved until ``F`` does not fall; a column whose gradient beats ``T``'s (a
-    KKT violation) joins ``T``.  Returns ``(F, nu, g, steps)`` where the stop
-    rule closes, else at the last iterate positive wherever ``nu`` is."""
-    T = np.flatnonzero(g >= (1.0 - FACE_RTOL) * g.max())
-    x, last = np.zeros_like(nu), (F, nu, g)
-    x[T] = nu[T] / nu[T].sum()
-    for steps in range(1, cap + 1):
-        F, g = _value_and_gradient(A, s, q, x)
-        if not np.isfinite(g).all():  # a row lost all its potential on the face
-            break
-        if _closed(F, _certificate(F, g, q)):
-            return F, x, g, steps
-        if (x[nu > 0] > 0).all():
-            last = F, x, g
-        if g.max() > g[T].max():
-            T = np.append(T, np.argmax(g))
-        with np.errstate(over="ignore"):  # an overflow leaves d non-finite
-            H = q * (q - 1.0) * (A[:, T].T * (s * (A @ x) ** (q - 2.0))) @ A[:, T]
-        K = np.pad(H, (0, 1), constant_values=1.0)
-        K[-1, -1] = 0.0
-        try:
-            d = np.linalg.solve(K, np.append(-g[T], 0.0))[:-1]
-        except np.linalg.LinAlgError:
-            break
-        y, step = x.copy(), 1.0
-        while np.isfinite(d).all() and step > 1e-15:
-            step, y[T] = _to_boundary(x[T], d, step)
-            if float(s @ (A @ y) ** q) >= F:
-                break
-            step /= 2.0
-        else:  # no rise along d
-            break
-        x = y / y.sum()
-        T = T[x[T] > 0]
-    return (*last, steps)
+def _maximize_concave(A, s, q, j):
+    """Maximize the concave, q-homogeneous ``F`` over the probability simplex,
+    from the vertex ``j``.
 
-
-def _maximize_concave(A, s, q):
-    """Maximize the concave, q-homogeneous ``F`` over the probability simplex.
-
-    Multiplicative ascent ``nu <- nu * grad F / (q F)`` from the barycenter.
-    Euler's identity ``nu . grad F = q F`` keeps every iterate on the simplex,
-    so no projection or step size is needed.  Once the Frank-Wolfe gap is at
-    most ``FACE_SWITCH * F``, :func:`_face_newton` finishes; if it fails,
-    the ascent resumes from weights it has not zeroed.  The loop stops once
-    the gap is at most ``ASCENT_TOL * F``, the gradient is infinite, or after
-    ``ASCENT_CAP`` steps of either kind.  Returns ``F``, ``nu`` and the
-    certified upper bound on max F.
+    A start that leaves a row without potential first spreads its weight
+    evenly onto every column of infinite gradient, which reaches every such
+    row.  Each step takes the column ``k`` of largest gradient and the face
+    ``T`` of the positive weights and ``k``.  It tries the Newton step on
+    ``T``, ``[H_TT c; c' 0] [d; lam] = [-g_T; 0]`` for the Hessian ``H`` with
+    the border ``c = max |H|``, cut where a weight reaches 0, and then the
+    Frank-Wolfe step ``e_k - nu``.  Each is halved until, at the normalized
+    point, every row keeps potential and ``F`` rises; a full Newton step may
+    also keep ``F`` to rounding, since the last one moves it by about the gap
+    squared.  The loop
+    stops once the gap is at most ``ASCENT_TOL * F`` (:func:`_closed`), after
+    ``ASCENT_CAP`` steps, or when neither step rises.  Returns ``F``, ``nu``
+    and the certified upper bound on max F.
     """
-    nu = np.full(A.shape[1], 1.0 / A.shape[1])
-    F, g = _value_and_gradient(A, s, q, nu)
-    steps, face = 0, True
-    while steps < ASCENT_CAP:
-        cert = _certificate(F, g, q)
+    m, n = A.shape
+    eps = np.finfo(float).eps
+    x = np.eye(n)[j]
+    F, g = _value_and_gradient(A, s, q, x)
+    if np.isinf(g).any():
+        x[np.isinf(g)] = 1.0
+        x /= x.sum()
+        F, g = _value_and_gradient(A, s, q, x)
+
+    def rise(T, d, newton):  # x + t d on T for t = 1, 1/2, ..., cut at the boundary
+        y, t = x.copy(), 1.0
+        while t > eps:
+            t, y[T] = _to_boundary(x[T], d, t)
+            z = y / y.sum()  # sum(d) = 0 only to rounding
+            P = A @ z
+            if (P > 0).all():
+                F_z = float(s @ P**q)
+                if F_z > F or newton and t == 1.0 and F_z >= F * (1.0 - 4.0 * eps):
+                    return z
+            t /= 2.0
+        return None
+
+    cert = _certificate(F, g, q, m)
+    for _ in range(ASCENT_CAP):
         if not np.isfinite(cert) or _closed(F, cert):
             break
-        if face and cert - F <= FACE_SWITCH * F:
-            face = False  # one finish; a failed one leaves the rest to the ascent
-            F, nu, g, k = _face_newton(A, s, q, F, nu, g, min(FACE_STEPS, ASCENT_CAP - steps))
-            steps += k
-            continue
-        w = nu * g
-        nu = w / w.sum()
-        F, g = _value_and_gradient(A, s, q, nu)
-        steps += 1
-    return F, nu, _certificate(F, g, q)
+        k = int(np.argmax(g))
+        T = np.flatnonzero((x > 0) | (np.arange(n) == k))
+        P = A @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves d non-finite
+            B = A[:, T] / P[:, None]  # H = q (q-1) A' diag(s P^(q-2)) A on T, from P^q
+            H = q * (q - 1.0) * (B.T * (s * P**q)) @ B
+            K = np.pad(H, (0, 1), constant_values=np.abs(H).max())
+            K[-1, -1] = 0.0
+            try:
+                d = np.linalg.solve(K, np.append(-g[T], 0.0))[:-1]
+            except np.linalg.LinAlgError:
+                d = np.full(T.size, np.nan)
+        y = rise(T, d, True) if np.isfinite(d).all() else None
+        if y is None:
+            y = rise(T, (T == k) - x[T], False)
+        if y is None:
+            break
+        x = y
+        F, g = _value_and_gradient(A, s, q, x)
+        cert = _certificate(F, g, q, m)
+    return F, x, cert
 
 
 def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
@@ -543,21 +540,19 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 
     For ``q < 1`` the q-th power of the constant is the maximum of the
     concave, q-homogeneous function ``F(nu) = integral (G nu)^q dsigma``
-    over the probability simplex.  The best point mass is tried first and
-    kept when its own gap meets the ascent's stop rule; otherwise a
-    deterministic ascent finds the maximum: multiplicative steps, then
-    Newton steps on the optimal face (:func:`_maximize_concave`).  The
-    Frank-Wolfe duality gap gives a rigorous upper bound on the constant
-    (extras key ``certified_upper``; ``certificate_gap`` is the gap in
-    ``F``).  Extras ``mode`` is ``exact`` when that gap is at most
-    ``ASCENT_TOL * F``, ``sampled`` when the ascent stopped at
-    ``ASCENT_CAP`` steps of either kind first, and ``heuristic`` when the
-    certificate is infinite.  The reported ``upper`` is the norm-route bound
-    through a computed (super)solution and the weak-maximum-principle
-    constant.  It is infinite unless the weak maximum principle holds and
-    the kernel is quasi-symmetric.  ``seed`` no longer changes the result.  For
-    ``q >= 1`` the constant equals the largest ``L^q(sigma)`` norm of a
-    kernel column, attained at a point mass.
+    over the probability simplex.  A deterministic ascent finds the maximum
+    from the best point mass by Newton and Frank-Wolfe steps
+    (:func:`_maximize_concave`).  The Frank-Wolfe duality gap gives a
+    rigorous upper bound on the constant (extras key ``certified_upper``;
+    ``certificate_gap`` is the gap in ``F``).  Extras ``mode`` is ``exact``
+    when that gap is at most ``ASCENT_TOL * F``, ``sampled`` when the ascent
+    stopped first, at ``ASCENT_CAP`` steps or where no step rises, and
+    ``heuristic`` when the certificate is infinite.  The reported ``upper``
+    is the norm-route bound through a computed (super)solution and the
+    weak-maximum-principle constant.  It is infinite unless the weak maximum
+    principle holds and the kernel is quasi-symmetric.  ``seed`` no longer
+    changes the result.  For ``q >= 1`` the constant equals the largest
+    ``L^q(sigma)`` norm of a kernel column, attained at a point mass.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G = kernel.entries
@@ -590,17 +585,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         return ConstantEstimate(0.0, 0.0, Measure(kernel.space, np.zeros(n)),
                                 "concave-max", {"mode": "exact", "certified_upper": 0.0})
 
-    vertex_F = (A**q).T @ s
-    jbest = int(np.argmax(vertex_F))
-    best_F, best_nu = float(vertex_F[jbest]), np.eye(n)[jbest]
-    cert = _certificate(*_value_and_gradient(A, s, q, best_nu), q)
-    if not _closed(best_F, cert):  # the best vertex is not certified: ascend
-        F, nu, cert = _maximize_concave(A, s, q)
-        if not best_F > F:
-            best_F, best_nu = F, nu
-    cert = max(cert, best_F)
+    F, nu, cert = _maximize_concave(A, s, q, int(np.argmax((A**q).T @ s)))
+    cert = max(cert, F)
     try:
-        lower = best_F ** (1.0 / q)
+        lower = F ** (1.0 / q)
     except OverflowError:
         raise DomainError("the constant's scale F^(1/q) at the best measure found "
                           "does not fit a float") from None
@@ -608,10 +596,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         cert_upper = cert ** (1.0 / q)
     except OverflowError:  # read as infinite: the mode is then heuristic
         cert_upper = float("inf")
-    gap = cert - best_F
+    gap = cert - F
     mode = ("heuristic" if not np.isfinite(cert_upper)
-            else "exact" if _closed(best_F, cert) else "sampled")
-    extras: dict = {"mode": mode, "objective": best_F, "certified_upper": cert_upper,
+            else "exact" if _closed(F, cert) else "sampled")
+    extras: dict = {"mode": mode, "objective": F, "certified_upper": cert_upper,
                     "certificate_gap": gap}
 
     upper = float("inf")
@@ -629,7 +617,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
             upper = bound
             extras["norm_route_lq"] = usable.lq_norm
 
-    return ConstantEstimate(lower, upper, Measure(kernel.space, best_nu), "concave-max", extras)
+    return ConstantEstimate(lower, upper, Measure(kernel.space, nu), "concave-max", extras)
 
 
 # ---------------------------------------------------------------------------
