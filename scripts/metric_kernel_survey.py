@@ -51,8 +51,8 @@ def survey_instance(rng, n, power, q):
     problem = SublinearProblem(kernel, sigma, q)
 
     qm = quasimetric_constant(kernel)
-    # strong_type_constant's upper end solves from the certified kappa too:
-    # ask it for the bracket alone and take its norm route through this solve
+    # the relaxed iteration from the certified kappa, as the paper builds it;
+    # the norm route goes through this solution, so ask for the bracket alone
     est = strong_type_constant(problem, with_upper=False)
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)

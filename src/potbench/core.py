@@ -219,6 +219,13 @@ def _inverse_distance(G: np.ndarray) -> np.ndarray:
         return 1.0 / G
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` gives them,
+    without its first call's import of ``numpy.ma``."""
+    v = np.sort(values)
+    return v[np.append(True, v[1:] != v[:-1])] if v.size else v
+
+
 def _bits(m: int, k: int) -> np.ndarray:
     """Subset code ``m`` as a boolean array: entry ``j < k`` is bit ``j`` of ``m``."""
     return np.array([m >> j & 1 for j in range(k)], dtype=bool)
@@ -287,7 +294,7 @@ def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:
     # next value of f, so it suffices to scan v * sigma({f >= v}).
     if w[np.isinf(f)].sum() > 0:
         return float("inf")
-    finite_positive = np.unique(f[(f > 0) & np.isfinite(f)])
+    finite_positive = _distinct(f[(f > 0) & np.isfinite(f)])
     best = 0.0
     for v in finite_positive:
         m = w[f >= v].sum()

@@ -10,6 +10,8 @@ The pipeline realized here:
   preserving, so from a supersolution every Newton iterate stays between the
   fixed point and the iterate before it, and the paper's order holds; where
   Newton declines, the plain loop runs on unchanged;
+* solve the equation by Newton steps in ``log u`` with a Thompson-metric
+  enclosure (:func:`solve_equation`, and the strong constant's norm route);
 * estimate the best constants of the strong and weak (1, q) inequalities
   with explicit witness measures and certified bounds
   (:func:`strong_type_constant`, :func:`weak_type_constant`);
@@ -40,6 +42,7 @@ from .core import (
     SpaceMismatchError,
     _bits,
     _clean_array,
+    _distinct,
     _energy,
     _inverse_distance,
     _potential,
@@ -115,12 +118,18 @@ class SublinearProblem:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A (super)solution of ``u = G(u^q sigma)``.  From :func:`solve_equation`,
+    ``residual`` is ``max |log G(u^q sigma) - log u|`` on ``supp sigma`` and
+    ``e^-delta u <= u* <= e^delta u``; the fixed-point loops report
+    ``max |u - G(u^q sigma)|`` and leave ``log_u`` and ``delta`` None."""
     u: np.ndarray
     status: str  # "solution" | "supersolution" | "degenerate" | "diverged"
     residual: float
     iterations: int
     lq_norm: float
     witness: tuple = ()
+    log_u: np.ndarray | None = None
+    delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -381,21 +390,116 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
-    """Full pipeline: strong constant, supersolution, monotone limit."""
+    """The strong constant, and the solution by Newton steps in ``log u``
+    (:func:`_log_solve`): ``diverged`` (``u = +inf``) where the constant is
+    infinite, ``degenerate`` where ``u`` vanishes on the witness points of
+    ``supp sigma``, else ``solution``.  A norm that does not fit a float reads
+    ``+inf``; a ``u`` that does not, or a ``sigma`` of zero mass, raises
+    :class:`DomainError`."""
     _require_sublinear(problem.q)
     est = strong_type_constant(problem, with_upper=False)
-    kappa = _kappa(est.extras["certified_upper"], est.lower)
-    if not np.isfinite(kappa):
+    if problem.sigma.total == 0:
+        raise DomainError("sigma must have positive total mass")
+    if not np.isfinite(est.lower):
         u = np.full(problem.kernel.size, np.inf)
-        return SolveResult(u, "diverged", float("inf"), 0, float("inf")), est
-    sup, sol, _ = _solve_from(problem, kappa)
-    return (sup if sol is None else sol), est
+        return SolveResult(u, "diverged", float("inf"), 0, float("inf"), (), u, float("inf")), est
+    sol = _log_solve(problem)[0]
+    if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
+        raise DomainError("the solution u does not fit a float (its log does)")
+    return sol, est
 
 
-def _kappa(cert_upper: float, lower: float) -> float:
-    """The strong constant to build a supersolution from: the certified upper
-    bound, or just above ``lower`` (the solve re-checks it) when that is infinite."""
-    return cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
+SOLVE_TOL = 1e-14  # _log_solve ends at a step this small relative to the logs in play
+
+
+def _exp(x: float) -> float:
+    """``e^x``, and ``+inf`` where that does not fit a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return float("inf")
+
+
+def _log_sum_exp(z):
+    """``log sum_j e^(z_ij)`` per row ``i`` (its maximum where that is infinite),
+    and the row-stochastic ``e^(z_ij) / sum_j e^(z_ij)``.  Callers silence the
+    ``invalid`` of ``inf - inf``."""
+    m = z.max(axis=1, initial=-np.inf)
+    E = np.exp(z - m[:, None])
+    s = E.sum(axis=1)
+    return np.where(np.isfinite(m), m + np.log(s), m), E / s[:, None]
+
+
+def _log_solve(problem: SublinearProblem) -> tuple[SolveResult, float]:
+    """``u = G(u^q sigma)`` by Newton in ``v = log u``, and the log of its norm;
+    ``G`` must be finite on ``supp sigma``.
+
+    ``u* > 0`` on the points ``P`` of ``supp sigma`` whose positive entries reach
+    a cycle there, found by peeling from the zero pattern, never from underflow.
+    On ``P``, ``F(v) = log T(e^v) - v`` for ``T(u) = G(u^q sigma)``, by
+    log-sum-exp, so no scale overflows; its Jacobian ``q M - I``, with the
+    row-stochastic ``M = diag(1/Tu) G diag(sigma u^q)``, has
+    ``|J^-1|_inf <= 1/(1-q)``.  From ``v = log T(1) / (1-q)``, the steps stop
+    once one moves ``v`` by at most ``SOLVE_TOL max(1, |v|) / (1-q)``, 1 raised
+    to the largest ``|log G|`` and ``|log sigma|`` on ``P``; a step that is not
+    finite, or ``NEWTON_STEPS`` steps, hand over to the plain
+    contraction ``v <- log T(e^v)`` from the start, up to ``ITER_CAP`` steps.
+    ``T`` is order preserving and q-homogeneous, so a q-contraction in
+    Thompson's metric (Krause 1986; Lemmens and Nussbaum 2012):
+    ``d(u, u*) <= d(u, Tu) / (1-q) = delta``, with ``2 |P| + 8`` ulps and 4 of
+    the largest ``|log|`` in play, so ``e^delta u >= T(e^delta u)`` in float on
+    ``supp sigma``.  Off it, ``u = T(u)``.  Status ``degenerate`` where ``P``
+    misses points of ``supp sigma``, ``solution`` once settled, else
+    ``supersolution`` at ``e^delta u``, ``delta`` doubled.
+    """
+    kernel, sigma, q = problem.kernel, problem.sigma, problem.q
+    G, w, supp = kernel.entries, sigma.weights, sigma.support
+    live, edges = np.ones(supp.size, dtype=bool), G[np.ix_(supp, supp)] > 0
+    while (keep := live & edges[:, live].any(axis=1)).sum() < live.sum():
+        live = keep
+    P = supp[live]
+    eye, eps = np.eye(P.size), float(np.finfo(float).eps)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_G, log_w = np.log(G[:, P]), np.log(w[P])
+        L = log_G + log_w  # -inf at zero entries, +inf at infinite ones off supp sigma
+        L_P = L[P]
+        floor = max(1.0, np.abs(log_w).max(initial=0.0),
+                    np.abs(log_G[P][edges[np.ix_(live, live)]]).max(initial=0.0))
+
+        def settled(d, v):  # rounding moves v by about eps max(floor, |v|) / (1-q)
+            return bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(v))).all())
+
+        v = start = _log_sum_exp(L_P)[0] / (1.0 - q)
+        done, steps = False, 0
+        while not done and steps < NEWTON_STEPS:
+            steps += 1
+            t, M = _log_sum_exp(L_P + q * v)
+            d = np.linalg.solve(eye - q * M, t - v)  # strictly diagonally dominant
+            if not np.isfinite(d).all():
+                break
+            v = v + d
+            done = settled(d, v)
+        if not done:
+            v = start
+            for _ in range(ITER_CAP):
+                steps += 1
+                t = _log_sum_exp(L_P + q * v)[0]
+                d, v = t - v, t
+                if done := settled(d, v):
+                    break
+        residual = float(np.abs(_log_sum_exp(L_P + q * v)[0] - v).max(initial=0.0))
+        scale = max(floor, np.abs(v).max(initial=0.0))
+        delta = float((residual + (2 * P.size + 8 + 4 * scale) * eps) / (1.0 - q))
+        if not done:
+            v, delta = v + delta, 2.0 * delta
+        log_u = _log_sum_exp(L + q * v)[0]
+        log_u[P] = v
+        u = np.exp(log_u)
+        log_lq = float(_log_sum_exp((q * v + log_w)[None, :])[0][0]) / q
+    zeros = supp[~live]
+    status = "degenerate" if zeros.size else "solution" if done else "supersolution"
+    witness = tuple(kernel.space.points[i] for i in zeros)
+    return SolveResult(u, status, residual, steps, _exp(log_lq), witness, log_u, delta), log_lq
 
 
 def _solve_from(problem: SublinearProblem, kappa: float):
@@ -517,7 +621,9 @@ def _maximize_concave(A, s, q, j):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves d non-finite
             B = A[:, T] / P[:, None]  # H = q (q-1) A' diag(s P^(q-2)) A on T, from P^q
             H = q * (q - 1.0) * (B.T * (s * P**q)) @ B
-            K = np.pad(H, (0, 1), constant_values=np.abs(H).max())
+            K = np.empty((T.size + 1, T.size + 1))
+            K[:-1, :-1] = H
+            K[-1, :-1] = K[:-1, -1] = np.abs(H).max()
             K[-1, -1] = 0.0
             try:
                 d = np.linalg.solve(K, np.append(-g[T], 0.0))[:-1]
@@ -548,10 +654,12 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     when that gap is at most ``ASCENT_TOL * F``, ``sampled`` when the ascent
     stopped first, at ``ASCENT_CAP`` steps or where no step rises, and
     ``heuristic`` when the certificate is infinite.  The reported ``upper``
-    is the norm-route bound through a computed (super)solution and the
-    weak-maximum-principle constant.  It is infinite unless the weak maximum
-    principle holds and the kernel is quasi-symmetric.  ``seed`` no longer
-    changes the result.  For ``q >= 1`` the constant equals the largest
+    is the norm-route bound ``h (1-q)^{-1/q} |u|_q^{1-q}``, in logs, with the
+    weak-maximum-principle constant ``h`` and the supersolution ``e^delta u``
+    of :func:`solve_equation`'s solve (extras ``norm_route_lq``), or the
+    loops' where ``u`` vanishes on ``supp sigma``.  It is infinite unless the
+    weak maximum principle holds and the kernel is quasi-symmetric.  ``seed``
+    no longer changes the result.  For ``q >= 1`` the constant equals the largest
     ``L^q(sigma)`` norm of a kernel column, attained at a point mass.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -610,12 +718,20 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
         a = check_quasisymmetric(kernel)
-        usable = (_solve_from(problem, _kappa(cert_upper, lower))[2]
-                  if wr.holds and np.isfinite(a) else None)  # no solve where it cannot apply
-        bound = _norm_route(wr, a, q, usable)
-        if bound is not None and np.isfinite(usable.lq_norm):
-            upper = bound
-            extras["norm_route_lq"] = usable.lq_norm
+        lq = float("inf")
+        if wr.holds and np.isfinite(a):  # no solve where the route cannot apply
+            sol, log_lq = _log_solve(problem)
+            if sol.status != "degenerate":  # the supersolution e^delta u, in logs
+                log_lq += sol.delta
+                upper = _exp(math.log(_wmp_factor(wr)) - math.log1p(-q) / q + (1.0 - q) * log_lq)
+                lq = _exp(log_lq)
+            else:  # the loops' supersolution
+                kappa = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
+                usable = _solve_from(problem, kappa)[2]
+                if usable is not None and np.isfinite(usable.lq_norm):
+                    upper, lq = _norm_route(wr, a, q, usable), usable.lq_norm
+        if np.isfinite(upper):
+            extras["norm_route_lq"] = lq
 
     return ConstantEstimate(lower, upper, Measure(kernel.space, nu), "concave-max", extras)
 
@@ -1044,7 +1160,7 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
         d = _inverse_distance(kernel.entries)
         ball_best, ball_info = 0.0, None
         for x in range(kernel.size):
-            for r in np.unique(d[x]):
+            for r in _distinct(d[x]):
                 mask = d[x] < r
                 mass = sigma.mass(mask)
                 if mass > 0:

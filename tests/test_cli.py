@@ -474,6 +474,23 @@ def test_cli_import_does_not_load_jsonschema():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_weak_norm_and_ball_scan_do_not_load_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 11 ms of a fresh analyze
+    # process; the weak norm and the testing condition's ball scan sort instead
+    proc = _fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import potbench as pb\n"
+        "from potbench.gallery import shortest_path_metric\n"
+        "rng = np.random.default_rng(0)\n"
+        "k = pb.Kernel(pb.Space.of_size(6), 1.0 / (shortest_path_metric(rng, 6) + 0.3))\n"
+        "sigma = pb.Measure(k.space, rng.uniform(0.2, 1.5, 6))\n"
+        "assert pb.weak_lorentz_norm(pb.potential(k, sigma), sigma, 2.0) > 0\n"
+        "assert pb.testing_condition_11(k, sigma).extras['ball_constant'] > 0\n"
+        "assert 'numpy.ma' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tasks_match_schema_enum():
     # a task is added to the CLI and to the schema together, or to neither
     enum = load_schema()["properties"]["tasks"]["items"]["properties"]["name"]["enum"]

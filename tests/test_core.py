@@ -28,7 +28,7 @@ from potbench import (
     potential,
     weak_lorentz_norm,
 )
-from potbench.core import _bits, _inverse_distance, _ratio_max, _weighted_terms
+from potbench.core import _bits, _distinct, _inverse_distance, _ratio_max, _weighted_terms
 
 
 def test_space_basics():
@@ -246,3 +246,12 @@ def test_subset_code_bits_past_64_points():
     # bit j of the code marks point j, with no int64 limit on the code
     for k, m in [(0, 0), (5, 0b10110), (64, 1 << 63), (70, (1 << 69) | 5)]:
         assert _bits(m, k).tolist() == [bool(m >> j & 1) for j in range(k)]
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(37)
+    for n in range(12):
+        v = rng.integers(0, 4, n).astype(float)
+        v[rng.uniform(size=n) < 0.2] = np.inf
+        v[rng.uniform(size=n) < 0.1] = -0.0
+        assert _distinct(v).tobytes() == np.unique(v).tobytes()

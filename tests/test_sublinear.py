@@ -17,6 +17,7 @@ Frozen oracles, all derived by hand before implementation:
   ``81``, again meeting the bound exactly.
 """
 
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -561,7 +562,10 @@ def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
     assert ("norm_route_lq" in est.extras) == np.isfinite(upper)
     row = theorem_report(prob).row("supersolution_to_strong")
     if np.isfinite(upper):
-        assert row.verdict == "CONFIRMED" and row.details["upper"] == est.upper
+        # the report's route takes the loops' solution, the constant's the
+        # enclosing supersolution e^delta u of solve_equation's solve
+        assert row.verdict == "CONFIRMED"
+        assert row.details["upper"] == pytest.approx(est.upper, rel=1e-13, abs=0.0)
     else:
         assert (row.verdict, row.details["reason"]) == (
             "NOT-APPLICABLE", "needs the weak maximum principle and quasi-symmetry")
@@ -1378,7 +1382,8 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
         prob = SublinearProblem(k, Measure(k.space, rng.uniform(0.2, 1.5, n) * keep),
                                 (0.3, 0.5, 0.7)[t % 3])
         strong = strong_type_constant(prob, with_upper=False)
-        kappa = sublinear._kappa(strong.extras["certified_upper"], strong.lower)
+        kappa = strong.extras["certified_upper"]
+        kappa = kappa if np.isfinite(kappa) else strong.lower * (1.0 + 1e-6)
         cases.append((prob, kappa if np.isfinite(kappa) else 1.0))
 
     def solved(prob, kappa):
@@ -1602,3 +1607,145 @@ def test_newton_loops_agree_with_the_checked_loops(n, seed, zeros, infs, partial
     _assert_agree(_outcome(gagliardo_supersolution, prob, kappa), ref)
     start = ref[1].u if ref[1] is not None else np.ones(n)
     _assert_agree(_outcome(monotone_solution, prob, start), _outcome(_stepwise_monotone, prob, start))
+
+
+def _verdict_table_input(i):
+    """The verdict_table benchmark's input ``i`` at seed 0: n = 10."""
+    kernel, sigma = _workload_input(i, 10, (0.7, 1.0, 1.5, 2.0, 3.0)[(i // 3) % 5])
+    return SublinearProblem(kernel, sigma, (0.3, 0.5, 0.7)[i % 3])
+
+
+def _supersolution_in_float(prob, u):
+    """``u >= G(u^q sigma)`` on ``supp sigma``, each side in float."""
+    supp = prob.sigma.support
+    return bool((u[supp] >= _apply(prob.kernel, u**prob.q, prob.sigma)[supp]).all())
+
+
+def test_solve_equation_agrees_with_the_fixed_point_loops():
+    # Newton in log u against the relaxed and monotone loops from the certified
+    # constant: status, witness and u, and e^delta u a supersolution in float
+    rng = np.random.default_rng(37)
+    problems = [_round_trip_input(i) for i in range(40)] + [_verdict_table_input(i)
+                                                           for i in range(15)]
+    for t in range(40):
+        n = 2 + t % 7
+        G = rand_kernel(rng, n, zero_frac=0.25).entries.copy()
+        if t % 4 == 0:  # a zero row on supp sigma: degenerate
+            G[t % n] = 0.0
+        w = rng.uniform(0.2, 1.5, n) * (rng.uniform(size=n) > 0.2)
+        w[(t + 1) % n] = 1.0
+        problems.append(SublinearProblem(Kernel(Space.of_size(n), G),
+                                         Measure(Space.of_size(n), w), (0.3, 0.5, 0.9)[t % 3]))
+    degenerate = 0
+    for prob in problems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_equation(prob)[0]
+        kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+        sol = sublinear._solve_from(prob, kappa)[1]
+        assert (res.status, res.witness) == (sol.status, sol.witness)
+        degenerate += res.status == "degenerate"
+        assert (res.u == 0.0).tolist() == (sol.u == 0.0).tolist()
+        # a degenerate limit keeps the monotone loop's CONV_TOL: its Newton finish
+        # declines where u vanishes on supp sigma
+        rtol = 1e-13 if sol.status == "solution" else CONV_TOL / (1.0 - prob.q)
+        pos = res.u > 0.0
+        np.testing.assert_allclose(res.u[pos], sol.u[pos], rtol=rtol, atol=0.0)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(np.exp(res.log_u), res.u, rtol=0.0, atol=0.0)
+        assert res.iterations <= 6 and res.residual <= 1e-14 and 0.0 < res.delta <= 1e-12
+        assert _supersolution_in_float(prob, np.exp(res.delta) * res.u)
+    assert degenerate >= 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-200.0, 200.0),
+       st.floats(0.01, 0.99))
+def test_log_solve_is_free_of_scale(n, seed, partial, exponent, q):
+    # sigma * t moves log u by log t / (1-q) and nothing else, from 1e-200 to 1e200
+    rng = np.random.default_rng(seed)
+    G = rand_kernel(rng, n, zero_frac=0.25).entries
+    w = rng.uniform(0.2, 1.5, n)
+    if partial:
+        w[rng.uniform(size=n) < 0.3] = 0.0
+    w[seed % n] = 1.0
+    prob = SublinearProblem(Kernel(Space.of_size(n), G), Measure(Space.of_size(n), w), q)
+    t = 10.0**exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        base, scaled = sublinear._log_solve(prob)[0], sublinear._log_solve(prob.scaled(t))[0]
+    assert (scaled.status, scaled.witness) == (base.status, base.witness)
+    assert base.status in ("solution", "degenerate")
+    shift = math.log(t) / (1.0 - q)
+    finite = np.isfinite(base.log_u)
+    assert (np.isfinite(scaled.log_u) == finite).all()
+    assert (scaled.log_u[~finite] == base.log_u[~finite]).all()
+    np.testing.assert_allclose(scaled.log_u[finite] - shift, base.log_u[finite], rtol=0.0,
+                               atol=1e-12 * (1.0 + abs(math.log(t))))
+
+
+def test_the_zero_set_comes_from_the_zero_pattern():
+    # 0 <-> 1 is a cycle and 2 -> 0 reaches it; 3 -> 4 -> nothing does not, and
+    # 5 carries no sigma; at sigma * 1e-300 every u underflows, the status stays
+    G = np.zeros((6, 6))
+    G[0, 1] = G[1, 0] = G[2, 0] = G[3, 4] = 2.0
+    G[5] = 1.0
+    s = Space.of_size(6)
+    w = np.array([1.0, 0.5, 0.7, 1.2, 0.3, 0.0])
+    for t in (1.0, 1e-300):
+        prob = SublinearProblem(Kernel(s, G), Measure(s, w * t), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_equation(prob)[0]
+        assert (res.status, res.witness) == ("degenerate", (3, 4))
+        assert (res.u[[3, 4]] == 0.0).all() and np.isfinite(res.log_u[[0, 1, 2, 5]]).all()
+        assert (res.u[[0, 1, 2, 5]] > 0.0).all() == (t == 1.0)
+
+
+def test_a_degenerate_norm_route_keeps_the_loops_supersolution():
+    # where u vanishes on supp sigma the upper end still comes from the loops'
+    # supersolution, to the bit
+    s = Space.of_size(3)
+    prob = SublinearProblem(Kernel(s, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                            Measure(s, [1.0, 0.7, 0.4]), 0.5)
+    assert solve_equation(prob)[0].status == "degenerate"
+    est = strong_type_constant(prob)
+    assert est.upper == 10.483534642257931
+    assert est.extras["norm_route_lq"] == 6.869031162213883
+
+
+def test_the_norm_route_and_the_solve_fit_at_sigma_times_1e100():
+    # u ~ 1e201 fits a float, its L^q norm ~ 1e400 does not: the bound is taken
+    # in logs, the norm reads +inf, and no overflow warning is raised
+    rng = np.random.default_rng(5)
+    k = metric_power_kernel(rng, 5)
+    w = rand_sigma(rng, k.space).weights
+    base = SublinearProblem(k, Measure(k.space, w), 0.5)
+    prob = base.scaled(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = strong_type_constant(prob)
+        res = solve_equation(prob)[0]
+    assert np.isfinite(est.upper) and est.upper >= est.lower
+    assert est.upper / 1e200 == pytest.approx(strong_type_constant(base).upper, rel=1e-11)
+    assert res.status == "solution" and np.isfinite(res.u).all() and res.lq_norm == np.inf
+    np.testing.assert_allclose(res.log_u - math.log(1e100) * 2.0, solve_equation(base)[0].log_u,
+                               rtol=0.0, atol=1e-12 * (1.0 + math.log(1e100)))
+
+
+def test_log_solve_falls_back_to_the_contraction(monkeypatch):
+    # two Newton steps do not settle round_trip's input 5: the plain contraction
+    # from the start settles instead; cut at 3 steps it returns the enclosing
+    # supersolution e^delta u, with delta doubled to enclose u* from below too
+    prob = _round_trip_input(5)
+    full = sublinear._log_solve(prob)[0]
+    monkeypatch.setattr(sublinear, "NEWTON_STEPS", 2)
+    res = sublinear._log_solve(prob)[0]
+    assert res.status == "solution" and res.iterations > 4
+    assert (np.abs(res.log_u - full.log_u) <= res.delta + full.delta).all()  # both enclose u*
+    monkeypatch.setattr(sublinear, "NEWTON_STEPS", 0)
+    monkeypatch.setattr(sublinear, "ITER_CAP", 3)
+    cut = sublinear._log_solve(prob)[0]
+    assert (cut.status, cut.iterations) == ("supersolution", 3)
+    assert _supersolution_in_float(prob, cut.u)
+    assert (cut.log_u - cut.delta <= full.log_u).all() and (full.log_u <= cut.log_u).all()
