@@ -397,5 +397,8 @@ def modify_kernel(kernel: Kernel, m) -> ModifiedKernel:
         raise DomainError("modifier vanishes or blows up everywhere")
     sub = kernel.restrict(retained)
     mr = m[retained]
-    entries = sub.entries / np.outer(mr, mr)
+    # twice by sqrt(m(x) m(y)): symmetric, as once by np.outer(mr, mr) is, but that
+    # underflows to 0 once m falls below about 1e-162, and a zero entry reads 0/0
+    r = np.outer(np.sqrt(mr), np.sqrt(mr))
+    entries = sub.entries / r / r
     return ModifiedKernel(Kernel(sub.space, entries), retained)

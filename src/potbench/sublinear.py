@@ -2,16 +2,13 @@
 
 The pipeline realized here:
 
-* build a supersolution by relaxed fixed-point iteration, given a valid
+* build a supersolution by the relaxed fixed-point iteration, given a valid
   strong-type constant (:func:`gagliardo_supersolution`);
-* drive it down monotonically to a solution (:func:`monotone_solution`);
-  both loops take one checked plain step and then finish by Newton steps on
-  ``supp sigma`` (:func:`_newton`).  Their maps are concave and order
-  preserving, so from a supersolution every Newton iterate stays between the
-  fixed point and the iterate before it, and the paper's order holds; where
-  Newton declines, the plain loop runs on unchanged;
-* solve the equation by Newton steps in ``log u`` with a Thompson-metric
-  enclosure (:func:`solve_equation`, and the strong constant's norm route);
+* descend monotonically from it to a solution (:func:`monotone_solution`), or
+  solve the equation outright, with a Thompson-metric enclosure
+  (:func:`solve_equation`, and the strong constant's norm route); one
+  solver, Newton steps in logs (:func:`_fixed_point`), finds both fixed
+  points, of the relaxed map and of ``u -> G(u^q sigma)`` (:func:`_log_solve`);
 * estimate the best constants of the strong and weak (1, q) inequalities
   with explicit witness measures and certified bounds
   (:func:`strong_type_constant`, :func:`weak_type_constant`);
@@ -29,7 +26,7 @@ iterate reaching ``+inf`` on the support of ``sigma`` aborts with status
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,7 +91,8 @@ GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RELAX = 0.1  # relaxation of gagliardo_supersolution
 CONV_TOL = 1e-12
 ITER_CAP = 100_000
-NEWTON_STEPS = 40  # Newton steps before a fixed-point loop's finish that has not settled declines
+NEWTON_STEPS = 40  # Newton steps of _fixed_point before it falls back to the plain contraction
+SOLVE_TOL = 1e-14  # _fixed_point ends at a step this small relative to the logs in play
 POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
 REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
 ENERGY_RTOL = 1e-10  # relative slack of the two energy_criteria checks
@@ -118,10 +116,11 @@ class SublinearProblem:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A (super)solution of ``u = G(u^q sigma)``.  From :func:`solve_equation`,
-    ``residual`` is ``max |log G(u^q sigma) - log u|`` on ``supp sigma`` and
-    ``e^-delta u <= u* <= e^delta u``; the fixed-point loops report
-    ``max |u - G(u^q sigma)|`` and leave ``log_u`` and ``delta`` None."""
+    """A (super)solution of ``u = G(u^q sigma)``.  From :func:`solve_equation`
+    and :func:`monotone_solution`, ``residual`` is ``max |log G(u^q sigma) -
+    log u|`` on the points solved for and ``e^-delta u <= u* <= e^delta u``;
+    :func:`gagliardo_supersolution` reports ``max |u - G(u^q sigma)|`` on
+    ``supp sigma`` and leaves ``log_u`` and ``delta`` None."""
     u: np.ndarray
     status: str  # "solution" | "supersolution" | "degenerate" | "diverged"
     residual: float
@@ -148,66 +147,45 @@ def _require_sublinear(q: float):
 
 def _apply(kernel: Kernel, v, sigma: Measure) -> np.ndarray:
     """``G(v sigma)`` after a ``Measure``'s checks of ``v sigma``: the checked
-    evaluations around the fixed-point loops, and :func:`_local_route_row`'s."""
+    evaluations around the fixed-point solves, and :func:`_local_route_row`'s."""
     w = _clean_array(_weighted_terms(v, sigma.weights), (kernel.size,), "measure weights")
     return _potential(kernel.entries, w)
 
 
-def _stepper(kernel: Kernel, sigma: Measure):
-    """``v -> G(v sigma)`` by :func:`_apply`'s float operations, unchecked, for a
-    fixed-point loop's steps after its checked first.  The loops keep ``v`` finite on
-    ``supp sigma`` and ``v sigma`` bounded, so ``_clean_array`` could not fire.  The
-    one ``nan``, ``0 * inf``, is sent to 0 only where it can arise: in ``v sigma`` off
-    a partial support, where an iterate may be ``+inf``, and at an infinite ``G`` entry."""
-    G, w = kernel.entries, sigma.weights
-    full, finite = bool((w > 0).all()), bool(np.isfinite(G).all())
-    def step(v):
-        t = v * w if full else _weighted_terms(v, w)
-        return (G * t[np.newaxis, :]).sum(axis=1) if finite else _potential(G, t)
-    return step
+def _fixed_point(image, x, q: float, floor: float):
+    """A fixed point of a map ``f`` with ``|f'|_inf <= q < 1``, the package's one
+    fixed-point solver: ``(x, settled, steps)``.  ``image(x)`` returns ``f(x)`` and
+    ``f'(x)``.  Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` run from ``x``;
+    ``I - f'(x)`` is strictly diagonally dominant.  They stop once a step moves
+    ``x`` by at most ``SOLVE_TOL max(floor, |x|) / (1-q)``, with ``floor`` the
+    largest of 1 and the ``|log|`` values the caller's map reads: rounding
+    moves ``x`` by about ``eps`` of that over ``1-q``.  A step that is not finite, or
+    ``NEWTON_STEPS`` steps, hand over to the plain contraction ``x <- f(x)``
+    from the start, up to ``ITER_CAP`` steps.  Callers silence the float
+    warnings of their maps."""
+    eye = np.eye(x.size)
 
+    def settled(d, x):
+        return bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(x))).all())
 
-def _settled(a, b) -> bool:
-    """The stop rule of both fixed-point loops: successive iterates ``a`` and
-    ``b`` on ``supp sigma`` agree to ``CONV_TOL`` relative to the larger."""
-    return bool((np.abs(a - b) <= CONV_TOL * np.maximum(np.maximum(a, b), 1e-300)).all())
-
-
-def _newton(v, supp, image, plain):
-    """Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` for a fixed point of a
-    loop's map ``f`` on ``supp sigma``, from ``x = v[supp]``; ``image(x)`` returns
-    ``f(x)`` and ``f'(x)`` there.  Each step is solved as
-    ``(I - f'(x)) y = f(x) - f'(x) x``, which does not cancel where ``y`` lies far
-    below ``x`` (``f'(x) x`` is ``q f(x)`` or ``q (f(x) - psi)`` for the loops' maps,
-    so the right side is positive).  From the first iterate that meets
-    :func:`_settled` it takes one step more, so the finish is quadratic, not only
-    within the stop rule, and returns ``(cand, plain(cand), steps)``: that step as
-    a full vector, ``v`` off the support, and the loop's plain step from it,
-    which fills in the points off the support and checks the result.  It returns
-    None, and the loop's plain steps go on, where a value or a Jacobian is not
-    finite (an infinite ``G_ss`` entry, a potential that vanishes on the
-    support), an iterate is below 1e-300 (not positive, or so small that
-    subnormal rounding decides it), the system is singular, or
-    ``NEWTON_STEPS`` steps do not settle.  Overflow only makes values infinite,
-    and the caller tests the plain step for finiteness."""
-    x, eye = v[supp], np.eye(supp.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for steps in range(1, NEWTON_STEPS + 1):
-            fx, D = image(x)
-            if not (np.isfinite(fx).all() and np.isfinite(D).all()):
-                return None
-            try:
-                y = np.linalg.solve(eye - D, fx - D @ x)
-            except np.linalg.LinAlgError:
-                return None
-            if not (np.isfinite(y).all() and (y >= 1e-300).all()):  # below, rounding decides
-                return None
-            if _settled(x, fx):
-                cand = v.copy()
-                cand[supp] = y
-                return cand, plain(cand), steps
-            x = y
-    return None
+    start, done, steps = x, False, 0
+    while not done and steps < NEWTON_STEPS:
+        steps += 1
+        f, J = image(x)
+        d = np.linalg.solve(eye - J, f - x)
+        if not np.isfinite(d).all():
+            break
+        x = x + d
+        done = settled(d, x)
+    if not done:
+        x = start
+        for _ in range(ITER_CAP):
+            steps += 1
+            f = image(x)[0]
+            d, x = f - x, f
+            if done := settled(d, x):
+                break
+    return x, done, steps
 
 
 # ---------------------------------------------------------------------------
@@ -218,30 +196,27 @@ def _newton(v, supp, image, plain):
 def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveResult:
     """Supersolution ``u >= G(u^q sigma)`` from a valid strong-type constant.
 
-    With ``relax = RELAX``, iterates
-    ``phi <- psi + (G(phi sigma))^q / ((1+relax) kappa^q)`` from the
-    constant function ``psi`` of mass ``relax/(1+relax)``; the iterates are
-    entrywise nondecreasing with mass at most 1, and the rescaled limit
-    ``u = (c phi)^{1/q}`` with ``c = ((1+relax) kappa^q)^{1/(1-q)}`` is a
-    supersolution whose q-th power has mass at most ``c``.  The supersolution
-    property is re-verified on the result; a failed verification (an invalid
-    ``kappa``) comes back as status ``diverged``.  ``phi sigma`` is checked
-    once per call, at the first step; ``l1 <= 1 + 1e-8`` bounds it after that.
-    The loop stops once successive iterates agree to ``CONV_TOL`` relative,
-    on ``supp sigma``; the rule has no absolute floor, since the iterates
-    scale like ``1/sigma(total)``.  A ``kappa`` whose scale ``c`` does not
-    fit a float raises :class:`DomainError`.
-
-    After the first step, Newton steps on ``supp sigma`` finish the loop
-    (:func:`_newton`).  The map ``R`` is concave and order preserving, so
-    the first Newton step from below lands above the fixed point, and the
-    steps after it fall towards it; the nondecreasing check therefore holds
-    for plain steps only.  The Newton result is accepted only when one plain
-    step from it is finite on ``supp sigma``, has mass at most ``1 + 1e-8``
-    and meets the stop rule; that step is the result, and the re-check of
-    ``u`` guarantees it.  Otherwise the plain loop runs on as if Newton had
-    not been tried.  ``iterations`` counts the plain steps and the accepted
-    Newton steps.
+    With ``relax = RELAX``, the relaxed map
+    ``R(phi) = psi + gain (G(phi sigma))^q``, ``gain = 1 / ((1+relax) kappa^q)``,
+    from the constant function ``psi`` of mass ``relax/(1+relax)``, has
+    entrywise nondecreasing iterates with mass at most 1 for a valid
+    ``kappa``, and the rescaled fixed point ``u = (c phi)^{1/q}`` with
+    ``c = ((1+relax) kappa^q)^{1/(1-q)}`` is a supersolution whose q-th power
+    has mass at most ``c``.  One checked step ``phi = R(psi)`` comes first:
+    ``psi sigma`` passes a ``Measure``'s checks, and an iterate that is not
+    finite on ``supp sigma``, or of mass above ``1 + 1e-8``, returns as status
+    ``diverged``.  Then :func:`_fixed_point` finds the fixed point on
+    ``supp sigma`` in ``x = log phi``: ``f = logaddexp(log psi, a)`` with
+    ``a = log gain + q lse(L + x)`` and ``L = log G + log sigma``, and the
+    Jacobian ``q e^(a-f) M``, ``M`` row-stochastic, has ``|.|_inf < q`` (a zero
+    row where the potential vanishes).  ``R`` is subhomogeneous of degree
+    ``q``, so the fixed point exists and the iterates rise to it; one of mass
+    above ``1 + 1e-8`` (``kappa`` too small) returns as ``diverged``, and so
+    does a solve that does not settle.  The supersolution property is
+    re-verified on ``u``; a failed verification (an invalid ``kappa``) comes
+    back as status ``diverged``.  ``iterations`` counts the first plain step
+    and the Newton steps.  A ``kappa`` whose scale ``c`` does not fit a float
+    raises :class:`DomainError`.
     """
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
@@ -251,7 +226,6 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     if mass == 0:
         raise DomainError("sigma must have positive total mass")
     n = kernel.size
-    on = slice(None) if (sigma.weights > 0).all() else sigma.support
 
     try:
         scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
@@ -263,42 +237,36 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
 
     psi = RELAX / ((1.0 + RELAX) * mass)
     gain = 1.0 / ((1.0 + RELAX) * kappa**q)
-    phi = np.full(n, psi)
-    step, sw = _stepper(kernel, sigma), sigma.weights[on]
     supp = sigma.support
-    G_ss = kernel.entries[np.ix_(supp, supp)]
+    sw = sigma.weights[supp]
 
-    def image(x):  # R(x) and R'(x) on supp sigma
-        p = G_ss @ (sw * x)
-        r = gain * p**q
-        return psi + r, (q * r / p)[:, np.newaxis] * G_ss * sw
+    def fits(phi):  # finite on supp sigma, with mass at most 1 + 1e-8
+        return np.isfinite(phi[supp]).all() and float(phi[supp] @ sw) <= 1.0 + 1e-8
 
-    pot = _apply(kernel, phi, sigma)  # psi sigma is +inf where the mass is subnormal
-    status, iterations = "diverged", 0
-    for iterations in range(1, ITER_CAP + 1):
-        if iterations > 1:
-            pot = step(phi)
-        nxt = psi + gain * pot**q
-        if not np.isfinite(nxt[on]).all():
-            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
-        if (nxt < phi).any():
-            raise RuntimeError("relaxed iteration lost monotonicity")
-        l1 = float(nxt[on] @ sw)
-        if l1 > 1.0 + 1e-8:
-            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
-        done, phi = _settled(phi[on], nxt[on]), nxt
-        if not done and iterations == 1:
-            finish = _newton(phi, supp, image, lambda v: psi + gain * step(v)**q)
-            if finish is not None:
-                cand, nxt, steps = finish
-                if (np.isfinite(nxt[on]).all() and float(nxt[on] @ sw) <= 1.0 + 1e-8
-                        and _settled(cand[on], nxt[on])):
-                    phi, done = nxt, True
-                    iterations += steps + 1  # the Newton steps and the plain step from them
-        if done:
-            status = "supersolution"
-            break
+    pot = _apply(kernel, np.full(n, psi), sigma)  # psi sigma is +inf where the mass is subnormal
+    phi, done, steps = psi + gain * pot**q, False, 0
+    if fits(phi):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_G, log_w = np.log(kernel.entries[:, supp]), np.log(sw)
+            log_psi, log_gain = math.log(psi), math.log(gain)
+            L = log_G + log_w  # -inf at zero entries, +inf at infinite ones off supp sigma
+            L_s, lg = L[supp], log_G[supp]
+            floor = max(1.0, abs(log_psi), abs(log_gain), np.abs(log_w).max(),
+                        np.abs(lg[np.isfinite(lg)]).max(initial=0.0))
 
+            def image(x):  # log R(e^x) on supp sigma, and its Jacobian
+                t, M = _log_sum_exp(L_s + x)
+                a = log_gain + q * t
+                f = np.logaddexp(log_psi, a)
+                return f, np.where(np.isfinite(a)[:, None], (q * np.exp(a - f))[:, None] * M, 0.0)
+
+            x, done, steps = _fixed_point(image, np.log(phi[supp]), q, floor)
+            phi = np.exp(np.logaddexp(log_psi, log_gain + q * _log_sum_exp(L + x)[0]))
+            phi[supp] = np.exp(x)
+    if not fits(phi):
+        return SolveResult(phi, "diverged", float("inf"), 1 + steps, float("inf"))
+
+    status = "supersolution" if done else "diverged"
     u = (scale * phi) ** (1.0 / q)
     rhs = _apply(kernel, u**q, sigma)
     # where both sides are +inf the supersolution inequality holds
@@ -306,36 +274,29 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
     if status == "supersolution" and bad.any():
         status = "diverged"
-    residual = float(np.abs(gap[on]).max())  # mass > 0: supp sigma is not empty
-    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q))
+    residual = float(np.abs(gap[supp]).max())  # mass > 0: supp sigma is not empty
+    return SolveResult(u, status, residual, 1 + steps, lp_norm(u, sigma, q))
 
 
 def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
-    """Nonincreasing iteration ``u <- G(u^q sigma)`` from a supersolution.
+    """The limit of the nonincreasing iteration ``u <- G(u^q sigma)`` from a
+    supersolution.
 
     The start must satisfy ``start >= G(start^q sigma)`` on the support of
-    ``sigma`` (checked at relative tolerance 1e-12).  The limit solves the
-    equation; exact zeros on the support of ``sigma`` mark the degenerate
-    case, in which no everywhere-positive solution exists, and the vanishing
-    points are reported as the witness.  ``u^q sigma`` is checked once per
-    call, at the first step; the iterates only fall after that.
-
-    After the first step, Newton steps ``y = u - (I - T'(u))^{-1} (u - T u)``
-    on ``supp sigma`` finish the loop (:func:`_newton`).  ``T`` is concave
-    and q-homogeneous, so at a supersolution ``u`` the spectral radius of
-    ``T'(u)`` is at most ``q`` and ``(I - T'(u))^{-1} >= 0``; concavity then
-    gives ``u* <= y <= u``, and ``y`` is again a supersolution (Ortega and
-    Rheinboldt 1970, 13.3).  The Newton result is accepted only when it is at
-    most ``u`` and one plain step from it neither rises nor misses the stop
-    rule; the result is then the smaller of the two, as for a plain step.
-    Otherwise the plain loop runs on as if Newton had not been tried.
-    ``iterations`` counts the plain steps, the start's check among them, and
-    the accepted Newton steps.
+    ``sigma`` (checked at relative tolerance 1e-12, one plain step through a
+    ``Measure``'s checks).  The descent keeps the zeros of the start, so its
+    limit is :func:`_log_solve`'s solution peeled from the points of
+    ``supp sigma`` where the start is positive: status ``solution`` where it
+    is positive on ``supp sigma``, ``degenerate`` with the vanishing points as
+    the witness where it is not (no everywhere-positive solution lies below
+    the start), ``supersolution`` at ``e^delta u`` where the solve does not
+    settle.  ``u``, ``log_u``, ``delta`` and ``residual`` read as
+    :func:`solve_equation`'s, ``lq_norm`` is the ``L^q(sigma)`` norm of ``u``,
+    and ``iterations`` counts the start's check and the Newton steps.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
-    on = slice(None) if supp.size == kernel.size else supp
     u0 = np.asarray(start, dtype=float)
     if u0.shape != (kernel.size,):
         raise DomainError("start vector has the wrong length")
@@ -348,45 +309,8 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     slack = rhs[supp] - u0[supp]
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
-
-    step, u = _stepper(kernel, sigma), rhs
-    G_ss, sw = kernel.entries[np.ix_(supp, supp)], sigma.weights[supp]
-
-    def image(x):  # T(x) and T'(x) on supp sigma
-        t = sw * x**q
-        return G_ss @ t, G_ss * (q * t / x)
-
-    nxt = _apply(kernel, u**q, sigma)  # rhs may exceed start by the slack allowed
-    iterations, status = 1, "diverged"
-    for iterations in range(2, ITER_CAP + 2):
-        if iterations > 2:
-            nxt = step(u**q)
-        if not np.isfinite(nxt[on]).all():
-            return SolveResult(nxt, "diverged", float("inf"), iterations, float("inf"))
-        if (nxt > u * (1.0 + 1e-12) + 1e-300).any():
-            raise RuntimeError("monotone iteration increased")
-        nxt = np.minimum(nxt, u)
-        done, u = _settled(u[on], nxt[on]), nxt
-        if not done and iterations == 2:
-            finish = _newton(u, supp, image, lambda v: step(v**q))
-            if finish is not None:
-                cand, nxt, steps = finish
-                if (np.isfinite(nxt[on]).all() and (cand <= u * (1.0 + 1e-12) + 1e-300).all()
-                        and (nxt <= cand * (1.0 + 1e-12) + 1e-300).all()
-                        and _settled(cand[on], nxt[on])):
-                    u, done = np.minimum(nxt, cand), True
-                    iterations += steps + 1  # the Newton steps and the plain step from them
-        if done:
-            status = "converged"
-            break
-
-    final = _apply(kernel, u**q, sigma)
-    residual = float(np.abs(u[supp] - final[supp]).max()) if supp.size else 0.0
-    zeros = supp[u[supp] == 0.0]
-    if status == "converged":
-        status = "degenerate" if zeros.size else "solution"
-    witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, iterations, lp_norm(u, sigma, q), witness)
+    sol = _log_solve(problem, u0[supp] > 0)[0]
+    return replace(sol, iterations=1 + sol.iterations, lq_norm=lp_norm(sol.u, sigma, q))
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
@@ -409,9 +333,6 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     return sol, est
 
 
-SOLVE_TOL = 1e-14  # _log_solve ends at a step this small relative to the logs in play
-
-
 def _exp(x: float) -> float:
     """``e^x``, and ``+inf`` where that does not fit a float."""
     try:
@@ -430,20 +351,20 @@ def _log_sum_exp(z):
     return np.where(np.isfinite(m), m + np.log(s), m), E / s[:, None]
 
 
-def _log_solve(problem: SublinearProblem) -> tuple[SolveResult, float]:
+def _log_solve(problem: SublinearProblem, live=None) -> tuple[SolveResult, float]:
     """``u = G(u^q sigma)`` by Newton in ``v = log u``, and the log of its norm;
-    ``G`` must be finite on ``supp sigma``.
+    ``G`` must be finite from ``supp sigma`` to the points solved for.
 
     ``u* > 0`` on the points ``P`` of ``supp sigma`` whose positive entries reach
-    a cycle there, found by peeling from the zero pattern, never from underflow.
+    a cycle there, found by peeling from the zero pattern, never from underflow;
+    ``live``, a mask on ``supp sigma``, peels from its points instead, so ``u``
+    is the limit of the descent from a supersolution that vanishes off them.
     On ``P``, ``F(v) = log T(e^v) - v`` for ``T(u) = G(u^q sigma)``, by
     log-sum-exp, so no scale overflows; its Jacobian ``q M - I``, with the
     row-stochastic ``M = diag(1/Tu) G diag(sigma u^q)``, has
-    ``|J^-1|_inf <= 1/(1-q)``.  From ``v = log T(1) / (1-q)``, the steps stop
-    once one moves ``v`` by at most ``SOLVE_TOL max(1, |v|) / (1-q)``, 1 raised
-    to the largest ``|log G|`` and ``|log sigma|`` on ``P``; a step that is not
-    finite, or ``NEWTON_STEPS`` steps, hand over to the plain
-    contraction ``v <- log T(e^v)`` from the start, up to ``ITER_CAP`` steps.
+    ``|J^-1|_inf <= 1/(1-q)``.  :func:`_fixed_point` solves it from
+    ``v = log T(1) / (1-q)``, with ``floor`` the largest ``|log G|`` and
+    ``|log sigma|`` on ``P``.
     ``T`` is order preserving and q-homogeneous, so a q-contraction in
     Thompson's metric (Krause 1986; Lemmens and Nussbaum 2012):
     ``d(u, u*) <= d(u, Tu) / (1-q) = delta``, with ``2 |P| + 8`` ulps and 4 of
@@ -454,11 +375,12 @@ def _log_solve(problem: SublinearProblem) -> tuple[SolveResult, float]:
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G, w, supp = kernel.entries, sigma.weights, sigma.support
-    live, edges = np.ones(supp.size, dtype=bool), G[np.ix_(supp, supp)] > 0
+    live = np.ones(supp.size, dtype=bool) if live is None else live
+    edges = G[np.ix_(supp, supp)] > 0
     while (keep := live & edges[:, live].any(axis=1)).sum() < live.sum():
         live = keep
     P = supp[live]
-    eye, eps = np.eye(P.size), float(np.finfo(float).eps)
+    eps = float(np.finfo(float).eps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_G, log_w = np.log(G[:, P]), np.log(w[P])
         L = log_G + log_w  # -inf at zero entries, +inf at infinite ones off supp sigma
@@ -466,27 +388,11 @@ def _log_solve(problem: SublinearProblem) -> tuple[SolveResult, float]:
         floor = max(1.0, np.abs(log_w).max(initial=0.0),
                     np.abs(log_G[P][edges[np.ix_(live, live)]]).max(initial=0.0))
 
-        def settled(d, v):  # rounding moves v by about eps max(floor, |v|) / (1-q)
-            return bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(v))).all())
-
-        v = start = _log_sum_exp(L_P)[0] / (1.0 - q)
-        done, steps = False, 0
-        while not done and steps < NEWTON_STEPS:
-            steps += 1
+        def image(v):  # log T(e^v) on P, and its Jacobian q M
             t, M = _log_sum_exp(L_P + q * v)
-            d = np.linalg.solve(eye - q * M, t - v)  # strictly diagonally dominant
-            if not np.isfinite(d).all():
-                break
-            v = v + d
-            done = settled(d, v)
-        if not done:
-            v = start
-            for _ in range(ITER_CAP):
-                steps += 1
-                t = _log_sum_exp(L_P + q * v)[0]
-                d, v = t - v, t
-                if done := settled(d, v):
-                    break
+            return t, q * M
+
+        v, done, steps = _fixed_point(image, _log_sum_exp(L_P)[0] / (1.0 - q), q, floor)
         residual = float(np.abs(_log_sum_exp(L_P + q * v)[0] - v).max(initial=0.0))
         scale = max(floor, np.abs(v).max(initial=0.0))
         delta = float((residual + (2 * P.size + 8 + 4 * scale) * eps) / (1.0 - q))
@@ -657,10 +563,11 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     is the norm-route bound ``h (1-q)^{-1/q} |u|_q^{1-q}``, in logs, with the
     weak-maximum-principle constant ``h`` and the supersolution ``e^delta u``
     of :func:`solve_equation`'s solve (extras ``norm_route_lq``), or the
-    loops' where ``u`` vanishes on ``supp sigma``.  It is infinite unless the
-    weak maximum principle holds and the kernel is quasi-symmetric.  ``seed``
-    no longer changes the result.  For ``q >= 1`` the constant equals the largest
-    ``L^q(sigma)`` norm of a kernel column, attained at a point mass.
+    relaxed supersolution's where ``u`` vanishes on ``supp sigma``.  It is
+    infinite unless the weak maximum principle holds and the kernel is
+    quasi-symmetric.  ``seed`` no longer changes the result.  For ``q >= 1``
+    the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
+    attained at a point mass.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G = kernel.entries
@@ -725,11 +632,11 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
                 log_lq += sol.delta
                 upper = _exp(math.log(_wmp_factor(wr)) - math.log1p(-q) / q + (1.0 - q) * log_lq)
                 lq = _exp(log_lq)
-            else:  # the loops' supersolution
+            else:  # the relaxed supersolution
                 kappa = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
-                usable = _solve_from(problem, kappa)[2]
-                if usable is not None and np.isfinite(usable.lq_norm):
-                    upper, lq = _norm_route(wr, a, q, usable), usable.lq_norm
+                sup = gagliardo_supersolution(problem, kappa)
+                if sup.status == "supersolution" and np.isfinite(sup.lq_norm):
+                    upper, lq = _norm_route(wr, a, q, sup), sup.lq_norm
         if np.isfinite(upper):
             extras["norm_route_lq"] = lq
 
@@ -1425,9 +1332,7 @@ def _local_route_row(problem):
     kap = sub_strong.extras["certified_upper"]
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
-    _, sol, _ = _solve_from(sub_problem, kap)
-    if sol is None:
-        return _na("local_solution_route", "modified supersolution unavailable")
+    sol = _log_solve(sub_problem)[0]  # in logs: kap itself may underflow to 0
     if sol.status != "solution":
         return VerdictRow("local_solution_route", "VIOLATED",
                           {"modified_status": sol.status})

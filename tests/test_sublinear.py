@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -58,7 +58,7 @@ from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, capacity, principles, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _inverse_distance, _weighted_terms
 from potbench.gallery import shortest_path_metric
-from potbench.principles import DEFAULT_BUDGET
+from potbench.principles import DEFAULT_BUDGET, modify_kernel
 from potbench.sublinear import (
     CONV_TOL,
     GOLDEN_THRESHOLD,
@@ -110,11 +110,12 @@ def test_gagliardo_scalar_oracle():
 
 
 def test_gagliardo_invalid_kappa_exceeds_the_mass_bound():
-    # below the strong constant 2 the relaxed iterates outgrow mass 1 at step 3
+    # below the strong constant 2 the relaxed map's fixed point has mass above 1
+    # (its plain iterates outgrow it at step 3): the first step and 5 Newton steps
     prob = swap_problem()
     kappa = 0.5 * strong_type_constant(prob, with_upper=False).extras["certified_upper"]
     res = gagliardo_supersolution(prob, kappa)
-    assert (res.status, res.iterations) == ("diverged", 3)
+    assert (res.status, res.iterations) == ("diverged", 6)
     assert res.residual == res.lq_norm == np.inf
     assert np.isfinite(res.u).all()  # the mass check stopped it, not an overflow
 
@@ -562,7 +563,7 @@ def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
     assert ("norm_route_lq" in est.extras) == np.isfinite(upper)
     row = theorem_report(prob).row("supersolution_to_strong")
     if np.isfinite(upper):
-        # the report's route takes the loops' solution, the constant's the
+        # the report's route takes the monotone solve's u, the constant's the
         # enclosing supersolution e^delta u of solve_equation's solve
         assert row.verdict == "CONFIRMED"
         assert row.details["upper"] == pytest.approx(est.upper, rel=1e-13, abs=0.0)
@@ -1272,17 +1273,11 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
     monkeypatch.setattr(_SubsetSearch, "mask", lambda self, m: masks.add(m) or mask(self, m))
     built, init = [], Measure.__post_init__
     monkeypatch.setattr(Measure, "__post_init__", lambda self: built.append(1) or init(self))
-    newton = sublinear._newton
-    monkeypatch.setattr(sublinear, "_newton", lambda *args: None)  # the plain loops
     sup = gagliardo_supersolution(prob, kappa)
     sol = monotone_solution(prob, sup.u)
-    monkeypatch.setattr(sublinear, "_newton", newton)
-    fast = gagliardo_supersolution(prob, kappa)
-    fast_sol = monotone_solution(prob, fast.u)
-    assert (fast.status, fast_sol.status) == ("supersolution", "solution")
-    assert fast.iterations < sup.iterations and fast_sol.iterations < sol.iterations
+    assert (sup.status, sol.status) == ("supersolution", "solution")
     est = check_testing_condition(k, prob.sigma)
-    assert sup.iterations >= 20 and sol.iterations >= 20 and len(masks) >= 50
+    assert len(masks) >= 50
     assert "ball_constant" in est.extras
     assert len(built) == 1  # the testing condition's witness, sigma on the best set
     valued, cap0_value = set(), _SubsetSearch.cap0_value
@@ -1293,29 +1288,6 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
         assert weak_type_constant(SublinearProblem(k, prob.sigma, q)).extras["mode"] == "exact"
     assert len(valued) >= 150
     assert len(built) == 3  # the witnesses, content's extremal measure on each best set
-
-
-def test_a_newton_result_that_misses_the_stop_rule_is_declined(monkeypatch):
-    # each loop accepts a Newton result only when one plain step from it meets
-    # the stop rule; one moved up by 1e-6 passes every other check, so the
-    # plain loop must run on as if Newton had not been tried
-    rng = np.random.default_rng(6)
-    k = metric_power_kernel(rng, 10)
-    prob = SublinearProblem(k, rand_sigma(rng, k.space), 0.5)
-    kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
-    newton = sublinear._newton
-    monkeypatch.setattr(sublinear, "_newton", lambda *args: None)
-    sup = gagliardo_supersolution(prob, kappa)
-    sol = monotone_solution(prob, sup.u)
-
-    def moved(v, supp, image, plain):
-        cand = newton(v, supp, image, plain)[0] * (1.0 + 1e-6)
-        return cand, plain(cand), 1
-
-    monkeypatch.setattr(sublinear, "_newton", moved)
-    for res, ref in ((gagliardo_supersolution(prob, kappa), sup),
-                     (monotone_solution(prob, sup.u), sol)):
-        assert (res.u.tobytes(), res.iterations) == (ref.u.tobytes(), ref.iterations)
 
 
 def test_weights_that_overflow_still_raise():
@@ -1423,9 +1395,9 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
 
 
 def _stepwise_supersolution(problem, kappa):
-    """``gagliardo_supersolution``'s plain loop with every step through the
-    checked ``_apply``, as it ran before its loop moved to raw arrays, with its
-    relative stop rule and its ``DomainError`` for a scale that overflows."""
+    """The relaxed iteration's plain loop with every step through the checked
+    ``_apply``, with its relative stop rule and its ``DomainError`` for a
+    scale that overflows: the oracle of ``gagliardo_supersolution``."""
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
         raise DomainError("kappa must be a finite nonnegative constant")
@@ -1477,7 +1449,8 @@ def _stepwise_supersolution(problem, kappa):
 
 
 def _stepwise_monotone(problem, start):
-    """``monotone_solution``'s plain loop with every step through the checked ``_apply``."""
+    """The monotone descent's plain loop with every step through the checked
+    ``_apply``: the oracle of ``monotone_solution``."""
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     supp = sigma.support
@@ -1560,32 +1533,21 @@ FUZZ = (st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans
         st.booleans(), st.floats(-200.0, 200.0), st.floats(0.05, 0.95), st.floats(-2.0, 1.0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(*FUZZ)
-@example(4, 1227095747, False, True, True, -96.0, 0.8, -1.0)
-@example(4, 2522727622, True, True, True, -127.0, 0.3, -1.5)
-def test_raw_loops_match_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
-    # the plain loops, Newton declined, bit for bit; both examples reach an
-    # iterate that is +inf off supp sigma mid-loop
-    prob, kappa = _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack)
-    with mock.patch.object(sublinear, "_newton", lambda *args: None):
-        key, ref = _outcome(_stepwise_supersolution, prob, kappa)
-        assert _outcome(gagliardo_supersolution, prob, kappa)[0] == key
-        start = ref.u if ref is not None else np.ones(n)
-        assert (_outcome(monotone_solution, prob, start)[0]
-                == _outcome(_stepwise_monotone, prob, start)[0])
-
-
 def _assert_agree(found, ref):
     """``_outcome`` pairs: the same exception, RuntimeWarning included, or the
     same status with ``u`` and ``lq_norm`` within 1e-9 relative wherever both are
-    finite and at least 1e-300 (below that, subnormal rounding decides them)."""
+    finite and at least 1e-300 (below that, subnormal rounding decides them).
+    A ``diverged`` result compares its status and ``lq_norm`` only: its ``u`` is
+    an iterate, of the plain loop or of the solver."""
     (key, res), (ref_key, want) = found, ref
     if res is None or want is None:
         assert key == ref_key
         return
     assert res.status == want.status
-    for a, b in ((res.u, want.u), (np.array([res.lq_norm]), np.array([want.lq_norm]))):
+    pairs = [(np.array([res.lq_norm]), np.array([want.lq_norm]))]
+    if want.status != "diverged":
+        pairs.append((res.u, want.u))
+    for a, b in pairs:
         assert (np.isfinite(a) == np.isfinite(b)).all()
         big = np.isfinite(b) & (np.minimum(np.abs(a), np.abs(b)) >= 1e-300)
         np.testing.assert_allclose(a[big], b[big], rtol=1e-9, atol=0.0)
@@ -1596,17 +1558,27 @@ def _assert_agree(found, ref):
 @example(2, 2527363463, True, True, False, -193.64410806560448, 0.6240371105056759, -1.034279359727695)
 @example(2, 1486910209, True, False, False, -176.812451130728, 0.9250690452056116, -1.2911144505009333)
 @example(1, 0, False, False, False, -163.0, 0.5, -1.0)
+@example(1, 1886966261, True, False, False, -12.136, 0.943, -1.952)
 def test_newton_loops_agree_with_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
-    # Newton on, against the plain loops of the oracles.  The first two examples
-    # reach a potential (the first) or an iterate (the second) that vanishes on
-    # supp sigma, where Newton's arithmetic meets 0 / 0 and must decline without
-    # a warning; the third has a solution below the least subnormal, where
-    # Newton must decline and leave the status to the plain loop
+    # the log-space solves against the plain loops of the oracles.  The first two
+    # examples reach a potential (the first) or an iterate (the second) that
+    # vanishes on supp sigma, so the solver meets a zero Jacobian row and must
+    # not warn; the third has a solution below the least subnormal; the fourth
+    # starts the monotone solve 1.2e218 times above the solution.  Where the
+    # monotone oracle reads degenerate only because its iterates underflowed,
+    # log u is finite at each of its zeros and the solve reads solution
     prob, kappa = _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack)
     ref = _outcome(_stepwise_supersolution, prob, kappa)
     _assert_agree(_outcome(gagliardo_supersolution, prob, kappa), ref)
     start = ref[1].u if ref[1] is not None else np.ones(n)
-    _assert_agree(_outcome(monotone_solution, prob, start), _outcome(_stepwise_monotone, prob, start))
+    found, want = _outcome(monotone_solution, prob, start), _outcome(_stepwise_monotone, prob, start)
+    res, oracle, supp = found[1], want[1], prob.sigma.support
+    if res is not None and oracle is not None and oracle.status == "degenerate" \
+            and np.isfinite(res.log_u[supp][oracle.u[supp] == 0.0]).all():
+        assert res.status == "solution"
+        event("the oracle's degenerate status came from underflow")
+        return
+    _assert_agree(found, want)
 
 
 def _verdict_table_input(i):
@@ -1646,11 +1618,8 @@ def test_solve_equation_agrees_with_the_fixed_point_loops():
         assert (res.status, res.witness) == (sol.status, sol.witness)
         degenerate += res.status == "degenerate"
         assert (res.u == 0.0).tolist() == (sol.u == 0.0).tolist()
-        # a degenerate limit keeps the monotone loop's CONV_TOL: its Newton finish
-        # declines where u vanishes on supp sigma
-        rtol = 1e-13 if sol.status == "solution" else CONV_TOL / (1.0 - prob.q)
         pos = res.u > 0.0
-        np.testing.assert_allclose(res.u[pos], sol.u[pos], rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(res.u[pos], sol.u[pos], rtol=1e-13, atol=0.0)
         with np.errstate(divide="ignore"):
             np.testing.assert_allclose(np.exp(res.log_u), res.u, rtol=0.0, atol=0.0)
         assert res.iterations <= 6 and res.residual <= 1e-14 and 0.0 < res.delta <= 1e-12
@@ -1702,16 +1671,58 @@ def test_the_zero_set_comes_from_the_zero_pattern():
         assert (res.u[[0, 1, 2, 5]] > 0.0).all() == (t == 1.0)
 
 
+def test_the_monotone_solve_keeps_the_zeros_of_its_start():
+    # G = I: (1, 0) is a supersolution, indeed a solution, and the descent from
+    # it stays there; the equation's positive solution is (1, 1)
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, np.eye(2)), Measure(s, [1.0, 1.0]), 0.5)
+    res = monotone_solution(prob, [1.0, 0.0])
+    assert (res.status, res.u.tolist(), res.witness) == ("degenerate", [1.0, 0.0], (1,))
+    np.testing.assert_allclose(solve_equation(prob)[0].u, [1.0, 1.0], rtol=1e-15)
+
+
+def test_the_monotone_solve_from_a_positive_start_is_the_equation_s():
+    # from a positive supersolution the descent's limit is u*, bit for bit the
+    # solve_equation's, and at most the start
+    for i in range(0, 40, 3):
+        prob = _round_trip_input(i)
+        kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
+        for start in (gagliardo_supersolution(prob, kappa).u, solve_equation(prob)[0].u):
+            res = monotone_solution(prob, start)
+            assert res.status == "solution" and (start > 0).all()
+            assert res.u.tobytes() == solve_equation(prob)[0].u.tobytes()
+            assert (res.u <= start * (1.0 + 1e-12)).all()
+
+
+def test_the_local_route_survives_a_modifier_below_1e_162():
+    # modify_kernel divides twice by sqrt(m(x) m(y)): np.outer(m, m) underflowed
+    # to 0 below m = 1e-162 and a zero entry read 0/0 = nan.  At t = 1e-200 the
+    # modified constant, about 4e-400, underflows to 0, and the route still
+    # solves in logs; at 1e-300 the modified sigma, g^(1+q) sigma, is 0
+    s = Space.of_size(2)
+    for t, verdict in ((1e-100, "CONFIRMED"), (1e-200, "CONFIRMED"), (1e-300, "NOT-APPLICABLE")):
+        kernel = Kernel(s, [[t, t], [t, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mod = modify_kernel(kernel, [t, t]).kernel.entries
+            row = theorem_report(SublinearProblem(kernel, Measure(s, [1.0, 1.0]), 0.5)
+                                 ).row("local_solution_route")
+        assert mod[1, 1] == 0.0 and np.isfinite(mod).all()
+        assert row.verdict == verdict
+    assert row.details["reason"] == "modified constant is infinite"
+
+
 def test_a_degenerate_norm_route_keeps_the_loops_supersolution():
-    # where u vanishes on supp sigma the upper end still comes from the loops'
-    # supersolution, to the bit
+    # where u vanishes on supp sigma the upper end still comes from the relaxed
+    # supersolution, to the bit; its L^q norm is 6.86903116222534790... to 50
+    # digits (the relaxed map iterated in mpmath from the same kappa)
     s = Space.of_size(3)
     prob = SublinearProblem(Kernel(s, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),
                             Measure(s, [1.0, 0.7, 0.4]), 0.5)
     assert solve_equation(prob)[0].status == "degenerate"
     est = strong_type_constant(prob)
-    assert est.upper == 10.483534642257931
-    assert est.extras["norm_route_lq"] == 6.869031162213883
+    assert est.upper == 10.48353464226668
+    assert est.extras["norm_route_lq"] == 6.8690311622253475
 
 
 def test_the_norm_route_and_the_solve_fit_at_sigma_times_1e100():
