@@ -6,12 +6,13 @@ The pipeline realized here:
   strong-type constant (:func:`gagliardo_supersolution`);
 * descend monotonically from it to a solution (:func:`monotone_solution`), or
   solve the equation outright, with a Thompson-metric enclosure
-  (:func:`solve_equation`, and the strong constant's norm route); one
-  solver, Newton steps in logs (:func:`_fixed_point`), finds both fixed
-  points, of the relaxed map and of ``u -> G(u^q sigma)`` (:func:`_log_solve`);
+  (:func:`solve_equation`); one solver, Newton steps in logs
+  (:func:`_fixed_point`), finds both fixed points, of the relaxed map and of
+  ``u -> G(u^q sigma)`` (:func:`_log_solve`), and all three return ``log u``;
 * estimate the best constants of the strong and weak (1, q) inequalities
-  with explicit witness measures and certified bounds
-  (:func:`strong_type_constant`, :func:`weak_type_constant`);
+  with explicit witness measures and certified bounds, the strong upper end
+  from a supersolution's norm in logs (:func:`strong_type_constant`,
+  :func:`_norm_route`, :func:`weak_type_constant`);
 * evaluate the energy integrals of the background measure and the
   quantitative inequalities relating them to solutions
   (:func:`energy_criteria`, :func:`maurey_verify`);
@@ -116,11 +117,11 @@ class SublinearProblem:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A (super)solution of ``u = G(u^q sigma)``.  From :func:`solve_equation`
-    and :func:`monotone_solution`, ``residual`` is ``max |log G(u^q sigma) -
-    log u|`` on the points solved for and ``e^-delta u <= u* <= e^delta u``;
-    :func:`gagliardo_supersolution` reports ``max |u - G(u^q sigma)|`` on
-    ``supp sigma`` and leaves ``log_u`` and ``delta`` None."""
+    """A (super)solution of ``u = G(u^q sigma)`` and ``log_u = log u`` (None on a
+    relaxed iterate that diverged); ``residual`` is ``max |log G(u^q sigma) - log u|``
+    on the points solved for (``supp sigma`` for :func:`gagliardo_supersolution`).
+    From :func:`solve_equation` and :func:`monotone_solution`,
+    ``e^-delta u <= u* <= e^delta u``; the relaxed supersolution's ``delta`` is None."""
     u: np.ndarray
     status: str  # "solution" | "supersolution" | "degenerate" | "diverged"
     residual: float
@@ -200,9 +201,9 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     ``R(phi) = psi + gain (G(phi sigma))^q``, ``gain = 1 / ((1+relax) kappa^q)``,
     from the constant function ``psi`` of mass ``relax/(1+relax)``, has
     entrywise nondecreasing iterates with mass at most 1 for a valid
-    ``kappa``, and the rescaled fixed point ``u = (c phi)^{1/q}`` with
-    ``c = ((1+relax) kappa^q)^{1/(1-q)}`` is a supersolution whose q-th power
-    has mass at most ``c``.  One checked step ``phi = R(psi)`` comes first:
+    ``kappa``, and the rescaled fixed point ``u = (c phi)^{1/q}``,
+    ``c = gain^{-1/(1-q)}``, is a supersolution whose q-th power has mass at
+    most ``c``.  One checked step ``phi = R(psi)`` comes first:
     ``psi sigma`` passes a ``Measure``'s checks, and an iterate that is not
     finite on ``supp sigma``, or of mass above ``1 + 1e-8``, returns as status
     ``diverged``.  Then :func:`_fixed_point` finds the fixed point on
@@ -212,10 +213,11 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     row where the potential vanishes).  ``R`` is subhomogeneous of degree
     ``q``, so the fixed point exists and the iterates rise to it; one of mass
     above ``1 + 1e-8`` (``kappa`` too small) returns as ``diverged``, and so
-    does a solve that does not settle.  The supersolution property is
-    re-verified on ``u``; a failed verification (an invalid ``kappa``) comes
+    does a solve that does not settle.  ``log u`` and the re-check
+    ``log G(u^q sigma) <= log u`` on every point (``+inf`` on both sides
+    passes) are taken in logs; a failed re-check (an invalid ``kappa``) comes
     back as status ``diverged``.  ``iterations`` counts the first plain step
-    and the Newton steps.  A ``kappa`` whose scale ``c`` does not fit a float
+    and the Newton steps.  A ``u`` that does not fit a float (its log does)
     raises :class:`DomainError`.
     """
     _require_sublinear(problem.q)
@@ -226,14 +228,8 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     if mass == 0:
         raise DomainError("sigma must have positive total mass")
     n = kernel.size
-
-    try:
-        scale = ((1.0 + RELAX) * kappa**q) ** (1.0 / (1.0 - q))
-    except OverflowError:
-        raise DomainError("the solution's scale ((1 + RELAX) kappa^q)^(1/(1-q)) "
-                          "does not fit a float") from None
     if kappa == 0.0:
-        return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0)
+        return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0, (), np.full(n, -np.inf))
 
     psi = RELAX / ((1.0 + RELAX) * mass)
     gain = 1.0 / ((1.0 + RELAX) * kappa**q)
@@ -261,21 +257,21 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
                 return f, np.where(np.isfinite(a)[:, None], (q * np.exp(a - f))[:, None] * M, 0.0)
 
             x, done, steps = _fixed_point(image, np.log(phi[supp]), q, floor)
-            phi = np.exp(np.logaddexp(log_psi, log_gain + q * _log_sum_exp(L + x)[0]))
-            phi[supp] = np.exp(x)
+            log_phi = np.logaddexp(log_psi, log_gain + q * _log_sum_exp(L + x)[0])
+            log_phi[supp] = x
+            phi = np.exp(log_phi)
     if not fits(phi):
         return SolveResult(phi, "diverged", float("inf"), 1 + steps, float("inf"))
 
-    status = "supersolution" if done else "diverged"
-    u = (scale * phi) ** (1.0 / q)
-    rhs = _apply(kernel, u**q, sigma)
-    # where both sides are +inf the supersolution inequality holds
-    gap = np.subtract(u, rhs, out=np.zeros(n), where=~(np.isinf(u) & np.isinf(rhs)))
-    bad = (gap < -1e-9 * np.maximum(1.0, np.abs(u))) & np.isfinite(u)
-    if status == "supersolution" and bad.any():
-        status = "diverged"
-    residual = float(np.abs(gap[supp]).max())  # mass > 0: supp sigma is not empty
-    return SolveResult(u, status, residual, 1 + steps, lp_norm(u, sigma, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_u = (log_phi - log_gain / (1.0 - q)) / q
+        gap = _log_sum_exp(L + q * log_u[supp])[0] - log_u  # nan where both sides are +inf
+        u = np.exp(log_u)
+    if np.isinf(u[np.isfinite(log_u)]).any():
+        raise DomainError("the supersolution u does not fit a float (its log does)")
+    status = "supersolution" if done and not (gap > 1e-9).any() else "diverged"
+    return SolveResult(u, status, float(np.abs(gap[supp]).max()), 1 + steps,
+                       _exp(_log_norm(log_u, sigma, q)), (), log_u)
 
 
 def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
@@ -309,7 +305,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     slack = rhs[supp] - u0[supp]
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
-    sol = _log_solve(problem, u0[supp] > 0)[0]
+    sol = _log_solve(problem, u0[supp] > 0)
     return replace(sol, iterations=1 + sol.iterations, lq_norm=lp_norm(sol.u, sigma, q))
 
 
@@ -327,7 +323,7 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     if not np.isfinite(est.lower):
         u = np.full(problem.kernel.size, np.inf)
         return SolveResult(u, "diverged", float("inf"), 0, float("inf"), (), u, float("inf")), est
-    sol = _log_solve(problem)[0]
+    sol = _log_solve(problem)
     if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
         raise DomainError("the solution u does not fit a float (its log does)")
     return sol, est
@@ -351,9 +347,18 @@ def _log_sum_exp(z):
     return np.where(np.isfinite(m), m + np.log(s), m), E / s[:, None]
 
 
-def _log_solve(problem: SublinearProblem, live=None) -> tuple[SolveResult, float]:
-    """``u = G(u^q sigma)`` by Newton in ``v = log u``, and the log of its norm;
-    ``G`` must be finite from ``supp sigma`` to the points solved for.
+def _log_norm(log_u, sigma: Measure, q: float) -> float:
+    """``log |u|_q`` in ``L^q(sigma)`` from ``log u``, by log-sum-exp over the terms
+    of ``supp sigma`` above ``-inf``."""
+    supp = sigma.support
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = q * log_u[supp] + np.log(sigma.weights[supp])
+        return float(_log_sum_exp(z[z > -np.inf][None, :])[0][0]) / q
+
+
+def _log_solve(problem: SublinearProblem, live=None) -> SolveResult:
+    """``u = G(u^q sigma)`` by Newton in ``v = log u``; ``G`` must be finite from
+    ``supp sigma`` to the points solved for.
 
     ``u* > 0`` on the points ``P`` of ``supp sigma`` whose positive entries reach
     a cycle there, found by peeling from the zero pattern, never from underflow;
@@ -401,21 +406,11 @@ def _log_solve(problem: SublinearProblem, live=None) -> tuple[SolveResult, float
         log_u = _log_sum_exp(L + q * v)[0]
         log_u[P] = v
         u = np.exp(log_u)
-        log_lq = float(_log_sum_exp((q * v + log_w)[None, :])[0][0]) / q
     zeros = supp[~live]
     status = "degenerate" if zeros.size else "solution" if done else "supersolution"
     witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, steps, _exp(log_lq), witness, log_u, delta), log_lq
-
-
-def _solve_from(problem: SublinearProblem, kappa: float):
-    """``(sup, sol, usable)``: the supersolution from ``kappa``, its limit (None
-    if no sup), and the solution, else the supersolution, else None."""
-    sup = gagliardo_supersolution(problem, kappa)
-    if sup.status != "supersolution":
-        return sup, None, None
-    sol = monotone_solution(problem, sup.u)
-    return sup, sol, (sol if sol.status == "solution" else sup)
+    return SolveResult(u, status, residual, steps, _exp(_log_norm(log_u, sigma, q)), witness,
+                       log_u, delta)
 
 
 def _wmp_factor(wmp) -> float:
@@ -426,13 +421,15 @@ def _wmp_factor(wmp) -> float:
     return wmp.upper if np.isfinite(wmp.upper) else wmp.constant
 
 
-def _norm_route(wmp, a: float, q: float, usable: SolveResult | None) -> float | None:
-    """Strong-type bound ``h (1-q)^{-1/q} |u|_q^{1-q}`` from ``u = usable``, or None
-    unless its hypotheses hold: a (super)solution, the weak maximum principle
-    (``h`` from :func:`_wmp_factor`) and a finite quasi-symmetry constant ``a``."""
-    if usable is None or not wmp.holds or not np.isfinite(a):
-        return None
-    return _wmp_factor(wmp) * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
+def _norm_route(wmp, problem: SublinearProblem, sol: SolveResult) -> tuple[float, float]:
+    """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}`` and the norm
+    ``|e^delta u|_q``, in logs, from ``sol`` (``delta`` read as 0 where None): the
+    log solve, or the relaxed supersolution where that is degenerate.  Callers
+    check the weak maximum principle and quasi-symmetry; ``h`` is :func:`_wmp_factor`'s."""
+    q = problem.q
+    log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
+    return (_exp(math.log(_wmp_factor(wmp)) - math.log1p(-q) / q + (1.0 - q) * log_lq),
+            _exp(log_lq))
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +556,13 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     ``certificate_gap`` is the gap in ``F``).  Extras ``mode`` is ``exact``
     when that gap is at most ``ASCENT_TOL * F``, ``sampled`` when the ascent
     stopped first, at ``ASCENT_CAP`` steps or where no step rises, and
-    ``heuristic`` when the certificate is infinite.  The reported ``upper``
-    is the norm-route bound ``h (1-q)^{-1/q} |u|_q^{1-q}``, in logs, with the
-    weak-maximum-principle constant ``h`` and the supersolution ``e^delta u``
-    of :func:`solve_equation`'s solve (extras ``norm_route_lq``), or the
-    relaxed supersolution's where ``u`` vanishes on ``supp sigma``.  It is
-    infinite unless the weak maximum principle holds and the kernel is
-    quasi-symmetric.  ``seed`` no longer changes the result.  For ``q >= 1``
+    ``heuristic`` when the certificate is infinite (a positive one whose ``1/q``
+    power underflows reads the least positive float).  ``upper`` is 0 where
+    ``F`` is, else :func:`_norm_route`'s bound ``h (1-q)^{-1/q} |u|_q^{1-q}``
+    from the supersolution ``e^delta u`` of :func:`solve_equation`'s solve
+    (extras ``norm_route_lq``), or the relaxed one where ``u`` vanishes on
+    ``supp sigma``; infinite unless the weak maximum principle holds and the
+    kernel is quasi-symmetric.  ``seed`` no longer changes the result.  For ``q >= 1``
     the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
     attained at a point mass.
     """
@@ -611,6 +608,8 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         cert_upper = cert ** (1.0 / q)
     except OverflowError:  # read as infinite: the mode is then heuristic
         cert_upper = float("inf")
+    if cert_upper == 0.0 < cert:  # the power underflowed: the least positive float bounds it
+        cert_upper = math.ulp(0.0)
     gap = cert - F
     mode = ("heuristic" if not np.isfinite(cert_upper)
             else "exact" if _closed(F, cert) else "sampled")
@@ -618,25 +617,20 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
                     "certificate_gap": gap}
 
     upper = float("inf")
-    if lower == 0.0:
+    if F == 0.0:
         upper = 0.0
     elif with_upper:
         wr = wmp_constant(kernel, budget=budget)
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
         a = check_quasisymmetric(kernel)
-        lq = float("inf")
         if wr.holds and np.isfinite(a):  # no solve where the route cannot apply
-            sol, log_lq = _log_solve(problem)
-            if sol.status != "degenerate":  # the supersolution e^delta u, in logs
-                log_lq += sol.delta
-                upper = _exp(math.log(_wmp_factor(wr)) - math.log1p(-q) / q + (1.0 - q) * log_lq)
-                lq = _exp(log_lq)
-            else:  # the relaxed supersolution
+            sol = _log_solve(problem)
+            if sol.status == "degenerate":  # the relaxed supersolution
                 kappa = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
-                sup = gagliardo_supersolution(problem, kappa)
-                if sup.status == "supersolution" and np.isfinite(sup.lq_norm):
-                    upper, lq = _norm_route(wr, a, q, sup), sup.lq_norm
+                sol = gagliardo_supersolution(problem, kappa)
+            if sol.status != "diverged":
+                upper, lq = _norm_route(wr, problem, sol)
         if np.isfinite(upper):
             extras["norm_route_lq"] = lq
 
@@ -1170,7 +1164,9 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     ends; the best sets, ``content`` and the quasimetric balls of the
     standalone functions are not computed here.  ``constants["modes"]``
     holds the mode of the WMP search, the strong constant and each subset
-    search that ran.  ``seed`` no longer changes the result.
+    search that ran.  The descent from the (positive) relaxed supersolution is
+    :func:`_log_solve`'s, and the norm-route row takes :func:`_norm_route`'s
+    bound, the strong constant's ``upper``.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -1200,10 +1196,13 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
 
     sol = usable = None
     if np.isfinite(kappa_cert) and sigma.total > 0:
-        sup, sol, usable = _solve_from(problem, kappa_cert)
+        sup = gagliardo_supersolution(problem, kappa_cert)
         rows.append(_row("strong_to_supersolution", sup.status == "supersolution",
                          {"kappa": kappa_cert, "slack": sup.residual,
                           "lq_norm": sup.lq_norm}))
+        if sup.status == "supersolution":  # the descent from it ends at the log solve
+            sol = _log_solve(problem)
+            usable = sup if sol.status == "degenerate" else sol
     else:
         rows.append(_na("strong_to_supersolution",
                         "strong-type constant is infinite" if sigma.total > 0
@@ -1219,8 +1218,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("supersolution_to_solution", "no supersolution available"))
 
-    bound = _norm_route(wmp, a, q, usable)
-    if bound is not None:
+    if usable is not None and wmp.holds and np.isfinite(a):
+        bound = _norm_route(wmp, problem, usable)[0]
         constants["norm_route_upper"] = bound
         rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "upper": bound}))
@@ -1332,7 +1331,7 @@ def _local_route_row(problem):
     kap = sub_strong.extras["certified_upper"]
     if not np.isfinite(kap) or sub_sigma.total == 0:
         return _na("local_solution_route", "modified constant is infinite")
-    sol = _log_solve(sub_problem)[0]  # in logs: kap itself may underflow to 0
+    sol = _log_solve(sub_problem)  # in logs: kap itself may underflow to 0
     if sol.status != "solution":
         return VerdictRow("local_solution_route", "VIOLATED",
                           {"modified_status": sol.status})

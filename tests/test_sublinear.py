@@ -563,10 +563,9 @@ def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
     assert ("norm_route_lq" in est.extras) == np.isfinite(upper)
     row = theorem_report(prob).row("supersolution_to_strong")
     if np.isfinite(upper):
-        # the report's route takes the monotone solve's u, the constant's the
-        # enclosing supersolution e^delta u of solve_equation's solve
+        # both routes take the enclosing supersolution e^delta u of the log solve
         assert row.verdict == "CONFIRMED"
-        assert row.details["upper"] == pytest.approx(est.upper, rel=1e-13, abs=0.0)
+        assert row.details["upper"] == est.upper
     else:
         assert (row.verdict, row.details["reason"]) == (
             "NOT-APPLICABLE", "needs the weak maximum principle and quasi-symmetry")
@@ -1291,11 +1290,10 @@ def test_inner_loops_build_no_measure_per_step(monkeypatch):
 
 
 def test_weights_that_overflow_still_raise():
-    # u = (c phi)^(1/q) overflows at q = 0.01, so the weights u^q sigma of the
-    # verification are +inf on supp sigma, which no measure holds
+    # u = (c phi)^(1/q), about 1e909, overflows at q = 0.01 while log u fits
     s = Space.of_size(1)
     prob = SublinearProblem(Kernel(s, [[1.0]]), Measure(s, [1e-10]), 0.01)
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="contains infinite"):
+    with pytest.raises(DomainError, match="does not fit a float"):
         gagliardo_supersolution(prob, 1e10)
     # the start's weights overflow where the kernel column vanishes, so its
     # potential alone would pass the supersolution check
@@ -1306,7 +1304,7 @@ def test_weights_that_overflow_still_raise():
 
 
 def test_a_scale_that_overflows_raises_a_domain_error():
-    # c = ((1 + RELAX) kappa^q)^(1/(1-q)) = (1.1e120)^5 does not fit a float
+    # c = ((1 + RELAX) kappa^q)^(1/(1-q)) = (1.1e120)^5, so u does not fit a float
     s = Space.of_size(1)
     prob = SublinearProblem(Kernel(s, [[1e150]]), Measure(s, [1.0]), 0.8)
     with pytest.raises(DomainError, match="does not fit a float"):
@@ -1359,7 +1357,10 @@ def test_array_path_matches_the_measure_path_on_fuzzed_kernels(monkeypatch):
         cases.append((prob, kappa if np.isfinite(kappa) else 1.0))
 
     def solved(prob, kappa):
-        return [r.u.tobytes() for r in sublinear._solve_from(prob, kappa)[:2] if r is not None]
+        sup = gagliardo_supersolution(prob, kappa)
+        if sup.status != "supersolution":
+            return [sup.u.tobytes()]
+        return [sup.u.tobytes(), monotone_solution(prob, sup.u).u.tobytes()]
 
     def weak(prob):
         ests = [weak_type_constant(SublinearProblem(prob.kernel, prob.sigma, q))
@@ -1559,17 +1560,35 @@ def _assert_agree(found, ref):
 @example(2, 1486910209, True, False, False, -176.812451130728, 0.9250690452056116, -1.2911144505009333)
 @example(1, 0, False, False, False, -163.0, 0.5, -1.0)
 @example(1, 1886966261, True, False, False, -12.136, 0.943, -1.952)
+@example(1, 0, False, False, False, 154.0, 0.5, 1.0)
+@example(3, 3091987258, False, True, True, -113.91273313481057, 0.7745493498305087, 0.8910126185349125)
+@example(7, 1186410981, True, False, False, 112.0, 0.6331945144932148, -0.1315825349917632)
 def test_newton_loops_agree_with_the_checked_loops(n, seed, zeros, infs, partial, exponent, q, slack):
     # the log-space solves against the plain loops of the oracles.  The first two
     # examples reach a potential (the first) or an iterate (the second) that
     # vanishes on supp sigma, so the solver meets a zero Jacobian row and must
     # not warn; the third has a solution below the least subnormal; the fourth
-    # starts the monotone solve 1.2e218 times above the solution.  Where the
-    # monotone oracle reads degenerate only because its iterates underflowed,
+    # starts the monotone solve 1.2e218 times above the solution; in the fifth
+    # u = (c phi)^(1/q) overflows, and the oracle's float power with it.  The
+    # oracle's float u underflows to 0 in the sixth, so its check meets 0 * inf,
+    # and its L^q norm overflows in the seventh: log u fits in both.  Where
+    # the monotone oracle reads degenerate only because its iterates underflowed,
     # log u is finite at each of its zeros and the solve reads solution
     prob, kappa = _fuzzed_problem(n, seed, zeros, infs, partial, exponent, q, slack)
     ref = _outcome(_stepwise_supersolution, prob, kappa)
-    _assert_agree(_outcome(gagliardo_supersolution, prob, kappa), ref)
+    found = _outcome(gagliardo_supersolution, prob, kappa)
+    too_big = (DomainError, "the supersolution u does not fit a float (its log does)")
+    scale = "the solution's scale ((1 + RELAX) kappa^q)^(1/(1-q)) does not fit a float"
+    if ref[0] == (RuntimeWarning, "overflow encountered in power"):  # the oracle's u overflowed
+        assert found[0] == too_big
+    elif ref[0] == (DomainError, scale):  # checked before the oracle's loop, which may diverge
+        assert found[0] == too_big or found[1].status == "diverged"
+    elif ref[0][0] is RuntimeWarning:  # its u underflowed or its norm overflowed
+        res = found[1]
+        assert res.status == "supersolution" and np.isfinite(res.log_u[prob.sigma.support]).all()
+        assert (res.u == 0.0).any() or res.lq_norm == np.inf
+    else:
+        _assert_agree(found, ref)
     start = ref[1].u if ref[1] is not None else np.ones(n)
     found, want = _outcome(monotone_solution, prob, start), _outcome(_stepwise_monotone, prob, start)
     res, oracle, supp = found[1], want[1], prob.sigma.support
@@ -1614,7 +1633,7 @@ def test_solve_equation_agrees_with_the_fixed_point_loops():
             warnings.simplefilter("error", RuntimeWarning)
             res = solve_equation(prob)[0]
         kappa = strong_type_constant(prob, with_upper=False).extras["certified_upper"]
-        sol = sublinear._solve_from(prob, kappa)[1]
+        sol = monotone_solution(prob, gagliardo_supersolution(prob, kappa).u)
         assert (res.status, res.witness) == (sol.status, sol.witness)
         degenerate += res.status == "degenerate"
         assert (res.u == 0.0).tolist() == (sol.u == 0.0).tolist()
@@ -1642,7 +1661,7 @@ def test_log_solve_is_free_of_scale(n, seed, partial, exponent, q):
     t = 10.0**exponent
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        base, scaled = sublinear._log_solve(prob)[0], sublinear._log_solve(prob.scaled(t))[0]
+        base, scaled = sublinear._log_solve(prob), sublinear._log_solve(prob.scaled(t))
     assert (scaled.status, scaled.witness) == (base.status, base.witness)
     assert base.status in ("solution", "degenerate")
     shift = math.log(t) / (1.0 - q)
@@ -1712,17 +1731,50 @@ def test_the_local_route_survives_a_modifier_below_1e_162():
     assert row.details["reason"] == "modified constant is infinite"
 
 
+def test_a_solution_below_the_float_range_is_confirmed():
+    # u* is about 1e-400: the relaxed supersolution's u underflows to 0 while its
+    # log fits, and the report reads the log solve, not a descent from u = 0
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1e-200, 1e-200], [1e-200, 0.0]]),
+                            Measure(s, [1.0, 1.0]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = theorem_report(prob)
+        sup = gagliardo_supersolution(prob, rep.constants["strong_certified"])
+    assert rep.verdict("supersolution_to_solution") == "CONFIRMED"
+    assert rep.verdict("degenerate_dichotomy") == "CONFIRMED"
+    assert sup.status == "supersolution" and (sup.u == 0.0).all()
+    assert np.isfinite(sup.log_u).all()
+
+
+def test_a_constant_below_the_float_range_keeps_a_positive_upper_end():
+    # the local route's modified problem for G = [[t, t], [t, 0]] at t = 1e-200:
+    # F = 2e-200, so the constant is 4e-400.  lower underflows to 0, the certified
+    # upper end reads the least positive float, and the bracket stays exact
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1e200, 1e200], [1e200, 0.0]]),
+                            Measure(s, [1e-300, 1e-300]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = strong_type_constant(prob)
+    assert est.extras["objective"] == pytest.approx(2e-200, rel=1e-15)
+    assert (est.lower, est.extras["certified_upper"]) == (0.0, math.ulp(0.0))
+    assert est.extras["mode"] == "exact"
+    assert est.upper == np.inf  # the WMP fails: no norm route
+
+
 def test_a_degenerate_norm_route_keeps_the_loops_supersolution():
     # where u vanishes on supp sigma the upper end still comes from the relaxed
-    # supersolution, to the bit; its L^q norm is 6.86903116222534790... to 50
-    # digits (the relaxed map iterated in mpmath from the same kappa)
+    # supersolution, to the bit, in logs; its L^q norm is 6.86903116222534790...
+    # to 50 digits (the relaxed map iterated in mpmath from the same kappa)
     s = Space.of_size(3)
     prob = SublinearProblem(Kernel(s, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),
                             Measure(s, [1.0, 0.7, 0.4]), 0.5)
     assert solve_equation(prob)[0].status == "degenerate"
     est = strong_type_constant(prob)
-    assert est.upper == 10.48353464226668
-    assert est.extras["norm_route_lq"] == 6.8690311622253475
+    assert est.upper == 10.483534642266678
+    assert est.extras["norm_route_lq"] == 6.869031162225347
+    assert abs(est.extras["norm_route_lq"] - 6.86903116222534790) <= 2 * math.ulp(6.869)
 
 
 def test_the_norm_route_and_the_solve_fit_at_sigma_times_1e100():
@@ -1749,14 +1801,14 @@ def test_log_solve_falls_back_to_the_contraction(monkeypatch):
     # from the start settles instead; cut at 3 steps it returns the enclosing
     # supersolution e^delta u, with delta doubled to enclose u* from below too
     prob = _round_trip_input(5)
-    full = sublinear._log_solve(prob)[0]
+    full = sublinear._log_solve(prob)
     monkeypatch.setattr(sublinear, "NEWTON_STEPS", 2)
-    res = sublinear._log_solve(prob)[0]
+    res = sublinear._log_solve(prob)
     assert res.status == "solution" and res.iterations > 4
     assert (np.abs(res.log_u - full.log_u) <= res.delta + full.delta).all()  # both enclose u*
     monkeypatch.setattr(sublinear, "NEWTON_STEPS", 0)
     monkeypatch.setattr(sublinear, "ITER_CAP", 3)
-    cut = sublinear._log_solve(prob)[0]
+    cut = sublinear._log_solve(prob)
     assert (cut.status, cut.iterations) == ("supersolution", 3)
     assert _supersolution_in_float(prob, cut.u)
     assert (cut.log_u - cut.delta <= full.log_u).all() and (full.log_u <= cut.log_u).all()
