@@ -13,8 +13,8 @@ for the three structural bounds
 and optionally writes the per-instance table to CSV.
 
 The WMP constant is the one the strong-constant estimate computes; above 14
-points it is a sampled lower bound.  Each instance is solved once: the
-strong upper bound takes its norm route through the survey's own solution.
+points it is a sampled lower bound.  The strong upper bound is the
+package's certified one, ``strong_type_constant(problem).upper``.
 
 Usage:
   python scripts/metric_kernel_survey.py --count 50 --seed 0
@@ -32,7 +32,6 @@ from potbench import (
     Measure,
     Space,
     SublinearProblem,
-    check_quasisymmetric,
     gagliardo_supersolution,
     monotone_solution,
     quasimetric_constant,
@@ -51,19 +50,12 @@ def survey_instance(rng, n, power, q):
     problem = SublinearProblem(kernel, sigma, q)
 
     qm = quasimetric_constant(kernel)
-    # the relaxed iteration from the certified kappa, as the paper builds it;
-    # the norm route goes through this solution, so ask for the bracket alone
-    est = strong_type_constant(problem, with_upper=False)
+    # the relaxed iteration from the certified kappa, as the paper builds it
+    est = strong_type_constant(problem)
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)
     sol = monotone_solution(problem, sup.u)
-    wr = wmp_constant(kernel)
-    wmp = wr.constant
-    usable = (sol if sol.status == "solution" else sup) if sup.status == "supersolution" else None
-    upper = est.upper
-    if (est.lower > 0 and usable is not None and wr.holds
-            and np.isfinite(check_quasisymmetric(kernel)) and np.isfinite(usable.lq_norm)):
-        upper = wmp * (1.0 - q) ** (-1.0 / q) * usable.lq_norm ** (1.0 - q)
+    wmp = wmp_constant(kernel).constant
     weak = weak_type_constant(problem)
 
     return {
@@ -72,7 +64,7 @@ def survey_instance(rng, n, power, q):
         "wmp": wmp,
         "wmp_margin": wmp / (2.0 * qm.kappa),
         "strong_lower": est.lower,
-        "strong_upper": upper,
+        "strong_upper": est.upper,
         "certified": kappa,
         "solution_status": sol.status,
         "solution_norm": sol.lq_norm,

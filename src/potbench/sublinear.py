@@ -91,8 +91,7 @@ __all__ = [
 GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RELAX = 0.1  # relaxation of gagliardo_supersolution
 CONV_TOL = 1e-12
-ITER_CAP = 100_000
-NEWTON_STEPS = 40  # Newton steps of _fixed_point before it falls back to the plain contraction
+NEWTON_STEPS = 40  # Newton steps of _fixed_point; at the cap the solve ends unsettled
 SOLVE_TOL = 1e-14  # _fixed_point ends at a step this small relative to the logs in play
 POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
 REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
@@ -156,20 +155,16 @@ def _apply(kernel: Kernel, v, sigma: Measure) -> np.ndarray:
 def _fixed_point(image, x, q: float, floor: float):
     """A fixed point of a map ``f`` with ``|f'|_inf <= q < 1``, the package's one
     fixed-point solver: ``(x, settled, steps)``.  ``image(x)`` returns ``f(x)`` and
-    ``f'(x)``.  Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` run from ``x``;
-    ``I - f'(x)`` is strictly diagonally dominant.  They stop once a step moves
+    ``f'(x)``.  Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` run from ``x``.
+    Each map served is a convex log-sum-exp and ``I - f'(x)``, strictly diagonally
+    dominant, is an M-matrix, so the steps converge monotonically from any start
+    (Ortega and Rheinboldt 1970, 13.3.4).  They stop once a step moves
     ``x`` by at most ``SOLVE_TOL max(floor, |x|) / (1-q)``, with ``floor`` the
     largest of 1 and the ``|log|`` values the caller's map reads: rounding
     moves ``x`` by about ``eps`` of that over ``1-q``.  A step that is not finite, or
-    ``NEWTON_STEPS`` steps, hand over to the plain contraction ``x <- f(x)``
-    from the start, up to ``ITER_CAP`` steps.  Callers silence the float
-    warnings of their maps."""
-    eye = np.eye(x.size)
-
-    def settled(d, x):
-        return bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(x))).all())
-
-    start, done, steps = x, False, 0
+    ``NEWTON_STEPS`` steps, end the solve unsettled at the last finite ``x``.
+    Callers silence the float warnings of their maps."""
+    eye, done, steps = np.eye(x.size), False, 0
     while not done and steps < NEWTON_STEPS:
         steps += 1
         f, J = image(x)
@@ -177,15 +172,7 @@ def _fixed_point(image, x, q: float, floor: float):
         if not np.isfinite(d).all():
             break
         x = x + d
-        done = settled(d, x)
-    if not done:
-        x = start
-        for _ in range(ITER_CAP):
-            steps += 1
-            f = image(x)[0]
-            d, x = f - x, f
-            if done := settled(d, x):
-                break
+        done = bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(x))).all())
     return x, done, steps
 
 
@@ -1012,7 +999,8 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
     and rescales it so the verification supremum is exactly one; the
     rescaled ``F`` then bounds the small-exponent energy integral by
     ``a^(q^2/(1-q)) ||F||_{L^1(sigma)}``.  Returns None when the witness
-    leaves an infinite or identically-zero potential on the support.
+    leaves an infinite or identically-zero potential on the support, or when
+    the rescaled ``F`` vanishes somewhere on it (underflow).
     """
     _require_sublinear(problem.q)
     q = problem.q
@@ -1029,7 +1017,8 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
     m0 = maurey_verify(problem, F0)
     if not (0 < m0 < float("inf")):
         return None
-    return F0 * m0 ** (q / (1.0 - q))
+    F = F0 * m0 ** (q / (1.0 - q))
+    return None if (F[supp] == 0).any() else F
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1068,9 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
 
     Exact at machine precision for ``p = 2`` on symmetric kernels (the
     iteration converges to the spectral norm of the weighted matrix); a
-    certified-from-below estimate for other ``p``.
+    certified-from-below estimate for other ``p``.  It iterates on the weighted
+    matrix over the power of two of its largest entry and stops relative to
+    the norm, so ``G 2^k`` or ``sigma 2^k`` scales the result by ``2^k`` exactly.
     """
     if not (1.0 < p < float("inf")):
         raise DomainError("p must lie in (1, inf)")
@@ -1090,6 +1081,8 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
     lhs = np.where(w > 0, w ** (1.0 / p), 0.0)
     rhs = np.where(w > 0, w ** (1.0 - 1.0 / p), 0.0)
     A = _weighted_terms(_weighted_terms(lhs[:, None], G), rhs[None, :])
+    e = int(np.frexp(A.max(initial=0.0))[1])
+    A = np.ldexp(A, -e)  # the largest entry in [1/2, 1)
     pprime = p / (p - 1.0)
     x = np.ones(kernel.size)
     x /= np.linalg.norm(x, ord=p)
@@ -1104,11 +1097,11 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
         new = x if nz == 0 else z ** (pprime - 1.0)
         nn = float(np.linalg.norm(new, ord=p))
         x = new / nn if nn > 0 else x
-        if abs(ny - est) <= CONV_TOL * max(1.0, ny):
+        if abs(ny - est) <= CONV_TOL * ny:
             est = ny
             break
         est = ny
-    return est
+    return math.ldexp(est, e)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,7 +1159,9 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     holds the mode of the WMP search, the strong constant and each subset
     search that ran.  The descent from the (positive) relaxed supersolution is
     :func:`_log_solve`'s, and the norm-route row takes :func:`_norm_route`'s
-    bound, the strong constant's ``upper``.  ``seed`` no longer changes the result.
+    bound, the strong constant's ``upper``.  The solution-norm row compares
+    ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the float range reads
+    ``+inf`` in its details.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -1228,9 +1223,13 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                         else "needs the weak maximum principle and quasi-symmetry"))
 
     if sol is not None and sol.status == "solution" and np.isfinite(kappa_cert):
-        bound = kappa_cert ** (1.0 / (1.0 - q))
-        rows.append(_row("solution_norm_bound", sol.lq_norm <= bound * (1.0 + REPORT_RTOL),
-                         {"lq_norm": sol.lq_norm, "bound": bound}))
+        try:
+            bound = kappa_cert ** (1.0 / (1.0 - q))
+        except OverflowError:  # the comparison is in logs
+            bound = float("inf")
+        ok = (_log_norm(sol.log_u, sigma, q)
+              <= math.log(kappa_cert) / (1.0 - q) + math.log1p(REPORT_RTOL))
+        rows.append(_row("solution_norm_bound", ok, {"lq_norm": sol.lq_norm, "bound": bound}))
     else:
         rows.append(_na("solution_norm_bound", "no solution with a finite constant"))
 

@@ -128,6 +128,19 @@ def test_infinite_entries_round_trip(tmp_path):
     assert res["method"] == "infinite-entry"
 
 
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+def test_maurey_task_without_a_candidate_that_fits_a_float(tmp_path, capsys, q):
+    # the rescaled dual function underflows to 0 on sigma's support
+    scen = write_scenario(tmp_path / "s.json", {
+        "name": "tiny", "q": q,
+        "kernel": {"matrix": [[1e200, 1e200], [1e200, 0.0]]},
+        "sigma": [1e-300, 1e-300],
+        "tasks": [{"name": "maurey"}],
+    })
+    assert main(["analyze", scen]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["available"] is False
+
+
 def test_bare_infinity_literal_rejected(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"name": "x", "kernel": {"matrix": [[Infinity]]}, "tasks": []}')
