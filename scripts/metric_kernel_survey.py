@@ -37,7 +37,6 @@ from potbench import (
     quasimetric_constant,
     strong_type_constant,
     weak_type_constant,
-    wmp_constant,
 )
 from potbench.gallery import shortest_path_metric
 
@@ -55,7 +54,7 @@ def survey_instance(rng, n, power, q):
     kappa = est.extras["certified_upper"]
     sup = gagliardo_supersolution(problem, kappa)
     sol = monotone_solution(problem, sup.u)
-    wmp = wmp_constant(kernel).constant
+    wmp = est.extras["wmp_constant"]
     weak = weak_type_constant(problem)
 
     return {

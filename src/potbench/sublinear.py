@@ -6,9 +6,9 @@ The pipeline realized here:
   strong-type constant (:func:`gagliardo_supersolution`);
 * descend monotonically from it to a solution (:func:`monotone_solution`), or
   solve the equation outright, with a Thompson-metric enclosure
-  (:func:`solve_equation`); one solver, Newton steps in logs
-  (:func:`_fixed_point`), finds both fixed points, of the relaxed map and of
-  ``u -> G(u^q sigma)`` (:func:`_log_solve`), and all three return ``log u``;
+  (:func:`solve_equation`); one solver, Newton steps in ``log u`` on
+  ``u^q = b^q + G(u^q sigma)^q`` (:func:`_log_solve`, the floor ``b > 0`` for the
+  relaxed supersolution), serves all three, and all three return ``log u``;
 * estimate the best constants of the strong and weak (1, q) inequalities
   with explicit witness measures and certified bounds, the strong upper end
   from a supersolution's norm in logs (:func:`strong_type_constant`,
@@ -91,8 +91,8 @@ __all__ = [
 GOLDEN_THRESHOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RELAX = 0.1  # relaxation of gagliardo_supersolution
 CONV_TOL = 1e-12
-NEWTON_STEPS = 40  # Newton steps of _fixed_point; at the cap the solve ends unsettled
-SOLVE_TOL = 1e-14  # _fixed_point ends at a step this small relative to the logs in play
+NEWTON_STEPS = 40  # Newton steps of _log_solve; at the cap the solve ends unsettled
+SOLVE_TOL = 1e-14  # _log_solve ends at a step this small relative to the logs in play
 POWER_CAP = 5000  # power-iteration steps of lp_operator_norm
 REPORT_RTOL = 1e-8  # relative slack of every comparison in theorem_report
 ENERGY_RTOL = 1e-10  # relative slack of the two energy_criteria checks
@@ -118,9 +118,10 @@ class SublinearProblem:
 class SolveResult:
     """A (super)solution of ``u = G(u^q sigma)`` and ``log_u = log u`` (None on a
     relaxed iterate that diverged); ``residual`` is ``max |log G(u^q sigma) - log u|``
-    on the points solved for (``supp sigma`` for :func:`gagliardo_supersolution`).
-    From :func:`solve_equation` and :func:`monotone_solution`,
-    ``e^-delta u <= u* <= e^delta u``; the relaxed supersolution's ``delta`` is None."""
+    on the points solved for (``supp sigma`` for :func:`gagliardo_supersolution`);
+    ``iterations`` counts :func:`_log_solve`'s Newton steps.  From :func:`solve_equation`
+    and :func:`monotone_solution`, ``e^-delta u <= u* <= e^delta u``; the relaxed
+    supersolution's ``delta`` is None."""
     u: np.ndarray
     status: str  # "solution" | "supersolution" | "degenerate" | "diverged"
     residual: float
@@ -152,30 +153,6 @@ def _apply(kernel: Kernel, v, sigma: Measure) -> np.ndarray:
     return _potential(kernel.entries, w)
 
 
-def _fixed_point(image, x, q: float, floor: float):
-    """A fixed point of a map ``f`` with ``|f'|_inf <= q < 1``, the package's one
-    fixed-point solver: ``(x, settled, steps)``.  ``image(x)`` returns ``f(x)`` and
-    ``f'(x)``.  Newton steps ``x <- x + (I - f'(x))^{-1} (f(x) - x)`` run from ``x``.
-    Each map served is a convex log-sum-exp and ``I - f'(x)``, strictly diagonally
-    dominant, is an M-matrix, so the steps converge monotonically from any start
-    (Ortega and Rheinboldt 1970, 13.3.4).  They stop once a step moves
-    ``x`` by at most ``SOLVE_TOL max(floor, |x|) / (1-q)``, with ``floor`` the
-    largest of 1 and the ``|log|`` values the caller's map reads: rounding
-    moves ``x`` by about ``eps`` of that over ``1-q``.  A step that is not finite, or
-    ``NEWTON_STEPS`` steps, end the solve unsettled at the last finite ``x``.
-    Callers silence the float warnings of their maps."""
-    eye, done, steps = np.eye(x.size), False, 0
-    while not done and steps < NEWTON_STEPS:
-        steps += 1
-        f, J = image(x)
-        d = np.linalg.solve(eye - J, f - x)
-        if not np.isfinite(d).all():
-            break
-        x = x + d
-        done = bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(floor, np.abs(x))).all())
-    return x, done, steps
-
-
 # ---------------------------------------------------------------------------
 # supersolutions and solutions
 # ---------------------------------------------------------------------------
@@ -190,22 +167,14 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     entrywise nondecreasing iterates with mass at most 1 for a valid
     ``kappa``, and the rescaled fixed point ``u = (c phi)^{1/q}``,
     ``c = gain^{-1/(1-q)}``, is a supersolution whose q-th power has mass at
-    most ``c``.  One checked step ``phi = R(psi)`` comes first:
-    ``psi sigma`` passes a ``Measure``'s checks, and an iterate that is not
-    finite on ``supp sigma``, or of mass above ``1 + 1e-8``, returns as status
-    ``diverged``.  Then :func:`_fixed_point` finds the fixed point on
-    ``supp sigma`` in ``x = log phi``: ``f = logaddexp(log psi, a)`` with
-    ``a = log gain + q lse(L + x)`` and ``L = log G + log sigma``, and the
-    Jacobian ``q e^(a-f) M``, ``M`` row-stochastic, has ``|.|_inf < q`` (a zero
-    row where the potential vanishes).  ``R`` is subhomogeneous of degree
-    ``q``, so the fixed point exists and the iterates rise to it; one of mass
-    above ``1 + 1e-8`` (``kappa`` too small) returns as ``diverged``, and so
-    does a solve that does not settle.  ``log u`` and the re-check
-    ``log G(u^q sigma) <= log u`` on every point (``+inf`` on both sides
-    passes) are taken in logs; a failed re-check (an invalid ``kappa``) comes
-    back as status ``diverged``.  ``iterations`` counts the first plain step
-    and the Newton steps.  A ``u`` that does not fit a float (its log does)
-    raises :class:`DomainError`.
+    most ``c``.  That ``u`` solves ``u^q = c psi + G(u^q sigma)^q``, so it is
+    :func:`_log_solve`'s with the floor ``b = (c psi)^{1/q}``, in logs, whose
+    solve settles only where the re-check ``log G(u^q sigma) <= log u`` holds.
+    A ``G`` infinite on ``supp sigma``, a solve that does not settle and a fixed
+    point of mass ``integral phi dsigma`` above ``1 + 1e-8`` (``kappa`` too
+    small, checked in logs) return as status ``diverged``.  ``iterations``
+    counts the Newton steps, ``delta`` is None.  A ``u`` that does not fit a
+    float (its log does) raises :class:`DomainError`.
     """
     _require_sublinear(problem.q)
     if not (kappa >= 0 and np.isfinite(kappa)):
@@ -214,51 +183,19 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
     mass = sigma.total
     if mass == 0:
         raise DomainError("sigma must have positive total mass")
-    n = kernel.size
+    n, G, supp = kernel.size, kernel.entries, sigma.support
     if kappa == 0.0:
         return SolveResult(np.zeros(n), "supersolution", 0.0, 0, 0.0, (), np.full(n, -np.inf))
-
-    psi = RELAX / ((1.0 + RELAX) * mass)
-    gain = 1.0 / ((1.0 + RELAX) * kappa**q)
-    supp = sigma.support
-    sw = sigma.weights[supp]
-
-    def fits(phi):  # finite on supp sigma, with mass at most 1 + 1e-8
-        return np.isfinite(phi[supp]).all() and float(phi[supp] @ sw) <= 1.0 + 1e-8
-
-    pot = _apply(kernel, np.full(n, psi), sigma)  # psi sigma is +inf where the mass is subnormal
-    phi, done, steps = psi + gain * pot**q, False, 0
-    if fits(phi):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_G, log_w = np.log(kernel.entries[:, supp]), np.log(sw)
-            log_psi, log_gain = math.log(psi), math.log(gain)
-            L = log_G + log_w  # -inf at zero entries, +inf at infinite ones off supp sigma
-            L_s, lg = L[supp], log_G[supp]
-            floor = max(1.0, abs(log_psi), abs(log_gain), np.abs(log_w).max(),
-                        np.abs(lg[np.isfinite(lg)]).max(initial=0.0))
-
-            def image(x):  # log R(e^x) on supp sigma, and its Jacobian
-                t, M = _log_sum_exp(L_s + x)
-                a = log_gain + q * t
-                f = np.logaddexp(log_psi, a)
-                return f, np.where(np.isfinite(a)[:, None], (q * np.exp(a - f))[:, None] * M, 0.0)
-
-            x, done, steps = _fixed_point(image, np.log(phi[supp]), q, floor)
-            log_phi = np.logaddexp(log_psi, log_gain + q * _log_sum_exp(L + x)[0])
-            log_phi[supp] = x
-            phi = np.exp(log_phi)
-    if not fits(phi):
-        return SolveResult(phi, "diverged", float("inf"), 1 + steps, float("inf"))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_u = (log_phi - log_gain / (1.0 - q)) / q
-        gap = _log_sum_exp(L + q * log_u[supp])[0] - log_u  # nan where both sides are +inf
-        u = np.exp(log_u)
-    if np.isinf(u[np.isfinite(log_u)]).any():
+    if np.isinf(G[supp][:, supp]).any():  # G(psi sigma) is +inf on supp sigma
+        return SolveResult(np.full(n, np.inf), "diverged", float("inf"), 0, float("inf"))
+    log_c = (math.log1p(RELAX) + q * math.log(kappa)) / (1.0 - q)
+    sol = _log_solve(problem, log_b=(log_c + math.log(RELAX / (1.0 + RELAX)) - math.log(mass)) / q)
+    if not (q * _log_norm(sol.log_u, sigma, q) - log_c <= math.log1p(1e-8)):
+        return SolveResult(sol.u, "diverged", float("inf"), sol.iterations, float("inf"))
+    if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
         raise DomainError("the supersolution u does not fit a float (its log does)")
-    status = "supersolution" if done and not (gap > 1e-9).any() else "diverged"
-    return SolveResult(u, status, float(np.abs(gap[supp]).max()), 1 + steps,
-                       _exp(_log_norm(log_u, sigma, q)), (), log_u)
+    return SolveResult(sol.u, "supersolution" if sol.status == "solution" else "diverged",
+                       sol.residual, sol.iterations, sol.lq_norm, (), sol.log_u)
 
 
 def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
@@ -273,9 +210,8 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     is positive on ``supp sigma``, ``degenerate`` with the vanishing points as
     the witness where it is not (no everywhere-positive solution lies below
     the start), ``supersolution`` at ``e^delta u`` where the solve does not
-    settle.  ``u``, ``log_u``, ``delta`` and ``residual`` read as
-    :func:`solve_equation`'s, ``lq_norm`` is the ``L^q(sigma)`` norm of ``u``,
-    and ``iterations`` counts the start's check and the Newton steps.
+    settle.  ``u``, ``log_u``, ``delta``, ``residual`` and ``lq_norm`` read as
+    :func:`solve_equation`'s; ``iterations`` counts the start's check too.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -293,7 +229,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
     sol = _log_solve(problem, u0[supp] > 0)
-    return replace(sol, iterations=1 + sol.iterations, lq_norm=lp_norm(sol.u, sigma, q))
+    return replace(sol, iterations=1 + sol.iterations)
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
@@ -337,60 +273,84 @@ def _log_sum_exp(z):
 def _log_norm(log_u, sigma: Measure, q: float) -> float:
     """``log |u|_q`` in ``L^q(sigma)`` from ``log u``, by log-sum-exp over the terms
     of ``supp sigma`` above ``-inf``."""
-    supp = sigma.support
+    pos = sigma.weights > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = q * log_u[supp] + np.log(sigma.weights[supp])
-        return float(_log_sum_exp(z[z > -np.inf][None, :])[0][0]) / q
+        z = q * log_u[pos] + np.log(sigma.weights[pos])
+        z = z[z > -np.inf]
+        m = z.max(initial=-np.inf)
+        return float(m + np.log(np.exp(z - m).sum()) if np.isfinite(m) else m) / q
 
 
-def _log_solve(problem: SublinearProblem, live=None) -> SolveResult:
-    """``u = G(u^q sigma)`` by Newton in ``v = log u``; ``G`` must be finite from
-    ``supp sigma`` to the points solved for.
+def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> SolveResult:
+    """``u^q = b^q + G(u^q sigma)^q`` by Newton in ``v = log u``, the one fixed-point
+    solver: the floor ``b = e^log_b`` is 0 for ``u = G(u^q sigma)`` and positive for
+    :func:`gagliardo_supersolution`.  ``G`` must be finite from ``supp sigma`` to the
+    points solved for.
 
-    ``u* > 0`` on the points ``P`` of ``supp sigma`` whose positive entries reach
-    a cycle there, found by peeling from the zero pattern, never from underflow;
-    ``live``, a mask on ``supp sigma``, peels from its points instead, so ``u``
-    is the limit of the descent from a supersolution that vanishes off them.
-    On ``P``, ``F(v) = log T(e^v) - v`` for ``T(u) = G(u^q sigma)``, by
-    log-sum-exp, so no scale overflows; its Jacobian ``q M - I``, with the
-    row-stochastic ``M = diag(1/Tu) G diag(sigma u^q)``, has
-    ``|J^-1|_inf <= 1/(1-q)``.  :func:`_fixed_point` solves it from
-    ``v = log T(1) / (1-q)``, with ``floor`` the largest ``|log G|`` and
-    ``|log sigma|`` on ``P``.
-    ``T`` is order preserving and q-homogeneous, so a q-contraction in
-    Thompson's metric (Krause 1986; Lemmens and Nussbaum 2012):
-    ``d(u, u*) <= d(u, Tu) / (1-q) = delta``, with ``2 |P| + 8`` ulps and 4 of
-    the largest ``|log|`` in play, so ``e^delta u >= T(e^delta u)`` in float on
-    ``supp sigma``.  Off it, ``u = T(u)``.  Status ``degenerate`` where ``P``
-    misses points of ``supp sigma``, ``solution`` once settled, else
-    ``supersolution`` at ``e^delta u``, ``delta`` doubled.
+    Without a floor ``u* > 0`` on the points ``P`` of ``supp sigma`` whose positive
+    entries reach a cycle there, found by peeling from the zero pattern, never from
+    underflow; ``live``, a mask on ``supp sigma``, peels from its points instead, so
+    ``u`` is the limit of the descent from a supersolution that vanishes off them.
+    A floor keeps ``P = supp sigma``.  On ``P`` the map
+    ``f(v) = logaddexp(q log_b, q t) / q``, ``t = log T(e^v)`` for ``T(u) = G(u^q sigma)``
+    by log-sum-exp, is convex; with its Jacobian ``q e^(q(t-f)) M``,
+    ``M = diag(1/Tu) G diag(sigma u^q)`` row-stochastic (a zero row where
+    ``t = -inf``), ``I - f'`` is an M-matrix, so Newton steps converge monotonically
+    from any start (Ortega and Rheinboldt 1970, 13.3.4), here
+    ``v = max(log T(1) / (1-q), log_b)``.  They stop at a step of at most
+    ``SOLVE_TOL max(top, |v|) / (1-q)``, ``top`` the largest of 1 and the ``|log|``
+    values the map reads (rounding moves ``v`` by ``eps`` of that over ``1-q``).  A
+    step that is not finite, ``NEWTON_STEPS`` steps, or with a floor
+    ``log T(u) > log u + 1e-9`` on ``P`` (the relaxed re-check; off ``P``,
+    ``u = f(u) >= T(u)``) end the solve unsettled.  Without a floor ``T`` is order
+    preserving and q-homogeneous, so a q-contraction in Thompson's metric (Krause
+    1986; Lemmens and Nussbaum 2012): ``d(u, u*) <= d(u, Tu) / (1-q) = delta``, with
+    ``2 |P| + 8`` ulps and 4 of the largest ``|log|`` in play, so
+    ``e^delta u >= T(e^delta u)`` in float on ``supp sigma``.  Off it, ``u = f(u)``.
+    Status ``degenerate`` where ``P`` misses points of ``supp sigma``, ``solution``
+    once settled, else ``supersolution``, at ``e^delta u`` with ``delta`` doubled
+    where there is no floor.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G, w, supp = kernel.entries, sigma.weights, sigma.support
     live = np.ones(supp.size, dtype=bool) if live is None else live
-    edges = G[np.ix_(supp, supp)] > 0
-    while (keep := live & edges[:, live].any(axis=1)).sum() < live.sum():
-        live = keep
+    floored = log_b > -np.inf
+    if not floored:  # a floor keeps every point positive
+        edges = G[np.ix_(supp, supp)] > 0
+        while (keep := live & edges[:, live].any(axis=1)).sum() < live.sum():
+            live = keep
     P = supp[live]
-    eps = float(np.finfo(float).eps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_G, log_w = np.log(G[:, P]), np.log(w[P])
         L = log_G + log_w  # -inf at zero entries, +inf at infinite ones off supp sigma
-        L_P = L[P]
-        floor = max(1.0, np.abs(log_w).max(initial=0.0),
-                    np.abs(log_G[P][edges[np.ix_(live, live)]]).max(initial=0.0))
+        L_P, lg = L[P], log_G[P]
+        top = max(1.0, abs(log_b) if floored else 0.0, np.abs(log_w).max(initial=0.0),
+                  np.abs(lg[lg > -np.inf]).max(initial=0.0))
 
-        def image(v):  # log T(e^v) on P, and its Jacobian q M
+        def lift(t):  # f from t = log T(e^v): the floor joins T in q-th powers
+            return np.logaddexp(q * log_b, q * t) / q if floored else t
+        v = np.maximum(_log_sum_exp(L_P)[0] / (1.0 - q), log_b)
+        eye, done, steps = np.eye(P.size), False, 0
+        while not done and steps < NEWTON_STEPS:
+            steps += 1
             t, M = _log_sum_exp(L_P + q * v)
-            return t, q * M
-
-        v, done, steps = _fixed_point(image, _log_sum_exp(L_P)[0] / (1.0 - q), q, floor)
-        residual = float(np.abs(_log_sum_exp(L_P + q * v)[0] - v).max(initial=0.0))
-        scale = max(floor, np.abs(v).max(initial=0.0))
-        delta = float((residual + (2 * P.size + 8 + 4 * scale) * eps) / (1.0 - q))
-        if not done:
+            f = lift(t)
+            if floored:
+                M = np.where(np.isfinite(t)[:, None], np.exp(q * (t - f))[:, None] * M, 0.0)
+            d = np.linalg.solve(eye - q * M, f - v)
+            if not np.isfinite(d).all():
+                break
+            v = v + d
+            done = bool((np.abs(d) * (1.0 - q) <= SOLVE_TOL * np.maximum(top, np.abs(v))).all())
+        gap = _log_sum_exp(L_P + q * v)[0] - v  # log T(u) - log u on P
+        residual = float(np.abs(gap).max(initial=0.0))
+        scale = max(top, np.abs(v).max(initial=0.0))
+        delta = float((residual + (2 * P.size + 8 + 4 * scale) * np.finfo(float).eps) / (1.0 - q))
+        if floored:  # the relaxed supersolution's re-check, u >= T(u) in logs
+            done = done and not (gap > 1e-9).any()
+        elif not done:
             v, delta = v + delta, 2.0 * delta
-        log_u = _log_sum_exp(L + q * v)[0]
+        log_u = v if P.size == G.shape[0] else lift(_log_sum_exp(L + q * v)[0])
         log_u[P] = v
         u = np.exp(log_u)
     zeros = supp[~live]
@@ -749,15 +709,24 @@ class _SubsetSearch:
     def testing_ratio(self) -> tuple:
         """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so
         the largest potential of ``sigma`` restricted to ``O`` caps every ``K``
-        in ``O``."""
-        G, w = self.kernel.entries, self.sigma.weights
+        in ``O``.  The ratio, of degree 1 in ``sigma``, is searched on :attr:`unit`'s
+        weights, so ``sigma sigma G`` does not underflow, and scaled back."""
+        G, (w, s) = self.kernel.entries, self.unit
 
         def top_potential(m):
             mask = self.mask(m)
             return float(_potential(G, np.where(mask, w, 0.0))[mask].max())
 
-        return self.max_ratio(lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
-                              lambda m: self.subset(m)[2], cap=top_potential)
+        value, best, mode, upper = self.max_ratio(
+            lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
+            lambda m: float(w[self.mask(m)].sum()), cap=top_potential)
+        return value * s, best, mode, upper * s
+
+    @cached_property
+    def unit(self) -> tuple:
+        """``(w, s)``, ``sigma = s w`` with ``s`` a power of two and ``max w`` in ``[1, 2)``."""
+        s = 2.0 ** (int(np.frexp(self.sigma.weights.max(initial=0.0))[1]) - 1)
+        return self.sigma.weights / s, s
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a
@@ -1048,17 +1017,18 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
 
     if qm.is_quasimetric:
         d = _inverse_distance(kernel.entries)
+        w, s = search.unit  # as in the subset search
         ball_best, ball_info = 0.0, None
         for x in range(kernel.size):
             for r in _distinct(d[x]):
                 mask = d[x] < r
-                mass = sigma.mass(mask)
+                mass = float(w[mask].sum())
                 if mass > 0:
-                    ratio = _energy(kernel.entries, np.where(mask, sigma.weights, 0.0)) / mass
+                    ratio = _energy(kernel.entries, np.where(mask, w, 0.0)) / mass
                     if ratio > ball_best:
                         ball_best, ball_info = ratio, (kernel.space.points[x], float(r))
         extras["kappa"] = qm.kappa
-        extras["ball_constant"] = ball_best
+        extras["ball_constant"] = ball_best * s
         extras["ball_witness"] = ball_info
     return ConstantEstimate(value, upper, witness, "subset-enumeration", extras)
 
