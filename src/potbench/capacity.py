@@ -11,7 +11,8 @@ Three set functions, all with explicit optimizers:
   ``F`` of ``K``: nonnegative solutions of ``G_FF' mu = 1`` and ``G_FF lam =
   1`` with ``G' mu <= 1`` everywhere are optimal for the two programs (method
   ``slackness``); only a set where that check declines is solved by the
-  simplex, whose clipped duals are ``content``'s measure;
+  simplex, on its matrix over a power of two (``core._normalized``), whose
+  clipped duals are ``content``'s measure;
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
   go through an exact Lawson-Hanson active set with KKT verification.  Others
@@ -47,6 +48,7 @@ from .core import (
     DomainError,
     Kernel,
     Measure,
+    _normalized,
     _potential,
     adjoint_potential,
     potential,
@@ -143,10 +145,10 @@ def _slack_certificate(G: np.ndarray, F: np.ndarray):
 def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
     """``(value, free, mu on free, dual value, lam, method)`` of :func:`cap0` on
     ``K``, whose points ``free`` can carry mass: by :func:`_slack_certificate`,
-    else LP.  ``lam``, the optimal measure of the dual (:func:`content`'s LP),
-    is the certificate's or the LP's clipped duals; ``mu`` and ``lam`` are None
-    if the LP is unbounded.  The masses are summed over the certificate's
-    compact vectors, before ``lam`` is padded to the whole space."""
+    else LP on ``G[free]'`` over ``2^e``, mapped back by ``2^-e``.  ``lam``, the
+    dual's optimal measure, is the certificate's or the LP's clipped duals; ``mu``
+    and ``lam`` are None if the LP is unbounded.  The masses are summed over the
+    certificate's compact vectors, before ``lam`` is padded to the whole space."""
     n = G.shape[0]
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
     free = K[np.isfinite(G[K]).all(axis=1)]
@@ -154,11 +156,12 @@ def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
         lam = np.zeros(n)
         lam[free] = cert[1]
         return float(cert[0].sum()), free, cert[0], float(cert[1].sum()), lam, "slackness"
-    sol = solve_lp(LpProblem(np.ones(free.size), G[free].T, np.ones(n)))
+    A, e = _normalized(G[free].T)
+    sol = solve_lp(LpProblem(np.ones(free.size), A, np.ones(n)))
     if sol.status == "unbounded":
         return float("inf"), free, None, float("inf"), None, "lp"
-    lam = np.maximum(sol.duals, 0.0)
-    return max(sol.value, 0.0), free, np.maximum(sol.x, 0.0), float(lam.sum()), lam, "lp"
+    value, mu, lam = (np.ldexp(np.maximum(v, 0.0), -e) for v in (sol.value, sol.x, sol.duals))
+    return float(value), free, mu, float(lam.sum()), lam, "lp"
 
 
 def cap0(kernel: Kernel, points) -> CapacityResult:

@@ -12,7 +12,8 @@ so the extended-real rules are pinned here once, each with its helper:
   on its maximum, while ``x / 0 == inf`` for ``x > 0`` (``_ratio_max``),
 * measure weights are finite and nonnegative,
 * kernel entries live in ``[0, +inf]``,
-* ``nan`` is rejected at construction time, everywhere.
+* ``nan`` is rejected at construction time, everywhere,
+* a power of two scales exactly (``_normalized``).
 
 Objects are immutable after construction: the wrapped arrays are marked
 read-only, so all operations below are pure functions and safe to share
@@ -217,6 +218,12 @@ def _inverse_distance(G: np.ndarray) -> np.ndarray:
     """``d = 1/G``: ``d = inf`` where ``G = 0`` and ``d = 0`` where ``G = inf``."""
     with np.errstate(divide="ignore"):
         return 1.0 / G
+
+
+def _normalized(x: np.ndarray) -> tuple:
+    """``(x / 2^e, e)``, ``e`` the ``frexp`` exponent of the largest finite entry of ``x``."""
+    e = int(np.frexp(x[np.isfinite(x)].max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

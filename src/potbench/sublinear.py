@@ -43,6 +43,7 @@ from .core import (
     _distinct,
     _energy,
     _inverse_distance,
+    _normalized,
     _potential,
     _ratio_max,
     _weighted_terms,
@@ -709,9 +710,9 @@ class _SubsetSearch:
     def testing_ratio(self) -> tuple:
         """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so
         the largest potential of ``sigma`` restricted to ``O`` caps every ``K``
-        in ``O``.  The ratio, of degree 1 in ``sigma``, is searched on :attr:`unit`'s
-        weights, so ``sigma sigma G`` does not underflow, and scaled back."""
-        G, (w, s) = self.kernel.entries, self.unit
+        in ``O``.  The ratio, of degree 1 in ``sigma``, is searched on ``sigma`` over
+        ``2^e`` (:func:`core._normalized`), lest ``sigma sigma G`` underflow."""
+        G, (w, e) = self.kernel.entries, _normalized(self.sigma.weights)
 
         def top_potential(m):
             mask = self.mask(m)
@@ -720,13 +721,7 @@ class _SubsetSearch:
         value, best, mode, upper = self.max_ratio(
             lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
             lambda m: float(w[self.mask(m)].sum()), cap=top_potential)
-        return value * s, best, mode, upper * s
-
-    @cached_property
-    def unit(self) -> tuple:
-        """``(w, s)``, ``sigma = s w`` with ``s`` a power of two and ``max w`` in ``[1, 2)``."""
-        s = 2.0 ** (int(np.frexp(self.sigma.weights.max(initial=0.0))[1]) - 1)
-        return self.sigma.weights / s, s
+        return math.ldexp(value, e), best, mode, math.ldexp(upper, e)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
         """``(value, subset or None, mode, upper)``: the largest ratio found, a
@@ -969,7 +964,7 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
     rescaled ``F`` then bounds the small-exponent energy integral by
     ``a^(q^2/(1-q)) ||F||_{L^1(sigma)}``.  Returns None when the witness
     leaves an infinite or identically-zero potential on the support, or when
-    the rescaled ``F`` vanishes somewhere on it (underflow).
+    ``F^(1-1/q) sigma`` overflows (``F`` may underflow to 0 on the support).
     """
     _require_sublinear(problem.q)
     q = problem.q
@@ -987,7 +982,9 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
     if not (0 < m0 < float("inf")):
         return None
     F = F0 * m0 ** (q / (1.0 - q))
-    return None if (F[supp] == 0).any() else F
+    with np.errstate(divide="ignore", over="ignore"):  # F^(1-1/q) reads +inf where F = 0
+        dual = F[supp] ** (1.0 - 1.0 / q) * problem.sigma.weights[supp]
+    return F if np.isfinite(dual).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1014,7 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
 
     if qm.is_quasimetric:
         d = _inverse_distance(kernel.entries)
-        w, s = search.unit  # as in the subset search
+        w, e = _normalized(sigma.weights)  # as in the subset search
         ball_best, ball_info = 0.0, None
         for x in range(kernel.size):
             for r in _distinct(d[x]):
@@ -1028,7 +1025,7 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
                     if ratio > ball_best:
                         ball_best, ball_info = ratio, (kernel.space.points[x], float(r))
         extras["kappa"] = qm.kappa
-        extras["ball_constant"] = ball_best * s
+        extras["ball_constant"] = math.ldexp(ball_best, e)
         extras["ball_witness"] = ball_info
     return ConstantEstimate(value, upper, witness, "subset-enumeration", extras)
 
@@ -1051,8 +1048,7 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
     lhs = np.where(w > 0, w ** (1.0 / p), 0.0)
     rhs = np.where(w > 0, w ** (1.0 - 1.0 / p), 0.0)
     A = _weighted_terms(_weighted_terms(lhs[:, None], G), rhs[None, :])
-    e = int(np.frexp(A.max(initial=0.0))[1])
-    A = np.ldexp(A, -e)  # the largest entry in [1/2, 1)
+    A, e = _normalized(A)
     pprime = p / (p - 1.0)
     x = np.ones(kernel.size)
     x /= np.linalg.norm(x, ord=p)
@@ -1204,20 +1200,20 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         rows.append(_na("solution_norm_bound", "no solution with a finite constant"))
 
     pot = potential(kernel, sigma)
+    objective = strong.extras.get("objective", strong.lower)  # F, whose F^(1/q) may underflow
     if np.isfinite(kappa_cert) and np.isfinite(a) and strong.witness is not None \
-            and strong.lower > 0:
+            and objective > 0:
         F = maurey_candidate(problem, strong.witness)
         if F is None:
             rows.append(_na("energy_necessity", "dual candidate unavailable"))
         else:
             lhs = integrate(pot ** (q / (1.0 - q)), sigma)
             c = a ** (q * q / (1.0 - q))
-            rhs = c * integrate(F, sigma)
-            constants["maurey_l1"] = integrate(F, sigma)
-            rows.append(_row("energy_necessity", lhs <= rhs * (1.0 + REPORT_RTOL),
-                             {"lhs": lhs, "rhs": rhs, "constant": c,
+            constants["maurey_l1"] = l1 = integrate(F, sigma)
+            rows.append(_row("energy_necessity", lhs <= c * l1 * (1.0 + REPORT_RTOL),
+                             {"lhs": lhs, "rhs": c * l1, "constant": c,
                               "verification": maurey_verify(problem, F)}))
-    elif strong.lower == 0:
+    elif objective == 0:
         rows.append(_na("energy_necessity", "potential vanishes on sigma"))
     else:
         rows.append(_na("energy_necessity",
@@ -1295,12 +1291,13 @@ def _local_route_row(problem):
     mod = modify_kernel(kernel, g)
     sub_sigma = Measure(mod.kernel.space,
                         (g ** (1.0 + q) * sigma.weights)[mod.retained])
+    if sub_sigma.total == 0:  # g > 0 on supp sigma: only underflow leaves no mass
+        return _na("local_solution_route", "modified sigma underflows the float range")
     sub_problem = SublinearProblem(mod.kernel, sub_sigma, q)
     sub_strong = strong_type_constant(sub_problem, with_upper=False)
-    kap = sub_strong.extras["certified_upper"]
-    if not np.isfinite(kap) or sub_sigma.total == 0:
+    if not np.isfinite(sub_strong.extras["certified_upper"]):
         return _na("local_solution_route", "modified constant is infinite")
-    sol = _log_solve(sub_problem)  # in logs: kap itself may underflow to 0
+    sol = _log_solve(sub_problem)  # in logs: the constant itself may underflow to 0
     if sol.status != "solution":
         return VerdictRow("local_solution_route", "VIOLATED",
                           {"modified_status": sol.status})

@@ -5,11 +5,12 @@
 covering content and the quadratic capacity all equal 4/3.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -227,6 +228,28 @@ def test_certified_cap0_is_free_of_scale():
             assert res.method == base.method == "slackness"
             assert res.value * t == pytest.approx(base.value, rel=1e-12)
     assert certified >= 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans(), st.integers(-300, 300))
+@example(0, 4, False, -30)
+@example(0, 4, False, 25)
+def test_capacities_are_free_of_power_of_two_scale(seed, n, symmetric, k):
+    # cap0, content and cap1 are of degree -1 in G, and a power of two scales
+    # exactly: at 2^k G each reads 2^-k times its value at G, bit for bit, by
+    # the same method.  The LP fallback solves on its matrix over a power of
+    # two; on the bare matrix the simplex's absolute tolerance read another
+    # attained flag at 2^-30 G, and 1.5378 for 1.5090 at 2^25 G (the examples)
+    rng = np.random.default_rng(seed)
+    kernel = rand_kernel(rng, n, zero_frac=0.2, inf_frac=float(rng.choice([0.0, 0.05, 0.15])),
+                         symmetric=symmetric)
+    scaled = Kernel(kernel.space, np.ldexp(kernel.entries, k))
+    for m in rng.choice(np.arange(1, 2**n), size=min(8, 2**n - 1), replace=False):
+        K = np.flatnonzero([m >> j & 1 for j in range(n)])
+        for capacity in (cap0, content, wiener_cap1)[:3 if symmetric else 2]:
+            base, res = capacity(kernel, K), capacity(scaled, K)
+            assert (res.method, res.attained) == (base.method, base.attained)
+            assert math.ldexp(res.value, k) == base.value
 
 
 def test_slack_certificate_declines_an_overflowing_potential():

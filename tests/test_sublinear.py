@@ -1759,7 +1759,7 @@ def test_the_local_route_survives_a_modifier_below_1e_162():
                                  ).row("local_solution_route")
         assert mod[1, 1] == 0.0 and np.isfinite(mod).all()
         assert row.verdict == verdict
-    assert row.details["reason"] == "modified constant is infinite"
+    assert row.details["reason"] == "modified sigma underflows the float range"
 
 
 def test_a_solution_below_the_float_range_is_confirmed():
@@ -1853,9 +1853,8 @@ def test_the_solution_norm_bound_is_compared_in_logs(i):
         rep, base = theorem_report(big), theorem_report(prob)
     row = rep.row("solution_norm_bound")
     assert row.verdict == "CONFIRMED" and row.details["bound"] == np.inf
-    # every other verdict but the cap0 LP fallback's, which depends on scale, stands
-    assert [r.verdict for r in rep.rows if r.claim != "weak_capacity_route"] == [
-        r.verdict for r in base.rows if r.claim != "weak_capacity_route"]
+    # every other verdict stands, the cap0 LP fallback's too: it is free of scale
+    assert [r.verdict for r in rep.rows] == [r.verdict for r in base.rows]
 
 
 def test_every_fixed_point_solve_settles_within_eight_newton_steps(monkeypatch):
@@ -1935,3 +1934,88 @@ def test_a_subnormal_mass_keeps_the_relaxed_supersolution(i):
     assert sup.status == "supersolution" and sup.delta is None
     assert np.isfinite(sup.log_u[small.sigma.support]).all()
     assert rep.verdict("strong_to_supersolution") == "CONFIRMED"
+
+
+@pytest.mark.parametrize("a, b", [(-900, 0), (-500, 500), (500, -500), (-200, -200), (200, 200)])
+def test_the_weak_capacity_route_is_free_of_power_of_two_scale(a, b):
+    # the cap0 LP fallback solves on its matrix over a power of two: on the bare
+    # matrix the simplex's absolute tolerance flipped the row to VIOLATED on
+    # inputs 0, 1 and 3 at these scalings.  A run out of the float range raises
+    # its documented DomainError (ROADMAP items 6 and 19) and has no row
+    ran = 0
+    for i in range(4):
+        prob = _verdict_table_input(i)
+        space = prob.kernel.space
+        scaled = SublinearProblem(Kernel(space, np.ldexp(prob.kernel.entries, a)),
+                                  Measure(space, np.ldexp(prob.sigma.weights, b)), prob.q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rep = theorem_report(scaled)
+            except DomainError as exc:
+                assert "does not fit a float" in str(exc)
+                continue
+        ran += 1
+        assert rep.verdict("weak_capacity_route") == "CONFIRMED"
+    assert ran >= 2
+
+
+@pytest.mark.parametrize("b, reason", [(-900, None), (-1060, "dual candidate unavailable")])
+def test_energy_necessity_gates_on_the_objective(b, reason):
+    # at sigma 2^-900 the strong constant F^(1/q) underflows to 0 while F is about
+    # 2^-900: the row reads CONFIRMED, not "potential vanishes on sigma".  At
+    # sigma 2^-1060 the dual candidate's F^(1-1/q) sigma overflows, so it is None
+    prob = _verdict_table_input(1)
+    small = SublinearProblem(prob.kernel, Measure(prob.kernel.space,
+                                                  np.ldexp(prob.sigma.weights, b)), prob.q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = theorem_report(small)
+        strong = strong_type_constant(small, with_upper=False)
+        candidate = maurey_candidate(small, strong.witness)
+    assert strong.lower == 0.0 < strong.extras["objective"]
+    row = rep.row("energy_necessity")
+    assert row.details.get("reason") == reason
+    if reason is None:
+        assert row.verdict == "CONFIRMED" and candidate is not None
+    else:
+        assert candidate is None
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_the_local_route_names_an_underflowing_modified_sigma(i):
+    # at G 2^-900 the modifier g = min(1, G(., pole)) is about 1e-271, so the
+    # modified sigma g^(1+q) sigma underflows to 0; its constant is 0, not infinite
+    prob = _verdict_table_input(i)
+    small = SublinearProblem(Kernel(prob.kernel.space, np.ldexp(prob.kernel.entries, -900)),
+                             prob.sigma, prob.q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = theorem_report(small).row("local_solution_route")
+    assert (row.verdict, row.details["reason"]) == (
+        "NOT-APPLICABLE", "modified sigma underflows the float range")
+
+
+def test_solve_equation_rejects_a_sigma_of_zero_mass():
+    prob = SublinearProblem(Kernel(Space.of_size(2), [[1.0, 0.5], [0.5, 1.0]]),
+                            Measure(Space.of_size(2), [0.0, 0.0]), 0.5)
+    with pytest.raises(DomainError, match="positive total mass"):
+        solve_equation(prob)
+
+
+def test_solve_equation_diverges_where_the_constant_is_infinite():
+    prob = SublinearProblem(Kernel(Space.of_size(1), [[np.inf]]),
+                            Measure(Space.of_size(1), [1.0]), 0.5)
+    sol, est = solve_equation(prob)
+    assert sol.status == "diverged" and est.lower == np.inf
+    assert sol.u.tolist() == sol.log_u.tolist() == [np.inf]
+    assert sol.delta == np.inf
+
+
+def test_strong_constant_vanishes_where_every_row_on_sigma_is_zero():
+    # G[supp sigma] = 0: every potential vanishes on supp sigma, and F = 0 exactly
+    prob = SublinearProblem(Kernel(Space.of_size(2), [[0.0, 0.0], [1.0, 0.0]]),
+                            Measure(Space.of_size(2), [1.0, 0.0]), 0.5)
+    est = strong_type_constant(prob)
+    assert [est.lower, est.upper] == [0.0, 0.0]
+    assert est.extras["mode"] == "exact"
