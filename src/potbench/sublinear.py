@@ -101,6 +101,9 @@ ENERGY_RTOL = 1e-10  # relative slack of the two energy_criteria checks
 
 @dataclass(frozen=True)
 class SublinearProblem:
+    """``u = G(u^q sigma)`` on one kernel and measure.  The plain solve,
+    :func:`_log_solve` with no floor, is memoized (``_solution``): a ``Kernel``'s
+    and a ``Measure``'s arrays are read-only after construction."""
     kernel: Kernel
     sigma: Measure
     q: float
@@ -114,6 +117,12 @@ class SublinearProblem:
     def scaled(self, t: float) -> "SublinearProblem":
         return SublinearProblem(self.kernel, self.sigma.scaled(t), self.q)
 
+    @cached_property
+    def _solution(self) -> "SolveResult":
+        sol = _log_solve(self)
+        sol.u.flags.writeable = sol.log_u.flags.writeable = False  # shared by every reader
+        return sol
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -122,7 +131,8 @@ class SolveResult:
     on the points solved for (``supp sigma`` for :func:`gagliardo_supersolution`);
     ``iterations`` counts :func:`_log_solve`'s Newton steps.  From :func:`solve_equation`
     and :func:`monotone_solution`, ``e^-delta u <= u* <= e^delta u``; the relaxed
-    supersolution's ``delta`` is None."""
+    supersolution's ``delta`` is None.  Where the result is the problem's memoized
+    plain solve, shared by its callers, ``u`` and ``log_u`` are read-only."""
     u: np.ndarray
     status: str  # "solution" | "supersolution" | "degenerate" | "diverged"
     residual: float
@@ -212,7 +222,8 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     the witness where it is not (no everywhere-positive solution lies below
     the start), ``supersolution`` at ``e^delta u`` where the solve does not
     settle.  ``u``, ``log_u``, ``delta``, ``residual`` and ``lq_norm`` read as
-    :func:`solve_equation`'s; ``iterations`` counts the start's check too.
+    :func:`solve_equation`'s; ``iterations`` counts the start's check too.  A start
+    positive on all of ``supp sigma`` reads the problem's memoized plain solve.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -229,16 +240,17 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     slack = rhs[supp] - u0[supp]
     if (slack > 1e-12 * np.maximum(1.0, u0[supp])).any():
         raise DomainError("start is not a supersolution on the support of sigma")
-    sol = _log_solve(problem, u0[supp] > 0)
+    live = u0[supp] > 0
+    sol = problem._solution if live.all() else _log_solve(problem, live)
     return replace(sol, iterations=1 + sol.iterations)
 
 
 def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEstimate]:
     """The strong constant, and the solution by Newton steps in ``log u``
-    (:func:`_log_solve`): ``diverged`` (``u = +inf``) where the constant is
-    infinite, ``degenerate`` where ``u`` vanishes on the witness points of
-    ``supp sigma``, else ``solution``.  A norm that does not fit a float reads
-    ``+inf``; a ``u`` that does not, or a ``sigma`` of zero mass, raises
+    (:func:`_log_solve`, memoized on the problem): ``diverged`` (``u = +inf``) where
+    the constant is infinite, ``degenerate`` where ``u`` vanishes on the witness
+    points of ``supp sigma``, else ``solution``.  A norm that does not fit a float
+    reads ``+inf``; a ``u`` that does not, or a ``sigma`` of zero mass, raises
     :class:`DomainError`."""
     _require_sublinear(problem.q)
     est = strong_type_constant(problem, with_upper=False)
@@ -247,7 +259,7 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     if not np.isfinite(est.lower):
         u = np.full(problem.kernel.size, np.inf)
         return SolveResult(u, "diverged", float("inf"), 0, float("inf"), (), u, float("inf")), est
-    sol = _log_solve(problem)
+    sol = problem._solution
     if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
         raise DomainError("the solution u does not fit a float (its log does)")
     return sol, est
@@ -507,9 +519,9 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     ``heuristic`` when the certificate is infinite (a positive one whose ``1/q``
     power underflows reads the least positive float).  ``upper`` is 0 where
     ``F`` is, else :func:`_norm_route`'s bound ``h (1-q)^{-1/q} |u|_q^{1-q}``
-    from the supersolution ``e^delta u`` of :func:`solve_equation`'s solve
-    (extras ``norm_route_lq``), or the relaxed one where ``u`` vanishes on
-    ``supp sigma``; infinite unless the weak maximum principle holds and the
+    from the supersolution ``e^delta u`` of :func:`solve_equation`'s solve, the
+    problem's memoized one (extras ``norm_route_lq``), or the relaxed one where
+    ``u`` vanishes on ``supp sigma``; infinite unless the weak maximum principle holds and the
     kernel is quasi-symmetric.  ``seed`` no longer changes the result.  For ``q >= 1``
     the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
     attained at a point mass.
@@ -573,7 +585,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         extras["wmp_mode"] = wr.mode
         a = check_quasisymmetric(kernel)
         if wr.holds and np.isfinite(a):  # no solve where the route cannot apply
-            sol = _log_solve(problem)
+            sol = problem._solution
             if sol.status == "degenerate":  # the relaxed supersolution
                 kappa = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
                 sol = gagliardo_supersolution(problem, kappa)
@@ -623,7 +635,8 @@ class _SubsetSearch:
 
     Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
     with its weights are memoized for every search on one object, which
-    lives only as long as its caller: kernels are mutable.  ``cap1`` starts
+    lives only as long as its caller, to bound the memory it holds (kernels and
+    measures are immutable, so a longer life would be sound).  ``cap1`` starts
     from the weights of the subset's parent in the search, the subset without
     its last point in ``order``, and skips the PSD test of each subset when
     the whole support block passes it (:attr:`psd`).
@@ -1162,7 +1175,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                          {"kappa": kappa_cert, "slack": sup.residual,
                           "lq_norm": sup.lq_norm}))
         if sup.status == "supersolution":  # the descent from it ends at the log solve
-            sol = _log_solve(problem)
+            sol = problem._solution
             usable = sup if sol.status == "degenerate" else sol
     else:
         rows.append(_na("strong_to_supersolution",

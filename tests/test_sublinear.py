@@ -1680,8 +1680,13 @@ def test_solve_equation_agrees_with_the_fixed_point_loops():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-200.0, 200.0),
        st.floats(0.01, 0.99))
+@example(3, 3, False, 0.99, 0.99)
+@example(2, 1947983222, False, 0.75, 0.99)
 def test_log_solve_is_free_of_scale(n, seed, partial, exponent, q):
-    # sigma * t moves log u by log t / (1-q) and nothing else, from 1e-200 to 1e200
+    # sigma * t moves log u* by log t / (1-q) and nothing else, from 1e-200 to
+    # 1e200: each solve's log u lies within its own delta of its log u*, sigma * t
+    # rounds each weight by half an ulp, which moves log u* by eps / (1-q), and
+    # shift and the difference round by an ulp or two of the logs in play
     rng = np.random.default_rng(seed)
     G = rand_kernel(rng, n, zero_frac=0.25).entries
     w = rng.uniform(0.2, 1.5, n)
@@ -1699,8 +1704,11 @@ def test_log_solve_is_free_of_scale(n, seed, partial, exponent, q):
     finite = np.isfinite(base.log_u)
     assert (np.isfinite(scaled.log_u) == finite).all()
     assert (scaled.log_u[~finite] == base.log_u[~finite]).all()
-    np.testing.assert_allclose(scaled.log_u[finite] - shift, base.log_u[finite], rtol=0.0,
-                               atol=1e-12 * (1.0 + abs(math.log(t))))
+    eps = np.finfo(float).eps
+    off = np.abs(scaled.log_u[finite] - shift - base.log_u[finite])
+    enclosure = base.delta + scaled.delta + eps / (1.0 - q) \
+        + 4.0 * eps * (abs(shift) + np.abs(scaled.log_u[finite]))
+    assert (off <= enclosure).all(), (off.max(), base.delta + scaled.delta)
 
 
 def test_the_zero_set_comes_from_the_zero_pattern():
@@ -1728,7 +1736,10 @@ def test_the_monotone_solve_keeps_the_zeros_of_its_start():
     prob = SublinearProblem(Kernel(s, np.eye(2)), Measure(s, [1.0, 1.0]), 0.5)
     res = monotone_solution(prob, [1.0, 0.0])
     assert (res.status, res.u.tolist(), res.witness) == ("degenerate", [1.0, 0.0], (1,))
+    assert "_solution" not in prob.__dict__  # it peeled from its own mask, not the memo
     np.testing.assert_allclose(solve_equation(prob)[0].u, [1.0, 1.0], rtol=1e-15)
+    again = monotone_solution(prob, [1.0, 0.0])  # the memo is there now, and not read
+    assert (again.status, again.u.tolist()) == ("degenerate", [1.0, 0.0])
 
 
 def test_the_monotone_solve_from_a_positive_start_is_the_equation_s():
@@ -1878,8 +1889,56 @@ def test_every_fixed_point_solve_settles_within_eight_newton_steps(monkeypatch):
             monotone_solution(prob, gagliardo_supersolution(prob, est.extras["certified_upper"]).u)
         for i in range(15):  # the verdict_table op's
             theorem_report(_verdict_table_input(i))
-    assert len(runs) >= 150
+    # one floored and one plain solve per round_trip problem, and theorem_report's
+    # floored, plain and local-route solves per verdict_table problem
+    assert len(runs) == 125
     assert all(status == "solution" and steps <= 8 for status, steps in runs)
+
+
+def test_the_round_trip_solves_each_problem_once_plain_and_once_floored(monkeypatch):
+    # strong_type_constant's norm route and monotone_solution read one memoized
+    # plain solve; the relaxed supersolution's floored solve is its own
+    runs, real = [], sublinear._log_solve
+
+    def logged(problem, *args, **kwargs):
+        runs.append((problem, "log_b" in kwargs))
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(sublinear, "_log_solve", logged)
+    for i in range(40):
+        prob = _round_trip_input(i)
+        est = strong_type_constant(prob)
+        monotone_solution(prob, gagliardo_supersolution(prob, est.extras["certified_upper"]).u)
+        assert all(solved is prob for solved, _ in runs)
+        assert sorted(floored for _, floored in runs) == [False, True]
+        runs.clear()
+
+
+def test_the_memoized_solve_is_a_fresh_problem_s_bit_for_bit():
+    # the descent from the (positive) relaxed supersolution reads the memo that
+    # strong_type_constant filled; a fresh problem on the same kernel and sigma
+    # solves from scratch, to the same bits
+    fields = ("u", "log_u", "delta", "residual", "lq_norm", "status", "witness")
+    for prob in [_round_trip_input(i) for i in range(40)] + \
+            [_verdict_table_input(i) for i in range(15)]:
+        kappa = strong_type_constant(prob).extras["certified_upper"]
+        sol = monotone_solution(prob, gagliardo_supersolution(prob, kappa).u)
+        fresh = sublinear._log_solve(SublinearProblem(prob.kernel, prob.sigma, prob.q))
+        for name in fields:
+            a, b = getattr(sol, name), getattr(fresh, name)
+            assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b, name
+        assert sol.iterations == 1 + fresh.iterations
+
+
+def test_the_memoized_solve_is_read_only():
+    # solve_equation and monotone_solution hand out the problem's one plain solve
+    prob = _round_trip_input(5)
+    sol = solve_equation(prob)[0]
+    mono = monotone_solution(prob, sol.u)
+    assert mono.u is sol.u is prob._solution.u
+    for arr in (sol.u, sol.log_u):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_the_testing_ratio_is_free_of_power_of_two_scale():
