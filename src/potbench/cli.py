@@ -54,7 +54,6 @@ from .principles import (
 )
 from .sublinear import (
     SublinearProblem,
-    _wmp_factor,
     energy_criteria,
     energy_sweep,
     lp_operator_norm,
@@ -306,7 +305,7 @@ def _task_weak_quotient(inst, params, budget):
     else:
         omega = sigma
     rep = wmp_constant(inst.kernel, budget=budget)
-    qb = weak_quotient_bound(inst.kernel, omega, nu, h=_wmp_factor(rep))
+    qb = weak_quotient_bound(inst.kernel, omega, nu, h=rep.factor)
     return qb, rep.mode, None
 
 

@@ -42,7 +42,8 @@ Each report carries ``upper``: the certificate's bound on a potential
 matrix, the constant itself after an exact walk, and ``+inf`` after a
 sampled growth, which bounds nothing from above.  A certified ``G`` lies
 within ``d`` of a potential matrix, not on one, so its ``h`` is only known
-to lie in ``[1, upper]``: a bound that ``h`` multiplies takes ``upper``.
+to lie in ``[1, upper]``: a bound that ``h`` multiplies reads the report's
+``factor``, ``upper`` where it is finite.
 """
 
 from __future__ import annotations
@@ -90,15 +91,15 @@ class WmpReport:
     pairs_checked: int
     upper: float  # at least the constant: the certificate's bound, the exact walk's value, or +inf
 
+    @property
+    def factor(self) -> float:
+        """``h`` where it multiplies an upper bound: ``upper`` where it is
+        finite, else the sampled constant."""
+        return self.upper if np.isfinite(self.upper) else self.constant
 
-@dataclass(frozen=True)
-class CompleteMpReport:
-    constant: float
-    holds: bool
-    witness: tuple | None  # (support points, evaluation point, mu, nu, c)
-    mode: str
-    pairs_checked: int
-    upper: float
+
+class CompleteMpReport(WmpReport):
+    """A :class:`WmpReport` whose witness is ``(support points, evaluation point, mu, nu, c)``."""
 
 
 def _mode(n: int, budget: int) -> str:

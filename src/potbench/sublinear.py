@@ -373,22 +373,14 @@ def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> 
                        log_u, delta)
 
 
-def _wmp_factor(wmp) -> float:
-    """``h`` where it multiplies an upper bound: the report's ``upper`` where it
-    is finite, else its sampled constant.  A certified potential matrix reads
-    ``h = 1`` but is only known to have ``h`` in ``[1, upper]``; after an
-    exact walk ``upper`` is the constant itself."""
-    return wmp.upper if np.isfinite(wmp.upper) else wmp.constant
-
-
 def _norm_route(wmp, problem: SublinearProblem, sol: SolveResult) -> tuple[float, float]:
     """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}`` and the norm
     ``|e^delta u|_q``, in logs, from ``sol`` (``delta`` read as 0 where None): the
     log solve, or the relaxed supersolution where that is degenerate.  Callers
-    check the weak maximum principle and quasi-symmetry; ``h`` is :func:`_wmp_factor`'s."""
+    check the weak maximum principle and quasi-symmetry; ``h`` is ``wmp.factor``."""
     q = problem.q
     log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
-    return (_exp(math.log(_wmp_factor(wmp)) - math.log1p(-q) / q + (1.0 - q) * log_lq),
+    return (_exp(math.log(wmp.factor) - math.log1p(-q) / q + (1.0 - q) * log_lq),
             _exp(log_lq))
 
 
@@ -851,7 +843,7 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
                         h: float) -> QuotientBound:
     """Weak ``L^1`` norm of ``G nu / G omega`` against ``h * nu(total)``, with
     ``h`` the kernel's :func:`~potbench.principles.wmp_constant` or an upper
-    end of it (the ``analyze`` task passes :func:`_wmp_factor` of its report).
+    end of it (the ``analyze`` task passes its report's ``factor``).
 
     Indeterminate quotients (0/0, inf/inf) count as 0; a positive potential
     of ``nu`` over a vanishing potential of ``omega`` counts as ``+inf``.
@@ -1235,7 +1227,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     lorentz = lorentz_norm(pot, sigma, q / (1.0 - q), q)
     constants["lorentz_small"] = lorentz
     if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
-        bound = _wmp_factor(wmp) * lorentz
+        bound = wmp.factor * lorentz
         rows.append(_row("lorentz_sufficiency", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "bound": bound}))
     else:
@@ -1249,7 +1241,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         constants["weak_cap0"] = c_cap0
         constants["weak_cap1"] = c_cap1
         ok = (c_cap1 <= c_cap0 * (1.0 + REPORT_RTOL)
-              and c_cap0 <= _wmp_factor(wmp) * c_cap1 * (1.0 + REPORT_RTOL))
+              and c_cap0 <= wmp.factor * c_cap1 * (1.0 + REPORT_RTOL))
         rows.append(_row("weak_capacity_route", ok,
                          {"from_cap0": c_cap0, "from_cap1": c_cap1,
                           "wmp": wmp.constant}))
@@ -1259,7 +1251,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
         trio = {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
                 "from_cap1": c_cap1_11}
-        factor = 8.0 * _wmp_factor(wmp)**4
+        factor = 8.0 * wmp.factor**4
         vals = [weak11, testing, t22]
         finite = [np.isfinite(v) for v in vals]
         ok = all(finite) == any(finite)

@@ -1,5 +1,6 @@
 """Each layer module's ``__all__`` is the one list of its public names."""
 
+import ast
 import importlib
 import inspect
 
@@ -27,3 +28,12 @@ def test_package_all_is_the_union_of_the_layers():
     assert len(set(potbench.__all__)) == len(potbench.__all__)
     for name in potbench.__all__:
         assert hasattr(potbench, name), name
+
+
+def test_cli_imports_no_private_name_from_another_layer():
+    # the CLI reads the layers through their public names only
+    tree = ast.parse(inspect.getsource(importlib.import_module("potbench.cli")))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

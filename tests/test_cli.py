@@ -15,7 +15,14 @@ import jsonschema
 import pytest
 
 import potbench
-from potbench import SampledKernelSpec, build_sampled, wmp_constant
+from potbench import (
+    Kernel,
+    SampledKernelSpec,
+    Space,
+    build_sampled,
+    complete_mp_constant,
+    wmp_constant,
+)
 from potbench.cli import _TASKS, _violations, load_schema, main, to_jsonable
 
 
@@ -527,6 +534,14 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "schema"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == load_schema()
+
+
+def test_maximum_principle_reports_serialize_their_fields_only():
+    # factor is a property, not a field: report.json keeps the six keys
+    kernel = Kernel(Space.of_size(3), [[1.0, 2.0, 0.5], [2.0, 1.0, 1.5], [0.5, 1.5, 1.0]])
+    for rep in (wmp_constant(kernel), complete_mp_constant(kernel)):
+        assert list(to_jsonable(rep)) == ["constant", "holds", "witness", "mode",
+                                          "pairs_checked", "upper"]
 
 
 def test_to_jsonable_specials():

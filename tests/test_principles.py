@@ -8,6 +8,7 @@ the complete comparison the best reply measure sits at point 1, giving
 is ``t^2``.
 """
 
+import dataclasses
 import functools
 from collections import Counter
 from unittest import mock
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from potbench import (
+    CompleteMpReport,
     Kernel,
     SampledKernelSpec,
     Space,
+    WmpReport,
     build_sampled,
     complete_mp_constant,
     modifier,
@@ -776,6 +779,26 @@ def test_potential_matrices_are_certified(family):
             assert rep.upper == ((1.0 + d) / (1.0 - d)) ** power
             assert rep.upper - 1.0 <= 1e-8
             assert 1.0 <= walked <= rep.upper
+
+
+def test_complete_report_is_a_wmp_report():
+    # one field list for both reports: the complete one declares none of its own
+    assert issubclass(CompleteMpReport, WmpReport)
+    assert dataclasses.fields(CompleteMpReport) == dataclasses.fields(WmpReport)
+
+
+@pytest.mark.parametrize("constant", (wmp_constant, complete_mp_constant))
+def test_factor_reads_upper_where_it_is_finite(constant):
+    # the certificate's bound on a potential matrix, the constant itself after
+    # an exact walk, and the sampled constant after a growth, whose upper is +inf
+    k = Kernel(Space.of_size(5), _interval_green(np.random.default_rng([5, 7]), 5))
+    certified = constant(k)
+    with _walk_only():
+        walk, grown = constant(k), constant(k, budget=1)
+    assert certified.constant == 1.0 < certified.upper == certified.factor
+    assert walk.mode == "exact" and walk.factor == walk.constant == walk.upper
+    assert grown.mode == "sampled" and grown.upper == np.inf
+    assert grown.factor == grown.constant and np.isfinite(grown.constant)
 
 
 def test_column_dominant_inverses_are_declined():

@@ -289,7 +289,7 @@ def test_bounds_take_the_certified_upper_end_of_h():
         walked = theorem_report(problem), strong_type_constant(problem).upper
     assert (wmp.constant, wmp.mode, walk.mode) == (1.0, "exact", "exact")
     assert 1.0 + 1e-9 < walk.constant == walk.upper <= wmp.upper <= 1.0 + 3e-8
-    assert sublinear._wmp_factor(wmp) == wmp.upper and sublinear._wmp_factor(walk) == walk.constant
+    assert wmp.factor == wmp.upper and walk.factor == walk.constant
     report = theorem_report(problem)
     assert report.hypotheses["wmp_constant"] == 1.0
     factor = report.row("weak11_testing_chain").details["factor"]
@@ -299,7 +299,7 @@ def test_bounds_take_the_certified_upper_end_of_h():
                                 walked[0].constants["norm_route_upper"]),
                                (strong_type_constant(problem).upper, walked[1])):
         assert np.isfinite(by_walk) and certified >= by_walk
-    qb = sublinear.weak_quotient_bound(k, problem.sigma, problem.sigma, sublinear._wmp_factor(wmp))
+    qb = sublinear.weak_quotient_bound(k, problem.sigma, problem.sigma, wmp.factor)
     assert qb.bound == wmp.upper * problem.sigma.total
 
 
@@ -1087,10 +1087,10 @@ def test_cap1_monotone_is_the_exact_path_of_wiener_cap1():
         assert search.cap1_monotone == monotone == (res.method != "heuristic")
 
 
-def _workload_input(i, n, power):
-    """The kernel and measure of a benchmark workload's input ``i`` at seed 0
+def _workload_input(i, n, power, seed=0):
+    """The kernel and measure of a benchmark workload's input ``i`` at ``seed``
     (``perfbench/workloads.py``)."""
-    base, jit = np.random.default_rng([7, i, 0]), np.random.default_rng([0, i, 1])
+    base, jit = np.random.default_rng([7, i, 0]), np.random.default_rng([seed, i, 1])
     offset = base.uniform(0.1, 0.6)
     space = Space.of_size(n)
     kernel = Kernel(space, 1.0 / (shortest_path_metric(base, n) + offset) ** power)
@@ -1631,9 +1631,9 @@ def test_newton_loops_agree_with_the_checked_loops(n, seed, zeros, infs, partial
     _assert_agree(found, want)
 
 
-def _verdict_table_input(i):
-    """The verdict_table benchmark's input ``i`` at seed 0: n = 10."""
-    kernel, sigma = _workload_input(i, 10, (0.7, 1.0, 1.5, 2.0, 3.0)[(i // 3) % 5])
+def _verdict_table_input(i, seed=0):
+    """The verdict_table benchmark's input ``i`` at ``seed``: n = 10."""
+    kernel, sigma = _workload_input(i, 10, (0.7, 1.0, 1.5, 2.0, 3.0)[(i // 3) % 5], seed)
     return SublinearProblem(kernel, sigma, (0.3, 0.5, 0.7)[i % 3])
 
 
@@ -1817,6 +1817,31 @@ def test_a_degenerate_norm_route_keeps_the_loops_supersolution():
     assert est.upper == 10.483534642266678
     assert est.extras["norm_route_lq"] == 6.869031162225348
     assert abs(est.extras["norm_route_lq"] - 6.86903116222534790) <= 2 * math.ulp(6.869)
+
+
+def _isolated_point_problem(n, q, s):
+    """A metric-power kernel whose point ``s % n``, charged by sigma, has a zero
+    row and column: the plain solve is degenerate."""
+    rng = np.random.default_rng([n, s, 45])
+    G = metric_power_kernel(rng, n, float(rng.choice((0.7, 1.0, 2.0))),
+                            float(rng.uniform(0.1, 0.6))).entries.copy()
+    G[s % n, :] = G[:, s % n] = 0.0
+    return SublinearProblem(Kernel(Space.of_size(n), G), rand_sigma(rng, Space.of_size(n)), q)
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_theorem_report_reads_the_strong_constants_norm_route(seed):
+    # theorem_report and strong_type_constant each choose the supersolution
+    # the norm route reads, the memoized plain solve or, where that is
+    # degenerate, the relaxed one; the two bounds agree to the bit
+    problems = [_verdict_table_input(i, seed) for i in range(15)]
+    isolated = [_isolated_point_problem(n, q, s + 5 * seed)
+                for n in range(4, 8) for q in (0.3, 0.5, 0.7) for s in range(5)]
+    for prob in problems + isolated:
+        bound = theorem_report(prob).constants["norm_route_upper"]
+        assert np.isfinite(bound) and bound == strong_type_constant(prob).upper
+    assert {prob._solution.status for prob in isolated} == {"degenerate"}
+    assert "degenerate" not in {prob._solution.status for prob in problems}
 
 
 def test_the_norm_route_and_the_solve_fit_at_sigma_times_1e100():
