@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two SHA-256 digests of this checkout's outputs, to tell whether a
+"""Print three SHA-256 digests of this checkout's outputs, to tell whether a
 change left them identical.
 
 The library digest covers every field of what these return:
@@ -18,7 +18,12 @@ The report digest covers the bytes of the ``report.json`` files that
 ``potbench analyze`` writes for the scenarios workload's ops 0-2 at seeds 0
 and 3 (30 files), run in this process.
 
-Both digests are deterministic for a given checkout and numpy.  Run it in
+The capacity digest covers every field of ``cap0`` and ``content`` and, on
+the symmetric kernels, of ``wiener_cap1`` (measures, certificates and
+``attained`` included), on every nonempty subset of each maximum-principle
+kernel above with at most five points.
+
+All three digests are deterministic for a given checkout and numpy.  Run it in
 two checkouts and compare the lines:
 
   python scripts/output_digest.py
@@ -43,6 +48,7 @@ ROUND_TRIP_OPS = range(80)
 VERDICT_OPS = range(15)
 SCENARIO_OPS = range(3)
 MP_KERNELS = 200  # each at two budgets
+CAPACITY_N_MAX = 5  # the capacities run on every nonempty subset of these kernels
 
 
 def feed(h, obj):
@@ -133,9 +139,25 @@ def report_digest() -> str:
     return h.hexdigest()
 
 
+def capacity_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(45)
+    for i in range(MP_KERNELS):
+        kernel = mp_kernel(rng, i)
+        if kernel.size > CAPACITY_N_MAX:
+            continue
+        capacities = (pb.cap0, pb.content, pb.wiener_cap1)[:3 if kernel.is_symmetric else 2]
+        for m in range(1, 1 << kernel.size):
+            K = [j for j in range(kernel.size) if m >> j & 1]
+            for capacity in capacities:
+                feed(h, capacity(kernel, K))
+    return h.hexdigest()
+
+
 def main():
     print(f"library {library_digest()}")
     print(f"reports {report_digest()}")
+    print(f"capacity {capacity_digest()}")
 
 
 if __name__ == "__main__":

@@ -28,12 +28,12 @@ coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
 (the infimum is then approached but not attained, and the result says so).
 
 The subset searches call only the cores on index arrays (:func:`_cap0` and
-:func:`_wiener_cap1`); the public functions validate input and add measures and
-certificates.  The searches start each subset's active set from its parent
-subset's weights, and decide PSD once: a search runs :func:`_exact_qp` on its
-whole support block and, where that passes, tells :func:`_wiener_cap1` to skip
-the test on each subset (a principal block of a PSD block is PSD).  Every other
-caller, and every subset of a block that fails, is tested on its own block.
+:func:`_wiener_cap1`); the public functions check input and add measures and
+certificates (:func:`_extremal`).  The searches start each subset's active set
+from its parent's weights, and decide PSD once: a search runs :func:`_exact_qp`
+on its whole support block and, where that passes, tells :func:`_wiener_cap1`
+to skip the test on each subset (a principal block of a PSD block is PSD).
+Every other caller, and every subset of a block that fails, is tested alone.
 """
 
 from __future__ import annotations
@@ -106,7 +106,13 @@ def _resolve_subset(kernel: Kernel, points) -> np.ndarray:
     return idx
 
 
-def _make_certificates(kernel, K, lam: Measure, pot, with_exceptional=False):
+def _extremal(kernel, K, weights, potential_of, with_exceptional=False):
+    """``(lam, certificates)`` of a core's ``weights`` on the whole space, with the
+    potential ``potential_of``; ``(None, None)`` if there are none (unbounded)."""
+    if weights is None:
+        return None, None
+    lam = Measure(kernel.space, weights)
+    pot = potential_of(kernel, lam)
     sup = lam.support
     upper = float(pot[sup].max()) if sup.size else None
     below = [int(x) for x in K if pot[x] < 1.0 - CERT_TOL]
@@ -116,7 +122,7 @@ def _make_certificates(kernel, K, lam: Measure, pot, with_exceptional=False):
         below_cap = _wiener_cap1(kernel, np.array(below, dtype=int))[0]
     off = np.abs(pot - 1.0) > CERT_TOL
     off_mass = float(lam.weights[off].sum())
-    return EquilibriumCertificates(upper, below_labels, below_cap, off_mass)
+    return lam, EquilibriumCertificates(upper, below_labels, below_cap, off_mass)
 
 
 def _slack_certificate(G: np.ndarray, F: np.ndarray):
@@ -143,51 +149,44 @@ def _slack_certificate(G: np.ndarray, F: np.ndarray):
 
 
 def _cap0(G: np.ndarray, K: np.ndarray) -> tuple:
-    """``(value, free, mu on free, dual value, lam, method)`` of :func:`cap0` on
-    ``K``, whose points ``free`` can carry mass: by :func:`_slack_certificate`,
-    else LP on ``G[free]'`` over ``2^e``, mapped back by ``2^-e``.  ``lam``, the
-    dual's optimal measure, is the certificate's or the LP's clipped duals; ``mu``
-    and ``lam`` are None if the LP is unbounded.  The masses are summed over the
-    certificate's compact vectors, before ``lam`` is padded to the whole space."""
+    """``(value, free, mu, dual value, lam, method)`` of :func:`cap0` on ``K``,
+    whose points ``free`` can carry mass: by :func:`_slack_certificate`, else LP
+    on ``G[free]'`` over ``2^e``, mapped back by ``2^-e``.  ``lam``, the dual's
+    optimal measure, is the certificate's or the LP's clipped duals; ``mu`` and
+    ``lam`` are on the whole space, or None if the LP is unbounded.  The masses
+    are summed over the certificate's compact vectors, before they are padded."""
     n = G.shape[0]
     # mu[x] > 0 with an infinite entry in row G[x, :] violates some <=1 row
     free = K[np.isfinite(G[K]).all(axis=1)]
+    mu, lam = np.zeros(n), np.zeros(n)
     if free.size and (cert := _slack_certificate(G, free)) is not None:
-        lam = np.zeros(n)
-        lam[free] = cert[1]
-        return float(cert[0].sum()), free, cert[0], float(cert[1].sum()), lam, "slackness"
+        mu[free], lam[free] = cert
+        return float(cert[0].sum()), free, mu, float(cert[1].sum()), lam, "slackness"
     A, e = _normalized(G[free].T)
     sol = solve_lp(LpProblem(np.ones(free.size), A, np.ones(n)))
     if sol.status == "unbounded":
         return float("inf"), free, None, float("inf"), None, "lp"
-    value, mu, lam = (np.ldexp(np.maximum(v, 0.0), -e) for v in (sol.value, sol.x, sol.duals))
+    value, mu[free], lam = (np.ldexp(np.maximum(v, 0.0), -e)
+                            for v in (sol.value, sol.x, sol.duals))
     return float(value), free, mu, float(lam.sum()), lam, "lp"
 
 
 def cap0(kernel: Kernel, points) -> CapacityResult:
     """max ``mu(K)`` over measures on ``K`` with adjoint potential ``<= 1`` everywhere."""
     K = _resolve_subset(kernel, points)
-    value, free, mu_free, dual_value, _, method = _cap0(kernel.entries, K)
-    if mu_free is None:
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-    weights = np.zeros(kernel.size)
-    weights[free] = mu_free
-    mu = Measure(kernel.space, weights)
-    certs = _make_certificates(kernel, K, mu, adjoint_potential(kernel, mu))
-    return CapacityResult(value, mu, dual_value, certs, method)
+    value, _, mu, dual_value, _, method = _cap0(kernel.entries, K)
+    mu, certs = _extremal(kernel, K, mu, adjoint_potential)
+    return CapacityResult(value, mu, dual_value, certs, method, attained=mu is not None)
 
 
 def content(kernel: Kernel, points) -> CapacityResult:
     """min ``lam(space)`` over measures with potential ``>= 1`` on ``K``: the
     dual side of :func:`cap0`'s solve, ``+inf`` where that LP is unbounded."""
     K = _resolve_subset(kernel, points)
-    cap, free, _, value, weights, method = _cap0(kernel.entries, K)
-    if weights is None:
-        return CapacityResult(float("inf"), None, float("inf"), None, "lp", attained=False)
-    lam = Measure(kernel.space, weights)
-    certs = _make_certificates(kernel, K, lam, potential(kernel, lam))
+    cap, free, _, value, lam, method = _cap0(kernel.entries, K)
+    lam, certs = _extremal(kernel, K, lam, potential)
     # a >=1 row containing +inf is satisfied by vanishing mass on that column
-    return CapacityResult(value, lam, cap, certs, method, attained=free.size == K.size)
+    return CapacityResult(value, lam, cap, certs, method, lam is not None and free.size == K.size)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +214,10 @@ def _kkt_residual(A, lam, thr):
 
 def _to_boundary(x, d, t):
     """``(t, x + t d)``, the step ``t`` cut where a weight first reaches 0 (then
-    exactly 0); the point is None if ``t`` is infinite."""
+    exactly 0).  An infinite ``t`` needs some ``d < 0``."""
     neg = np.flatnonzero(d < 0)
     steps = x[neg] / -d[neg]
     t = min(steps.min(initial=np.inf), t)
-    if not np.isfinite(t):
-        return t, None
     y = np.clip(x + t * d, 0.0, None)
     y[neg[steps == t]] = 0.0
     return t, y
@@ -235,7 +232,10 @@ def _active_set(A, lam=None):
     = 1`` on the support ``T``, step back to the boundary where a weight
     would not stay positive, and add the point whose potential is furthest
     below 1.  An inconsistent system is followed along the null direction in
-    which the objective rises, to the boundary.
+    which the objective rises, to the boundary.  It meets one: on the unit-diagonal
+    form ``S`` (PSD, entries ``>= 0``) the least-squares residual ``r`` has
+    ``|S r| <= 1e-7 |S| |r|``, and ``r >= 0`` would give ``S r >= r``, so ``|S|
+    >= 1e7``, while the block's size bounds ``|S|``.
     """
     k = A.shape[0]
     P, j = (np.zeros(k, dtype=bool), 0) if lam is None else (lam > 0, None)
@@ -263,11 +263,7 @@ def _active_set(A, lam=None):
             if not ray and (z > 0).all():
                 lam[T] = z
                 break
-            _, lam_T = _to_boundary(lam[T], s * r if ray else z - lam[T],
-                                    np.inf if ray else 1.0)
-            if lam_T is None:  # no boundary ahead: only for non-PSD A
-                break
-            lam[T] = lam_T
+            lam[T] = _to_boundary(lam[T], s * r if ray else z - lam[T], np.inf if ray else 1.0)[1]
             P &= lam > 0
         j = None
     return lam
@@ -453,10 +449,7 @@ def wiener_cap1(kernel: Kernel, points) -> CapacityResult:
         raise DomainError("wiener_cap1 requires a symmetric kernel")
     K = _resolve_subset(kernel, points)
     value, weights, method, attained = _wiener_cap1(kernel, K)
-    if weights is None:
-        return CapacityResult(value, None, None, None, method, attained=attained)
-    lam = Measure(kernel.space, weights)
-    certs = _make_certificates(kernel, K, lam, potential(kernel, lam), with_exceptional=True)
+    lam, certs = _extremal(kernel, K, weights, potential, with_exceptional=True)
     return CapacityResult(value, lam, None, certs, method, attained=attained)
 
 

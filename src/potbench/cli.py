@@ -7,11 +7,11 @@ block instance directly from flags.  ``potbench schema`` prints the JSON
 schema that scenario files are validated against; ``_violations`` checks
 them with the part of JSON Schema 2020-12 that this schema uses.
 
-Determinism contract: with a fixed ``--seed`` the report body is
-byte-identical across runs; wall-clock timings go to a separate file (or
-stderr) so they never perturb the report.  Exit status: 0 on success, 1 if
-any task failed or output could not be written, 2 for unreadable, invalid
-or unknown input.
+Determinism contract: the report body is byte-identical across runs of one
+command (no task draws a random number; ``--seed`` is only echoed into it);
+timings go to a separate file (or stderr) so they never perturb the report.
+Exit status: 0 on success, 1 if any task failed or output could not be
+written, 2 for unreadable, invalid or unknown input.
 """
 
 from __future__ import annotations

@@ -102,11 +102,11 @@ class CompleteMpReport(WmpReport):
     """A :class:`WmpReport` whose witness is ``(support points, evaluation point, mu, nu, c)``."""
 
 
-def _mode(n: int, budget: int) -> str:
-    """``exact`` when ``n * 2**n`` fits the budget, else ``sampled``."""
+def _mode(count: int, budget: int) -> str:
+    """``exact`` when ``count`` pairs or subsets fit the budget, else ``sampled``."""
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
-    return "exact" if n * (1 << n) <= budget else "sampled"
+    return "exact" if count <= budget else "sampled"
 
 
 def _place(n: int, T, x: int) -> int:
@@ -185,7 +185,7 @@ def _search(G: np.ndarray, budget: int, value, width: int, rays=False, power=1):
     1``), on a support of the points before ``j`` can come earlier.  The
     walk's batches and the growth's chunks hold ``BATCH // width`` supports."""
     n, d = G.shape[0], np.diag(G)
-    mode, pairs, size = _mode(n, budget), [], max(1, capacity.BATCH // width)
+    mode, pairs, size = _mode(n * (1 << n), budget), [], max(1, capacity.BATCH // width)
     if (bound := _potential_certificate(G)) is not None:
         return "exact", 1.0, None, None, None, 0, ((1.0 + bound) / (1.0 - bound)) ** power
     hot = np.isfinite(d) & ~np.eye(n, dtype=bool) & (np.isinf(G) | ((d == 0) & (G > 0))) | rays

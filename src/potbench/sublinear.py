@@ -21,7 +21,7 @@ The pipeline realized here:
 
 Conventions: all exponents are evaluated in extended-real arithmetic, an
 iterate reaching ``+inf`` on the support of ``sigma`` aborts with status
-``diverged``, and every randomized search is driven by an explicit seed.
+``diverged``, and nothing draws a random number: a ``seed`` argument is unused.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .core import (
 )
 from .principles import (
     DEFAULT_BUDGET,
+    _mode,
     _triangle_constant,
     modifier,
     modify_kernel,
@@ -597,13 +598,6 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 PRUNE_RTOL = 1e-9  # cap0 values, certified or from the LP, are monotone in exact arithmetic only
 
 
-def _sampled_cap(n: int, budget: int) -> int:
-    """Subsets valued by a sampled search on ``n`` points: ``min(budget, 10 n^2)``."""
-    if budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
-    return min(budget, 10 * n * n)
-
-
 class _SubsetSearch:
     """Depth-first branch and bound (Land and Doig) for the largest
     ``num(K) / den(K)`` over nonempty ``K`` in ``supp sigma``, for
@@ -626,9 +620,10 @@ class _SubsetSearch:
     ``sigma(K)^{1/q-1} M(K)`` are nondecreasing in ``K`` when ``q <= 1``.
 
     Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
-    with its weights are memoized for every search on one object, which
-    lives only as long as its caller, to bound the memory it holds (kernels and
-    measures are immutable, so a longer life would be sound).  ``cap1`` starts
+    with its weights are memoized for every search on one object, which lives
+    only as long as its caller.  That bounds its memory, and keeps a repeated
+    call's work equal: the benchmark's traced run calls each input again on
+    the same objects and fails on changed operation counts.  ``cap1`` starts
     from the weights of the subset's parent in the search, the subset without
     its last point in ``order``, and skips the PSD test of each subset when
     the whole support block passes it (:attr:`psd`).
@@ -637,7 +632,7 @@ class _SubsetSearch:
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
         self.kernel, self.sigma, self.supp = kernel, sigma, sigma.support
         k, n = self.supp.size, kernel.size
-        self.limit = 2**k - 1 if 2**k <= budget else _sampled_cap(n, budget)
+        self.limit = 2**k - 1 if _mode(2**k, budget) == "exact" else min(budget, 10 * n * n)
         pot = potential(kernel, sigma)[self.supp]
         self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
         self._sets: dict = {}  # (indices, mask, sigma mass) by subset
@@ -801,12 +796,12 @@ def weak_type_constant(problem: SublinearProblem,
     ``sigma(K)^{1/q} / cap0(K)`` over subsets ``K`` of the support of
     ``sigma``, found by branch and bound.  ``budget`` counts the distinct
     subsets valued: all of them when ``2^|supp sigma| <= budget``, so the
-    result is ``exact``, else at most :func:`_sampled_cap`, ``min(budget,
-    10 n^2)``.  A search cut short is ``sampled``, bracketed by the best
-    subset's ratio and the largest bound of an open branch.  Extras name the best set with its
-    ``cap0`` and ``content`` values, and for ``q > 1`` carry the dual
-    level-set constant, an upper bound that also caps ``upper``.  A kernel
-    column of infinite weak norm makes the constant infinite.
+    result is ``exact``, else at most ``min(budget, 10 n^2)``.  A search cut
+    short is ``sampled``, bracketed by the best subset's ratio and the largest
+    bound of an open branch.  Extras name the best set with its ``cap0`` and
+    ``content`` values, and for ``q > 1`` carry the dual level-set constant,
+    an upper bound that also caps ``upper``.  A kernel column of infinite weak
+    norm makes the constant infinite.
     :func:`theorem_report` reads the same search's value and mode only.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q

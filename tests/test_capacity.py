@@ -449,6 +449,36 @@ def test_wiener_badly_scaled_gram_kernels():
         assert res.value == pytest.approx(_enumerate_supports(k.entries)[1], rel=1e-9)
 
 
+def test_wiener_rays_on_psd_blocks_always_meet_a_boundary(monkeypatch):
+    # low-rank Gram kernels, a third of C zero: singular supports send the
+    # active set along rays (t = inf), and on a PSD block with entries >= 0
+    # each ray meets a boundary, so every step is finite
+    rays, boundary = [], capacity._to_boundary
+
+    def traced(x, d, t):
+        out = boundary(x, d, t)
+        if np.isinf(t):
+            rays.append(out)
+        return out
+
+    monkeypatch.setattr(capacity, "_to_boundary", traced)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        C = rng.uniform(0.0, 1.0, (n, int(rng.integers(1, n))))
+        C[rng.uniform(size=C.shape) < 1.0 / 3.0] = 0.0
+        G = C @ C.T
+        G = (G + G.T) / 2.0
+        if (np.diag(G) == 0).any():
+            continue
+        res = wiener_cap1(Kernel(Space.of_size(n), G), range(n))
+        assert res.method == "qp"
+        assert res.value == pytest.approx(_enumerate_supports(G)[1], rel=1e-12)
+    assert rays
+    for t, y in rays:
+        assert np.isfinite(t) and np.isfinite(y).all()
+
+
 def test_wiener_requires_symmetry():
     k = Kernel(Space.of_size(2), [[1.0, 2.0], [0.5, 1.0]])
     with pytest.raises(DomainError):

@@ -1277,11 +1277,15 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
 
     monkeypatch.setattr("potbench.capacity.solve_lp", no_lp)  # the package's one LP solver
     prob = _metric_problem_8()
+    entry_points = (lambda b: wmp_constant(prob.kernel, budget=b),
+                    lambda b: principles.complete_mp_constant(prob.kernel, budget=b),
+                    lambda b: weak_type_constant(prob, budget=b),
+                    lambda b: check_testing_condition(prob.kernel, prob.sigma, budget=b),
+                    lambda b: theorem_report(prob, budget=b))
     for budget in (0, -3):
-        with pytest.raises(DomainError, match="budget"):
-            wmp_constant(prob.kernel, budget=budget)
-        with pytest.raises(DomainError, match="budget"):
-            weak_type_constant(prob, budget=budget)
+        for call in entry_points:  # one message, from principles._mode
+            with pytest.raises(DomainError, match=f"^budget must be at least 1, got {budget}$"):
+                call(budget)
 
 
 # ---------------------------------------------------------------------------
