@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark this checkout against a parent revision and write a JSON record.
 
-Exports the parent revision with ``git archive`` into a temporary
-directory, removed on exit.  For each workload of ``BENCHMARK.json`` it
-runs ten pairs of
+Exports the parent revision with ``git archive``, and copies the files that
+git tracks or would track in this checkout (``git ls-files --cached
+--others --exclude-standard``, as they are on disk), into two temporary
+directories removed on exit, so both sides run from a fresh tree and
+neither reads the checkout's caches or build leftovers.  ``change_dirty``
+records whether the copy differs from ``HEAD``.  For each workload of
+``BENCHMARK.json`` it runs ten pairs of
 
   python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
@@ -25,6 +29,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +52,16 @@ def export(rev: str, dest: str):
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def snapshot(dest: str):
+    """Copy the files git tracks or would track, as they are on disk, into ``dest``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for rel in filter(None, listed.split("\0")):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):  # a tracked file deleted from the checkout is left out
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
 
 
 def run(command, root: str, workload: str, seed: int, trace: int) -> dict:
@@ -115,9 +130,11 @@ def main(argv=None) -> int:
         "seeds": list(SEEDS), "seconds": SECONDS, "trace_seed": TRACE_SEED,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change:
         export(record["parent"], parent)
-        roots = {"parent": parent, "change": ROOT}
+        snapshot(change)
+        roots = {"parent": parent, "change": change}
         for spec in bench["workloads"]:
             record["workloads"][spec["name"]] = compare(bench, spec["name"], roots)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -84,6 +84,8 @@ def to_jsonable(obj):
     """Recursively convert results to JSON-safe data; ``inf`` becomes a string."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, np.bool_):  # not a bool, nor an np.integer
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):

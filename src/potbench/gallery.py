@@ -5,7 +5,7 @@ The block family is the standard counterexample machine: a direct sum of
 2 x 2 blocks on which ``u = G(u^q sigma)`` is solvable in closed form while
 the strong-type constant grows without bound along the truncation.  The
 sampled family provides honest geometric kernels (inverse-distance powers,
-the interval Green function) for the randomized checks.
+the interval Green function) on given points or on points drawn from a seed.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def monotone_solution(problem: SublinearProblem, start) -> SolveResult:
     supersolution.
 
     The start must satisfy ``start >= G(start^q sigma)`` on the support of
-    ``sigma`` (checked at relative tolerance 1e-12, one plain step through a
+    ``sigma`` (checked to ``1e-12 max(1, start)``, one plain step through a
     ``Measure``'s checks).  The descent keeps the zeros of the start, so its
     limit is :func:`_log_solve`'s solution peeled from the points of
     ``supp sigma`` where the start is positive: status ``solution`` where it
@@ -374,15 +374,21 @@ def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> 
                        log_u, delta)
 
 
-def _norm_route(wmp, problem: SublinearProblem, sol: SolveResult) -> tuple[float, float]:
-    """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}`` and the norm
-    ``|e^delta u|_q``, in logs, from ``sol`` (``delta`` read as 0 where None): the
-    log solve, or the relaxed supersolution where that is degenerate.  Callers
-    check the weak maximum principle and quasi-symmetry; ``h`` is ``wmp.factor``."""
-    q = problem.q
-    log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
-    return (_exp(math.log(wmp.factor) - math.log1p(-q) / q + (1.0 - q) * log_lq),
-            _exp(log_lq))
+def _norm_route(wmp, a, problem: SublinearProblem, relaxed) -> tuple[float, float | None]:
+    """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}``, ``h = wmp.factor``, and
+    ``|e^delta u|_q``, in logs, from a supersolution ``e^delta u`` (Quinn and Verbitsky), ``delta``
+    0 where None.  It needs the weak maximum principle and quasi-symmetry (a finite ``a``), and
+    reads the memoized plain solve or, where that is ``degenerate``, ``relaxed()``, the relaxed
+    supersolution, called only then; ``(+inf, None)`` where a hypothesis fails or that diverged."""
+    if wmp.holds and np.isfinite(a):
+        sol = problem._solution
+        sol = relaxed() if sol.status == "degenerate" else sol
+        if sol.status != "diverged":
+            q = problem.q
+            log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
+            return (_exp(math.log(wmp.factor) - math.log1p(-q) / q + (1.0 - q) * log_lq),
+                    _exp(log_lq))
+    return float("inf"), None
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +517,9 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     stopped first, at ``ASCENT_CAP`` steps or where no step rises, and
     ``heuristic`` when the certificate is infinite (a positive one whose ``1/q``
     power underflows reads the least positive float).  ``upper`` is 0 where
-    ``F`` is, else :func:`_norm_route`'s bound ``h (1-q)^{-1/q} |u|_q^{1-q}``
-    from the supersolution ``e^delta u`` of :func:`solve_equation`'s solve, the
-    problem's memoized one (extras ``norm_route_lq``), or the relaxed one where
-    ``u`` vanishes on ``supp sigma``; infinite unless the weak maximum principle holds and the
-    kernel is quasi-symmetric.  ``seed`` no longer changes the result.  For ``q >= 1``
+    ``F`` is, else :func:`_norm_route`'s bound (extras ``norm_route_lq``, its norm),
+    whose relaxed supersolution takes ``certified_upper``, or ``lower (1 + 1e-6)``
+    where that is infinite.  ``seed`` no longer changes the result.  For ``q >= 1``
     the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
     attained at a point mass.
     """
@@ -576,14 +580,9 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         wr = wmp_constant(kernel, budget=budget)
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
-        a = check_quasisymmetric(kernel)
-        if wr.holds and np.isfinite(a):  # no solve where the route cannot apply
-            sol = problem._solution
-            if sol.status == "degenerate":  # the relaxed supersolution
-                kappa = cert_upper if np.isfinite(cert_upper) else lower * (1.0 + 1e-6)
-                sol = gagliardo_supersolution(problem, kappa)
-            if sol.status != "diverged":
-                upper, lq = _norm_route(wr, problem, sol)
+        upper, lq = _norm_route(wr, check_quasisymmetric(kernel), problem, lambda: (
+            gagliardo_supersolution(problem, cert_upper if np.isfinite(cert_upper)
+                                    else lower * (1.0 + 1e-6))))
         if np.isfinite(upper):
             extras["norm_route_lq"] = lq
 
@@ -1124,7 +1123,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     standalone functions are not computed here.  ``constants["modes"]``
     holds the mode of the WMP search, the strong constant and each subset
     search that ran.  The descent from the (positive) relaxed supersolution is
-    :func:`_log_solve`'s, and the norm-route row takes :func:`_norm_route`'s
+    :func:`_log_solve`'s; the norm-route row needs it and reads :func:`_norm_route`'s
     bound, the strong constant's ``upper``.  The solution-norm row compares
     ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the float range reads
     ``+inf`` in its details.  ``seed`` no longer changes the result.
@@ -1155,7 +1154,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     modes = {"wmp": wmp.mode, "strong": strong.extras["mode"]}
     constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert, "modes": modes}
 
-    sol = usable = None
+    sol = None
     if np.isfinite(kappa_cert) and sigma.total > 0:
         sup = gagliardo_supersolution(problem, kappa_cert)
         rows.append(_row("strong_to_supersolution", sup.status == "supersolution",
@@ -1163,7 +1162,6 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                           "lq_norm": sup.lq_norm}))
         if sup.status == "supersolution":  # the descent from it ends at the log solve
             sol = problem._solution
-            usable = sup if sol.status == "degenerate" else sol
     else:
         rows.append(_na("strong_to_supersolution",
                         "strong-type constant is infinite" if sigma.total > 0
@@ -1179,13 +1177,13 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     else:
         rows.append(_na("supersolution_to_solution", "no supersolution available"))
 
-    if usable is not None and wmp.holds and np.isfinite(a):
-        bound = _norm_route(wmp, problem, usable)[0]
+    bound, lq = _norm_route(wmp, a, problem, lambda: sup) if sol is not None else (None, None)
+    if lq is not None:
         constants["norm_route_upper"] = bound
         rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
                          {"lower": strong.lower, "upper": bound}))
     else:
-        rows.append(_na("supersolution_to_strong", "no supersolution available" if usable is None
+        rows.append(_na("supersolution_to_strong", "no supersolution available" if sol is None
                         else "needs the weak maximum principle and quasi-symmetry"))
 
     if sol is not None and sol.status == "solution" and np.isfinite(kappa_cert):

@@ -12,15 +12,18 @@ import sys
 import sysconfig
 
 import jsonschema
+import numpy as np
 import pytest
 
 import potbench
 from potbench import (
     Kernel,
+    Measure,
     SampledKernelSpec,
     Space,
     build_sampled,
     complete_mp_constant,
+    weak_quotient_bound,
     wmp_constant,
 )
 from potbench.cli import _TASKS, _violations, load_schema, main, to_jsonable
@@ -257,6 +260,34 @@ def test_block_scenario_and_sweep_csv(tmp_path):
     # the closed-form solution feeds the energy criteria automatically
     assert by_name["energy"]["result"]["small_exponent_check"]["holds"] is True
     assert by_name["solve"]["result"]["solve"]["status"] == "solution"
+
+
+def test_task_defaults_and_a_custom_block_rule(tmp_path):
+    # energy_sweep's default exponents, weak_quotient against sigma itself,
+    # maurey with no witness (sigma vanishes), divergence_sweep on a matrix
+    # kernel, and a custom block rule
+    def analyze(name, doc):
+        scen = write_scenario(tmp_path / f"{name}.json", {"name": name, "q": 0.5, **doc})
+        main(["analyze", scen, "--out", str(tmp_path / name)])
+        return json.loads((tmp_path / name / "report.json").read_text())["tasks"]
+
+    matrix = {"kernel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}}
+    sweep, quotient, sweep_blocks = analyze("defaults", {**matrix, "sigma": [1.0, 1.0], "tasks": [
+        {"name": "energy_sweep"}, {"name": "weak_quotient", "params": {"nu": [1.0, 0.0]}},
+        {"name": "divergence_sweep"}]})
+    # s = q/(1-q) = 1 times 0.5, 0.75, 1, 1.25 and 1.5, and 1 + q = 1.5
+    assert [row["s"] for row in sweep["result"]["rows"]] == [0.5, 0.75, 1.0, 1.25, 1.5]
+    kernel = Kernel(Space.of_size(2), [[1.0, 0.5], [0.5, 1.0]])
+    sigma, nu = Measure(kernel.space, [1.0, 1.0]), Measure(kernel.space, [1.0, 0.0])
+    assert quotient["result"] == to_jsonable(
+        weak_quotient_bound(kernel, sigma, nu, h=wmp_constant(kernel).factor))
+    assert "divergence_sweep needs a block kernel" in sweep_blocks["error"]
+    (maurey,) = analyze("void", {**matrix, "sigma": [0.0, 0.0], "tasks": [{"name": "maurey"}]})
+    assert maurey["result"] == {"available": False, "reason": "no witness"}
+    (solve,) = analyze("custom", {
+        "kernel": {"blocks": {"n_blocks": 2, "rule": ["custom", [1, 2, 1, 2]]}},
+        "tasks": [{"name": "solve"}]})
+    assert solve["result"]["solve"]["status"] == "solution"
 
 
 def test_block_scenario_rejects_sigma(tmp_path):
@@ -542,6 +573,13 @@ def test_maximum_principle_reports_serialize_their_fields_only():
     for rep in (wmp_constant(kernel), complete_mp_constant(kernel)):
         assert list(to_jsonable(rep)) == ["constant", "holds", "witness", "mode",
                                           "pairs_checked", "upper"]
+
+
+def test_to_jsonable_maps_numpy_booleans_to_json_booleans():
+    # np.bool_ is neither a bool nor an np.integer
+    assert to_jsonable(np.bool_(True)) is True
+    assert json.dumps(to_jsonable({"holds": np.bool_(False), "mask": np.array([True])})) == (
+        '{"holds": false, "mask": [true]}')
 
 
 def test_to_jsonable_specials():

@@ -6,6 +6,8 @@ built solution is pushed through the kernel once to confirm the fixed
 point at machine precision.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from potbench import (
     solve_equation,
     strong_type_constant,
 )
+from potbench import gallery
 from potbench.gallery import (
     BlockSpec,
     SampledKernelSpec,
@@ -156,6 +159,31 @@ def test_threshold_estimate_beyond_budget():
     assert rep.method == "estimate"
     # 2 H_n = 40 around n = exp(19.42...); only the order of magnitude matters
     assert 1e8 < rep.n_blocks < 1e9
+
+
+@pytest.mark.parametrize("q, target, rel", [(2.0 / 3.0, 10.0, 0.01), (1.0 / 3.0, 100.0, 0.2)])
+def test_threshold_harmonic_estimate_off_e_equal_1(monkeypatch, q, target, rel):
+    # beyond the budget the partial sums follow log n plus a constant for
+    # e = q/(1-q) > 1 and the power law n^(1-e)/(1-e) for e < 1; the exact
+    # hit, in reach of the full budget, lies within rel of the estimate
+    spec = BlockSpec(1, q, ("harmonic",))
+    exact = energy_divergence_threshold(spec, target)
+    assert exact.method == "exact" and 1000 < exact.n_blocks < 10_000
+    monkeypatch.setattr(gallery, "MAX_EXACT_TERMS", 100)
+    rep = energy_divergence_threshold(spec, target)
+    assert (rep.method, rep.value) == ("estimate", target)
+    assert rep.n_blocks == pytest.approx(exact.n_blocks, rel=rel)
+
+
+def test_threshold_geometric_estimate_beyond_budget(monkeypatch):
+    # the series of 2 (11/15)^k sums to 5.5 and first reaches 5 at k = 8, past
+    # a budget of 5 terms: no hit, no value
+    spec = BlockSpec(1, 0.5, ("geometric", 1.1, 1.5))
+    assert energy_divergence_threshold(spec, 5.0).n_blocks == 8
+    monkeypatch.setattr(gallery, "MAX_EXACT_TERMS", 5)
+    rep = energy_divergence_threshold(spec, 5.0)
+    assert (rep.n_blocks, rep.method, rep.target) == (None, "estimate", 5.0)
+    assert math.isnan(rep.value)
 
 
 def test_threshold_rejects():

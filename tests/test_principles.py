@@ -781,6 +781,19 @@ def test_potential_matrices_are_certified(family):
             assert 1.0 <= walked <= rep.upper
 
 
+def test_potential_certificate_declines_after_the_snap():
+    # J + 1e-15 I snaps to an M-matrix, but its residual bound reaches 1/2;
+    # an inverse whose last row sums past the float range before reaching its
+    # diagonal survives the snap and the lift with an infinite reach, and its
+    # lifted row sum reads NaN
+    for n in (2, 3, 6):
+        assert principles._potential_certificate(np.ones((n, n)) + 1e-15 * np.eye(n)) is None
+    G = np.linalg.inv([[1.0, -0.1, -0.1], [-0.1, 1.0, -0.1], [-1e308, -1e308, 1e308]])
+    assert np.isfinite(G).all() and (G > 0).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert principles._potential_certificate(G) is None
+
+
 def test_complete_report_is_a_wmp_report():
     # one field list for both reports: the complete one declares none of its own
     assert issubclass(CompleteMpReport, WmpReport)
@@ -917,6 +930,13 @@ def test_quasimetric_rejects_asymmetric_and_zero():
     rep2 = quasimetric_constant(Kernel(Space.of_size(3), g))
     assert rep2.kappa == np.inf
     assert not rep2.is_quasimetric
+
+
+def test_quasimetric_on_an_infinite_kernel():
+    # G = +inf everywhere puts every point at distance 0: the constant reads
+    # its floor 1/2, and no quasimetric is reported
+    rep = quasimetric_constant(Kernel(Space.of_size(3), np.full((3, 3), np.inf)))
+    assert (rep.kappa, rep.is_quasimetric, rep.witness) == (0.5, False, None)
 
 
 def test_quasimetric_on_metric_power_kernels():

@@ -407,6 +407,23 @@ def test_maurey_verify_guards():
         maurey_verify(prob, np.array([-1.0, 1.0]))
 
 
+def test_a_dual_candidate_needs_a_finite_positive_potential_and_verification():
+    # no candidate where sigma vanishes, where the witness's potential is
+    # infinite or zero on supp sigma, or where the verification supremum is
+    # infinite (G(0, 1) = inf reaches an uncharged point)
+    s = Space.of_size(2)
+    inf_kernel = Kernel(s, [[1.0, np.inf], [1.0, 1.0]])
+    cases = [(Kernel(s, [[1.0, 0.5], [0.5, 1.0]]), [0.0, 0.0], 0),
+             (inf_kernel, [1.0, 0.0], 1),
+             (Kernel(s, [[1.0, 0.0], [0.0, 1.0]]), [1.0, 0.0], 1),
+             (inf_kernel, [1.0, 0.0], 0)]
+    for kernel, weights, y in cases:
+        prob = SublinearProblem(kernel, Measure(s, weights), 0.5)
+        assert maurey_candidate(prob, Measure.delta(s, y)) is None
+    assert maurey_verify(SublinearProblem(inf_kernel, Measure(s, [1.0, 0.0]), 0.5),
+                         np.ones(2)) == np.inf
+
+
 @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
 def test_a_dual_candidate_that_underflows_is_unavailable(q):
     # the rescaled F underflows to 0 on supp sigma while the strong constant is
@@ -1835,9 +1852,9 @@ def _isolated_point_problem(n, q, s):
 
 @pytest.mark.parametrize("seed", (0, 3))
 def test_theorem_report_reads_the_strong_constants_norm_route(seed):
-    # theorem_report and strong_type_constant each choose the supersolution
-    # the norm route reads, the memoized plain solve or, where that is
-    # degenerate, the relaxed one; the two bounds agree to the bit
+    # _norm_route alone chooses the supersolution it reads, the memoized plain
+    # solve or, where that is degenerate, the relaxed one that its caller hands
+    # over; theorem_report's bound and strong_type_constant's agree to the bit
     problems = [_verdict_table_input(i, seed) for i in range(15)]
     isolated = [_isolated_point_problem(n, q, s + 5 * seed)
                 for n in range(4, 8) for q in (0.3, 0.5, 0.7) for s in range(5)]
@@ -1846,6 +1863,31 @@ def test_theorem_report_reads_the_strong_constants_norm_route(seed):
         assert np.isfinite(bound) and bound == strong_type_constant(prob).upper
     assert {prob._solution.status for prob in isolated} == {"degenerate"}
     assert "degenerate" not in {prob._solution.status for prob in problems}
+
+
+def test_the_norm_route_solves_the_relaxed_supersolution_only_where_it_is_read(monkeypatch):
+    # theorem_report hands _norm_route the relaxed supersolution it built, so a
+    # degenerate report solves it once; strong_type_constant solves it lazily,
+    # only where the plain solve is degenerate
+    calls = []
+    relaxed = sublinear.gagliardo_supersolution
+
+    def counted(*args):
+        calls.append(args[1])
+        return relaxed(*args)
+    monkeypatch.setattr(sublinear, "gagliardo_supersolution", counted)
+    isolated = [_isolated_point_problem(n, q, s)
+                for n in range(4, 8) for q in (0.3, 0.5, 0.7) for s in range(5)]
+    for prob in isolated:
+        calls.clear()
+        assert np.isfinite(theorem_report(prob).constants["norm_route_upper"])
+        assert prob._solution.status == "degenerate" and len(calls) == 1
+        kappa = calls[0]
+        calls.clear()
+        assert np.isfinite(strong_type_constant(prob).upper) and calls == [kappa]
+    for prob in (_verdict_table_input(i, 0) for i in range(15)):
+        calls.clear()
+        assert np.isfinite(strong_type_constant(prob).upper) and calls == []
 
 
 def test_the_norm_route_and_the_solve_fit_at_sigma_times_1e100():
