@@ -15,7 +15,8 @@ Three set functions, all with explicit optimizers:
   clipped duals are ``content``'s measure;
 * :func:`wiener_cap1`: ``max 2 lam(K) - E(lam)`` over measures on ``K``,
   whose maximizer is the equilibrium measure.  Positive-semidefinite kernels
-  go through an exact Lawson-Hanson active set with KKT verification.  Others
+  go through an exact Lawson-Hanson active set, whose weights
+  :func:`wiener_cap1` checks against KKT for ``attained``.  Others
   take the best equilibrium of a nonsingular support (a singular support's
   best point is matched on a smaller nonsingular one): over every support up
   to ``ENUM_LIMIT`` points, exactly, and above that over the supports grown
@@ -29,17 +30,19 @@ coefficient inside a ``<= 1`` constraint forces its variable to zero, and an
 
 The subset searches call only the cores on index arrays (:func:`_cap0` and
 :func:`_wiener_cap1`); the public functions check input and add measures and
-certificates (:func:`_extremal`).  The searches start each subset's active set
-from its parent's weights, and decide PSD once: a search runs :func:`_exact_qp`
-on its whole support block and, where that passes, tells :func:`_wiener_cap1`
-to skip the test on each subset (a principal block of a PSD block is PSD).
-Every other caller, and every subset of a block that fails, is tested alone.
+certificates (:func:`_extremal`), and :func:`wiener_cap1` the KKT check of
+``attained``, which no search reads.  The searches start each subset's active
+set from its parent's weights, and decide PSD once: a search runs
+:func:`_exact_qp` on its whole support block and, where that passes, tells
+:func:`_wiener_cap1` to skip the test on each subset (a principal block of a
+PSD block is PSD).  Every other caller, and every subset of a block that
+fails, is tested alone.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +52,6 @@ from .core import (
     Kernel,
     Measure,
     _normalized,
-    _potential,
     adjoint_potential,
     potential,
 )
@@ -134,7 +136,8 @@ def _slack_certificate(G: np.ndarray, F: np.ndarray):
     up to rounding (a potential matrix has many): it is clipped to 0, and the
     checks run on the clipped vectors."""
     GF = G[F]
-    S = np.stack([GF[:, F].T, GF[:, F]])
+    B = GF[:, F]
+    S = np.array((B.T, B))
     try:
         X = np.linalg.solve(S, np.ones((2, F.size, 1)))
     except np.linalg.LinAlgError:
@@ -242,7 +245,7 @@ def _active_set(A, lam=None):
     lam = np.zeros(k) if lam is None else lam
     for _ in range(3 * k):
         if j is None:
-            w = 1.0 - _potential(A, lam)
+            w = 1.0 - (A * lam).sum(axis=1)  # A is finite: no 0 * inf
             w[P] = -np.inf
             j = int(np.argmax(w))
             if not w[j] > 1e-9:
@@ -279,7 +282,9 @@ def _stacked_solves(A, T, W):
     raises) if that raises."""
     AT = A[T[:, :, None], T[:, None, :]]
     keep = np.isfinite(AT).all(axis=(1, 2))
-    keep[keep] = np.linalg.slogdet(AT[keep])[0] != 0  # solve's LU: no zero pivot
+    # solve's LU: no zero pivot.  Cheaper than a raise, whose fallback solves
+    # each support alone, on the exactly singular supports of a duplicated point
+    keep[keep] = np.linalg.slogdet(AT[keep])[0] != 0
     AT, W = AT[keep], W[keep]
     try:
         Z = np.linalg.solve(AT, W)
@@ -306,13 +311,22 @@ def _stacked_equilibria(A, T):
 
 def _walk(k, value, size):
     """``(T[keep], *rest)`` of ``(keep, *rest) = value(T)`` over the nonempty
-    subsets ``T`` of the first ``k`` points as rows, in batches of one subset
-    size and at most ``size`` rows, each in rising bit mask; a batch that
-    keeps no row is skipped."""
+    subsets ``T`` of the first ``k`` points as rows of rising points, in
+    batches of one subset size and at most ``size`` rows, in rising size and
+    then rising bit mask; a batch that keeps no row is skipped.  A batch
+    unranks its sets at once: the ``r``-th set of ``m`` points in bit mask
+    order is ``t_1 < ... < t_m`` with ``r = sum_i C(t_i, i)`` (the
+    combinatorial number system), so memory is bounded by ``size`` rows at
+    any ``k``."""
+    binom = [np.array([math.comb(t, i) for t in range(k)]) for i in range(k + 1)]
     for m in range(1, k + 1):
-        combos = itertools.combinations(range(k), m)
-        while (T := np.array(list(itertools.islice(combos, size)), dtype=int)).size:
-            T = T[np.lexsort(T.T)]  # the largest point first: bit-mask order
+        count = math.comb(k, m)
+        for start in range(0, count, size):
+            r = np.arange(start, min(start + size, count))
+            T = np.empty((r.size, m), dtype=int)
+            for i in range(m, 0, -1):  # t_i: the last t with C(t, i) <= r, past C(0, i) = 0
+                T[:, i - 1] = t = binom[i][1:].searchsorted(r, side="right")
+                r -= binom[i][t]
             keep, *rest = value(T)
             if keep.any():
                 yield T[keep], *rest
@@ -400,12 +414,13 @@ def _exact_qp(A) -> bool:
 
 
 def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None, psd=False) -> tuple:
-    """``(value, weights or None, method, attained)`` of :func:`wiener_cap1`
-    on the indices ``K`` of a symmetric kernel, without certificates.  A PSD
-    block takes the exact active set (``qp``) from the feasible weights
+    """``(value, weights or None, method)`` of :func:`wiener_cap1` on the
+    indices ``K`` of a symmetric kernel, without certificates or the KKT
+    check of ``attained``, which :func:`wiener_cap1` makes on the weights.  A
+    PSD block takes the exact active set (``qp``) from the feasible weights
     ``start`` if given: on a positive definite block it ends with the same
     solve either way.  Others take :func:`_enumerate_supports`, grown past
-    ``ENUM_LIMIT`` points (``heuristic``, not ``attained``).  ``psd`` says
+    ``ENUM_LIMIT`` points (``heuristic``, not attained).  ``psd`` says
     that the caller has shown ``K`` to lie in a block that passes
     :func:`_exact_qp`; the block of ``K`` then passes too, and is not tested
     again.  Its unit-diagonal form is a principal block of the larger one's,
@@ -414,28 +429,27 @@ def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None, psd=False) -> tuple:
     n = kernel.size
     keep = K[~np.isinf(G[K, K])]
     if keep.size == 0:
-        return 0.0, np.zeros(n), "excluded", True
+        return 0.0, np.zeros(n), "excluded"
     if (G[keep, keep] == 0).any():
-        return float("inf"), None, "unbounded-diagonal", False
+        return float("inf"), None, "unbounded-diagonal"
 
     weights = np.zeros(n)
     if keep.size == 1:
         x = int(keep[0])
         weights[x] = value = float(1.0 / G[x, x])
-        return value, weights, "reciprocal", True
+        return value, weights, "reciprocal"
 
     A = G[np.ix_(keep, keep)]
     if psd or _exact_qp(A):
         lam_K = _active_set(A, None if start is None else start[keep])
         value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
         method = "qp"
-        attained = _kkt_residual(A, lam_K, 1e-12 * (1.0 + lam_K.max())) < 1e-8
     else:
-        attained = keep.size <= ENUM_LIMIT
-        lam_K, value = _enumerate_supports(A, grown=not attained)
-        method = "enumeration" if attained else "heuristic"
+        grown = keep.size > ENUM_LIMIT
+        lam_K, value = _enumerate_supports(A, grown=grown)
+        method = "heuristic" if grown else "enumeration"
     weights[keep] = np.clip(lam_K, 0.0, None)
-    return max(value, 0.0), weights, method, attained
+    return max(value, 0.0), weights, method
 
 
 def wiener_cap1(kernel: Kernel, points) -> CapacityResult:
@@ -448,7 +462,13 @@ def wiener_cap1(kernel: Kernel, points) -> CapacityResult:
     if not kernel.is_symmetric:
         raise DomainError("wiener_cap1 requires a symmetric kernel")
     K = _resolve_subset(kernel, points)
-    value, weights, method, attained = _wiener_cap1(kernel, K)
+    value, weights, method = _wiener_cap1(kernel, K)
+    attained = method not in ("unbounded-diagonal", "heuristic")
+    if method == "qp":  # KKT on the block that _wiener_cap1 solved
+        G = kernel.entries
+        keep = K[~np.isinf(G[K, K])]
+        lam_K, A = weights[keep], G[np.ix_(keep, keep)]
+        attained = _kkt_residual(A, lam_K, 1e-12 * (1.0 + lam_K.max())) < 1e-8
     lam, certs = _extremal(kernel, K, weights, potential, with_exceptional=True)
     return CapacityResult(value, lam, None, certs, method, attained=attained)
 

@@ -234,8 +234,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _bits(m: int, k: int) -> np.ndarray:
-    """Subset code ``m`` as a boolean array: entry ``j < k`` is bit ``j`` of ``m``."""
-    return np.array([m >> j & 1 for j in range(k)], dtype=bool)
+    """Subset code ``m < 2^k`` as a boolean array: entry ``j`` is bit ``j`` of ``m``."""
+    code = np.frombuffer(m.to_bytes(k // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(code, count=k, bitorder="little").view(bool)
 
 
 def _potential(G: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -130,7 +130,8 @@ def _potential_certificate(G: np.ndarray) -> float | None:
     d)``, squared for the complete one: ``G nu <= 1`` on ``S`` gives ``M^{-1}
     nu <= 1 + d`` on ``S``, so everywhere, so ``G nu <= (1 + d)/(1 - d)``.
 
-    Declines on a zero, ``+inf`` or singular ``G``.  ``M`` is the computed
+    Declines on a zero, ``+inf`` or singular ``G``, and on an inverse with a
+    row whose absolute sum passes the float range.  ``M`` is the computed
     inverse with its positive off-diagonal entries clipped to 0 and its
     diagonal raised until each row sum is ``>= 0`` with rounding, both by at
     most ``POTENTIAL_TOL`` of the row's absolute sum.  ``d`` bounds the
@@ -148,9 +149,10 @@ def _potential_certificate(G: np.ndarray) -> float | None:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         return None
-    off, a = ~np.eye(n, dtype=bool), np.abs(inv).sum(axis=1)
-    reach = POTENTIAL_TOL * a
-    if not (np.isfinite(inv).all() and (inv <= np.where(off, reach[:, None], np.inf)).all()):
+    with np.errstate(over="ignore"):  # a row past the float range declines
+        a = np.abs(inv).sum(axis=1)
+    off, reach = ~np.eye(n, dtype=bool), POTENTIAL_TOL * a
+    if not (np.isfinite(a).all() and (inv <= np.where(off, reach[:, None], np.inf)).all()):
         return None
     M = np.where(off & (inv > 0), 0.0, inv)
     u = (n + 2) * np.finfo(float).eps / 2.0

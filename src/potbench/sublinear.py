@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -625,7 +625,10 @@ class _SubsetSearch:
     the same objects and fails on changed operation counts.  ``cap1`` starts
     from the weights of the subset's parent in the search, the subset without
     its last point in ``order``, and skips the PSD test of each subset when
-    the whole support block passes it (:attr:`psd`).
+    the whole support block passes it (:attr:`psd`).  One :meth:`max_ratio`
+    call memoizes ``num``, ``den`` and ``cap`` by subset, and
+    :meth:`testing_ratio` each subset's potential, for that call only: the
+    nodes' bounds read a set many times, and each is valued once.
     """
 
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
@@ -634,6 +637,7 @@ class _SubsetSearch:
         self.limit = 2**k - 1 if _mode(2**k, budget) == "exact" else min(budget, 10 * n * n)
         pot = potential(kernel, sigma)[self.supp]
         self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
+        self._rest = [sum(1 << j for j in self.order[d:]) for d in range(k + 1)]  # order[d:]'s mask
         self._sets: dict = {}  # (indices, mask, sigma mass) by subset
         self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
         self._loads: dict = {}  # M by subset
@@ -641,10 +645,11 @@ class _SubsetSearch:
     def subset(self, m: int) -> tuple:
         """``(indices, read-only mask, sigma mass)`` of the subset ``m``."""
         if m not in self._sets:
+            idx = self.supp[_bits(m, self.supp.size)]
             mask = np.zeros(self.kernel.size, dtype=bool)
-            mask[self.supp[_bits(m, self.supp.size)]] = True
+            mask[idx] = True
             mask.flags.writeable = False
-            self._sets[m] = np.flatnonzero(mask), mask, self.sigma.mass(mask)
+            self._sets[m] = idx, mask, float(self.sigma.weights[idx].sum())
         return self._sets[m]
 
     def mask(self, m: int) -> np.ndarray:
@@ -713,13 +718,18 @@ class _SubsetSearch:
         ``2^e`` (:func:`core._normalized`), lest ``sigma sigma G`` underflow."""
         G, (w, e) = self.kernel.entries, _normalized(self.sigma.weights)
 
-        def top_potential(m):
-            mask = self.mask(m)
-            return float(_potential(G, np.where(mask, w, 0.0))[mask].max())
+        @cache
+        def weighted(m):  # the subset's weights and their potential
+            wm = np.where(self.mask(m), w, 0.0)
+            return wm, _potential(G, wm)
+
+        def energy(m):  # as core._energy
+            wm, pot = weighted(m)
+            return float(_weighted_terms(pot, wm).sum())
 
         value, best, mode, upper = self.max_ratio(
-            lambda m: _energy(G, np.where(self.mask(m), w, 0.0)),
-            lambda m: float(w[self.mask(m)].sum()), cap=top_potential)
+            energy, lambda m: float(w[self.mask(m)].sum()),
+            cap=lambda m: float(weighted(m)[1][self.mask(m)].max()))
         return math.ldexp(value, e), best, mode, math.ldexp(upper, e)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
@@ -727,6 +737,7 @@ class _SubsetSearch:
         set reaching it if positive, and the bracket's mode and upper end.
         ``cap(O)``, if given, is a second bound on the ratio of every set in
         ``O``; a node takes the smaller of the two."""
+        num, den, cap = cache(num), cache(den), cap and cache(cap)
         k, valued = self.supp.size, set()
         best, best_m = 0.0, None
 
@@ -739,9 +750,9 @@ class _SubsetSearch:
                 best, best_m = float(v), m
 
         def bound(d, m):  # the ratios of the sets between m and m + order[d:]
-            rest = self.order[d:]
-            top = m | sum(1 << j for j in rest)
-            low = den(m) if m else min(den(1 << j) if 1 << j in valued else 0.0 for j in rest)
+            top = m | self._rest[d]
+            low = den(m) if m else min(den(1 << j) if 1 << j in valued else 0.0
+                                       for j in self.order[d:])
             b = num(top) / low if prune and low > 0 else float("inf")
             return min(b, cap(top)) if cap else b
 

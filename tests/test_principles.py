@@ -10,6 +10,7 @@ is ``t^2``.
 
 import dataclasses
 import functools
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -680,6 +681,21 @@ def test_batches_keep_the_first_maximum(monkeypatch):
             assert _complete_fields(complete_mp_constant(k, budget=b)) == ref
 
 
+@pytest.mark.parametrize("size", (1, 3, 17, capacity.BATCH))
+def test_walk_batches_each_subset_once_in_bit_mask_order(size):
+    # every nonempty subset of the first k points once, as a row of rising
+    # points; each batch holds one subset size and at most size rows, and the
+    # batches run by rising size, then rising bit mask
+    for k in range(13):
+        walk = capacity._walk(k, lambda T: (np.ones(len(T), bool),), size)
+        batches = [T.tolist() for (T,) in walk]
+        rows = [row for T in batches for row in T]
+        assert all(len({len(row) for row in T}) == 1 and len(T) <= size for T in batches)
+        assert all(row == sorted(set(row)) and set(row) <= set(range(k)) for row in rows)
+        order = [(len(row), sum(1 << t for t in row)) for row in rows]
+        assert order == sorted(set(order)) and len(order) == 2**k - 1
+
+
 def test_singular_batches_fall_back_to_single_solves(monkeypatch):
     # with no slogdet screen the stacked solve raises on the exactly singular
     # supports of a duplicated point, and each support is solved alone, its
@@ -783,15 +799,25 @@ def test_potential_matrices_are_certified(family):
 
 def test_potential_certificate_declines_after_the_snap():
     # J + 1e-15 I snaps to an M-matrix, but its residual bound reaches 1/2;
-    # an inverse whose last row sums past the float range before reaching its
-    # diagonal survives the snap and the lift with an infinite reach, and its
-    # lifted row sum reads NaN
+    # an inverse whose last row sums past the float range declines at that
+    # sum, with no overflow warning
     for n in (2, 3, 6):
         assert principles._potential_certificate(np.ones((n, n)) + 1e-15 * np.eye(n)) is None
     G = np.linalg.inv([[1.0, -0.1, -0.1], [-0.1, 1.0, -0.1], [-1e308, -1e308, 1e308]])
     assert np.isfinite(G).all() and (G > 0).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert principles._potential_certificate(G) is None
+    assert principles._potential_certificate(G) is None
+
+
+@pytest.mark.parametrize("constant", (wmp_constant, complete_mp_constant))
+def test_an_inverse_past_the_float_range_reads_its_walk(constant):
+    # a positive kernel whose inverse's last row sums past the float range:
+    # the certificate declines without an overflow warning (the suite runs
+    # with -W error::RuntimeWarning) and the exact walk reads the constant
+    G = np.linalg.inv([[1.0, -0.1, -0.1], [-0.1, 1.0, -0.1], [-1e308, -1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = constant(Kernel(Space.of_size(3), G))
+    assert (rep.constant, rep.mode) == (2.0, "exact")
 
 
 def test_complete_report_is_a_wmp_report():

@@ -55,7 +55,7 @@ from potbench import (
     wmp_constant,
 )
 from potbench import SampledKernelSpec, build_sampled
-from potbench import cap0, capacity, principles, quasimetric_constant, sublinear, wiener_cap1
+from potbench import cap0, capacity, core, principles, quasimetric_constant, sublinear, wiener_cap1
 from potbench.core import _inverse_distance, _weighted_terms
 from potbench.gallery import shortest_path_metric
 from potbench.principles import DEFAULT_BUDGET, modify_kernel
@@ -1168,6 +1168,65 @@ def test_one_psd_test_per_search_and_the_load_bound_cut_the_work(monkeypatch):
     assert calls == {"_cap0": 29, "_wiener_cap1": 29, "_exact_qp": 1}
 
 
+def test_a_search_values_each_subset_once_per_call(monkeypatch):
+    # within one max_ratio call num, den and cap each run at most once per
+    # subset, and the testing ratio takes each subset's potential once for
+    # both its energy and its top potential
+    calls, real = [], _SubsetSearch.max_ratio
+
+    def counted_max_ratio(self, num, den, prune=True, cap=None):
+        seen = {"num": [], "den": [], "cap": []}
+        calls.append(seen)
+
+        def counted(name, f):
+            def g(m):
+                seen[name].append(m)
+                return f(m)
+            return g
+
+        return real(self, counted("num", num), counted("den", den), prune,
+                    cap and counted("cap", cap))
+
+    monkeypatch.setattr(_SubsetSearch, "max_ratio", counted_max_ratio)
+    kernel, sigma = _verdict_table_input_0()
+    theorem_report(SublinearProblem(kernel, sigma, 0.5), seed=0)
+    assert len(calls) == 5
+    for seen in calls:
+        for subsets in seen.values():
+            assert len(subsets) == len(set(subsets))
+    assert sum(len(seen["den"]) for seen in calls) > 100
+
+    search, potentials = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET), []
+    for module in (sublinear, core):  # core's for core._energy
+
+        def counted_potential(G, w, _real=module._potential):
+            potentials.append(w)
+            return _real(G, w)
+
+        monkeypatch.setattr(module, "_potential", counted_potential)
+    search.testing_ratio()
+    assert len(potentials) == len(set(calls[-1]["num"] + calls[-1]["cap"])) > kernel.size
+
+
+def test_wiener_cap1_checks_kkt_for_attained(monkeypatch):
+    # wiener_cap1 reads attained from the KKT check of the weights that the
+    # core returns: every subset of verdict_table input 0's kernel with two
+    # points or more takes the exact active set and passes, and an active set
+    # that returns its start, the zero measure, fails
+    kernel, _ = _verdict_table_input_0()
+    n = kernel.size
+    subsets = [[x for x in range(n) if m >> x & 1] for m in range(1, 2**n)]
+    for K in subsets:
+        res = wiener_cap1(kernel, K)
+        assert (res.method, res.attained) == ("qp" if len(K) > 1 else "reciprocal", True), K
+    monkeypatch.setattr(capacity, "_active_set",
+                        lambda A, lam=None: np.zeros(len(A)) if lam is None else lam)
+    for K in subsets[::37]:
+        res = wiener_cap1(kernel, K)
+        expected = ("qp", False) if len(K) > 1 else ("reciprocal", True)
+        assert (res.method, res.attained) == expected, K
+
+
 def test_a_block_that_fails_the_psd_test_tests_each_subset(monkeypatch):
     # a Gram block with a seventh point whose tiny diagonal breaks PSD: the
     # subsets without it still take the exact active set, those with it the
@@ -1192,7 +1251,7 @@ def test_a_block_that_fails_the_psd_test_tests_each_subset(monkeypatch):
         search.capacity_ratio(q, cap1=True)
     assert not search.psd and search.cap1_monotone
     methods = set()
-    for points, (value, _, method, _) in found.items():
+    for points, (value, _, method) in found.items():
         public = wiener_cap1(kernel, list(points))
         assert (public.value, public.method) == (value, method), points
         methods.add(method)
