@@ -234,7 +234,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _bits(m: int, k: int) -> np.ndarray:
-    """Subset code ``m < 2^k`` as a boolean array: entry ``j`` is bit ``j`` of ``m``."""
+    """Subset code ``m < 2^k`` as a boolean array: entry ``j`` is bit ``j`` of ``m``.
+    The one subset code is the mask over the space, ``k = n``: bit ``x`` marks point ``x``."""
     code = np.frombuffer(m.to_bytes(k // 8 + 1, "little"), dtype=np.uint8)
     return np.unpackbits(code, count=k, bitorder="little").view(bool)
 

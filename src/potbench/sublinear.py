@@ -2,13 +2,13 @@
 
 The pipeline realized here:
 
-* build a supersolution by the relaxed fixed-point iteration, given a valid
-  strong-type constant (:func:`gagliardo_supersolution`);
-* descend monotonically from it to a solution (:func:`monotone_solution`), or
-  solve the equation outright, with a Thompson-metric enclosure
-  (:func:`solve_equation`); one solver, Newton steps in ``log u`` on
-  ``u^q = b^q + G(u^q sigma)^q`` (:func:`_log_solve`, the floor ``b > 0`` for the
-  relaxed supersolution), serves all three, and all three return ``log u``;
+* build a supersolution from a valid strong-type constant, the rescaled
+  fixed point of the relaxed map (:func:`gagliardo_supersolution`);
+* find the limit of the descent from it (:func:`monotone_solution`), or the
+  solution outright (:func:`solve_equation`), each with a Thompson-metric
+  enclosure; one solver, Newton steps in ``log u`` on ``u^q = b^q + G(u^q sigma)^q``
+  (:func:`_log_solve`; ``b > 0`` only for the relaxed supersolution), serves
+  all three, and all three return ``log u``;
 * estimate the best constants of the strong and weak (1, q) inequalities
   with explicit witness measures and certified bounds, the strong upper end
   from a supersolution's norm in logs (:func:`strong_type_constant`,
@@ -19,9 +19,9 @@ The pipeline realized here:
 * cross-check every implication between these quantities on one instance
   and emit a verdict table (:func:`theorem_report`).
 
-Conventions: all exponents are evaluated in extended-real arithmetic, an
-iterate reaching ``+inf`` on the support of ``sigma`` aborts with status
-``diverged``, and nothing draws a random number: a ``seed`` argument is unused.
+Conventions: all exponents are evaluated in extended-real arithmetic, a solve
+that does not settle in ``NEWTON_STEPS`` Newton steps ends unsettled, and
+nothing draws a random number: a ``seed`` argument is unused.
 """
 
 from __future__ import annotations
@@ -378,12 +378,13 @@ def _norm_route(wmp, a, problem: SublinearProblem, relaxed) -> tuple[float, floa
     """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}``, ``h = wmp.factor``, and
     ``|e^delta u|_q``, in logs, from a supersolution ``e^delta u`` (Quinn and Verbitsky), ``delta``
     0 where None.  It needs the weak maximum principle and quasi-symmetry (a finite ``a``), and
-    reads the memoized plain solve or, where that is ``degenerate``, ``relaxed()``, the relaxed
-    supersolution, called only then; ``(+inf, None)`` where a hypothesis fails or that diverged."""
+    reads the memoized plain solve or, where that is ``degenerate``, ``relaxed()``, called only
+    then: the relaxed supersolution or None.  ``(+inf, None)`` where a hypothesis fails or no
+    supersolution is left."""
     if wmp.holds and np.isfinite(a):
         sol = problem._solution
         sol = relaxed() if sol.status == "degenerate" else sol
-        if sol.status != "diverged":
+        if sol is not None and sol.status != "diverged":
             q = problem.q
             log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
             return (_exp(math.log(wmp.factor) - math.log1p(-q) / q + (1.0 - q) * log_lq),
@@ -518,8 +519,8 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     ``heuristic`` when the certificate is infinite (a positive one whose ``1/q``
     power underflows reads the least positive float).  ``upper`` is 0 where
     ``F`` is, else :func:`_norm_route`'s bound (extras ``norm_route_lq``, its norm),
-    whose relaxed supersolution takes ``certified_upper``, or ``lower (1 + 1e-6)``
-    where that is infinite.  ``seed`` no longer changes the result.  For ``q >= 1``
+    whose relaxed supersolution takes ``certified_upper``; where that is
+    infinite there is none.  ``seed`` no longer changes the result.  For ``q >= 1``
     the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
     attained at a point mass.
     """
@@ -581,8 +582,7 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         extras["wmp_constant"] = wr.constant
         extras["wmp_mode"] = wr.mode
         upper, lq = _norm_route(wr, check_quasisymmetric(kernel), problem, lambda: (
-            gagliardo_supersolution(problem, cert_upper if np.isfinite(cert_upper)
-                                    else lower * (1.0 + 1e-6))))
+            gagliardo_supersolution(problem, cert_upper) if np.isfinite(cert_upper) else None))
         if np.isfinite(upper):
             extras["norm_route_lq"] = lq
 
@@ -602,13 +602,13 @@ class _SubsetSearch:
     ``num(K) / den(K)`` over nonempty ``K`` in ``supp sigma``, for
     nondecreasing set functions ``num`` and ``den``.
 
-    A subset is the integer whose bit ``j`` marks ``supp[j]``; ties go to
-    the least.  After the singletons, each point is included, then
-    excluded, in decreasing order of ``G sigma``.  A node with included set
-    ``I`` and undecided points ``R`` bounds the ratios of its sets by
-    ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R`` while ``I``
-    is empty), or by a caller's second bound if smaller, and is pruned when
-    that is below the incumbent.
+    A subset is its mask over the space (:func:`core._bits`), bit ``x`` for the
+    point ``x``; ties go to the least.  After the singletons, each point of
+    ``supp sigma`` is included, then excluded, in decreasing order of ``G sigma``.
+    A node with included set ``I`` and undecided points ``R`` bounds the ratios
+    of its sets by ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R``
+    while ``I`` is empty), or by a caller's second bound if smaller, and is
+    pruned when that is below the incumbent.
 
     The capacity ratios ``sigma(K)^{1/q} / cap(K)`` with ``q <= 1`` take the
     second bound ``sigma(O)^{1/q-1} M(O)`` on the sets ``K`` in ``O = I + R``,
@@ -619,10 +619,10 @@ class _SubsetSearch:
     ``sigma(K)^{1/q-1} M(K)`` are nondecreasing in ``K`` when ``q <= 1``.
 
     Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
-    with its weights are memoized for every search on one object, which lives
-    only as long as its caller.  That bounds its memory, and keeps a repeated
-    call's work equal: the benchmark's traced run calls each input again on
-    the same objects and fails on changed operation counts.  ``cap1`` starts
+    with its weights are memoized by mask, for every search on one object,
+    which lives only as long as its caller.  That bounds its memory, and keeps
+    a repeated call's work equal: the benchmark's traced run calls each input
+    again on the same objects and fails on changed operation counts.  ``cap1`` starts
     from the weights of the subset's parent in the search, the subset without
     its last point in ``order``, and skips the PSD test of each subset when
     the whole support block passes it (:attr:`psd`).  One :meth:`max_ratio`
@@ -636,8 +636,8 @@ class _SubsetSearch:
         k, n = self.supp.size, kernel.size
         self.limit = 2**k - 1 if _mode(2**k, budget) == "exact" else min(budget, 10 * n * n)
         pot = potential(kernel, sigma)[self.supp]
-        self.order = [int(j) for j in np.argsort(-pot, kind="stable")]
-        self._rest = [sum(1 << j for j in self.order[d:]) for d in range(k + 1)]  # order[d:]'s mask
+        self.order = [int(x) for x in self.supp[np.argsort(-pot, kind="stable")]]
+        self._rest = [sum(1 << x for x in self.order[d:]) for d in range(k + 1)]  # order[d:]'s mask
         self._sets: dict = {}  # (indices, mask, sigma mass) by subset
         self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
         self._loads: dict = {}  # M by subset
@@ -645,10 +645,9 @@ class _SubsetSearch:
     def subset(self, m: int) -> tuple:
         """``(indices, read-only mask, sigma mass)`` of the subset ``m``."""
         if m not in self._sets:
-            idx = self.supp[_bits(m, self.supp.size)]
-            mask = np.zeros(self.kernel.size, dtype=bool)
-            mask[idx] = True
+            mask = _bits(m, self.kernel.size)
             mask.flags.writeable = False
+            idx = mask.nonzero()[0]
             self._sets[m] = idx, mask, float(self.sigma.weights[idx].sum())
         return self._sets[m]
 
@@ -657,13 +656,13 @@ class _SubsetSearch:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """``sigma_x G(x, .)`` for ``x`` in the support, with ``0 * inf = 0``."""
-        return _weighted_terms(self.sigma.weights[self.supp, None], self.kernel.entries[self.supp])
+        """``sigma_x G(x, .)`` for every ``x``, with ``0 * inf = 0``."""
+        return _weighted_terms(self.sigma.weights[:, None], self.kernel.entries)
 
     def load(self, m: int) -> float:
         """``M(K) = max_y sum_{x in K} sigma_x G(x, y)`` of the subset ``m``."""
         if m not in self._loads:
-            self._loads[m] = float(self._rows[self.mask(m)[self.supp]].sum(axis=0).max())
+            self._loads[m] = float(self._rows[self.mask(m)].sum(axis=0).max())
         return self._loads[m]
 
     def cap0_value(self, m: int) -> float:
@@ -673,7 +672,7 @@ class _SubsetSearch:
 
     def cap1_value(self, m: int) -> float:
         if m not in self._caps[1]:
-            last = next(j for j in reversed(self.order) if m >> j & 1)
+            last = next(x for x in reversed(self.order) if m >> x & 1)
             parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
             self._caps[1][m] = _wiener_cap1(self.kernel, self.subset(m)[0], parent, self.psd)[:2]
         return self._caps[1][m][0]
@@ -733,7 +732,7 @@ class _SubsetSearch:
         return math.ldexp(value, e), best, mode, math.ldexp(upper, e)
 
     def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
-        """``(value, subset or None, mode, upper)``: the largest ratio found, a
+        """``(value, mask or None, mode, upper)``: the largest ratio found, a
         set reaching it if positive, and the bracket's mode and upper end.
         ``cap(O)``, if given, is a second bound on the ratio of every set in
         ``O``; a node takes the smaller of the two."""
@@ -751,13 +750,13 @@ class _SubsetSearch:
 
         def bound(d, m):  # the ratios of the sets between m and m + order[d:]
             top = m | self._rest[d]
-            low = den(m) if m else min(den(1 << j) if 1 << j in valued else 0.0
-                                       for j in self.order[d:])
+            low = den(m) if m else min(den(1 << x) if 1 << x in valued else 0.0
+                                       for x in self.order[d:])
             b = num(top) / low if prune and low > 0 else float("inf")
             return min(b, cap(top)) if cap else b
 
-        for j in self.order[:self.limit]:
-            value(1 << j)
+        for x in self.order[:self.limit]:
+            value(1 << x)
         stack = [(0, 0)]  # (depth, included set)
         while stack and best < float("inf"):
             d, m = stack[-1]
@@ -826,8 +825,8 @@ def weak_type_constant(problem: SublinearProblem,
         upper = max(value, min(upper, level_set))
     witness = None
     if best is not None:
-        best_mask = search.mask(best)
-        extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
+        best_idx, best_mask, _ = search.subset(best)
+        extras["best_set"] = tuple(kernel.space.points[i] for i in best_idx)
         extras["cap0_value"] = search.cap0_value(best)
         cres = content(kernel, best_mask)
         extras["content_value"] = cres.value
@@ -1018,9 +1017,9 @@ def testing_condition_11(kernel: Kernel, sigma: Measure,
     extras: dict = {"mode": mode}
     witness = None
     if best is not None:
-        best_mask = search.mask(best)
+        best_idx, best_mask, _ = search.subset(best)
         witness = sigma.restrict(best_mask)
-        extras["best_set"] = tuple(kernel.space.points[i] for i in np.flatnonzero(best_mask))
+        extras["best_set"] = tuple(kernel.space.points[i] for i in best_idx)
 
     if qm.is_quasimetric:
         d = _inverse_distance(kernel.entries)
@@ -1055,8 +1054,8 @@ def lp_operator_norm(kernel: Kernel, sigma: Measure, p: float) -> float:
     w = sigma.weights
     if (np.isinf(G) & np.outer(w > 0, w > 0)).any():
         return float("inf")
-    lhs = np.where(w > 0, w ** (1.0 / p), 0.0)
-    rhs = np.where(w > 0, w ** (1.0 - 1.0 / p), 0.0)
+    lhs = w ** (1.0 / p)
+    rhs = w ** (1.0 - 1.0 / p)
     A = _weighted_terms(_weighted_terms(lhs[:, None], G), rhs[None, :])
     A, e = _normalized(A)
     pprime = p / (p - 1.0)
@@ -1306,10 +1305,9 @@ def _local_route_row(problem):
     sub_strong = strong_type_constant(sub_problem, with_upper=False)
     if not np.isfinite(sub_strong.extras["certified_upper"]):
         return _na("local_solution_route", "modified constant is infinite")
-    sol = _log_solve(sub_problem)  # in logs: the constant itself may underflow to 0
+    sol = sub_problem._solution  # in logs: the constant itself may underflow to 0
     if sol.status != "solution":
-        return VerdictRow("local_solution_route", "VIOLATED",
-                          {"modified_status": sol.status})
+        return _row("local_solution_route", False, {"modified_status": sol.status})
     u_loc = np.zeros(kernel.size)
     u_loc[mod.retained] = g[mod.retained] * sol.u
     rhs = _apply(kernel, u_loc**q, sigma)

@@ -587,3 +587,48 @@ def test_to_jsonable_specials():
     assert to_jsonable(float("-inf")) == "-inf"
     assert to_jsonable(float("nan")) == "nan"
     assert to_jsonable({1: (2.5, None)}) == {"1": [2.5, None]}
+
+
+def test_analyze_names_a_missing_kernel_and_a_block_kernel_without_q(tmp_path, capsys):
+    docs = [({"name": "x", "tasks": [{"name": "wmp"}]}, "scenario has no kernel"),
+            ({"name": "x", "kernel": {"blocks": {"n_blocks": 2, "rule": ["harmonic"]}},
+              "tasks": [{"name": "solve"}]}, "block kernels need a top-level q")]
+    for i, (doc, message) in enumerate(docs):
+        assert main(["analyze", write_scenario(tmp_path / f"s{i}.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tasks_name_the_input_they_miss(tmp_path):
+    # each task fails alone, with a DomainError that names what it needs
+    def errors(name, doc, tasks):
+        scen = write_scenario(tmp_path / f"{name}.json", {
+            "name": name, "kernel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, **doc,
+            "tasks": [{"name": task} for task in tasks]})
+        assert main(["analyze", scen, "--out", str(tmp_path / name)]) == 1
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        return [t["error"] for t in report["tasks"]]
+
+    assert errors("no_q", {"sigma": [1.0, 1.0]}, ["solve"]) == [
+        "DomainError: this task needs q (top-level or in params)"]
+    assert errors("no_sigma", {"q": 0.5}, ["strong_constant", "weak_quotient"]) == [
+        "DomainError: this task needs sigma"] * 2
+    assert errors("no_params", {"q": 0.5, "sigma": [1.0, 1.0]},
+                  ["capacity_null", "weak_quotient"]) == [
+        "DomainError: capacity_null needs params.mu", "DomainError: weak_quotient needs params.nu"]
+
+
+def test_a_true_subschema_allows_any_value():
+    schema = {"properties": {"a": True}, "items": True}
+    for value in ({"a": 1}, {"a": [None, "x"]}, [1, "y", {}]):
+        assert next(_violations(schema, value, schema), None) is None
+
+
+def test_to_jsonable_writes_other_objects_as_their_str():
+    assert to_jsonable({"kind": complex(1.0, 2.0), 3: range(2)}) == {"kind": "(1+2j)",
+                                                                   "3": "range(0, 2)"}
+
+
+def test_gallery_subcommand_with_the_harmonic_rule(capsys):
+    assert main(["gallery", "--rule", "harmonic", "--n-blocks", "2", "--q", "0.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tag"].startswith("blocks:harmonic") and len(out["sigma"]) == 4

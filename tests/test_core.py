@@ -255,3 +255,34 @@ def test_distinct_matches_np_unique():
         v[rng.uniform(size=n) < 0.2] = np.inf
         v[rng.uniform(size=n) < 0.1] = -0.0
         assert _distinct(v).tobytes() == np.unique(v).tobytes()
+
+
+def test_space_and_measure_reject_malformed_input():
+    s = Space.of_size(3)
+    with pytest.raises(DomainError, match="^space points must be distinct$"):
+        Space(("a", "b", "a"))
+    with pytest.raises(DomainError, match="^space must contain at least one point$"):
+        Space(())
+    with pytest.raises(DomainError, match="^point 'z' is not in the space$"):
+        s.index("z")
+    with pytest.raises(SpaceMismatchError, match="^boolean mask has wrong length$"):
+        s.indices(np.array([True, False]))
+    with pytest.raises(DomainError, match="^subset contains repeated points$"):
+        s.indices([0, 2, 0])
+    with pytest.raises(SpaceMismatchError, match=r"^measure weights must have shape \(3,\), got \(2,\)$"):
+        Measure(s, [1.0, 2.0])
+    sigma = Measure(s, [1.0, 2.0, 3.0])
+    for t in (-1.0, np.inf):
+        with pytest.raises(DomainError, match="^scale factor must be finite and nonnegative$"):
+            sigma.scaled(t)
+    with pytest.raises(SpaceMismatchError, match="^integrand and measure have different lengths$"):
+        integrate([1.0, 1.0], sigma)
+
+
+def test_restrict_takes_an_index_array_or_a_mask():
+    sigma = Measure(Space.of_size(4), [1.0, 2.0, 3.0, 4.0])
+    by_index = sigma.restrict(np.array([3, 1]))
+    assert by_index.weights.tolist() == [0.0, 2.0, 0.0, 4.0]
+    assert sigma.restrict([3, 1]).weights.tolist() == by_index.weights.tolist()
+    mask = np.array([False, True, False, True])
+    assert sigma.restrict(mask).weights.tolist() == by_index.weights.tolist()

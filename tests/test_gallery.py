@@ -237,3 +237,31 @@ def test_sampled_seed_determinism():
     a = build_sampled(SampledKernelSpec(kind="interval_green", n_points=6, seed=9))
     b = build_sampled(SampledKernelSpec(kind="interval_green", n_points=6, seed=9))
     assert np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (("uniform",), "sigma_rule must be geometric, harmonic or custom"),
+    ((), "sigma_rule must be geometric, harmonic or custom"),
+    (("geometric", 1.1), "geometric rule takes two parameters"),
+    (("harmonic", 2.0), "harmonic rule takes no parameters"),
+    (("custom",), "custom rule takes one weight sequence"),
+    (("custom", [1.0, 0.0, 1.0, 1.0]), "custom weights must be positive and finite"),
+    (("custom", [1.0, np.inf, 1.0, 1.0]), "custom weights must be positive and finite"),
+])
+def test_block_spec_rejects_a_malformed_rule(rule, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        BlockSpec(n_blocks=2, q=0.5, sigma_rule=rule)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "interval_green", "n_points": 0}, "n_points must be a positive integer"),
+    ({"kind": "interval_green", "n_points": 2.0}, "n_points must be a positive integer"),
+    ({"kind": "interval_green", "n_points": 3, "coords": (0.2, 0.5)},
+     r"coords must have shape \(3, 1\)"),
+    ({"kind": "riesz", "n_points": 2, "alpha": 1.0, "n_dim": 2, "coords": ((0.1, 0.2),)},
+     r"coords must have shape \(2, 2\)"),
+    ({"kind": "interval_green", "n_points": 2, "coords": (0.2, np.nan)}, "coords must be finite"),
+])
+def test_sampled_spec_rejects_malformed_points(fields, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        build_sampled(SampledKernelSpec(**fields))

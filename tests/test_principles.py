@@ -22,6 +22,7 @@ from scipy.optimize import linprog
 
 from potbench import (
     CompleteMpReport,
+    DomainError,
     Kernel,
     SampledKernelSpec,
     Space,
@@ -1006,3 +1007,14 @@ def test_modified_kernel_keeps_wmp_of_complete_kernels():
         mod = modify_kernel(k, g)
         got = wmp_constant(mod.kernel).constant
         assert got <= h * (1.0 + 1e-9)
+
+
+def test_modify_kernel_rejects_a_malformed_modifier():
+    kernel = Kernel(Space.of_size(3), np.ones((3, 3)))
+    cases = [([1.0, 1.0], "modifier must assign one weight per point"),
+             ([1.0, -1.0, 1.0], "modifier weights must be nonnegative"),
+             ([1.0, np.nan, 1.0], "modifier weights must be nonnegative"),
+             ([0.0, np.inf, 0.0], "modifier vanishes or blows up everywhere")]
+    for m, message in cases:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            modify_kernel(kernel, m)

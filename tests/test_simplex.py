@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from potbench.simplex import LpProblem, LpSolution, solve_lp
+from potbench.simplex import LpProblem, LpSolution, SimplexStallError, solve_lp
 
 
 def _scipy_solve(problem):
@@ -135,3 +135,10 @@ def test_solution_shape():
     sol = solve_lp(LpProblem([1.0], [[1.0]], [2.0]))
     assert isinstance(sol, LpSolution)
     assert sol.iterations >= 1
+
+
+def test_a_pivot_cap_raises_a_stall(monkeypatch):
+    # the hand LP needs two pivots: a cap of one stops it with the error, never an answer
+    monkeypatch.setattr("potbench.simplex.MAX_PIVOTS", 1)
+    with pytest.raises(SimplexStallError, match="^simplex exceeded 1 pivots$"):
+        solve_lp(LpProblem([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0]))

@@ -33,6 +33,7 @@ from potbench import (
     Kernel,
     Measure,
     Space,
+    SpaceMismatchError,
     SublinearProblem,
     energy_criteria,
     energy_sweep,
@@ -56,7 +57,7 @@ from potbench import (
 )
 from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, capacity, core, principles, quasimetric_constant, sublinear, wiener_cap1
-from potbench.core import _inverse_distance, _weighted_terms
+from potbench.core import _bits, _inverse_distance, _weighted_terms
 from potbench.gallery import shortest_path_metric
 from potbench.principles import DEFAULT_BUDGET, modify_kernel
 from potbench.sublinear import (
@@ -1283,10 +1284,15 @@ def test_load_bound_caps_the_capacity_ratios_of_its_subsets(n, seed, zeros, infs
         if symmetric:
             search.capacity_ratio(q, cap1=True)
     assert all(cap is not None for _, cap in caps) and search.cap1_monotone
-    k = search.supp.size
+    supp = search.supp
+
+    def whole(code):  # a code over the positions of supp sigma as its mask over the space
+        return sum(1 << int(x) for x in supp[_bits(code, supp.size)])
+
     for _ in range(12):
-        outer = int(rng.integers(1, 2**k))
-        inner = outer & int(rng.integers(0, 2**k)) or outer
+        outer = int(rng.integers(1, 2**supp.size))
+        inner = outer & int(rng.integers(0, 2**supp.size)) or outer
+        inner, outer = whole(inner), whole(outer)
         for den, cap in caps:
             d = den(inner)
             ratio = search.subset(inner)[2] ** (1.0 / q) / d if d > 0 else np.inf
@@ -2208,3 +2214,109 @@ def test_strong_constant_vanishes_where_every_row_on_sigma_is_zero():
     est = strong_type_constant(prob)
     assert [est.lower, est.upper] == [0.0, 0.0]
     assert est.extras["mode"] == "exact"
+
+
+def test_an_infinite_certificate_leaves_no_relaxed_supersolution(monkeypatch):
+    # the norm route's relaxed supersolution takes certified_upper only: where
+    # that is infinite there is none, so a degenerate plain solve reads +inf
+    calls, relaxed, ascent = [], sublinear.gagliardo_supersolution, sublinear._maximize_concave
+    monkeypatch.setattr(sublinear, "gagliardo_supersolution",
+                        lambda *args: calls.append(args) or relaxed(*args))
+    monkeypatch.setattr(sublinear, "_maximize_concave",
+                        lambda *args: ascent(*args)[:2] + (float("inf"),))
+    for prob in (_isolated_point_problem(n, q, s) for n in (4, 6) for q in (0.3, 0.7)
+                 for s in range(3)):
+        est = strong_type_constant(prob)
+        assert prob._solution.status == "degenerate"
+        assert (est.extras["mode"], est.extras["certified_upper"]) == ("heuristic", np.inf)
+        assert np.isfinite(est.lower) and est.upper == np.inf and "norm_route_lq" not in est.extras
+    assert calls == []
+
+
+def test_the_search_keys_every_memo_by_its_mask_over_the_space():
+    # sigma charges no point below 3, so a code over the positions of supp
+    # sigma and the mask over the space differ on every subset
+    rng = np.random.default_rng(50)
+    kernel = metric_power_kernel(rng, 9)
+    w = rng.uniform(0.2, 1.5, 9)
+    w[[0, 1, 2, 5]] = 0.0
+    sigma = Measure(kernel.space, w)
+    search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
+    for q in (0.5, 1.0):
+        search.capacity_ratio(q)
+        search.capacity_ratio(q, cap1=True)
+    search.testing_ratio()
+    memos = (search._sets, search._loads, search._caps[0], search._caps[1])
+    assert all(len(memo) >= 5 for memo in memos) and len(search._sets) > 10
+    supp = set(sigma.support.tolist())
+    for memo in memos:
+        for m in memo:
+            idx = np.flatnonzero(_bits(m, kernel.size))
+            assert idx.tolist() == search.subset(m)[0].tolist() and set(idx.tolist()) <= supp, m
+
+
+def test_the_local_route_reads_violated_where_the_modified_solve_is_unsettled(monkeypatch):
+    monkeypatch.setattr(sublinear, "NEWTON_STEPS", 1)  # one Newton step settles none of these
+    for i in range(3):
+        row = theorem_report(_round_trip_input(i)).row("local_solution_route")
+        assert (row.verdict, row.details) == ("VIOLATED", {"modified_status": "supersolution"})
+
+
+def test_an_objective_that_underflows_reads_a_zero_upper_end():
+    # F = sigma (G nu)^q is about 1e-450: the bracket is [0, 0], found before the norm route
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1e-300, 0.0], [0.0, 1e-300]]),
+                            Measure(s, [1e-300, 1e-300]), 0.5)
+    est = strong_type_constant(prob)
+    assert (est.lower, est.upper, est.extras["objective"], est.extras["mode"]) == (0.0, 0.0, 0.0,
+                                                                                  "exact")
+    assert "wmp_constant" not in est.extras
+
+
+def test_the_solvers_and_the_dual_reject_malformed_input():
+    s = Space.of_size(2)
+    kernel, sigma = Kernel(s, [[1.0, 0.5], [0.5, 1.0]]), Measure(s, [1.0, 1.0])
+    prob = SublinearProblem(kernel, sigma, 0.5)
+    with pytest.raises(SpaceMismatchError, match="^kernel and sigma live on different spaces$"):
+        SublinearProblem(kernel, Measure(Space.of_size(3), [1.0, 1.0, 1.0]), 0.5)
+    for kappa in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="^kappa must be a finite nonnegative constant$"):
+            gagliardo_supersolution(prob, kappa)
+    with pytest.raises(DomainError, match="^start vector has the wrong length$"):
+        monotone_solution(prob, [1.0, 1.0, 1.0])
+    for start in ([1.0, -1.0], [np.nan, 1.0]):
+        with pytest.raises(DomainError, match="^start must be a nonnegative vector$"):
+            monotone_solution(prob, start)
+    with pytest.raises(DomainError, match="^F has the wrong length$"):
+        maurey_verify(prob, [1.0])
+    with pytest.raises(DomainError, match=r"^F\^\(1-1/q\) sigma is not a finite measure$"):
+        maurey_verify(SublinearProblem(kernel, sigma, 2.0), [np.inf, 1.0])
+    for p in (1.0, np.inf, 0.5):
+        with pytest.raises(DomainError, match=r"^p must lie in \(1, inf\)$"):
+            lp_operator_norm(kernel, sigma, p)
+
+
+def test_a_report_row_names_only_its_claims():
+    rep = theorem_report(_round_trip_input(1))
+    assert rep.row("local_solution_route").claim == "local_solution_route"
+    with pytest.raises(KeyError, match="no_such_claim"):
+        rep.row("no_such_claim")
+    with pytest.raises(KeyError, match="no_such_claim"):
+        rep.verdict("no_such_claim")
+
+
+def test_lp_operator_norm_is_free_of_zero_weights():
+    # 0 ** e is 0 for both exponents in (0, 1): a zero weight drops its row
+    # and column, as on the measure's support alone
+    rng = np.random.default_rng(11)
+    kernel = metric_power_kernel(rng, 6)
+    w = rand_sigma(rng, kernel.space).weights.copy()
+    w[[1, 4]] = 0.0
+    keep = np.flatnonzero(w)
+    sub = Kernel(Space.of_size(keep.size), kernel.entries[np.ix_(keep, keep)])
+    for p in (1.5, 2.0, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            full = lp_operator_norm(kernel, Measure(kernel.space, w), p)
+        assert full == pytest.approx(lp_operator_norm(sub, Measure(sub.space, w[keep]), p),
+                                     rel=1e-9)
