@@ -357,8 +357,10 @@ class NondegeneracyReport:
 def check_nondegenerate(kernel: Kernel, sigma: Measure) -> NondegeneracyReport:
     """Detect columns ``G(., y)`` that vanish sigma-a.e. for sigma-positive ``y``.
 
-    The kernel is degenerate (with respect to ``sigma``) when the witness set
-    is nonempty; no positive solution of ``u = G(u^q sigma)`` can then exist.
+    The kernel is degenerate (with respect to ``sigma``) when the witness set is
+    nonempty.  Only columns are read: where the zeros are symmetric (a finite
+    quasi-symmetry constant) a dead column is a dead row, and no positive
+    solution of ``u = G(u^q sigma)`` can then exist; one-sided zeros can mislead.
     """
     _require_same_space(kernel, sigma)
     sup = sigma.support

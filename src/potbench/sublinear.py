@@ -377,11 +377,12 @@ def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> 
 def _norm_route(wmp, a, problem: SublinearProblem, relaxed) -> tuple[float, float | None]:
     """The strong-type bound ``h (1-q)^{-1/q} |e^delta u|_q^{1-q}``, ``h = wmp.factor``, and
     ``|e^delta u|_q``, in logs, from a supersolution ``e^delta u`` (Quinn and Verbitsky), ``delta``
-    0 where None.  It needs the weak maximum principle and quasi-symmetry (a finite ``a``), and
-    reads the memoized plain solve or, where that is ``degenerate``, ``relaxed()``, called only
-    then: the relaxed supersolution or None.  ``(+inf, None)`` where a hypothesis fails or no
-    supersolution is left."""
-    if wmp.holds and np.isfinite(a):
+    0 where None.  It needs the weak maximum principle and a symmetric kernel (``a = 1``): the
+    bound omits the quasi-symmetry constant, and on a kernel with ``1 < a < inf`` it can fall
+    below the constant's lower end.  It reads the memoized plain solve or, where that is
+    ``degenerate``, ``relaxed()``, called only then: the relaxed supersolution or None.
+    ``(+inf, None)`` where a hypothesis fails or no supersolution is left."""
+    if wmp.holds and a == 1.0:
         sol = problem._solution
         sol = relaxed() if sol.status == "degenerate" else sol
         if sol is not None and sol.status != "diverged":
@@ -520,9 +521,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     power underflows reads the least positive float).  ``upper`` is 0 where
     ``F`` is, else :func:`_norm_route`'s bound (extras ``norm_route_lq``, its norm),
     whose relaxed supersolution takes ``certified_upper``; where that is
-    infinite there is none.  ``seed`` no longer changes the result.  For ``q >= 1``
-    the constant equals the largest ``L^q(sigma)`` norm of a kernel column,
-    attained at a point mass.
+    infinite there is none.  The route needs the weak maximum principle and a
+    symmetric kernel; elsewhere ``upper`` is ``+inf``.  ``seed`` no longer changes
+    the result.  For ``q >= 1`` the constant equals the largest ``L^q(sigma)``
+    norm of a kernel column, attained at a point mass.
     """
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G = kernel.entries
@@ -1107,27 +1109,36 @@ class TheoremReport:
         return self.row(claim).verdict
 
 
-def _row(claim, ok, details):
+def _verdict(claim, needs, test):
+    """The row ``claim``: NOT-APPLICABLE with the reason of the first ``(holds, reason)`` in
+    ``needs`` that fails, else CONFIRMED or VIOLATED from ``test() -> (ok, details)``."""
+    for holds, reason in needs:
+        if not holds:
+            return VerdictRow(claim, "NOT-APPLICABLE", {"reason": reason})
+    ok, details = test()
     return VerdictRow(claim, "CONFIRMED" if ok else "VIOLATED", details)
 
 
-def _na(claim, why):
-    return VerdictRow(claim, "NOT-APPLICABLE", {"reason": why})
+def _at_most(lhs, rhs, logs=False) -> bool:
+    """``lhs <= rhs`` up to the relative slack ``REPORT_RTOL``, both sides logs where ``logs``:
+    the one comparison of :func:`theorem_report`'s inequality rows."""
+    return lhs <= (rhs + math.log1p(REPORT_RTOL) if logs else rhs * (1.0 + REPORT_RTOL))
 
 
 def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                    seed: int = 0) -> TheoremReport:
     """Run the whole pipeline on one instance and cross-check every claim.
 
-    Hypothesis checks (quasi-symmetry, weak maximum principle,
-    non-degeneracy, quasimetric structure) gate the rows: a claim whose
-    hypotheses fail on this instance is marked NOT-APPLICABLE rather than
-    tested, claims whose both sides are computable are CONFIRMED or
-    VIOLATED with numeric details.
+    One rule, :func:`_verdict`, builds each row: NOT-APPLICABLE with the reason of the
+    first of its ``needs`` that fails here, else CONFIRMED or VIOLATED with numeric
+    details; :func:`_at_most` decides every inequality.  The solution row needs
+    quasi-symmetry (finite ``a``) before non-degeneracy, which
+    :func:`check_nondegenerate` reads from columns; the norm-route and Lorentz rows
+    need the WMP and a symmetric kernel (``a = 1``), as :func:`_norm_route` does.
 
     ``budget`` sets the mode of the WMP search and bounds five maxima of
     one subset search, as in :func:`weak_type_constant`: the ``cap0`` and
-    ``cap1`` routes at ``q`` and at 1, and the testing ratio.  They share
+    ``cap1`` routes at ``q``, the testing ratio, and the two routes at 1.  They share
     one memo of ``cap0`` and ``cap1``, and the rows compare their lower
     ends; the best sets, ``content`` and the quasimetric balls of the
     standalone functions are not computed here.  ``constants["modes"]``
@@ -1140,7 +1151,6 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
-    rows: list[VerdictRow] = []
 
     a = check_quasisymmetric(kernel)
     wmp = wmp_constant(kernel, budget=budget)
@@ -1164,156 +1174,138 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     modes = {"wmp": wmp.mode, "strong": strong.extras["mode"]}
     constants = {"strong_lower": strong.lower, "strong_certified": kappa_cert, "modes": modes}
 
-    sol = None
-    if np.isfinite(kappa_cert) and sigma.total > 0:
-        sup = gagliardo_supersolution(problem, kappa_cert)
-        rows.append(_row("strong_to_supersolution", sup.status == "supersolution",
-                         {"kappa": kappa_cert, "slack": sup.residual,
-                          "lq_norm": sup.lq_norm}))
-        if sup.status == "supersolution":  # the descent from it ends at the log solve
-            sol = problem._solution
-    else:
-        rows.append(_na("strong_to_supersolution",
-                        "strong-type constant is infinite" if sigma.total > 0
-                        else "sigma vanishes"))
+    finite = bool(np.isfinite(kappa_cert))
+    sup = gagliardo_supersolution(problem, kappa_cert) if finite and sigma.total > 0 else None
+    rows = [_verdict("strong_to_supersolution", [(sigma.total > 0, "sigma vanishes"),
+                                                 (finite, "strong-type constant is infinite")],
+                     lambda: (sup.status == "supersolution", {"kappa": kappa_cert,
+                              "slack": sup.residual, "lq_norm": sup.lq_norm}))]
+    # the descent from the supersolution ends at the log solve
+    sol = problem._solution if sup is not None and sup.status == "supersolution" else None
+    no_sup = (sol is not None, "no supersolution available")
 
-    if sol is not None:
-        if nd.nondegenerate:
-            rows.append(_row("supersolution_to_solution", sol.status == "solution",
-                             {"status": sol.status, "residual": sol.residual,
-                              "lq_norm": sol.lq_norm}))
-        else:
-            rows.append(_na("supersolution_to_solution", "kernel is degenerate"))
-    else:
-        rows.append(_na("supersolution_to_solution", "no supersolution available"))
+    rows.append(_verdict("supersolution_to_solution",
+                         [no_sup, (np.isfinite(a), "needs a quasi-symmetric kernel"),
+                          (nd.nondegenerate, "kernel is degenerate")],
+                         lambda: (sol.status == "solution", {"status": sol.status,
+                                  "residual": sol.residual, "lq_norm": sol.lq_norm})))
 
-    bound, lq = _norm_route(wmp, a, problem, lambda: sup) if sol is not None else (None, None)
+    upper, lq = _norm_route(wmp, a, problem, lambda: sup) if sol is not None else (None, None)
     if lq is not None:
-        constants["norm_route_upper"] = bound
-        rows.append(_row("supersolution_to_strong", strong.lower <= bound * (1.0 + REPORT_RTOL),
-                         {"lower": strong.lower, "upper": bound}))
-    else:
-        rows.append(_na("supersolution_to_strong", "no supersolution available" if sol is None
-                        else "needs the weak maximum principle and quasi-symmetry"))
+        constants["norm_route_upper"] = upper
+    rows.append(_verdict("supersolution_to_strong",
+                         [no_sup, (lq is not None,
+                                   "needs the weak maximum principle and a symmetric kernel")],
+                         lambda: (_at_most(strong.lower, upper),
+                                  {"lower": strong.lower, "upper": upper})))
 
-    if sol is not None and sol.status == "solution" and np.isfinite(kappa_cert):
-        try:
-            bound = kappa_cert ** (1.0 / (1.0 - q))
-        except OverflowError:  # the comparison is in logs
-            bound = float("inf")
-        ok = (_log_norm(sol.log_u, sigma, q)
-              <= math.log(kappa_cert) / (1.0 - q) + math.log1p(REPORT_RTOL))
-        rows.append(_row("solution_norm_bound", ok, {"lq_norm": sol.lq_norm, "bound": bound}))
-    else:
-        rows.append(_na("solution_norm_bound", "no solution with a finite constant"))
+    try:
+        bound = kappa_cert ** (1.0 / (1.0 - q))
+    except OverflowError:  # the comparison is in logs
+        bound = float("inf")
+    rows.append(_verdict("solution_norm_bound",
+                         [(sol is not None and sol.status == "solution" and finite,
+                           "no solution with a finite constant")],
+                         lambda: (_at_most(_log_norm(sol.log_u, sigma, q),
+                                           math.log(kappa_cert) / (1.0 - q), logs=True),
+                                  {"lq_norm": sol.lq_norm, "bound": bound})))
 
     pot = potential(kernel, sigma)
     objective = strong.extras.get("objective", strong.lower)  # F, whose F^(1/q) may underflow
-    if np.isfinite(kappa_cert) and np.isfinite(a) and strong.witness is not None \
-            and objective > 0:
-        F = maurey_candidate(problem, strong.witness)
-        if F is None:
-            rows.append(_na("energy_necessity", "dual candidate unavailable"))
-        else:
-            lhs = integrate(pot ** (q / (1.0 - q)), sigma)
-            c = a ** (q * q / (1.0 - q))
-            constants["maurey_l1"] = l1 = integrate(F, sigma)
-            rows.append(_row("energy_necessity", lhs <= c * l1 * (1.0 + REPORT_RTOL),
-                             {"lhs": lhs, "rhs": c * l1, "constant": c,
-                              "verification": maurey_verify(problem, F)}))
-    elif objective == 0:
-        rows.append(_na("energy_necessity", "potential vanishes on sigma"))
-    else:
-        rows.append(_na("energy_necessity",
-                        "needs a finite constant and quasi-symmetry"))
+    dual = finite and np.isfinite(a) and strong.witness is not None and objective > 0
+    F = maurey_candidate(problem, strong.witness) if dual else None
+
+    def energy():
+        lhs = integrate(pot ** (q / (1.0 - q)), sigma)
+        c = a ** (q * q / (1.0 - q))
+        constants["maurey_l1"] = l1 = integrate(F, sigma)
+        return _at_most(lhs, c * l1), {"lhs": lhs, "rhs": c * l1, "constant": c,
+                                       "verification": maurey_verify(problem, F)}
+
+    rows.append(_verdict("energy_necessity",
+                         [(objective != 0, "potential vanishes on sigma"),
+                          (dual, "needs a finite constant and quasi-symmetry"),
+                          (F is not None, "dual candidate unavailable")], energy))
 
     lorentz = lorentz_norm(pot, sigma, q / (1.0 - q), q)
     constants["lorentz_small"] = lorentz
-    if wmp.holds and np.isfinite(a) and nd.nondegenerate and np.isfinite(lorentz):
-        bound = wmp.factor * lorentz
-        rows.append(_row("lorentz_sufficiency", strong.lower <= bound * (1.0 + REPORT_RTOL),
-                         {"lower": strong.lower, "bound": bound}))
-    else:
-        rows.append(_na("lorentz_sufficiency",
-                        "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"))
+    rows.append(_verdict("lorentz_sufficiency",
+                         [(wmp.holds and a == 1.0 and nd.nondegenerate and np.isfinite(lorentz),
+                           "needs WMP, a symmetric kernel, non-degeneracy and a finite norm")],
+                         lambda: (_at_most(strong.lower, rhs := wmp.factor * lorentz),
+                                  {"lower": strong.lower, "bound": rhs})))
 
-    if wmp.holds and kernel.is_symmetric:
-        search = _SubsetSearch(kernel, sigma, budget)
+    weak = wmp.holds and kernel.is_symmetric
+    search = _SubsetSearch(kernel, sigma, budget) if weak else None
+
+    def capacity_route():
         c_cap0, _, modes["weak_cap0"], _ = search.capacity_ratio(q)
         c_cap1, _, modes["weak_cap1"], _ = search.capacity_ratio(q, cap1=True)
-        constants["weak_cap0"] = c_cap0
-        constants["weak_cap1"] = c_cap1
-        ok = (c_cap1 <= c_cap0 * (1.0 + REPORT_RTOL)
-              and c_cap0 <= wmp.factor * c_cap1 * (1.0 + REPORT_RTOL))
-        rows.append(_row("weak_capacity_route", ok,
-                         {"from_cap0": c_cap0, "from_cap1": c_cap1,
-                          "wmp": wmp.constant}))
+        constants.update(weak_cap0=c_cap0, weak_cap1=c_cap1)
+        return (_at_most(c_cap1, c_cap0) and _at_most(c_cap0, wmp.factor * c_cap1),
+                {"from_cap0": c_cap0, "from_cap1": c_cap1, "wmp": wmp.constant})
+
+    def testing_chain():
         testing, _, modes["testing"], _ = search.testing_ratio()
         t22 = lp_operator_norm(kernel, sigma, 2.0)
         weak11, _, modes["weak_1_1"], _ = search.capacity_ratio(1.0)
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
-        trio = {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
-                "from_cap1": c_cap1_11}
         factor = 8.0 * wmp.factor**4
         vals = [weak11, testing, t22]
-        finite = [np.isfinite(v) for v in vals]
-        ok = all(finite) == any(finite)
-        if all(finite):
-            ok = ok and c_cap1_11 <= testing * (1.0 + REPORT_RTOL)
-            ok = ok and testing <= t22 * (1.0 + REPORT_RTOL)
-            lo, hi = min(vals), max(vals)
-            ok = ok and (lo == 0.0 if hi == 0.0 else hi <= factor * lo * (1.0 + REPORT_RTOL))
-        trio["factor"] = factor
-        rows.append(_row("weak11_testing_chain", ok, trio))
-    else:
-        rows.append(_na("weak_capacity_route", "needs q <= 1, a symmetric kernel and WMP"))
-        rows.append(_na("weak11_testing_chain", "needs a symmetric WMP kernel"))
+        known = [np.isfinite(v) for v in vals]
+        lo, hi = min(vals), max(vals)
+        ok = (_at_most(c_cap1_11, testing) and _at_most(testing, t22)
+              and (lo == 0.0 if hi == 0.0 else _at_most(hi, factor * lo))
+              if all(known) else not any(known))
+        return ok, {"weak_1_1": weak11, "testing": testing, "p2_norm": t22,
+                    "from_cap1": c_cap1_11, "factor": factor}
 
+    rows.append(_verdict("weak_capacity_route",
+                         [(weak, "needs q <= 1, a symmetric kernel and WMP")], capacity_route))
+    rows.append(_verdict("weak11_testing_chain",
+                         [(weak, "needs a symmetric WMP kernel")], testing_chain))
     rows.append(_local_route_row(problem))
-
-    if sol is not None and np.isfinite(a):
-        if nd.nondegenerate:
-            ok = sol.status == "solution"
-            details = {"status": sol.status}
-        else:
-            ok = sol.status == "degenerate"
-            details = {"status": sol.status, "witness": sol.witness,
-                       "conclusion": "no positive solution exists"}
-        rows.append(_row("degenerate_dichotomy", ok, details))
-    else:
-        rows.append(_na("degenerate_dichotomy",
-                        "needs a quasi-symmetric kernel and a pipeline limit"))
-
+    rows.append(_verdict("degenerate_dichotomy",
+                         [(sol is not None and np.isfinite(a),
+                           "needs a quasi-symmetric kernel and a pipeline limit")],
+                         lambda: (sol.status == "solution", {"status": sol.status})
+                         if nd.nondegenerate else (sol.status == "degenerate", {
+                             "status": sol.status, "witness": sol.witness,
+                             "conclusion": "no positive solution exists"})))
     return TheoremReport(hypotheses, tuple(rows), constants)
 
 
 def _local_route_row(problem):
+    """The local_solution_route row: the plain solve of the kernel modified at the pole, the
+    heaviest point of ``sigma``, read back on the retained points.  Equal sides read residual 0,
+    ``+inf`` against ``+inf`` at a point off ``supp sigma`` included."""
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
-    supp = sigma.support
+    claim, supp = "local_solution_route", sigma.support
     if supp.size == 0:
-        return _na("local_solution_route", "sigma vanishes")
+        return _verdict(claim, [(False, "sigma vanishes")], None)
     pole = kernel.space.points[int(supp[np.argmax(sigma.weights[supp])])]
     g = modifier(kernel, pole)
     if (g[supp] == 0).any():
-        return _na("local_solution_route", "modifier vanishes on sigma-mass")
+        return _verdict(claim, [(False, "modifier vanishes on sigma-mass")], None)
     mod = modify_kernel(kernel, g)
-    sub_sigma = Measure(mod.kernel.space,
-                        (g ** (1.0 + q) * sigma.weights)[mod.retained])
+    sub_sigma = Measure(mod.kernel.space, (g ** (1.0 + q) * sigma.weights)[mod.retained])
     if sub_sigma.total == 0:  # g > 0 on supp sigma: only underflow leaves no mass
-        return _na("local_solution_route", "modified sigma underflows the float range")
+        return _verdict(claim, [(False, "modified sigma underflows the float range")], None)
     sub_problem = SublinearProblem(mod.kernel, sub_sigma, q)
     sub_strong = strong_type_constant(sub_problem, with_upper=False)
-    if not np.isfinite(sub_strong.extras["certified_upper"]):
-        return _na("local_solution_route", "modified constant is infinite")
-    sol = sub_problem._solution  # in logs: the constant itself may underflow to 0
-    if sol.status != "solution":
-        return _row("local_solution_route", False, {"modified_status": sol.status})
-    u_loc = np.zeros(kernel.size)
-    u_loc[mod.retained] = g[mod.retained] * sol.u
-    rhs = _apply(kernel, u_loc**q, sigma)
-    res = np.abs(u_loc[mod.retained] - rhs[mod.retained])
-    scale = np.maximum(1.0, u_loc[mod.retained])
-    ok = bool((res <= REPORT_RTOL * scale).all())
-    return _row("local_solution_route", ok,
-                {"pole": pole, "residual": float((res / scale).max()),
-                 "modified_constant": sub_strong.lower})
+
+    def test():
+        sol = sub_problem._solution  # in logs: the constant itself may underflow to 0
+        if sol.status != "solution":
+            return False, {"modified_status": sol.status}
+        u_loc = np.zeros(kernel.size)
+        u_loc[mod.retained] = g[mod.retained] * sol.u
+        u, rhs = u_loc[mod.retained], _apply(kernel, u_loc**q, sigma)[mod.retained]
+        res = np.abs(np.subtract(u, rhs, out=np.zeros_like(u), where=u != rhs))
+        scale = np.maximum(1.0, u)
+        return bool((res <= REPORT_RTOL * scale).all()), {
+            "pole": pole, "residual": float((res / scale).max()),
+            "modified_constant": sub_strong.lower}
+
+    return _verdict(claim, [(np.isfinite(sub_strong.extras["certified_upper"]),
+                             "modified constant is infinite")], test)

@@ -554,8 +554,8 @@ def test_theorem_report_swap_kernel():
 _NO_SUP = "no supersolution available"
 _NO_SOL = "no solution with a finite constant"
 _NO_QS = "needs a finite constant and quasi-symmetry"
-_NO_WMP_QS = "needs the weak maximum principle and quasi-symmetry"
-_NO_LORENTZ = "needs WMP, quasi-symmetry, non-degeneracy and a finite norm"
+_NO_WMP_SYM = "needs the weak maximum principle and a symmetric kernel"
+_NO_LORENTZ = "needs WMP, a symmetric kernel, non-degeneracy and a finite norm"
 _NO_CAP = "needs q <= 1, a symmetric kernel and WMP"
 _NO_CHAIN = "needs a symmetric WMP kernel"
 _NO_LIMIT = "needs a quasi-symmetric kernel and a pipeline limit"
@@ -570,10 +570,11 @@ _NO_LIMIT = "needs a quasi-symmetric kernel and a pipeline limit"
      ["strong-type constant is infinite", _NO_SUP, _NO_SUP, _NO_SOL, _NO_QS, _NO_LORENTZ,
       None, None, "modified constant is infinite", _NO_LIMIT]),
     ([[1.0, 0.0, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]], [1.0, 1.0, 1.0],
-     [None, None, _NO_WMP_QS, None, _NO_QS, _NO_LORENTZ, _NO_CAP, _NO_CHAIN,
+     [None, "needs a quasi-symmetric kernel", _NO_WMP_SYM, None, _NO_QS, _NO_LORENTZ, _NO_CAP,
+      _NO_CHAIN,
       None, _NO_LIMIT]),
     ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0],
-     [None, "kernel is degenerate", _NO_WMP_QS, _NO_SOL, None, _NO_LORENTZ, _NO_CAP,
+     [None, "kernel is degenerate", _NO_WMP_SYM, _NO_SOL, None, _NO_LORENTZ, _NO_CAP,
       _NO_CHAIN, "modifier vanishes on sigma-mass", None]),
 ], ids=["zero_sigma", "infinite_diagonal", "not_quasi_symmetric", "degenerate"])
 def test_theorem_report_not_applicable_rows(entries, weights, reasons):
@@ -598,6 +599,9 @@ def test_theorem_report_not_applicable_rows(entries, weights, reasons):
     ([[0.8355390835882426, 0.0], [0.6197025224592525, 0.09224603664344565]],
      [0.3716294173137838, 1.4708856051485464], np.inf),
     ([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], 73.24218750000912),  # symmetric control
+    # quasi-symmetric (a = 10), WMP exact with h = 1: the route, which omits a,
+    # gave 0.305 against the lower end 1.0 of the point mass at 0
+    ([[1.0, 0.1], [1.0, 0.1]], [0.0, 1.0], np.inf),
 ])
 def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
     s = Space.of_size(2)
@@ -612,8 +616,7 @@ def test_strong_upper_needs_the_norm_route_hypotheses(entries, weights, upper):
         assert row.verdict == "CONFIRMED"
         assert row.details["upper"] == est.upper
     else:
-        assert (row.verdict, row.details["reason"]) == (
-            "NOT-APPLICABLE", "needs the weak maximum principle and quasi-symmetry")
+        assert (row.verdict, row.details["reason"]) == ("NOT-APPLICABLE", _NO_WMP_SYM)
 
 
 def test_theorem_report_metric_kernel_all_confirmed():
@@ -2320,3 +2323,92 @@ def test_lp_operator_norm_is_free_of_zero_weights():
             full = lp_operator_norm(kernel, Measure(kernel.space, w), p)
         assert full == pytest.approx(lp_operator_norm(sub, Measure(sub.space, w[keep]), p),
                                      rel=1e-9)
+
+
+def test_every_inequality_of_the_report_goes_through_at_most(monkeypatch):
+    # nine comparisons: one each in four rows, two in the capacity route and
+    # three in the chain, all CONFIRMED on these inputs
+    calls, at_most = [0], sublinear._at_most
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return at_most(*args, **kwargs)
+
+    monkeypatch.setattr(sublinear, "_at_most", counted)
+    for i in range(3):
+        calls[0] = 0
+        rep = theorem_report(_verdict_table_input(i), seed=0)
+        assert calls[0] == 9, i
+        assert {row.verdict for row in rep.rows} == {"CONFIRMED"}
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_a_failed_comparison_flips_exactly_the_inequality_rows(monkeypatch, i):
+    prob = _verdict_table_input(i)
+    base = theorem_report(prob, seed=0)
+    monkeypatch.setattr(sublinear, "_at_most", lambda *args, **kwargs: False)
+    flipped = theorem_report(prob, seed=0)
+    changed = [new.claim for old, new in zip(base.rows, flipped.rows, strict=True)
+               if (old.verdict, old.details) != (new.verdict, new.details)]
+    assert changed == [row.claim for row in flipped.rows if row.verdict == "VIOLATED"] == [
+        "supersolution_to_strong", "solution_norm_bound", "energy_necessity",
+        "lorentz_sufficiency", "weak_capacity_route", "weak11_testing_chain"]
+
+
+# three instances outside a row's hypotheses, each once read VIOLATED
+_OFF_SUPPORT_INF = ([[1.0, 1.0], [np.inf, 1.0]], [1.0, 0.0], 0.5)
+_QUASI_SYMMETRIC = ([[1.0, 0.1], [1.0, 0.1]], [0.0, 1.0], 0.5)
+_ONE_SIDED_ZEROS = ([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], 0.5)
+
+
+def _report(entries, weights, q):
+    s = Space.of_size(len(weights))
+    prob = SublinearProblem(Kernel(s, entries), Measure(s, weights), q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return theorem_report(prob), strong_type_constant(prob)
+
+
+# the off-support inf: at point 1, u_loc and G(u_loc^q sigma) are both +inf;
+# quasi-symmetric: a = 10 and the WMP exact with h = 1, yet the bounds omit a;
+# one-sided zeros: every column lives, but point 0's row is zero, so the solve is degenerate
+@pytest.mark.parametrize("case, claim, verdict, key, value", [
+    (_OFF_SUPPORT_INF, "local_solution_route", "CONFIRMED", "residual", 0.0),
+    (_QUASI_SYMMETRIC, "supersolution_to_strong", "NOT-APPLICABLE", "reason", _NO_WMP_SYM),
+    (_QUASI_SYMMETRIC, "lorentz_sufficiency", "NOT-APPLICABLE", "reason", _NO_LORENTZ),
+    (_ONE_SIDED_ZEROS, "supersolution_to_solution", "NOT-APPLICABLE", "reason",
+     "needs a quasi-symmetric kernel"),
+])
+def test_rows_outside_their_hypotheses(case, claim, verdict, key, value):
+    row = _report(*case)[0].row(claim)
+    assert (row.verdict, row.details[key]) == (verdict, value)
+
+
+def _fuzz_case(n, q, seed):
+    """A kernel of one of five kinds, lognormal(0, 2) entries: symmetric, symmetric
+    with symmetric zeros, non-symmetric, non-symmetric with zeros, or with 15 % +inf
+    entries; sigma lognormal with about 15 % zeros."""
+    rng = np.random.default_rng(seed)
+    kind = int(rng.integers(5))
+    G = rng.lognormal(0.0, 2.0, (n, n))
+    if kind < 2:
+        G = np.triu(G) + np.triu(G, 1).T
+    if kind in (1, 3):
+        zeros = rng.random((n, n)) < 0.3
+        G[zeros | zeros.T if kind == 1 else zeros] = 0.0
+    if kind == 4:
+        G[rng.random((n, n)) < 0.15] = np.inf
+    sigma = rng.lognormal(0.0, 2.0, n) * (rng.random(n) >= 0.15)
+    return G.tolist(), sigma.tolist(), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(_fuzz_case, st.integers(1, 5), st.floats(0.05, 0.95),
+                 st.integers(0, 2**32 - 1)))
+@example(_OFF_SUPPORT_INF)
+@example(_QUASI_SYMMETRIC)
+@example(_ONE_SIDED_ZEROS)
+def test_no_row_reads_violated_on_small_kernels(case):
+    rep, est = _report(*case)
+    assert [row.claim for row in rep.rows if row.verdict == "VIOLATED"] == []
+    assert est.upper >= est.lower
