@@ -488,6 +488,11 @@ class NullCheckReport:
 
 
 def capacity_null_check(kernel: Kernel, points, mu: Measure) -> NullCheckReport:
+    """Where ``wiener_cap1(K) = 0``, check that the adjoint potential of a
+    nonzero ``mu`` carried by ``K`` is ``+inf`` at each point of its mass
+    (:class:`NullCheckReport`); ``not_applicable`` where the capacity is
+    positive or ``mu`` vanishes.  ``mu`` charging a point outside ``K`` raises
+    a ``DomainError``."""
     space = kernel.space
     K = _resolve_subset(kernel, points)
     inside = np.zeros(space.size, dtype=bool)

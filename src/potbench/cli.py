@@ -154,13 +154,10 @@ def _build_instance(doc: dict) -> _Instance:
             coords=None if coords is None else tuple(
                 tuple(c) if isinstance(c, list) else c for c in coords),
         )
-        kernel = build_sampled(sk)
+        matrix = build_sampled(sk).entries
     else:
         matrix = np.array([[_entry(v) for v in row] for row in spec["matrix"]])
-        points = doc.get("points")
-        if points is None:
-            points = tuple(range(len(matrix)))
-        kernel = Kernel(Space(points=tuple(points)), matrix)
+    kernel = Kernel(Space(points=doc.get("points") or range(len(matrix))), matrix)
 
     sigma = None
     if "sigma" in doc:

@@ -312,6 +312,8 @@ def _sample_coords(spec: SampledKernelSpec) -> np.ndarray:
 
 
 def build_sampled(spec: SampledKernelSpec) -> Kernel:
+    """The kernel of :class:`SampledKernelSpec` on the points ``0..n-1``, in
+    the order of the cloud; duplicate points raise a ``DomainError``."""
     coords = _sample_coords(spec)
     n = spec.n_points
     diff = coords[:, None, :] - coords[None, :, :]

@@ -355,6 +355,10 @@ def _triangle_constant(kernel: Kernel) -> QuasimetricReport:
 
 
 def quasimetric_constant(kernel: Kernel) -> QuasimetricReport:
+    """The triangle constant ``kappa`` of ``d = 1/G`` with its witness triple
+    and, for a quasimetric on at most ``PTOLEMY_LIMIT`` points, the four-point
+    comparison (:class:`QuasimetricReport`); a kernel that is not symmetric
+    reads ``kappa = +inf``."""
     report = _triangle_constant(kernel)
     if not report.is_quasimetric or kernel.size > PTOLEMY_LIMIT:
         return report

@@ -146,6 +146,12 @@ def _run(T, basis):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve the packing LP from the slack basis by Bland's rule.
+
+    Returns ``optimal`` with ``x``, the value and the duals, or ``unbounded``
+    with an improving ray; raises :class:`SimplexStallError` after
+    ``MAX_PIVOTS`` pivots.  ``iterations`` counts the pivots.
+    """
     c = problem.objective
     T, basis, identity = _tableau(problem.lhs, problem.rhs, c)
     iterations, entering = _run(T, basis)

@@ -523,9 +523,11 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     whose relaxed supersolution takes ``certified_upper``; where that is
     infinite there is none.  The route needs the weak maximum principle and a
     symmetric kernel; elsewhere ``upper`` is ``+inf``.  ``seed`` no longer changes
-    the result.  For ``q >= 1`` the constant equals the largest ``L^q(sigma)``
-    norm of a kernel column, attained at a point mass.
+    the result, and ``budget``, the WMP walk's, is checked on every path.  For
+    ``q >= 1`` the constant equals the largest ``L^q(sigma)`` norm of a kernel
+    column, attained at a point mass.
     """
+    _mode(1, budget)  # the one budget check, before any path
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     G = kernel.entries
     n = kernel.size
@@ -853,13 +855,14 @@ def weak_quotient_bound(kernel: Kernel, omega: Measure, nu: Measure,
 
     Indeterminate quotients (0/0, inf/inf) count as 0; a positive potential
     of ``nu`` over a vanishing potential of ``omega`` counts as ``+inf``.
-    The bound is a theorem for quasi-symmetric kernels satisfying the weak
+    The bound follows ``0 * inf = 0``: an infinite ``h`` bounds a zero ``nu``
+    by 0.  It is a theorem for quasi-symmetric kernels satisfying the weak
     maximum principle with ``omega`` charging no null set; the exact weak
     norm is returned regardless so the comparison itself is the check.
     """
     quot = _ratio_max(potential(kernel, nu), potential(kernel, omega))
     value = weak_lorentz_norm(quot, omega, 1.0)
-    return QuotientBound(value, h * nu.total, h)
+    return QuotientBound(value, float(_weighted_terms(h, nu.total)), h)
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +894,19 @@ def energy_value(problem: SublinearProblem, s: float) -> float:
 
 
 def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
+    """Energy norms of ``G sigma`` and, given a (super)solution ``u``, the
+    inequality of its regime, split at ``GOLDEN_THRESHOLD``, for ``0 < q < 1``.
+
+    ``norms`` holds the ``L^s`` norms of ``G sigma`` at ``s = q/(1-q)`` and
+    ``1 + q`` and its Lorentz ``L^{s,q}`` and weak ``L^s`` norms at
+    ``s = q/(1-q)``.  For ``q <= GOLDEN_THRESHOLD`` the check is
+    ``integral (G sigma)^{q/(1-q)} dsigma <= a^{q^2/(1-q)} integral u^q dsigma``;
+    above it, ``integral (G sigma)^{1+q} dsigma <= a (integral u^q dsigma)^e
+    sigma(total)^{1-e}`` with ``e = (1-q^2)/q``; ``a`` is the quasi-symmetry
+    constant (:func:`~potbench.core.check_quasisymmetric`).  ``holds`` allows
+    the relative slack ``ENERGY_RTOL``, and ``rhs`` follows ``0 * inf = 0``: an
+    infinite ``a`` against a zero ``integral u^q dsigma`` gives 0.
+    """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     s_small = q / (1.0 - q)
@@ -909,7 +925,7 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
         if q <= GOLDEN_THRESHOLD:
             lhs = integrate(pot ** s_small, sigma)
             c = a ** (q * q / (1.0 - q))
-            rhs = c * uq_mass
+            rhs = float(_weighted_terms(c, uq_mass))
             check52 = {"lhs": lhs, "rhs": rhs, "constant": c,
                        "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
         else:
@@ -917,7 +933,7 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
             lhs = integrate(pot ** s, sigma)
             c = a ** (s / (1.0 + q))
             expo = s * (1.0 - q) / q
-            rhs = c * uq_mass**expo * sigma.total ** (1.0 - expo)
+            rhs = float(_weighted_terms(c, uq_mass**expo)) * sigma.total ** (1.0 - expo)
             check53 = {"lhs": lhs, "rhs": rhs, "constant": c, "s": s,
                        "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
     return EnergyReport(s_small, norms, check52, check53)

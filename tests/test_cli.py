@@ -5,11 +5,14 @@ import csv
 import importlib.metadata
 import json
 import os
+import pathlib
 import random
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 
 import jsonschema
 import numpy as np
@@ -22,6 +25,7 @@ from potbench import (
     SampledKernelSpec,
     Space,
     build_sampled,
+    cap0,
     complete_mp_constant,
     weak_quotient_bound,
     wmp_constant,
@@ -334,6 +338,53 @@ def test_sampled_scenario_flat_coords(tmp_path):
     assert result == to_jsonable(wmp_constant(kernel))
 
 
+GREEN3 = {"sampled": {"kind": "interval_green", "n_points": 3, "seed": 1}}
+
+
+def test_a_point_cloud_takes_the_top_level_points(tmp_path, capsys):
+    # a kernel given by entries, inline or sampled, takes points; a block family brings its own
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.5, "points": ["a", "b", "c"], "kernel": GREEN3, "sigma": [1, 1, 1],
+        "tasks": [{"name": "cap0", "params": {"subset": ["a"]}}, {"name": "weak_constant"}]})
+    assert main(["analyze", scen]) == 0
+    cap, weak = json.loads(capsys.readouterr().out)["tasks"]
+    kernel = build_sampled(SampledKernelSpec(kind="interval_green", n_points=3, seed=1))
+    assert cap["result"]["value"] == cap0(kernel, [0]).value
+    assert weak["result"]["extras"]["best_set"] == ["a", "c"]
+
+
+@pytest.mark.parametrize("kernel", [GREEN3, {"matrix": [[1.0, 0.5, 0.2],
+                                                        [0.5, 1.0, 0.5],
+                                                        [0.2, 0.5, 1.0]]}])
+def test_points_that_do_not_match_the_kernel_exit_2(tmp_path, capsys, kernel):
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.5, "points": ["a", "b"], "kernel": kernel, "tasks": [{"name": "wmp"}]})
+    assert main(["analyze", scen]) == 2
+    assert capsys.readouterr().err == "error: kernel must have shape (2, 2), got (3, 3)\n"
+
+
+def test_zero_mass_against_an_infinite_constant_writes_no_nan(tmp_path):
+    # the quotient bound h nu(total) and the energy bounds' c (int u^q dsigma)^e
+    # follow 0 * inf = 0: h = +inf on the swap kernel, a = +inf on the triangular one
+    docs = [{"q": 0.5, "kernel": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}, "sigma": [1.0, 1.0],
+             "tasks": [{"name": "weak_quotient",
+                        "params": {"nu": [0.0, 0.0], "omega": [1.0, 1.0]}}]},
+            {"kernel": {"matrix": [[1.0, 1.0], [0.0, 1.0]]}, "sigma": [1.0, 1.0],
+             "tasks": [{"name": "energy", "params": {"q": q, "u": [0.0, 0.0]}}
+                       for q in (0.3, 0.8)]}]
+    bounds = []
+    for i, doc in enumerate(docs):
+        out = tmp_path / f"out{i}"
+        assert main(["analyze", write_scenario(tmp_path / f"s{i}.json", doc),
+                     "--out", str(out)]) == 0
+        body = (out / "report.json").read_text()
+        assert '"nan"' not in body
+        bounds += [t["result"] for t in json.loads(body)["tasks"]]
+    quotient, small, large = bounds
+    assert (quotient["bound"], quotient["wmp_constant"]) == (0.0, "inf")
+    assert small["small_exponent_check"]["rhs"] == large["finite_measure_check"]["rhs"] == 0.0
+
+
 def test_theorem_report_provenance(tmp_path):
     # the provenance is the weakest mode of the searches inside the report:
     # all of them are exhaustive on two points, and a budget of 4 cuts the
@@ -632,3 +683,24 @@ def test_gallery_subcommand_with_the_harmonic_rule(capsys):
     assert main(["gallery", "--rule", "harmonic", "--n-blocks", "2", "--q", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["tag"].startswith("blocks:harmonic") and len(out["sigma"]) == 4
+
+
+def _readme_blocks(language):
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    (code,) = _readme_blocks("python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(compile(code, "README.md", "exec"), {})
+    status, *u, lower = capsys.readouterr().out.split()
+    assert (status, u) == ("solution", ["[1.", "1.]"])
+    assert float(lower) == pytest.approx(2.0, rel=1e-12)
+    (scenario,) = _readme_blocks("json")
+    out = tmp_path / "out"
+    assert main(["analyze", write_scenario(tmp_path / "s.json", json.loads(scenario)),
+                 "--out", str(out)]) == 0
+    tasks = json.loads((out / "report.json").read_text())["tasks"]
+    assert len(tasks) == 3 and [t for t in tasks if "error" in t] == []

@@ -382,6 +382,21 @@ def test_energy_criteria_large_exponent():
     assert rep.finite_measure_check["holds"]
 
 
+def test_quotient_and_energy_bounds_read_zero_times_inf_as_zero():
+    # an infinite constant against a zero mass bounds by 0, as core's 0 * inf = 0
+    s = Space.of_size(2)
+    swap = Kernel(s, [[0.0, 1.0], [1.0, 0.0]])
+    h = wmp_constant(swap).factor
+    assert h == np.inf
+    qb = weak_quotient_bound(swap, Measure(s, [1.0, 1.0]), Measure(s, [0.0, 0.0]), h)
+    assert (qb.value, qb.bound) == (0.0, 0.0)
+    triangular = Kernel(s, [[1.0, 1.0], [0.0, 1.0]])  # a = +inf
+    for q, key in ((0.3, "small_exponent_check"), (0.8, "finite_measure_check")):
+        rep = energy_criteria(SublinearProblem(triangular, Measure(s, [1.0, 1.0]), q), u=[0.0, 0.0])
+        chk = getattr(rep, key)
+        assert (chk["constant"], chk["rhs"], chk["holds"]) == (np.inf, 0.0, False)
+
+
 def test_energy_sweep_shape():
     rows = energy_sweep(swap_problem(), [0.5, 1.0, 2.0])
     assert len(rows) == 3
@@ -1366,7 +1381,10 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
                     lambda b: principles.complete_mp_constant(prob.kernel, budget=b),
                     lambda b: weak_type_constant(prob, budget=b),
                     lambda b: check_testing_condition(prob.kernel, prob.sigma, budget=b),
-                    lambda b: theorem_report(prob, budget=b))
+                    lambda b: theorem_report(prob, budget=b),
+                    lambda b: strong_type_constant(prob, budget=b, with_upper=False),
+                    lambda b: strong_type_constant(SublinearProblem(prob.kernel, prob.sigma, 2.0),
+                                                   budget=b))
     for budget in (0, -3):
         for call in entry_points:  # one message, from principles._mode
             with pytest.raises(DomainError, match=f"^budget must be at least 1, got {budget}$"):
