@@ -134,11 +134,7 @@ def _build_instance(doc: dict) -> _Instance:
         if q is None:
             raise ScenarioError("block kernels need a top-level q")
         b = spec["blocks"]
-        rule = list(b["rule"])
-        if rule and rule[0] == "custom":
-            rule = [rule[0], [float(v) for v in rule[1]]]
-        bs = BlockSpec(n_blocks=int(b["n_blocks"]), q=float(q),
-                       sigma_rule=tuple(rule),
+        bs = BlockSpec(n_blocks=int(b["n_blocks"]), q=float(q), sigma_rule=b["rule"],
                        variant=b.get("variant", "zero_diagonal"))
         built = build_block(bs)
         return _Instance(built.problem.kernel, built.problem.sigma, float(q),
@@ -258,8 +254,8 @@ def _task_capacity_null(inst, params, budget):
 def _task_energy(inst, params, budget):
     problem = _problem(inst, params)
     u = params.get("u")
-    if u is None and inst.block is not None:
-        u = inst.block.solution
+    if u is None and inst.block is not None and problem.q == inst.block.problem.q:
+        u = inst.block.solution  # the closed form solves the block's own q only
     rep = energy_criteria(problem, None if u is None else np.asarray(u, dtype=float))
     return rep, "exact", None
 

@@ -13,7 +13,8 @@ so the extended-real rules are pinned here once, each with its helper:
 * measure weights are finite and nonnegative,
 * kernel entries live in ``[0, +inf]``,
 * ``nan`` is rejected at construction time, everywhere,
-* a power of two scales exactly (``_normalized``).
+* a power of two scales exactly (``_normalized``),
+* a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``).
 
 Objects are immutable after construction: the wrapped arrays are marked
 read-only, so all operations below are pure functions and safe to share
@@ -23,6 +24,7 @@ arrays: the public functions validate at the boundary, inner loops call them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +209,22 @@ def _weighted_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pow(x, p: float) -> float:
+    """``x ** p`` for a scalar ``x >= 0``, and ``+inf`` where that does not fit a float."""
+    try:
+        return float(x) ** p
+    except OverflowError:
+        return float("inf")
+
+
+def _exp(x: float) -> float:
+    """``e^x``, and ``+inf`` where that does not fit a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return float("inf")
+
+
 def _ratio_max(num: np.ndarray, den: np.ndarray):
     """Extended-real max of num/den: inf/inf and 0/0 impose nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,7 +310,7 @@ def _norm_input(f, sigma, *exponents):
 def lp_norm(f, sigma: Measure, p: float) -> float:
     """The ``L^p(sigma)`` norm of a nonnegative function ``f``."""
     f, w, p = _norm_input(f, sigma, p)
-    return float(_weighted_terms(f ** p, w).sum() ** (1.0 / p))
+    return _pow(_weighted_terms(f ** p, w).sum(), 1.0 / p)
 
 
 def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:
@@ -308,7 +326,7 @@ def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:
     for v in finite_positive:
         m = w[f >= v].sum()
         if m > 0:
-            best = max(best, float(v * m ** (1.0 / s)))
+            best = max(best, float(v) * _pow(m, 1.0 / s))
     return best
 
 
@@ -332,7 +350,7 @@ def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
     # integrate t^{q/s - 1} v^q exactly over each constancy interval of f*
     exponent = q / s
     contrib = vals ** q * (s / q) * (upper ** exponent - lower ** exponent)
-    return float(contrib.sum() ** (1.0 / q))
+    return _pow(contrib.sum(), 1.0 / q)
 
 
 def check_quasisymmetric(kernel: Kernel) -> float:

@@ -19,9 +19,12 @@ The pipeline realized here:
 * cross-check every implication between these quantities on one instance
   and emit a verdict table (:func:`theorem_report`).
 
-Conventions: all exponents are evaluated in extended-real arithmetic, a solve
-that does not settle in ``NEWTON_STEPS`` Newton steps ends unsettled, and
-nothing draws a random number: a ``seed`` argument is unused.
+Conventions: all exponents are evaluated in extended-real arithmetic, and a scalar
+power past the float range reads ``+inf`` (``core._pow``): a finite scale raises a
+:class:`DomainError` that names it, a bound or certificate reads ``+inf``, and the
+energy-necessity row and :func:`maurey_candidate` read it as unavailable.  A solve that
+does not settle in ``NEWTON_STEPS`` Newton steps ends unsettled; nothing draws a random
+number, so a ``seed`` argument is unused.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ from .core import (
     _clean_array,
     _distinct,
     _energy,
+    _exp,
     _inverse_distance,
     _normalized,
     _potential,
+    _pow,
     _ratio_max,
     _weighted_terms,
     adjoint_potential,
@@ -264,14 +269,6 @@ def solve_equation(problem: SublinearProblem) -> tuple[SolveResult, ConstantEsti
     if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
         raise DomainError("the solution u does not fit a float (its log does)")
     return sol, est
-
-
-def _exp(x: float) -> float:
-    """``e^x``, and ``+inf`` where that does not fit a float."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return float("inf")
 
 
 def _log_sum_exp(z):
@@ -561,15 +558,10 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 
     F, nu, cert = _maximize_concave(A, s, q, int(np.argmax((A**q).T @ s)))
     cert = max(cert, F)
-    try:
-        lower = F ** (1.0 / q)
-    except OverflowError:
+    lower, cert_upper = _pow(F, 1.0 / q), _pow(cert, 1.0 / q)  # an infinite cert reads heuristic
+    if math.isinf(lower) and math.isfinite(F):
         raise DomainError("the constant's scale F^(1/q) at the best measure found "
-                          "does not fit a float") from None
-    try:
-        cert_upper = cert ** (1.0 / q)
-    except OverflowError:  # read as infinite: the mode is then heuristic
-        cert_upper = float("inf")
+                          "does not fit a float")
     if cert_upper == 0.0 < cert:  # the power underflowed: the least positive float bounds it
         cert_upper = math.ulp(0.0)
     gap = cert - F
@@ -700,12 +692,10 @@ class _SubsetSearch:
         prune = not cap1 or self.cap1_monotone
 
         def power(m, p):
-            mass = self.subset(m)[2]
-            try:
-                return mass ** p
-            except OverflowError:
+            if (value := _pow(self.subset(m)[2], p)) == float("inf"):
                 raise DomainError(f"the scale sigma(K)^{p:g} of a subset's capacity ratio "
-                                  "does not fit a float") from None
+                                  "does not fit a float")
+            return value
 
         def load_bound(m):
             return power(m, 1.0 / q - 1.0) * self.load(m)
@@ -931,7 +921,7 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
         else:
             s = 1.0 + q
             lhs = integrate(pot ** s, sigma)
-            c = a ** (s / (1.0 + q))
+            c = a
             expo = s * (1.0 - q) / q
             rhs = float(_weighted_terms(c, uq_mass**expo)) * sigma.total ** (1.0 - expo)
             check53 = {"lhs": lhs, "rhs": rhs, "constant": c, "s": s,
@@ -986,12 +976,11 @@ def maurey_verify(problem: SublinearProblem, F) -> float:
 def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray | None:
     """Dual function recovered from a strong-constant witness measure.
 
-    Takes ``F0 = (G nu)^q`` (nudged to be positive on the support of sigma)
-    and rescales it so the verification supremum is exactly one; the
-    rescaled ``F`` then bounds the small-exponent energy integral by
-    ``a^(q^2/(1-q)) ||F||_{L^1(sigma)}``.  Returns None when the witness
-    leaves an infinite or identically-zero potential on the support, or when
-    ``F^(1-1/q) sigma`` overflows (``F`` may underflow to 0 on the support).
+    Takes ``F0 = (G nu)^q`` (nudged to be positive on the support of sigma) and rescales it so
+    the verification supremum is exactly one; the rescaled ``F`` then bounds the small-exponent
+    energy integral by ``a^(q^2/(1-q)) ||F||_{L^1(sigma)}``.  Returns None when the witness
+    leaves an infinite or identically-zero potential on the support, or when ``F`` or
+    ``F^(1-1/q) sigma`` reads ``+inf`` past the float range (``F`` may underflow to 0).
     """
     _require_sublinear(problem.q)
     q = problem.q
@@ -1008,10 +997,10 @@ def maurey_candidate(problem: SublinearProblem, witness: Measure) -> np.ndarray 
     m0 = maurey_verify(problem, F0)
     if not (0 < m0 < float("inf")):
         return None
-    F = F0 * m0 ** (q / (1.0 - q))
     with np.errstate(divide="ignore", over="ignore"):  # F^(1-1/q) reads +inf where F = 0
+        F = F0 * _pow(m0, q / (1.0 - q))
         dual = F[supp] ** (1.0 - 1.0 / q) * problem.sigma.weights[supp]
-    return F if np.isfinite(dual).all() else None
+    return F if np.isfinite(F).all() and np.isfinite(dual).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -1152,18 +1141,17 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     :func:`check_nondegenerate` reads from columns; the norm-route and Lorentz rows
     need the WMP and a symmetric kernel (``a = 1``), as :func:`_norm_route` does.
 
-    ``budget`` sets the mode of the WMP search and bounds five maxima of
-    one subset search, as in :func:`weak_type_constant`: the ``cap0`` and
-    ``cap1`` routes at ``q``, the testing ratio, and the two routes at 1.  They share
-    one memo of ``cap0`` and ``cap1``, and the rows compare their lower
-    ends; the best sets, ``content`` and the quasimetric balls of the
-    standalone functions are not computed here.  ``constants["modes"]``
-    holds the mode of the WMP search, the strong constant and each subset
-    search that ran.  The descent from the (positive) relaxed supersolution is
-    :func:`_log_solve`'s; the norm-route row needs it and reads :func:`_norm_route`'s
-    bound, the strong constant's ``upper``.  The solution-norm row compares
-    ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the float range reads
-    ``+inf`` in its details.  ``seed`` no longer changes the result.
+    ``budget`` sets the mode of the WMP search and bounds five maxima of one subset search,
+    as in :func:`weak_type_constant`: the ``cap0`` and ``cap1`` routes at ``q``, the testing
+    ratio, and the two routes at 1.  They share one memo of ``cap0`` and ``cap1``, and the
+    rows compare their lower ends; the best sets, ``content`` and the quasimetric balls of
+    the standalone functions are not computed here.  ``constants["modes"]`` holds the mode of
+    the WMP search, the strong constant and each subset search that ran.  The descent from
+    the (positive) relaxed supersolution is :func:`_log_solve`'s; the norm-route row needs
+    it and reads :func:`_norm_route`'s bound, the strong constant's ``upper``.  The
+    solution-norm row compares ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the
+    float range reads ``+inf`` in its details.  The energy-necessity row reads NOT-APPLICABLE
+    where its constant or left side is ``+inf``.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -1215,10 +1203,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
                          lambda: (_at_most(strong.lower, upper),
                                   {"lower": strong.lower, "upper": upper})))
 
-    try:
-        bound = kappa_cert ** (1.0 / (1.0 - q))
-    except OverflowError:  # the comparison is in logs
-        bound = float("inf")
+    bound = _pow(kappa_cert, 1.0 / (1.0 - q))  # details only: the comparison is in logs
     rows.append(_verdict("solution_norm_bound",
                          [(sol is not None and sol.status == "solution" and finite,
                            "no solution with a finite constant")],
@@ -1230,10 +1215,11 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     objective = strong.extras.get("objective", strong.lower)  # F, whose F^(1/q) may underflow
     dual = finite and np.isfinite(a) and strong.witness is not None and objective > 0
     F = maurey_candidate(problem, strong.witness) if dual else None
+    with np.errstate(over="ignore"):
+        lhs = integrate(pot ** (q / (1.0 - q)), sigma)
+    c = _pow(a, q * q / (1.0 - q))
 
     def energy():
-        lhs = integrate(pot ** (q / (1.0 - q)), sigma)
-        c = a ** (q * q / (1.0 - q))
         constants["maurey_l1"] = l1 = integrate(F, sigma)
         return _at_most(lhs, c * l1), {"lhs": lhs, "rhs": c * l1, "constant": c,
                                        "verification": maurey_verify(problem, F)}
@@ -1241,6 +1227,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     rows.append(_verdict("energy_necessity",
                          [(objective != 0, "potential vanishes on sigma"),
                           (dual, "needs a finite constant and quasi-symmetry"),
+                          (max(lhs, c) < float("inf"), "the energy bound does not fit a float"),
                           (F is not None, "dual candidate unavailable")], energy))
 
     lorentz = lorentz_norm(pot, sigma, q / (1.0 - q), q)

@@ -294,6 +294,38 @@ def test_task_defaults_and_a_custom_block_rule(tmp_path):
     assert solve["result"]["solve"]["status"] == "solution"
 
 
+def test_an_energy_task_off_the_block_q_takes_no_closed_form_solution(tmp_path):
+    # the block's closed-form u solves its own q = 0.5 only: at q = 0.3 the task
+    # has no u, as a matrix kernel has none
+    out = tmp_path / "out"
+    main(["analyze", write_scenario(tmp_path / "s.json", {
+        "name": "blocks", "q": 0.5, "kernel": {"blocks": {"n_blocks": 2, "rule": ["harmonic"]}},
+        "tasks": [{"name": "energy", "params": {"q": 0.3}}, {"name": "energy"}]}),
+        "--out", str(out)])
+    off, own = (t["result"] for t in json.loads((out / "report.json").read_text())["tasks"])
+    assert off["small_exponent_check"] is None
+    assert own["small_exponent_check"]["holds"] is True
+    assert own["small_exponent_check"]["rhs"] == pytest.approx(3.0268, abs=1e-4)
+
+
+@pytest.mark.parametrize("kernel, task", [
+    ([[1.0, 1e-30], [1.0, 1.0]], "theorem_report"),
+    ([[1e20, 5e19], [5e19, 1e20]], "maurey")])
+def test_powers_past_the_float_range_exit_0(tmp_path, capsys, kernel, task):
+    # a^(q^2/(1-q)) and the Maurey rescale m0^(q/(1-q)) do not fit a float at
+    # q = 0.95: the energy row steps aside and the candidate is unavailable
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.95, "kernel": {"matrix": kernel}, "sigma": [1, 1], "tasks": [{"name": task}]})
+    assert main(["analyze", scen]) == 0
+    (result,) = (t["result"] for t in json.loads(capsys.readouterr().out)["tasks"])
+    if task == "maurey":
+        assert result["available"] is False
+    else:
+        (row,) = (r for r in result["rows"] if r["claim"] == "energy_necessity")
+        assert row == {"claim": "energy_necessity", "verdict": "NOT-APPLICABLE",
+                       "details": {"reason": "the energy bound does not fit a float"}}
+
+
 def test_block_scenario_rejects_sigma(tmp_path):
     scen = write_scenario(tmp_path / "s.json", {
         "name": "x", "q": 0.5,

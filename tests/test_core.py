@@ -6,6 +6,7 @@ multiplied out by hand) before being frozen into assertions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,3 +287,14 @@ def test_restrict_takes_an_index_array_or_a_mask():
     assert sigma.restrict([3, 1]).weights.tolist() == by_index.weights.tolist()
     mask = np.array([False, True, False, True])
     assert sigma.restrict(mask).weights.tolist() == by_index.weights.tolist()
+
+
+def test_norms_past_the_float_range_read_inf():
+    # the last power (sum)^(1/p) of each norm goes through core._pow, so
+    # (1e300)^20 reads +inf, with no RuntimeWarning
+    sigma = Measure(Space.of_size(1), [1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lp_norm([1.0], sigma, 0.05) == math.inf
+        assert weak_lorentz_norm([1.0], sigma, 0.05) == math.inf
+        assert lorentz_norm([1.0], sigma, 1.0, 0.05) == math.inf

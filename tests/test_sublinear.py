@@ -2377,6 +2377,9 @@ def test_a_failed_comparison_flips_exactly_the_inequality_rows(monkeypatch, i):
 _OFF_SUPPORT_INF = ([[1.0, 1.0], [np.inf, 1.0]], [1.0, 0.0], 0.5)
 _QUASI_SYMMETRIC = ([[1.0, 0.1], [1.0, 0.1]], [0.0, 1.0], 0.5)
 _ONE_SIDED_ZEROS = ([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], 0.5)
+# a^(q^2/(1-q)) does not fit a float: a = 1e30 at q = 0.95, a = 1e40 at q = 0.9
+_ENERGY_OVERFLOWS = (([[1, 1e-30], [1, 1]], [1, 1], 0.95),
+                     ([[2, 1e20], [1e-20, 2]], [1, 1], 0.9))
 
 
 def _report(entries, weights, q):
@@ -2426,7 +2429,30 @@ def _fuzz_case(n, q, seed):
 @example(_OFF_SUPPORT_INF)
 @example(_QUASI_SYMMETRIC)
 @example(_ONE_SIDED_ZEROS)
+@example(([[1, 1e-30], [1, 1]], [1, 1], 0.95))
+@example(([[2, 1e20], [1e-20, 2]], [1, 1], 0.9))
 def test_no_row_reads_violated_on_small_kernels(case):
     rep, est = _report(*case)
     assert [row.claim for row in rep.rows if row.verdict == "VIOLATED"] == []
     assert est.upper >= est.lower
+
+
+@pytest.mark.parametrize("case", _ENERGY_OVERFLOWS)
+def test_an_energy_bound_past_the_float_range_is_not_applicable(case):
+    # the constant a^(q^2/(1-q)) reads +inf through core._pow, and the row
+    # names the float range
+    rep, _ = _report(*case)
+    row = rep.row("energy_necessity")
+    assert (row.verdict, row.details) == (
+        "NOT-APPLICABLE", {"reason": "the energy bound does not fit a float"})
+
+
+def test_a_maurey_rescale_past_the_float_range_reads_none():
+    # m0^(q/(1-q)) at q = 0.95 does not fit a float: no candidate, no OverflowError
+    s = Space.of_size(2)
+    problem = SublinearProblem(Kernel(s, 1e20 * np.array([[1.0, 0.5], [0.5, 1.0]])),
+                               Measure(s, [1.0, 1.0]), 0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = strong_type_constant(problem, with_upper=False)
+        assert maurey_candidate(problem, est.witness) is None
