@@ -27,11 +27,21 @@ All three digests are deterministic for a given checkout and numpy.  Run it in
 two checkouts and compare the lines:
 
   python scripts/output_digest.py
+
+``--reports DIR`` also writes the 30 report bodies that the report digest
+hashes to ``DIR``, one file ``<seed>_<op>_<file>.json`` each.  Where the
+report digests of two checkouts differ, ``--compare OLD NEW`` reads two such
+directories and prints every JSON leaf that differs: the file, the path,
+both values and, for two floats, their distance in units in the last place.
 """
 
+import argparse
 import dataclasses
 import hashlib
+import json
+import math
 import os
+import struct
 import sys
 import tempfile
 
@@ -125,17 +135,20 @@ def library_digest() -> str:
     return h.hexdigest()
 
 
-def report_digest() -> str:
+def report_digest(reports_dir=None) -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for i in SCENARIO_OPS:
                 out = os.path.join(tmp, f"{seed}_{i}")
                 inp = workloads.scenarios_input(seed, i, tmp)
-                for code, body, _ in workloads.analyze_set(inp, out, env=None):
+                for k, (code, body, _) in enumerate(workloads.analyze_set(inp, out, env=None)):
                     if code != 0 or body is None:
                         raise SystemExit(f"analyze failed on seed {seed}, op {i}: exit {code}")
                     h.update(body)
+                    if reports_dir is not None:
+                        with open(os.path.join(reports_dir, f"{seed}_{i}_{k}.json"), "wb") as fh:
+                            fh.write(body)
     return h.hexdigest()
 
 
@@ -154,9 +167,60 @@ def capacity_digest() -> str:
     return h.hexdigest()
 
 
+def leaves(obj, path=""):
+    """``(path, value)`` for every leaf of a JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(obj, list):
+        for j, v in enumerate(obj):
+            yield from leaves(v, f"{path}[{j}]")
+    else:
+        yield path, obj
+
+
+def ulps(a: float, b: float) -> int:
+    """Steps between two finite floats of one sign, their bit patterns' distance."""
+    ia, ib = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    return abs(ia - ib)
+
+
+def compare(old_dir, new_dir):
+    """Print every leaf that differs between the report bodies of two directories."""
+    names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
+    differing = 0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
+        if not all(os.path.exists(p) for p in paths):
+            print(f"{name}: only in {old_dir if os.path.exists(paths[0]) else new_dir}")
+            differing += 1
+            continue
+        old, new = (dict(leaves(json.load(open(p)))) for p in paths)
+        for key in sorted(set(old) | set(new), key=str):
+            a, b = old.get(key, "<absent>"), new.get(key, "<absent>")
+            if a == b and type(a) is type(b):
+                continue
+            differing += 1
+            both_float = all(isinstance(x, float) and math.isfinite(x) for x in (a, b))
+            same_sign = both_float and math.copysign(1.0, a) == math.copysign(1.0, b)
+            distance = f", {ulps(a, b)} ulps" if same_sign else ""
+            print(f"{name} {key}: {a!r} -> {b!r}{distance}")
+    print(f"{differing} leaves differ in {len(names)} files")
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--reports", metavar="DIR", help="write the report bodies to DIR")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the leaves that differ between two --reports directories")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.reports:
+        os.makedirs(args.reports, exist_ok=True)
     print(f"library {library_digest()}")
-    print(f"reports {report_digest()}")
+    print(f"reports {report_digest(args.reports)}")
     print(f"capacity {capacity_digest()}")
 
 

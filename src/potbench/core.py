@@ -14,7 +14,8 @@ so the extended-real rules are pinned here once, each with its helper:
 * kernel entries live in ``[0, +inf]``,
 * ``nan`` is rejected at construction time, everywhere,
 * a power of two scales exactly (``_normalized``),
-* a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``).
+* a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``),
+* the decreasing rearrangement ``f*`` keeps ``w > 0``, ties in index order (``_rearranged``).
 
 Objects are immutable after construction: the wrapped arrays are marked
 read-only, so all operations below are pure functions and safe to share
@@ -251,6 +252,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return v[np.append(True, v[1:] != v[:-1])] if v.size else v
 
 
+def _rearranged(f: np.ndarray, w: np.ndarray) -> tuple:
+    """``(f*, w*, last)``: the values of ``f`` where ``w > 0`` in decreasing order, ties
+    in index order, their weights and the mask of each value's last entry, where the
+    masses summed along ``f*`` reach ``w(f >= v)``; per column for a matrix ``f``."""
+    keep = w > 0
+    f, w = f[keep], w[keep]
+    order = np.argsort(-f, axis=0, kind="stable")
+    vals = np.take_along_axis(f, order, axis=0)
+    last = np.ones(vals.shape, dtype=bool)
+    last[:-1] = vals[1:] != vals[:-1]
+    return vals, w[order], last
+
+
 def _bits(m: int, k: int) -> np.ndarray:
     """Subset code ``m < 2^k`` as a boolean array: entry ``j`` is bit ``j`` of ``m``.
     The one subset code is the mask over the space, ``k = n``: bit ``x`` marks point ``x``."""
@@ -314,20 +328,16 @@ def lp_norm(f, sigma: Measure, p: float) -> float:
 
 
 def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:
-    """The weak ``L^s(sigma)`` norm of a nonnegative function ``f``."""
+    """The weak ``L^s(sigma)`` norm ``sup_t t sigma({f > t})^{1/s}`` of a nonnegative ``f``:
+    on a finite space the maximum of ``v sigma({f >= v})^{1/s}`` over the positive values
+    of ``f*``, each read at its last entry, and ``+inf`` past the float range."""
     f, w, s = _norm_input(f, sigma, s)
-    # sup_t t * sigma({f > t})^{1/s}; on a finite space the sup over each
-    # constancy interval of the distribution function is attained at the
-    # next value of f, so it suffices to scan v * sigma({f >= v}).
-    if w[np.isinf(f)].sum() > 0:
+    vals, masses, last = _rearranged(f, w)
+    if np.isinf(vals).any():
         return float("inf")
-    finite_positive = _distinct(f[(f > 0) & np.isfinite(f)])
-    best = 0.0
-    for v in finite_positive:
-        m = w[f >= v].sum()
-        if m > 0:
-            best = max(best, float(v) * _pow(m, 1.0 / s))
-    return best
+    ends = last & (vals > 0)  # masked before the power: a zero value adds no 0 * inf
+    with np.errstate(over="ignore"):
+        return float((vals[ends] * np.cumsum(masses)[ends] ** (1.0 / s)).max(initial=0.0))
 
 
 def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
@@ -339,12 +349,9 @@ def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
     coincide with the plain ``L^s`` norm exactly.
     """
     f, w, s, q = _norm_input(f, sigma, s, q)
-    keep = w > 0
-    fk, wk = f[keep], w[keep]
-    if np.isinf(fk).any():
+    vals, masses, _ = _rearranged(f, w)
+    if np.isinf(vals).any():
         return float("inf")
-    order = np.argsort(-fk, kind="stable")
-    vals, masses = fk[order], wk[order]
     upper = np.cumsum(masses)
     lower = np.concatenate(([0.0], upper[:-1]))
     # integrate t^{q/s - 1} v^q exactly over each constancy interval of f*

@@ -51,6 +51,7 @@ from .core import (
     _potential,
     _pow,
     _ratio_max,
+    _rearranged,
     _weighted_terms,
     adjoint_potential,
     check_nondegenerate,
@@ -515,8 +516,8 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     when that gap is at most ``ASCENT_TOL * F``, ``sampled`` when the ascent
     stopped first, at ``ASCENT_CAP`` steps or where no step rises, and
     ``heuristic`` when the certificate is infinite (a positive one whose ``1/q``
-    power underflows reads the least positive float).  ``upper`` is 0 where
-    ``F`` is, else :func:`_norm_route`'s bound (extras ``norm_route_lq``, its norm),
+    power underflows reads the least positive float).  ``upper`` is 0 where ``F`` is,
+    with no witness, else :func:`_norm_route`'s bound (extras ``norm_route_lq``, its norm),
     whose relaxed supersolution takes ``certified_upper``; where that is
     infinite there is none.  The route needs the weak maximum principle and a
     symmetric kernel; elsewhere ``upper`` is ``+inf``.  ``seed`` no longer changes
@@ -538,10 +539,6 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
         return ConstantEstimate(value, value, wit, "column-norms",
                                 {"mode": "exact", "certified_upper": value})
 
-    if supp.size == 0:
-        return ConstantEstimate(0.0, 0.0, None, "concave-max",
-                                {"mode": "exact", "certified_upper": 0.0})
-
     inf_cols = np.flatnonzero(np.isinf(G[supp]).any(axis=0))
     if inf_cols.size:
         wit = Measure.delta(kernel.space, kernel.space.points[int(inf_cols[0])])
@@ -552,9 +549,9 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
     rows = A_full.any(axis=1)
     A = A_full[rows]
     s = sigma.weights[supp][rows]
-    if A.shape[0] == 0:
-        return ConstantEstimate(0.0, 0.0, Measure(kernel.space, np.zeros(n)),
-                                "concave-max", {"mode": "exact", "certified_upper": 0.0})
+    if A.shape[0] == 0:  # no row of G charges supp sigma, an empty one included
+        return ConstantEstimate(0.0, 0.0, None, "concave-max",
+                                {"mode": "exact", "certified_upper": 0.0})
 
     F, nu, cert = _maximize_concave(A, s, q, int(np.argmax((A**q).T @ s)))
     cert = max(cert, F)
@@ -769,24 +766,14 @@ class _SubsetSearch:
         return best, best_m, "sampled", max([best] + [bound(d, m) for d, m in stack if d < k])
 
 
-def _level_set_constant(column, sigma: Measure, qprime: float) -> float:
-    """sup over superlevel sets E of the column of integral_E column dsigma
-    over sigma(E)^(1/qprime)."""
-    supp = sigma.support
-    if supp.size == 0:
-        return 0.0
-    f = column[supp]
-    w = sigma.weights[supp]
-    order = np.argsort(-f, kind="stable")
-    fs, ws = f[order], w[order]
-    cum_fw = np.cumsum(fs * ws)
-    cum_w = np.cumsum(ws)
-    boundary = np.flatnonzero(np.diff(fs) != 0)
-    ends = np.append(boundary, fs.size - 1)
-    ends = ends[fs[ends] > 0]
-    if ends.size == 0:
-        return 0.0
-    return float((cum_fw[ends] / cum_w[ends] ** (1.0 / qprime)).max())
+def _level_set_constant(G: np.ndarray, sigma: Measure, qprime: float) -> float:
+    """sup over the columns of ``G`` and their superlevel sets E of
+    integral_E column dsigma over sigma(E)^(1/qprime), read off each column's
+    rearrangement (:func:`~potbench.core._rearranged`); 0 where sigma vanishes."""
+    vals, masses, last = _rearranged(G, sigma.weights)
+    ends = last & (vals > 0)
+    mass = np.cumsum(masses, axis=0)[ends]
+    return float((np.cumsum(vals * masses, axis=0)[ends] / mass ** (1.0 / qprime)).max(initial=0.0))
 
 
 def weak_type_constant(problem: SublinearProblem,
@@ -813,8 +800,7 @@ def weak_type_constant(problem: SublinearProblem,
     extras = {"mode": mode}
     if q > 1.0 and np.isfinite(value):
         qprime = q / (q - 1.0)
-        level_set = max((_level_set_constant(kernel.entries[:, y], sigma, qprime)
-                         for y in range(kernel.size)), default=0.0)
+        level_set = _level_set_constant(kernel.entries, sigma, qprime)
         extras["level_set_constant"] = level_set
         upper = max(value, min(upper, level_set))
     witness = None
@@ -901,9 +887,10 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     s_small = q / (1.0 - q)
     pot = potential(kernel, sigma)
+    e_small, e_large = (integrate(pot ** s, sigma) for s in (s_small, 1.0 + q))
     norms = {
-        "lp_small": lp_norm(pot, sigma, s_small),
-        "lp_one_plus_q": lp_norm(pot, sigma, 1.0 + q),
+        "lp_small": _pow(e_small, 1.0 / s_small),
+        "lp_one_plus_q": _pow(e_large, 1.0 / (1.0 + q)),
         "lorentz_small": lorentz_norm(pot, sigma, s_small, q),
         "weak_small": weak_lorentz_norm(pot, sigma, s_small),
     }
@@ -913,14 +900,13 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
         u = np.asarray(u, dtype=float)
         uq_mass = integrate(u**q, sigma)
         if q <= GOLDEN_THRESHOLD:
-            lhs = integrate(pot ** s_small, sigma)
+            lhs = e_small
             c = a ** (q * q / (1.0 - q))
             rhs = float(_weighted_terms(c, uq_mass))
             check52 = {"lhs": lhs, "rhs": rhs, "constant": c,
                        "holds": bool(lhs <= rhs * (1.0 + ENERGY_RTOL))}
         else:
-            s = 1.0 + q
-            lhs = integrate(pot ** s, sigma)
+            s, lhs = 1.0 + q, e_large
             c = a
             expo = s * (1.0 - q) / q
             rhs = float(_weighted_terms(c, uq_mass**expo)) * sigma.total ** (1.0 - expo)
@@ -934,13 +920,10 @@ def energy_sweep(problem: SublinearProblem, s_values) -> tuple:
     pot = potential(problem.kernel, problem.sigma)
     rows = []
     for s in s_values:
-        if not (s > 0):
-            raise DomainError("sweep exponents must be positive")
-        rows.append({
-            "s": float(s),
-            "energy": integrate(pot**s, problem.sigma),
-            "norm": lp_norm(pot, problem.sigma, s),
-        })
+        if not (s > 0 and np.isfinite(s)):
+            raise DomainError("sweep exponents must be finite and positive")
+        energy = integrate(pot**s, problem.sigma)
+        rows.append({"s": float(s), "energy": energy, "norm": _pow(energy, 1.0 / s)})
     return tuple(rows)
 
 

@@ -326,6 +326,17 @@ def test_powers_past_the_float_range_exit_0(tmp_path, capsys, kernel, task):
                        "details": {"reason": "the energy bound does not fit a float"}}
 
 
+def test_maurey_on_a_kernel_whose_rows_vanish_reports_no_witness(tmp_path, capsys):
+    # F = 0 on supp sigma leaves the strong constant no witness, as a vanishing
+    # sigma does, so the task reads the same
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.5, "kernel": {"matrix": [[0.0, 0.0], [0.0, 0.0]]}, "sigma": [1, 1],
+        "tasks": [{"name": "maurey"}]})
+    assert main(["analyze", scen]) == 0
+    (result,) = (t["result"] for t in json.loads(capsys.readouterr().out)["tasks"])
+    assert result == {"available": False, "reason": "no witness"}
+
+
 def test_block_scenario_rejects_sigma(tmp_path):
     scen = write_scenario(tmp_path / "s.json", {
         "name": "x", "q": 0.5,

@@ -298,3 +298,45 @@ def test_norms_past_the_float_range_read_inf():
         assert lp_norm([1.0], sigma, 0.05) == math.inf
         assert weak_lorentz_norm([1.0], sigma, 0.05) == math.inf
         assert lorentz_norm([1.0], sigma, 1.0, 0.05) == math.inf
+
+
+def weak_norm_reference(f, w, s):
+    """``max v w(f >= v)^(1/s)`` over the distinct positive finite values ``v``."""
+    best = 0.0
+    for v in sorted({x for x in f if 0 < x < math.inf}):
+        m = sum(wx for fx, wx in zip(f, w) if fx >= v)
+        if m > 0:
+            best = max(best, v * m ** (1.0 / s))
+    return best
+
+
+def ulp_distance(a, b):
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+tied_f = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0]) | st.floats(0.0, 50.0),
+                  min_size=1, max_size=40)
+
+
+@given(tied_f, st.lists(st.floats(0.0, 10.0) | st.just(0.0), min_size=40, max_size=40),
+       st.floats(0.2, 4.0), st.lists(st.integers(0, 39), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_weak_norm_matches_its_definition(f, w, s, infinite):
+    # one scan of f* reads the masses summed along it, so the reference's sums
+    # in index order may differ in the last bits; +inf on a zero weight is no term
+    n = len(f)
+    f, w = list(f), w[:n]
+    for i in infinite:
+        if i < n:
+            f[i], w[i] = math.inf, 0.0
+    value = weak_lorentz_norm(f, Measure(Space.of_size(n), w), s)
+    assert ulp_distance(value, weak_norm_reference(f, w, s)) <= 16
+
+
+def test_weak_norm_masks_zero_values_before_the_power():
+    # sigma(f >= 1)^20 = (1e300)^20 reads +inf and f = 0 adds no 0 * inf term
+    sigma = Measure(Space.of_size(2), [1e300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert weak_lorentz_norm([1.0, 0.0], sigma, 0.05) == math.inf
+        assert weak_lorentz_norm([0.0, 0.0], sigma, 0.05) == 0.0

@@ -405,6 +405,77 @@ def test_energy_sweep_shape():
         energy_sweep(swap_problem(), [0.0])
 
 
+def test_energy_norms_read_each_energy_once():
+    # the norms are (energy)^(1/s) off the one sum, bit for bit lp_norm's value,
+    # and a non-finite exponent is the sweep's own error
+    rng = np.random.default_rng(55)
+    for q in (0.3, 0.7):
+        k = rand_kernel(rng, 6)
+        sigma = rand_sigma(rng, k.space)
+        prob = SublinearProblem(k, sigma, q)
+        pot = potential(k, sigma)
+        rep = energy_criteria(prob, u=np.ones(6))
+        assert rep.norms["lp_small"] == lp_norm(pot, sigma, q / (1.0 - q))
+        assert rep.norms["lp_one_plus_q"] == lp_norm(pot, sigma, 1.0 + q)
+        for row in energy_sweep(prob, [0.25, 1.0, 3.5]):
+            assert row["norm"] == lp_norm(pot, sigma, row["s"])
+            assert row["energy"] == energy_value(prob, row["s"])
+    with pytest.raises(DomainError, match="sweep exponents must be finite and positive"):
+        energy_sweep(swap_problem(), [1.0, np.inf])
+
+
+def test_gagliardo_needs_a_sigma_of_positive_mass():
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1.0, 0.5], [0.5, 1.0]]), Measure(s, [0.0, 0.0]), 0.5)
+    with pytest.raises(DomainError, match="sigma must have positive total mass"):
+        gagliardo_supersolution(prob, kappa=1.0)
+
+
+def test_a_vanishing_strong_constant_has_no_witness():
+    # F = 0 where sigma vanishes and where every row of G vanishes on supp sigma:
+    # one exit, and no measure witnesses a zero constant
+    s = Space.of_size(2)
+    zero, half = Kernel(s, np.zeros((2, 2))), Kernel(s, [[1.0, 0.5], [0.5, 1.0]])
+    ests = [strong_type_constant(SublinearProblem(k, Measure(s, w), 0.5))
+            for k, w in ((zero, [1.0, 1.0]), (half, [0.0, 0.0]))]
+    for est in ests:
+        assert (est.lower, est.upper, est.witness, est.method) == (0.0, 0.0, None, "concave-max")
+        assert est.extras == {"mode": "exact", "certified_upper": 0.0}
+
+
+def level_set_reference(G, sigma, qprime):
+    """The level-set constant column by column, each column sorted on its own."""
+    best = 0.0
+    for y in range(G.shape[1]):
+        supp = sigma.support
+        if supp.size == 0:
+            continue
+        f, w = G[supp, y], sigma.weights[supp]
+        order = np.argsort(-f, kind="stable")
+        fs, ws = f[order], w[order]
+        cum_fw, cum_w = np.cumsum(fs * ws), np.cumsum(ws)
+        ends = np.append(np.flatnonzero(np.diff(fs) != 0), fs.size - 1)
+        ends = ends[fs[ends] > 0]
+        if ends.size:
+            best = max(best, float((cum_fw[ends] / cum_w[ends] ** (1.0 / qprime)).max()))
+    return best
+
+
+def test_level_set_constant_reads_every_column_at_once():
+    # the columns' rearrangements in one array give the per-column maximum bit
+    # for bit, on kernels with ties and zero entries and on an empty support
+    rng = np.random.default_rng(55)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        G = rng.integers(0, 4, (n, n)) * rng.choice([1.0, 0.37, rng.uniform(0.1, 3.0)])
+        w = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.3)
+        sigma, qprime = Measure(Space.of_size(n), w), float(rng.uniform(1.05, 6.0))
+        value = sublinear._level_set_constant(G, sigma, qprime)
+        assert value == level_set_reference(G, sigma, qprime) and type(value) is float
+    empty = Measure(Space.of_size(3), np.zeros(3))
+    assert sublinear._level_set_constant(np.ones((3, 3)), empty, 2.0) == 0.0
+
+
 def test_maurey_roundtrip_at_optimum():
     prob = swap_problem()
     est = strong_type_constant(prob, seed=0)
