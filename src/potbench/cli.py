@@ -256,7 +256,7 @@ def _task_energy(inst, params, budget):
     u = params.get("u")
     if u is None and inst.block is not None and problem.q == inst.block.problem.q:
         u = inst.block.solution  # the closed form solves the block's own q only
-    rep = energy_criteria(problem, None if u is None else np.asarray(u, dtype=float))
+    rep = energy_criteria(problem, u)
     return rep, "exact", None
 
 

@@ -15,6 +15,7 @@ so the extended-real rules are pinned here once, each with its helper:
 * ``nan`` is rejected at construction time, everywhere,
 * a power of two scales exactly (``_normalized``),
 * a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``),
+* ``int f^p dw`` and its ``1/p`` power are ``+inf`` only past the float range (``_power_integral``),
 * the decreasing rearrangement ``f*`` keeps ``w > 0``, ties in index order (``_rearranged``).
 
 Objects are immutable after construction: the wrapped arrays are marked
@@ -321,10 +322,31 @@ def _norm_input(f, sigma, *exponents):
     return (f, sigma.weights) + exponents
 
 
+def _log_norm(log_f: np.ndarray, w: np.ndarray, p: float) -> float:
+    """``log |f|_p`` in ``L^p(w)`` from ``log f``: log-sum-exp over ``w > 0`` above ``-inf``."""
+    pos = w > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = p * log_f[pos] + np.log(w[pos])
+        z = z[z > -np.inf]
+        m = z.max(initial=-np.inf)
+        return float(m + np.log(np.exp(z - m).sum()) if np.isfinite(m) else m) / p
+
+
+def _power_integral(f: np.ndarray, w: np.ndarray, p: float) -> tuple:
+    """``(sum w f^p, its 1/p power)``, ``0 * inf == 0``: numpy's sum where it fits a float or
+    ``f = inf`` on ``w > 0``, else both from ``_log_norm``; ``+inf`` only past the float range."""
+    with np.errstate(over="ignore", divide="ignore"):
+        total = float(_weighted_terms(f ** p, w).sum())
+        if total < np.inf or np.isinf(f[w > 0]).any():
+            return total, _pow(total, 1.0 / p)
+        log_norm = _log_norm(np.log(f), w, p)
+    return _exp(p * log_norm), _exp(log_norm)
+
+
 def lp_norm(f, sigma: Measure, p: float) -> float:
-    """The ``L^p(sigma)`` norm of a nonnegative function ``f``."""
+    """The ``L^p(sigma)`` norm of a nonnegative ``f``, ``+inf`` only past the float range."""
     f, w, p = _norm_input(f, sigma, p)
-    return _pow(_weighted_terms(f ** p, w).sum(), 1.0 / p)
+    return _power_integral(f, w, p)[1]
 
 
 def weak_lorentz_norm(f, sigma: Measure, s: float) -> float:

@@ -47,9 +47,11 @@ from .core import (
     _energy,
     _exp,
     _inverse_distance,
+    _log_norm,
     _normalized,
     _potential,
     _pow,
+    _power_integral,
     _ratio_max,
     _rearranged,
     _weighted_terms,
@@ -208,7 +210,7 @@ def gagliardo_supersolution(problem: SublinearProblem, kappa: float) -> SolveRes
         return SolveResult(np.full(n, np.inf), "diverged", float("inf"), 0, float("inf"))
     log_c = (math.log1p(RELAX) + q * math.log(kappa)) / (1.0 - q)
     sol = _log_solve(problem, log_b=(log_c + math.log(RELAX / (1.0 + RELAX)) - math.log(mass)) / q)
-    if not (q * _log_norm(sol.log_u, sigma, q) - log_c <= math.log1p(1e-8)):
+    if not (q * _log_norm(sol.log_u, sigma.weights, q) - log_c <= math.log1p(1e-8)):
         return SolveResult(sol.u, "diverged", float("inf"), sol.iterations, float("inf"))
     if np.isinf(sol.u[np.isfinite(sol.log_u)]).any():
         raise DomainError("the supersolution u does not fit a float (its log does)")
@@ -280,17 +282,6 @@ def _log_sum_exp(z):
     E = np.exp(z - m[:, None])
     s = E.sum(axis=1)
     return np.where(np.isfinite(m), m + np.log(s), m), E / s[:, None]
-
-
-def _log_norm(log_u, sigma: Measure, q: float) -> float:
-    """``log |u|_q`` in ``L^q(sigma)`` from ``log u``, by log-sum-exp over the terms
-    of ``supp sigma`` above ``-inf``."""
-    pos = sigma.weights > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = q * log_u[pos] + np.log(sigma.weights[pos])
-        z = z[z > -np.inf]
-        m = z.max(initial=-np.inf)
-        return float(m + np.log(np.exp(z - m).sum()) if np.isfinite(m) else m) / q
 
 
 def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> SolveResult:
@@ -368,7 +359,7 @@ def _log_solve(problem: SublinearProblem, live=None, log_b: float = -np.inf) -> 
     zeros = supp[~live]
     status = "degenerate" if zeros.size else "solution" if done else "supersolution"
     witness = tuple(kernel.space.points[i] for i in zeros)
-    return SolveResult(u, status, residual, steps, _exp(_log_norm(log_u, sigma, q)), witness,
+    return SolveResult(u, status, residual, steps, _exp(_log_norm(log_u, w, q)), witness,
                        log_u, delta)
 
 
@@ -385,7 +376,7 @@ def _norm_route(wmp, a, problem: SublinearProblem, relaxed) -> tuple[float, floa
         sol = relaxed() if sol.status == "degenerate" else sol
         if sol is not None and sol.status != "diverged":
             q = problem.q
-            log_lq = _log_norm(sol.log_u, problem.sigma, q) + (sol.delta or 0.0)
+            log_lq = _log_norm(sol.log_u, problem.sigma.weights, q) + (sol.delta or 0.0)
             return (_exp(math.log(wmp.factor) - math.log1p(-q) / q + (1.0 - q) * log_lq),
                     _exp(log_lq))
     return float("inf"), None
@@ -865,8 +856,10 @@ class EnergyReport:
 
 
 def energy_value(problem: SublinearProblem, s: float) -> float:
-    """integral (G sigma)^s dsigma in extended-real arithmetic."""
-    return integrate(potential(problem.kernel, problem.sigma) ** s, problem.sigma)
+    """integral (G sigma)^s dsigma for a finite ``s > 0``, ``+inf`` only past the float range."""
+    if not (s > 0 and np.isfinite(s)):
+        raise DomainError("energy exponents must be finite and positive")
+    return _power_integral(potential(problem.kernel, problem.sigma), problem.sigma.weights, s)[0]
 
 
 def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
@@ -881,24 +874,25 @@ def energy_criteria(problem: SublinearProblem, u=None) -> EnergyReport:
     sigma(total)^{1-e}`` with ``e = (1-q^2)/q``; ``a`` is the quasi-symmetry
     constant (:func:`~potbench.core.check_quasisymmetric`).  ``holds`` allows
     the relative slack ``ENERGY_RTOL``, and ``rhs`` follows ``0 * inf = 0``: an
-    infinite ``a`` against a zero ``integral u^q dsigma`` gives 0.
+    infinite ``a`` against a zero ``integral u^q dsigma`` gives 0.  Each integral and norm
+    reads ``+inf`` only past the float range; ``u >= 0`` lives on the space, ``+inf`` allowed.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
     s_small = q / (1.0 - q)
-    pot = potential(kernel, sigma)
-    e_small, e_large = (integrate(pot ** s, sigma) for s in (s_small, 1.0 + q))
+    pot, w = potential(kernel, sigma), sigma.weights
+    (e_small, lp_small), (e_large, lp_large) = (_power_integral(pot, w, s)
+                                                for s in (s_small, 1.0 + q))
     norms = {
-        "lp_small": _pow(e_small, 1.0 / s_small),
-        "lp_one_plus_q": _pow(e_large, 1.0 / (1.0 + q)),
+        "lp_small": lp_small,
+        "lp_one_plus_q": lp_large,
         "lorentz_small": lorentz_norm(pot, sigma, s_small, q),
         "weak_small": weak_lorentz_norm(pot, sigma, s_small),
     }
     a = check_quasisymmetric(kernel)
     check52 = check53 = None
     if u is not None:
-        u = np.asarray(u, dtype=float)
-        uq_mass = integrate(u**q, sigma)
+        uq_mass = _power_integral(_clean_array(u, (kernel.size,), "u", allow_inf=True), w, q)[0]
         if q <= GOLDEN_THRESHOLD:
             lhs = e_small
             c = a ** (q * q / (1.0 - q))
@@ -922,8 +916,8 @@ def energy_sweep(problem: SublinearProblem, s_values) -> tuple:
     for s in s_values:
         if not (s > 0 and np.isfinite(s)):
             raise DomainError("sweep exponents must be finite and positive")
-        energy = integrate(pot**s, problem.sigma)
-        rows.append({"s": float(s), "energy": energy, "norm": _pow(energy, 1.0 / s)})
+        energy, norm = _power_integral(pot, problem.sigma.weights, s)
+        rows.append({"s": float(s), "energy": energy, "norm": norm})
     return tuple(rows)
 
 
@@ -1134,7 +1128,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     it and reads :func:`_norm_route`'s bound, the strong constant's ``upper``.  The
     solution-norm row compares ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the
     float range reads ``+inf`` in its details.  The energy-necessity row reads NOT-APPLICABLE
-    where its constant or left side is ``+inf``.  ``seed`` no longer changes the result.
+    where its constant or left side is past the float range.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -1190,7 +1184,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     rows.append(_verdict("solution_norm_bound",
                          [(sol is not None and sol.status == "solution" and finite,
                            "no solution with a finite constant")],
-                         lambda: (_at_most(_log_norm(sol.log_u, sigma, q),
+                         lambda: (_at_most(_log_norm(sol.log_u, sigma.weights, q),
                                            math.log(kappa_cert) / (1.0 - q), logs=True),
                                   {"lq_norm": sol.lq_norm, "bound": bound})))
 
@@ -1198,8 +1192,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     objective = strong.extras.get("objective", strong.lower)  # F, whose F^(1/q) may underflow
     dual = finite and np.isfinite(a) and strong.witness is not None and objective > 0
     F = maurey_candidate(problem, strong.witness) if dual else None
-    with np.errstate(over="ignore"):
-        lhs = integrate(pot ** (q / (1.0 - q)), sigma)
+    lhs = _power_integral(pot, sigma.weights, q / (1.0 - q))[0]
     c = _pow(a, q * q / (1.0 - q))
 
     def energy():

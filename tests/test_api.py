@@ -86,3 +86,17 @@ def test_overflow_is_handled_only_in_core_pow_and_exp():
                 for where in _overflow_handlers(ast.parse(path.read_text(encoding="utf-8")),
                                                 path.stem)]
     assert sorted(handlers) == ["core._exp", "core._pow"]
+
+
+def test_no_power_is_integrated_by_hand():
+    # one power integral: core._power_integral owns every sum of w f^p, so no
+    # call to integrate under the package takes a power, and a new hand copy
+    # of the rule fails here
+    calls = [f"{path.stem}:{node.lineno}"
+             for path in sorted(pathlib.Path(potbench.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "integrate" and node.args
+             and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                     for n in ast.walk(node.args[0]))]
+    assert calls == []

@@ -308,6 +308,16 @@ def test_an_energy_task_off_the_block_q_takes_no_closed_form_solution(tmp_path):
     assert own["small_exponent_check"]["rhs"] == pytest.approx(3.0268, abs=1e-4)
 
 
+def test_an_energy_task_with_a_negative_u_fails(tmp_path):
+    # (-1)^q is nan, which must not read as a zero term of integral u^q dsigma
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.5, "kernel": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, "sigma": [1.0, 1.0],
+        "tasks": [{"name": "energy", "params": {"u": [-1.0, 1.0]}}]})
+    assert main(["analyze", scen, "--out", str(tmp_path / "out")]) == 1
+    (task,) = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]
+    assert task["error"] == "DomainError: u contains negative entries"
+
+
 @pytest.mark.parametrize("kernel, task", [
     ([[1.0, 1e-30], [1.0, 1.0]], "theorem_report"),
     ([[1e20, 5e19], [5e19, 1e20]], "maurey")])

@@ -5,7 +5,9 @@ Oracle values in this file are derived by hand from the definitions
 multiplied out by hand) before being frozen into assertions.
 """
 
+import decimal
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,7 +31,15 @@ from potbench import (
     potential,
     weak_lorentz_norm,
 )
-from potbench.core import _bits, _distinct, _inverse_distance, _ratio_max, _weighted_terms
+from potbench.core import (
+    _bits,
+    _distinct,
+    _inverse_distance,
+    _pow,
+    _power_integral,
+    _ratio_max,
+    _weighted_terms,
+)
 
 
 def test_space_basics():
@@ -340,3 +350,50 @@ def test_weak_norm_masks_zero_values_before_the_power():
         warnings.simplefilter("error", RuntimeWarning)
         assert weak_lorentz_norm([1.0, 0.0], sigma, 0.05) == math.inf
         assert weak_lorentz_norm([0.0, 0.0], sigma, 0.05) == 0.0
+
+
+def power_integral_reference(f, w, p):
+    """``sum w f^p`` and its ``1/p`` power to 60 digits, rounded to floats (``+inf`` past
+    the float range); ``0 * inf`` is no term."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = decimal.Decimal(p)
+        total = sum(decimal.Decimal(wx) * decimal.Decimal(fx) ** p
+                    for fx, wx in zip(f, w) if wx > 0)
+        return float(total), float(total ** (1 / p))
+
+
+magnitudes = st.sampled_from([0.0, 1.0]) | st.builds(
+    lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-300, 307))
+
+
+@given(st.lists(st.tuples(magnitudes, magnitudes), min_size=1, max_size=8),
+       st.floats(0.05, 30.0), st.lists(st.integers(0, 7), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_power_integral_against_a_decimal_reference(pairs, p, infinite):
+    # numpy's direct sum where it fits a float, bit for bit; past it, the logs:
+    # each reading within 1e-12 of a 60-digit decimal reference, and +inf only
+    # past the float range (away from its edge, where rounding decides)
+    f, w = (np.array(col) for col in zip(*pairs))
+    for i in infinite:
+        if i < f.size:
+            f[i], w[i] = math.inf, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        readings = _power_integral(f, w, p)
+    with np.errstate(over="ignore"):
+        direct = float(_weighted_terms(f ** p, w).sum())
+    if direct < math.inf:
+        assert readings == (direct, _pow(direct, 1.0 / p))
+        return
+    for reading, exact in zip(readings, power_integral_reference(f, w, p)):
+        if abs(exact - sys.float_info.max) > 1e-12 * sys.float_info.max:
+            assert reading == exact == math.inf or abs(reading - exact) <= 1e-12 * exact
+
+
+def test_lp_norm_reads_a_power_past_the_float_range_from_logs():
+    # (1e200)^2 overflows, yet 1e400 * 1e-300 + 1 = 1e100 fits: the norm is 1e50
+    sigma = Measure(Space.of_size(2), [1e-300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lp_norm([1e200, 1.0], sigma, 2.0) == pytest.approx(1e50, rel=1e-12)

@@ -424,6 +424,61 @@ def test_energy_norms_read_each_energy_once():
         energy_sweep(swap_problem(), [1.0, np.inf])
 
 
+_PAST_FLOAT = SublinearProblem(Kernel(Space.of_size(3), [[1, .5, .2], [.5, 1, .5], [.2, .5, 1]]),
+                               Measure(Space.of_size(3), [1e300] * 3), 0.5)
+_LARGE_KERNEL = Kernel(Space.of_size(2), 1e20 * np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+def test_energies_past_the_float_range_read_inf():
+    # (G sigma)^s sigma overflows in every term, and so does the integral
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = energy_criteria(_PAST_FLOAT)
+        assert (rep.norms["lp_small"], rep.norms["lp_one_plus_q"]) == (np.inf, np.inf)
+        assert all(row["energy"] == row["norm"] == np.inf
+                   for row in energy_sweep(_PAST_FLOAT, [0.5, 1.0, 1.5]))
+        assert energy_value(_PAST_FLOAT, 1.0) == np.inf
+
+
+def test_energy_norms_whose_powers_overflow_read_from_logs():
+    # (G sigma)^19 = (1.5e20)^19 overflows; its L^19 norm 2^(1/19) 1.5e20 fits
+    problem = SublinearProblem(_LARGE_KERNEL, Measure(_LARGE_KERNEL.space, [1.0, 1.0]), 0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = energy_criteria(problem).norms["lp_small"]
+    assert norm == pytest.approx(2.0 ** (1.0 / 19.0) * 1.5e20, rel=1e-12)
+
+
+def test_strong_column_norms_past_the_float_range_read_from_logs():
+    # at q = 20 the constant is the largest L^20 norm of a column, whose 20th
+    # powers (1e20)^20 overflow: (1e100 (1 + 2^-20))^(1/20)
+    problem = SublinearProblem(_LARGE_KERNEL, Measure(_LARGE_KERNEL.space, [1e-300, 1e-300]), 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = strong_type_constant(problem)
+    assert est.lower == pytest.approx(1e5 * (1.0 + 2.0 ** -20) ** 0.05, rel=1e-12)
+
+
+def test_energy_criteria_checks_u():
+    # u lives on the space and is nonnegative: (-1)^0.5 is nan, which would
+    # read as a zero term
+    problem = swap_problem()
+    for u in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(SpaceMismatchError):
+            energy_criteria(problem, u=u)
+    with pytest.raises(DomainError, match="u contains negative entries"):
+        energy_criteria(problem, u=[-1.0, 1.0])
+    with pytest.raises(DomainError, match="u contains nan"):
+        energy_criteria(problem, u=[np.nan, 1.0])
+    assert energy_criteria(problem, u=[np.inf, 1.0]).small_exponent_check["rhs"] == np.inf
+
+
+def test_energy_value_needs_a_finite_positive_exponent():
+    for s in (0.0, -1.0, np.inf):
+        with pytest.raises(DomainError, match="energy exponents must be finite and positive"):
+            energy_value(swap_problem(), s)
+
+
 def test_gagliardo_needs_a_sigma_of_positive_mass():
     s = Space.of_size(2)
     prob = SublinearProblem(Kernel(s, [[1.0, 0.5], [0.5, 1.0]]), Measure(s, [0.0, 0.0]), 0.5)
