@@ -29,10 +29,12 @@ two checkouts and compare the lines:
   python scripts/output_digest.py
 
 ``--reports DIR`` also writes the 30 report bodies that the report digest
-hashes to ``DIR``, one file ``<seed>_<op>_<file>.json`` each.  Where the
-report digests of two checkouts differ, ``--compare OLD NEW`` reads two such
-directories and prints every JSON leaf that differs: the file, the path,
-both values and, for two floats, their distance in units in the last place.
+hashes to ``DIR``, one file ``<seed>_<op>_<file>.json`` each, and
+``--library DIR`` writes the 1,470 results that the library digest hashes,
+one JSON file each through ``potbench.cli.to_jsonable``.  Where the digests
+of two checkouts differ, ``--compare OLD NEW`` reads two such directories
+and prints every JSON leaf that differs: the file, the path, both values
+and, for two floats, their distance in units in the last place.
 """
 
 import argparse
@@ -52,6 +54,7 @@ import numpy as np  # noqa: E402
 
 import potbench as pb  # noqa: E402
 import workloads  # noqa: E402
+from potbench.cli import to_jsonable  # noqa: E402
 
 SEEDS = (0, 3)
 ROUND_TRIP_OPS = range(80)
@@ -113,25 +116,33 @@ def mp_kernel(rng, i):
     return pb.Kernel(pb.Space.of_size(n), G)
 
 
-def library_digest() -> str:
+def library_digest(library_dir=None) -> str:
     h = hashlib.sha256()
+
+    def fed(name, result):
+        """Hash ``result``; with a directory, also write it there as ``<name>.json``."""
+        feed(h, result)
+        if library_dir is not None:
+            with open(os.path.join(library_dir, f"{name}.json"), "w") as fh:
+                json.dump(to_jsonable(result), fh)
+
     for seed in SEEDS:
         for i in ROUND_TRIP_OPS:  # the round_trip op's calls, then solve_equation
             problem, strong_seed = workloads.round_trip_input(seed, i, None)
             est = pb.strong_type_constant(problem, seed=strong_seed)
             sup = pb.gagliardo_supersolution(problem, est.extras["certified_upper"])
-            for result in (est, sup, pb.monotone_solution(problem, sup.u),
-                           pb.solve_equation(problem)):
-                feed(h, result)
+            for k, result in enumerate((est, sup, pb.monotone_solution(problem, sup.u),
+                                        pb.solve_equation(problem))):
+                fed(f"round_trip_{seed}_{i}_{k}", result)
         for i in VERDICT_OPS:
             problem, report_seed = workloads.verdict_table_input(seed, i, None)
-            feed(h, pb.theorem_report(problem, seed=report_seed))
+            fed(f"verdict_table_{seed}_{i}", pb.theorem_report(problem, seed=report_seed))
     rng = np.random.default_rng(45)
     for i in range(MP_KERNELS):
         kernel = mp_kernel(rng, i)
         for budget in (pb.DEFAULT_BUDGET, kernel.size**2):
-            feed(h, pb.wmp_constant(kernel, budget=budget))
-            feed(h, pb.complete_mp_constant(kernel, budget=budget))
+            fed(f"wmp_{i}_{budget}", pb.wmp_constant(kernel, budget=budget))
+            fed(f"complete_mp_{i}_{budget}", pb.complete_mp_constant(kernel, budget=budget))
     return h.hexdigest()
 
 
@@ -186,7 +197,7 @@ def ulps(a: float, b: float) -> int:
 
 
 def compare(old_dir, new_dir):
-    """Print every leaf that differs between the report bodies of two directories."""
+    """Print every leaf that differs between the JSON files of two directories."""
     names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
     differing = 0
     for name in names:
@@ -211,15 +222,18 @@ def compare(old_dir, new_dir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reports", metavar="DIR", help="write the report bodies to DIR")
+    parser.add_argument("--library", metavar="DIR", help="write the library results to DIR")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="print the leaves that differ between two --reports directories")
+                        help="print the leaves that differ between two --reports or --library "
+                             "directories")
     args = parser.parse_args()
     if args.compare:
         compare(*args.compare)
         return
-    if args.reports:
-        os.makedirs(args.reports, exist_ok=True)
-    print(f"library {library_digest()}")
+    for directory in (args.reports, args.library):
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+    print(f"library {library_digest(args.library)}")
     print(f"reports {report_digest(args.reports)}")
     print(f"capacity {capacity_digest()}")
 

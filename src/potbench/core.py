@@ -15,7 +15,8 @@ so the extended-real rules are pinned here once, each with its helper:
 * ``nan`` is rejected at construction time, everywhere,
 * a power of two scales exactly (``_normalized``),
 * a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``),
-* ``int f^p dw`` and its ``1/p`` power are ``+inf`` only past the float range (``_power_integral``),
+* ``int f^p dw`` and its ``1/p`` power are ``+inf`` only past the float range (``_power_integral``,
+  which the ``L^p`` and Lorentz norms and the energies read),
 * the decreasing rearrangement ``f*`` keeps ``w > 0``, ties in index order (``_rearranged``).
 
 Objects are immutable after construction: the wrapped arrays are marked
@@ -368,18 +369,15 @@ def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
     This is the plain rearrangement integral
     ``( int_0^inf (t^{1/s} f*(t))^q dt/t )^{1/q}``; the customary
     ``(q/s)^{1/q}`` prefactor is omitted, which makes the ``(s, s)`` case
-    coincide with the plain ``L^s`` norm exactly.
+    coincide with the plain ``L^s`` norm exactly.  On a finite space it is the
+    ``L^q`` norm of ``f*`` against the weight ``(s/q)(U^{q/s} - L^{q/s})`` of each
+    constancy interval ``[L, U]``, through ``_power_integral``.
     """
     f, w, s, q = _norm_input(f, sigma, s, q)
     vals, masses, _ = _rearranged(f, w)
     if np.isinf(vals).any():
         return float("inf")
-    upper = np.cumsum(masses)
-    lower = np.concatenate(([0.0], upper[:-1]))
-    # integrate t^{q/s - 1} v^q exactly over each constancy interval of f*
-    exponent = q / s
-    contrib = vals ** q * (s / q) * (upper ** exponent - lower ** exponent)
-    return _pow(contrib.sum(), 1.0 / q)
+    return _power_integral(vals, (s / q) * np.diff(np.cumsum(masses) ** (q / s), prepend=0.0), q)[1]
 
 
 def check_quasisymmetric(kernel: Kernel) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Kernel, Measure, Space
+from .core import DomainError, Kernel, Measure, Space, _exp, _pow
 from .sublinear import SublinearProblem, energy_value
 
 __all__ = [
@@ -173,9 +173,9 @@ class ThresholdReport:
 
     ``method`` is ``exact`` (partial sums accumulated term by term),
     ``estimate`` (the target lies beyond the term budget; the count comes
-    from the logarithmic asymptotics of the harmonic rule), or ``bounded``
-    (the full series converges below the target, so no truncation reaches
-    it).
+    from the asymptotics of the harmonic rule, and is None past the float
+    range or for the geometric rule), or ``bounded`` (the full series
+    converges below the target, so no truncation reaches it).
     """
 
     n_blocks: int | None
@@ -222,7 +222,7 @@ def energy_divergence_threshold(spec: BlockSpec, target: float) -> ThresholdRepo
     if rule[0] == "geometric":
         a, b = float(rule[1]), float(rule[2])
         # per-block energy r1^k + r2^k with r1 = a / b^e, r2 = a^e / b
-        r1, r2 = a * b**-e, a**e / b
+        r1, r2 = a * _pow(b, -e), _pow(a, e) / b
         total = (r1 / (1 - r1) if r1 < 1 else float("inf")) \
             + (r2 / (1 - r2) if r2 < 1 else float("inf"))
         if total < target:
@@ -239,14 +239,15 @@ def energy_divergence_threshold(spec: BlockSpec, target: float) -> ThresholdRepo
             return ThresholdReport(hit, "exact", target, last)
         # the partial sums beyond the budget follow their asymptotics:
         # 2 log n for e = 1, log n plus a constant for e > 1, and a power
-        # law for e < 1 (which the exact budget always covers in practice)
+        # law for e < 1, which a large target also takes past the budget
         if e == 1.0:
-            n_est = math.exp((target - (last - 2 * math.log(MAX_EXACT_TERMS))) / 2)
+            n_est = _exp((target - (last - 2 * math.log(MAX_EXACT_TERMS))) / 2)
         elif e > 1.0:
-            n_est = math.exp(target - (last - math.log(MAX_EXACT_TERMS)))
+            n_est = _exp(target - (last - math.log(MAX_EXACT_TERMS)))
         else:
-            n_est = ((1.0 - e) * target) ** (1.0 / (1.0 - e))
-        return ThresholdReport(int(n_est), "estimate", target, float(target))
+            n_est = _pow((1.0 - e) * target, 1.0 / (1.0 - e))
+        n_est = int(n_est) if n_est < np.inf else None
+        return ThresholdReport(n_est, "estimate", target, float(target))
 
     w = np.asarray(rule[1], dtype=float)
     odd, even = w[0::2], w[1::2]

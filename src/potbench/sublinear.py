@@ -941,7 +941,7 @@ def maurey_verify(problem: SublinearProblem, F) -> float:
     expo = 1.0 - 1.0 / q
     if expo < 0 and (F[sigma.support] == 0).any():
         raise DomainError("F must be positive on the support of sigma")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         powed = F**expo
     weights = _weighted_terms(powed, sigma.weights)
     if not np.isfinite(weights).all():
@@ -1128,7 +1128,8 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
     it and reads :func:`_norm_route`'s bound, the strong constant's ``upper``.  The
     solution-norm row compares ``log |u|_q`` with ``log kappa / (1-q)``; a bound above the
     float range reads ``+inf`` in its details.  The energy-necessity row reads NOT-APPLICABLE
-    where its constant or left side is past the float range.  ``seed`` no longer changes the result.
+    where its constant or left side is past the float range, and the weak (1, 1) chain's
+    factor ``8 h^4`` reads ``+inf`` past it.  ``seed`` no longer changes the result.
     """
     _require_sublinear(problem.q)
     kernel, sigma, q = problem.kernel, problem.sigma, problem.q
@@ -1229,7 +1230,7 @@ def theorem_report(problem: SublinearProblem, budget: int = DEFAULT_BUDGET,
         t22 = lp_operator_norm(kernel, sigma, 2.0)
         weak11, _, modes["weak_1_1"], _ = search.capacity_ratio(1.0)
         c_cap1_11, _, modes["weak_1_1_cap1"], _ = search.capacity_ratio(1.0, cap1=True)
-        factor = 8.0 * wmp.factor**4
+        factor = 8.0 * _pow(wmp.factor, 4.0)
         vals = [weak11, testing, t22]
         known = [np.isfinite(v) for v in vals]
         lo, hi = min(vals), max(vals)

@@ -100,3 +100,27 @@ def test_no_power_is_integrated_by_hand():
              and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
                      for n in ast.walk(node.args[0]))]
     assert calls == []
+
+
+def _float_range_calls(node, where):
+    """``where:line`` for each call of ``math.exp``, ``math.pow`` or the builtin ``pow``
+    under ``node``, ``where`` the innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id == "pow"
+                or isinstance(child.func, ast.Attribute) and child.func.attr in ("exp", "pow")
+                and isinstance(child.func.value, ast.Name) and child.func.value.id == "math"):
+            yield f"{where}:{child.lineno}"
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _float_range_calls(child, f"{where.partition('.')[0]}.{child.name}"
+                                      if inner else where)
+
+
+def test_exponentials_and_powers_leave_the_float_range_only_through_core():
+    # a scalar exponential or power that can leave the float range raises a bare
+    # OverflowError through math.exp, math.pow or pow; core._exp alone calls
+    # them, and every other site reads core._exp or core._pow
+    calls = [where for path in sorted(pathlib.Path(potbench.__file__).parent.rglob("*.py"))
+             for where in _float_range_calls(ast.parse(path.read_text(encoding="utf-8")),
+                                             path.stem)]
+    assert [where.partition(":")[0] for where in calls] == ["core._exp"], calls

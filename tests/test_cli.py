@@ -757,3 +757,20 @@ def test_readme_examples_run(tmp_path, capsys):
                  "--out", str(out)]) == 0
     tasks = json.loads((out / "report.json").read_text())["tasks"]
     assert len(tasks) == 3 and [t for t in tasks if "error" in t] == []
+
+
+def test_theorem_report_with_a_chain_factor_past_the_float_range_exits_0(tmp_path, capsys):
+    # the WMP constant 1e78 makes the chain's factor 8 h^4 past the float range
+    scen = write_scenario(tmp_path / "s.json", {
+        "q": 0.5, "kernel": {"matrix": [[1e-78, 1.0], [1.0, 1e-78]]}, "sigma": [1, 1],
+        "tasks": [{"name": "theorem_report"}]})
+    assert main(["analyze", scen]) == 0
+    (result,) = (t["result"] for t in json.loads(capsys.readouterr().out)["tasks"])
+    (row,) = (r for r in result["rows"] if r["claim"] == "weak11_testing_chain")
+    assert (row["verdict"], row["details"]["factor"]) == ("CONFIRMED", "inf")
+
+
+def test_gallery_estimate_past_the_float_range_has_no_count(capsys):
+    assert main(["gallery", "--q", "0.7", "--targets", "1000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["thresholds"]["1000"]["n_blocks"] is None

@@ -397,3 +397,70 @@ def test_lp_norm_reads_a_power_past_the_float_range_from_logs():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert lp_norm([1e200, 1.0], sigma, 2.0) == pytest.approx(1e50, rel=1e-12)
+
+
+def test_lorentz_norm_reads_a_power_past_the_float_range_from_logs():
+    # (1e200)^2 overflows, yet ((1e200)^2 * 1 + 1 * (2 - 1) + 1 * (3 - 2))^(1/2) / sqrt(2)
+    # fits: f* = (1e200, 1, 1) on unit masses at s = 1, q = 2 weighs each v^2 by 1/2
+    sigma = Measure(Space.of_size(3), [1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = lorentz_norm([1e200, 1.0, 1.0], sigma, 1.0, 2.0)
+    assert value == pytest.approx(math.sqrt(0.5) * 1e200, rel=1e-12)
+
+
+def lorentz_reference(f, w, s, q):
+    """``((s/q) sum v^q (U^{q/s} - L^{q/s}))^{1/q}`` over the constancy intervals
+    ``[L, U]`` of ``f*`` to 60 digits, rounded to a float (``+inf`` past the float range)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s, q = decimal.Decimal(s), decimal.Decimal(q)
+        total, upper = decimal.Decimal(0), decimal.Decimal(0)
+        for v, m in sorted(((v, m) for v, m in zip(f, w) if m > 0), key=lambda vm: -vm[0]):
+            lower, upper = upper, upper + decimal.Decimal(m)
+            total += decimal.Decimal(v) ** q * (upper ** (q / s) - lower ** (q / s))
+        return float((s / q * total) ** (1 / q))
+
+
+lorentz_values = st.sampled_from([0.0, 1.0]) | st.builds(lambda e: 10.0 ** e, st.floats(-60, 300))
+lorentz_masses = st.just(0.0) | st.builds(lambda e: 10.0 ** e, st.floats(-3, 3))
+
+
+@given(st.lists(lorentz_values, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), lorentz_masses), min_size=1, max_size=12),
+       st.floats(0.2, 4.0), st.floats(0.2, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_lorentz_norm_against_a_decimal_reference(pool, picks, s, q):
+    # values drawn from a small pool, so ties come often; -60 keeps v^q above the
+    # underflow band: within 1e-12 of the reference, and +inf only past the float
+    # range (away from its edge, where rounding decides)
+    f = [pool[i % len(pool)] for i, _ in picks]
+    w = [m for _, m in picks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = lorentz_norm(f, Measure(Space.of_size(len(f)), w), s, q)
+    exact = lorentz_reference(f, w, s, q)
+    if abs(exact - sys.float_info.max) > 1e-12 * sys.float_info.max:
+        assert value == exact == math.inf or abs(value - exact) <= 1e-12 * exact
+
+
+def lorentz_direct(f, w, s, q):
+    """The Lorentz norm as one sum of ``v^q (s/q) (U^{q/s} - L^{q/s})``, in floats."""
+    f, w = np.asarray(f, dtype=float), np.asarray(w, dtype=float)
+    keep = w > 0
+    order = np.argsort(-f[keep], kind="stable")
+    vals, upper = f[keep][order], np.cumsum(w[keep][order])
+    lower = np.concatenate(([0.0], upper[:-1]))
+    contrib = vals ** q * (s / q) * (upper ** (q / s) - lower ** (q / s))
+    return contrib.sum() ** (1.0 / q)
+
+
+@given(tied_f, st.lists(st.floats(0.0, 10.0) | st.just(0.0), min_size=40, max_size=40),
+       st.floats(0.2, 4.0), st.floats(0.2, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_lorentz_norm_matches_the_direct_sum(f, w, s, q):
+    # on moderate draws the norm through the power integral rounds as the
+    # direct sum of its terms does, but for the association of each product
+    w = w[:len(f)]
+    value = lorentz_norm(f, Measure(Space.of_size(len(f)), w), s, q)
+    assert ulp_distance(value, lorentz_direct(f, w, s, q)) <= 16

@@ -265,3 +265,18 @@ def test_block_spec_rejects_a_malformed_rule(rule, message):
 def test_sampled_spec_rejects_malformed_points(fields, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         build_sampled(SampledKernelSpec(**fields))
+
+
+@pytest.mark.parametrize("q, target", [(0.7, 1000.0), (0.5, 1e6), (0.49, 1e40)])
+def test_threshold_harmonic_estimate_past_the_float_range(q, target):
+    # exp(target - ...) and ((1 - e) target)^(1/(1 - e)) leave the float range:
+    # the estimate keeps its target and has no count
+    rep = energy_divergence_threshold(BlockSpec(1, q, ("harmonic",)), target)
+    assert (rep.n_blocks, rep.method, rep.value) == (None, "estimate", target)
+
+
+def test_threshold_geometric_first_block_past_the_float_range():
+    # r2 = a^e / b with e = q/(1-q) about 1110 is past the float range, so the
+    # first block already reaches any target
+    rep = energy_divergence_threshold(BlockSpec(1, 0.9991, ("geometric", 2.0, 3.0)), 3.0)
+    assert (rep.n_blocks, rep.method, rep.value) == (1, "exact", math.inf)

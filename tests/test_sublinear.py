@@ -2582,3 +2582,24 @@ def test_a_maurey_rescale_past_the_float_range_reads_none():
         warnings.simplefilter("error", RuntimeWarning)
         est = strong_type_constant(problem, with_upper=False)
         assert maurey_candidate(problem, est.witness) is None
+
+
+def test_maurey_verify_reads_a_dual_measure_past_the_float_range():
+    # (1e-200)^(1 - 1/0.3) is past the float range: F^(1-1/q) sigma is not finite
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1.0, 0.5], [0.5, 1.0]]), Measure(s, [1.0, 1.0]), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="not a finite measure"):
+            maurey_verify(prob, np.array([1e-200, 1e-200]))
+
+
+def test_theorem_report_chain_factor_past_the_float_range():
+    # the WMP constant of this kernel is 1e78, so 8 h^4 is past the float range
+    s = Space.of_size(2)
+    prob = SublinearProblem(Kernel(s, [[1e-78, 1.0], [1.0, 1e-78]]), Measure(s, [1.0, 1.0]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = theorem_report(prob)
+    (row,) = (r for r in report.rows if r.claim == "weak11_testing_chain")
+    assert row.details["factor"] == math.inf and row.verdict == "CONFIRMED"
