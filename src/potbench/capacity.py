@@ -36,7 +36,11 @@ set from its parent's weights, and decide PSD once: a search runs
 :func:`_exact_qp` on its whole support block and, where that passes, tells
 :func:`_wiener_cap1` to skip the test on each subset (a principal block of a
 PSD block is PSD).  Every other caller, and every subset of a block that
-fails, is tested alone.
+fails, is tested alone.  On a positive definite block both capacities solve
+``G_KK lam = 1``, so a search reads ``cap1`` off ``cap0``'s slackness
+certificate wherever its guard shows that to be the active set's own answer
+(``sublinear._SubsetSearch``), through :func:`_wiener_value`, the one
+objective that :func:`_wiener_cap1` values too.
 """
 
 from __future__ import annotations
@@ -278,21 +282,29 @@ def _stacked_solves(A, T, W):
     finite, nonsingular ``A_tt``, and their ``Z = A_tt^{-1} w`` column by
     column, NaN in a column whose residual is above ``1e-9 max|w|`` or that
     has an entry below ``-1e-10 max|z|`` (both free of scale), clipped at 0
-    elsewhere.  One stacked solve, or one solve per support (NaN where it
-    raises) if that raises."""
+    elsewhere.  One stacked solve, which factors each support once.  Only
+    where that raises does ``slogdet`` screen the batch, with the same LU,
+    so a support it drops is one whose solve raises, and the survivors are
+    solved again, stacked, or one support at a time (NaN where it raises)
+    if that raises too."""
     AT = A[T[:, :, None], T[:, None, :]]
     keep = np.isfinite(AT).all(axis=(1, 2))
-    # solve's LU: no zero pivot.  Cheaper than a raise, whose fallback solves
-    # each support alone, on the exactly singular supports of a duplicated point
-    keep[keep] = np.linalg.slogdet(AT[keep])[0] != 0
     AT, W = AT[keep], W[keep]
     try:
         Z = np.linalg.solve(AT, W)
     except np.linalg.LinAlgError:
-        Z = np.full(W.shape, np.nan)
-        for i, (a, w) in enumerate(zip(AT, W)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                Z[i] = np.linalg.solve(a, w)
+        # a zero pivot, as on the exactly singular supports of a duplicated
+        # point: one more stacked solve is cheaper than a solve per support
+        nonsingular = np.linalg.slogdet(AT)[0] != 0
+        keep[keep] = nonsingular
+        AT, W = AT[nonsingular], W[nonsingular]
+        try:
+            Z = np.linalg.solve(AT, W)
+        except np.linalg.LinAlgError:
+            Z = np.full(W.shape, np.nan)
+            for i, (a, w) in enumerate(zip(AT, W)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    Z[i] = np.linalg.solve(a, w)
     bad = np.abs(np.matmul(AT, Z) - W).max(axis=1) > 1e-9 * np.abs(W).max(axis=1)
     Z.transpose(0, 2, 1)[bad] = np.nan
     ok = (Z >= -1e-10 * np.abs(Z).max(axis=1, keepdims=True)).all(axis=1)
@@ -400,17 +412,27 @@ def _enumerate_supports(A, grown=False):
     return best, best_val
 
 
-def _exact_qp(A) -> bool:
+def _exact_qp(A, least=False):
     """Whether :func:`wiener_cap1` solves on the kernel block ``A`` by its
     exact active set: ``A`` is finite and positive semidefinite, read at any
     scale on the congruent unit-diagonal form of its symmetric part.  A zero
-    diagonal entry needs a zero row, as in any PSD matrix; the form keeps it."""
+    diagonal entry needs a zero row, as in any PSD matrix; the form keeps it.
+    With ``least``, the form's least eigenvalue where ``A`` passes, else None."""
     B = (A + A.T) / 2.0
     d = np.diag(B)
     if not np.isfinite(B).all() or (B[d == 0] != 0).any():
-        return False
+        return None if least else False
     s = np.where(d > 0, d, 1.0) ** -0.5
-    return bool(np.linalg.eigvalsh(B * np.outer(s, s))[0] >= -1e-10)
+    floor = float(np.linalg.eigvalsh(B * np.outer(s, s))[0])
+    if least:
+        return floor if floor >= -1e-10 else None
+    return floor >= -1e-10
+
+
+def _wiener_value(A, lam) -> float:
+    """``max(2 lam(K) - lam' A lam, 0)``, the objective of :func:`wiener_cap1`
+    at the weights ``lam`` on the block ``A`` of ``K``."""
+    return max(float(2.0 * lam.sum() - lam @ A @ lam), 0.0)
 
 
 def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None, psd=False) -> tuple:
@@ -442,14 +464,13 @@ def _wiener_cap1(kernel: Kernel, K: np.ndarray, start=None, psd=False) -> tuple:
     A = G[np.ix_(keep, keep)]
     if psd or _exact_qp(A):
         lam_K = _active_set(A, None if start is None else start[keep])
-        value = float(2.0 * lam_K.sum() - lam_K @ A @ lam_K)
-        method = "qp"
-    else:
+        value, method = _wiener_value(A, lam_K), "qp"
+    else:  # the best value of the supports is at least 0
         grown = keep.size > ENUM_LIMIT
         lam_K, value = _enumerate_supports(A, grown=grown)
         method = "heuristic" if grown else "enumeration"
     weights[keep] = np.clip(lam_K, 0.0, None)
-    return max(value, 0.0), weights, method
+    return value, weights, method
 
 
 def wiener_cap1(kernel: Kernel, points) -> CapacityResult:

@@ -61,7 +61,7 @@ class BlockSpec:
             if len(rule) != 3:
                 raise DomainError("geometric rule takes two parameters")
             a, b = float(rule[1]), float(rule[2])
-            if not (1.0 < a < b**self.q):
+            if not (b > 1.0 and 1.0 < a < b**self.q):  # b > 1 first: b**q is complex for b < 0
                 raise DomainError("geometric rule needs 1 < a < b**q")
         elif rule[0] == "harmonic":
             if len(rule) != 1:
@@ -113,7 +113,10 @@ def build_block(spec: BlockSpec) -> BlockInstance:
 
     On each pair the equation decouples to ``u1 = u2^q s2``, ``u2 = u1^q s1``
     with the explicit solution ``u1 = (s1^q s2)^{1/(1-q^2)}`` and its mirror.
-    The strictly positive variant multiplies the solution by ``2^{1/(1-q)}``.
+    The strictly positive variant multiplies the solution by ``2^{1/(1-q)}``,
+    as the factor ``2^{1+q}`` inside the power, so a solution that fits a
+    float never overflows on the way; one that does not raises a
+    :class:`DomainError`.
     The divergence witness swaps ``s^{1/(1-q)}`` within each pair; testing
     it in the q-th power of the strong-type inequality gives the ratio
     ``(sum_j s_j^{1/(1-q)})^{1-q}``, which is unbounded along the truncation
@@ -142,10 +145,14 @@ def build_block(spec: BlockSpec) -> BlockInstance:
     problem = SublinearProblem(kernel, sigma, q)
 
     u = np.empty(2 * n)
-    u[0::2] = (odd**q * even) ** (1.0 / (1.0 - q * q))
-    u[1::2] = (odd * even**q) ** (1.0 / (1.0 - q * q))
-    if spec.variant == "strictly_positive":
-        u = u * 2.0 ** (1.0 / (1.0 - q))
+    c = 2.0 ** (1.0 + q) if spec.variant == "strictly_positive" else 1.0
+    with np.errstate(over="ignore"):
+        u[0::2] = (c * odd**q * even) ** (1.0 / (1.0 - q * q))
+        u[1::2] = (c * odd * even**q) ** (1.0 / (1.0 - q * q))
+        pieces = sig ** (1.0 / (1.0 - q))
+    for name, x in (("the closed-form solution u", u), ("the divergence witness", pieces)):
+        if np.isinf(x).any():
+            raise DomainError(f"{name} does not fit a float")
     lq = float((u**q @ sig) ** (1.0 / q))
 
     if spec.variant == "zero_diagonal":
@@ -154,11 +161,9 @@ def build_block(spec: BlockSpec) -> BlockInstance:
     else:
         energy_small = energy_value(problem, q / (1.0 - q))
 
-    pieces = sig ** (1.0 / (1.0 - q))
     divergence_lower = float(pieces.sum() ** (1.0 - q))
     nu = np.empty(2 * n)
-    nu[0::2] = even ** (1.0 / (1.0 - q))
-    nu[1::2] = odd ** (1.0 / (1.0 - q))
+    nu[0::2], nu[1::2] = pieces[1::2], pieces[0::2]  # s^{1/(1-q)} swapped within each pair
     witness = Measure(space, nu)
 
     tag = (f"blocks:{spec.sigma_rule[0]}:{spec.variant}"

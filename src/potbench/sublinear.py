@@ -35,7 +35,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .capacity import ENUM_LIMIT, _cap0, _exact_qp, _to_boundary, _wiener_cap1, content
+from .capacity import (ENUM_LIMIT, _cap0, _exact_qp, _to_boundary, _wiener_cap1, _wiener_value,
+                       content)
 from .core import (
     DomainError,
     Kernel,
@@ -604,7 +605,9 @@ class _SubsetSearch:
 
     Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
     with its weights are memoized by mask, for every search on one object,
-    which lives only as long as its caller.  That bounds its memory, and keeps
+    which lives only as long as its caller, and so is the ``lam`` of each
+    certified set below, one per ``cap0`` value at most, so the search's
+    limit on subsets valued bounds it.  That bounds its memory, and keeps
     a repeated call's work equal: the benchmark's traced run calls each input
     again on the same objects and fails on changed operation counts.  ``cap1`` starts
     from the weights of the subset's parent in the search, the subset without
@@ -613,6 +616,29 @@ class _SubsetSearch:
     call memoizes ``num``, ``den`` and ``cap`` by subset, and
     :meth:`testing_ratio` each subset's potential, for that call only: the
     nodes' bounds read a set many times, and each is valued once.
+
+    ``cap1`` is read off ``cap0``'s certificate where that is the active
+    set's own answer, bit for bit.  Where :func:`capacity._cap0` took
+    ``slackness`` on all of a set ``K``, the search keeps the certificate's
+    ``lam``.  On a symmetric kernel, the only kind whose ``cap1`` is searched
+    (:func:`wiener_cap1` and ``theorem_report``'s weak rows need one),
+    ``G_KK lam = 1`` to ``SLACK_TOL`` with ``lam >= 0`` is a KKT point of the
+    concave ``max 2 lam(K) - lam' G_KK lam``, so ``lam`` is optimal, and the
+    one optimum where ``G_KK`` is positive definite.  The active set stops
+    once no point's ``w`` exceeds ``1e-9``.  Had it stopped on a support
+    ``P != K``, strong concavity would force an optimal weight ``lam_j <=
+    2e-9 / lambda_min(G_KK)`` off ``P``, and interlacing on the unit-diagonal
+    form gives ``lambda_min(G_KK) >= l min_K G_ii``, where ``l`` is the least
+    eigenvalue of the support block's form, from the search's one
+    :func:`capacity._exact_qp`.  So where ``|K| >= 2``, the support block is
+    PSD and ``min lam * l * min_K G_ii > 4e-9`` (a factor 2 spared for
+    rounding), the active set ends with the solve ``_equilibrium(G_KK)`` on
+    all of ``K``, which the certificate's stacked solve gives bit for bit,
+    and :func:`capacity._wiener_value` values those weights.  The active
+    set's one other exit is its ``3k``-step cap, short of the optimum; the
+    tests' fuzzed kernels never reach it on a certified set.  Every other
+    set runs the active set from its parent's weights, and ``cap1`` never
+    asks for a ``cap0``, so it adds no LP.
     """
 
     def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
@@ -624,6 +650,7 @@ class _SubsetSearch:
         self._rest = [sum(1 << x for x in self.order[d:]) for d in range(k + 1)]  # order[d:]'s mask
         self._sets: dict = {}  # (indices, mask, sigma mass) by subset
         self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
+        self._certified: dict = {}  # lam of cap0's certificate on all of a subset, by subset
         self._loads: dict = {}  # M by subset
 
     def subset(self, m: int) -> tuple:
@@ -651,20 +678,34 @@ class _SubsetSearch:
 
     def cap0_value(self, m: int) -> float:
         if m not in self._caps[0]:
-            self._caps[0][m] = _cap0(self.kernel.entries, self.subset(m)[0])[0]
+            K = self.subset(m)[0]
+            value, free, _, _, lam, method = _cap0(self.kernel.entries, K)
+            self._caps[0][m] = value
+            if method == "slackness" and free.size == K.size > 1:
+                self._certified[m] = lam
         return self._caps[0][m]
 
     def cap1_value(self, m: int) -> float:
         if m not in self._caps[1]:
-            last = next(x for x in reversed(self.order) if m >> x & 1)
-            parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
-            self._caps[1][m] = _wiener_cap1(self.kernel, self.subset(m)[0], parent, self.psd)[:2]
+            K, G, lam = self.subset(m)[0], self.kernel.entries, self._certified.get(m)
+            if lam is not None and self.psd and lam[K].min() * self._floor * G[K, K].min() > 4e-9:
+                self._caps[1][m] = _wiener_value(G[np.ix_(K, K)], lam[K]), lam
+            else:
+                last = next(x for x in reversed(self.order) if m >> x & 1)
+                parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
+                self._caps[1][m] = _wiener_cap1(self.kernel, K, parent, self.psd)[:2]
         return self._caps[1][m][0]
 
     @cached_property
+    def _floor(self) -> float | None:
+        """``l``, the least eigenvalue of the support block's unit-diagonal form
+        where the block passes :func:`capacity._exact_qp`, else None."""
+        return _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)], least=True)
+
+    @property
     def psd(self) -> bool:
         """The support block passes :func:`capacity._exact_qp`, so every subset does."""
-        return _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)])
+        return self._floor is not None
 
     @property
     def cap1_monotone(self) -> bool:

@@ -22,6 +22,7 @@ from potbench import (
     strong_type_constant,
 )
 from potbench import gallery
+from potbench.cli import main
 from potbench.gallery import (
     BlockSpec,
     SampledKernelSpec,
@@ -51,6 +52,30 @@ def test_spec_validation():
         BlockSpec(2, 0.5, ("custom", (1.0, 2.0)))  # wrong length
     with pytest.raises(DomainError):
         BlockSpec(2, 0.5, ("harmonic",), variant="diagonal")
+
+
+def test_a_negative_geometric_b_is_a_domain_error(capsys):
+    # b > 1 is checked before b**q, which is complex for b < 0
+    with pytest.raises(DomainError):
+        BlockSpec(2, 0.5, ("geometric", 2, -3))
+    assert main(["gallery", "--rule", "geometric", "--a", "2", "--b", "-3"]) == 2
+    assert "1 < a < b**q" in capsys.readouterr().err
+
+
+def test_strictly_positive_factor_rides_inside_the_power():
+    # 2^{1/(1-q)} alone is past the float range for q >= 0.99903, while this
+    # solution fits: its entries lie between 1e184 and 1e260
+    q = 0.9991
+    inst = build_block(BlockSpec(2, q, ("geometric", 1.1, 1.5), "strictly_positive"))
+    zd = build_block(BlockSpec(2, q, ("geometric", 1.1, 1.5)))
+    assert np.isfinite(inst.solution).all() and inst.solution.max() > 1e259
+    ratio = np.log(inst.solution) - np.log(zd.solution)
+    assert ratio == pytest.approx(np.full(4, math.log(2.0) / (1.0 - q)), rel=1e-12)
+    # the harmonic rule's first pair reaches 2^{1/(1-q)}, about 1e334
+    with pytest.raises(DomainError, match="solution u does not fit a float"):
+        build_block(BlockSpec(2, q, ("harmonic",), "strictly_positive"))
+    assert main(["gallery", "--rule", "harmonic", "--q", str(q),
+                 "--variant", "strictly_positive"]) == 2
 
 
 def test_unit_block_oracle():

@@ -720,6 +720,21 @@ def test_singular_batches_fall_back_to_single_solves(monkeypatch):
         assert any(single)
 
 
+def test_a_walk_with_no_singular_support_factors_each_support_once(monkeypatch):
+    # slogdet screens a batch only after its stacked solve raised: none of
+    # this kernel's supports is singular, so the exact walks call it never,
+    # while the duplicated point's exactly singular supports still take it
+    calls, slogdet = [], np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda AT: calls.append(len(AT)) or slogdet(AT))
+    k = _walk_kernel(7, 5, zeros=False, duplicate=False, inf_point=False)
+    with _walk_only():
+        reports = wmp_constant(k), complete_mp_constant(k)
+        assert calls == []
+        assert all(rep.mode == "exact" and rep.pairs_checked > 0 for rep in reports)
+        wmp_constant(_walk_kernel(7, 5, zeros=False, duplicate=True, inf_point=False))
+    assert calls
+
+
 def test_complete_dominates_onesided():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -1296,10 +1296,13 @@ def test_warm_cap1_is_bit_equal_to_cold_with_fewer_solves(monkeypatch):
 def test_one_psd_test_per_search_and_the_load_bound_cut_the_work(monkeypatch):
     # theorem_report's searches on verdict_table's input 0 at q = 0.5 ran _cap0
     # 50 times, _wiener_cap1 51 times and capacity._exact_qp 41 times before the
-    # node bound sigma(O)^{1/q-1} M(O) and the one PSD test per search
-    calls = {"_cap0": 0, "_wiener_cap1": 0, "_exact_qp": 0}
+    # node bound sigma(O)^{1/q-1} M(O) and the one PSD test per search.  Of
+    # the 29 subsets whose cap1 is valued, 16 read it off cap0's certificate
+    # (the search's own _wiener_value calls) and 13 run the active set
+    calls = {"_cap0": 0, "_wiener_cap1": 0, "_wiener_value": 0, "_exact_qp": 0}
     for module, name in ((sublinear, "_cap0"), (sublinear, "_wiener_cap1"),
-                         (capacity, "_exact_qp"), (sublinear, "_exact_qp")):
+                         (sublinear, "_wiener_value"), (capacity, "_exact_qp"),
+                         (sublinear, "_exact_qp")):
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -1310,7 +1313,43 @@ def test_one_psd_test_per_search_and_the_load_bound_cut_the_work(monkeypatch):
     kernel, sigma = _verdict_table_input_0()
     rep = theorem_report(SublinearProblem(kernel, sigma, 0.5), seed=0)
     assert rep.verdict("weak_capacity_route") == "CONFIRMED"
-    assert calls == {"_cap0": 29, "_wiener_cap1": 29, "_exact_qp": 1}
+    assert calls == {"_cap0": 29, "_wiener_cap1": 13, "_wiener_value": 16, "_exact_qp": 1}
+
+
+def _fuzzed_symmetric_entries(rng, n, kind):
+    """A symmetric kernel of one of five kinds: a metric power, an exponential
+    of a metric, or a Gram kernel that is plain, exactly singular on every
+    block holding its duplicated point, or nearly singular (rank 2)."""
+    if kind == "metric":
+        return metric_power_kernel(rng, n, power=rng.uniform(0.3, 3.0)).entries
+    if kind == "exponential":
+        return np.exp(-rng.uniform(0.2, 3.0) * shortest_path_metric(rng, n))
+    C = rng.uniform(0.0, 1.0, (n, 2 if kind == "near_singular" else n))
+    if kind == "duplicate":
+        C[-1] = C[0]
+    return C @ C.T + (1e-12 * np.eye(n) if kind == "near_singular" else 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9),
+       st.sampled_from(["metric", "exponential", "gram", "duplicate", "near_singular"]))
+def test_cap1_off_the_certificate_is_the_active_sets_bit_for_bit(seed, n, kind):
+    # where the search reads cap1 off cap0's slackness certificate, value and
+    # weights are the active set's from the same parent weights, bit for bit,
+    # on every subset of a PSD block, singular blocks included
+    kernel = Kernel(Space.of_size(n), _fuzzed_symmetric_entries(np.random.default_rng(seed), n, kind))
+    search = _SubsetSearch(kernel, Measure(kernel.space, np.ones(n)), DEFAULT_BUDGET)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if not search.psd:
+            return
+        for m in range(1, 2**n):  # a subset's parent, m less its last point, comes first
+            search.cap0_value(m)
+            value = search.cap1_value(m)
+            last = next(x for x in reversed(search.order) if m >> x & 1)
+            parent = search._caps[1].get(m & ~(1 << last), (None, None))[1]
+            ref, weights, _ = capacity._wiener_cap1(kernel, search.subset(m)[0], parent, True)
+            assert value == ref and search._caps[1][m][1].tobytes() == weights.tobytes(), m
 
 
 def test_a_search_values_each_subset_once_per_call(monkeypatch):
