@@ -17,7 +17,8 @@ so the extended-real rules are pinned here once, each with its helper:
 * a scalar power or exponential past the float range reads ``+inf`` (``_pow``, ``_exp``),
 * ``int f^p dw`` and its ``1/p`` power are ``+inf`` only past the float range (``_power_integral``,
   which the ``L^p`` and Lorentz norms and the energies read),
-* the decreasing rearrangement ``f*`` keeps ``w > 0``, ties in index order (``_rearranged``).
+* the decreasing rearrangement ``f*`` keeps ``w > 0``, ties in index order (``_rearranged``),
+* a budget is at least 1; ``count`` items within it read ``exact``, else ``sampled`` (``_mode``).
 
 Objects are immutable after construction: the wrapped arrays are marked
 read-only, so all operations below are pure functions and safe to share
@@ -230,14 +231,14 @@ def _exp(x: float) -> float:
 
 def _ratio_max(num: np.ndarray, den: np.ndarray):
     """Extended-real max of num/den: inf/inf and 0/0 impose nothing."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = num / den
     return np.where(np.isnan(r), 0.0, r)
 
 
 def _inverse_distance(G: np.ndarray) -> np.ndarray:
     """``d = 1/G``: ``d = inf`` where ``G = 0`` and ``d = 0`` where ``G = inf``."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / G
 
 
@@ -272,6 +273,13 @@ def _bits(m: int, k: int) -> np.ndarray:
     The one subset code is the mask over the space, ``k = n``: bit ``x`` marks point ``x``."""
     code = np.frombuffer(m.to_bytes(k // 8 + 1, "little"), dtype=np.uint8)
     return np.unpackbits(code, count=k, bitorder="little").view(bool)
+
+
+def _mode(count: int, budget: int) -> str:
+    """``exact`` when ``count`` pairs or subsets fit the budget, else ``sampled``."""
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
+    return "exact" if count <= budget else "sampled"
 
 
 def _potential(G: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -371,13 +379,19 @@ def lorentz_norm(f, sigma: Measure, s: float, q: float) -> float:
     ``(q/s)^{1/q}`` prefactor is omitted, which makes the ``(s, s)`` case
     coincide with the plain ``L^s`` norm exactly.  On a finite space it is the
     ``L^q`` norm of ``f*`` against the weight ``(s/q)(U^{q/s} - L^{q/s})`` of each
-    constancy interval ``[L, U]``, through ``_power_integral``.
+    constancy interval ``[L, U]`` (``_power_integral``), ``+inf`` only past the float range.
     """
     f, w, s, q = _norm_input(f, sigma, s, q)
     vals, masses, _ = _rearranged(f, w)
     if np.isinf(vals).any():
         return float("inf")
-    return _power_integral(vals, (s / q) * np.diff(np.cumsum(masses) ** (q / s), prepend=0.0), q)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (s / q) * np.diff(np.cumsum(masses) ** (q / s), prepend=0.0)
+    if np.isfinite(weights).all():
+        return _power_integral(vals, weights, q)[1]
+    m, e = _normalized(masses)  # the weights over 2^{eq/s}, the norm over 2^{e/s}
+    norm = _power_integral(vals, (s / q) * np.diff(np.cumsum(m) ** (q / s), prepend=0.0), q)[1]
+    return _pow(2.0, math.log2(norm) + e / s) if norm > 0 else 0.0
 
 
 def check_quasisymmetric(kernel: Kernel) -> float:

@@ -59,6 +59,7 @@ from .core import (
     Kernel,
     Measure,
     _inverse_distance,
+    _mode,
     _ratio_max,
     _weighted_terms,
 )
@@ -100,13 +101,6 @@ class WmpReport:
 
 class CompleteMpReport(WmpReport):
     """A :class:`WmpReport` whose witness is ``(support points, evaluation point, mu, nu, c)``."""
-
-
-def _mode(count: int, budget: int) -> str:
-    """``exact`` when ``count`` pairs or subsets fit the budget, else ``sampled``."""
-    if budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
-    return "exact" if count <= budget else "sampled"
 
 
 def _place(n: int, T, x: int) -> int:

@@ -31,24 +31,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .capacity import (ENUM_LIMIT, _cap0, _exact_qp, _to_boundary, _wiener_cap1, _wiener_value,
-                       content)
+from .capacity import _SubsetSearch, _to_boundary, content
 from .core import (
     DomainError,
     Kernel,
     Measure,
     SpaceMismatchError,
-    _bits,
     _clean_array,
     _distinct,
     _energy,
     _exp,
     _inverse_distance,
     _log_norm,
+    _mode,
     _normalized,
     _potential,
     _pow,
@@ -67,7 +66,6 @@ from .core import (
 )
 from .principles import (
     DEFAULT_BUDGET,
-    _mode,
     _triangle_constant,
     modifier,
     modify_kernel,
@@ -577,225 +575,6 @@ def strong_type_constant(problem: SublinearProblem, budget: int = DEFAULT_BUDGET
 # ---------------------------------------------------------------------------
 # weak-type constant
 # ---------------------------------------------------------------------------
-
-
-PRUNE_RTOL = 1e-9  # cap0 values, certified or from the LP, are monotone in exact arithmetic only
-
-
-class _SubsetSearch:
-    """Depth-first branch and bound (Land and Doig) for the largest
-    ``num(K) / den(K)`` over nonempty ``K`` in ``supp sigma``, for
-    nondecreasing set functions ``num`` and ``den``.
-
-    A subset is its mask over the space (:func:`core._bits`), bit ``x`` for the
-    point ``x``; ties go to the least.  After the singletons, each point of
-    ``supp sigma`` is included, then excluded, in decreasing order of ``G sigma``.
-    A node with included set ``I`` and undecided points ``R`` bounds the ratios
-    of its sets by ``num(I + R) / den(I)`` (the least singleton ``den`` in ``R``
-    while ``I`` is empty), or by a caller's second bound if smaller, and is
-    pruned when that is below the incumbent.
-
-    The capacity ratios ``sigma(K)^{1/q} / cap(K)`` with ``q <= 1`` take the
-    second bound ``sigma(O)^{1/q-1} M(O)`` on the sets ``K`` in ``O = I + R``,
-    where ``M(O) = max_y sum_{x in O} sigma_x G(x, y)`` (:meth:`load`).  The
-    measure ``sigma|K / M(K)`` has adjoint potential ``<= 1`` everywhere, so
-    ``cap0(K) >= sigma(K) / M(K)``; as ``lam`` in ``cap1``'s objective it has
-    energy at most its mass, so ``cap1(K) >= cap0(K)``.  Both factors of
-    ``sigma(K)^{1/q-1} M(K)`` are nondecreasing in ``K`` when ``q <= 1``.
-
-    Each subset's indices, mask, ``sigma`` mass, ``M``, ``cap0``, and ``cap1``
-    with its weights are memoized by mask, for every search on one object,
-    which lives only as long as its caller, and so is the ``lam`` of each
-    certified set below, one per ``cap0`` value at most, so the search's
-    limit on subsets valued bounds it.  That bounds its memory, and keeps
-    a repeated call's work equal: the benchmark's traced run calls each input
-    again on the same objects and fails on changed operation counts.  ``cap1`` starts
-    from the weights of the subset's parent in the search, the subset without
-    its last point in ``order``, and skips the PSD test of each subset when
-    the whole support block passes it (:attr:`psd`).  One :meth:`max_ratio`
-    call memoizes ``num``, ``den`` and ``cap`` by subset, and
-    :meth:`testing_ratio` each subset's potential, for that call only: the
-    nodes' bounds read a set many times, and each is valued once.
-
-    ``cap1`` is read off ``cap0``'s certificate where that is the active
-    set's own answer, bit for bit.  Where :func:`capacity._cap0` took
-    ``slackness`` on all of a set ``K``, the search keeps the certificate's
-    ``lam``.  On a symmetric kernel, the only kind whose ``cap1`` is searched
-    (:func:`wiener_cap1` and ``theorem_report``'s weak rows need one),
-    ``G_KK lam = 1`` to ``SLACK_TOL`` with ``lam >= 0`` is a KKT point of the
-    concave ``max 2 lam(K) - lam' G_KK lam``, so ``lam`` is optimal, and the
-    one optimum where ``G_KK`` is positive definite.  The active set stops
-    once no point's ``w`` exceeds ``1e-9``.  Had it stopped on a support
-    ``P != K``, strong concavity would force an optimal weight ``lam_j <=
-    2e-9 / lambda_min(G_KK)`` off ``P``, and interlacing on the unit-diagonal
-    form gives ``lambda_min(G_KK) >= l min_K G_ii``, where ``l`` is the least
-    eigenvalue of the support block's form, from the search's one
-    :func:`capacity._exact_qp`.  So where ``|K| >= 2``, the support block is
-    PSD and ``min lam * l * min_K G_ii > 4e-9`` (a factor 2 spared for
-    rounding), the active set ends with the solve ``_equilibrium(G_KK)`` on
-    all of ``K``, which the certificate's stacked solve gives bit for bit,
-    and :func:`capacity._wiener_value` values those weights.  The active
-    set's one other exit is its ``3k``-step cap, short of the optimum; the
-    tests' fuzzed kernels never reach it on a certified set.  Every other
-    set runs the active set from its parent's weights, and ``cap1`` never
-    asks for a ``cap0``, so it adds no LP.
-    """
-
-    def __init__(self, kernel: Kernel, sigma: Measure, budget: int):
-        self.kernel, self.sigma, self.supp = kernel, sigma, sigma.support
-        k, n = self.supp.size, kernel.size
-        self.limit = 2**k - 1 if _mode(2**k, budget) == "exact" else min(budget, 10 * n * n)
-        pot = potential(kernel, sigma)[self.supp]
-        self.order = [int(x) for x in self.supp[np.argsort(-pot, kind="stable")]]
-        self._rest = [sum(1 << x for x in self.order[d:]) for d in range(k + 1)]  # order[d:]'s mask
-        self._sets: dict = {}  # (indices, mask, sigma mass) by subset
-        self._caps: tuple[dict, dict] = ({}, {})  # cap0, and cap1 with its weights, by subset
-        self._certified: dict = {}  # lam of cap0's certificate on all of a subset, by subset
-        self._loads: dict = {}  # M by subset
-
-    def subset(self, m: int) -> tuple:
-        """``(indices, read-only mask, sigma mass)`` of the subset ``m``."""
-        if m not in self._sets:
-            mask = _bits(m, self.kernel.size)
-            mask.flags.writeable = False
-            idx = mask.nonzero()[0]
-            self._sets[m] = idx, mask, float(self.sigma.weights[idx].sum())
-        return self._sets[m]
-
-    def mask(self, m: int) -> np.ndarray:
-        return self.subset(m)[1]
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """``sigma_x G(x, .)`` for every ``x``, with ``0 * inf = 0``."""
-        return _weighted_terms(self.sigma.weights[:, None], self.kernel.entries)
-
-    def load(self, m: int) -> float:
-        """``M(K) = max_y sum_{x in K} sigma_x G(x, y)`` of the subset ``m``."""
-        if m not in self._loads:
-            self._loads[m] = float(self._rows[self.mask(m)].sum(axis=0).max())
-        return self._loads[m]
-
-    def cap0_value(self, m: int) -> float:
-        if m not in self._caps[0]:
-            K = self.subset(m)[0]
-            value, free, _, _, lam, method = _cap0(self.kernel.entries, K)
-            self._caps[0][m] = value
-            if method == "slackness" and free.size == K.size > 1:
-                self._certified[m] = lam
-        return self._caps[0][m]
-
-    def cap1_value(self, m: int) -> float:
-        if m not in self._caps[1]:
-            K, G, lam = self.subset(m)[0], self.kernel.entries, self._certified.get(m)
-            if lam is not None and self.psd and lam[K].min() * self._floor * G[K, K].min() > 4e-9:
-                self._caps[1][m] = _wiener_value(G[np.ix_(K, K)], lam[K]), lam
-            else:
-                last = next(x for x in reversed(self.order) if m >> x & 1)
-                parent = self._caps[1].get(m & ~(1 << last), (None, None))[1]
-                self._caps[1][m] = _wiener_cap1(self.kernel, K, parent, self.psd)[:2]
-        return self._caps[1][m][0]
-
-    @cached_property
-    def _floor(self) -> float | None:
-        """``l``, the least eigenvalue of the support block's unit-diagonal form
-        where the block passes :func:`capacity._exact_qp`, else None."""
-        return _exact_qp(self.kernel.entries[np.ix_(self.supp, self.supp)], least=True)
-
-    @property
-    def psd(self) -> bool:
-        """The support block passes :func:`capacity._exact_qp`, so every subset does."""
-        return self._floor is not None
-
-    @property
-    def cap1_monotone(self) -> bool:
-        """No subset reaches the heuristic path of :func:`wiener_cap1`."""
-        return self.supp.size <= ENUM_LIMIT or self.psd
-
-    def capacity_ratio(self, q: float, cap1: bool = False) -> tuple:
-        """Largest ``sigma(K)^{1/q} / cap0(K)``, or ``/ cap1(K)`` with ``cap1``,
-        which prunes only when :attr:`cap1_monotone`.  A search that prunes
-        with ``q <= 1`` also takes the bound ``sigma(O)^{1/q-1} M(O)``.  A
-        power of ``sigma(K)`` that does not fit a float raises a
-        :class:`DomainError` that names it."""
-        prune = not cap1 or self.cap1_monotone
-
-        def power(m, p):
-            if (value := _pow(self.subset(m)[2], p)) == float("inf"):
-                raise DomainError(f"the scale sigma(K)^{p:g} of a subset's capacity ratio "
-                                  "does not fit a float")
-            return value
-
-        def load_bound(m):
-            return power(m, 1.0 / q - 1.0) * self.load(m)
-
-        return self.max_ratio(lambda m: power(m, 1.0 / q),
-                              self.cap1_value if cap1 else self.cap0_value, prune=prune,
-                              cap=load_bound if prune and q <= 1.0 else None)
-
-    def testing_ratio(self) -> tuple:
-        """Largest ``integral_{K x K} G dsigma dsigma / sigma(K)``; ``G >= 0``, so
-        the largest potential of ``sigma`` restricted to ``O`` caps every ``K``
-        in ``O``.  The ratio, of degree 1 in ``sigma``, is searched on ``sigma`` over
-        ``2^e`` (:func:`core._normalized`), lest ``sigma sigma G`` underflow."""
-        G, (w, e) = self.kernel.entries, _normalized(self.sigma.weights)
-
-        @cache
-        def weighted(m):  # the subset's weights and their potential
-            wm = np.where(self.mask(m), w, 0.0)
-            return wm, _potential(G, wm)
-
-        def energy(m):  # as core._energy
-            wm, pot = weighted(m)
-            return float(_weighted_terms(pot, wm).sum())
-
-        value, best, mode, upper = self.max_ratio(
-            energy, lambda m: float(w[self.mask(m)].sum()),
-            cap=lambda m: float(weighted(m)[1][self.mask(m)].max()))
-        return math.ldexp(value, e), best, mode, math.ldexp(upper, e)
-
-    def max_ratio(self, num, den, prune: bool = True, cap=None) -> tuple:
-        """``(value, mask or None, mode, upper)``: the largest ratio found, a
-        set reaching it if positive, and the bracket's mode and upper end.
-        ``cap(O)``, if given, is a second bound on the ratio of every set in
-        ``O``; a node takes the smaller of the two."""
-        num, den, cap = cache(num), cache(den), cap and cache(cap)
-        k, valued = self.supp.size, set()
-        best, best_m = 0.0, None
-
-        def value(m):
-            nonlocal best, best_m
-            valued.add(m)
-            d = den(m)
-            v = num(m) / d if d > 0 else float("inf")
-            if v > best or (v == best and best_m is not None and m < best_m):
-                best, best_m = float(v), m
-
-        def bound(d, m):  # the ratios of the sets between m and m + order[d:]
-            top = m | self._rest[d]
-            low = den(m) if m else min(den(1 << x) if 1 << x in valued else 0.0
-                                       for x in self.order[d:])
-            b = num(top) / low if prune and low > 0 else float("inf")
-            return min(b, cap(top)) if cap else b
-
-        for x in self.order[:self.limit]:
-            value(1 << x)
-        stack = [(0, 0)]  # (depth, included set)
-        while stack and best < float("inf"):
-            d, m = stack[-1]
-            if d == k or bound(d, m) * (1.0 + PRUNE_RTOL) < best:
-                stack.pop()
-                continue
-            child = m | 1 << self.order[d]
-            if child not in valued:
-                if len(valued) >= self.limit:
-                    break
-                value(child)
-            stack[-1] = (d + 1, m)
-            stack.append((d + 1, child))
-        if not stack or best == float("inf"):
-            return best, best_m, "exact", best
-        return best, best_m, "sampled", max([best] + [bound(d, m) for d, m in stack if d < k])
 
 
 def _level_set_constant(G: np.ndarray, sigma: Measure, qprime: float) -> float:

@@ -48,6 +48,26 @@ def test_cli_imports_no_private_name_from_another_layer():
     assert private == []
 
 
+def test_sublinear_reads_two_capacity_internals():
+    # the subset search lives in capacity beside the cores whose rules it
+    # restates, so sublinear reads from capacity only the search, the active
+    # set's boundary step and public names
+    tree = ast.parse(inspect.getsource(importlib.import_module("potbench.sublinear")))
+    private = sorted(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     and node.module == "capacity"
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == ["_SubsetSearch", "_to_boundary"]
+
+
+def test_the_budget_rule_is_defined_only_in_core():
+    # one budget rule: core._mode reads exact or sampled for every walk and search
+    where = [path.stem for path in sorted(pathlib.Path(potbench.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name == "_mode"]
+    assert where == ["core"]
+
+
 @pytest.mark.parametrize("path", sorted(pathlib.Path(potbench.__file__).parent.rglob("*.py")),
                          ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_reads(path):

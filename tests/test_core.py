@@ -178,6 +178,12 @@ def test_extended_real_rules():
     ratios = _ratio_max(np.array([0.0, inf, 1.0, 1.0]), np.array([0.0, inf, 0.0, 2.0]))
     assert ratios.tolist() == [0.0, 0.0, inf, 0.5]
     assert _inverse_distance(np.array([0.0, inf, 2.0])).tolist() == [inf, 0.0, 0.5]
+    # 1e200 / 1e-200 and 1 / 1e-310 pass the float range: +inf, as x / 0 reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _ratio_max(np.array([1e200]), np.array([1e-200])).tolist() == [inf]
+        assert _inverse_distance(np.array([1e-310])).tolist() == [inf]
+        assert check_quasisymmetric(Kernel(Space.of_size(2), [[1.0, 1e200], [1e-200, 1.0]])) == inf
 
 
 def test_nondegeneracy_detection():
@@ -407,6 +413,25 @@ def test_lorentz_norm_reads_a_power_past_the_float_range_from_logs():
         warnings.simplefilter("error", RuntimeWarning)
         value = lorentz_norm([1e200, 1.0, 1.0], sigma, 1.0, 2.0)
     assert value == pytest.approx(math.sqrt(0.5) * 1e200, rel=1e-12)
+
+
+def test_lorentz_norm_with_masses_past_the_float_range():
+    # the cumulative masses, or their power q/s, pass the float range while the
+    # norm fits: the masses are read over a power of two, and the norm scales as
+    # sigma^{1/s}, so sigma = 1e308 reads 1e4 times sigma = 1e300 at s = 2
+    f, space = [3e-300, 2e-300, 1e-300], Space.of_size(3)
+    big, small = Measure(space, [1e308] * 3), Measure(space, [1e300] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lorentz_norm(f, big, 1.0, 1.0) == pytest.approx(lp_norm(f, big, 1.0), rel=1e-12)
+        assert lp_norm(f, big, 1.0) == pytest.approx(6e8, rel=1e-12)
+        assert lorentz_norm(f, big, 2.0, 1.0) == pytest.approx(
+            1e4 * lorentz_norm(f, small, 2.0, 1.0), rel=1e-12)
+        assert lorentz_norm(f, big, 2.0, 1.0) == pytest.approx(8.2925e-146, rel=1e-4)
+        value = lorentz_norm([3e-100, 2e-100, 1e-100], Measure(space, [1e200, 1e200, 0.0]), 0.5, 2.0)
+        assert value == pytest.approx(math.sqrt(17.25) * 1e300, rel=1e-12)
+        assert lorentz_norm([3.0, 2.0, 1.0], big, 1.0, 1.0) == math.inf
+        assert lorentz_norm([0.0, 0.0, 0.0], big, 1.0, 1.0) == 0.0
 
 
 def lorentz_reference(f, w, s, q):

@@ -981,6 +981,18 @@ def test_quasimetric_on_an_infinite_kernel():
     assert (rep.kappa, rep.is_quasimetric, rep.witness) == (0.5, False, None)
 
 
+def test_quasimetric_constant_on_quotients_past_the_float_range():
+    # 1e200 / 1e-200 in the triangle scan and 1 / 1e-310 in 1 / G pass the float
+    # range: +inf, with no RuntimeWarning
+    g = [[1.0, 1e-200, 1e200], [1e-200, 1.0, 1e200], [1e200, 1e200, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = quasimetric_constant(Kernel(Space.of_size(3), g))
+        tiny = quasimetric_constant(Kernel(Space.of_size(2), [[1.0, 1e-310], [1e-310, 1.0]]))
+    assert (rep.kappa, rep.is_quasimetric, rep.witness) == (np.inf, False, (0, 2, 1))
+    assert (tiny.kappa, tiny.is_quasimetric) == (0.5, True)
+
+
 def test_quasimetric_on_metric_power_kernels():
     # 1/(d + c)^p over a shortest-path metric: p = 1 keeps kappa at 1,
     # larger p dilates triangles by at most 2^(p-1)

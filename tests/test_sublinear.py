@@ -57,6 +57,7 @@ from potbench import (
 )
 from potbench import SampledKernelSpec, build_sampled
 from potbench import cap0, capacity, core, principles, quasimetric_constant, sublinear, wiener_cap1
+from potbench.capacity import _SubsetSearch
 from potbench.core import _bits, _inverse_distance, _weighted_terms
 from potbench.gallery import shortest_path_metric
 from potbench.principles import DEFAULT_BUDGET, modify_kernel
@@ -67,7 +68,6 @@ from potbench.sublinear import (
     SolveResult,
     _apply,
     _require_sublinear,
-    _SubsetSearch,
 )
 from conftest import metric_power_kernel, rand_gram_kernel, rand_kernel, rand_sigma
 
@@ -585,6 +585,18 @@ def test_testing_condition_oracle():
     assert est.lower == pytest.approx(1.5, rel=1e-12)
     assert est.upper == est.lower
     assert est.extras["ball_constant"] <= est.lower + 1e-12
+
+
+def test_testing_condition_on_quotients_past_the_float_range():
+    # the triangle scan's 1e200 / 1e-200 passes the float range: the kernel is no
+    # quasimetric, so no ball constant, and no RuntimeWarning
+    g = [[1.0, 1e-200, 1e200], [1e-200, 1.0, 1e200], [1e200, 1e200, 1.0]]
+    kernel = Kernel(Space.of_size(3), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = check_testing_condition(kernel, Measure(kernel.space, np.ones(3)))
+    assert est.lower == est.upper == pytest.approx(4e200 / 3, rel=1e-12)
+    assert est.extras == {"mode": "exact", "best_set": (0, 1, 2)}
 
 
 def test_zero_sigma_subsets_are_exact_and_draw_nothing(monkeypatch):
@@ -1145,13 +1157,13 @@ def test_theorem_report_one_capacity_per_subset(monkeypatch):
     prob = _metric_problem_8()
     calls = {"_cap0": [], "_wiener_cap1": []}
     for name in calls:
-        original = getattr(sublinear, name)
+        original = getattr(capacity, name)
 
         def counted(kernel, points, *args, _original=original, _name=name, **kwargs):
             calls[_name].append(np.asarray(points).tobytes())
             return _original(kernel, points, *args, **kwargs)
 
-        monkeypatch.setattr(sublinear, name, counted)
+        monkeypatch.setattr(capacity, name, counted)
     rep = theorem_report(prob, seed=0)
     monkeypatch.undo()
 
@@ -1289,7 +1301,7 @@ def test_warm_cap1_is_bit_equal_to_cold_with_fewer_solves(monkeypatch):
             search.capacity_ratio(q, cap1=True)
         warm, solves[0] = solves[0], 0
         for m, (value, _) in search._caps[1].items():
-            assert sublinear._wiener_cap1(kernel, search.subset(m)[0])[0] == value
+            assert capacity._wiener_cap1(kernel, search.subset(m)[0])[0] == value
         assert len(search._caps[1]) > 2 * kernel.size and warm < solves[0]
 
 
@@ -1298,18 +1310,22 @@ def test_one_psd_test_per_search_and_the_load_bound_cut_the_work(monkeypatch):
     # 50 times, _wiener_cap1 51 times and capacity._exact_qp 41 times before the
     # node bound sigma(O)^{1/q-1} M(O) and the one PSD test per search.  Of
     # the 29 subsets whose cap1 is valued, 16 read it off cap0's certificate
-    # (the search's own _wiener_value calls) and 13 run the active set
+    # (the search's own _wiener_value calls, not those inside _wiener_cap1)
+    # and 13 run the active set
     calls = {"_cap0": 0, "_wiener_cap1": 0, "_wiener_value": 0, "_exact_qp": 0}
-    for module, name in ((sublinear, "_cap0"), (sublinear, "_wiener_cap1"),
-                         (sublinear, "_wiener_value"), (capacity, "_exact_qp"),
-                         (sublinear, "_exact_qp")):
-        original = getattr(module, name)
+    inside = [0]  # _wiener_cap1 calls under way
+    for name in calls:
+        original = getattr(capacity, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            calls[_name] += _name != "_wiener_value" or not inside[0]
+            inside[0] += _name == "_wiener_cap1"
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside[0] -= _name == "_wiener_cap1"
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(capacity, name, counted)
     kernel, sigma = _verdict_table_input_0()
     rep = theorem_report(SublinearProblem(kernel, sigma, 0.5), seed=0)
     assert rep.verdict("weak_capacity_route") == "CONFIRMED"
@@ -1381,7 +1397,7 @@ def test_a_search_values_each_subset_once_per_call(monkeypatch):
     assert sum(len(seen["den"]) for seen in calls) > 100
 
     search, potentials = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET), []
-    for module in (sublinear, core):  # core's for core._energy
+    for module in (capacity, core):  # core's for core._energy
 
         def counted_potential(G, w, _real=module._potential):
             potentials.append(w)
@@ -1422,17 +1438,18 @@ def test_a_block_that_fails_the_psd_test_tests_each_subset(monkeypatch):
     G[6, 6] = 0.05
     kernel = Kernel(Space.of_size(7), G)
     sigma = rand_sigma(rng, kernel.space)
-    found, real = {}, sublinear._wiener_cap1
+    found, real = {}, capacity._wiener_cap1
 
     def recorded(kernel, points, *args):
         res = real(kernel, points, *args)
         found[tuple(points.tolist())] = res
         return res
 
-    monkeypatch.setattr(sublinear, "_wiener_cap1", recorded)
+    monkeypatch.setattr(capacity, "_wiener_cap1", recorded)
     search = _SubsetSearch(kernel, sigma, DEFAULT_BUDGET)
     for q in (0.5, 1.0):
         search.capacity_ratio(q, cap1=True)
+    monkeypatch.undo()  # the search's calls only, not the public ones below
     assert not search.psd and search.cap1_monotone
     methods = set()
     for points, (value, _, method) in found.items():
@@ -1479,7 +1496,7 @@ def test_load_bound_caps_the_capacity_ratios_of_its_subsets(n, seed, zeros, infs
         for den, cap in caps:
             d = den(inner)
             ratio = search.subset(inner)[2] ** (1.0 / q) / d if d > 0 else np.inf
-            assert ratio <= cap(outer) * (1.0 + sublinear.PRUNE_RTOL), (inner, outer)
+            assert ratio <= cap(outer) * (1.0 + capacity.PRUNE_RTOL), (inner, outer)
 
 
 def test_subset_search_matches_brute_force():
@@ -1551,7 +1568,7 @@ def test_budget_below_one_rejected_before_any_lp(monkeypatch):
                     lambda b: strong_type_constant(SublinearProblem(prob.kernel, prob.sigma, 2.0),
                                                    budget=b))
     for budget in (0, -3):
-        for call in entry_points:  # one message, from principles._mode
+        for call in entry_points:  # one message, from core._mode
             with pytest.raises(DomainError, match=f"^budget must be at least 1, got {budget}$"):
                 call(budget)
 
